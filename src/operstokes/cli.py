@@ -94,17 +94,11 @@ def _add_numeric_flags(sub):
                      default=_env_default("trunc-order", 20, int))
     sub.add_argument("--radius-tol", type=float,
                      default=_env_default("radius-tol", 1e-10, float))
-    sub.add_argument("--ode-tol", type=float,
-                     default=_env_default("ode-tol", 1e-10, float))
     sub.add_argument("--precision-bits", type=int,
                      default=_env_default("precision-bits", 53, int))
-    sub.add_argument("--threads", type=int,
-                     default=_env_default("threads", 1, int))
-    sub.add_argument("--method", choices=["collocation", "transport"],
-                     default=_env_default("method", "collocation", str))
     sub.add_argument("--radius", type=float,
                      default=_env_default("radius", 0.0, float),
-                     help="fixed reading/seeding radius (0 = adaptive)")
+                     help="fixed reading radius (0 = adaptive)")
     sub.add_argument("--v0", default=_env_default("v0", None, str),
                      help="base direction as a fraction of pi, e.g. 1/16")
 
@@ -171,10 +165,8 @@ def _settings_from_args(args):
         except ValueError:
             raise UsageError(f"cannot parse --v0 {args.v0!r} as a fraction")
     return StokesSettings(
-        trunc_order=args.trunc_order, ode_rtol=args.ode_tol,
-        radius_tol=args.radius_tol, radius=args.radius,
-        precision_bits=args.precision_bits, threads=args.threads,
-        v0=v0, method=args.method)
+        trunc_order=args.trunc_order, radius_tol=args.radius_tol,
+        radius=args.radius, precision_bits=args.precision_bits, v0=v0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +315,7 @@ def _stokes_document(op, settings, data):
             "M": settings.trunc_order,
             "R": data.radius,
             "tol": settings.radius_tol,
-            "ode_tol": settings.ode_rtol,
-            "method": settings.method,
-            "precision_bits": getattr(data.plan, "bits",
-                                      settings.precision_bits),
+            "precision_bits": data.plan.bits,
         },
     }
 

@@ -19,7 +19,6 @@ they agree.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,8 @@ from .isomono import OperPoint, solvability
 from .stokes import StokesSettings, stokes_data
 
 __all__ = [
-    "JacobianReport", "CrossCheckReport",
-    "monodromy_map", "jacobian", "kernel_cross_check",
+    "JacobianReport", "CrossCheckReport", "jacobian", "kernel_cross_check",
 ]
-
-
-def monodromy_map(op, settings=None, plan=None):
-    """Stokes data of one oper point: the full composite pipeline, one call."""
-    return stokes_data(op, settings, plan=plan)
 
 
 @dataclass(frozen=True)
@@ -108,16 +101,8 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4, holomorphy=True):
     plan = base.plan
     nu0 = base.monitored_vector()
     points = _stencil_points(op, h, holomorphy)
-
-    def evaluate(point):
-        _, _, shifted_op = point
-        return stokes_data(shifted_op, settings, plan=plan)
-
-    if settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            runs = list(pool.map(evaluate, points))
-    else:
-        runs = [evaluate(point) for point in points]
+    runs = [stokes_data(shifted_op, settings, plan=plan)
+            for _, _, shifted_op in points]
 
     ceiling = max(1e-6, 1e3 * base.residuals["identity"])
     values = {}

@@ -11,7 +11,7 @@ multiples of pi), unwrapped monotonically along the sector chain so the
 log-branch bookkeeping stays explicit; z^Lambda always uses the chain branch,
 and the single wrap-around factor absorbs exp(-2 pi i Lambda) and sigma.
 
-Default engine ("collocation"): all solutions of the scalar equation are
+Canonical frames by collocation: all solutions of the scalar equation are
 entire, so the Taylor basis at the origin evaluates exactly anywhere -- no
 continuation along paths, hence no loss of recessive content at dominance
 dips.  The canonical column of a sector is pinned by collocation: its content
@@ -25,34 +25,23 @@ it; a set of per-mode reading angles does.  Every sector is collocated twice
 at spread-apart angles (the A and B builds) and consecutive factors pair A
 with B, so the closure of the monodromy identity measures true disagreement
 between independent constructions instead of telescoping to zero.
-
-Cross-check engine ("transport"): canonical solutions are seeded column by
-column on a large circle where their mode is most recessive, integrated
-radially down to a comparison circle on which every dominance gap is capped
-by inner_exponent, and matched near the anti-Stokes rays at the angles where
-Re(q_c - q_d) vanishes.  Single seed angles only pin canonical columns when
-each column jumps at just one bounding ray of its sector, which restricts
-this engine to n = 2; it is kept as an independent verification path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .exactla import QQ, qzeros
 from .isomono import OperPoint
 
 
 # ---------------------------------------------------------------------------
-# numeric contexts: float64 (numpy + scipy) and arbitrary precision (mpmath)
+# numeric contexts: float64 (numpy) and arbitrary precision (mpmath)
 
 class FloatCtx:
     """Working precision = IEEE double (53 bits)."""
@@ -176,15 +165,10 @@ def make_ctx(bits):
 @dataclass(frozen=True)
 class StokesSettings:
     trunc_order: int = 20        # M: formal series kept through z^{-M}
-    ode_rtol: float = 1e-10
-    ode_atol_factor: float = 1e-3
-    radius_tol: float = 1e-10    # target reading accuracy / seeding threshold
-    radius: float = 0.0          # 0 = adaptive (reading circle / seeding circle)
-    inner_exponent: float = 6.0  # cap on dominance gaps at the comparison circle
+    radius_tol: float = 1e-10    # target reading accuracy
+    radius: float = 0.0          # 0 = adaptive reading circle
     precision_bits: int = 53
-    threads: int = 1
     v0: object = None            # base direction, as a Fraction of pi
-    method: str = "collocation"  # "collocation" (entire basis) or "transport"
 
     def ctx(self):
         return make_ctx(self.precision_bits)
@@ -503,13 +487,16 @@ def sector_layout(fs_or_gc, v0=None):
 
 
 # ---------------------------------------------------------------------------
-# canonical solutions
+# radius bounds for the reading-circle scan
+
+# nats of dominance gap between the most separated modes on the innermost
+# scanned circle
+_INNER_EXPONENT = 6.0
+
 
 def compute_radius(fs, settings):
-    """Seeding radius: smallest circle on which each of the last kept formal
+    """Tail-safe radius: smallest circle on which each of the last kept formal
     terms contributes below radius_tol."""
-    if settings.radius:
-        return float(settings.radius)
     ctx = fs.ctx
     norms = [max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[m])),
                  default=0.0) for m in range(fs.M + 1)]
@@ -523,17 +510,14 @@ def compute_radius(fs, settings):
     return 1.05 * radius
 
 
-
-
-def inner_radius(fs, settings):
-    """Comparison radius: the dominance gap between two exponential modes
-    grows like max|lam_a - lam_b| r^{k+1}/(k+1), so solving the connection
-    problem on a circle where that exponent is capped at inner_exponent keeps
-    the noise amplification of every solve bounded by its exponential,
-    independently of the seeding radius."""
+def inner_radius(fs):
+    """Innermost useful reading radius: the dominance gap between two
+    exponential modes grows like max|lam_a - lam_b| r^{k+1}/(k+1), and the
+    circle on which that exponent reaches _INNER_EXPONENT is where the modes
+    first separate by a few nats."""
     n, k = fs.n, fs.k
     max_diff = 2.0 * math.sin(math.pi * (n // 2) / n)
-    r0 = ((k + 1) * settings.inner_exponent / max_diff) ** (1.0 / (k + 1))
+    r0 = ((k + 1) * _INNER_EXPONENT / max_diff) ** (1.0 / (k + 1))
     return max(1.0, r0)
 
 
@@ -541,9 +525,8 @@ def inner_radius(fs, settings):
 # angle planning
 
 class _Planner:
-    """Float view of the exponent polynomials, for choosing seed angles,
-    balanced comparison angles and the dominance order.  Angles are radians;
-    radius defaults to the seeding circle."""
+    """Float view of the exponent polynomials on one circle, for choosing
+    normalization angles and the dominance order.  Angles are radians."""
 
     def __init__(self, fs, radius):
         self.fs = fs
@@ -553,85 +536,20 @@ class _Planner:
         self.qf = {j: np.array([complex(ctx.to_complex(v)) for v in fs.qcoeffs[j]])
                    for j in range(1, fs.k + 2)}
 
-    def re_q(self, b, theta, radius=None):
-        r = self.radius if radius is None else radius
-        z = r * cmath.exp(1j * theta)
+    def re_q(self, b, theta):
+        z = self.radius * cmath.exp(1j * theta)
         acc = 0j
         for j in range(self.k + 1, 0, -1):
             acc = (acc + self.qf[j][b]) * z
         return acc.real
 
-    def gap(self, b, a, theta, radius=None):
+    def gap(self, b, a, theta):
         """Re(q_b - q_a); positive where mode b dominates mode a."""
-        return self.re_q(b, theta, radius) - self.re_q(a, theta, radius)
-
-    def seed_objective(self, b, theta):
-        """Worst dominance of column b over the others; deeply negative at a
-        good seed angle, where every foreign mode towers above mode b."""
-        return max(self.gap(b, a, theta) for a in range(self.n) if a != b)
-
-
-@dataclass(frozen=True)
-class RayPlan:
-    """Comparison angles for one ray: the ray angle itself (diagonal entries)
-    and, per admissible entry (c, d), the nearby angle where Re(q_c - q_d)
-    vanishes, so the conjugation that turns the normalized connection matrix
-    into the Stokes factor has unit modulus there."""
-    index: int
-    theta: float
-    pairs: tuple
-    entry_angles: dict
-
-
-def _balanced_angle(layout, planner, r0, c, d, ray_fpi):
-    """Angle nearest ray_fpi (units of pi, half-open window toward the upper
-    side) at which modes c and d balance, refined on the true exponents."""
-    k = layout.k
-    period = Fraction(1, k + 1)
-    base = (Fraction(1, 2) - _diff_arg_fpi(layout.n, c, d)) / (k + 1)
-    lo = ray_fpi - layout.half
-    tfloor = (lo - base) / period
-    zero = base + period * (math.floor(tfloor) + 1)
-    if not lo < zero <= ray_fpi + layout.half:
-        raise ArithmeticError("balanced direction escaped its ray window")
-    theta = float(zero) * math.pi
-    delta = float(layout.spacing) * math.pi / 2
-    f = lambda t: planner.gap(c, d, t, radius=r0)
-    a, b = theta - delta, theta + delta
-    if f(a) * f(b) < 0:
-        theta = brentq(f, a, b, xtol=1e-14)
-    return theta
-
-
-def _ray_window_plan(layout, planner, r0, j):
-    """Comparison plan for the ray with index j (2..r+1; r+1 wraps)."""
-    ray_fpi = layout.ray(j)
-    angles = {}
-    for (c, d) in layout.ray_pairs(j):
-        angles[(c, d)] = _balanced_angle(layout, planner, r0, c, d, ray_fpi)
-    return RayPlan(index=j, theta=float(ray_fpi) * math.pi,
-                   pairs=layout.ray_pairs(j), entry_angles=angles)
-
-
-def _seed_angles(layout, planner, i):
-    """Per-column seed angles for sector i: each column seeded where its mode
-    is most recessive over the closed supersector, so the truncation error of
-    the formal seed stays exponentially suppressed in every snapshot."""
-    lo = layout.ray(i) - layout.half
-    hi = layout.ray(i + 1) + layout.half
-    step = layout.spacing / 4
-    count = int((hi - lo) / step)
-    cands = [lo + t * step for t in range(count + 1)]
-    seeds = []
-    for b in range(layout.n):
-        best = min(cands, key=lambda th: (planner.seed_objective(
-            b, float(th) * math.pi), th))
-        seeds.append(float(best) * math.pi)
-    return tuple(seeds)
+        return self.re_q(b, theta) - self.re_q(a, theta)
 
 
 # ---------------------------------------------------------------------------
-# entire scalar basis and content readings (collocation engine)
+# entire scalar basis and content readings
 
 class EntireBasis:
     """Taylor basis at the origin of the scalar equation y^(n) = p(z) y.
@@ -781,7 +699,9 @@ def _collocation_build(gc, fs, layout, basis, rho, cond, norms):
     cons = 0.0
     for i in range(1, layout.r + 1):
         dev = ctx.solve(va[i], vb[i]) - eye
-        cons = max(cons, max(abs(ctx.to_complex(v)) for v in np.ravel(dev)))
+        worst = max(abs(ctx.to_complex(v)) for v in np.ravel(dev))
+        # a NaN deviation must propagate: max(cons, nan) would keep cons
+        cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
     return va, vb, cons
@@ -795,7 +715,7 @@ def _scan_radii(fs, settings):
     if settings.radius:
         return [float(settings.radius)]
     hi = compute_radius(fs, settings) * 100.0 ** (1.0 / fs.M)
-    lo = min(max(1.0, inner_radius(fs, settings)), 0.9 * hi)
+    lo = min(max(1.0, inner_radius(fs)), 0.9 * hi)
     steps = 20
     return [lo * (hi / lo) ** (t / steps) for t in range(steps + 1)]
 
@@ -968,311 +888,12 @@ def collocation_factors(fs, layout, va, vb, det_twist):
 
 
 # ---------------------------------------------------------------------------
-# column transport
-
-def _rhs_factory(gcf, fs, b, mode, fixed):
-    """Right-hand side of the normalized column ODE for one path leg.
-
-    The state is w = (solution column) / (z^{lam_b} e^{q_b}); the field is
-    (dz/dt) (B(z) - (q_b'(z) + lam_b/z) I) w, where t is the angle at radius
-    `fixed` (mode 'arc', dz/dt = iz) or the radius at angle `fixed`
-    (mode 'ray', dz/dt = e^{i angle}).  gcf is the framed coefficient list
-    of B(z) = z^k sum_j gcf[j] z^{-j}.
-    """
-    ctx = fs.ctx
-    n, k = fs.n, fs.k
-    if isinstance(ctx, FloatCtx):
-        flat = np.stack([m.astype(complex) for m in gcf]).reshape(len(gcf), -1)
-        powers = k - np.arange(len(gcf))
-        qp = [0j] * (k + 2)
-        for j in range(1, k + 2):
-            qp[j] = j * complex(fs.qcoeffs[j][b])
-        lam_b = complex(fs.lam[b])
-
-        def field(z, y):
-            bz = ((z ** powers) @ flat).reshape(n, n)
-            shift = 0j
-            for j in range(k + 1, 0, -1):
-                shift = shift * z + qp[j]
-            return bz @ y - (shift + lam_b / z) * y
-
-        if mode == "arc":
-            rho = float(fixed)
-
-            def rhs(t, y):
-                z = rho * cmath.exp(1j * t)
-                return 1j * z * field(z, y)
-        else:
-            eith = cmath.exp(1j * float(fixed))
-
-            def rhs(t, y):
-                return eith * field(t * eith, y)
-        return rhs
-
-    mats = list(gcf)
-    one = ctx.one()
-    qp = {j: j * fs.qcoeffs[j][b] for j in range(1, k + 2)}
-    lam_b = fs.lam[b]
-
-    def field_mp(z, y):
-        zinv = one / z
-        acc = mats[-1] * one
-        for j in range(len(mats) - 2, -1, -1):
-            acc = acc * zinv + mats[j]
-        for _ in range(k):
-            acc = acc * z
-        shift = 0 * one
-        for j in range(k + 1, 0, -1):
-            shift = shift * z + qp[j]
-        return acc @ y - (shift + lam_b * zinv) * y
-
-    if mode == "arc":
-        rho = ctx.number(float(fixed))
-        iota = ctx.number(1j)
-
-        def rhs_mp(t, y):
-            z = rho * ctx.exp(iota * ctx.number(float(t)))
-            return iota * z * field_mp(z, y)
-    else:
-        eith = ctx.exp(ctx.number(1j) * ctx.number(float(fixed)))
-
-        def rhs_mp(t, y):
-            return eith * field_mp(ctx.number(float(t)) * eith, y)
-    return rhs_mp
-
-
-_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (Fraction(1, 5),),
-    (Fraction(3, 40), Fraction(9, 40)),
-    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
-    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
-     Fraction(-212, 729)),
-    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
-     Fraction(49, 176), Fraction(-5103, 18656)),
-    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
-     Fraction(-2187, 6784), Fraction(11, 84)),
-)
-_DP_B5 = (Fraction(35, 384), Fraction(0), Fraction(500, 1113),
-          Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84),
-          Fraction(0))
-_DP_B4 = (Fraction(5179, 57600), Fraction(0), Fraction(7571, 16695),
-          Fraction(393, 640), Fraction(-92097, 339200), Fraction(187, 2100),
-          Fraction(1, 40))
-
-
-def _integrate_mp(ctx, rhs, t0, y0, targets, rtol, atol):
-    """Adaptive Dormand-Prince 5(4) in ctx precision, landing exactly on each
-    target parameter.  targets must be sorted monotonically away from t0."""
-    a_mp = [[ctx.number(v) for v in row] for row in _DP_A]
-    b5 = [ctx.number(v) for v in _DP_B5]
-    b4 = [ctx.number(v) for v in _DP_B4]
-    rt = ctx.number(rtol)
-    at = ctx.number(atol)
-    out = {}
-    t = float(t0)
-    y = y0.copy()
-    for target in targets:
-        direction = 1.0 if target >= t else -1.0
-        h = direction * max(1e-3, abs(target - t) / 16)
-        while direction * (target - t) > 1e-15:
-            if direction * (t + h - target) > 0:
-                h = target - t
-            k_stages = [rhs(t, y)]
-            for s in range(1, 7):
-                acc = y + h * a_mp[s][0] * k_stages[0]
-                for u in range(1, s):
-                    if _DP_A[s][u]:
-                        acc = acc + h * a_mp[s][u] * k_stages[u]
-                k_stages.append(rhs(t + _DP_C[s] * h, acc))
-            y5 = y + h * sum(b5[s] * k_stages[s] for s in range(7) if _DP_B5[s])
-            y4 = y + h * sum(b4[s] * k_stages[s] for s in range(7) if _DP_B4[s])
-            err = 0.0
-            for c5, c4 in zip(y5, y4):
-                scale = float(at + rt * max(abs(c5), abs(c4)))
-                err = max(err, float(abs(c5 - c4)) / scale)
-            if err <= 1.0:
-                t, y = t + h, y5
-            h = h * min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-            if abs(h) < 1e-14:
-                raise ArithmeticError("step size underflow in column transport")
-        out[target] = y.copy()
-    return out
-
-
-def _integrate_column(ctx, rhs, t0, y0, targets, rtol, atol):
-    """Propagate one normalized column from t0 to every target parameter,
-    sweeping the targets below and above t0 separately."""
-    out = {}
-    below = sorted((t for t in targets if t < t0 - 1e-13), reverse=True)
-    above = sorted(t for t in targets if t > t0 + 1e-13)
-    for t in targets:
-        if abs(t - t0) <= 1e-13:
-            out[t] = y0.copy()
-    if isinstance(ctx, FloatCtx):
-        for chunk in (below, above):
-            if not chunk:
-                continue
-            sol = solve_ivp(rhs, (t0, chunk[-1]), y0, method="DOP853",
-                            t_eval=chunk, rtol=rtol, atol=atol)
-            if not sol.success:
-                raise ArithmeticError("column transport failed: " + sol.message)
-            for pos, t in enumerate(chunk):
-                out[t] = sol.y[:, pos].copy()
-    else:
-        for chunk in (below, above):
-            if chunk:
-                out.update(_integrate_mp(ctx, rhs, t0, y0, chunk, rtol, atol))
-    return out
-
-
-@dataclass(frozen=True)
-class FrozenPlan:
-    """Every discrete and geometric choice of a Stokes run, so that nearby
-    oper points (finite-difference stencils) are evaluated with identical
-    seeds, angles, radii, ordering and triangularity conventions."""
-    radius: float
-    inner_radius: float
-    ray_plans: dict
-    seeds: dict
-    perm: tuple = None
-    first_upper: object = None
-
-
-@dataclass
-class CanonicalSolutions:
-    """Normalized canonical fundamental matrices on the comparison circle,
-    snapshotted at every angle any factor extraction will need."""
-    radius: float
-    inner_radius: float
-    ray_plans: dict
-    seeds: dict
-    snapshots: dict
-    seed_worst_gap: float
-    det_drift: float
-
-
-def canonical_solutions(gc, fs, layout, settings, plan=None):
-    """Seed each sector's solution column by column on the seeding circle,
-    descend radially to the comparison circle, and sweep the arcs there.
-
-    Sector i needs snapshots at the comparison angles of its two bounding
-    rays; sector 1 additionally provides the wrap-ray angles shifted by
-    -2 pi (its natural chart), which keeps every log-branch explicit.
-    """
-    ctx = fs.ctx
-    if plan is not None:
-        radius, r0 = plan.radius, plan.inner_radius
-        ray_plans, seeds = plan.ray_plans, plan.seeds
-        planner = _Planner(fs, radius)
-    else:
-        radius = compute_radius(fs, settings)
-        r0 = min(inner_radius(fs, settings), radius)
-        planner = _Planner(fs, radius)
-        ray_plans = {j: _ray_window_plan(layout, planner, r0, j)
-                     for j in range(2, layout.r + 2)}
-        seeds = {i: _seed_angles(layout, planner, i)
-                 for i in range(1, layout.r + 1)}
-    tau = 2 * math.pi
-    angle_sets = {j: {ray_plans[j].theta} | set(ray_plans[j].entry_angles.values())
-                  for j in ray_plans}
-    targets = {}
-    for i in range(1, layout.r + 1):
-        need = set(angle_sets[i + 1])
-        if i >= 2:
-            need |= angle_sets[i]
-        else:
-            need |= {t - tau for t in angle_sets[layout.r + 1]}
-        targets[i] = sorted(need)
-    gcf = gc.framed(ctx)
-    rtol = settings.ode_rtol
-    atol = settings.ode_rtol * settings.ode_atol_factor
-    z_at = lambda r, th: ctx.number(complex(r * math.cos(th), r * math.sin(th)))
-
-    def run(job):
-        i, b = job
-        th_s = seeds[i][b]
-        y0 = fs.yhat(z_at(radius, th_s))[:, b].copy()
-        if radius - r0 > 1e-12:
-            rhs_ray = _rhs_factory(gcf, fs, b, "ray", th_s)
-            y0 = _integrate_column(ctx, rhs_ray, radius, y0, [r0], rtol, atol)[r0]
-        rhs_arc = _rhs_factory(gcf, fs, b, "arc", r0)
-        return _integrate_column(ctx, rhs_arc, th_s, y0, targets[i], rtol, atol)
-
-    jobs = [(i, b) for i in range(1, layout.r + 1) for b in range(layout.n)]
-    if isinstance(ctx, FloatCtx) and settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            columns = dict(zip(jobs, pool.map(run, jobs)))
-    else:
-        columns = {job: run(job) for job in jobs}
-
-    snapshots = {}
-    for i in range(1, layout.r + 1):
-        per_angle = {}
-        for th in targets[i]:
-            w = ctx.zeros(layout.n)
-            for b in range(layout.n):
-                w[:, b] = columns[(i, b)][th]
-            per_angle[th] = w
-        snapshots[i] = per_angle
-
-    worst = max(planner.seed_objective(b, seeds[i][b]) for i, b in jobs)
-    drift = 0.0
-    for i in range(1, layout.r + 1):
-        dets = [abs(np.linalg.det(np.asarray(snapshots[i][th], dtype=complex)))
-                for th in (targets[i][0], targets[i][-1])]
-        drift = max(drift, abs(dets[1] - dets[0]) / max(dets[0], 1e-300))
-    return CanonicalSolutions(radius=radius, inner_radius=r0,
-                              ray_plans=ray_plans, seeds=seeds,
-                              snapshots=snapshots, seed_worst_gap=worst,
-                              det_drift=drift)
-
-
-# ---------------------------------------------------------------------------
 # factors, grouped matrices, residuals
-
-def stokes_factors(fs, layout, sol):
-    """Connection factors K_j = Phi_j^{-1} Phi_{j-1} for j = 2..r, plus the
-    wrap factor K_1 comparing sector 1 (on its own chart, angles shifted by
-    -2 pi) against sector r; the shifted log-branch makes the wrap factor
-    absorb exp(-2 pi i Lambda) exactly.  Diagonal entries are read on the ray;
-    entry (c, d) is read at its balanced angle, where the conjugation by
-    z^Lambda e^Q that restores the factor from the normalized comparison has
-    unit modulus."""
-    ctx = fs.ctx
-    n = fs.n
-    r0 = sol.inner_radius
-    lnr0 = math.log(r0)
-    tau = 2 * math.pi
-    factors = {}
-    for j in sorted(sol.ray_plans):
-        plan = sol.ray_plans[j]
-        wrap = j == layout.r + 1
-        left = 1 if wrap else j
-        right = layout.r if wrap else j - 1
-        offset = tau if wrap else 0.0
-        kmat = ctx.zeros(n)
-        inner = ctx.solve(sol.snapshots[left][plan.theta - offset],
-                          sol.snapshots[right][plan.theta])
-        for c in range(n):
-            kmat[c, c] = inner[c, c]
-        for (c, d), th in sorted(plan.entry_angles.items()):
-            inner = ctx.solve(sol.snapshots[left][th - offset],
-                              sol.snapshots[right][th])
-            z = ctx.number(complex(r0 * math.cos(th), r0 * math.sin(th)))
-            expo = (fs.q_entry(d, z) - fs.q_entry(c, z)
-                    + (fs.lam[d] - fs.lam[c])
-                    * ctx.number(complex(lnr0, th - offset)))
-            kmat[c, d] = inner[c, d] * ctx.exp(expo)
-        factors[1 if wrap else j] = kmat
-    return [factors[j] for j in range(1, layout.r + 1)]
-
 
 def dominance_order(fs, radius, theta):
     """Mode indices sorted by Re q_a at angle theta, most recessive first;
     relabeling by this permutation makes the grouped matrices triangular."""
-    planner = fs if isinstance(fs, _Planner) else _Planner(fs, radius)
+    planner = _Planner(fs, radius)
     vals = sorted((planner.re_q(a, theta), a) for a in range(planner.n))
     return tuple(a for _, a in vals)
 
@@ -1380,7 +1001,6 @@ class StokesData:
     n: int
     k: int
     radius: float
-    inner_radius: float
     lam: list
     layout: SectorLayout
     factors: list
@@ -1390,7 +1010,7 @@ class StokesData:
     det_twist: int
     residuals: dict
     settings: StokesSettings
-    plan: FrozenPlan
+    plan: CollocationPlan
 
     def monitored_vector(self):
         """Strict-triangle entries of the dominance-conjugated grouped
@@ -1411,42 +1031,6 @@ class StokesData:
 # the leading exponents alone set the dominance order: stable under
 # refinement and under stencil perturbations of the lower coefficients
 _LABEL_RADIUS = 1e6
-
-
-def _transport_data(op, settings, plan, gc, layout):
-    ctx = settings.ctx()
-    fs = formal_solution(gc, settings.trunc_order, ctx)
-    sol = canonical_solutions(gc, fs, layout, settings, plan=plan)
-    factors = stokes_factors(fs, layout, sol)
-    perm = plan.perm if plan is not None and plan.perm is not None else None
-    first_upper = (plan.first_upper
-                   if plan is not None and plan.first_upper is not None
-                   else True)
-    matrices, perm, first_upper = stokes_matrices(
-        fs, layout, factors, _LABEL_RADIUS, perm=perm, first_upper=first_upper)
-    support, diag_dev, phantom = factor_support_residual(ctx, layout, factors)
-    ym = max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[fs.M])),
-             default=0.0)
-    residuals = {
-        "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
-        "unipotency": unipotency_residual(ctx, matrices, perm, first_upper),
-        "trace": fs.trace_residual(),
-        "asymptotic": ym * sol.radius ** (-fs.M),
-        "det_drift": sol.det_drift,
-        "seed_gap": sol.seed_worst_gap,
-        "support": support,
-        "factor_diag": diag_dev,
-        "phantom": phantom,
-    }
-    frozen = FrozenPlan(radius=sol.radius, inner_radius=sol.inner_radius,
-                        ray_plans=sol.ray_plans, seeds=sol.seeds,
-                        perm=perm, first_upper=first_upper)
-    return StokesData(op=op, n=gc.n, k=gc.k, radius=sol.radius,
-                      inner_radius=sol.inner_radius, lam=fs.lam,
-                      layout=layout, factors=factors, matrices=matrices,
-                      perm=perm, first_upper=first_upper,
-                      det_twist=gc.det_twist, residuals=residuals,
-                      settings=settings, plan=frozen)
 
 
 def _select_reading(op, gc, layout, settings):
@@ -1497,7 +1081,14 @@ def _select_reading(op, gc, layout, settings):
     return rho, bits
 
 
-def _collocation_data(op, settings, plan, gc, layout):
+def stokes_data(op, settings=None, plan=None):
+    """Full pipeline: gauge, formal solution, sector layout, canonical
+    frames collocated in the entire basis, factors, grouped matrices,
+    residual certificates.  A plan from an earlier run freezes every
+    discrete choice instead of selecting the reading circle anew."""
+    settings = settings or StokesSettings()
+    gc = gauge_transform(op)
+    layout = sector_layout(gc, settings.v0)
     if plan is not None:
         rho, bits, nterms = plan.rho, plan.bits, plan.nterms
     else:
@@ -1533,25 +1124,9 @@ def _collocation_data(op, settings, plan, gc, layout):
     frozen = CollocationPlan(rho=rho, nterms=basis.nterms, bits=bits,
                              cond=cond, norms=norms, perm=perm,
                              first_upper=first_upper)
-    return StokesData(op=op, n=gc.n, k=gc.k, radius=rho, inner_radius=rho,
-                      lam=fs.lam, layout=layout, factors=factors,
-                      matrices=matrices, perm=perm, first_upper=first_upper,
+    return StokesData(op=op, n=gc.n, k=gc.k, radius=rho, lam=fs.lam,
+                      layout=layout, factors=factors, matrices=matrices,
+                      perm=perm, first_upper=first_upper,
                       det_twist=gc.det_twist, residuals=residuals,
                       settings=settings, plan=frozen)
 
-
-def stokes_data(op, settings=None, plan=None):
-    """Full pipeline: gauge, formal solution, sector layout, canonical
-    frames (collocated in the entire basis by default, or transported for
-    the n = 2 cross-check engine), factors, grouped matrices, residual
-    certificates."""
-    settings = settings or StokesSettings()
-    gc = gauge_transform(op)
-    layout = sector_layout(gc, settings.v0)
-    transport = (settings.method == "transport"
-                 or isinstance(plan, FrozenPlan))
-    if isinstance(plan, CollocationPlan):
-        transport = False
-    if transport:
-        return _transport_data(op, settings, plan, gc, layout)
-    return _collocation_data(op, settings, plan, gc, layout)

@@ -121,8 +121,7 @@ def test_weight_expression_structure():
 
 def test_stokes_pipeline():
     t0 = time.monotonic()
-    refined = StokesSettings(trunc_order=30, radius_tol=1e-12,
-                             ode_rtol=1e-12)
+    refined = StokesSettings(trunc_order=30, radius_tol=1e-12)
     lines = []
     for op in (OperPoint(2, 1, (0,)), OperPoint(3, 1, (0, 0))):
         base = stokes_data(op, StokesSettings())

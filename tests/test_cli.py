@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import operstokes
 from operstokes.cli import main
 
 WEBER = ["--n", "2", "--k", "1", "--poly", "0,0,1"]
@@ -81,7 +85,6 @@ def test_stokes_document(capsys, tmp_path):
     assert sorted(doc["permutation"]) == [0, 1]
     assert doc["residuals"]["identity"] <= 1e-8
     assert doc["settings"]["M"] == 20
-    assert doc["settings"]["method"] == "collocation"
 
 
 def test_stokes_is_byte_deterministic(capsys, tmp_path):
@@ -136,6 +139,15 @@ def test_base_direction_on_ray_is_usage_error(capsys):
     assert "anti-Stokes" in err
 
 
+def test_unreadable_octic_maps_to_numeric_exit(capsys):
+    # at p = z^8 the double-precision scan basis is not finite on any
+    # candidate circle; the run must refuse rather than report a closure
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "4",
+                         "--poly", "0,0,0,0,0,0,0,0,1")
+    assert code == 3 and out == ""
+    assert "numerical failure" in err
+
+
 def test_lost_closure_maps_to_numeric_exit(capsys):
     code, _, err = run(capsys, "jacobian", *WEBER, "--fd-step", "50")
     assert code == 3
@@ -159,6 +171,19 @@ def test_env_override_and_flag_precedence(capsys, monkeypatch):
     assert json.loads(out)["settings"]["M"] == 12
     _, out, _ = run(capsys, "stokes", *WEBER, "--trunc-order", "14")
     assert json.loads(out)["settings"]["M"] == 14
+
+
+def test_cli_import_does_not_load_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(operstokes.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, operstokes.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_seed_is_recorded(capsys):

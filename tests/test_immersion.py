@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
-from operstokes.immersion import jacobian, kernel_cross_check, monodromy_map
+from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
-from operstokes.stokes import StokesSettings
+from operstokes.stokes import stokes_data
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +20,8 @@ def cubic_report():
     return jacobian(OperPoint(3, 1, (0, 0)))
 
 
-def test_monodromy_map_is_the_pipeline():
-    sd = monodromy_map(OperPoint(2, 1, (0,)))
+def test_monitored_vector_of_the_pipeline():
+    sd = stokes_data(OperPoint(2, 1, (0,)))
     assert sd.residuals["identity"] <= 1e-8
     assert sd.monitored_vector().shape == (4,)
 
@@ -78,11 +77,6 @@ def test_perturbed_point_keeps_full_rank():
     assert rep.rank == 1
     assert rep.params == (0.3 + 0.2j,)
     assert rep.holomorphy <= 1e-5
-
-
-def test_threading_gives_identical_differential(weber_report):
-    rep = jacobian(OperPoint(2, 1, (0,)), settings=StokesSettings(threads=2))
-    assert np.array_equal(rep.jacobian, weber_report.jacobian)
 
 
 def test_stencil_bookkeeping(weber_report):
