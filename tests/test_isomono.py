@@ -126,15 +126,11 @@ def test_solvability_n3():
     assert rep.homogeneous_kernel_dim == 1
 
 
-def test_solvability_float_path():
+def test_solvability_rejects_inexact_point():
     op = OperPoint(2, 1, (0.3 + 0.1j,))
     assert not op.exact
-    rep = solvability(op, D=8)
-    assert not rep.exact
-    assert rep.joint_kernel_dim == 1
-    assert rep.tangent_dim == 0
-    assert rep.homogeneous_kernel_dim == 1
-    assert rep.traceless_homogeneous_kernel_dim == 0
+    with pytest.raises(ValueError):
+        solvability(op, D=8)
 
 
 def test_joint_system_shape():

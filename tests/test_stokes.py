@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
+from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, FloatCtx, StokesSettings,
                                _Planner, _visibility_interval, formal_residual,
@@ -310,7 +311,28 @@ def test_fixed_radius_is_respected():
     assert sd.residuals["identity"] <= 1e-6
 
 
-def test_mp_context_path():
-    sd = stokes_data(weber(), StokesSettings(precision_bits=80))
-    assert sd.plan.bits >= 80
+def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
+    # the escalation's final build is the run's build: no formal solution is
+    # recomputed at a precision, and no entire basis is rebuilt on a circle
+    fs_bits, bases = [], []
+    real_formal, real_basis = stokes.formal_solution, stokes.EntireBasis
+
+    def counted_formal(*args, **kwargs):
+        fs = real_formal(*args, **kwargs)
+        fs_bits.append(fs.ctx.bits)
+        return fs
+
+    class CountedBasis(real_basis):
+        def __init__(self, op, ctx, rho, bits, nterms=None):
+            bases.append((float(rho), bits))
+            super().__init__(op, ctx, rho, bits, nterms)
+
+    monkeypatch.setattr(stokes, "formal_solution", counted_formal)
+    monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
+    sd = stokes_data(cubic())
+    assert sd.plan.bits > 53
     assert sd.residuals["identity"] <= 1e-9
+    assert {53, sd.plan.bits} <= set(fs_bits)
+    assert len(fs_bits) == len(set(fs_bits))
+    assert (sd.radius, sd.plan.bits) in bases
+    assert len(bases) == len(set(bases))
