@@ -14,7 +14,8 @@ timing is only emitted under --timing, and all floats serialize via repr
 (shortest round-trip).  Complex numbers appear as [re, im] pairs.
 
 Exit codes: 0 success, 1 mathematical-suite failure, 2 usage or configuration
-error, 3 numerical non-convergence.
+error, 3 numerical non-convergence (a stokes run that missed its requested
+tolerance still writes its document, with "converged": false).
 """
 
 import argparse
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +308,7 @@ def _stokes_document(op, settings, data):
         "permutation": list(data.perm),
         "first_upper": True,
         "det_twist": data.det_twist,
+        "converged": data.converged,
         "residuals": {name: float(val)
                       for name, val in sorted(data.residuals.items())},
         "settings": {
@@ -320,9 +323,13 @@ def _stokes_document(op, settings, data):
 def cmd_stokes(args):
     op = _oper_from_args(args)
     settings = _settings_from_args(args)
+    t0 = time.perf_counter()
     data = stokes_data(op, settings)
+    elapsed = time.perf_counter() - t0
     doc = _stokes_document(op, settings, data)
     doc["seed"] = args.seed
+    if args.timing:
+        doc["timing"] = {"total_s": elapsed}
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -330,14 +337,21 @@ def cmd_stokes(args):
             for idx, ray in enumerate(doc["directions"], start=1):
                 writer.writerow([idx, ray["of_pi"], repr(ray["radians"])])
     _emit_json(args, doc)
+    if not data.converged:
+        print(f"numerical failure: reading consistency "
+              f"{data.residuals['consistency']!r} missed the requested "
+              f"tolerance {settings.radius_tol!r}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
 def cmd_jacobian(args):
     op = _oper_from_args(args)
     settings = _settings_from_args(args)
+    t0 = time.perf_counter()
     rep = jacobian_report(op, h=args.fd_step, settings=settings,
                           rank_tol=args.rank_tol)
+    elapsed = time.perf_counter() - t0
     doc = {
         "subcommand": "jacobian",
         "n": rep.n, "k": rep.k, "d": rep.d,
@@ -354,6 +368,8 @@ def cmd_jacobian(args):
                            in sorted(rep.base_residuals.items())},
         "seed": args.seed,
     }
+    if args.timing:
+        doc["timing"] = {"total_s": elapsed}
     _emit_json(args, doc)
     return EXIT_OK
 

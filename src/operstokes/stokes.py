@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -144,7 +145,7 @@ class MPCtx:
             aug[col] = aug[col] / aug[col, col]
             for r in range(n):
                 if r != col and aug[r, col] != 0:
-                    aug[r] = aug[r] - aug[r, col] * aug[col]
+                    aug[r] = aug[r] - aug[col] * aug[r, col]
         x = aug[:, n:]
         return x.reshape(-1) if vec else x
 
@@ -549,10 +550,12 @@ class EntireBasis:
     Column j is the entire solution with y^(t)(0) = delta_{tj}.  Every
     fundamental matrix of the gauged system is a constant linear image of
     these columns, so their values on the reading circle are computed from
-    the convergent series alone.  Coefficients are stored pre-scaled by
-    rho^m, i.e. as the term magnitudes on the circle, which keeps every
+    the convergent series alone.  Coefficients are pre-scaled by rho^m,
+    i.e. kept as the term magnitudes on the circle, which keeps every
     intermediate quantity within floating range and makes the truncation
-    criterion a plain relative comparison."""
+    criterion a plain relative comparison.  They are stored once, times the
+    falling factorial of each derivative row, as the table state_matrix
+    sums."""
 
     def __init__(self, op, ctx, rho, bits, nterms=None):
         self.n = op.n
@@ -601,45 +604,93 @@ class EntireBasis:
                 raise ArithmeticError("entire basis did not converge on the "
                                       "reading circle within the term cap")
         self.nterms = m
-        self.coeffs = cols
+        # table[t][j][m] = (scaled coefficient m of column j) times the
+        # falling factorial m (m-1) ... (m-t+1) of derivative row t: complex
+        # doubles at 53 bits, fixed-point integer lists (see _fixed_row) above
+        falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
+        if isinstance(ctx, FloatCtx):
+            # an overflowed series gives inf * 0 = nan here, which the
+            # finiteness checks downstream reject
+            with np.errstate(invalid="ignore"):
+                self.table = (np.array(falls, dtype=float)[:, None, :]
+                              * np.array(cols, dtype=complex)[None, :, :])
+        else:
+            self.table = [[_fixed_row(cols[j], falls[t], bits)
+                           for j in range(n)] for t in range(n)]
 
     def state_matrix(self, theta_fpi, radius=None):
         """Rows y^(t), t = 0..n-1, of each basis column at radius e^{i theta}
         (the build circle by default; any smaller radius only truncates the
         series harder).
 
-        Summation runs over at-most-unit-modulus powers times the stored
+        Summation runs over at-most-unit-modulus powers u^m times the stored
         scaled coefficients, so the accumulated magnitudes never exceed the
         term sizes on the build circle; the z^{-t} restores the derivative
-        scaling afterwards."""
+        scaling afterwards.  At double precision the sum is one complex
+        matrix-vector product; above it, the powers are Gaussian integers in
+        fixed point and each entry is an exact integer dot product, rounded
+        once to the working precision."""
         ctx = self.ctx
         n = self.n
         s = self.rho if radius is None else float(radius)
         phase = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
-        u = phase * ctx.number(s / self.rho)
+        u = phase * (ctx.number(s) / ctx.number(self.rho))
         zinv = ctx.one() / (ctx.number(s) * phase)
+        if isinstance(ctx, FloatCtx):
+            powers = np.full(self.nterms, u, dtype=complex)
+            powers[0] = 1.0
+            zpow = np.full(n, zinv, dtype=complex)
+            zpow[0] = 1.0
+            return (self.table @ np.cumprod(powers)) * np.cumprod(zpow)[:, None]
+        frac = ctx.bits + _GUARD_BITS
+        ur = _fixed(u.real, frac)
+        ui = _fixed(u.imag, frac)
+        pr, pi = [1 << frac], [0]
+        for _ in range(self.nterms - 1):
+            a, b = pr[-1], pi[-1]
+            pr.append((a * ur - b * ui) >> frac)
+            pi.append((a * ui + b * ur) >> frac)
+        mpf, mpc = ctx.mp.mpf, ctx.mp.mpc
         out = ctx.zeros(n)
-        for j in range(n):
-            sums = [0 * ctx.one() for _ in range(n)]
-            upow = ctx.one()
-            for m, bm in enumerate(self.coeffs[j]):
-                term = bm * upow
-                fall = 1
-                for t in range(min(n, m + 1)):
-                    if t:
-                        fall *= (m - t + 1)
-                    sums[t] = sums[t] + term * fall
-                upow = upow * u
-            scale = ctx.one()
-            for t in range(n):
-                out[t, j] = sums[t] * scale
-                scale = scale * zinv
+        scale = ctx.one()
+        for t in range(n):
+            for j in range(n):
+                ar, ai, afrac = self.table[t][j]
+                re = sum(map(mul, ar, pr)) - sum(map(mul, ai, pi))
+                im = sum(map(mul, ar, pi)) + sum(map(mul, ai, pr))
+                exp = -(afrac + frac)
+                out[t, j] = mpc(mpf((re, exp)), mpf((im, exp))) * scale
+            scale = scale * zinv
         return out
+
+
+def _fixed(x, frac, factor=1):
+    """floor(factor x 2^frac) for an mpf x, exactly (x = man 2^exp)."""
+    sign, man, exp, _ = x._mpf_
+    v = -man * factor if sign else man * factor
+    return v << (exp + frac) if exp + frac >= 0 else v >> -(exp + frac)
+
+
+def _fixed_row(col, falls, bits):
+    """Real and imaginary parts of col[m] falls[m] in fixed point, with
+    `frac` fraction bits chosen so the largest entry carries bits +
+    _GUARD_BITS bits."""
+    top = max((abs(f * x.man).bit_length() + x.exp
+               for b, f in zip(col, falls) for x in (b.real, b.imag)
+               if f and x), default=0)
+    frac = bits + _GUARD_BITS - top
+    return ([_fixed(b.real, frac, f) for b, f in zip(col, falls)],
+            [_fixed(b.imag, frac, f) for b, f in zip(col, falls)], frac)
 
 
 _LN2 = math.log(2.0)
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
+# fixed-point bits kept below the working precision by the multiprecision
+# series evaluator: the m-th power is off by at most 2m units, so a sum of
+# N <= _MAX_TERMS terms is off by under 2 N^2 < 2^30 units of its largest
+# term, still 2^-10 below the working precision
+_GUARD_BITS = 40
 
 
 def _log_abs(ctx, x):
@@ -1014,7 +1065,9 @@ def factor_support_residual(ctx, layout, factors):
 @dataclass
 class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
-    self-diagnosed residuals."""
+    self-diagnosed residuals.  converged says whether the A/B agreement met
+    the requested tolerance within the escalation's factor of 3; a run that
+    missed it still returns its data."""
     op: OperPoint
     n: int
     k: int
@@ -1028,6 +1081,7 @@ class StokesData:
     residuals: dict
     settings: StokesSettings
     plan: CollocationPlan
+    converged: bool
 
     def monitored_vector(self):
         """Strict-triangle entries of the dominance-conjugated grouped
@@ -1127,4 +1181,5 @@ def stokes_data(op, settings=None, plan=None):
     return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
                       layout=layout, factors=factors, matrices=matrices,
                       perm=plan.perm, det_twist=gc.det_twist,
-                      residuals=residuals, settings=settings, plan=plan)
+                      residuals=residuals, settings=settings, plan=plan,
+                      converged=build.cons <= 3 * settings.radius_tol)

@@ -85,6 +85,26 @@ def test_stokes_document(capsys, tmp_path):
     assert sorted(doc["permutation"]) == [0, 1]
     assert doc["residuals"]["identity"] <= 1e-8
     assert doc["settings"]["M"] == 20
+    assert doc["converged"] is True
+    assert "timing" not in doc
+
+
+def test_missed_tolerance_maps_to_numeric_exit(capsys):
+    # on a fixed circle this small the truncated formal frame cannot reach
+    # 1e-10: the run still writes its document, flags it and exits 3
+    code, out, err = run(capsys, "stokes", *WEBER, "--radius", "2.5")
+    assert code == 3
+    assert "numerical failure" in err
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
+
+
+def test_timing_flag_adds_total_time(capsys):
+    for sub in ("stokes", "jacobian"):
+        code, out, _ = run(capsys, sub, *WEBER, "--timing")
+        assert code == 0
+        assert json.loads(out)["timing"]["total_s"] > 0
 
 
 def test_stokes_is_byte_deterministic(capsys, tmp_path):

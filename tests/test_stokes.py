@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction as QQ
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from operstokes import stokes
 from operstokes.isomono import OperPoint
-from operstokes.stokes import (EntireBasis, FloatCtx, StokesSettings,
+from operstokes.stokes import (EntireBasis, FloatCtx, MPCtx, StokesSettings,
                                _Planner, _visibility_interval, formal_residual,
                                formal_solution, gauge_transform, make_ctx,
                                sector_layout, stokes_data)
@@ -153,11 +154,61 @@ def test_residue_exponent_of_shifted_square():
 def test_entire_basis_wronskian_is_one():
     # columns start as the identity jet at 0 and the equation has no
     # first-derivative term, so the Wronskian is exactly 1 everywhere
-    for op, rho in ((weber(), 4.5), (cubic(), 4.0)):
-        basis = EntireBasis(op, FloatCtx(), rho, 53)
-        for theta, radius in ((QQ(1, 7), None), (QQ(-2, 5), 2.2)):
-            w = np.linalg.det(as_np(basis.state_matrix(theta, radius)))
-            assert abs(w - 1.0) <= 1e-9
+    mp = mpmath.mp.clone()
+    mp.prec = 200
+    for ctx, tol in ((FloatCtx(), 1e-9), (MPCtx(97), 1e-20)):
+        for op, rho in ((weber(), 4.5), (cubic(), 4.0)):
+            basis = EntireBasis(op, ctx, rho, ctx.bits)
+            for theta, radius in ((QQ(1, 7), None), (QQ(-2, 5), 2.2)):
+                mat = basis.state_matrix(theta, radius)
+                w = mp.det(mp.matrix(mat.tolist()))
+                assert abs(w - 1) <= tol
+
+
+def _series_reference(op, radius, theta, prec):
+    """Rows y^(t), t < n, of the jet basis at z = radius e^{i pi theta}:
+    the Taylor recurrence of y^(n) = p y summed term by term in mpmath at
+    prec bits, until the terms fall 2^-prec below the largest one."""
+    mp = mpmath.mp.clone()
+    mp.prec = prec
+    n, d = op.n, op.d
+    z = mp.mpf(radius) * mp.expjpi(mp.mpf(theta.numerator) / theta.denominator)
+    pcoef = {d: mp.mpf(1)}
+    for m in range(d - 1):
+        c = QQ(op.p_coeff(m))
+        if c:
+            pcoef[m] = mp.mpf(c.numerator) / c.denominator
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        coef = [mp.mpf(1) / mp.factorial(j) if m == j else mp.mpf(0)
+                for m in range(n)]
+        sizes = [abs(c) * abs(z) ** m for m, c in enumerate(coef)]
+        while (len(coef) <= 2 * (n + d)
+               or max(sizes[-(n + d):]) >= max(sizes) * mp.mpf(2) ** -prec):
+            s = len(coef) - n
+            coef.append(mp.fsum(pc * coef[s - mm] for mm, pc in pcoef.items()
+                                if mm <= s) / mp.rf(s + 1, n))
+            sizes.append(abs(coef[-1]) * abs(z) ** (len(coef) - 1))
+        for t in range(n):
+            out[t][j] = mp.fsum(mp.ff(m, t) * c * z ** (m - t)
+                                for m, c in enumerate(coef) if m >= t)
+    return mp, out
+
+
+@pytest.mark.parametrize("bits", [53, 97, 132])
+def test_state_matrix_matches_plain_series(bits):
+    # the evaluator rounds differently at each precision (numpy at 53 bits,
+    # fixed-point integers above) but must agree entrywise with the plain
+    # series summed 80 bits deeper
+    for op, rho in ((weber(), 4.5),
+                    (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
+        basis = EntireBasis(op, make_ctx(bits), rho, bits)
+        for theta, radius in ((QQ(1, 7), None), (QQ(-2, 5), 0.6 * rho)):
+            got = basis.state_matrix(theta, radius)
+            mp, want = _series_reference(op, radius or rho, theta, bits + 80)
+            worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
+                        for t in range(op.n) for j in range(op.n))
+            assert worst <= 2.0 ** -(bits - 30)
 
 
 def test_entire_basis_matches_gaussian_column():
