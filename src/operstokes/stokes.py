@@ -515,33 +515,6 @@ def inner_radius(fs):
 
 
 # ---------------------------------------------------------------------------
-# angle planning
-
-class _Planner:
-    """Float view of the exponent polynomials on one circle, for choosing
-    normalization angles and the dominance order.  Angles are radians."""
-
-    def __init__(self, fs, radius):
-        self.fs = fs
-        self.radius = float(radius)
-        self.n, self.k = fs.n, fs.k
-        ctx = fs.ctx
-        self.qf = {j: np.array([complex(ctx.to_complex(v)) for v in fs.qcoeffs[j]])
-                   for j in range(1, fs.k + 2)}
-
-    def re_q(self, b, theta):
-        z = self.radius * cmath.exp(1j * theta)
-        acc = 0j
-        for j in range(self.k + 1, 0, -1):
-            acc = (acc + self.qf[j][b]) * z
-        return acc.real
-
-    def gap(self, b, a, theta):
-        """Re(q_b - q_a); positive where mode b dominates mode a."""
-        return self.re_q(b, theta) - self.re_q(a, theta)
-
-
-# ---------------------------------------------------------------------------
 # entire scalar basis and content readings
 
 class EntireBasis:
@@ -707,53 +680,32 @@ def _series_tail(fs, rho):
     return max([0.0] + [norm * rho ** (-m) for m, norm in _tail_norms(fs)])
 
 
-def _reading_plans(fs, layout, rho):
-    """Collocation angles for every sector at one reading radius."""
-    planner = _Planner(fs, rho)
-    cond, norms = {}, {}
-    for i in range(1, layout.r + 1):
-        ci, ni = _sector_reading_plan(layout, planner, i)
-        for (var, d, a), th in ci.items():
-            cond[(i, var, d, a)] = th
-        for d, th in ni.items():
-            norms[(i, d)] = th
-    return cond, norms
-
-
 @dataclass
 class _Build:
     """One collocation at a reading radius: the formal solution and entire
-    basis it read, its angles, the A and B sector coefficients and their
-    agreement."""
+    basis it read, the A and B sector coefficients and their agreement."""
     fs: FormalSolution
     basis: EntireBasis
     rho: float
-    cond: dict
-    norms: dict
     va: dict
     vb: dict
     cons: float
 
 
-def _collocate(op, gc, layout, fs, rho, plan=None, basis=None):
+def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None,
+               basis=None):
     """Both independent builds at reading radius rho, plus their agreement.
 
     The entire basis is built on the circle rho at the formal solution's
-    precision (with the plan's term count when replaying) unless the scan
-    hands in its basis on a wider circle; the angles come from the plan or
-    are planned on the circle.  The two builds collocate at different
-    angles, so the worst deviation of (A build)^{-1} (B build) from the
-    identity over all sectors measures the actual reading error at this
-    radius -- truncated-frame tail and amplified working-precision noise
-    together, without modeling either."""
+    precision (with a frozen term count when replaying) unless the scan
+    hands in its basis on a wider circle.  The two builds collocate at
+    different angles, so the worst deviation of (A build)^{-1} (B build)
+    from the identity over all sectors measures the actual reading error at
+    this radius -- truncated-frame tail and amplified working-precision
+    noise together, without modeling either."""
     ctx = fs.ctx
     if basis is None:
-        basis = EntireBasis(op, ctx, rho, ctx.bits,
-                            nterms=None if plan is None else plan.nterms)
-    if plan is None:
-        cond, norms = _reading_plans(fs, layout, rho)
-    else:
-        cond, norms = plan.cond, plan.norms
+        basis = EntireBasis(op, ctx, rho, ctx.bits, nterms)
     f0inv = _frame_inverse(gc.n, ctx)
     angles = sorted(set(cond.values()) | set(norms.values()))
     gammas = {th: _content_matrix(gc, fs, basis, f0inv, th, rho)
@@ -769,8 +721,7 @@ def _collocate(op, gc, layout, fs, rho, plan=None, basis=None):
         cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
-    return _Build(fs=fs, basis=basis, rho=rho, cond=cond, norms=norms,
-                  va=va, vb=vb, cons=cons)
+    return _Build(fs=fs, basis=basis, rho=rho, va=va, vb=vb, cons=cons)
 
 
 def _scan_radii(fs, settings):
@@ -827,31 +778,53 @@ def _visibility_interval(layout, i, a, d):
     raise ArithmeticError("pair crossing fell strictly inside a sector")
 
 
-def _sector_reading_plan(layout, planner, i):
-    """Collocation angles for sector i: per kill-condition two spread-apart
-    reading angles (for the independent A and B builds), plus one
-    normalization angle per column, where its own mode rides highest over
-    the supersector so unit self-content is read at the best conditioning."""
-    cond = {}
-    for d in range(layout.n):
-        for a in range(layout.n):
-            if a == d:
-                continue
-            u, v = _visibility_interval(layout, i, a, d)
-            w = v - u
-            cond[("A", d, a)] = u + w / 4
-            cond[("B", d, a)] = v - w / 4
-    lo = layout.ray(i) - layout.half
-    hi = layout.ray(i + 1) + layout.half
-    step = layout.spacing / 4
-    count = int((hi - lo) / step)
-    cands = [lo + t * step for t in range(count + 1)]
-    norms = {}
-    for d in range(layout.n):
-        best = max(cands, key=lambda th: (
-            min(planner.gap(d, a, float(th) * math.pi)
-                for a in range(layout.n) if a != d), -th))
-        norms[d] = best
+def _leading_re(layout, a, theta):
+    """Re(lambda_a e^{i pi (k+1) theta}) with lambda_a = e^{2 pi i a/n}, the
+    argument reduced exactly: Re q_a at the angle theta up to the positive
+    factor r^{k+1}/(k+1) of its leading term."""
+    arg = (Fraction(2 * a, layout.n) + (layout.k + 1) * theta) % 2
+    return math.cos(math.pi * float(arg))
+
+
+# leading-order scores closer than this are exact ties (distinct scores are
+# cosine sums at lattice angles, far further apart)
+_TIE = 1e-12
+
+
+def _sector_reading_plan(layout):
+    """Collocation angles of every sector, a function of the layout alone.
+
+    Per kill condition of sector i, two spread-apart angles inside the
+    mode's visibility arc (for the independent A and B builds).  Per column,
+    one normalization angle on the quarter-spacing grid over the supersector
+    where its own mode rides highest over the others by the leading
+    exponents, min over a != d of Re((lambda_d - lambda_a) e^{i pi (k+1)
+    theta}), so unit self-content is read at the best conditioning; scores
+    within _TIE of the best are ties, which go to the smallest angle.  Which
+    mode dominates where is fixed by the leading exponents, so the plan is
+    the same on every reading circle, at every working precision and at
+    every point with this layout, and is made once per run."""
+    n, step = layout.n, layout.spacing / 4
+    cond, norms = {}, {}
+    for i in range(1, layout.r + 1):
+        for d in range(n):
+            for a in range(n):
+                if a == d:
+                    continue
+                u, v = _visibility_interval(layout, i, a, d)
+                w = v - u
+                cond[(i, "A", d, a)] = u + w / 4
+                cond[(i, "B", d, a)] = v - w / 4
+        lo = layout.ray(i) - layout.half
+        count = int((layout.ray(i + 1) + layout.half - lo) / step)
+        cands = [lo + t * step for t in range(count + 1)]
+        lead = {th: [_leading_re(layout, a, th) for a in range(n)]
+                for th in cands}
+        for d in range(n):
+            score = {th: min(re[d] - re[a] for a in range(n) if a != d)
+                     for th, re in lead.items()}
+            top = max(score.values())
+            norms[(i, d)] = min(th for th in cands if score[th] >= top - _TIE)
     return cond, norms
 
 
@@ -955,20 +928,16 @@ def collocation_factors(fs, layout, va, vb, det_twist):
 # ---------------------------------------------------------------------------
 # factors, grouped matrices, residuals
 
-# the labeling permutation is read far outside every working circle, where
-# the leading exponents alone set the dominance order: stable under
-# refinement and under stencil perturbations of the lower coefficients
-_LABEL_RADIUS = 1e6
-
-
-def dominance_order(fs, layout):
-    """Mode indices sorted by Re q_a at the first half-period center on the
-    labeling circle, most recessive first; relabeled by this permutation,
-    S_1 is upper triangular and the grouped matrices alternate."""
-    center = float(layout.ray(1)
-                   + (layout.ell - 1) * layout.spacing / 2) * math.pi
-    planner = _Planner(fs, _LABEL_RADIUS)
-    vals = sorted((planner.re_q(a, center), a) for a in range(planner.n))
+def dominance_order(layout):
+    """Mode indices sorted by the leading exponent Re(lambda_a e^{i pi (k+1)
+    theta}) at the first half-period center theta, most recessive first;
+    relabeled by this permutation, S_1 is upper triangular and the grouped
+    matrices alternate.  A function of the layout alone, so it is the same
+    at every radius, precision and stencil perturbation of the lower
+    coefficients; the leading values at the center are well apart, and an
+    exact tie would go to the smaller mode index."""
+    center = layout.ray(1) + (layout.ell - 1) * layout.spacing / 2
+    vals = sorted((_leading_re(layout, a, center), a) for a in range(layout.n))
     return tuple(a for _, a in vals)
 
 
@@ -1098,9 +1067,11 @@ class StokesData:
         return np.array(out, dtype=complex)
 
 
-def _select_reading(op, gc, layout, settings):
+def _select_reading(op, gc, layout, settings, cond, norms):
     """Pick reading radius and working precision by measurement, and return
-    the build that settled the choice.
+    the build that settled the choice.  The collocation angles cond and
+    norms come from the layout alone, so every build here reads at the same
+    angles.
 
     Scan: one shared basis on the outermost candidate circle, evaluated
     inward, recording each radius' A/B agreement.  The innermost radius
@@ -1116,7 +1087,8 @@ def _select_reading(op, gc, layout, settings):
     scanned, outer = {}, None
     for s in radii:
         try:
-            build = _collocate(op, gc, layout, fs, s, basis=scan_basis)
+            build = _collocate(op, gc, layout, fs, s, cond, norms,
+                               basis=scan_basis)
         except (ArithmeticError, np.linalg.LinAlgError, ZeroDivisionError):
             continue
         scanned[s] = build.cons
@@ -1138,11 +1110,11 @@ def _select_reading(op, gc, layout, settings):
             break
         bits = bits + max(8, math.ceil(math.log2(shortfall))) + 8
         final = _collocate(op, gc, layout, formal_solution(
-            gc, settings.trunc_order, make_ctx(bits)), rho)
+            gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
         shortfall = final.cons / target
     if final is None:
         final = (outer if rho == scan_basis.rho
-                 else _collocate(op, gc, layout, fs, rho))
+                 else _collocate(op, gc, layout, fs, rho, cond, norms))
     return final
 
 
@@ -1155,14 +1127,15 @@ def stokes_data(op, settings=None, plan=None):
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
     if plan is None:
-        build = _select_reading(op, gc, layout, settings)
+        cond, norms = _sector_reading_plan(layout)
+        build = _select_reading(op, gc, layout, settings, cond, norms)
         plan = CollocationPlan(rho=build.rho, nterms=build.basis.nterms,
-                               bits=build.fs.ctx.bits, cond=build.cond,
-                               norms=build.norms,
-                               perm=dominance_order(build.fs, layout))
+                               bits=build.fs.ctx.bits, cond=cond, norms=norms,
+                               perm=dominance_order(layout))
     else:
         fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
-        build = _collocate(op, gc, layout, fs, plan.rho, plan=plan)
+        build = _collocate(op, gc, layout, fs, plan.rho, plan.cond,
+                           plan.norms, plan.nterms)
     fs, ctx = build.fs, build.fs.ctx
     factors = collocation_factors(fs, layout, build.va, build.vb,
                                   gc.det_twist)

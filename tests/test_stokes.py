@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, FloatCtx, MPCtx, StokesSettings,
-                               _Planner, _visibility_interval, formal_residual,
+                               _visibility_interval, formal_residual,
                                formal_solution, gauge_transform, make_ctx,
                                sector_layout, stokes_data)
 
@@ -239,7 +239,6 @@ def test_visibility_intervals_cover_supersector_conditions():
         gc = gauge_transform(op)
         layout = sector_layout(gc)
         fs = formal_solution(gc, 12)
-        planner = _Planner(fs, 5.0)
         for i in range(1, layout.r + 1):
             lo = layout.ray(i) - layout.half
             hi = layout.ray(i + 1) + layout.half
@@ -249,9 +248,10 @@ def test_visibility_intervals_cover_supersector_conditions():
                         continue
                     u, v = _visibility_interval(layout, i, a, d)
                     assert lo <= u < v <= hi
-                    mid = float(u + v) / 2 * math.pi
-                    # mode a genuinely dominates mode d at the reading angle
-                    assert planner.gap(a, d, mid) > 0
+                    z = 5.0 * cmath.exp(1j * math.pi * float(u + v) / 2)
+                    # mode a genuinely dominates mode d at the reading angle,
+                    # by the full exponent polynomial
+                    assert (fs.q_entry(a, z) - fs.q_entry(d, z)).real > 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +343,19 @@ def test_plan_replay_is_deterministic():
         assert np.array_equal(as_np(a), as_np(b))
 
 
+def test_plan_does_not_depend_on_precision():
+    # the angles and labeling come from the layout alone: the default
+    # 96-bit run and a 53-bit run on a fixed inner circle plan identically,
+    # even where two normalization candidates tie exactly
+    op = cubic()
+    mp_run = stokes_data(op)
+    fp_run = stokes_data(op, StokesSettings(radius=5.0, radius_tol=1e-6))
+    assert mp_run.plan.bits > 53 and fp_run.plan.bits == 53
+    assert mp_run.plan.cond == fp_run.plan.cond
+    assert mp_run.plan.norms == fp_run.plan.norms
+    assert mp_run.plan.perm == fp_run.plan.perm
+
+
 def test_refinement_sharpens_the_closure():
     op = weber()
     coarse = stokes_data(op, StokesSettings(trunc_order=20, radius_tol=1e-10))
@@ -364,9 +377,11 @@ def test_fixed_radius_is_respected():
 
 def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     # the escalation's final build is the run's build: no formal solution is
-    # recomputed at a precision, and no entire basis is rebuilt on a circle
-    fs_bits, bases = [], []
+    # recomputed at a precision, and no entire basis is rebuilt on a circle;
+    # the angles are planned once, one visibility arc per kill condition
+    fs_bits, bases, arcs = [], [], []
     real_formal, real_basis = stokes.formal_solution, stokes.EntireBasis
+    real_arc = stokes._visibility_interval
 
     def counted_formal(*args, **kwargs):
         fs = real_formal(*args, **kwargs)
@@ -378,8 +393,13 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
             bases.append((float(rho), bits))
             super().__init__(op, ctx, rho, bits, nterms)
 
+    def counted_arc(*args):
+        arcs.append(args)
+        return real_arc(*args)
+
     monkeypatch.setattr(stokes, "formal_solution", counted_formal)
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
+    monkeypatch.setattr(stokes, "_visibility_interval", counted_arc)
     sd = stokes_data(cubic())
     assert sd.plan.bits > 53
     assert sd.residuals["identity"] <= 1e-9
@@ -387,3 +407,4 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert len(fs_bits) == len(set(fs_bits))
     assert (sd.radius, sd.plan.bits) in bases
     assert len(bases) == len(set(bases))
+    assert len(arcs) == sd.layout.r * sd.n * (sd.n - 1)
