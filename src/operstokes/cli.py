@@ -199,10 +199,12 @@ def _emit_json(args, doc):
 def cmd_basis(args):
     if args.n is None or args.n < 2:
         raise UsageError("basis needs --n >= 2")
+    t0 = time.perf_counter()
     tri = principal_sl2(args.n)
     basis = build_weight_basis(tri)
     tables = compute_structure_tables(basis)
     sign = verify_sign_property(tables)
+    elapsed = time.perf_counter() - t0
     out = io.StringIO()
     out.write(f"weight basis of sl({args.n}): v_ij = (ad_e)^(i+j) f_i\n")
     for (i, j) in basis.indices():
@@ -213,6 +215,8 @@ def cmd_basis(args):
     out.write(f"sign strings checked: {sign.strings_checked}\n")
     out.write(f"recursions checked: {sign.recursions_checked}\n")
     out.write(f"violations: {len(sign.violations)}\n")
+    if args.timing:
+        out.write(f"seconds: {elapsed!r}\n")
     _emit(args, out.getvalue())
     return EXIT_OK if sign.ok else EXIT_SUITE
 
@@ -246,9 +250,11 @@ def _verify_one(n, corrupt=False):
 def cmd_verify(args):
     if args.n_max < 2:
         raise UsageError("verify needs --n-max >= 2")
-    lines, all_ok = [], True
+    lines, all_ok, seconds = [], True, []
     for n in range(2, args.n_max + 1):
+        t0 = time.perf_counter()
         ok, line = _verify_one(n)
+        seconds.append(f"{n}={time.perf_counter() - t0!r}")
         all_ok = all_ok and ok
         lines.append(line)
     if args.self_test_corrupt:
@@ -257,6 +263,8 @@ def cmd_verify(args):
                      + ("ok (corruption detected)" if not ok
                         else "FAIL (corruption went unnoticed)"))
         all_ok = all_ok and not ok
+    if args.timing:
+        lines.append("seconds per n: " + " ".join(seconds))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_SUITE
 
@@ -400,7 +408,7 @@ def _build_parser():
 
     p = subs.add_parser("kernel", help="exact deformation-kernel report")
     _add_oper_flags(p)
-    p.add_argument("--D", type=int, default=_env_default("d-cap", None, int),
+    p.add_argument("--D", type=int, default=_env_default("D", None, int),
                    help="polynomial degree cap of the deformation system")
     _add_common(p)
     p.set_defaults(func=cmd_kernel)

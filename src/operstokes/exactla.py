@@ -126,6 +126,12 @@ def exact_rank(m):
     return len(_echelon(rows))
 
 
+def _kernel(rows, pivots, ncols):
+    pivot_set = set(pivots)
+    return [np.array(_back_substitute(rows, pivots, c, ncols), dtype=object)
+            for c in range(ncols) if c not in pivot_set]
+
+
 def exact_nullspace(m):
     """Exact kernel basis of a matrix over the rationals.
 
@@ -136,43 +142,24 @@ def exact_nullspace(m):
     rows = _integer_rows(m)
     if not rows:
         return []
-    ncols = len(rows[0])
-    pivots = _echelon(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c not in pivot_set:
-            basis.append(np.array(_back_substitute(rows, pivots, c, ncols), dtype=object))
-    return basis
+    return _kernel(rows, _echelon(rows), len(rows[0]))
 
 
 def exact_solve(m, b):
     """Solve m x = b exactly.
 
     Returns (particular, kernel_basis) or None when inconsistent.  The
-    particular solution sets all free variables to zero.
+    particular solution sets all free variables to zero: it is the kernel
+    vector of the augmented system [m | b] with 1 at the b column, negated.
     """
-    rows = [list(row) + [bi] for row, bi in zip(m, b)]
+    rows = _integer_rows([list(row) + [bi] for row, bi in zip(m, b)])
     nc_m = len(rows[0]) - 1 if rows else 0
-    rows = _integer_rows(rows)
     pivots = _echelon(rows)
     if pivots and pivots[-1] == nc_m:
         return None
-    x = [QQ(0)] * nc_m
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = rows[r]
-        s = QQ(row[nc_m])
-        for c in range(pc + 1, nc_m):
-            if row[c] and x[c]:
-                s -= QQ(row[c]) * x[c]
-        x[pc] = s / row[pc]
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(nc_m):
-        if c not in pivot_set:
-            basis.append(np.array(_back_substitute(rows, pivots, c, nc_m), dtype=object))
-    return np.array(x, dtype=object), basis
+    x = _back_substitute(rows, pivots, nc_m, nc_m + 1)
+    return (np.array([-v for v in x[:nc_m]], dtype=object),
+            _kernel(rows, pivots, nc_m))
 
 
 def rational_str(q):

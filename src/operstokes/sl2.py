@@ -1,6 +1,10 @@
 """Principal sl(2) inside sl(n) and its weight-vector machinery.
 
-Everything here is exact (Fraction entries).  The module builds:
+Everything here is exact (Fraction entries).  Each element lies on one
+off-diagonal band S(j) and is kept as a band element (j, xs): xs[r] is the
+entry in row r, column r + j (zero where that column is outside the matrix).
+Dense matrices appear only as the views `Sl2Triple.e/f/h`, `WeightBasis.vec`
+and the argument of `WeightBasis.decompose`.  The module builds:
 
 - the principal triple (e, f, h) with e the superdiagonal (1, ..., n-1),
   f the subdiagonal (n-1, ..., 1), h = diag(n-1, n-3, ..., -(n-1));
@@ -22,189 +26,180 @@ invalidate every consumer downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .exactla import (QQ, commutator, exact_nullspace, exact_rank, mat_trace,
-                      qzeros, rational_str)
+from .exactla import (QQ, _integer_rows, _strip_content, exact_nullspace,
+                      exact_rank, exact_solve, mat_trace, qzeros,
+                      rational_str)
+
+
+def bracket(x, y):
+    """[X, Y] of band elements X = (p, xs), Y = (q, ys), in O(n).
+
+    Row r of the result, on band p + q, is xs[r] ys[r+p] - ys[r] xs[r+q];
+    a band beyond the matrix comes out all zero."""
+    (p, xs), (q, ys) = x, y
+    n = len(xs)
+
+    def at(zs, r):
+        return zs[r] if 0 <= r < n else 0
+
+    return p + q, tuple(xs[r] * at(ys, r + p) - ys[r] * at(xs, r + q)
+                        for r in range(n))
+
+
+def _scaled(c, x):
+    return x[0], tuple(c * v for v in x[1])
+
+
+def band_matrix(x):
+    """Dense Fraction matrix of the band element x."""
+    j, xs = x
+    n = len(xs)
+    m = qzeros(n)
+    for r in range(max(0, -j), min(n, n - j)):
+        m[r, r + j] = QQ(xs[r])
+    return m
+
+
+def band_of(m, j):
+    """The band S(j) part of a dense square matrix, as a band element."""
+    n = m.shape[0]
+    return j, tuple(m[r, r + j] if 0 <= r + j < n else QQ(0)
+                    for r in range(n))
 
 
 @dataclass(frozen=True)
 class Sl2Triple:
     n: int
-    e: np.ndarray
+    e: np.ndarray          # dense forms of `bands`
     f: np.ndarray
     h: np.ndarray
+    bands: tuple           # (e, f, h) as band elements
 
 
 def principal_sl2(n):
     """Principal sl(2) triple in sl(n); validates the bracket relations."""
     if n < 2:
         raise ValueError("need n >= 2")
-    e = qzeros(n)
-    f = qzeros(n)
-    h = qzeros(n)
-    for j in range(1, n):
-        e[j - 1, j] = QQ(j)
-        f[j, j - 1] = QQ(n - j)
-    for a in range(n):
-        h[a, a] = QQ(n - 1 - 2 * a)
-    if not np.array_equal(commutator(e, f), h):
+    e = (1, tuple(QQ(r + 1 if r < n - 1 else 0) for r in range(n)))
+    f = (-1, tuple(QQ(n - r if r else 0) for r in range(n)))
+    h = (0, tuple(QQ(n - 1 - 2 * r) for r in range(n)))
+    if bracket(e, f) != h:
         raise ArithmeticError("principal triple failed [e,f] = h")
-    if not np.array_equal(commutator(h, e), 2 * np.ones((), dtype=object) * e):
+    if bracket(h, e) != _scaled(2, e):
         raise ArithmeticError("principal triple failed [h,e] = 2e")
-    if not np.array_equal(commutator(h, f), -2 * np.ones((), dtype=object) * f):
+    if bracket(h, f) != _scaled(-2, f):
         raise ArithmeticError("principal triple failed [h,f] = -2f")
-    return Sl2Triple(n=n, e=e, f=f, h=h)
-
-
-def band_positions(n, j):
-    """Matrix positions of the band S(j) (j-th off-diagonal, j in [-(n-1), n-1])."""
-    if not -(n - 1) <= j <= n - 1:
-        raise KeyError(f"band {j} out of range for n={n}")
-    if j >= 0:
-        return [(a, a + j) for a in range(n - j)]
-    return [(a - j, a) for a in range(n + j)]
-
-
-def band_coords(m, j):
-    n = m.shape[0]
-    return [m[p] for p in band_positions(n, j)]
-
-
-def in_band(m, j):
-    n = m.shape[0]
-    pos = set(band_positions(n, j))
-    return all(not m[a, b] or (a, b) in pos for a in range(n) for b in range(n))
+    return Sl2Triple(n, band_matrix(e), band_matrix(f), band_matrix(h),
+                     (e, f, h))
 
 
 def lowest_weight_vectors(tri):
-    """f_1 ... f_{n-1}: exact kernel of ad_f on each band, positive coprime ints."""
+    """f_1 ... f_{n-1} as band elements: exact kernel of ad_f on each band,
+    positive coprime ints."""
     n = tri.n
+    f = tri.bands[1]
     out = []
     for i in range(1, n):
-        src = band_positions(n, -i)
-        dst = band_positions(n, -i - 1) if i < n - 1 else []
-        # columns: band S(-i) coordinates; rows: S(-i-1) coordinates of ad_f
-        rows = []
-        for dpos in dst:
-            row = []
-            for spos in src:
-                basis_elt = qzeros(n)
-                basis_elt[spos] = QQ(1)
-                row.append(commutator(tri.f, basis_elt)[dpos])
-            rows.append(row)
-        if rows:
-            kernel = exact_nullspace(rows)
-        else:
-            kernel = [np.array([QQ(1)], dtype=object)]
+        # column s: ad_f of the unit vector in row s of S(-i) (rows i..n-1),
+        # on S(-i-1); all zero for i = n-1, whose kernel is the whole band
+        cols = [bracket(f, (-i, tuple(QQ(1 if r == s else 0) for r in range(n))))[1]
+                for s in range(i, n)]
+        kernel = exact_nullspace([[col[r] for col in cols] for r in range(n)])
         if len(kernel) != 1:
             raise ArithmeticError(f"ad_f kernel on band S(-{i}) has dim {len(kernel)} != 1")
-        vec = kernel[0]
-        den = 1
-        for q in vec:
-            den = den * q.denominator // gcd(den, q.denominator)
-        ints = [int(q * den) for q in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
+        ints = _strip_content(_integer_rows([kernel[0]])[0])
         if ints[0] < 0:
             ints = [-v for v in ints]
         if any(v <= 0 for v in ints) or min(ints) != 1:
             raise ArithmeticError(f"lowest weight vector f_{i} not positive coprime with min 1: {ints}")
-        fi = qzeros(n)
-        for pos, v in zip(src, ints):
-            fi[pos] = QQ(v)
-        out.append(fi)
+        out.append((-i, tuple(QQ(ints[r - i] if r >= i else 0) for r in range(n))))
     return out
 
 
 class WeightBasis:
     """The vectors v_{i,j} = (ad_e)^{i+j} f_i, indexed by 1<=i<=n-1, -i<=j<=i."""
 
-    def __init__(self, tri, vectors):
+    def __init__(self, tri, bands):
         self.n = tri.n
         self.tri = tri
-        self._v = vectors
-        self._band_solvers = self._build_band_solvers()
+        self._v = bands
 
     def indices(self):
         return sorted(self._v.keys())
 
-    def vec(self, i, j):
+    def band(self, i, j):
+        """v_{i,j} as a band element of S(j)."""
         key = (i, j)
         if key not in self._v:
             raise KeyError(f"v_{{{i},{j}}} out of range for n={self.n}")
         return self._v[key]
 
-    def _build_band_solvers(self):
-        # Band j is spanned by {v_{i,j} : max(|j|,1) <= i <= n-1}; for j != 0
-        # that is a square system, for j = 0 the n-1 vectors span the traceless
-        # diagonal.  Precompute the per-band column matrices once.
-        n = self.n
-        solvers = {}
-        for j in range(-(n - 1), n):
-            members = [i for i in range(max(abs(j), 1), n)]
-            cols = [band_coords(self._v[(i, j)], j) for i in members]
-            mat = [[cols[c][r] for c in range(len(members))] for r in range(len(cols[0]))]
-            solvers[j] = (members, mat)
-        return solvers
+    def vec(self, i, j):
+        """v_{i,j} as a dense Fraction matrix."""
+        return band_matrix(self.band(i, j))
+
+    def solve_band(self, x):
+        """Coefficients of the band element x = (j, xs) in the v_{i,j}.
+
+        Band j is spanned by {v_{i,j} : max(|j|,1) <= i <= n-1}; for j != 0
+        that is a square system, for j = 0 the n-1 vectors span the traceless
+        diagonal.  Returns dict ((i,j) -> Fraction) of the nonzero entries;
+        raises ValueError when x is outside the span."""
+        j, xs = x
+        if not any(xs):
+            return {}
+        members = range(max(abs(j), 1), self.n)
+        cols = [self._v[(i, j)][1] for i in members]
+        sol = exact_solve([[col[r] for col in cols] for r in range(self.n)], xs)
+        if sol is None:
+            raise ValueError(f"matrix not in span of the weight basis on band {j}")
+        coeffs, kernel = sol
+        if kernel:
+            raise ArithmeticError(f"band {j} basis is degenerate")
+        return {(i, j): c for i, c in zip(members, coeffs) if c}
 
     def decompose(self, x):
         """Exact coefficients of a traceless matrix in the v basis.
 
         Returns dict ((i,j) -> Fraction) containing only nonzero entries.
         Raises ValueError when x has nonzero trace or is outside the span.
+        Every position lies on exactly one band, so band by band is all of x.
         """
-        from .exactla import exact_solve
         n = self.n
         if mat_trace(x) != 0:
             raise ValueError("decompose requires a traceless matrix")
         out = {}
         for j in range(-(n - 1), n):
-            coords = band_coords(x, j)
-            if not any(coords):
-                continue
-            members, mat = self._band_solvers[j]
-            sol = exact_solve(mat, coords)
-            if sol is None:
-                raise ValueError(f"matrix not in span of the weight basis on band {j}")
-            xs, basis = sol
-            if basis:
-                raise ArithmeticError(f"band {j} basis is degenerate")
-            for i, cval in zip(members, xs):
-                if cval:
-                    out[(i, j)] = cval
-        # off-band junk would have been caught band by band only if bands cover
-        # all positions -- they do (every position lies on exactly one band).
+            out.update(self.solve_band(band_of(x, j)))
         return out
 
 
 def build_weight_basis(tri):
     n = tri.n
+    e, _, h = tri.bands
     lws = lowest_weight_vectors(tri)
     vectors = {}
     for i in range(1, n):
         v = lws[i - 1]
         vectors[(i, -i)] = v
         for j in range(-i + 1, i + 1):
-            v = commutator(tri.e, v)
+            v = bracket(e, v)
             vectors[(i, j)] = v
-    # sanity: grading, weight, top annihilation, spanning
+    # sanity: weight, top annihilation, spanning (the bands are direct
+    # summands, so full rank on every band is the span of sl(n))
     for (i, j), v in vectors.items():
-        if not in_band(v, j):
-            raise ArithmeticError(f"v_{{{i},{j}}} escapes band S({j})")
-        if not np.array_equal(commutator(tri.h, v), 2 * np.ones((), dtype=object) * j * v):
+        if bracket(h, v) != _scaled(2 * j, v):
             raise ArithmeticError(f"v_{{{i},{j}}} is not an ad_h eigenvector of weight {2*j}")
     for i in range(1, n):
-        if np.any(commutator(tri.e, vectors[(i, i)]) != QQ(0)):
+        if any(bracket(e, vectors[(i, i)])[1]):
             raise ArithmeticError(f"ad_e does not annihilate the top vector v_{{{i},{i}}}")
-    flat = [v.reshape(-1) for (_, v) in sorted(vectors.items())]
-    if exact_rank(flat) != n * n - 1:
-        raise ArithmeticError("weight vectors do not span sl(n)")
+    for j in range(-(n - 1), n):
+        members = range(max(abs(j), 1), n)
+        if exact_rank([vectors[(i, j)][1] for i in members]) != len(members):
+            raise ArithmeticError("weight vectors do not span sl(n)")
     return WeightBasis(tri, vectors)
 
 
@@ -242,12 +237,11 @@ class StructureTables:
 def compute_structure_tables(basis):
     """Populate both tables by exact decomposition of the defining brackets."""
     n = basis.n
-    tri = basis.tri
+    f = basis.tri.bands[1]
     tables = StructureTables(n=n)
     for i in range(1, n):
         for j in range(-i, i + 1):
-            br = commutator(tri.f, basis.vec(i, j))
-            coeffs = basis.decompose(br) if np.any(br != QQ(0)) else {}
+            coeffs = basis.solve_band(bracket(f, basis.band(i, j)))
             extra = set(coeffs) - {(i, j - 1)}
             if extra:
                 raise ArithmeticError(f"ad_f v_{{{i},{j}}} leaves its string: {sorted(extra)}")
@@ -255,16 +249,11 @@ def compute_structure_tables(basis):
             if val != a_formula(i, j):
                 raise ArithmeticError(f"a[{i},{j}] = {val} != closed formula {a_formula(i, j)}")
             tables.a[(i, j)] = val
-    fn1 = basis.vec(n - 1, -(n - 1))
+    fn1 = basis.band(n - 1, -(n - 1))
     for j in range(0, n):
         for k in range(0, min(j, n - 2) + 1):
-            br = commutator(fn1, basis.vec(n - 1 - k, n - 1 - j))
-            coeffs = basis.decompose(br) if np.any(br != QQ(0)) else {}
-            allowed = {(i, -j) for i in range(max(1, j), n)}
-            extra = set(coeffs) - allowed
-            if extra:
-                raise ArithmeticError(
-                    f"[f_(n-1), v_{{{n-1-k},{n-1-j}}}] has components outside S(-{j}): {sorted(extra)}")
+            # the bracket lies on S(-j), so only v_{i,-j} can appear
+            coeffs = basis.solve_band(bracket(fn1, basis.band(n - 1 - k, n - 1 - j)))
             for i in range(max(1, j), n):
                 tables.c[(i, j, k)] = coeffs.get((i, -j), QQ(0))
     return tables
@@ -310,12 +299,10 @@ def verify_sign_property(tables):
 
 def commuting_action_check(basis):
     """ad_{f_{n-1}} and ad_f commute on every weight vector (exact)."""
-    tri = basis.tri
-    fn1 = basis.vec(basis.n - 1, -(basis.n - 1))
+    f = basis.tri.bands[1]
+    fn1 = basis.band(basis.n - 1, -(basis.n - 1))
     for (i, j) in basis.indices():
-        v = basis.vec(i, j)
-        lhs = commutator(fn1, commutator(tri.f, v))
-        rhs = commutator(tri.f, commutator(fn1, v))
-        if not np.array_equal(lhs, rhs):
+        v = basis.band(i, j)
+        if bracket(fn1, bracket(f, v)) != bracket(f, bracket(fn1, v)):
             return False
     return True

@@ -105,6 +105,21 @@ def test_timing_flag_adds_total_time(capsys):
         code, out, _ = run(capsys, sub, *WEBER, "--timing")
         assert code == 0
         assert json.loads(out)["timing"]["total_s"] > 0
+    # text documents gain one trailing line and are otherwise unchanged
+    _, plain, _ = run(capsys, "basis", "--n", "3")
+    code, timed, _ = run(capsys, "basis", "--n", "3", "--timing")
+    assert code == 0 and timed.startswith(plain)
+    extra = timed[len(plain):].splitlines()
+    assert len(extra) == 1 and extra[0].startswith("seconds: ")
+    assert float(extra[0].split()[1]) > 0
+    _, plain, _ = run(capsys, "verify", "--n-max", "4")
+    code, timed, _ = run(capsys, "verify", "--n-max", "4", "--timing")
+    assert code == 0 and timed.startswith(plain)
+    extra = timed[len(plain):].splitlines()
+    assert len(extra) == 1 and extra[0].startswith("seconds per n: ")
+    per_n = dict(item.split("=") for item in extra[0].split(": ")[1].split())
+    assert sorted(per_n) == ["2", "3", "4"]
+    assert all(float(t) > 0 for t in per_n.values())
 
 
 def test_stokes_is_byte_deterministic(capsys, tmp_path):
@@ -191,6 +206,11 @@ def test_env_override_and_flag_precedence(capsys, monkeypatch):
     assert json.loads(out)["settings"]["M"] == 12
     _, out, _ = run(capsys, "stokes", *WEBER, "--trunc-order", "14")
     assert json.loads(out)["settings"]["M"] == 14
+    monkeypatch.setenv("OPERSTOKES_D", "6")
+    _, out, _ = run(capsys, "kernel", *WEBER)
+    assert json.loads(out)["D"] == 6
+    _, out, _ = run(capsys, "kernel", *WEBER, "--D", "5")
+    assert json.loads(out)["D"] == 5
 
 
 def test_cli_import_does_not_load_scipy():

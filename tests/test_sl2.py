@@ -2,12 +2,14 @@ from fractions import Fraction as QQ
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operstokes.exactla import commutator, qzeros
-from operstokes.sl2 import (a_formula, band_positions, build_weight_basis,
-                            commuting_action_check, compute_structure_tables,
-                            in_band, lowest_weight_vectors, principal_sl2,
-                            verify_sign_property)
+from operstokes.sl2 import (a_formula, band_matrix, bracket,
+                            build_weight_basis, commuting_action_check,
+                            compute_structure_tables, lowest_weight_vectors,
+                            principal_sl2, verify_sign_property)
 
 
 def tables_for(n):
@@ -24,22 +26,25 @@ def test_triple_relations_n5():
 def test_lowest_weight_vectors_n4():
     tri = principal_sl2(4)
     f1, f2, f3 = lowest_weight_vectors(tri)
-    assert np.array_equal(f1, tri.f)
+    assert f1 == tri.bands[1]
+    assert np.array_equal(band_matrix(f1), tri.f)
     # f_2 = 3 E_{3,1} + E_{4,2} (coprime positive integers)
+    assert f2 == (-2, (0, 0, 3, 1))
     want = qzeros(4)
     want[2, 0] = QQ(3)
     want[3, 1] = QQ(1)
-    assert np.array_equal(f2, want)
+    assert np.array_equal(band_matrix(f2), want)
+    assert f3 == (-3, (0, 0, 0, 1))
     want3 = qzeros(4)
     want3[3, 0] = QQ(1)
-    assert np.array_equal(f3, want3)
+    assert np.array_equal(band_matrix(f3), want3)
 
 
 def test_lowest_vectors_killed_by_f():
     for n in (3, 5):
         tri = principal_sl2(n)
         for fi in lowest_weight_vectors(tri):
-            assert not np.any(commutator(tri.f, fi) != QQ(0))
+            assert not any(bracket(tri.bands[1], fi)[1])
 
 
 def test_weight_vectors_n3_explicit():
@@ -58,12 +63,37 @@ def test_weight_vectors_n3_explicit():
 
 def test_band_membership_and_weights():
     basis, _ = tables_for(4)
-    tri = basis.tri
+    h = basis.tri.bands[2]
     for (i, j) in basis.indices():
-        v = basis.vec(i, j)
-        assert in_band(v, j)
-        assert np.array_equal(commutator(tri.h, v),
-                              2 * np.ones((), dtype=object) * j * v)
+        band, xs = basis.band(i, j)
+        assert band == j
+        assert bracket(h, (j, xs)) == (j, tuple(2 * j * x for x in xs))
+        dense = basis.vec(i, j)
+        assert np.array_equal(band_matrix(basis.band(i, j)), dense)
+        assert all(dense[a, b] == 0
+                   for a in range(4) for b in range(4) if b - a != j)
+
+
+@st.composite
+def band_pair(draw):
+    n = draw(st.integers(2, 6))
+
+    def element():
+        j = draw(st.integers(-(n - 1), n - 1))
+        return j, tuple(draw(st.integers(-9, 9)) if 0 <= r + j < n else 0
+                        for r in range(n))
+
+    return element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_pair())
+@example(((3, (5, 0, 0, 0)), (1, (2, 3, -1, 0))))   # S(3) + S(1) leaves sl(4)
+@example(((-2, (0, 0, 4)), (-1, (0, 1, 7))))         # S(-2) + S(-1) leaves sl(3)
+def test_bracket_matches_dense_commutator(pair):
+    x, y = pair
+    assert np.array_equal(band_matrix(bracket(x, y)),
+                          commutator(band_matrix(x), band_matrix(y)))
 
 
 def test_vec_out_of_range_raises():
@@ -75,7 +105,7 @@ def test_vec_out_of_range_raises():
     with pytest.raises(KeyError):
         tables.c_val(1, 2, 0)
     with pytest.raises(KeyError):
-        band_positions(3, 3)
+        basis.band(2, 3)
 
 
 def test_a_table_matches_formula():
@@ -105,7 +135,7 @@ def test_c_table_generic_edge_values():
 
 
 def test_sign_property_and_recursion():
-    for n in range(2, 8):
+    for n in range(2, 17):
         _, t = tables_for(n)
         rep = verify_sign_property(t)
         assert rep.ok, rep.violations
@@ -114,7 +144,7 @@ def test_sign_property_and_recursion():
 
 
 def test_commuting_actions():
-    for n in (2, 3, 4, 5):
+    for n in range(2, 11):
         basis, _ = tables_for(n)
         assert commuting_action_check(basis)
 
