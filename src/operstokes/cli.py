@@ -36,8 +36,7 @@ from .immersion import jacobian as jacobian_report
 from .sl2 import (a_formula, build_weight_basis, commuting_action_check,
                   compute_structure_tables, principal_sl2,
                   verify_sign_property)
-from .stokes import (StokesSettings, formal_solution, gauge_transform,
-                     make_ctx, stokes_data)
+from .stokes import StokesSettings, stokes_data
 
 EXIT_OK = 0
 EXIT_SUITE = 1
@@ -126,7 +125,7 @@ def _oper_from_args(args):
             coeffs = tuple(complex(re, im) for re, im in doc["coefficients"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad config document: {exc}")
-        return _checked_oper(n, k, coeffs)
+        return OperPoint(n, k, coeffs)
     if args.n is None or args.k is None or args.poly is None:
         raise UsageError("need --n, --k and --poly (or --config)")
     entries = [_parse_coefficient(t) for t in args.poly.split(",")]
@@ -144,17 +143,7 @@ def _oper_from_args(args):
             raise UsageError("the z^{d-1} coefficient must be 0 in this "
                              "normalized family")
         coeffs = entries[:-2]
-    return _checked_oper(args.n, args.k, tuple(coeffs))
-
-
-def _checked_oper(n, k, coeffs):
-    if n < 2 or k < 1:
-        raise UsageError("need n >= 2 and k >= 1")
-    d = n * k
-    if len(coeffs) != d - 1:
-        raise UsageError(f"degree d = n*k = {d} wants {d - 1} coefficients "
-                         f"c_0..c_{d - 2}, got {len(coeffs)}")
-    return OperPoint(n, k, tuple(coeffs))
+    return OperPoint(args.n, args.k, tuple(coeffs))
 
 
 def _settings_from_args(args):
@@ -298,9 +287,6 @@ def cmd_kernel(args):
 
 
 def _stokes_document(op, settings, data):
-    ctx = make_ctx(53)
-    gc = gauge_transform(op)
-    fs = formal_solution(gc, settings.trunc_order, ctx)
     directions = [{"of_pi": str(th % 2), "radians": float(th % 2) * math.pi}
                   for th in data.layout.rays]
     return {
@@ -308,8 +294,8 @@ def _stokes_document(op, settings, data):
         "n": data.n, "k": data.k, "d": op.d,
         "coefficients": [_c2(c) for c in op.coeffs],
         "lambda": [_c2(v) for v in data.lam],
-        "Q": [[_c2(v) for v in fs.qcoeffs[j]]
-              for j in range(1, fs.k + 2)],
+        "Q": [[_c2(v) for v in data.qcoeffs[j]]
+              for j in range(1, data.k + 2)],
         "directions": directions,
         "stokes_factors": [_cmat(m) for m in data.factors],
         "stokes_matrices": [_cmat(m) for m in data.matrices],

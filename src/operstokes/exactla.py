@@ -1,8 +1,11 @@
 """Exact rational linear algebra on dense matrices.
 
 All kernel/rank/solve computations used for certificates go through the
-fraction-free integer elimination in this module; results are exact by
-construction (no floating point anywhere).
+fraction-free integer elimination in this module, and this is the one place
+that turns rational rows into integer ones.  Entries must be ints or
+Fractions (anything with integer `numerator` and `denominator`); a float
+raises.  Kernel vectors come back as primitive integer vectors, so results
+are exact by construction (no floating point anywhere).
 """
 
 from __future__ import annotations
@@ -43,14 +46,17 @@ def mat_trace(m):
 
 
 def _integer_rows(m):
-    """Scale each row by the lcm of denominators; returns list[list[int]]."""
+    """Scale each row by the lcm of its denominators; returns list[list[int]].
+
+    Reads each entry's own numerator/denominator, so no Fraction is built."""
     out = []
     for row in m:
         den = 1
         for x in row:
-            q = QQ(x)
-            den = den * q.denominator // gcd(den, q.denominator)
-        out.append([int(QQ(x) * den) for x in row])
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
@@ -105,18 +111,29 @@ def _echelon(rows):
 
 
 def _back_substitute(rows, pivots, free_col, ncols):
-    """Kernel vector with 1 in free_col, solving the echelon system."""
-    x = [QQ(0)] * ncols
-    x[free_col] = QQ(1)
+    """Primitive integer kernel vector of the echelon system: zero at the
+    other free columns, positive at free_col (its last nonzero entry).
+
+    Fraction-free: x stays integral by scaling the solved part by
+    |pivot| / gcd(pivot, s) whenever a pivot does not divide its row sum s."""
+    x = [0] * ncols
+    x[free_col] = 1
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
         row = rows[r]
-        s = QQ(0)
+        s = 0
         for c in range(pc + 1, ncols):
             if row[c] and x[c]:
-                s += QQ(row[c]) * x[c]
-        x[pc] = -s / row[pc]
-    return x
+                s += row[c] * x[c]
+        if not s:
+            continue
+        piv = row[pc]
+        g = gcd(piv, s)
+        scale = abs(piv) // g
+        if scale != 1:
+            x = [v * scale for v in x]
+        x[pc] = -s // g if piv > 0 else s // g
+    return _strip_content(x)
 
 
 def exact_rank(m):
@@ -136,8 +153,10 @@ def exact_nullspace(m):
     """Exact kernel basis of a matrix over the rationals.
 
     Accepts any iterable of rows with Fraction/int entries.  Returns a list of
-    Fraction column vectors (length = number of columns); empty list when the
-    kernel is trivial.  Basis vectors satisfy m @ v == 0 exactly.
+    primitive integer column vectors (object arrays of Python ints, gcd 1,
+    one per free column, positive there and zero at the other free columns);
+    empty list when the kernel is trivial.  Basis vectors satisfy
+    m @ v == 0 exactly.
     """
     rows = _integer_rows(m)
     if not rows:
@@ -149,16 +168,18 @@ def exact_solve(m, b):
     """Solve m x = b exactly.
 
     Returns (particular, kernel_basis) or None when inconsistent.  The
-    particular solution sets all free variables to zero: it is the kernel
-    vector of the augmented system [m | b] with 1 at the b column, negated.
+    particular solution (Fractions) sets all free variables to zero: from the
+    augmented system's kernel vector v, positive at the b column, it is
+    -v_i / v_b.  kernel_basis is as in exact_nullspace.
     """
     rows = _integer_rows([list(row) + [bi] for row, bi in zip(m, b)])
     nc_m = len(rows[0]) - 1 if rows else 0
     pivots = _echelon(rows)
     if pivots and pivots[-1] == nc_m:
         return None
-    x = _back_substitute(rows, pivots, nc_m, nc_m + 1)
-    return (np.array([-v for v in x[:nc_m]], dtype=object),
+    v = _back_substitute(rows, pivots, nc_m, nc_m + 1)
+    vb = v[nc_m]
+    return (np.array([QQ(-vi, vb) for vi in v[:nc_m]], dtype=object),
             _kernel(rows, pivots, nc_m))
 
 

@@ -4,12 +4,12 @@ The base space is the family y^(n) = p(z) y with p monic of degree d = k n
 and no z^{d-1} term, coordinatized by the remaining d-1 coefficients
 c_0..c_{d-2}.  The map under study sends these coordinates to the
 strict-triangle entries of the grouped Stokes matrices -- the free entries of
-the alternating unipotent factors.  Its differential is approximated by
-central differences in each coordinate, with every discrete choice of the
-Stokes run (reading circle, collocation angles, term count, working
-precision, eigenvalue labeling) frozen at the base point, so the quotients
-differentiate one fixed smooth function rather than a chain of re-planned
-runs.
+the alternating unipotent factors.  Its differential is approximated in each
+coordinate by the mean of the real-step and imaginary-step central
+differences, with every discrete choice of the Stokes run (reading circle,
+collocation angles, term count, working precision, eigenvalue labeling)
+frozen at the base point, so the quotients differentiate one fixed smooth
+function rather than a chain of re-planned runs.
 
 Full column rank of the differential, read off a singular value decomposition
 with a relative threshold, corroborates numerically what the exact kernel
@@ -39,8 +39,8 @@ class JacobianReport:
     coefficient c_m; singular_values descend; rank counts values at or above
     sigma_1 * rank_tol; sv_gap = sigma_{d-1}/sigma_1 is the margin by which
     full column rank holds; holomorphy is the worst disagreement between the
-    real-step and imaginary-step difference quotients (complex
-    differentiability makes them equal up to O(h^2))."""
+    real-step and imaginary-step difference quotients, whose mean is the
+    column (complex differentiability makes them equal up to O(h^2))."""
     n: int
     k: int
     d: int
@@ -76,31 +76,29 @@ def _shifted(op, m, delta):
     return OperPoint(op.n, op.k, tuple(coeffs))
 
 
-def _stencil_points(op, h, holomorphy):
-    """Evaluation points around the base: per coordinate the real-step pair,
-    plus the imaginary-step pair when the holomorphy diagnostic is on."""
-    points = []
-    deltas = [h, -h] + ([1j * h, -1j * h] if holomorphy else [])
-    for m in range(op.d - 1):
-        for delta in deltas:
-            points.append((m, delta, _shifted(op, m, delta)))
-    return points
+def _stencil_points(op, h):
+    """Evaluation points around the base: per coordinate c_m the four points
+    c_m +- h and c_m +- i h."""
+    return [(m, delta, _shifted(op, m, delta))
+            for m in range(op.d - 1) for delta in (h, -h, 1j * h, -1j * h)]
 
 
-def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4, holomorphy=True):
-    """Central-difference differential of the monodromy map.
+def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
+    """Differential of the monodromy map from a four-point stencil.
 
-    Columns are (nu(c + h e_m) - nu(c - h e_m)) / (2h) for each of the d-1
-    coordinates; when holomorphy is on, the same quotient along i h is formed
-    and its worst deviation from the real-step quotient is reported.  Every
-    stencil evaluation reuses the base point's frozen plan and must come back
-    with sane closure residuals, otherwise the differences would compare
-    artifacts of run planning instead of values of the map."""
+    Column m is the mean of the real-step quotient
+    (nu(c + h e_m) - nu(c - h e_m)) / (2h) and the same quotient along i h:
+    the 4-point trapezoid rule for the Cauchy integral of nu around c, whose
+    error is O(h^4).  The worst disagreement of the two quotients is
+    reported as the holomorphy diagnostic.  Every stencil evaluation reuses
+    the base point's frozen plan and must come back with sane closure
+    residuals, otherwise the differences would compare artifacts of run
+    planning instead of values of the map."""
     settings = settings or StokesSettings()
     base = stokes_data(op, settings)
     plan = base.plan
     nu0 = base.monitored_vector()
-    points = _stencil_points(op, h, holomorphy)
+    points = _stencil_points(op, h)
     runs = [stokes_data(shifted_op, settings, plan=plan)
             for _, _, shifted_op in points]
 
@@ -119,11 +117,10 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4, holomorphy=True):
     cols, deviation = [], 0.0
     for m in range(op.d - 1):
         col = (values[(m, complex(h))] - values[(m, complex(-h))]) / (2 * h)
-        cols.append(col)
-        if holomorphy:
-            icol = (values[(m, 1j * h)] - values[(m, -1j * h)]) / (2j * h)
-            scale = max(1.0, float(np.abs(col).max()))
-            deviation = max(deviation, float(np.abs(icol - col).max()) / scale)
+        icol = (values[(m, 1j * h)] - values[(m, -1j * h)]) / (2j * h)
+        cols.append((col + icol) / 2)
+        scale = max(1.0, float(np.abs(col).max()))
+        deviation = max(deviation, float(np.abs(icol - col).max()) / scale)
     jac = np.column_stack(cols)
 
     sv = np.linalg.svd(jac, compute_uv=False)

@@ -176,11 +176,10 @@ def jmu_matrix(op, D):
     d = op.d
     ncols = n * n * (D + 1)
     rows = []
-    zero = QQ(0) if op.exact else 0j
     for m in range(D + d, -1, -1):
         for a in range(n):
             for c in range(n):
-                row = [zero] * ncols
+                row = [0] * ncols
                 if m + 1 <= D:
                     row[_omega_col(D, n, m + 1, a, c)] += m + 1
                 # -[e, Omega_m];  e has e[a, a+1] = a+1
@@ -204,14 +203,14 @@ def jmu_matrix(op, D):
 
 
 def joint_system(op, D):
-    """[jmu | -pdot columns]: unknowns (Omega coefficients, pdot coefficients)."""
+    """[jmu | -pdot columns]: unknowns (Omega coefficients, pdot coefficients).
+    Entries are ints and Fractions."""
     n = op.n
     d = op.d
     rows = jmu_matrix(op, D)
     nq = d - 1  # pdot degrees 0..d-2
-    zero = rows[0][0] * 0
     for r in rows:
-        r.extend([zero] * nq)
+        r.extend([0] * nq)
     base = n * n * (D + 1)
     for m in range(d - 1):
         # equation block for degree m starts at row (D+d-m)*n^2
@@ -234,25 +233,6 @@ class SolvabilityReport:
     witness: object = None          # (pdot Poly, omega list) when tangent_dim > 0
     timing: float = 0.0
 
-    def to_text(self, include_timing=False):
-        lines = [
-            f"n {self.n}",
-            f"k {self.k}",
-            f"d {self.d}",
-            f"D {self.D}",
-            f"joint_kernel_dim {self.joint_kernel_dim}",
-            f"tangent_dim {self.tangent_dim}",
-            f"homogeneous_kernel_dim {self.homogeneous_kernel_dim}",
-            f"traceless_homogeneous_kernel_dim {self.traceless_homogeneous_kernel_dim}",
-            f"exact {str(self.exact).lower()}",
-        ]
-        if self.witness is not None:
-            pdot, _ = self.witness
-            lines.append("witness_pdot " + " ".join(str(c) for c in pdot.coeffs))
-        if include_timing:
-            lines.append(f"timing {self.timing:.3f}")
-        return "\n".join(lines) + "\n"
-
 
 def _kernel_vector_parts(op, D, vec):
     n = op.n
@@ -266,14 +246,6 @@ def _kernel_vector_parts(op, D, vec):
     base = n * n * (D + 1)
     qcoeffs = [vec[base + (op.d - 2 - m)] for m in range(op.d - 1)]
     return omega, Poly(qcoeffs)
-
-
-def _integerize(vec):
-    den = 1
-    for q in vec:
-        if q:
-            den = den * q.denominator // __import__("math").gcd(den, q.denominator)
-    return [q * den for q in vec]
 
 
 def solvability(op, D=None):
@@ -305,8 +277,7 @@ def solvability(op, D=None):
     if tangent > 0:
         for v in kernel:
             if any(v[base + t] for t in range(nq)):
-                w = _integerize(list(v))
-                omega, pdot = _kernel_vector_parts(op, D, w)
+                omega, pdot = _kernel_vector_parts(op, D, v)
                 res = apply_deformation(op, omega, pdot)
                 if any(np.any(mat != 0) for mat in res):
                     raise ArithmeticError("kernel vector failed exact re-substitution")

@@ -1,10 +1,11 @@
 """Principal sl(2) inside sl(n) and its weight-vector machinery.
 
-Everything here is exact (Fraction entries).  Each element lies on one
-off-diagonal band S(j) and is kept as a band element (j, xs): xs[r] is the
-entry in row r, column r + j (zero where that column is outside the matrix).
-Dense matrices appear only as the views `Sl2Triple.e/f/h`, `WeightBasis.vec`
-and the argument of `WeightBasis.decompose`.  The module builds:
+Everything here is exact.  Each element lies on one off-diagonal band S(j)
+and is kept as a band element (j, xs) of Python ints: xs[r] is the entry in
+row r, column r + j (zero where that column is outside the matrix).  Dense
+Fraction matrices appear only as the views `Sl2Triple.e/f/h`,
+`WeightBasis.vec` and the argument of `WeightBasis.decompose`, and the
+tables hold Fractions.  The module builds:
 
 - the principal triple (e, f, h) with e the superdiagonal (1, ..., n-1),
   f the subdiagonal (n-1, ..., 1), h = diag(n-1, n-3, ..., -(n-1));
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactla import (QQ, _integer_rows, _strip_content, exact_nullspace,
-                      exact_rank, exact_solve, mat_trace, qzeros,
-                      rational_str)
+from .exactla import (QQ, exact_nullspace, exact_rank, exact_solve,
+                      mat_trace, qzeros, rational_str)
 
 
 def bracket(x, y):
@@ -83,9 +83,9 @@ def principal_sl2(n):
     """Principal sl(2) triple in sl(n); validates the bracket relations."""
     if n < 2:
         raise ValueError("need n >= 2")
-    e = (1, tuple(QQ(r + 1 if r < n - 1 else 0) for r in range(n)))
-    f = (-1, tuple(QQ(n - r if r else 0) for r in range(n)))
-    h = (0, tuple(QQ(n - 1 - 2 * r) for r in range(n)))
+    e = (1, tuple(r + 1 if r < n - 1 else 0 for r in range(n)))
+    f = (-1, tuple(n - r if r else 0 for r in range(n)))
+    h = (0, tuple(n - 1 - 2 * r for r in range(n)))
     if bracket(e, f) != h:
         raise ArithmeticError("principal triple failed [e,f] = h")
     if bracket(h, e) != _scaled(2, e):
@@ -105,17 +105,15 @@ def lowest_weight_vectors(tri):
     for i in range(1, n):
         # column s: ad_f of the unit vector in row s of S(-i) (rows i..n-1),
         # on S(-i-1); all zero for i = n-1, whose kernel is the whole band
-        cols = [bracket(f, (-i, tuple(QQ(1 if r == s else 0) for r in range(n))))[1]
+        cols = [bracket(f, (-i, tuple(1 if r == s else 0 for r in range(n))))[1]
                 for s in range(i, n)]
         kernel = exact_nullspace([[col[r] for col in cols] for r in range(n)])
         if len(kernel) != 1:
             raise ArithmeticError(f"ad_f kernel on band S(-{i}) has dim {len(kernel)} != 1")
-        ints = _strip_content(_integer_rows([kernel[0]])[0])
-        if ints[0] < 0:
-            ints = [-v for v in ints]
+        ints = list(kernel[0])
         if any(v <= 0 for v in ints) or min(ints) != 1:
             raise ArithmeticError(f"lowest weight vector f_{i} not positive coprime with min 1: {ints}")
-        out.append((-i, tuple(QQ(ints[r - i] if r >= i else 0) for r in range(n))))
+        out.append((-i, tuple(ints[r - i] if r >= i else 0 for r in range(n))))
     return out
 
 

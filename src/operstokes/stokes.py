@@ -419,10 +419,6 @@ class SectorLayout:
     spacing: Fraction
     half: Fraction
 
-    def midpoint(self, i):
-        """Midpoint angle of Sect_i = (d_i, d_{i+1}), i = 1..r."""
-        return self.rays[i - 1] + self.spacing / 2
-
     def ray(self, i):
         """d_i for i = 1..r+1, the wrap ray d_{r+1} = d_1 + 2 included."""
         if i == self.r + 1:
@@ -1036,12 +1032,14 @@ class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
     self-diagnosed residuals.  converged says whether the A/B agreement met
     the requested tolerance within the escalation's factor of 3; a run that
-    missed it still returns its data."""
+    missed it still returns its data.  lam and qcoeffs are the run's formal
+    exponents Lambda and Q, as on FormalSolution."""
     op: OperPoint
     n: int
     k: int
     radius: float
     lam: list
+    qcoeffs: dict
     layout: SectorLayout
     factors: list
     matrices: list
@@ -1152,7 +1150,7 @@ def stokes_data(op, settings=None, plan=None):
         "phantom": phantom,
     }
     return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
-                      layout=layout, factors=factors, matrices=matrices,
+                      qcoeffs=fs.qcoeffs, layout=layout, factors=factors, matrices=matrices,
                       perm=plan.perm, det_twist=gc.det_twist,
                       residuals=residuals, settings=settings, plan=plan,
                       converged=build.cons <= 3 * settings.radius_tol)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,16 @@ def test_stokes_document(capsys, tmp_path):
     assert "timing" not in doc
 
 
+def test_stokes_document_q_comes_from_the_run(capsys):
+    # z^3 runs above 53 bits; Q is that run's, rounded once to doubles
+    code, out, _ = run(capsys, "stokes", "--n", "3", "--k", "1",
+                       "--poly", "0,0,0,1")
+    assert code == 0
+    root = math.sqrt(3) / 4
+    assert json.loads(out)["Q"][1] == [[0.5, 0.0], [-0.25, root],
+                                       [-0.25, -root]]
+
+
 def test_missed_tolerance_maps_to_numeric_exit(capsys):
     # on a fixed circle this small the truncated formal frame cannot reach
     # 1e-10: the run still writes its document, flags it and exits 3
@@ -166,6 +177,9 @@ def test_poly_normalization_errors(capsys):
     code, _, err = run(capsys, "stokes", "--n", "2", "--k", "1",
                        "--poly", "0,0,0,1")
     assert code == 2 and "coefficients" in err
+    code, _, err = run(capsys, "stokes", "--n", "1", "--k", "1",
+                       "--poly", "0,1")
+    assert code == 2 and "n >= 2" in err
 
 
 def test_base_direction_on_ray_is_usage_error(capsys):

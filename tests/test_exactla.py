@@ -1,4 +1,6 @@
 from fractions import Fraction as QQ
+from functools import reduce
+from math import gcd
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ def test_nullspace_vectors_annihilate(data, r, c):
     for v in exact_nullspace(rows):
         res = m @ v
         assert all(x == 0 for x in res)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(2, 6))
+@settings(max_examples=60, deadline=None)
+def test_nullspace_vectors_are_primitive_integers(data, r, c):
+    rows = rand_matrix(data.draw, r, c)
+    m = qmat(rows)
+    for v in exact_nullspace(rows):
+        assert all(type(x) is int for x in v)
+        assert reduce(gcd, v) == 1
+        assert [x for x in v if x][-1] > 0
+        assert all(x == 0 for x in m @ v)
 
 
 @given(st.data(), st.integers(2, 4), st.integers(2, 4))

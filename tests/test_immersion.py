@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 
 from operstokes.immersion import jacobian, kernel_cross_check
@@ -65,11 +68,9 @@ def test_step_sweep_is_stable(quartic_report):
 
 def test_rank_threshold_semantics(quartic_report):
     sv = quartic_report.singular_values
-    strict = jacobian(OperPoint(2, 2, (0, 0, 0)), rank_tol=0.99,
-                      holomorphy=False)
+    strict = jacobian(OperPoint(2, 2, (0, 0, 0)), rank_tol=0.99)
     assert strict.rank == sum(1 for s in sv if s >= 0.99 * sv[0])
     assert strict.rank < 3
-    assert strict.holomorphy == 0.0
 
 
 def test_perturbed_point_keeps_full_rank():
@@ -77,6 +78,23 @@ def test_perturbed_point_keeps_full_rank():
     assert rep.rank == 1
     assert rep.params == (0.3 + 0.2j,)
     assert rep.holomorphy <= 1e-5
+
+
+def test_weber_derivative_is_fourth_order():
+    # y'' = (z^2 + c) y: tr(S2 S1) = 2 + ab is 1 - e^{+-i pi c} (Sibuya), so
+    # d/dc tr = a'b + ab' has a closed form; the averaged real- and
+    # imaginary-step quotient at the default h must meet it to O(h^4)
+    c = 0.1 + 0.05j
+    op = OperPoint(2, 1, (c,))
+    a, b = stokes_data(op).monitored_vector()[:2]
+    da, db = jacobian(op).jacobian[:2, 0]
+    trace = 2 + a * b
+    plus, minus = cmath.exp(1j * math.pi * c), cmath.exp(-1j * math.pi * c)
+    if abs(trace - (1 - plus)) <= abs(trace - (1 - minus)):
+        want = -1j * math.pi * plus
+    else:
+        want = 1j * math.pi * minus
+    assert abs(da * b + a * db - want) <= 1e-9
 
 
 def test_stencil_bookkeeping(weber_report):
@@ -91,7 +109,7 @@ def test_lost_closure_is_an_error():
     # a step so large the base point's frozen reading plan cannot represent
     # the shifted equation any more must fail loudly, not differentiate noise
     with pytest.raises(ArithmeticError):
-        jacobian(OperPoint(2, 1, (0,)), h=50.0, holomorphy=False)
+        jacobian(OperPoint(2, 1, (0,)), h=50.0)
 
 
 def test_cross_check_weber():

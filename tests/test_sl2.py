@@ -64,9 +64,12 @@ def test_weight_vectors_n3_explicit():
 def test_band_membership_and_weights():
     basis, _ = tables_for(4)
     h = basis.tri.bands[2]
+    # band coordinates are Python ints, not Fractions
+    assert all(type(x) is int for _, xs in basis.tri.bands for x in xs)
     for (i, j) in basis.indices():
         band, xs = basis.band(i, j)
         assert band == j
+        assert all(type(x) is int for x in xs)
         assert bracket(h, (j, xs)) == (j, tuple(2 * j * x for x in xs))
         dense = basis.vec(i, j)
         assert np.array_equal(band_matrix(basis.band(i, j)), dense)
