@@ -86,8 +86,9 @@ def _add_oper_flags(sub):
                           "list ending in the leading 1, or the free "
                           "coefficients when --degree is given")
     sub.add_argument("--config", default=_env_default("config", None, str),
-                     help="JSON document {n, k, coefficients: [[re,im], ...]}"
-                          " in place of the flags")
+                     help="JSON document {n, k, coefficients: [...]} in "
+                          "place of the flags; each coefficient is [re, im] "
+                          "or a string such as \"1/3\"")
 
 
 def _add_numeric_flags(sub):
@@ -114,6 +115,14 @@ def _parse_coefficient(text):
         raise UsageError(f"cannot parse coefficient {text!r}")
 
 
+def _config_coefficient(entry):
+    """A config coefficient: a string in the --poly syntax, or [re, im]."""
+    if isinstance(entry, str):
+        return _parse_coefficient(entry)
+    re, im = entry
+    return complex(re, im)
+
+
 def _oper_from_args(args):
     if args.config:
         if args.poly:
@@ -122,7 +131,7 @@ def _oper_from_args(args):
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             n, k = int(doc["n"]), int(doc["k"])
-            coeffs = tuple(complex(re, im) for re, im in doc["coefficients"])
+            coeffs = tuple(_config_coefficient(c) for c in doc["coefficients"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad config document: {exc}")
         return OperPoint(n, k, coeffs)

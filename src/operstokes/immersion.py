@@ -94,10 +94,13 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     the base point's frozen plan and must come back with sane closure
     residuals, otherwise the differences would compare artifacts of run
     planning instead of values of the map."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and > 0, got {h!r}")
+    if not 0 < rank_tol <= 1:
+        raise ValueError(f"rank_tol must lie in (0, 1], got {rank_tol!r}")
     settings = settings or StokesSettings()
     base = stokes_data(op, settings)
     plan = base.plan
-    nu0 = base.monitored_vector()
     points = _stencil_points(op, h)
     runs = [stokes_data(shifted_op, settings, plan=plan)
             for _, _, shifted_op in points]

@@ -255,6 +255,8 @@ def solvability(op, D=None):
         raise ValueError("solvability needs an exact rational oper point")
     if D is None:
         D = 2 * (op.d + op.n)
+    if D < 0:
+        raise ValueError(f"degree cap D must be >= 0, got {D!r}")
     t0 = time.perf_counter()
     rows = joint_system(op, D)
     kernel = exact_nullspace(rows)

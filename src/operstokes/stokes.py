@@ -170,6 +170,14 @@ class StokesSettings:
     radius: float = 0.0          # 0 = adaptive reading circle
     v0: object = None            # base direction, as a Fraction of pi
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius_tol) and self.radius_tol > 0):
+            raise ValueError(f"radius_tol must be finite and > 0, got "
+                             f"{self.radius_tol!r}")
+        if not (math.isfinite(self.radius) and self.radius >= 0):
+            raise ValueError(f"radius must be finite and >= 0, got "
+                             f"{self.radius!r}")
+
 
 # ---------------------------------------------------------------------------
 # gauge transform
@@ -587,24 +595,21 @@ class EntireBasis:
             self.table = [[_fixed_row(cols[j], falls[t], bits)
                            for j in range(n)] for t in range(n)]
 
-    def state_matrix(self, theta_fpi, radius=None):
-        """Rows y^(t), t = 0..n-1, of each basis column at radius e^{i theta}
-        (the build circle by default; any smaller radius only truncates the
-        series harder).
+    def state_matrix(self, theta_fpi):
+        """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
+        on the build circle.
 
-        Summation runs over at-most-unit-modulus powers u^m times the stored
-        scaled coefficients, so the accumulated magnitudes never exceed the
-        term sizes on the build circle; the z^{-t} restores the derivative
-        scaling afterwards.  At double precision the sum is one complex
-        matrix-vector product; above it, the powers are Gaussian integers in
-        fixed point and each entry is an exact integer dot product, rounded
-        once to the working precision."""
+        Summation runs over the unit phases u^m, u = e^{i theta}, times the
+        stored scaled coefficients, so the accumulated magnitudes never
+        exceed the term sizes on the circle; the z^{-t} restores the
+        derivative scaling afterwards.  At double precision the sum is one
+        complex matrix-vector product; above it, the powers are Gaussian
+        integers in fixed point and each entry is an exact integer dot
+        product, rounded once to the working precision."""
         ctx = self.ctx
         n = self.n
-        s = self.rho if radius is None else float(radius)
-        phase = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
-        u = phase * (ctx.number(s) / ctx.number(self.rho))
-        zinv = ctx.one() / (ctx.number(s) * phase)
+        u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
+        zinv = ctx.one() / (ctx.number(self.rho) * u)
         if isinstance(ctx, FloatCtx):
             powers = np.full(self.nterms, u, dtype=complex)
             powers[0] = 1.0
@@ -688,24 +693,20 @@ class _Build:
     cons: float
 
 
-def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None,
-               basis=None):
+def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     """Both independent builds at reading radius rho, plus their agreement.
 
     The entire basis is built on the circle rho at the formal solution's
-    precision (with a frozen term count when replaying) unless the scan
-    hands in its basis on a wider circle.  The two builds collocate at
-    different angles, so the worst deviation of (A build)^{-1} (B build)
-    from the identity over all sectors measures the actual reading error at
-    this radius -- truncated-frame tail and amplified working-precision
-    noise together, without modeling either."""
+    precision (with a frozen term count when replaying).  The two builds
+    collocate at different angles, so the worst deviation of
+    (A build)^{-1} (B build) from the identity over all sectors measures the
+    actual reading error at this radius -- truncated-frame tail and
+    amplified working-precision noise together, without modeling either."""
     ctx = fs.ctx
-    if basis is None:
-        basis = EntireBasis(op, ctx, rho, ctx.bits, nterms)
+    basis = EntireBasis(op, ctx, rho, ctx.bits, nterms)
     f0inv = _frame_inverse(gc.n, ctx)
     angles = sorted(set(cond.values()) | set(norms.values()))
-    gammas = {th: _content_matrix(gc, fs, basis, f0inv, th, rho)
-              for th in angles}
+    gammas = {th: _content_matrix(gc, fs, basis, f0inv, th) for th in angles}
     va = sector_coefficients(fs, layout, gammas, cond, norms, "A")
     vb = sector_coefficients(fs, layout, gammas, cond, norms, "B")
     eye = ctx.eye(gc.n)
@@ -833,21 +834,21 @@ def _frame_inverse(n, ctx):
     return f0inv
 
 
-def _content_matrix(gc, fs, basis, f0inv, theta_fpi, radius=None):
+def _content_matrix(gc, fs, basis, f0inv, theta_fpi):
     """Contents of the entire-basis columns against the formal modes at one
     reading angle: row x holds each column's coefficient along mode x, read
-    from the truncated formal frame at z = radius e^{i theta}.  The chart
-    log z = ln radius + i pi theta ties every fractional power (the
-    trace-split scalar, z^Lambda) to the unwrapped angle chain, so re-reading
-    sector 1 on the shifted chart is what produces the wrap factor's extra
-    scalars."""
+    from the truncated formal frame at z = rho e^{i theta} on the basis'
+    circle.  The chart log z = ln rho + i pi theta ties every fractional
+    power (the trace-split scalar, z^Lambda) to the unwrapped angle chain, so
+    re-reading sector 1 on the shifted chart is what produces the wrap
+    factor's extra scalars."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
-    s = basis.rho if radius is None else float(radius)
-    chart = ctx.log(ctx.number(s)) + 1j * ctx.number(theta_fpi) * ctx.pi()
+    chart = (ctx.log(ctx.number(basis.rho))
+             + 1j * ctx.number(theta_fpi) * ctx.pi())
     z = ctx.exp(chart)
     shift = Fraction(gc.k * (gc.n + 1), 2)
-    x = basis.state_matrix(theta_fpi, s)
+    x = basis.state_matrix(theta_fpi)
     for a in range(n):
         expo = ctx.number((n - a) * k - shift)
         x[a, :] = x[a, :] * ctx.exp(expo * chart)
@@ -1071,38 +1072,36 @@ def _select_reading(op, gc, layout, settings, cond, norms):
     norms come from the layout alone, so every build here reads at the same
     angles.
 
-    Scan: one shared basis on the outermost candidate circle, evaluated
-    inward, recording each radius' A/B agreement.  The innermost radius
-    meeting the target tolerance wins (smallest basis that does the job, so
-    tightening the tolerance genuinely sharpens the run).  When no radius
-    meets it at double precision, move to the innermost radius whose
-    truncated-frame tail is safely below the target and raise the working
-    precision by the measured shortfall (A/B disagreement there is pure
-    arithmetic noise, which scales as 2^-bits), then rebuild."""
+    Scan: the candidate circles innermost first, each read from its own
+    double-precision basis, recording its A/B agreement and stopping at the
+    first circle that meets the target tolerance (smallest basis that does
+    the job, so tightening the tolerance genuinely sharpens the run).  A
+    circle whose build is not finite is skipped.  When no circle meets it at
+    double precision, move to the innermost circle whose truncated-frame
+    tail is safely below the target and raise the working precision by the
+    measured shortfall (A/B disagreement there is pure arithmetic noise,
+    which scales as 2^-bits), then rebuild."""
     fs = formal_solution(gc, settings.trunc_order, FloatCtx())
-    radii = _scan_radii(fs, settings)
-    scan_basis = EntireBasis(op, fs.ctx, radii[-1], fs.ctx.bits)
-    scanned, outer = {}, None
-    for s in radii:
+    target = settings.radius_tol
+    scanned = {}
+    for s in _scan_radii(fs, settings):
         try:
-            build = _collocate(op, gc, layout, fs, s, cond, norms,
-                               basis=scan_basis)
+            scanned[s] = _collocate(op, gc, layout, fs, s, cond, norms)
         except (ArithmeticError, np.linalg.LinAlgError, ZeroDivisionError):
             continue
-        scanned[s] = build.cons
-        if s == scan_basis.rho:
-            outer = build      # read on its own circle, final if chosen
+        if scanned[s].cons <= target / 3:
+            break
     if not scanned:
         raise ArithmeticError("no viable reading circle in the scanned range")
-    target = settings.radius_tol
-    okay = [s for s in scanned if scanned[s] <= target / 3]
+    okay = [s for s in scanned if scanned[s].cons <= target / 3]
     if okay:
         rho = min(okay)
     else:
         feasible = [s for s in scanned if _series_tail(fs, s) <= target / 30]
-        rho = min(feasible) if feasible else min(scanned, key=scanned.get)
-    bits, shortfall = fs.ctx.bits, scanned[rho] / target
-    final = None
+        rho = (min(feasible) if feasible
+               else min(scanned, key=lambda s: scanned[s].cons))
+    final = scanned[rho]
+    bits, shortfall = fs.ctx.bits, final.cons / target
     for _ in range(3):
         if shortfall <= 3:
             break
@@ -1110,9 +1109,6 @@ def _select_reading(op, gc, layout, settings, cond, norms):
         final = _collocate(op, gc, layout, formal_solution(
             gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
         shortfall = final.cons / target
-    if final is None:
-        final = (outer if rho == scan_basis.rho
-                 else _collocate(op, gc, layout, fs, rho, cond, norms))
     return final
 
 

@@ -162,6 +162,14 @@ def test_config_input(capsys, tmp_path):
     assert doc["residuals"]["identity"] <= 1e-7
 
 
+def test_config_string_coefficients_are_exact(capsys, tmp_path):
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": ["1/3"]}))
+    code, out, _ = run(capsys, "kernel", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["tangent_dim"] == 0
+
+
 def test_config_and_poly_conflict(capsys, tmp_path):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": [[0, 0]]}))
@@ -189,12 +197,33 @@ def test_base_direction_on_ray_is_usage_error(capsys):
 
 
 def test_unreadable_octic_maps_to_numeric_exit(capsys):
-    # at p = z^8 the double-precision scan basis is not finite on any
-    # candidate circle; the run must refuse rather than report a closure
+    # at p = z^8 the double-precision basis on the fixed circle 6 is not
+    # finite; the run must refuse rather than report a closure
     code, out, err = run(capsys, "stokes", "--n", "2", "--k", "4",
-                         "--poly", "0,0,0,0,0,0,0,0,1")
+                         "--poly", "0,0,0,0,0,0,0,0,1", "--radius", "6")
     assert code == 3 and out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["stokes", "--radius-tol", "-1"],
+     "radius_tol must be finite and > 0, got -1.0"),
+    (["stokes", "--radius-tol", "0"],
+     "radius_tol must be finite and > 0, got 0.0"),
+    (["stokes", "--radius", "-3"],
+     "radius must be finite and >= 0, got -3.0"),
+    (["jacobian", "--rank-tol", "-1"],
+     "rank_tol must lie in (0, 1], got -1.0"),
+    (["jacobian", "--fd-step", "0"],
+     "step h must be finite and > 0, got 0.0"),
+    (["kernel", "--D", "-1"],
+     "degree cap D must be >= 0, got -1"),
+], ids=["radius-tol-negative", "radius-tol-zero", "radius-negative",
+        "rank-tol-negative", "fd-step-zero", "D-negative"])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, named):
+    code, out, err = run(capsys, *argv, *WEBER)
+    assert code == 2 and out == ""
+    assert named in err
 
 
 def test_lost_closure_maps_to_numeric_exit(capsys):

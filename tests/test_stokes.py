@@ -158,9 +158,9 @@ def test_entire_basis_wronskian_is_one():
     mp.prec = 200
     for ctx, tol in ((FloatCtx(), 1e-9), (MPCtx(97), 1e-20)):
         for op, rho in ((weber(), 4.5), (cubic(), 4.0)):
-            basis = EntireBasis(op, ctx, rho, ctx.bits)
-            for theta, radius in ((QQ(1, 7), None), (QQ(-2, 5), 2.2)):
-                mat = basis.state_matrix(theta, radius)
+            for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 2.2)):
+                basis = EntireBasis(op, ctx, radius, ctx.bits)
+                mat = basis.state_matrix(theta)
                 w = mp.det(mp.matrix(mat.tolist()))
                 assert abs(w - 1) <= tol
 
@@ -202,10 +202,10 @@ def test_state_matrix_matches_plain_series(bits):
     # series summed 80 bits deeper
     for op, rho in ((weber(), 4.5),
                     (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
-        basis = EntireBasis(op, make_ctx(bits), rho, bits)
-        for theta, radius in ((QQ(1, 7), None), (QQ(-2, 5), 0.6 * rho)):
-            got = basis.state_matrix(theta, radius)
-            mp, want = _series_reference(op, radius or rho, theta, bits + 80)
+        for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho)):
+            basis = EntireBasis(op, make_ctx(bits), radius, bits)
+            got = basis.state_matrix(theta)
+            mp, want = _series_reference(op, radius, theta, bits + 80)
             worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
                         for t in range(op.n) for j in range(op.n))
             assert worst <= 2.0 ** -(bits - 30)
@@ -317,6 +317,18 @@ def test_weber_traces_closed_form(c):
     assert dev <= 1e-9
 
 
+def test_octic_monomial_sibuya_traces():
+    # y'' = z^8 y: Sibuya's Stokes multipliers 2i cos(pi/10) give every
+    # product of consecutive grouped matrices the trace 2 - 4 cos^2(pi/10)
+    sd = stokes_data(OperPoint(2, 4, (0,) * 7), StokesSettings())
+    assert sd.converged
+    assert sd.residuals["identity"] <= 1e-9
+    mats = [as_np(m) for m in sd.matrices]
+    want = 2 - 4 * math.cos(math.pi / 10) ** 2
+    for s, t in zip(mats, mats[1:]):
+        assert abs(np.trace(t @ s) - want) <= 1e-9
+
+
 def test_phantom_rays_carry_identity_factors():
     sd = stokes_data(weber(), StokesSettings())
     assert sd.residuals["phantom"] <= 1e-8
@@ -408,3 +420,20 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert (sd.radius, sd.plan.bits) in bases
     assert len(bases) == len(set(bases))
     assert len(arcs) == sd.layout.r * sd.n * (sd.n - 1)
+
+
+def test_scan_builds_no_basis_outside_the_reading_circle(monkeypatch):
+    # each scanned circle is read from its own basis, innermost first, and
+    # the scan stops at the circle it reads
+    radii = []
+    real_basis = stokes.EntireBasis
+
+    class CountedBasis(real_basis):
+        def __init__(self, op, ctx, rho, bits, nterms=None):
+            radii.append(float(rho))
+            super().__init__(op, ctx, rho, bits, nterms)
+
+    monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
+    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)))
+    assert sd.plan.bits == 53 and sd.converged
+    assert radii == sorted(radii) and radii[-1] == sd.radius
