@@ -42,96 +42,71 @@ from .isomono import OperPoint
 
 
 # ---------------------------------------------------------------------------
-# numeric contexts: float64 (numpy) and arbitrary precision (mpmath)
+# numeric context: the working precision and the arithmetic that carries it
 
-class FloatCtx:
-    """Working precision = IEEE double (53 bits)."""
+class NumericContext:
+    """Working precision of a run, bound to its backend once.
 
-    bits = 53
+    At 53 bits and below the backend is IEEE double arithmetic: cmath
+    scalars, complex128 arrays and LAPACK solves.  Above 53 bits it is a
+    private mpmath context at `bits`, with object arrays (whose zeros and
+    eye hold exact int 0 and 1) and Gaussian elimination; mpmath is imported
+    only then.  `real` and
+    `complex` are the backend's scalar constructors, and `double` tells the
+    two apart for the few evaluators that are written per backend."""
+
+    def __init__(self, bits):
+        self.double = bits <= 53
+        self.bits = max(bits, 53)
+        if self.double:
+            self.real, self.complex = float, complex
+            self.exp, self.log = cmath.exp, cmath.log
+            self.dtype = complex
+            self._pi = math.pi
+        else:
+            import mpmath
+            mp = mpmath.mp.clone()
+            mp.prec = bits
+            self.real, self.complex = mp.mpf, mp.mpc
+            self.exp, self.log = mp.exp, mp.log
+            self.dtype = object
+            self._pi = +mp.pi
+        self._one = self.complex(1)
 
     def pi(self):
-        return math.pi
-
-    def exp(self, x):
-        return cmath.exp(x)
+        return self._pi
 
     def one(self):
-        return 1.0 + 0.0j
-
-    def to_complex(self, x):
-        return complex(x)
+        return self._one
 
     def number(self, v):
+        """An int, float, complex or Fraction as a working-precision complex;
+        a Fraction is divided at the working precision (mpmath takes no
+        Fraction)."""
         if isinstance(v, Fraction):
-            return complex(v.numerator / v.denominator)
-        return complex(v)
+            v = (v.numerator / v.denominator if self.double
+                 else self.real(v.numerator) / v.denominator)
+        return self.complex(v)
 
     def matrix(self, rows):
         return np.array([[self.number(v) for v in row] for row in rows],
-                        dtype=complex)
+                        dtype=self.dtype)
 
     def zeros(self, n, m=None):
-        return np.zeros((n, m if m is not None else n), dtype=complex)
+        return np.zeros((n, m if m is not None else n), dtype=self.dtype)
 
     def eye(self, n):
-        return np.eye(n, dtype=complex)
-
-    def solve(self, a, b):
-        return np.linalg.solve(a, b)
-
-    def log(self, x):
-        return cmath.log(x)
+        return np.eye(n, dtype=self.dtype)
 
     def root_of_unity(self, num, den):
         """exp(i pi num/den), argument reduced exactly before evaluation."""
-        return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
-
-
-class MPCtx:
-    """mpmath working precision (bits > 53)."""
-
-    def __init__(self, bits):
-        import mpmath
-        self.mp = mpmath.mp.clone()
-        self.mp.prec = bits
-        self.bits = bits
-
-    def pi(self):
-        return +self.mp.pi
-
-    def exp(self, x):
-        return self.mp.exp(x)
-
-    def one(self):
-        return self.mp.mpc(1)
-
-    def to_complex(self, x):
-        return complex(x)
-
-    def number(self, v):
-        if isinstance(v, Fraction):
-            return self.mp.mpc(self.mp.mpf(v.numerator) / v.denominator)
-        if isinstance(v, complex):
-            return self.mp.mpc(v.real, v.imag)
-        return self.mp.mpc(v)
-
-    def matrix(self, rows):
-        return np.array([[self.number(v) for v in row] for row in rows],
-                        dtype=object)
-
-    def zeros(self, n, m=None):
-        m = m if m is not None else n
-        z = self.mp.mpc(0)
-        return np.array([[z] * m for _ in range(n)], dtype=object)
-
-    def eye(self, n):
-        out = self.zeros(n)
-        for t in range(n):
-            out[t, t] = self.mp.mpc(1)
-        return out
+        return self.exp(1j * self._pi * (num % (2 * den)) / den)
 
     def solve(self, a, b):
-        """Gaussian elimination with partial pivoting; small dense systems."""
+        """a^{-1} b: LAPACK at double precision, above it Gaussian
+        elimination with partial pivoting (small dense systems)."""
+        if self.double:
+            return np.linalg.solve(a, b)
         n = a.shape[0]
         vec = b.ndim == 1
         rhs = b.reshape(n, 1) if vec else b
@@ -149,15 +124,10 @@ class MPCtx:
         x = aug[:, n:]
         return x.reshape(-1) if vec else x
 
-    def log(self, x):
-        return self.mp.log(x)
-
-    def root_of_unity(self, num, den):
-        return self.mp.exp(self.mp.mpc(0, 1) * self.mp.pi * (num % (2 * den)) / den)
-
 
 def make_ctx(bits):
-    return FloatCtx() if bits <= 53 else MPCtx(bits)
+    """The numeric context for `bits` of working precision."""
+    return NumericContext(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +177,7 @@ class GaugedConnection:
         out = [f0inv @ ctx.matrix(bj) @ f0 for bj in self.bcoeffs]
         lam = eigenvalue_vector(n, ctx)
         b0 = out[0]
-        worst = max((abs(ctx.to_complex(b0[a, b]))
+        worst = max((abs(complex(b0[a, b]))
                      for a in range(n) for b in range(n) if a != b), default=0.0)
         if worst > 1e-10:
             raise ArithmeticError("frame failed to diagonalize the leading term")
@@ -307,7 +277,7 @@ class FormalSolution:
         return acc
 
     def trace_residual(self):
-        return abs(sum(self.ctx.to_complex(v) for v in self.lam))
+        return abs(sum(complex(v) for v in self.lam))
 
 
 def formal_solution(gc, M, ctx=None):
@@ -322,14 +292,14 @@ def formal_solution(gc, M, ctx=None):
     """
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
-    ctx = ctx or FloatCtx()
+    ctx = ctx or make_ctx(53)
     n, k = gc.n, gc.k
     bt = gc.framed(ctx)
     jmax = len(bt) - 1
     lam = eigenvalue_vector(n, ctx)
     for a in range(n):
         for b in range(a + 1, n):
-            if abs(ctx.to_complex(lam[a] - lam[b])) < 1e-12:
+            if abs(complex(lam[a] - lam[b])) < 1e-12:
                 raise ArithmeticError("eigenvalue collision in the leading term")
     levels = k + 1 + M
     F = [ctx.eye(n)]
@@ -393,7 +363,7 @@ def formal_residual(gc, fs, z):
     res = fs.yhat_prime(z) - bz @ yh
     for b in range(n):
         res[:, b] = res[:, b] + yh[:, b] * (fs.q_prime_entry(b, z) + fs.lam[b] / z)
-    return max(abs(ctx.to_complex(res[a, b])) for a in range(n) for b in range(n))
+    return max(abs(complex(res[a, b])) for a in range(n) for b in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +461,7 @@ _INNER_EXPONENT = 6.0
 def _tail_norms(fs):
     """(m, max-norm of the z^{-m} term) for the last kept formal terms --
     several, to ride out parity-sparse series whose top term vanishes."""
-    ctx = fs.ctx
-    return [(m, max((abs(ctx.to_complex(v)) for v in np.ravel(fs.ycoeffs[m])),
+    return [(m, max((abs(complex(v)) for v in np.ravel(fs.ycoeffs[m])),
                     default=0.0))
             for m in range(max(1, fs.M - 3), fs.M + 1)]
 
@@ -534,7 +503,7 @@ class EntireBasis:
     falling factorial of each derivative row, as the table state_matrix
     sums."""
 
-    def __init__(self, op, ctx, rho, bits, nterms=None):
+    def __init__(self, op, ctx, rho, nterms=None):
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
@@ -572,7 +541,7 @@ class EntireBasis:
                 cols[j].append(acc)
                 worst = max(worst, _log_abs(ctx, acc))
             peak_log = max(peak_log, worst)
-            quiet = quiet + 1 if worst < peak_log - (bits + 8) * _LN2 else 0
+            quiet = quiet + 1 if worst < peak_log - (ctx.bits + 8) * _LN2 else 0
             m += 1
             if nterms is None and quiet >= window and m > 2 * (n + d):
                 break
@@ -585,14 +554,14 @@ class EntireBasis:
         # falling factorial m (m-1) ... (m-t+1) of derivative row t: complex
         # doubles at 53 bits, fixed-point integer lists (see _fixed_row) above
         falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
-        if isinstance(ctx, FloatCtx):
+        if ctx.double:
             # an overflowed series gives inf * 0 = nan here, which the
             # finiteness checks downstream reject
             with np.errstate(invalid="ignore"):
                 self.table = (np.array(falls, dtype=float)[:, None, :]
                               * np.array(cols, dtype=complex)[None, :, :])
         else:
-            self.table = [[_fixed_row(cols[j], falls[t], bits)
+            self.table = [[_fixed_row(cols[j], falls[t], ctx.bits)
                            for j in range(n)] for t in range(n)]
 
     def state_matrix(self, theta_fpi):
@@ -610,7 +579,7 @@ class EntireBasis:
         n = self.n
         u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
         zinv = ctx.one() / (ctx.number(self.rho) * u)
-        if isinstance(ctx, FloatCtx):
+        if ctx.double:
             powers = np.full(self.nterms, u, dtype=complex)
             powers[0] = 1.0
             zpow = np.full(n, zinv, dtype=complex)
@@ -624,7 +593,7 @@ class EntireBasis:
             a, b = pr[-1], pi[-1]
             pr.append((a * ur - b * ui) >> frac)
             pi.append((a * ui + b * ur) >> frac)
-        mpf, mpc = ctx.mp.mpf, ctx.mp.mpc
+        mpf, mpc = ctx.real, ctx.complex
         out = ctx.zeros(n)
         scale = ctx.one()
         for t in range(n):
@@ -668,11 +637,10 @@ _GUARD_BITS = 40
 
 
 def _log_abs(ctx, x):
-    if isinstance(ctx, FloatCtx):
-        a = abs(x)
-        return math.log(a) if a > 0 else -math.inf
     a = abs(x)
-    return float(ctx.mp.log(a)) if a != 0 else -math.inf
+    if ctx.double:
+        return math.log(a) if a > 0 else -math.inf
+    return float(ctx.log(a)) if a != 0 else -math.inf
 
 
 def _series_tail(fs, rho):
@@ -703,7 +671,7 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     actual reading error at this radius -- truncated-frame tail and
     amplified working-precision noise together, without modeling either."""
     ctx = fs.ctx
-    basis = EntireBasis(op, ctx, rho, ctx.bits, nterms)
+    basis = EntireBasis(op, ctx, rho, nterms)
     f0inv = _frame_inverse(gc.n, ctx)
     angles = sorted(set(cond.values()) | set(norms.values()))
     gammas = {th: _content_matrix(gc, fs, basis, f0inv, th) for th in angles}
@@ -713,7 +681,7 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     cons = 0.0
     for i in range(1, layout.r + 1):
         dev = ctx.solve(va[i], vb[i]) - eye
-        worst = max(abs(ctx.to_complex(v)) for v in np.ravel(dev))
+        worst = max(abs(complex(v)) for v in np.ravel(dev))
         # a NaN deviation must propagate: max(cons, nan) would keep cons
         cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
@@ -849,14 +817,17 @@ def _content_matrix(gc, fs, basis, f0inv, theta_fpi):
     z = ctx.exp(chart)
     shift = Fraction(gc.k * (gc.n + 1), 2)
     x = basis.state_matrix(theta_fpi)
-    for a in range(n):
-        expo = ctx.number((n - a) * k - shift)
-        x[a, :] = x[a, :] * ctx.exp(expo * chart)
-    w = f0inv @ x
-    cont = ctx.solve(fs.yhat(z), w)
-    for b in range(n):
-        scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
-        cont[b, :] = cont[b, :] * scale
+    # a double-precision reading that overflows here turns inf or nan, and
+    # the build's A/B consistency already judges it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(n):
+            expo = ctx.number((n - a) * k - shift)
+            x[a, :] = x[a, :] * ctx.exp(expo * chart)
+        w = f0inv @ x
+        cont = ctx.solve(fs.yhat(z), w)
+        for b in range(n):
+            scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
+            cont[b, :] = cont[b, :] * scale
     return cont
 
 
@@ -960,7 +931,7 @@ def _conjugate_by_order(mat, order):
     return out
 
 
-def unipotency_residual(ctx, mats, perm):
+def unipotency_residual(mats, perm):
     """Deviation of each grouped matrix from alternating unitriangularity in
     the dominance labeling: unit diagonal plus one strict triangle, upper for
     odd i and lower for even i."""
@@ -971,7 +942,7 @@ def unipotency_residual(ctx, mats, perm):
         n = mat.shape[0]
         for s in range(n):
             for t in range(n):
-                v = abs(ctx.to_complex(conj[s, t]))
+                v = abs(complex(conj[s, t]))
                 if s == t:
                     worst = max(worst, abs(v - 1.0))
                 elif (s < t) != upper:
@@ -992,13 +963,13 @@ def identity_residual(ctx, mats, lam, det_twist):
     worst = 0.0
     for s in range(n):
         for t in range(n):
-            v = ctx.to_complex(acc[s, t]) * ctx.to_complex(twist[t])
+            v = complex(acc[s, t]) * complex(twist[t])
             target = det_twist if s == t else 0.0
             worst = max(worst, abs(v - target))
     return worst
 
 
-def factor_support_residual(ctx, layout, factors):
+def factor_support_residual(layout, factors):
     """Structural residuals of the raw factors: off-support mass, deviation
     of diagonals from one, and the distance of phantom-ray factors from the
     identity (n = 2 only)."""
@@ -1012,14 +983,14 @@ def factor_support_residual(ctx, layout, factors):
         n = kmat.shape[0]
         for c in range(n):
             for d in range(n):
-                v = abs(ctx.to_complex(kmat[c, d]))
+                v = abs(complex(kmat[c, d]))
                 if c == d:
                     local_diag = max(local_diag, abs(v - 1.0))
                 elif (c, d) not in allowed:
                     support = max(support, v)
         diag_dev = max(diag_dev, local_diag)
         if layout.is_phantom(j):
-            off = max(abs(ctx.to_complex(kmat[c, d]))
+            off = max(abs(complex(kmat[c, d]))
                       for c in range(n) for d in range(n) if c != d)
             phantom = max(phantom, max(off, local_diag))
     return support, diag_dev, phantom
@@ -1081,33 +1052,34 @@ def _select_reading(op, gc, layout, settings, cond, norms):
     tail is safely below the target and raise the working precision by the
     measured shortfall (A/B disagreement there is pure arithmetic noise,
     which scales as 2^-bits), then rebuild."""
-    fs = formal_solution(gc, settings.trunc_order, FloatCtx())
+    fs = formal_solution(gc, settings.trunc_order, make_ctx(53))
     target = settings.radius_tol
-    scanned = {}
+    # only the builds the triage below can return are kept: the one that
+    # meets the target, the innermost tail-safe one and the least
+    # inconsistent one, innermost on ties
+    final = feasible = best = None
     for s in _scan_radii(fs, settings):
         try:
-            scanned[s] = _collocate(op, gc, layout, fs, s, cond, norms)
+            build = _collocate(op, gc, layout, fs, s, cond, norms)
         except (ArithmeticError, np.linalg.LinAlgError, ZeroDivisionError):
             continue
-        if scanned[s].cons <= target / 3:
+        if build.cons <= target / 3:
+            final = build
             break
-    if not scanned:
+        if feasible is None and _series_tail(fs, s) <= target / 30:
+            feasible = build
+        if best is None or build.cons < best.cons:
+            best = build
+    final = final or feasible or best
+    if final is None:
         raise ArithmeticError("no viable reading circle in the scanned range")
-    okay = [s for s in scanned if scanned[s].cons <= target / 3]
-    if okay:
-        rho = min(okay)
-    else:
-        feasible = [s for s in scanned if _series_tail(fs, s) <= target / 30]
-        rho = (min(feasible) if feasible
-               else min(scanned, key=lambda s: scanned[s].cons))
-    final = scanned[rho]
     bits, shortfall = fs.ctx.bits, final.cons / target
     for _ in range(3):
         if shortfall <= 3:
             break
         bits = bits + max(8, math.ceil(math.log2(shortfall))) + 8
         final = _collocate(op, gc, layout, formal_solution(
-            gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
+            gc, settings.trunc_order, make_ctx(bits)), final.rho, cond, norms)
         shortfall = final.cons / target
     return final
 
@@ -1134,10 +1106,10 @@ def stokes_data(op, settings=None, plan=None):
     factors = collocation_factors(fs, layout, build.va, build.vb,
                                   gc.det_twist)
     matrices = stokes_matrices(layout, factors)
-    support, diag_dev, phantom = factor_support_residual(ctx, layout, factors)
+    support, diag_dev, phantom = factor_support_residual(layout, factors)
     residuals = {
         "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
-        "unipotency": unipotency_residual(ctx, matrices, plan.perm),
+        "unipotency": unipotency_residual(matrices, plan.perm),
         "trace": fs.trace_residual(),
         "asymptotic": _series_tail(fs, plan.rho),
         "consistency": build.cons,

@@ -205,6 +205,21 @@ def test_unreadable_octic_maps_to_numeric_exit(capsys):
     assert "numerical failure" in err
 
 
+def test_overflowing_reading_prints_only_the_failure():
+    # a fresh interpreter, since pytest's capture swallows numpy's warnings:
+    # at p = z^8 the double-precision reading on the fixed circle 5
+    # overflows; the run still writes its document, and its own one-line
+    # report is all of stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "operstokes.cli", "stokes", "--n", "2", "--k",
+         "4", "--poly", "0,0,0,0,0,0,0,0,1", "--radius", "5"],
+        env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["converged"] is False
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 @pytest.mark.parametrize("argv, named", [
     (["stokes", "--radius-tol", "-1"],
      "radius_tol must be finite and > 0, got -1.0"),
@@ -256,16 +271,21 @@ def test_env_override_and_flag_precedence(capsys, monkeypatch):
     assert json.loads(out)["D"] == 5
 
 
-def test_cli_import_does_not_load_scipy():
-    # a fresh interpreter, so modules loaded by other tests do not count
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this operstokes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(operstokes.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_does_not_load_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
     probe = ("import sys, operstokes.cli; print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 

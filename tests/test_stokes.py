@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from operstokes import stokes
 from operstokes.isomono import OperPoint
-from operstokes.stokes import (EntireBasis, FloatCtx, MPCtx, StokesSettings,
+from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, formal_residual,
                                formal_solution, gauge_transform, make_ctx,
                                sector_layout, stokes_data)
@@ -149,6 +149,39 @@ def test_residue_exponent_of_shifted_square():
 
 
 # ---------------------------------------------------------------------------
+# numeric context
+
+def test_double_and_multiprecision_contexts_agree():
+    # one context class, two backends: every method gives the same value to
+    # double precision at 53 and at 97 bits.  The numpy complex scalar
+    # guards exp and log against backends that dispatch on the exact type
+    # and drop the imaginary part (mpmath.fp does)
+    lo, hi = make_ctx(53), make_ctx(97)
+    assert (lo.double, lo.bits) == (True, 53)
+    assert (hi.double, hi.bits) == (False, 97)
+    a = [[4, 1, 0], [1, 3, -1], [0, 2, 5]]
+    x = [QQ(1, 2), -2j, 1 + 0.25j]
+    b = [[sum(a[r][c] * x[c] for c in range(3))] for r in range(3)]
+    w = np.complex128(0.3 + 0.2j)
+
+    def values(ctx):
+        mats = [ctx.solve(ctx.matrix(a), ctx.matrix(b)), ctx.zeros(2, 3),
+                ctx.eye(3)]
+        return [ctx.pi(), ctx.one(), ctx.number(QQ(-1, 7)),
+                ctx.number(0.25 - 0.5j), ctx.root_of_unity(2, 3),
+                ctx.exp(w), ctx.log(w)] + [v for m in mats for v in m.ravel()]
+
+    got, want = values(lo), values(hi)
+    assert len(got) == len(want) == 7 + 3 + 6 + 9
+    assert all(abs(complex(g) - complex(v)) <= 1e-15
+               for g, v in zip(got, want))
+    assert all(abs(complex(g) - complex(v)) <= 1e-15
+               for g, v in zip(got[7:10], x))
+    assert abs(got[5] - cmath.exp(0.3 + 0.2j)) <= 1e-15
+    assert abs(got[6] - cmath.log(0.3 + 0.2j)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
 # entire basis
 
 def test_entire_basis_wronskian_is_one():
@@ -156,10 +189,10 @@ def test_entire_basis_wronskian_is_one():
     # first-derivative term, so the Wronskian is exactly 1 everywhere
     mp = mpmath.mp.clone()
     mp.prec = 200
-    for ctx, tol in ((FloatCtx(), 1e-9), (MPCtx(97), 1e-20)):
+    for ctx, tol in ((make_ctx(53), 1e-9), (make_ctx(97), 1e-20)):
         for op, rho in ((weber(), 4.5), (cubic(), 4.0)):
             for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 2.2)):
-                basis = EntireBasis(op, ctx, radius, ctx.bits)
+                basis = EntireBasis(op, ctx, radius)
                 mat = basis.state_matrix(theta)
                 w = mp.det(mp.matrix(mat.tolist()))
                 assert abs(w - 1) <= tol
@@ -203,7 +236,7 @@ def test_state_matrix_matches_plain_series(bits):
     for op, rho in ((weber(), 4.5),
                     (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
         for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho)):
-            basis = EntireBasis(op, make_ctx(bits), radius, bits)
+            basis = EntireBasis(op, make_ctx(bits), radius)
             got = basis.state_matrix(theta)
             mp, want = _series_reference(op, radius, theta, bits + 80)
             worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
@@ -216,7 +249,7 @@ def test_entire_basis_matches_gaussian_column():
     # y' = z y gives y'' = (1 + z^2) y, so the (1,0)-jet column of that
     # equation is exactly the Gaussian
     op = OperPoint(2, 1, (1,))
-    basis = EntireBasis(op, FloatCtx(), 3.0, 53)
+    basis = EntireBasis(op, make_ctx(53), 3.0)
     for theta in (QQ(0), QQ(1, 3), QQ(7, 5)):
         z = 3.0 * cmath.exp(1j * math.pi * float(theta))
         got = as_np(basis.state_matrix(theta))
@@ -226,8 +259,8 @@ def test_entire_basis_matches_gaussian_column():
 
 
 def test_entire_basis_term_count_adapts():
-    small = EntireBasis(weber(), FloatCtx(), 2.0, 53)
-    large = EntireBasis(weber(), FloatCtx(), 8.0, 53)
+    small = EntireBasis(weber(), make_ctx(53), 2.0)
+    large = EntireBasis(weber(), make_ctx(53), 8.0)
     assert small.nterms < large.nterms
 
 
@@ -401,9 +434,9 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
         return fs
 
     class CountedBasis(real_basis):
-        def __init__(self, op, ctx, rho, bits, nterms=None):
-            bases.append((float(rho), bits))
-            super().__init__(op, ctx, rho, bits, nterms)
+        def __init__(self, op, ctx, rho, nterms=None):
+            bases.append((float(rho), ctx.bits))
+            super().__init__(op, ctx, rho, nterms)
 
     def counted_arc(*args):
         arcs.append(args)
@@ -429,9 +462,9 @@ def test_scan_builds_no_basis_outside_the_reading_circle(monkeypatch):
     real_basis = stokes.EntireBasis
 
     class CountedBasis(real_basis):
-        def __init__(self, op, ctx, rho, bits, nterms=None):
+        def __init__(self, op, ctx, rho, nterms=None):
             radii.append(float(rho))
-            super().__init__(op, ctx, rho, bits, nterms)
+            super().__init__(op, ctx, rho, nterms)
 
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
     sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)))
