@@ -367,6 +367,7 @@ def cmd_jacobian(args):
         "full_rank": rep.rank == rep.d - 1,
         "sv_gap": rep.sv_gap,
         "holomorphy": rep.holomorphy,
+        "converged": rep.converged,
         "base_residuals": {name: float(val) for name, val
                            in sorted(rep.base_residuals.items())},
         "seed": args.seed,
@@ -374,6 +375,10 @@ def cmd_jacobian(args):
     if args.timing:
         doc["timing"] = {"total_s": elapsed}
     _emit_json(args, doc)
+    if not rep.converged:
+        print(f"numerical failure: the base run or a stencil run missed the "
+              f"requested tolerance {settings.radius_tol!r}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -40,7 +40,8 @@ class JacobianReport:
     sigma_1 * rank_tol; sv_gap = sigma_{d-1}/sigma_1 is the margin by which
     full column rank holds; holomorphy is the worst disagreement between the
     real-step and imaginary-step difference quotients, whose mean is the
-    column (complex differentiability makes them equal up to O(h^2))."""
+    column (complex differentiability makes them equal up to O(h^2));
+    converged holds when the base run and all 4(d-1) stencil runs did."""
     n: int
     k: int
     d: int
@@ -55,6 +56,7 @@ class JacobianReport:
     base_residuals: dict
     stencil_residuals: dict
     plan: object
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
         singular_values=tuple(float(s) for s in sv),
         rank=rank, sv_gap=gap, holomorphy=deviation,
         base_residuals=dict(base.residuals),
-        stencil_residuals=stencil_residuals, plan=plan)
+        stencil_residuals=stencil_residuals, plan=plan,
+        converged=all(run.converged for run in [base] + runs))
 
 
 def kernel_cross_check(op, D=None, h=1e-4, settings=None, rank_tol=1e-4):

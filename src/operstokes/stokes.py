@@ -125,9 +125,8 @@ class NumericContext:
         return x.reshape(-1) if vec else x
 
 
-def make_ctx(bits):
-    """The numeric context for `bits` of working precision."""
-    return NumericContext(bits)
+# the numeric context for `bits` of working precision
+make_ctx = NumericContext
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ class GaugedConnection:
         """f0^{-1} B_j f0 with f0 the root-of-unity Vandermonde frame."""
         n = self.n
         f0 = frame_matrix(n, ctx)
-        f0inv = _frame_inverse(n, ctx)
+        f0inv = f0.conj() / n
         out = [f0inv @ ctx.matrix(bj) @ f0 for bj in self.bcoeffs]
         lam = eigenvalue_vector(n, ctx)
         b0 = out[0]
@@ -181,20 +180,14 @@ class GaugedConnection:
                      for a in range(n) for b in range(n) if a != b), default=0.0)
         if worst > 1e-10:
             raise ArithmeticError("frame failed to diagonalize the leading term")
-        snapped = ctx.zeros(n)
-        for a in range(n):
-            snapped[a, a] = lam[a]
-        out[0] = snapped
+        out[0] = np.diag(np.array(lam, dtype=ctx.dtype))
         return out
 
 
 def frame_matrix(n, ctx):
     """Columns (1, lambda_b, ..., lambda_b^{n-1}): eigenvectors of the shift."""
-    out = ctx.zeros(n)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = ctx.root_of_unity(2 * a * b, n)
-    return out
+    return np.array([[ctx.root_of_unity(2 * a * b, n) for b in range(n)]
+                     for a in range(n)], dtype=ctx.dtype)
 
 
 def eigenvalue_vector(n, ctx):
@@ -515,33 +508,40 @@ class EntireBasis:
             c = op.p_coeff(m)
             if c:
                 src.append((m, ctx.number(c) * rho_c ** (m + n)))
-        cols = [[] for _ in range(n)]
-        fact = 1
-        for m in range(n):
-            if m:
-                fact *= m
-            for j in range(n):
-                cols[j].append((one * ctx.number(Fraction(1, fact))
-                                * rho_c ** m) if m == j else 0 * one)
+        # complex doubles at 53 bits; above, Gaussian integers (re, im) with
+        # `frac` fraction bits, floor-divided by (s+1)...(s+n) (_GUARD_BITS)
+        frac = ctx.bits + _GUARD_BITS
+        cols = [[(one * ctx.number(Fraction(1, math.factorial(m)))
+                  * rho_c ** m) if m == j else 0 * one for m in range(n)]
+                for j in range(n)]
+        if not ctx.double:
+            src = [(mm, _fixed(v, frac)) for mm, v in src]
+            cols = [[_fixed(v, frac) for v in col] for col in cols]
         window = n + d
-        peak_log = -math.inf
+        peak = -math.inf
         quiet = 0
         m = n
         limit = nterms if nterms is not None else _MAX_TERMS
         while m < limit:
             s = m - n
-            denom = ctx.number(Fraction(1, math.prod(range(s + 1, s + n + 1))))
+            denom = math.prod(range(s + 1, s + n + 1))
             worst = -math.inf
-            for j in range(n):
-                acc = 0 * one
-                for mm, pc in src:
-                    if mm <= s:
-                        acc = acc + pc * cols[j][s - mm]
-                acc = acc * denom
-                cols[j].append(acc)
-                worst = max(worst, _log_abs(ctx, acc))
-            peak_log = max(peak_log, worst)
-            quiet = quiet + 1 if worst < peak_log - (ctx.bits + 8) * _LN2 else 0
+            for col in cols:
+                if ctx.double:
+                    acc = sum(pc * col[s - mm] for mm, pc in src if mm <= s)
+                    acc = acc * ctx.number(Fraction(1, denom))
+                    size = math.log2(abs(acc)) if abs(acc) > 0 else -math.inf
+                else:
+                    terms = [(pr, pi, *col[s - mm])
+                             for mm, (pr, pi) in src if mm <= s]
+                    re = sum(pr * cr - pi * ci for pr, pi, cr, ci in terms)
+                    im = sum(pr * ci + pi * cr for pr, pi, cr, ci in terms)
+                    acc = (re // (denom << frac), im // (denom << frac))
+                    size = max(map(abs, acc)).bit_length()
+                col.append(acc)
+                worst = max(worst, size)
+            peak = max(peak, worst)
+            quiet = quiet + 1 if worst < peak - (ctx.bits + 8) else 0
             m += 1
             if nterms is None and quiet >= window and m > 2 * (n + d):
                 break
@@ -552,7 +552,8 @@ class EntireBasis:
         self.nterms = m
         # table[t][j][m] = (scaled coefficient m of column j) times the
         # falling factorial m (m-1) ... (m-t+1) of derivative row t: complex
-        # doubles at 53 bits, fixed-point integer lists (see _fixed_row) above
+        # doubles at 53 bits; above, Gaussian-integer lists (re, im, frac)
+        # cut so the largest entry carries bits + _GUARD_BITS bits
         falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
         if ctx.double:
             # an overflowed series gives inf * 0 = nan here, which the
@@ -560,87 +561,89 @@ class EntireBasis:
             with np.errstate(invalid="ignore"):
                 self.table = (np.array(falls, dtype=float)[:, None, :]
                               * np.array(cols, dtype=complex)[None, :, :])
-        else:
-            self.table = [[_fixed_row(cols[j], falls[t], ctx.bits)
-                           for j in range(n)] for t in range(n)]
+            return
+        self.table = [[] for _ in falls]
+        for ff, row in zip(falls, self.table):
+            for col in cols:
+                ar, ai = ([c[p] * f for c, f in zip(col, ff)] for p in (0, 1))
+                cut = max(0, max(map(abs, ar + ai)).bit_length() - frac)
+                row.append(([v >> cut for v in ar], [v >> cut for v in ai],
+                            frac - cut))
 
-    def state_matrix(self, theta_fpi):
+    def state_matrix(self, theta_fpi, powers=None):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
         on the build circle.
 
         Summation runs over the unit phases u^m, u = e^{i theta}, times the
-        stored scaled coefficients, so the accumulated magnitudes never
-        exceed the term sizes on the circle; the z^{-t} restores the
-        derivative scaling afterwards.  At double precision the sum is one
-        complex matrix-vector product; above it, the powers are Gaussian
-        integers in fixed point and each entry is an exact integer dot
-        product, rounded once to the working precision."""
+        stored scaled coefficients (_table_sum), so the accumulated
+        magnitudes never exceed the term sizes on the circle; the z^{-t}
+        restores the derivative scaling afterwards.  `powers` may pass in
+        the angle's _unit_powers (at least nterms) to share them."""
         ctx = self.ctx
-        n = self.n
-        u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
-        zinv = ctx.one() / (ctx.number(self.rho) * u)
-        if ctx.double:
-            powers = np.full(self.nterms, u, dtype=complex)
-            powers[0] = 1.0
-            zpow = np.full(n, zinv, dtype=complex)
-            zpow[0] = 1.0
-            return (self.table @ np.cumprod(powers)) * np.cumprod(zpow)[:, None]
-        frac = ctx.bits + _GUARD_BITS
-        ur = _fixed(u.real, frac)
-        ui = _fixed(u.imag, frac)
-        pr, pi = [1 << frac], [0]
-        for _ in range(self.nterms - 1):
-            a, b = pr[-1], pi[-1]
-            pr.append((a * ur - b * ui) >> frac)
-            pi.append((a * ui + b * ur) >> frac)
-        mpf, mpc = ctx.real, ctx.complex
-        out = ctx.zeros(n)
+        if powers is None:
+            powers = _unit_powers(ctx, theta_fpi, self.nterms)
+        out = _table_sum(ctx, self.table, powers)
+        zinv = ctx.one() / (ctx.number(self.rho)
+                            * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi()))
         scale = ctx.one()
-        for t in range(n):
-            for j in range(n):
-                ar, ai, afrac = self.table[t][j]
-                re = sum(map(mul, ar, pr)) - sum(map(mul, ai, pi))
-                im = sum(map(mul, ar, pi)) + sum(map(mul, ai, pr))
-                exp = -(afrac + frac)
-                out[t, j] = mpc(mpf((re, exp)), mpf((im, exp))) * scale
+        for t in range(1, self.n):
             scale = scale * zinv
+            out[t, :] = out[t, :] * scale
         return out
 
 
-def _fixed(x, frac, factor=1):
-    """floor(factor x 2^frac) for an mpf x, exactly (x = man 2^exp)."""
-    sign, man, exp, _ = x._mpf_
-    v = -man * factor if sign else man * factor
-    return v << (exp + frac) if exp + frac >= 0 else v >> -(exp + frac)
+def _unit_powers(ctx, theta_fpi, count):
+    """u^m, m < count, for u = e^{i pi theta}: a complex128 vector at 53
+    bits; above, Gaussian-integer lists (re, im) scaled by 2^(bits+40)."""
+    u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
+    if ctx.double:
+        return np.cumprod(np.r_[1.0, np.full(count - 1, u)])
+    frac = ctx.bits + _GUARD_BITS
+    (ur, ui), pr, pi = _fixed(u, frac), [1 << frac], [0]
+    for _ in range(count - 1):
+        a, b = pr[-1], pi[-1]
+        pr.append((a * ur - b * ui) >> frac)
+        pi.append((a * ui + b * ur) >> frac)
+    return pr, pi
 
 
-def _fixed_row(col, falls, bits):
-    """Real and imaginary parts of col[m] falls[m] in fixed point, with
-    `frac` fraction bits chosen so the largest entry carries bits +
-    _GUARD_BITS bits."""
-    top = max((abs(f * x.man).bit_length() + x.exp
-               for b, f in zip(col, falls) for x in (b.real, b.imag)
-               if f and x), default=0)
-    frac = bits + _GUARD_BITS - top
-    return ([_fixed(b.real, frac, f) for b, f in zip(col, falls)],
-            [_fixed(b.imag, frac, f) for b, f in zip(col, falls)], frac)
+def _table_sum(ctx, table, powers):
+    """Entries sum_m table[t][j][m] u^m over the angle's _unit_powers: one
+    complex matrix-vector product at 53 bits; above, per entry an exact
+    Gaussian-integer dot product of a row (re, im, frac), rounded once."""
+    if ctx.double:
+        return table @ powers[:table.shape[-1]]
+    (pr, pi), out = powers, ctx.zeros(len(table))
+    for t, row in enumerate(table):
+        for j, (ar, ai, frac) in enumerate(row):
+            exp = -(frac + ctx.bits + _GUARD_BITS)
+            re = sum(map(mul, ar, pr)) - sum(map(mul, ai, pi))
+            im = sum(map(mul, ar, pi)) + sum(map(mul, ai, pr))
+            out[t, j] = ctx.complex(ctx.real((re, exp)), ctx.real((im, exp)))
+    return out
 
 
-_LN2 = math.log(2.0)
+def _fixed(z, frac):
+    """floor(z 2^frac), part by part, for an mpc z: a Gaussian integer."""
+    from mpmath.libmp import mpf_shift, to_int
+    return tuple(to_int(mpf_shift(x._mpf_, frac), "f")
+                 for x in (z.real, z.imag))
+
+
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
-# fixed-point bits kept below the working precision by the multiprecision
-# series evaluator: the m-th power is off by at most 2m units, so a sum of
-# N <= _MAX_TERMS terms is off by under 2 N^2 < 2^30 units of its largest
-# term, still 2^-10 below the working precision
+# fixed-point bits kept below the working precision by the three integer
+# paths above 53 bits, in units of 2^-(bits+40).  Table sums: the m-th unit
+# power is off by at most 2m units, so N <= _MAX_TERMS terms are off by
+# under 2 N^2 < 2^30 units of the largest, 2^-10 below the working precision.
+# Entire-basis recurrence: each floor division by (s+1)...(s+n), and each
+# quantized p_m rho^(m+n), adds under one unit, which the linear recurrence
+# carries on as the Taylor tail of another solution, growing no faster than
+# the columns' own terms; against the peak (at least the unit jet) N steps
+# leave under N < 2^15 units.  Formal-inverse table: under M units per
+# order, carried the same way; absolute, but W_0 = I and the later terms on
+# a reading circle are small, so entries of Yhat^-1 f0^-1 are about 1/n.
 _GUARD_BITS = 40
-
-
-def _log_abs(ctx, x):
-    a = abs(x)
-    if ctx.double:
-        return math.log(a) if a > 0 else -math.inf
-    return float(ctx.log(a)) if a != 0 else -math.inf
 
 
 def _series_tail(fs, rho):
@@ -672,9 +675,9 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     amplified working-precision noise together, without modeling either."""
     ctx = fs.ctx
     basis = EntireBasis(op, ctx, rho, nterms)
-    f0inv = _frame_inverse(gc.n, ctx)
+    inverse = _inverse_table(fs, rho)
     angles = sorted(set(cond.values()) | set(norms.values()))
-    gammas = {th: _content_matrix(gc, fs, basis, f0inv, th) for th in angles}
+    gammas = {th: _content_matrix(gc, fs, basis, inverse, th) for th in angles}
     va = sector_coefficients(fs, layout, gammas, cond, norms, "A")
     vb = sector_coefficients(fs, layout, gammas, cond, norms, "B")
     eye = ctx.eye(gc.n)
@@ -793,38 +796,56 @@ def _sector_reading_plan(layout):
     return cond, norms
 
 
-def _frame_inverse(n, ctx):
-    f0inv = ctx.zeros(n)
-    inv_n = ctx.number(Fraction(1, n))
-    for a in range(n):
-        for b in range(n):
-            f0inv[a, b] = inv_n * ctx.root_of_unity(-2 * a * b, n)
-    return f0inv
+def _inverse_table(fs, rho):
+    """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
+    -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
+    Y_j rho^-j, and 1/z^m = rho^-m conj(u^m), so the table holds conj(V_m)
+    and its _table_sum is conjugated.  Above 53 bits the recurrence runs on
+    Gaussian integers, each Y_j in the real form [[re, -im], [im, re]]."""
+    ctx, n = fs.ctx, fs.n
+    ys = [y / ctx.number(rho) ** j for j, y in enumerate(fs.ycoeffs)]
+    vs = [frame_matrix(n, ctx).conj() / n]
+    frac = ctx.bits + _GUARD_BITS
+    if not ctx.double:
+        parts = [np.moveaxis(np.array([[_fixed(v, frac) for v in row]
+                                       for row in y], dtype=object), 2, 0)
+                 for y in ys + vs]
+        ys = [np.block([[r, -i], [i, r]]) for r, i in parts[:-1]]
+        vs = [np.vstack(parts[-1])]
+    for m in range(1, fs.M + 1):
+        acc = sum(y @ v for y, v in zip(ys[1:m + 1], vs[::-1]))
+        vs.append(-acc if ctx.double else -(acc >> frac))
+    if ctx.double:
+        return np.array(vs).transpose(1, 2, 0).conj()
+    return [[([int(v[b, a]) for v in vs], [-int(v[n + b, a]) for v in vs],
+              frac) for a in range(n)] for b in range(n)]
 
 
-def _content_matrix(gc, fs, basis, f0inv, theta_fpi):
+def _content_matrix(gc, fs, basis, inverse, theta_fpi):
     """Contents of the entire-basis columns against the formal modes at one
     reading angle: row x holds each column's coefficient along mode x, read
     from the truncated formal frame at z = rho e^{i theta} on the basis'
-    circle.  The chart log z = ln rho + i pi theta ties every fractional
-    power (the trace-split scalar, z^Lambda) to the unwrapped angle chain, so
-    re-reading sector 1 on the shifted chart is what produces the wrap
-    factor's extra scalars."""
+    circle as (formal-inverse table) times (gauged state matrix).  The chart
+    log z = ln rho + i pi theta ties every fractional power (the trace-split
+    scalar, z^Lambda) to the unwrapped angle chain, so re-reading sector 1
+    on the shifted chart is what produces the wrap factor's extra scalars."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
     chart = (ctx.log(ctx.number(basis.rho))
              + 1j * ctx.number(theta_fpi) * ctx.pi())
     z = ctx.exp(chart)
     shift = Fraction(gc.k * (gc.n + 1), 2)
-    x = basis.state_matrix(theta_fpi)
+    # both tables are summed over one set of unit powers
+    powers = _unit_powers(ctx, theta_fpi, max(basis.nterms, fs.M + 1))
+    x = basis.state_matrix(theta_fpi, powers)
+    winv = _table_sum(ctx, inverse, powers).conj()
     # a double-precision reading that overflows here turns inf or nan, and
     # the build's A/B consistency already judges it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(n):
             expo = ctx.number((n - a) * k - shift)
             x[a, :] = x[a, :] * ctx.exp(expo * chart)
-        w = f0inv @ x
-        cont = ctx.solve(fs.yhat(z), w)
+        cont = winv @ x
         for b in range(n):
             scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
             cont[b, :] = cont[b, :] * scale
@@ -923,12 +944,7 @@ def stokes_matrices(layout, factors):
 
 
 def _conjugate_by_order(mat, order):
-    n = mat.shape[0]
-    out = mat.copy()
-    for s in range(n):
-        for t in range(n):
-            out[s, t] = mat[order[s], order[t]]
-    return out
+    return mat[np.ix_(order, order)]
 
 
 def unipotency_residual(mats, perm):

@@ -111,6 +111,20 @@ def test_missed_tolerance_maps_to_numeric_exit(capsys):
     assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
 
 
+def test_jacobian_missed_tolerance_maps_to_numeric_exit(capsys):
+    # the same undersized circle under the Jacobian: the document is still
+    # written, flagged, and the run exits 3
+    code, out, err = run(capsys, "jacobian", *WEBER, "--radius", "2.5")
+    assert code == 3
+    assert "numerical failure" in err
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["base_residuals"]["consistency"] > 3e-10
+    code, out, err = run(capsys, "jacobian", *WEBER)
+    assert code == 0 and err == ""
+    assert json.loads(out)["converged"] is True
+
+
 def test_timing_flag_adds_total_time(capsys):
     for sub in ("stokes", "jacobian"):
         code, out, _ = run(capsys, sub, *WEBER, "--timing")

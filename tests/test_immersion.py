@@ -1,11 +1,13 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
 
+from operstokes import immersion
 from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
-from operstokes.stokes import stokes_data
+from operstokes.stokes import StokesSettings, stokes_data
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,25 @@ def test_stencil_bookkeeping(weber_report):
         (0, complex(s)) for s in (1e-4, -1e-4, 1e-4j, -1e-4j)}
     assert all(v <= 1e-6 for v in rep.stencil_residuals.values())
     assert rep.base_residuals["identity"] <= 1e-8
+
+
+def test_converged_needs_every_run(weber_report, monkeypatch):
+    assert weber_report.converged
+    # a fixed circle too small for 1e-10: the base run already misses it
+    loose = jacobian(OperPoint(2, 1, (0,)),
+                     settings=StokesSettings(radius=2.5))
+    assert not loose.converged
+    # a converged base run does not cover its stencil runs
+    real = immersion.stokes_data
+
+    def stencil_misses(op, settings=None, plan=None):
+        data = real(op, settings, plan)
+        return dataclasses.replace(data, converged=plan is None)
+
+    monkeypatch.setattr(immersion, "stokes_data", stencil_misses)
+    rep = jacobian(OperPoint(2, 1, (0,)))
+    assert rep.base_residuals == weber_report.base_residuals
+    assert not rep.converged
 
 
 def test_lost_closure_is_an_error():

@@ -208,9 +208,11 @@ def _series_reference(op, radius, theta, prec):
     z = mp.mpf(radius) * mp.expjpi(mp.mpf(theta.numerator) / theta.denominator)
     pcoef = {d: mp.mpf(1)}
     for m in range(d - 1):
-        c = QQ(op.p_coeff(m))
-        if c:
-            pcoef[m] = mp.mpf(c.numerator) / c.denominator
+        c = op.p_coeff(m)
+        if isinstance(c, complex):
+            pcoef[m] = mp.mpc(c)
+        elif c:
+            pcoef[m] = mp.mpf(QQ(c).numerator) / QQ(c).denominator
     out = [[None] * n for _ in range(n)]
     for j in range(n):
         coef = [mp.mpf(1) / mp.factorial(j) if m == j else mp.mpf(0)
@@ -228,13 +230,18 @@ def _series_reference(op, radius, theta, prec):
     return mp, out
 
 
-@pytest.mark.parametrize("bits", [53, 97, 132])
+@pytest.mark.parametrize("bits", [53, 97, 129, 132])
 def test_state_matrix_matches_plain_series(bits):
     # the evaluator rounds differently at each precision (numpy at 53 bits,
     # fixed-point integers above) but must agree entrywise with the plain
     # series summed 80 bits deeper
-    for op, rho in ((weber(), 4.5),
-                    (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
+    cases = ((weber(), 4.5), (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15))
+    if bits == 129:
+        # z^4 at its default plan, where the scaled series grows the most,
+        # and a complex (3,1) point, whose series has imaginary parts
+        cases = ((OperPoint(4, 1, (0, 0, 0)), 9.05),
+                 (OperPoint(3, 1, (0.2 + 0.1j, -0.05j)), 8.15))
+    for op, rho in cases:
         for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho)):
             basis = EntireBasis(op, make_ctx(bits), radius)
             got = basis.state_matrix(theta)
@@ -242,6 +249,49 @@ def test_state_matrix_matches_plain_series(bits):
             worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
                         for t in range(op.n) for j in range(op.n))
             assert worst <= 2.0 ** -(bits - 30)
+
+
+@pytest.mark.parametrize("bits", [53, 97, 132])
+def test_formal_inverse_matches_plain_series(bits):
+    # the fixed-point (at 53 bits complex128) formal-inverse table, summed
+    # over the shared unit powers, against sum_m W_m z^{-m} f0^{-1} from the
+    # run's own Y_m in mpmath 80 bits deeper; and the truncated inverse
+    # undoes the truncated frame up to the omitted orders z^{-m}, m > M
+    mp = mpmath.mp.clone()
+    mp.prec = bits + 80
+    for op, rho in ((weber(), 4.5),
+                    (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
+        ctx = make_ctx(bits)
+        fs = formal_solution(gauge_transform(op), 20, ctx)
+        n, M = fs.n, fs.M
+        table = stokes._inverse_table(fs, rho)
+        ys = [mp.matrix([[mp.mpc(v) for v in row] for row in y])
+              for y in fs.ycoeffs]
+        ws = [mp.eye(n)]
+        for m in range(1, M + 1):
+            ws.append(-sum((ys[j] * ws[m - j] for j in range(1, m + 1)),
+                           mp.zeros(n)))
+        omitted = sum(rho ** -m * max(abs(v) for v in sum(
+            (ys[j] * ws[m - j] for j in range(m - M, M + 1)), mp.zeros(n)))
+            for m in range(M + 1, 2 * M + 1))
+        f0inv = mp.matrix([[mp.expjpi(mp.mpf(-2 * a * b) / n) / n
+                            for b in range(n)] for a in range(n)])
+        for theta in (QQ(1, 7), QQ(-2, 5)):
+            z = rho * mp.expjpi(mp.mpf(theta.numerator) / theta.denominator)
+            want = sum((ws[m] * z ** -m for m in range(M + 1)),
+                       mp.zeros(n)) * f0inv
+            got = stokes._table_sum(ctx, table, stokes._unit_powers(
+                ctx, theta, M + 1)).conj()
+            worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
+                        for a in range(n) for b in range(n))
+            assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
+            zw = ctx.number(rho) * ctx.root_of_unity(theta.numerator,
+                                                     theta.denominator)
+            prod = (fs.yhat(zw) @ got @ stokes.frame_matrix(n, ctx)
+                    - np.eye(n))
+            res = max(abs(complex(v)) for v in np.ravel(prod))
+            assert res <= omitted + 2.0 ** -(bits - 10)
+            assert omitted <= 1e-2 * stokes._series_tail(fs, rho)
 
 
 def test_entire_basis_matches_gaussian_column():
