@@ -1,10 +1,12 @@
-"""Exact rational linear algebra on dense matrices.
+"""Exact rational linear algebra on sparse integer rows.
 
 All kernel/rank/solve computations used for certificates go through the
 fraction-free integer elimination in this module, and this is the one place
 that turns rational rows into integer ones.  Entries must be ints or
 Fractions (anything with integer `numerator` and `denominator`); a float
-raises.  Kernel vectors come back as primitive integer vectors, so results
+raises.  Each row is held as a dict {column: nonzero int}, so the work
+follows the nonzeros of the structured systems built here rather than their
+width.  Kernel vectors come back as primitive integer vectors, so results
 are exact by construction (no floating point anywhere).
 """
 
@@ -46,107 +48,98 @@ def mat_trace(m):
 
 
 def _integer_rows(m):
-    """Scale each row by the lcm of its denominators; returns list[list[int]].
+    """Scale each row by the lcm of its denominators into a sparse row
+    {column: nonzero int}; returns (rows, column count).
 
     Reads each entry's own numerator/denominator, so no Fraction is built."""
     out = []
+    ncols = 0
     for row in m:
         den = 1
         for x in row:
             d = x.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+        out.append({c: x.numerator * (den // x.denominator)
+                    for c, x in enumerate(row) if x})
+        ncols = len(row)
+    return out, ncols
 
 
 def _strip_content(row):
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return row
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            return row
     if g > 1:
-        return [x // g for x in row]
+        return {c: x // g for c, x in row.items()}
     return row
 
 
 def _echelon(rows):
-    """In-place fraction-free row echelon form.
+    """Fraction-free sparse row echelon form: {leading column: pivot row}.
 
-    Returns the list of pivot columns.  Update rule uses gcd-reduced cross
-    multipliers plus content stripping, which keeps entries integral and
-    empirically small on the sparse structured systems built here.
+    Rows are taken in order; each is reduced against the stored pivot row of
+    its leading column until it starts on a new column, where it becomes that
+    column's pivot row, or vanishes.  The update uses gcd-reduced cross
+    multipliers plus content stripping (Bareiss 1968), which keeps entries
+    integral and empirically small on the sparse structured systems built
+    here.  Any echelon form has the same pivot columns.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # smallest nonzero pivot by absolute value limits growth
-        best = -1
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v and (best < 0 or abs(v) < abs(rows[best][c])):
-                best = i
-        if best < 0:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if not v:
-                continue
-            g = gcd(piv if piv > 0 else -piv, v if v > 0 else -v)
-            a, b = piv // g, v // g
-            ri = rows[i]
-            rows[i] = _strip_content([a * x - b * y for x, y in zip(ri, prow)])
-        pivots.append(c)
-        r += 1
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = _strip_content(row)
+                break
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            new = {j: a * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            row = _strip_content(new)
     return pivots
 
 
-def _back_substitute(rows, pivots, free_col, ncols):
-    """Primitive integer kernel vector of the echelon system: zero at the
-    other free columns, positive at free_col (its last nonzero entry).
+def _back_substitute(pivots, free_col, ncols):
+    """Primitive integer kernel vector of the echelon system as a dense
+    object array: zero at the other free columns, positive at free_col (its
+    last nonzero entry).
 
     Fraction-free: x stays integral by scaling the solved part by
     |pivot| / gcd(pivot, s) whenever a pivot does not divide its row sum s."""
-    x = [0] * ncols
-    x[free_col] = 1
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = rows[r]
-        s = 0
-        for c in range(pc + 1, ncols):
-            if row[c] and x[c]:
-                s += row[c] * x[c]
+    x = {free_col: 1}
+    for pc in sorted((c for c in pivots if c < free_col), reverse=True):
+        row = pivots[pc]
+        s = sum(v * x[c] for c, v in row.items() if c in x)
         if not s:
             continue
         piv = row[pc]
         g = gcd(piv, s)
         scale = abs(piv) // g
         if scale != 1:
-            x = [v * scale for v in x]
+            x = {c: v * scale for c, v in x.items()}
         x[pc] = -s // g if piv > 0 else s // g
-    return _strip_content(x)
+    v = np.zeros(ncols, dtype=object)
+    for c, xc in _strip_content(x).items():
+        v[c] = xc
+    return v
+
+
+def _kernel(pivots, ncols):
+    return [_back_substitute(pivots, c, ncols)
+            for c in range(ncols) if c not in pivots]
 
 
 def exact_rank(m):
-    rows = _integer_rows(m)
-    if not rows:
-        return 0
-    return len(_echelon(rows))
-
-
-def _kernel(rows, pivots, ncols):
-    pivot_set = set(pivots)
-    return [np.array(_back_substitute(rows, pivots, c, ncols), dtype=object)
-            for c in range(ncols) if c not in pivot_set]
+    return len(_echelon(_integer_rows(m)[0]))
 
 
 def exact_nullspace(m):
@@ -158,29 +151,28 @@ def exact_nullspace(m):
     empty list when the kernel is trivial.  Basis vectors satisfy
     m @ v == 0 exactly.
     """
-    rows = _integer_rows(m)
-    if not rows:
-        return []
-    return _kernel(rows, _echelon(rows), len(rows[0]))
+    rows, ncols = _integer_rows(m)
+    return _kernel(_echelon(rows), ncols)
 
 
 def exact_solve(m, b):
-    """Solve m x = b exactly.
+    """Solve m x = b exactly; m and b must have the same number of rows.
 
     Returns (particular, kernel_basis) or None when inconsistent.  The
     particular solution (Fractions) sets all free variables to zero: from the
     augmented system's kernel vector v, positive at the b column, it is
     -v_i / v_b.  kernel_basis is as in exact_nullspace.
     """
-    rows = _integer_rows([list(row) + [bi] for row, bi in zip(m, b)])
-    nc_m = len(rows[0]) - 1 if rows else 0
+    rows, ncols = _integer_rows(
+        [list(row) + [bi] for row, bi in zip(m, b, strict=True)])
+    nc_m = max(ncols - 1, 0)
     pivots = _echelon(rows)
-    if pivots and pivots[-1] == nc_m:
+    if nc_m in pivots:
         return None
-    v = _back_substitute(rows, pivots, nc_m, nc_m + 1)
+    v = _back_substitute(pivots, nc_m, nc_m + 1)
     vb = v[nc_m]
     return (np.array([QQ(-vi, vb) for vi in v[:nc_m]], dtype=object),
-            _kernel(rows, pivots, nc_m))
+            _kernel(pivots, nc_m))
 
 
 def rational_str(q):

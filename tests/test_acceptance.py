@@ -86,7 +86,8 @@ def test_injectivity_certificate():
     t0 = time.monotonic()
     rng = random.Random(1729)
     for (n, d, D) in [(2, 2, 20), (2, 4, 20), (3, 3, 20), (3, 6, 24),
-                      (4, 4, 24)]:
+                      (4, 4, 24), (5, 5, 20), (6, 6, 24), (3, 9, 24),
+                      (2, 10, 24)]:
         for _ in range(3):
             rep = solvability(rand_rational_point(rng, n, d // n), D)
             assert rep.exact
@@ -96,7 +97,7 @@ def test_injectivity_certificate():
     elapsed = time.monotonic() - t0
     assert elapsed <= 600.0
     print(f"PASS injectivity certificate: tangent kernel 0 and homogeneous "
-          f"kernel = scalars at 5 configurations x 3 random points "
+          f"kernel = scalars at 9 configurations x 3 random points "
           f"({elapsed:.1f}s <= 600s)")
 
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,24 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
 
 def rand_matrix(draw, rows, cols):
-    return [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
+    """Mostly zeros, with some rows and columns zero throughout."""
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    return [[draw(rationals) if r not in zero_rows and c not in zero_cols
+             and draw(st.integers(0, 2)) == 0 else QQ(0)
+             for c in range(cols)] for r in range(rows)]
+
+
+def sympy_nullspace(rows):
+    """sympy's kernel basis (one at its free column, zero at the others),
+    each vector scaled to primitive integers."""
+    out = []
+    for v in sympy.Matrix(rows).nullspace():
+        den = reduce(sympy.ilcm, (x.q for x in v))
+        ints = [int(x * den) for x in v]
+        g = reduce(gcd, ints)
+        out.append([x // g for x in ints])
+    return out
 
 
 def test_qmat_roundtrip():
@@ -54,6 +72,22 @@ def test_solve_inconsistent():
     assert exact_solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
+def test_solve_rejects_mismatched_rhs():
+    with pytest.raises(ValueError):
+        exact_solve([[1, 1], [1, 2]], [3])
+    with pytest.raises(ValueError):
+        exact_solve([[1, 1]], [3, 4])
+
+
+def test_floats_are_rejected():
+    with pytest.raises(AttributeError):
+        exact_rank([[QQ(1), 0.5]])
+    with pytest.raises(AttributeError):
+        exact_nullspace([[1, 0.0], [0, 1]])
+    with pytest.raises(AttributeError):
+        exact_solve([[1, 2], [3, 4]], [QQ(1), 2.0])
+
+
 def test_trace_and_commutator():
     a = qmat([[1, 2], [3, 4]])
     b = qmat([[0, 1], [1, 0]])
@@ -66,14 +100,17 @@ def test_rational_str():
     assert rational_str(QQ(-2)) == "-2/1"
 
 
-@given(st.data(), st.integers(2, 5), st.integers(2, 5))
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
 def test_rank_nullity(data, r, c):
     m = rand_matrix(data.draw, r, c)
-    assert exact_rank(m) + len(exact_nullspace(m)) == c
+    rank, ker = exact_rank(m), exact_nullspace(m)
+    assert rank + len(ker) == c
+    assert rank == sympy.Matrix(m).rank()
+    assert [list(v) for v in ker] == sympy_nullspace(m)
 
 
-@given(st.data(), st.integers(2, 5), st.integers(2, 5))
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
 def test_nullspace_vectors_annihilate(data, r, c):
     rows = rand_matrix(data.draw, r, c)
@@ -83,7 +120,7 @@ def test_nullspace_vectors_annihilate(data, r, c):
         assert all(x == 0 for x in res)
 
 
-@given(st.data(), st.integers(1, 5), st.integers(2, 6))
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
 def test_nullspace_vectors_are_primitive_integers(data, r, c):
     rows = rand_matrix(data.draw, r, c)
@@ -95,7 +132,7 @@ def test_nullspace_vectors_are_primitive_integers(data, r, c):
         assert all(x == 0 for x in m @ v)
 
 
-@given(st.data(), st.integers(2, 4), st.integers(2, 4))
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
 def test_solve_resubstitution(data, r, c):
     rows = rand_matrix(data.draw, r, c)
