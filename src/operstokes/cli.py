@@ -284,7 +284,7 @@ def cmd_kernel(args):
         "exact": rep.exact,
         "injective": rep.tangent_dim == 0,
         "witness": None if rep.witness is None else {
-            "pdot": [rational_str(v) for v in rep.witness[0]],
+            "pdot": [rational_str(v) for v in rep.witness[0].coeffs],
             "omega_terms": len(rep.witness[1]),
         },
         "seed": args.seed,

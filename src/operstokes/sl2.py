@@ -9,16 +9,18 @@ tables hold Fractions.  The module builds:
 
 - the principal triple (e, f, h) with e the superdiagonal (1, ..., n-1),
   f the subdiagonal (n-1, ..., 1), h = diag(n-1, n-3, ..., -(n-1));
-- lowest weight vectors f_1 ... f_{n-1}, one per band, computed as the exact
-  kernel of ad_f restricted to the band (f_1 = f, f_{n-1} = E_{n,1});
-- the full weight basis v_{i,j} = (ad_e)^{i+j} f_i for -i <= j <= i, which
-  spans sl(n);
+- lowest weight vectors f_1 ... f_{n-1}, one per band: f_i is the primitive
+  integer form of the power f^i, since the centralizer of the principal
+  nilpotent f is spanned by its powers (Kostant 1959);
+- the weight basis v_{i,j} = (ad_e)^{i+j} f_i for -i <= j <= i; its strings
+  are orthogonal under the trace form B(X, Y) = tr(XY), which proves that it
+  spans sl(n) and makes each coefficient a quotient of two O(n) pairings;
 - the structure tables
       ad_f v_{i,j}        = a_{i,j} v_{i,j-1}
       [f_{n-1}, v_{n-1-k, n-1-j}] = sum_i c_{i,j,k} v_{i,-j}
   together with verification of the closed formula for a, the sign coherence
   of c along j for fixed (i,k), and the two-term recursion linking the two
-  tables.
+  tables.  No elimination runs here.
 
 Out-of-range table lookups raise KeyError: silent fallbacks here would
 invalidate every consumer downstream.
@@ -27,11 +29,11 @@ invalidate every consumer downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
-from .exactla import (QQ, exact_nullspace, exact_rank, exact_solve,
-                      mat_trace, qzeros, rational_str)
+from .exactla import QQ, mat_trace, qzeros, rational_str
 
 
 def bracket(x, y):
@@ -47,6 +49,14 @@ def bracket(x, y):
 
     return p + q, tuple(xs[r] * at(ys, r + p) - ys[r] * at(xs, r + q)
                         for r in range(n))
+
+
+def pairing(x, y):
+    """Trace form B(X, Y) = tr(XY) of X = (j, xs) on S(j) and Y on S(-j),
+    in O(n): the sum of xs[r] ys[r+j]."""
+    (j, xs), (_, ys) = x, y
+    n = len(xs)
+    return sum(xs[r] * ys[r + j] for r in range(max(0, -j), min(n, n - j)))
 
 
 def _scaled(c, x):
@@ -97,33 +107,30 @@ def principal_sl2(n):
 
 
 def lowest_weight_vectors(tri):
-    """f_1 ... f_{n-1} as band elements: exact kernel of ad_f on each band,
-    positive coprime ints."""
-    n = tri.n
-    f = tri.bands[1]
-    out = []
+    """f_1 ... f_{n-1} as band elements: f_i is f^i divided by the gcd of its
+    entries, positive coprime ints; ad_f is checked to kill each."""
+    n, f = tri.n, tri.bands[1]
+    power, out = f[1], []
     for i in range(1, n):
-        # column s: ad_f of the unit vector in row s of S(-i) (rows i..n-1),
-        # on S(-i-1); all zero for i = n-1, whose kernel is the whole band
-        cols = [bracket(f, (-i, tuple(1 if r == s else 0 for r in range(n))))[1]
-                for s in range(i, n)]
-        kernel = exact_nullspace([[col[r] for col in cols] for r in range(n)])
-        if len(kernel) != 1:
-            raise ArithmeticError(f"ad_f kernel on band S(-{i}) has dim {len(kernel)} != 1")
-        ints = list(kernel[0])
-        if any(v <= 0 for v in ints) or min(ints) != 1:
-            raise ArithmeticError(f"lowest weight vector f_{i} not positive coprime with min 1: {ints}")
-        out.append((-i, tuple(ints[r - i] if r >= i else 0 for r in range(n))))
+        g = gcd(*power)
+        fi = (-i, tuple(v // g for v in power))
+        if any(bracket(f, fi)[1]):
+            raise ArithmeticError(f"ad_f does not kill f_{i}")
+        out.append(fi)
+        # f^{i+1}[r, r-i-1] = f^i[r, r-i] f[r-i, r-i-1]
+        power = tuple(power[r] * f[1][r - i] if r > i else 0 for r in range(n))
     return out
 
 
 class WeightBasis:
-    """The vectors v_{i,j} = (ad_e)^{i+j} f_i, indexed by 1<=i<=n-1, -i<=j<=i."""
+    """The vectors v_{i,j} = (ad_e)^{i+j} f_i, indexed by 1<=i<=n-1, -i<=j<=i,
+    with norms[(i, j)] = B(v_{i,j}, v_{i,-j}) != 0."""
 
-    def __init__(self, tri, bands):
+    def __init__(self, tri, bands, norms):
         self.n = tri.n
         self.tri = tri
         self._v = bands
+        self.norms = norms
 
     def indices(self):
         return sorted(self._v.keys())
@@ -142,29 +149,21 @@ class WeightBasis:
     def solve_band(self, x):
         """Coefficients of the band element x = (j, xs) in the v_{i,j}.
 
-        Band j is spanned by {v_{i,j} : max(|j|,1) <= i <= n-1}; for j != 0
-        that is a square system, for j = 0 the n-1 vectors span the traceless
-        diagonal.  Returns dict ((i,j) -> Fraction) of the nonzero entries;
-        raises ValueError when x is outside the span."""
-        j, xs = x
-        if not any(xs):
-            return {}
-        members = range(max(abs(j), 1), self.n)
-        cols = [self._v[(i, j)][1] for i in members]
-        sol = exact_solve([[col[r] for col in cols] for r in range(self.n)], xs)
-        if sol is None:
-            raise ValueError(f"matrix not in span of the weight basis on band {j}")
-        coeffs, kernel = sol
-        if kernel:
-            raise ArithmeticError(f"band {j} basis is degenerate")
-        return {(i, j): c for i, c in zip(members, coeffs) if c}
+        Band j holds {v_{i,j} : max(|j|,1) <= i <= n-1}, and the strings are
+        orthogonal under B, so the coefficient of v_{i,j} is
+        B(x, v_{i,-j}) / norms[(i, j)]; on band 0, x must sum to zero.
+        Returns dict ((i,j) -> Fraction) of the nonzero entries."""
+        j = x[0]
+        coeffs = {(i, j): QQ(pairing(x, self._v[(i, -j)]), self.norms[(i, j)])
+                  for i in range(max(abs(j), 1), self.n)}
+        return {key: c for key, c in coeffs.items() if c}
 
     def decompose(self, x):
         """Exact coefficients of a traceless matrix in the v basis.
 
         Returns dict ((i,j) -> Fraction) containing only nonzero entries.
-        Raises ValueError when x has nonzero trace or is outside the span.
-        Every position lies on exactly one band, so band by band is all of x.
+        Raises ValueError only when x has nonzero trace.  Every position
+        lies on exactly one band, so band by band is all of x.
         """
         n = self.n
         if mat_trace(x) != 0:
@@ -178,27 +177,28 @@ class WeightBasis:
 def build_weight_basis(tri):
     n = tri.n
     e, _, h = tri.bands
-    lws = lowest_weight_vectors(tri)
     vectors = {}
-    for i in range(1, n):
-        v = lws[i - 1]
-        vectors[(i, -i)] = v
-        for j in range(-i + 1, i + 1):
-            v = bracket(e, v)
+    for i, v in enumerate(lowest_weight_vectors(tri), 1):
+        for j in range(-i, i + 1):
             vectors[(i, j)] = v
-    # sanity: weight, top annihilation, spanning (the bands are direct
-    # summands, so full rank on every band is the span of sl(n))
+            v = bracket(e, v)
+        if any(v[1]):
+            raise ArithmeticError(f"ad_e does not annihilate the top vector v_{{{i},{i}}}")
+    # sanity: weight
     for (i, j), v in vectors.items():
         if bracket(h, v) != _scaled(2 * j, v):
             raise ArithmeticError(f"v_{{{i},{j}}} is not an ad_h eigenvector of weight {2*j}")
-    for i in range(1, n):
-        if any(bracket(e, vectors[(i, i)])[1]):
-            raise ArithmeticError(f"ad_e does not annihilate the top vector v_{{{i},{i}}}")
-    for j in range(-(n - 1), n):
-        members = range(max(abs(j), 1), n)
-        if exact_rank([vectors[(i, j)][1] for i in members]) != len(members):
-            raise ArithmeticError("weight vectors do not span sl(n)")
-    return WeightBasis(tri, vectors)
+    # B pairs the n - |j| vectors of band j (n - 1 on band 0) with those of
+    # band -j through a nonsingular diagonal, so together they span sl(n)
+    norms = {}
+    for j in range(n):
+        members = range(max(j, 1), n)
+        for i in members:
+            row = {i2: pairing(vectors[(i, j)], vectors[(i2, -j)]) for i2 in members}
+            if [i2 for i2 in members if row[i2]] != [i]:
+                raise ArithmeticError("weight vectors do not span sl(n)")
+            norms[(i, j)] = norms[(i, -j)] = row[i]
+    return WeightBasis(tri, vectors, norms)
 
 
 def a_formula(i, j):
@@ -233,20 +233,17 @@ class StructureTables:
 
 
 def compute_structure_tables(basis):
-    """Populate both tables by exact decomposition of the defining brackets."""
+    """Populate both tables: check each a-entry through the lowering identity
+    [f, v_{i,j}] = a_{i,j} v_{i,j-1}, read each c-entry with the pairing."""
     n = basis.n
     f = basis.tri.bands[1]
     tables = StructureTables(n=n)
-    for i in range(1, n):
-        for j in range(-i, i + 1):
-            coeffs = basis.solve_band(bracket(f, basis.band(i, j)))
-            extra = set(coeffs) - {(i, j - 1)}
-            if extra:
-                raise ArithmeticError(f"ad_f v_{{{i},{j}}} leaves its string: {sorted(extra)}")
-            val = coeffs.get((i, j - 1), QQ(0))
-            if val != a_formula(i, j):
-                raise ArithmeticError(f"a[{i},{j}] = {val} != closed formula {a_formula(i, j)}")
-            tables.a[(i, j)] = val
+    for (i, j) in basis.indices():
+        val = a_formula(i, j)
+        below = basis.band(i, j - 1) if j > -i else (j - 1, (0,) * n)
+        if bracket(f, basis.band(i, j)) != _scaled(val, below):
+            raise ArithmeticError(f"ad_f v_{{{i},{j}}} != {val} v_{{{i},{j - 1}}}")
+        tables.a[(i, j)] = val
     fn1 = basis.band(n - 1, -(n - 1))
     for j in range(0, n):
         for k in range(0, min(j, n - 2) + 1):

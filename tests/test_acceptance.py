@@ -29,6 +29,13 @@ def rand_rational_point(rng, n, k, span=9):
                                  for _ in range(n * k - 1)))
 
 
+def box_rational(rng, box=QQ(1, 2)):
+    """p/q with 4 <= q <= 9 and |p/q| <= box."""
+    q = rng.randint(4, 9)
+    bound = int(box * q)
+    return QQ(rng.randint(-bound, bound), q)
+
+
 def rand_complex_point(rng, n, k, scale=0.5):
     return OperPoint(n, k, tuple(complex(rng.uniform(-scale, scale),
                                          rng.uniform(-scale, scale))
@@ -165,15 +172,23 @@ def test_immersion_jacobian():
 
 def test_exact_numeric_cross_check():
     t0 = time.monotonic()
-    for (n, k) in [(2, 1), (3, 1)]:
-        rep = kernel_cross_check(OperPoint(n, k, (0,) * (n * k - 1)))
+    rng = random.Random(1)
+    points = [OperPoint(n, k, (0,) * (n * k - 1))
+              for (n, k) in [(2, 1), (3, 1)]]
+    points += [OperPoint(n, k, tuple(box_rational(rng)
+                                     for _ in range(n * k - 1)))
+               for (n, k) in [(2, 2), (2, 3), (2, 4)]]
+    for op in points:
+        rep = kernel_cross_check(op)
         assert rep.agree
         assert rep.tangent_dim == 0
         assert rep.numeric_rank == rep.d - 1
+        assert rep.jacobian.sv_gap >= 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed <= 600.0
-    print(f"PASS exact/numeric cross-check: kernel verdicts agree at (2,2) "
-          f"and (3,3) ({elapsed:.1f}s <= 600s)")
+    print(f"PASS exact/numeric cross-check: kernel verdicts agree at the "
+          f"monomials of (n,k) = (2,1) and (3,1) and at one rational point "
+          f"each of (2,2), (2,3) and (2,4) ({elapsed:.1f}s <= 600s)")
 
 
 def test_direction_layout_facts():

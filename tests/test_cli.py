@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as QQ
 
 import pytest
 
 import operstokes
+from operstokes import cli
 from operstokes.cli import main
+from operstokes.poly import Poly
 
 WEBER = ["--n", "2", "--k", "1", "--poly", "0,0,1"]
 
@@ -63,6 +67,21 @@ def test_kernel_document(capsys):
     assert doc["homogeneous_kernel_dim"] == 1
     assert doc["traceless_homogeneous_kernel_dim"] == 0
     assert doc["exact"] is True
+
+
+def test_kernel_document_serializes_witness(capsys, monkeypatch):
+    real = cli.solvability
+
+    def with_witness(op, D):
+        return dataclasses.replace(real(op, D), tangent_dim=1,
+                                   witness=(Poly([QQ(1, 3), 2]), []))
+
+    monkeypatch.setattr(cli, "solvability", with_witness)
+    code, out, _ = run(capsys, "kernel", *WEBER)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["injective"] is False
+    assert doc["witness"] == {"pdot": ["1/3", "2/1"], "omega_terms": 0}
 
 
 def test_kernel_rejects_inexact_point(capsys):

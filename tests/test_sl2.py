@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from operstokes.exactla import commutator, qzeros
-from operstokes.sl2 import (a_formula, band_matrix, bracket,
+from operstokes.exactla import (commutator, exact_nullspace, exact_solve,
+                                qzeros)
+from operstokes.sl2 import (a_formula, band_matrix, band_of, bracket,
                             build_weight_basis, commuting_action_check,
                             compute_structure_tables, lowest_weight_vectors,
                             principal_sl2, verify_sign_property)
@@ -45,6 +46,22 @@ def test_lowest_vectors_killed_by_f():
         tri = principal_sl2(n)
         for fi in lowest_weight_vectors(tri):
             assert not any(bracket(tri.bands[1], fi)[1])
+
+
+def test_lowest_weight_vectors_match_kernel_oracle():
+    # independent oracle: f_i spans the kernel of ad_f on the band S(-i),
+    # found by elimination and scaled to a primitive integer vector
+    for n in range(2, 10):
+        tri = principal_sl2(n)
+        f = tri.bands[1]
+        for i, fi in enumerate(lowest_weight_vectors(tri), 1):
+            # column s: ad_f of the unit vector in row s of S(-i)
+            cols = [bracket(f, (-i, tuple(int(r == s) for r in range(n))))[1]
+                    for s in range(i, n)]
+            kernel = exact_nullspace([[col[r] for col in cols]
+                                      for r in range(n)])
+            assert len(kernel) == 1
+            assert fi == (-i, (0,) * i + tuple(kernel[0]))
 
 
 def test_weight_vectors_n3_explicit():
@@ -161,6 +178,40 @@ def test_decompose_roundtrip():
     x += 5 * np.ones((), dtype=object) * basis.vec(1, 0)
     coeffs = basis.decompose(x)
     assert coeffs == {(2, 1): QQ(3), (3, -2): QQ(-1, 2), (1, 0): QQ(5)}
+
+
+@st.composite
+def traceless_matrix(draw):
+    n = draw(st.integers(2, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    xs = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    m = qzeros(n)
+    for a in range(n):
+        for b in range(n):
+            m[a, b] = QQ(xs[a * n + b])
+    m[n - 1, n - 1] -= sum(m[a, a] for a in range(n))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(traceless_matrix())
+def test_decompose_matches_elimination_oracle(x):
+    n = x.shape[0]
+    basis = build_weight_basis(principal_sl2(n))
+    want = {}
+    for j in range(-(n - 1), n):
+        members = range(max(abs(j), 1), n)
+        cols = [basis.band(i, j)[1] for i in members]
+        sol = exact_solve([[col[r] for col in cols] for r in range(n)],
+                          band_of(x, j)[1])
+        assert sol is not None and not sol[1]
+        want.update({(i, j): c for i, c in zip(members, sol[0]) if c})
+    coeffs = basis.decompose(x)
+    assert coeffs == want
+    rebuilt = qzeros(n)
+    for (i, j), c in coeffs.items():
+        rebuilt = rebuilt + c * basis.vec(i, j)
+    assert np.array_equal(rebuilt, x)
 
 
 def test_decompose_rejects_trace():
