@@ -376,8 +376,9 @@ def cmd_jacobian(args):
         doc["timing"] = {"total_s": elapsed}
     _emit_json(args, doc)
     if not rep.converged:
-        print(f"numerical failure: the base run or a stencil run missed the "
-              f"requested tolerance {settings.radius_tol!r}", file=sys.stderr)
+        print(f"numerical failure: {', '.join(rep.missed_names())} missed "
+              f"the requested tolerance {settings.radius_tol!r}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

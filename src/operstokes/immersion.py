@@ -41,7 +41,9 @@ class JacobianReport:
     full column rank holds; holomorphy is the worst disagreement between the
     real-step and imaginary-step difference quotients, whose mean is the
     column (complex differentiability makes them equal up to O(h^2));
-    converged holds when the base run and all 4(d-1) stencil runs did."""
+    missed names the runs that did not converge, "base" or a stencil key
+    (m, delta) as in stencil_residuals, and converged holds when none
+    did."""
     n: int
     k: int
     d: int
@@ -56,7 +58,18 @@ class JacobianReport:
     base_residuals: dict
     stencil_residuals: dict
     plan: object
-    converged: bool
+    missed: tuple
+
+    @property
+    def converged(self):
+        return not self.missed
+
+    def missed_names(self):
+        """The missed runs in words: "base run" or "stencil run c_m +h",
+        the step written +h, -h, +hj or -hj."""
+        return ["base run" if key == "base" else f"stencil run c_{key[0]} "
+                + (f"{key[1].real:+g}" if key[1].imag == 0
+                   else f"{key[1].imag:+g}j") for key in self.missed]
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,7 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     ceiling = max(1e-6, 1e3 * base.residuals["identity"])
     values = {}
     stencil_residuals = {}
+    missed = [] if base.converged else ["base"]
     for (m, delta, _), run in zip(points, runs):
         res = run.residuals["identity"]
         stencil_residuals[(m, complex(delta))] = res
@@ -118,6 +132,8 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
                 f"stencil point c_{m} {delta:+} lost closure "
                 f"(identity residual {res:.2e})")
         values[(m, complex(delta))] = run.monitored_vector()
+        if not run.converged:
+            missed.append((m, complex(delta)))
 
     cols, deviation = [], 0.0
     for m in range(op.d - 1):
@@ -140,7 +156,7 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
         rank=rank, sv_gap=gap, holomorphy=deviation,
         base_residuals=dict(base.residuals),
         stencil_residuals=stencil_residuals, plan=plan,
-        converged=all(run.converged for run in [base] + runs))
+        missed=tuple(missed))
 
 
 def kernel_cross_check(op, D=None, h=1e-4, settings=None, rank_tol=1e-4):

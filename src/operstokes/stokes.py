@@ -30,6 +30,7 @@ between independent constructions instead of telescoping to zero.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +54,13 @@ class NumericContext:
     eye hold exact int 0 and 1) and Gaussian elimination; mpmath is imported
     only then.  `real` and
     `complex` are the backend's scalar constructors, and `double` tells the
-    two apart for the few evaluators that are written per backend."""
+    two apart for the few evaluators that are written per backend; `frac`
+    is the fraction bits of the fixed-point paths above 53 bits."""
 
     def __init__(self, bits):
         self.double = bits <= 53
         self.bits = max(bits, 53)
+        self.frac = self.bits + _GUARD_BITS
         if self.double:
             self.real, self.complex = float, complex
             self.exp, self.log = cmath.exp, cmath.log
@@ -229,7 +232,9 @@ class FormalSolution:
 
     ycoeffs[m] is the z^{-m} coefficient of Yhat (ycoeffs[0] = I);
     qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q,
-    stored as a vector; lam is the diagonal of Lambda.
+    stored as a vector; lam is the diagonal of Lambda.  Above 53 bits
+    `fixed` keeps each ycoeffs[m] as computed, a (2, n, n) array of the
+    real and imaginary parts in fixed point with `frac` fraction bits.
     """
     n: int
     k: int
@@ -238,6 +243,7 @@ class FormalSolution:
     qcoeffs: dict
     lam: list
     ctx: object
+    fixed: list = None
 
     def yhat(self, z):
         acc = self.ycoeffs[0].copy()
@@ -286,6 +292,8 @@ def formal_solution(gc, M, ctx=None):
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
     ctx = ctx or make_ctx(53)
+    if not ctx.double:
+        return _fixed_formal_solution(gc, M, ctx)
     n, k = gc.n, gc.k
     bt = gc.framed(ctx)
     jmax = len(bt) - 1
@@ -338,6 +346,70 @@ def formal_solution(gc, M, ctx=None):
         y.append(acc)
     return FormalSolution(n=n, k=k, M=M, ycoeffs=y, qcoeffs=qcoeffs,
                           lam=lam_vec, ctx=ctx)
+
+
+def _gauss(x, y, op=np.multiply):
+    """Product of two Gaussian-integer arrays with leading axis (re, im);
+    `op` is np.multiply (entrywise, broadcasting a vector over columns) or
+    np.matmul."""
+    return np.array([op(x[0], y[0]) - op(x[1], y[1]),
+                     op(x[0], y[1]) + op(x[1], y[0])])
+
+
+def _fixed_frame(ctx, n):
+    """f0 and f0^{-1} = conj(f0)/n (f0 is symmetric) as (2, n, n)
+    Gaussian-integer arrays with `frac` fraction bits, read from the root
+    table."""
+    roots = _unit_roots(ctx.frac, n)
+    f0 = np.moveaxis(np.array([[roots[2 * a * b % (2 * n)] for b in range(n)]
+                               for a in range(n)], dtype=object), 2, 0)
+    return f0, np.array([f0[0] // n, -f0[1] // n])
+
+
+def _fixed_formal_solution(gc, M, ctx):
+    """formal_solution above 53 bits on Gaussian integers with `frac`
+    fraction bits: the exact B_j framed by the root table's f0, each product
+    shifted back once, the divisions by the eigenvalue gaps products with
+    fixed-point reciprocals.  Results are rounded once, at the end; Yhat's
+    coefficients are also kept as computed, for _inverse_table."""
+    n, k, frac = gc.n, gc.k, ctx.frac
+    f0, f0inv = _fixed_frame(ctx, n)
+    bt = []
+    for bj in gc.bcoeffs:
+        b = np.array([[[math.floor(Fraction(v) * 2 ** frac)
+                        for v in (c.real, c.imag)] for c in row]
+                      for row in bj], dtype=object)
+        b = _gauss(np.moveaxis(b, 2, 0), f0, np.matmul) >> frac
+        bt.append(_gauss(f0inv, b, np.matmul) >> frac)
+    lam = f0[:, 1]
+    # the leading term must frame to diag(lambda), up to rounding units
+    if np.abs(bt[0] - [np.diag(v) for v in lam]).max() > 1 << 8:
+        raise ArithmeticError("frame failed to diagonalize the leading term")
+    gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
+    norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
+    recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
+    F = [np.array([np.eye(n, dtype=object) << frac, 0 * f0[0]])]
+    D = [lam]
+    for j in range(1, k + 2 + M):
+        r = sum(_gauss(bt[j - b], F[b], np.matmul)
+                for b in range(max(0, j - len(bt) + 1), j))
+        r = (r - sum(_gauss(F[b], D[j - b]) for b in range(1, j))) >> frac
+        if j >= k + 2:
+            r = r + (j - k - 1) * F[j - k - 1]
+        D.append(np.array([r[0].diagonal(), r[1].diagonal()]))
+        F.append(_gauss(r, recip) >> frac)
+    # stage 2: the diagonal tail, as in formal_solution
+    u = [np.array([[1 << frac] * n, [0] * n], dtype=object)]
+    for m in range(1, M + 1):
+        acc = sum(_gauss(D[k + 1 + t], u[m - t]) for t in range(1, m + 1))
+        u.append(-(acc >> frac) // m)
+    ys = [sum(_gauss(F[a], u[m - a]) for a in range(m + 1)) >> frac
+          for m in range(M + 1)]
+    return FormalSolution(
+        n=n, k=k, M=M, ycoeffs=[_rounded(ctx, *y, -frac) for y in ys],
+        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[s], -frac) / (k + 1 - s))
+                 for s in range(k + 1)},
+        lam=list(_rounded(ctx, *D[k + 1], -frac)), ctx=ctx, fixed=ys)
 
 
 def formal_residual(gc, fs, z):
@@ -494,7 +566,9 @@ class EntireBasis:
     intermediate quantity within floating range and makes the truncation
     criterion a plain relative comparison.  They are stored once, times the
     falling factorial of each derivative row, as the table state_matrix
-    sums."""
+    sums: complex doubles at 53 bits; above, Gaussian integers, which `sums`
+    reads exactly over one root table per angle denominator (every
+    collocation angle is p/q with q | 4n(k+1))."""
 
     def __init__(self, op, ctx, rho, nterms=None):
         self.n = op.n
@@ -510,7 +584,7 @@ class EntireBasis:
                 src.append((m, ctx.number(c) * rho_c ** (m + n)))
         # complex doubles at 53 bits; above, Gaussian integers (re, im) with
         # `frac` fraction bits, floor-divided by (s+1)...(s+n) (_GUARD_BITS)
-        frac = ctx.bits + _GUARD_BITS
+        frac = ctx.frac
         cols = [[(one * ctx.number(Fraction(1, math.factorial(m)))
                   * rho_c ** m) if m == j else 0 * one for m in range(n)]
                 for j in range(n)]
@@ -518,6 +592,10 @@ class EntireBasis:
             src = [(mm, _fixed(v, frac)) for mm, v in src]
             cols = [[_fixed(v, frac) for v in col] for col in cols]
         window = n + d
+        # terms are kept down to the table's resolution: above 53 bits that
+        # is one fixed-point unit, since a truncation the A and B builds
+        # share is one their consistency cannot see
+        depth = ctx.bits + 8 if ctx.double else frac
         peak = -math.inf
         quiet = 0
         m = n
@@ -541,7 +619,7 @@ class EntireBasis:
                 col.append(acc)
                 worst = max(worst, size)
             peak = max(peak, worst)
-            quiet = quiet + 1 if worst < peak - (ctx.bits + 8) else 0
+            quiet = quiet + 1 if worst < peak - depth else 0
             m += 1
             if nterms is None and quiet >= window and m > 2 * (n + d):
                 break
@@ -563,6 +641,7 @@ class EntireBasis:
                               * np.array(cols, dtype=complex)[None, :, :])
             return
         self.table = [[] for _ in falls]
+        self._folds, self._sums = {}, {}
         for ff, row in zip(falls, self.table):
             for col in cols:
                 ar, ai = ([c[p] * f for c, f in zip(col, ff)] for p in (0, 1))
@@ -570,19 +649,20 @@ class EntireBasis:
                 row.append(([v >> cut for v in ar], [v >> cut for v in ai],
                             frac - cut))
 
-    def state_matrix(self, theta_fpi, powers=None):
+    def state_matrix(self, theta_fpi):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
         on the build circle.
 
         Summation runs over the unit phases u^m, u = e^{i theta}, times the
-        stored scaled coefficients (_table_sum), so the accumulated
-        magnitudes never exceed the term sizes on the circle; the z^{-t}
-        restores the derivative scaling afterwards.  `powers` may pass in
-        the angle's _unit_powers (at least nterms) to share them."""
+        stored scaled coefficients (_table_sum at 53 bits, the exact `sums`
+        above), so the accumulated magnitudes never exceed the term sizes on
+        the circle; the z^{-t} restores the derivative scaling afterwards."""
         ctx = self.ctx
-        if powers is None:
-            powers = _unit_powers(ctx, theta_fpi, self.nterms)
-        out = _table_sum(ctx, self.table, powers)
+        if ctx.double:
+            out = _table_sum(self.table,
+                             _unit_powers(ctx, theta_fpi, self.nterms))
+        else:
+            out = _rounded(ctx, *self.sums(theta_fpi))
         zinv = ctx.one() / (ctx.number(self.rho)
                             * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi()))
         scale = ctx.one()
@@ -591,36 +671,91 @@ class EntireBasis:
             out[t, :] = out[t, :] * scale
         return out
 
+    def sums(self, theta_fpi):
+        """Above 53 bits, the state rows without the z^{-t}, as the exact
+        (re, im, exp) arrays of _fixed_sums: u^m depends only on m mod 2q at
+        theta = p/q, so the table is folded by that residue once per period
+        (_fold) and summed once per theta mod 2."""
+        key = _angle(theta_fpi) % 2
+        if key not in self._sums:
+            q = key.denominator
+            if q not in self._folds:
+                self._folds[q] = _fold(self.table, 2 * q)
+            self._sums[key] = _fixed_sums(self.ctx, self._folds[q], key)
+        return self._sums[key]
+
+
+def _angle(theta_fpi):
+    """theta as a Fraction.  Above 53 bits an angle must be exact: its
+    denominator sizes the root table and the fold."""
+    if not isinstance(theta_fpi, (int, Fraction)):
+        raise TypeError(f"above 53 bits an angle must be an int or a "
+                        f"Fraction of pi, got {theta_fpi!r}")
+    return Fraction(theta_fpi)
+
 
 def _unit_powers(ctx, theta_fpi, count):
-    """u^m, m < count, for u = e^{i pi theta}: a complex128 vector at 53
-    bits; above, Gaussian-integer lists (re, im) scaled by 2^(bits+40)."""
-    u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
+    """u^m, m < count, for u = e^{i pi theta}: a complex128 running product
+    at 53 bits; above, at theta = p/q, the roots 2pm mod 4q of the root
+    table of denominator 2q (_unit_roots), as Gaussian-integer tuples
+    (re, im) with `frac` fraction bits, each within one unit."""
     if ctx.double:
+        u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
         return np.cumprod(np.r_[1.0, np.full(count - 1, u)])
-    frac = ctx.bits + _GUARD_BITS
-    (ur, ui), pr, pi = _fixed(u, frac), [1 << frac], [0]
-    for _ in range(count - 1):
-        a, b = pr[-1], pi[-1]
-        pr.append((a * ur - b * ui) >> frac)
-        pi.append((a * ui + b * ur) >> frac)
-    return pr, pi
+    theta = _angle(theta_fpi)
+    p, q = theta.numerator, theta.denominator
+    roots = _unit_roots(ctx.frac, 2 * q)
+    return tuple(zip(*(roots[2 * p * m % (4 * q)] for m in range(count))))
 
 
-def _table_sum(ctx, table, powers):
-    """Entries sum_m table[t][j][m] u^m over the angle's _unit_powers: one
-    complex matrix-vector product at 53 bits; above, per entry an exact
-    Gaussian-integer dot product of a row (re, im, frac), rounded once."""
-    if ctx.double:
-        return table @ powers[:table.shape[-1]]
-    (pr, pi), out = powers, ctx.zeros(len(table))
-    for t, row in enumerate(table):
-        for j, (ar, ai, frac) in enumerate(row):
-            exp = -(frac + ctx.bits + _GUARD_BITS)
-            re = sum(map(mul, ar, pr)) - sum(map(mul, ai, pi))
-            im = sum(map(mul, ar, pi)) + sum(map(mul, ai, pr))
-            out[t, j] = ctx.complex(ctx.real((re, exp)), ctx.real((im, exp)))
-    return out
+@functools.lru_cache(maxsize=None)
+def _unit_roots(frac, den):
+    """e^{i pi r/den}, r < 2 den, as Gaussian integers (re, im) with `frac`
+    fraction bits, each rounded to nearest from mpmath 10 bits deeper, so
+    within one unit: the one root table per denominator and precision."""
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.prec = frac + 10
+    return [tuple((v + 1) >> 1 for v in _fixed(mp.expjpi(mp.mpf(r) / den),
+                                               frac + 1))
+            for r in range(2 * den)]
+
+
+def _fold(table, period):
+    """A fixed-point table with each row's coefficients summed by residue of
+    m mod period: integer additions only, exact, since u^m = u^(m mod
+    period) at every angle whose powers have that period (a row no longer
+    than the period is its own fold)."""
+    return [[tuple(c if len(c) <= period else
+                   [sum(c[s::period]) for s in range(period)]
+                   for c in (ar, ai)) + (frac,) for ar, ai, frac in row]
+            for row in table]
+
+
+def _fixed_sums(ctx, table, theta_fpi):
+    """Per entry of a fixed-point table (re, im, frac) folded by 2q, the
+    exact Gaussian integer sum_m table[t][j][m] u^m at theta = p/q over the
+    2q _unit_powers, returned as arrays (re, im, exp) along the leading
+    axis, value (re + i im) 2^exp."""
+    pr, pi = _unit_powers(ctx, theta_fpi, 2 * _angle(theta_fpi).denominator)
+    return np.moveaxis(np.array(
+        [[(sum(map(mul, ar, pr)) - sum(map(mul, ai, pi)),
+           sum(map(mul, ar, pi)) + sum(map(mul, ai, pr)),
+           -(frac + ctx.frac)) for ar, ai, frac in row] for row in table],
+        dtype=object), 2, 0)
+
+
+def _rounded(ctx, re, im, exp):
+    """Gaussian integers (re + i im) 2^exp, arrays of ints with exp
+    broadcast, as working-precision numbers, each rounded once."""
+    return np.frompyfunc(lambda r, i, e: ctx.complex(
+        ctx.real((r, e)), ctx.real((i, e))), 3, 1)(re, im, exp)
+
+
+def _table_sum(table, powers):
+    """Entries sum_m table[t][j][m] u^m of a 53-bit table over the angle's
+    _unit_powers: one complex matrix-vector product."""
+    return table @ powers[:table.shape[-1]]
 
 
 def _fixed(z, frac):
@@ -630,19 +765,31 @@ def _fixed(z, frac):
                  for x in (z.real, z.imag))
 
 
+def _exact(z):
+    """An mpc z as (re, im, exp) with z = (re + i im) 2^exp exactly."""
+    (sr, mr, er, _), (si, mi, ei, _) = z._mpc_
+    e = min(er, ei)
+    return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
+
+
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
-# fixed-point bits kept below the working precision by the three integer
-# paths above 53 bits, in units of 2^-(bits+40).  Table sums: the m-th unit
-# power is off by at most 2m units, so N <= _MAX_TERMS terms are off by
-# under 2 N^2 < 2^30 units of the largest, 2^-10 below the working precision.
-# Entire-basis recurrence: each floor division by (s+1)...(s+n), and each
-# quantized p_m rho^(m+n), adds under one unit, which the linear recurrence
-# carries on as the Taylor tail of another solution, growing no faster than
-# the columns' own terms; against the peak (at least the unit jet) N steps
-# leave under N < 2^15 units.  Formal-inverse table: under M units per
-# order, carried the same way; absolute, but W_0 = I and the later terms on
-# a reading circle are small, so entries of Yhat^-1 f0^-1 are about 1/n.
+# fixed-point bits kept below the working precision by the integer paths
+# above 53 bits, in units of 2^-(bits+40).  Table sums: every unit power is a
+# root read from its denominator's table, within one unit, and folding a table
+# by residue mod 2q is exact, so a sum of at most 2q folded coefficients F_s
+# is off by at most sum_s |F_s| <= sum_m |T_m| units, under N < 2^15 units of
+# the largest term T_m, with N <= _MAX_TERMS.  Entire-basis recurrence: each
+# floor division by (s+1)...(s+n), and each quantized p_m rho^(m+n), adds
+# under one unit, which the linear recurrence carries on as the Taylor tail
+# of another solution, growing no faster than the columns' own terms;
+# against the peak (at least the unit jet) N steps leave under N units, and
+# the series stops once its terms fall below one unit of the peak.  Formal
+# solution and formal-inverse table: each shifted product and each product
+# with a reciprocal eigenvalue gap adds a few units per order, carried the
+# same way; absolute, but Y_0 = W_0 = I, the later terms on a reading circle
+# are small, and the inverse keeps its smallest column rho^(h_a) at full
+# resolution.  Contents are exact from these sums to one rounding.
 _GUARD_BITS = 40
 
 
@@ -800,25 +947,43 @@ def _inverse_table(fs, rho):
     """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
     -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
     Y_j rho^-j, and 1/z^m = rho^-m conj(u^m), so the table holds conj(V_m)
-    and its _table_sum is conjugated.  Above 53 bits the recurrence runs on
-    Gaussian integers, each Y_j in the real form [[re, -im], [im, re]]."""
-    ctx, n = fs.ctx, fs.n
-    ys = [y / ctx.number(rho) ** j for j, y in enumerate(fs.ycoeffs)]
-    vs = [frame_matrix(n, ctx).conj() / n]
-    frac = ctx.bits + _GUARD_BITS
-    if not ctx.double:
-        parts = [np.moveaxis(np.array([[_fixed(v, frac) for v in row]
-                                       for row in y], dtype=object), 2, 0)
-                 for y in ys + vs]
-        ys = [np.block([[r, -i], [i, r]]) for r, i in parts[:-1]]
-        vs = [np.vstack(parts[-1])]
+    and its sums are conjugated.  Above 53 bits the recurrence runs on
+    Gaussian integers, each Y_j in the real form [[re, -im], [im, re]], and
+    column a also carries rho^(h_a), the modulus of gauged row a of a
+    content (_gauge_exponents), since the recurrence only multiplies on the
+    left."""
+    ctx, n, frac = fs.ctx, fs.n, fs.ctx.frac
+    if ctx.double:
+        ys = [y / ctx.number(rho) ** j for j, y in enumerate(fs.ycoeffs)]
+        vs = [frame_matrix(n, ctx).conj() / n]
+    else:
+        # rho is a dyadic rational, so its powers scale exactly up to one
+        # floor, and a half-integer power is one isqrt; the table keeps g
+        # more fraction bits, so its smallest column keeps `frac` bits
+        r = Fraction(rho)
+        ys = [np.block([[re, -im], [im, re]]) for re, im in
+              (y * r.denominator ** j // r.numerator ** j
+               for j, y in enumerate(fs.fixed))]
+        sq = [r ** int(2 * h) for h in _gauge_exponents(n, fs.k)]
+        g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
+                       for s in sq) // 2 + 1)
+        mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
+                        for s in sq], dtype=object)
+        vs = [np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)]
     for m in range(1, fs.M + 1):
         acc = sum(y @ v for y, v in zip(ys[1:m + 1], vs[::-1]))
         vs.append(-acc if ctx.double else -(acc >> frac))
     if ctx.double:
         return np.array(vs).transpose(1, 2, 0).conj()
     return [[([int(v[b, a]) for v in vs], [-int(v[n + b, a]) for v in vs],
-              frac) for a in range(n)] for b in range(n)]
+              frac + g) for a in range(n)] for b in range(n)]
+
+
+def _gauge_exponents(n, k):
+    """h_a, a < n: gauged row a of a content is z^(h_a) times row a of the
+    state sums, h_a the gauge exponent (n-a)k - k(n+1)/2 less the
+    derivative order a."""
+    return [(n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n)]
 
 
 def _content_matrix(gc, fs, basis, inverse, theta_fpi):
@@ -828,28 +993,48 @@ def _content_matrix(gc, fs, basis, inverse, theta_fpi):
     circle as (formal-inverse table) times (gauged state matrix).  The chart
     log z = ln rho + i pi theta ties every fractional power (the trace-split
     scalar, z^Lambda) to the unwrapped angle chain, so re-reading sector 1
-    on the shifted chart is what produces the wrap factor's extra scalars."""
+    on the shifted chart is what produces the wrap factor's extra scalars.
+
+    Above 53 bits everything but the n column exponentials stays in
+    Gaussian integers until each entry is rounded once: the phase
+    e^{i pi theta h_a} of gauged row a is one root of order 4q read at the
+    unwrapped numerator of theta = p/q (so the chart branch stays explicit),
+    its modulus rho^(h_a) is in the inverse table's columns, and both
+    tables are summed folded by 2q."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
     chart = (ctx.log(ctx.number(basis.rho))
              + 1j * ctx.number(theta_fpi) * ctx.pi())
     z = ctx.exp(chart)
-    shift = Fraction(gc.k * (gc.n + 1), 2)
-    # both tables are summed over one set of unit powers
-    powers = _unit_powers(ctx, theta_fpi, max(basis.nterms, fs.M + 1))
-    x = basis.state_matrix(theta_fpi, powers)
-    winv = _table_sum(ctx, inverse, powers).conj()
-    # a double-precision reading that overflows here turns inf or nan, and
-    # the build's A/B consistency already judges it, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(n):
-            expo = ctx.number((n - a) * k - shift)
-            x[a, :] = x[a, :] * ctx.exp(expo * chart)
-        cont = winv @ x
-        for b in range(n):
-            scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
-            cont[b, :] = cont[b, :] * scale
-    return cont
+    if ctx.double:
+        x = basis.state_matrix(theta_fpi)
+        winv = _table_sum(inverse, _unit_powers(ctx, theta_fpi,
+                                                fs.M + 1)).conj()
+        # a double-precision reading that overflows here turns inf or nan,
+        # and the build's A/B consistency already judges it, so numpy need
+        # not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, h in enumerate(_gauge_exponents(n, k)):
+                x[a, :] = x[a, :] * ctx.exp(ctx.number(h + a) * chart)
+            cont = winv @ x
+            for b in range(n):
+                scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
+                cont[b, :] = cont[b, :] * scale
+        return cont
+    theta = _angle(theta_fpi)
+    p, q = theta.numerator, theta.denominator
+    roots = _unit_roots(ctx.frac, 2 * q)
+    phase = np.array([roots[p * int(2 * h) % (4 * q)]
+                      for h in _gauge_exponents(n, k)], dtype=object).T
+    sr, si, se = basis.sums(theta)
+    x = _gauss(phase[:, :, None], np.array([sr, si]))
+    low = se.min(axis=0)                         # align each column exactly
+    wr, wi, we = _fixed_sums(ctx, _fold(inverse, 2 * q), theta)  # conj(W)
+    cont = _gauss(np.array([wr, -wi]), x << (se - low), np.matmul)
+    cols = np.array([_exact(ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart)))
+                     for b in range(n)], dtype=object).T
+    cont = _gauss(cols[:2, :, None], cont)
+    return _rounded(ctx, *cont, low - ctx.frac + cols[2][:, None] + we[0, 0])
 
 
 @dataclass(frozen=True)
@@ -1067,7 +1252,10 @@ def _select_reading(op, gc, layout, settings, cond, norms):
     double precision, move to the innermost circle whose truncated-frame
     tail is safely below the target and raise the working precision by the
     measured shortfall (A/B disagreement there is pure arithmetic noise,
-    which scales as 2^-bits), then rebuild."""
+    which scales as 2^-bits), then rebuild.  The first rebuild runs at the
+    least step, 53 + 16 bits: the double path's noise (running-product
+    powers, scalings in floating point) is not the exact multiprecision
+    reading's, so only a multiprecision consistency sizes a further step."""
     fs = formal_solution(gc, settings.trunc_order, make_ctx(53))
     target = settings.radius_tol
     # only the builds the triage below can return are kept: the one that
@@ -1093,7 +1281,8 @@ def _select_reading(op, gc, layout, settings, cond, norms):
     for _ in range(3):
         if shortfall <= 3:
             break
-        bits = bits + max(8, math.ceil(math.log2(shortfall))) + 8
+        bits += 8 + (8 if bits == 53 else
+                     max(8, math.ceil(math.log2(shortfall))))
         final = _collocate(op, gc, layout, formal_solution(
             gc, settings.trunc_order, make_ctx(bits)), final.rho, cond, norms)
         shortfall = final.cons / target

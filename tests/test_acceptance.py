@@ -108,6 +108,27 @@ def test_injectivity_certificate():
           f"({elapsed:.1f}s <= 600s)")
 
 
+def test_certificate_sweep():
+    # one seeded rational point for every (n, k) with d = nk <= 8, at the
+    # default degree cap D = 2(d + n): the paper's injectivity certificate
+    # across the grid, each point drawn from random.Random(1000 n + k)
+    t0 = time.monotonic()
+    grid = [(n, k) for n in range(2, 9) for k in range(1, 5) if n * k <= 8]
+    for n, k in grid:
+        rep = solvability(rand_rational_point(random.Random(1000 * n + k),
+                                              n, k))
+        assert rep.exact
+        assert rep.tangent_dim == 0
+        assert rep.joint_kernel_dim == 1
+        assert rep.homogeneous_kernel_dim == 1
+        assert rep.traceless_homogeneous_kernel_dim == 0
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 60.0
+    print(f"PASS certificate sweep: tangent kernel 0 and joint kernel 1 at "
+          f"{len(grid)} seeded points, every (n, k) with d <= 8 "
+          f"({elapsed:.1f}s <= 60s)")
+
+
 def test_weight_expression_structure():
     t0 = time.monotonic()
     for n in range(2, 7):

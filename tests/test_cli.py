@@ -135,7 +135,7 @@ def test_jacobian_missed_tolerance_maps_to_numeric_exit(capsys):
     # written, flagged, and the run exits 3
     code, out, err = run(capsys, "jacobian", *WEBER, "--radius", "2.5")
     assert code == 3
-    assert "numerical failure" in err
+    assert "numerical failure: base run" in err
     doc = json.loads(out)
     assert doc["converged"] is False
     assert doc["base_residuals"]["consistency"] > 3e-10

@@ -124,6 +124,14 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     rep = jacobian(OperPoint(2, 1, (0,)))
     assert rep.base_residuals == weber_report.base_residuals
     assert not rep.converged
+    # the report names every missed run: here all 4(d-1) stencil keys, and
+    # not the base run
+    assert weber_report.missed == () and "base" in loose.missed
+    assert set(rep.missed) == set(rep.stencil_residuals)
+    assert len(rep.missed) == 4 * (rep.d - 1) and "base" not in rep.missed
+    assert rep.missed_names() == [f"stencil run c_0 {s}" for s in
+                                  ("+0.0001", "-0.0001", "+0.0001j",
+                                   "-0.0001j")]
 
 
 def test_lost_closure_is_an_error():

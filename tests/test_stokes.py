@@ -241,14 +241,22 @@ def test_state_matrix_matches_plain_series(bits):
         # and a complex (3,1) point, whose series has imaginary parts
         cases = ((OperPoint(4, 1, (0, 0, 0)), 9.05),
                  (OperPoint(3, 1, (0.2 + 0.1j, -0.05j)), 8.15))
-    for op, rho in cases:
-        for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho)):
-            basis = EntireBasis(op, make_ctx(bits), radius)
-            got = basis.state_matrix(theta)
-            mp, want = _series_reference(op, radius, theta, bits + 80)
-            worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
-                        for t in range(op.n) for j in range(op.n))
-            assert worst <= 2.0 ** -(bits - 30)
+    readings = [(op, theta, radius) for op, rho in cases
+                for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho))]
+    # every reading sums more terms than the 2D = 48 roots of the (3,1)
+    # lattice, so above 53 bits each table is folded by its angle's period;
+    # add the (3,1) lattice angle 7/24, period 48, and the same angle on
+    # the next sheet
+    readings += [(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), theta, 8.15)
+                 for theta in (QQ(7, 24), QQ(7, 24) + 2)]
+    for op, theta, radius in readings:
+        basis = EntireBasis(op, make_ctx(bits), radius)
+        assert basis.nterms > 48
+        got = basis.state_matrix(theta)
+        mp, want = _series_reference(op, radius, theta, bits + 80)
+        worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
+                    for t in range(op.n) for j in range(op.n))
+        assert worst <= 2.0 ** -(bits - 30)
 
 
 @pytest.mark.parametrize("bits", [53, 97, 132])
@@ -280,8 +288,17 @@ def test_formal_inverse_matches_plain_series(bits):
             z = rho * mp.expjpi(mp.mpf(theta.numerator) / theta.denominator)
             want = sum((ws[m] * z ** -m for m in range(M + 1)),
                        mp.zeros(n)) * f0inv
-            got = stokes._table_sum(ctx, table, stokes._unit_powers(
-                ctx, theta, M + 1)).conj()
+            if ctx.double:
+                got = stokes._table_sum(table, stokes._unit_powers(
+                    ctx, theta, M + 1)).conj()
+            else:
+                # above 53 bits the table is summed as the contents sum it,
+                # and its column a carries rho^(h_a), which is divided out
+                got = stokes._rounded(ctx, *stokes._fixed_sums(
+                    ctx, stokes._fold(table, 2 * theta.denominator),
+                    theta)).conj() / [
+                        ctx.number(rho) ** ctx.number(h)
+                        for h in stokes._gauge_exponents(n, fs.k)]
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
                         for a in range(n) for b in range(n))
             assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
@@ -292,6 +309,61 @@ def test_formal_inverse_matches_plain_series(bits):
             res = max(abs(complex(v)) for v in np.ravel(prod))
             assert res <= omitted + 2.0 ** -(bits - 10)
             assert omitted <= 1e-2 * stokes._series_tail(fs, rho)
+
+
+@pytest.mark.parametrize("bits", [97, 132])
+def test_unit_roots_are_within_one_unit(bits):
+    # every unit power above 53 bits is a root read from the table of its
+    # denominator, so u^m is as accurate at m = 255 as at m = 1; and every root of
+    # the (3,1) and (5,1) lattice tables, D = 24 and 40, is within one unit
+    # of the fixed point (the test allows two) against mpmath 400 bits deep
+    ctx = make_ctx(bits)
+    mp = mpmath.mp.clone()
+    mp.prec = 400
+    unit = mp.mpf(2) ** -(ctx.bits + stokes._GUARD_BITS)
+
+    def off(got, r, den):
+        want = mp.expjpi(mp.mpf(r) / den)
+        return max(abs(got[0] * unit - want.real),
+                   abs(got[1] * unit - want.imag)) / unit
+
+    pr, pi = stokes._unit_powers(ctx, QQ(7, 24), 256)
+    assert max(off((pr[m], pi[m]), 7 * m, 24) for m in range(256)) <= 2
+    for den in (24, 40):
+        roots = stokes._unit_roots(ctx.frac, den)
+        assert len(roots) == 2 * den
+        assert max(off(root, r, den) for r, root in enumerate(roots)) <= 2
+    # a float angle would size the table by its binary denominator
+    with pytest.raises(TypeError):
+        stokes._unit_powers(ctx, 7 / 24, 256)
+
+
+def test_content_matrix_wrap_identity():
+    # re-reading an angle on the next sheet multiplies every content row b
+    # by det_twist e^{-2 pi i lambda_b}: the gauge rows pick up
+    # e^{2 pi i expo_a} = sigma, the formal exponent columns e^{-2 pi i
+    # lambda_b}.  Above 53 bits the row phases are roots read at the
+    # unwrapped numerator, which must keep this chart bookkeeping.  The
+    # (3,1) circle is one that doubles still read to 1e-10
+    for op, rho, theta in ((OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 4.0,
+                            QQ(7, 24)),
+                           (OperPoint(2, 1, (QQ(1, 3),)), 4.5, QQ(5, 16))):
+        gc = gauge_transform(op)
+        for bits in (53, 97, 132):
+            ctx = make_ctx(bits)
+            fs = formal_solution(gc, 20, ctx)
+            basis = EntireBasis(op, ctx, rho)
+            inverse = stokes._inverse_table(fs, rho)
+            here, next_sheet = (stokes._content_matrix(gc, fs, basis, inverse,
+                                                       t)
+                                for t in (theta, theta + 2))
+            for b in range(op.n):
+                twist = gc.det_twist * ctx.exp(-2j * ctx.pi() * fs.lam[b])
+                for j in range(op.n):
+                    want = twist * here[b, j]
+                    assert (abs(next_sheet[b, j] - want)
+                            <= 2.0 ** -(bits - 30) * abs(want))
+        assert gc.det_twist == (1 if op.n == 3 else -1)
 
 
 def test_entire_basis_matches_gaussian_column():
@@ -440,7 +512,7 @@ def test_plan_replay_is_deterministic():
 
 def test_plan_does_not_depend_on_precision():
     # the angles and labeling come from the layout alone: the default
-    # 96-bit run and a 53-bit run on a fixed inner circle plan identically,
+    # multiprecision run and a 53-bit run on a fixed inner circle plan identically,
     # even where two normalization candidates tie exactly
     op = cubic()
     mp_run = stokes_data(op)
@@ -456,6 +528,15 @@ def test_refinement_sharpens_the_closure():
     coarse = stokes_data(op, StokesSettings(trunc_order=20, radius_tol=1e-10))
     fine = stokes_data(op, StokesSettings(trunc_order=30, radius_tol=1e-12))
     assert fine.residuals["identity"] * 10 <= coarse.residuals["identity"]
+
+
+def test_quartic_closure_meets_the_request():
+    # z^4 escalates twice; the basis truncation, which the A and B builds
+    # share and their consistency cannot see, must stay below the requested
+    # tolerance
+    sd = stokes_data(OperPoint(4, 1, (0, 0, 0)))
+    assert sd.plan.bits > 53 and sd.converged
+    assert sd.residuals["identity"] <= sd.settings.radius_tol
 
 
 def test_complex_coefficients_supported():
