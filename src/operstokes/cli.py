@@ -107,6 +107,8 @@ def _parse_coefficient(text):
     text = text.strip()
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in coefficient {text!r}")
     except ValueError:
         pass
     try:
@@ -160,6 +162,8 @@ def _settings_from_args(args):
     if getattr(args, "v0", None):
         try:
             v0 = Fraction(args.v0)
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in --v0 {args.v0!r}")
         except ValueError:
             raise UsageError(f"cannot parse --v0 {args.v0!r} as a fraction")
     return StokesSettings(

@@ -20,6 +20,7 @@ rules out nontrivial polynomial solutions.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +61,9 @@ class OperPoint:
         d = self.n * self.k
         if len(self.coeffs) != d - 1:
             raise ValueError(f"need d-1 = {d-1} coefficients c_0..c_{d-2}, got {len(self.coeffs)}")
+        for m, c in enumerate(self.coeffs):
+            if not (_is_exact(c) or cmath.isfinite(c)):
+                raise ValueError(f"coefficient c_{m} must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(
             QQ(c) if isinstance(c, int) else c for c in self.coeffs))
 

@@ -51,11 +51,13 @@ class NumericContext:
     At 53 bits and below the backend is IEEE double arithmetic: cmath
     scalars, complex128 arrays and LAPACK solves.  Above 53 bits it is a
     private mpmath context at `bits`, with object arrays (whose zeros and
-    eye hold exact int 0 and 1) and Gaussian elimination; mpmath is imported
-    only then.  `real` and
+    eye hold exact int 0 and 1) and Gaussian elimination.  `real` and
     `complex` are the backend's scalar constructors, and `double` tells the
-    two apart for the few evaluators that are written per backend; `frac`
-    is the fraction bits of the fixed-point paths above 53 bits."""
+    two apart for the few evaluators that are written per backend.  `frac`
+    is the fraction bits of the fixed-point paths: the formal solution at
+    every precision, and above 53 bits the basis and content tables.
+    mpmath is imported by the first multiprecision context or by the first
+    formal solution at any precision, for its root table."""
 
     def __init__(self, bits):
         self.double = bits <= 53
@@ -91,19 +93,11 @@ class NumericContext:
                  else self.real(v.numerator) / v.denominator)
         return self.complex(v)
 
-    def matrix(self, rows):
-        return np.array([[self.number(v) for v in row] for row in rows],
-                        dtype=self.dtype)
-
     def zeros(self, n, m=None):
         return np.zeros((n, m if m is not None else n), dtype=self.dtype)
 
     def eye(self, n):
         return np.eye(n, dtype=self.dtype)
-
-    def root_of_unity(self, num, den):
-        """exp(i pi num/den), argument reduced exactly before evaluation."""
-        return self.exp(1j * self._pi * (num % (2 * den)) / den)
 
     def solve(self, a, b):
         """a^{-1} b: LAPACK at double precision, above it Gaussian
@@ -171,31 +165,6 @@ class GaugedConnection:
     trace_weight: Fraction
     det_twist: int
 
-    def framed(self, ctx):
-        """f0^{-1} B_j f0 with f0 the root-of-unity Vandermonde frame."""
-        n = self.n
-        f0 = frame_matrix(n, ctx)
-        f0inv = f0.conj() / n
-        out = [f0inv @ ctx.matrix(bj) @ f0 for bj in self.bcoeffs]
-        lam = eigenvalue_vector(n, ctx)
-        b0 = out[0]
-        worst = max((abs(complex(b0[a, b]))
-                     for a in range(n) for b in range(n) if a != b), default=0.0)
-        if worst > 1e-10:
-            raise ArithmeticError("frame failed to diagonalize the leading term")
-        out[0] = np.diag(np.array(lam, dtype=ctx.dtype))
-        return out
-
-
-def frame_matrix(n, ctx):
-    """Columns (1, lambda_b, ..., lambda_b^{n-1}): eigenvectors of the shift."""
-    return np.array([[ctx.root_of_unity(2 * a * b, n) for b in range(n)]
-                     for a in range(n)], dtype=ctx.dtype)
-
-
-def eigenvalue_vector(n, ctx):
-    return [ctx.root_of_unity(2 * b, n) for b in range(n)]
-
 
 def gauge_transform(op):
     """Push the companion connection to z = infinity normal form, trace-split.
@@ -232,9 +201,10 @@ class FormalSolution:
 
     ycoeffs[m] is the z^{-m} coefficient of Yhat (ycoeffs[0] = I);
     qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q,
-    stored as a vector; lam is the diagonal of Lambda.  Above 53 bits
-    `fixed` keeps each ycoeffs[m] as computed, a (2, n, n) array of the
-    real and imaginary parts in fixed point with `frac` fraction bits.
+    stored as a vector; lam is the diagonal of Lambda, all rounded once to
+    the working precision.  `fixed` keeps each ycoeffs[m] as computed, a
+    (2, n, n) array of the real and imaginary parts in fixed point with
+    `frac` fraction bits.
     """
     n: int
     k: int
@@ -243,7 +213,7 @@ class FormalSolution:
     qcoeffs: dict
     lam: list
     ctx: object
-    fixed: list = None
+    fixed: list
 
     def yhat(self, z):
         acc = self.ycoeffs[0].copy()
@@ -288,64 +258,58 @@ def formal_solution(gc, M, ctx=None):
     and the diagonal part is D_j directly.  Q and Lambda read off
     D_0..D_{k+1}; the remaining diagonal tail is integrated term by term as a
     formal series in stage 2 and multiplied back in.
-    """
+
+    At every precision this runs on Gaussian integers with `frac` fraction
+    bits: the exact B_j framed by the root table's f0, each order's
+    convolutions one stacked product shifted back once, the divisions by
+    the eigenvalue gaps products with fixed-point reciprocals.  Results are
+    rounded once to the working precision (at 53 bits to complex128); Yhat's
+    coefficients are also kept as computed, for _inverse_table."""
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
     ctx = ctx or make_ctx(53)
-    if not ctx.double:
-        return _fixed_formal_solution(gc, M, ctx)
-    n, k = gc.n, gc.k
-    bt = gc.framed(ctx)
-    jmax = len(bt) - 1
-    lam = eigenvalue_vector(n, ctx)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(complex(lam[a] - lam[b])) < 1e-12:
-                raise ArithmeticError("eigenvalue collision in the leading term")
-    levels = k + 1 + M
-    F = [ctx.eye(n)]
-    D = [list(lam)]
-    for j in range(1, levels + 1):
-        r = ctx.zeros(n)
-        for b in range(max(0, j - jmax), j):
-            r = r + bt[j - b] @ F[b]
-        for b in range(1, j):
-            scaled = F[b].copy()
-            for col in range(n):
-                scaled[:, col] = scaled[:, col] * D[j - b][col]
-            r = r - scaled
+    n, k, frac = gc.n, gc.k, ctx.frac
+    f0, f0inv = _fixed_frame(ctx, n)
+    b = np.array([[[[math.floor(Fraction(v) * 2 ** frac)
+                     for v in (c.real, c.imag)] for c in row] for row in bj]
+                  for bj in gc.bcoeffs], dtype=object)
+    b = _gauss(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
+    bt = _gauss(f0inv, b, np.matmul) >> frac        # (2, j, n, n): B_j
+    lam = f0[:, 1]
+    # the leading term must frame to diag(lambda), up to rounding units
+    if np.abs(bt[:, 0] - [np.diag(v) for v in lam]).max() > 1 << 8:
+        raise ArithmeticError("frame failed to diagonalize the leading term")
+    gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
+    norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
+    recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
+    levels = k + 2 + M
+    F = np.zeros((2, levels, n, n), dtype=object)
+    F[0, 0] = np.eye(n, dtype=object) << frac
+    D = np.zeros((2, levels, n), dtype=object)
+    D[:, 0] = lam
+    for j in range(1, levels):
+        lo = max(0, j - bt.shape[1] + 1)
+        # sum_b B_{j-b} F_b: the B's side by side times the F's stacked
+        side = bt[:, j - lo:0:-1].transpose(0, 2, 1, 3).reshape(2, n, -1)
+        r = _gauss(side, F[:, lo:j].reshape(2, -1, n), np.matmul)
+        r = (r - _gauss(F[:, 1:j], D[:, j - 1:0:-1, None]).sum(axis=1)) >> frac
         if j >= k + 2:
-            r = r + (j - k - 1) * F[j - k - 1]
-        D.append([r[a, a] for a in range(n)])
-        fj = ctx.zeros(n)
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    fj[a, b] = r[a, b] / (lam[b] - lam[a])
-        F.append(fj)
-    qcoeffs = {k + 1 - s: [D[s][a] / (k + 1 - s) for a in range(n)]
-               for s in range(k + 1)}
-    lam_vec = list(D[k + 1])
+            r = r + (j - k - 1) * F[:, j - k - 1]
+        D[:, j] = np.diagonal(r, axis1=1, axis2=2)
+        F[:, j] = _gauss(r, recip) >> frac
     # stage 2: diagonal tail u' = (sum_{t>=1} D_{k+1+t} z^{-1-t}) u
-    one = ctx.one()
-    u = [[one] * n]
+    u = np.zeros((2, M + 1, n), dtype=object)
+    u[0, 0] = 1 << frac
     for m in range(1, M + 1):
-        acc = [0 * one] * n
-        for t in range(1, m + 1):
-            if k + 1 + t <= levels:
-                acc = [acc[a] + D[k + 1 + t][a] * u[m - t][a] for a in range(n)]
-        u.append([-acc[a] / m for a in range(n)])
-    y = []
-    for m in range(M + 1):
-        acc = ctx.zeros(n)
-        for a_idx in range(m + 1):
-            scaled = F[a_idx].copy()
-            for col in range(n):
-                scaled[:, col] = scaled[:, col] * u[m - a_idx][col]
-            acc = acc + scaled
-        y.append(acc)
-    return FormalSolution(n=n, k=k, M=M, ycoeffs=y, qcoeffs=qcoeffs,
-                          lam=lam_vec, ctx=ctx)
+        acc = _gauss(D[:, k + 2:k + 2 + m], u[:, m - 1::-1]).sum(axis=1)
+        u[:, m] = -(acc >> frac) // m
+    ys = [_gauss(F[:, :m + 1], u[:, m::-1, None]).sum(axis=1) >> frac
+          for m in range(M + 1)]
+    return FormalSolution(
+        n=n, k=k, M=M, ycoeffs=[_rounded(ctx, *y, -frac) for y in ys],
+        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:, s], -frac) / (k + 1 - s))
+                 for s in range(k + 1)},
+        lam=list(_rounded(ctx, *D[:, k + 1], -frac)), ctx=ctx, fixed=ys)
 
 
 def _gauss(x, y, op=np.multiply):
@@ -359,73 +323,30 @@ def _gauss(x, y, op=np.multiply):
 def _fixed_frame(ctx, n):
     """f0 and f0^{-1} = conj(f0)/n (f0 is symmetric) as (2, n, n)
     Gaussian-integer arrays with `frac` fraction bits, read from the root
-    table."""
+    table; f0's columns (1, lambda_b, ..., lambda_b^{n-1}) are the
+    eigenvectors of the cyclic shift."""
     roots = _unit_roots(ctx.frac, n)
     f0 = np.moveaxis(np.array([[roots[2 * a * b % (2 * n)] for b in range(n)]
                                for a in range(n)], dtype=object), 2, 0)
     return f0, np.array([f0[0] // n, -f0[1] // n])
 
 
-def _fixed_formal_solution(gc, M, ctx):
-    """formal_solution above 53 bits on Gaussian integers with `frac`
-    fraction bits: the exact B_j framed by the root table's f0, each product
-    shifted back once, the divisions by the eigenvalue gaps products with
-    fixed-point reciprocals.  Results are rounded once, at the end; Yhat's
-    coefficients are also kept as computed, for _inverse_table."""
-    n, k, frac = gc.n, gc.k, ctx.frac
-    f0, f0inv = _fixed_frame(ctx, n)
-    bt = []
-    for bj in gc.bcoeffs:
-        b = np.array([[[math.floor(Fraction(v) * 2 ** frac)
-                        for v in (c.real, c.imag)] for c in row]
-                      for row in bj], dtype=object)
-        b = _gauss(np.moveaxis(b, 2, 0), f0, np.matmul) >> frac
-        bt.append(_gauss(f0inv, b, np.matmul) >> frac)
-    lam = f0[:, 1]
-    # the leading term must frame to diag(lambda), up to rounding units
-    if np.abs(bt[0] - [np.diag(v) for v in lam]).max() > 1 << 8:
-        raise ArithmeticError("frame failed to diagonalize the leading term")
-    gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
-    norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
-    recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
-    F = [np.array([np.eye(n, dtype=object) << frac, 0 * f0[0]])]
-    D = [lam]
-    for j in range(1, k + 2 + M):
-        r = sum(_gauss(bt[j - b], F[b], np.matmul)
-                for b in range(max(0, j - len(bt) + 1), j))
-        r = (r - sum(_gauss(F[b], D[j - b]) for b in range(1, j))) >> frac
-        if j >= k + 2:
-            r = r + (j - k - 1) * F[j - k - 1]
-        D.append(np.array([r[0].diagonal(), r[1].diagonal()]))
-        F.append(_gauss(r, recip) >> frac)
-    # stage 2: the diagonal tail, as in formal_solution
-    u = [np.array([[1 << frac] * n, [0] * n], dtype=object)]
-    for m in range(1, M + 1):
-        acc = sum(_gauss(D[k + 1 + t], u[m - t]) for t in range(1, m + 1))
-        u.append(-(acc >> frac) // m)
-    ys = [sum(_gauss(F[a], u[m - a]) for a in range(m + 1)) >> frac
-          for m in range(M + 1)]
-    return FormalSolution(
-        n=n, k=k, M=M, ycoeffs=[_rounded(ctx, *y, -frac) for y in ys],
-        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[s], -frac) / (k + 1 - s))
-                 for s in range(k + 1)},
-        lam=list(_rounded(ctx, *D[k + 1], -frac)), ctx=ctx, fixed=ys)
-
-
 def formal_residual(gc, fs, z):
-    """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z (framed)."""
+    """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z, with B
+    framed by the rounded f0 of _fixed_frame."""
     ctx = fs.ctx
     n = fs.n
-    bt = gc.framed(ctx)
+    f0, f0inv = (_rounded(ctx, *f, -ctx.frac) for f in _fixed_frame(ctx, n))
     z = ctx.number(z)
     bz = ctx.zeros(n)
     w = 1.0 / z
     pw = z ** gc.k
-    for bj in bt:
-        bz = bz + bj * pw
+    for bj in gc.bcoeffs:
+        bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
+                           dtype=ctx.dtype) * pw
         pw = pw * w
     yh = fs.yhat(z)
-    res = fs.yhat_prime(z) - bz @ yh
+    res = fs.yhat_prime(z) - f0inv @ bz @ f0 @ yh
     for b in range(n):
         res[:, b] = res[:, b] + yh[:, b] * (fs.q_prime_entry(b, z) + fs.lam[b] / z)
     return max(abs(complex(res[a, b])) for a in range(n) for b in range(n))
@@ -747,9 +668,12 @@ def _fixed_sums(ctx, table, theta_fpi):
 
 def _rounded(ctx, re, im, exp):
     """Gaussian integers (re + i im) 2^exp, arrays of ints with exp
-    broadcast, as working-precision numbers, each rounded once."""
-    return np.frompyfunc(lambda r, i, e: ctx.complex(
-        ctx.real((r, e)), ctx.real((i, e))), 3, 1)(re, im, exp)
+    broadcast, as a working-precision array, each part rounded once (at 53
+    bits by ldexp, whose int argument converts to float correctly
+    rounded)."""
+    real = math.ldexp if ctx.double else lambda r, e: ctx.real((r, e))
+    return np.frompyfunc(lambda r, i, e: ctx.complex(real(r, e), real(i, e)),
+                         3, 1)(re, im, exp).astype(ctx.dtype)
 
 
 def _table_sum(table, powers):
@@ -955,7 +879,7 @@ def _inverse_table(fs, rho):
     ctx, n, frac = fs.ctx, fs.n, fs.ctx.frac
     if ctx.double:
         ys = [y / ctx.number(rho) ** j for j, y in enumerate(fs.ycoeffs)]
-        vs = [frame_matrix(n, ctx).conj() / n]
+        vs = [_rounded(ctx, *_fixed_frame(ctx, n)[1], -frac)]
     else:
         # rho is a dyadic rational, so its powers scale exactly up to one
         # floor, and a half-integer power is one isqrt; the table keeps g

@@ -223,6 +223,27 @@ def test_poly_normalization_errors(capsys):
     assert code == 2 and "n >= 2" in err
 
 
+def test_zero_denominator_is_usage_error(capsys, tmp_path):
+    # Fraction("1/0") raises ZeroDivisionError, which the numeric exit must
+    # not catch: --poly, --v0 and a config coefficient all exit 2
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": ["1/0"]}))
+    point = ["--n", "2", "--k", "1", "--degree", "2"]
+    for argv, named in (([*point, "--poly", "1/0"], "coefficient '1/0'"),
+                        ([*WEBER, "--v0", "1/0"], "--v0 '1/0'"),
+                        (["--config", str(cfg)], "coefficient '1/0'")):
+        code, out, err = run(capsys, "stokes", *argv)
+        assert code == 2 and out == ""
+        assert f"zero denominator in {named}" in err
+
+
+def test_non_finite_coefficient_is_usage_error(capsys):
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "1",
+                         "--degree", "2", "--poly", "inf")
+    assert code == 2 and out == ""
+    assert "c_0 must be finite" in err
+
+
 def test_base_direction_on_ray_is_usage_error(capsys):
     code, _, err = run(capsys, "stokes", *WEBER, "--v0", "1/4")
     assert code == 2

@@ -38,6 +38,16 @@ def test_oper_point_validation():
     assert op.exact
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   complex("nan")],
+                         ids=["nan", "inf", "complex-nan"])
+def test_oper_point_rejects_non_finite_coefficients(value):
+    # a non-finite coefficient fails at construction, naming it, instead of
+    # failing every reading circle of a run
+    with pytest.raises(ValueError, match="c_1 must be finite"):
+        OperPoint(3, 1, (QQ(1, 5), value))
+
+
 def test_connection_matrix_n2():
     a = connection_matrix(Z2)
     assert a[0][0, 1] == 1 and a[2][1, 0] == 1

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as QQ
@@ -129,16 +130,39 @@ def test_formal_solution_exactly_traceless():
 
 def test_formal_residual_truncation_scaling():
     # the defect of the truncated frame is one formal order: doubling the
-    # radius divides it by ~2^{M+1-k}
-    op = weber()
+    # radius divides it by ~2^{M+1-k}, at 53 bits and above
+    for op, bits in itertools.product(
+            (weber(), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))), (53, 97)):
+        gc = gauge_transform(op)
+        fs = formal_solution(gc, 8, make_ctx(bits))
+        r1 = formal_residual(gc, fs, 20.0)
+        r2 = formal_residual(gc, fs, 40.0)
+        assert r2 < r1
+        ratio = r1 / r2
+        want = 2.0 ** (fs.M + 1 - fs.k)
+        assert 0.25 * want <= ratio <= 4 * want
+
+
+@pytest.mark.parametrize("op", [
+    OperPoint(2, 1, (QQ(1, 3),)), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+    OperPoint(2, 4, (0,) * 7)], ids=["weber", "cubic-point", "octic"])
+def test_double_formal_solution_matches_multiprecision(op):
+    # one recurrence at every precision: at 53 bits the fixed-point solution
+    # is rounded once to complex128, so each Y_m, Lambda and Q_j is within
+    # 4 ulps of its largest entry of the 132-bit one, however far the series
+    # grows
+    mp = mpmath.mp.clone()
+    mp.prec = 200
     gc = gauge_transform(op)
-    fs = formal_solution(gc, 8)
-    r1 = formal_residual(gc, fs, 20.0)
-    r2 = formal_residual(gc, fs, 40.0)
-    assert r2 < r1
-    ratio = r1 / r2
-    want = 2.0 ** (fs.M + 1 - fs.k)
-    assert 0.25 * want <= ratio <= 4 * want
+    lo, hi = (formal_solution(gc, 20, make_ctx(bits)) for bits in (53, 132))
+    pairs = list(zip(lo.ycoeffs, hi.ycoeffs)) + [(lo.lam, hi.lam)]
+    pairs += [(lo.qcoeffs[j], hi.qcoeffs[j]) for j in hi.qcoeffs]
+    assert len(pairs) == 21 + 1 + op.k + 1
+    for got, want in pairs:
+        got, want = np.ravel(got), [mp.mpc(v) for v in np.ravel(want)]
+        assert got.dtype == complex
+        ulp = np.spacing(float(max(abs(v) for v in want)))
+        assert all(abs(mp.mpc(g) - v) <= 4 * ulp for g, v in zip(got, want))
 
 
 def test_residue_exponent_of_shifted_square():
@@ -165,20 +189,23 @@ def test_double_and_multiprecision_contexts_agree():
     w = np.complex128(0.3 + 0.2j)
 
     def values(ctx):
-        mats = [ctx.solve(ctx.matrix(a), ctx.matrix(b)), ctx.zeros(2, 3),
-                ctx.eye(3)]
+        def mat(rows):
+            return np.array([[ctx.number(v) for v in row] for row in rows],
+                            dtype=ctx.dtype)
+
+        mats = [ctx.solve(mat(a), mat(b)), ctx.zeros(2, 3), ctx.eye(3)]
         return [ctx.pi(), ctx.one(), ctx.number(QQ(-1, 7)),
-                ctx.number(0.25 - 0.5j), ctx.root_of_unity(2, 3),
-                ctx.exp(w), ctx.log(w)] + [v for m in mats for v in m.ravel()]
+                ctx.number(0.25 - 0.5j), ctx.exp(w),
+                ctx.log(w)] + [v for m in mats for v in m.ravel()]
 
     got, want = values(lo), values(hi)
-    assert len(got) == len(want) == 7 + 3 + 6 + 9
+    assert len(got) == len(want) == 6 + 3 + 6 + 9
     assert all(abs(complex(g) - complex(v)) <= 1e-15
                for g, v in zip(got, want))
     assert all(abs(complex(g) - complex(v)) <= 1e-15
-               for g, v in zip(got[7:10], x))
-    assert abs(got[5] - cmath.exp(0.3 + 0.2j)) <= 1e-15
-    assert abs(got[6] - cmath.log(0.3 + 0.2j)) <= 1e-15
+               for g, v in zip(got[6:9], x))
+    assert abs(got[4] - cmath.exp(0.3 + 0.2j)) <= 1e-15
+    assert abs(got[5] - cmath.log(0.3 + 0.2j)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +329,9 @@ def test_formal_inverse_matches_plain_series(bits):
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
                         for a in range(n) for b in range(n))
             assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
-            zw = ctx.number(rho) * ctx.root_of_unity(theta.numerator,
-                                                     theta.denominator)
-            prod = (fs.yhat(zw) @ got @ stokes.frame_matrix(n, ctx)
-                    - np.eye(n))
+            f0 = stokes._rounded(ctx, *stokes._fixed_frame(ctx, n)[0],
+                                 -ctx.frac)
+            prod = fs.yhat(ctx.number(z)) @ got @ f0 - np.eye(n)
             res = max(abs(complex(v)) for v in np.ravel(prod))
             assert res <= omitted + 2.0 ** -(bits - 10)
             assert omitted <= 1e-2 * stokes._series_tail(fs, rho)
