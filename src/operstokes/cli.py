@@ -93,7 +93,8 @@ def _add_oper_flags(sub):
 
 def _add_numeric_flags(sub):
     sub.add_argument("--trunc-order", type=int,
-                     default=_env_default("trunc-order", 20, int))
+                     default=_env_default("trunc-order", 40, int),
+                     help="order M of the formal series (default %(default)s)")
     sub.add_argument("--radius-tol", type=float,
                      default=_env_default("radius-tol", 1e-10, float))
     sub.add_argument("--radius", type=float,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -131,9 +131,12 @@ make_ctx = NumericContext
 
 @dataclass(frozen=True)
 class StokesSettings:
-    trunc_order: int = 20        # M: formal series kept through z^{-M}
+    """A fresh run reads on `radius`, or when that is 0 on compute_radius's
+    tail-safe circle for radius_tol.  Order 40 keeps that circle small enough
+    for the monomials (n, k) = (3, 2), (4, 2), (3, 3), (6, 1) to converge."""
+    trunc_order: int = 40        # M: formal series kept through z^{-M}
     radius_tol: float = 1e-10    # target reading accuracy
-    radius: float = 0.0          # 0 = adaptive reading circle
+    radius: float = 0.0          # 0 = the tail-safe circle
     v0: object = None            # base direction, as a Fraction of pi
 
     def __post_init__(self):
@@ -215,34 +218,10 @@ class FormalSolution:
     ctx: object
     fixed: list
 
-    def yhat(self, z):
-        acc = self.ycoeffs[0].copy()
-        w = 1.0 / z
-        pw = w
-        for m in range(1, self.M + 1):
-            acc = acc + self.ycoeffs[m] * pw
-            pw = pw * w
-        return acc
-
-    def yhat_prime(self, z):
-        acc = self.ctx.zeros(self.n)
-        w = 1.0 / z
-        pw = w * w
-        for m in range(1, self.M + 1):
-            acc = acc + self.ycoeffs[m] * (-m) * pw
-            pw = pw * w
-        return acc
-
     def q_entry(self, b, z):
         acc = 0 * z
         for j in range(self.k + 1, 0, -1):
             acc = (acc + self.qcoeffs[j][b]) * z
-        return acc
-
-    def q_prime_entry(self, b, z):
-        acc = 0 * z
-        for j in range(self.k + 1, 0, -1):
-            acc = acc * z + j * self.qcoeffs[j][b]
         return acc
 
     def trace_residual(self):
@@ -331,27 +310,6 @@ def _fixed_frame(ctx, n):
     return f0, np.array([f0[0] // n, -f0[1] // n])
 
 
-def formal_residual(gc, fs, z):
-    """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z, with B
-    framed by the rounded f0 of _fixed_frame."""
-    ctx = fs.ctx
-    n = fs.n
-    f0, f0inv = (_rounded(ctx, *f, -ctx.frac) for f in _fixed_frame(ctx, n))
-    z = ctx.number(z)
-    bz = ctx.zeros(n)
-    w = 1.0 / z
-    pw = z ** gc.k
-    for bj in gc.bcoeffs:
-        bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
-                           dtype=ctx.dtype) * pw
-        pw = pw * w
-    yh = fs.yhat(z)
-    res = fs.yhat_prime(z) - f0inv @ bz @ f0 @ yh
-    for b in range(n):
-        res[:, b] = res[:, b] + yh[:, b] * (fs.q_prime_entry(b, z) + fs.lam[b] / z)
-    return max(abs(complex(res[a, b])) for a in range(n) for b in range(n))
-
-
 # ---------------------------------------------------------------------------
 # sector layout (angles as exact Fractions of pi)
 
@@ -437,11 +395,7 @@ def sector_layout(fs_or_gc, v0=None):
 
 
 # ---------------------------------------------------------------------------
-# radius bounds for the reading-circle scan
-
-# nats of dominance gap between the most separated modes on the innermost
-# scanned circle
-_INNER_EXPONENT = 6.0
+# the tail-safe reading circle
 
 
 def _tail_norms(fs):
@@ -460,17 +414,6 @@ def compute_radius(fs, settings):
         if norm > 0:
             radius = max(radius, (norm / settings.radius_tol) ** (1.0 / m))
     return 1.05 * radius
-
-
-def inner_radius(fs):
-    """Innermost useful reading radius: the dominance gap between two
-    exponential modes grows like max|lam_a - lam_b| r^{k+1}/(k+1), and the
-    circle on which that exponent reaches _INNER_EXPONENT is where the modes
-    first separate by a few nats."""
-    n, k = fs.n, fs.k
-    max_diff = 2.0 * math.sin(math.pi * (n // 2) / n)
-    r0 = ((k + 1) * _INNER_EXPONENT / max_diff) ** (1.0 / (k + 1))
-    return max(1.0, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +685,8 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     precision (with a frozen term count when replaying).  The two builds
     collocate at different angles, so the worst deviation of
     (A build)^{-1} (B build) from the identity over all sectors measures the
-    actual reading error at this radius -- truncated-frame tail and
-    amplified working-precision noise together, without modeling either."""
+    amplified working-precision noise at this radius, without modeling it;
+    the truncated formal frame's tail, which both builds share, not at all."""
     ctx = fs.ctx
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
@@ -761,19 +704,6 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
     return _Build(fs=fs, basis=basis, rho=rho, va=va, vb=vb, cons=cons)
-
-
-def _scan_radii(fs, settings):
-    """Candidate reading circles: geometric grid from the radius where mode
-    gaps reach a few nats out to the radius where the truncated-frame tail
-    drops two orders below the target tolerance (so a tail-safe circle for
-    the precision escalation always lies inside the grid)."""
-    if settings.radius:
-        return [float(settings.radius)]
-    hi = compute_radius(fs, settings) * 100.0 ** (1.0 / fs.M)
-    lo = min(max(1.0, inner_radius(fs)), 0.9 * hi)
-    steps = 20
-    return [lo * (hi / lo) ** (t / steps) for t in range(steps + 1)]
 
 
 def _visibility_interval(layout, i, a, d):
@@ -1127,10 +1057,11 @@ def factor_support_residual(layout, factors):
 @dataclass
 class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
-    self-diagnosed residuals.  converged says whether the A/B agreement met
-    the requested tolerance within the escalation's factor of 3; a run that
-    missed it still returns its data.  lam and qcoeffs are the run's formal
-    exponents Lambda and Q, as on FormalSolution."""
+    self-diagnosed residuals.  converged says whether the A/B agreement came
+    within 3 radius_tol, the slack left by the reading's one precision
+    correction; a run that missed it still returns its data.  lam and
+    qcoeffs are the run's formal exponents Lambda and Q, as on
+    FormalSolution."""
     op: OperPoint
     n: int
     k: int
@@ -1163,54 +1094,30 @@ class StokesData:
 
 
 def _select_reading(op, gc, layout, settings, cond, norms):
-    """Pick reading radius and working precision by measurement, and return
-    the build that settled the choice.  The collocation angles cond and
-    norms come from the layout alone, so every build here reads at the same
-    angles.
-
-    Scan: the candidate circles innermost first, each read from its own
-    double-precision basis, recording its A/B agreement and stopping at the
-    first circle that meets the target tolerance (smallest basis that does
-    the job, so tightening the tolerance genuinely sharpens the run).  A
-    circle whose build is not finite is skipped.  When no circle meets it at
-    double precision, move to the innermost circle whose truncated-frame
-    tail is safely below the target and raise the working precision by the
-    measured shortfall (A/B disagreement there is pure arithmetic noise,
-    which scales as 2^-bits), then rebuild.  The first rebuild runs at the
-    least step, 53 + 16 bits: the double path's noise (running-product
-    powers, scalings in floating point) is not the exact multiprecision
-    reading's, so only a multiprecision consistency sizes a further step."""
+    """The run's build, on settings.radius or else compute_radius's circle,
+    where the first omitted formal terms -- the truncated frame's error,
+    which the A and B builds share and their agreement cannot see -- fall
+    below the target.  A 53-bit collocation there measures the rest,
+    arithmetic noise scaling as 2^-bits; when it misses a third of the
+    target, one rebuild at 53 + 8 + max(8, ceil(log2(shortfall))) bits is
+    the run's build.  Every build reads at the layout's angles cond, norms."""
     fs = formal_solution(gc, settings.trunc_order, make_ctx(53))
-    target = settings.radius_tol
-    # only the builds the triage below can return are kept: the one that
-    # meets the target, the innermost tail-safe one and the least
-    # inconsistent one, innermost on ties
-    final = feasible = best = None
-    for s in _scan_radii(fs, settings):
-        try:
-            build = _collocate(op, gc, layout, fs, s, cond, norms)
-        except (ArithmeticError, np.linalg.LinAlgError, ZeroDivisionError):
-            continue
-        if build.cons <= target / 3:
-            final = build
-            break
-        if feasible is None and _series_tail(fs, s) <= target / 30:
-            feasible = build
-        if best is None or build.cons < best.cons:
-            best = build
-    final = final or feasible or best
-    if final is None:
-        raise ArithmeticError("no viable reading circle in the scanned range")
-    bits, shortfall = fs.ctx.bits, final.cons / target
-    for _ in range(3):
-        if shortfall <= 3:
-            break
-        bits += 8 + (8 if bits == 53 else
-                     max(8, math.ceil(math.log2(shortfall))))
-        final = _collocate(op, gc, layout, formal_solution(
-            gc, settings.trunc_order, make_ctx(bits)), final.rho, cond, norms)
-        shortfall = final.cons / target
-    return final
+    rho = settings.radius or compute_radius(fs, settings)
+    try:
+        build = _collocate(op, gc, layout, fs, rho, cond, norms)
+    except (ArithmeticError, np.linalg.LinAlgError):
+        if settings.radius:
+            raise
+        # beyond double range the request is out of reach: the run reads
+        # the circle tail-safe to double precision and reports the miss
+        rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
+        return _collocate(op, gc, layout, fs, rho, cond, norms)
+    if build.cons <= settings.radius_tol / 3:
+        return build
+    shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
+    bits = 53 + 8 + max(8, math.ceil(shortfall))
+    return _collocate(op, gc, layout, formal_solution(
+        gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
 
 
 def stokes_data(op, settings=None, plan=None):

@@ -104,7 +104,7 @@ def test_stokes_document(capsys, tmp_path):
     assert len(doc["stokes_matrices"]) == 4
     assert sorted(doc["permutation"]) == [0, 1]
     assert doc["residuals"]["identity"] <= 1e-8
-    assert doc["settings"]["M"] == 20
+    assert doc["settings"]["M"] == 40
     assert doc["converged"] is True
     assert "timing" not in doc
 
@@ -128,6 +128,18 @@ def test_missed_tolerance_maps_to_numeric_exit(capsys):
     doc = json.loads(out)
     assert doc["converged"] is False
     assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
+
+
+def test_infeasible_request_keeps_its_document(capsys):
+    # no circle in double range is tail-safe to 1e-300 at the default order:
+    # the run still writes its document, flags it and exits 3
+    code, out, err = run(capsys, "stokes", *WEBER, "--radius-tol", "1e-300")
+    assert code == 3
+    assert err.startswith("numerical failure: reading consistency")
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
+    assert math.isfinite(doc["settings"]["R"])
 
 
 def test_jacobian_missed_tolerance_maps_to_numeric_exit(capsys):

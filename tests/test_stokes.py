@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
-                               _visibility_interval, formal_residual,
-                               formal_solution, gauge_transform, make_ctx,
-                               sector_layout, stokes_data)
+                               _visibility_interval, formal_solution,
+                               gauge_transform, make_ctx, sector_layout,
+                               stokes_data)
 
 SQ2 = 1.4142135623730951
 
@@ -121,6 +121,57 @@ def test_gauge_leading_block_is_cyclic():
 
 # ---------------------------------------------------------------------------
 # formal solution
+
+def yhat(fs, z):
+    """sum_m Y_m z^{-m}: the truncated formal frame at a concrete z."""
+    acc = fs.ycoeffs[0].copy()
+    w = 1.0 / z
+    pw = w
+    for m in range(1, fs.M + 1):
+        acc = acc + fs.ycoeffs[m] * pw
+        pw = pw * w
+    return acc
+
+
+def yhat_prime(fs, z):
+    acc = fs.ctx.zeros(fs.n)
+    w = 1.0 / z
+    pw = w * w
+    for m in range(1, fs.M + 1):
+        acc = acc + fs.ycoeffs[m] * (-m) * pw
+        pw = pw * w
+    return acc
+
+
+def q_prime_entry(fs, b, z):
+    acc = 0 * z
+    for j in range(fs.k + 1, 0, -1):
+        acc = acc * z + j * fs.qcoeffs[j][b]
+    return acc
+
+
+def formal_residual(gc, fs, z):
+    """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z, with B
+    framed by the rounded f0 of _fixed_frame."""
+    ctx = fs.ctx
+    n = fs.n
+    f0, f0inv = (stokes._rounded(ctx, *f, -ctx.frac)
+                 for f in stokes._fixed_frame(ctx, n))
+    z = ctx.number(z)
+    bz = ctx.zeros(n)
+    w = 1.0 / z
+    pw = z ** gc.k
+    for bj in gc.bcoeffs:
+        bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
+                           dtype=ctx.dtype) * pw
+        pw = pw * w
+    yh = yhat(fs, z)
+    res = yhat_prime(fs, z) - f0inv @ bz @ f0 @ yh
+    for b in range(n):
+        res[:, b] = res[:, b] + yh[:, b] * (q_prime_entry(fs, b, z)
+                                            + fs.lam[b] / z)
+    return max(abs(complex(res[a, b])) for a in range(n) for b in range(n))
+
 
 def test_formal_solution_exactly_traceless():
     for op in (weber(), cubic()):
@@ -331,7 +382,7 @@ def test_formal_inverse_matches_plain_series(bits):
             assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
             f0 = stokes._rounded(ctx, *stokes._fixed_frame(ctx, n)[0],
                                  -ctx.frac)
-            prod = fs.yhat(ctx.number(z)) @ got @ f0 - np.eye(n)
+            prod = yhat(fs, ctx.number(z)) @ got @ f0 - np.eye(n)
             res = max(abs(complex(v)) for v in np.ravel(prod))
             assert res <= omitted + 2.0 ** -(bits - 10)
             assert omitted <= 1e-2 * stokes._series_tail(fs, rho)
@@ -557,7 +608,7 @@ def test_refinement_sharpens_the_closure():
 
 
 def test_quartic_closure_meets_the_request():
-    # z^4 escalates twice; the basis truncation, which the A and B builds
+    # z^4 reads above 53 bits; the basis truncation, which the A and B builds
     # share and their consistency cannot see, must stay below the requested
     # tolerance
     sd = stokes_data(OperPoint(4, 1, (0, 0, 0)))
@@ -612,18 +663,34 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert len(arcs) == sd.layout.r * sd.n * (sd.n - 1)
 
 
-def test_scan_builds_no_basis_outside_the_reading_circle(monkeypatch):
-    # each scanned circle is read from its own basis, innermost first, and
-    # the scan stops at the circle it reads
-    radii = []
+@pytest.mark.parametrize("op, count", [
+    (OperPoint(2, 1, (QQ(1, 3),)), 1), (OperPoint(3, 1, (0, 0)), 2)],
+    ids=["weber", "cubic"])
+def test_fresh_run_reads_one_circle(monkeypatch, op, count):
+    # a fresh default run builds one entire basis at 53 bits on the
+    # tail-safe circle and at most one correction above 53 bits on the same
+    # circle
+    builds = []
     real_basis = stokes.EntireBasis
 
     class CountedBasis(real_basis):
         def __init__(self, op, ctx, rho, nterms=None):
-            radii.append(float(rho))
+            builds.append((float(rho), ctx.bits))
             super().__init__(op, ctx, rho, nterms)
 
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
-    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)))
-    assert sd.plan.bits == 53 and sd.converged
-    assert radii == sorted(radii) and radii[-1] == sd.radius
+    sd = stokes_data(op)
+    assert sd.converged
+    assert len(builds) == count
+    assert builds[0][1] == 53 and all(b > 53 for _, b in builds[1:])
+    assert {rho for rho, _ in builds} == {sd.radius}
+    assert builds[-1][1] == sd.plan.bits
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
+def test_default_run_converges_at_monomials(n, k):
+    # the default order's tail-safe circle is small enough to read these
+    # within a few dozen bits above double precision
+    sd = stokes_data(OperPoint(n, k, (0,) * (n * k - 1)))
+    assert sd.converged
+    assert sd.residuals["identity"] <= 1e-9
