@@ -20,23 +20,11 @@ import numpy as np
 QQ = Fraction
 
 
-def qmat(rows):
-    """Matrix of Fractions (numpy object array) from an iterable of rows."""
-    return np.array([[QQ(x) for x in row] for row in rows], dtype=object)
-
-
 def qzeros(n, m=None):
     if m is None:
         m = n
     z = QQ(0)
     return np.array([[z] * m for _ in range(n)], dtype=object)
-
-
-def qeye(n):
-    m = qzeros(n)
-    for i in range(n):
-        m[i, i] = QQ(1)
-    return m
 
 
 def commutator(x, y):

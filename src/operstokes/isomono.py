@@ -111,12 +111,6 @@ def connection_matrix(op):
 # ---------------------------------------------------------------------------
 # matrix-polynomial arithmetic (lists of n x n coefficient matrices)
 
-def mp_trim(ms):
-    while len(ms) > 1 and not np.any(ms[-1] != 0):
-        ms = ms[:-1]
-    return ms
-
-
 def mp_derivative(ms):
     if len(ms) <= 1:
         return [0 * ms[0]]

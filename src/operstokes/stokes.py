@@ -52,10 +52,12 @@ class NumericContext:
     scalars, complex128 arrays and LAPACK solves.  Above 53 bits it is a
     private mpmath context at `bits`, with object arrays (whose zeros and
     eye hold exact int 0 and 1) and Gaussian elimination.  `real` and
-    `complex` are the backend's scalar constructors, and `double` tells the
-    two apart for the few evaluators that are written per backend.  `frac`
-    is the fraction bits of the fixed-point paths: the formal solution at
-    every precision, and above 53 bits the basis and content tables.
+    `complex` are the backend's scalar constructors.  `frac` is the
+    fraction bits of the fixed-point constructions, which are the same at
+    every precision: the formal solution, the entire basis, the formal
+    inverse and the root tables.  `double` marks where 53 bits differ:
+    each finished table is rounded once to complex128 and summed by a
+    matrix-vector product, where above 53 bits it is summed exactly.
     mpmath is imported by the first multiprecision context or by the first
     formal solution at any precision, for its root table."""
 
@@ -249,8 +251,7 @@ def formal_solution(gc, M, ctx=None):
     ctx = ctx or make_ctx(53)
     n, k, frac = gc.n, gc.k, ctx.frac
     f0, f0inv = _fixed_frame(ctx, n)
-    b = np.array([[[[math.floor(Fraction(v) * 2 ** frac)
-                     for v in (c.real, c.imag)] for c in row] for row in bj]
+    b = np.array([[[_quantized(c, frac) for c in row] for row in bj]
                   for bj in gc.bcoeffs], dtype=object)
     b = _gauss(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
     bt = _gauss(f0inv, b, np.matmul) >> frac        # (2, j, n, n): B_j
@@ -427,38 +428,31 @@ class EntireBasis:
     these columns, so their values on the reading circle are computed from
     the convergent series alone.  Coefficients are pre-scaled by rho^m,
     i.e. kept as the term magnitudes on the circle, which keeps every
-    intermediate quantity within floating range and makes the truncation
-    criterion a plain relative comparison.  They are stored once, times the
-    falling factorial of each derivative row, as the table state_matrix
-    sums: complex doubles at 53 bits; above, Gaussian integers, which `sums`
-    reads exactly over one root table per angle denominator (every
-    collocation angle is p/q with q | 4n(k+1))."""
+    intermediate quantity within range and makes the truncation criterion
+    a plain relative comparison.  The recurrence runs on Gaussian integers
+    at every precision, from exact inputs (rho is a double, so a dyadic
+    rational).  The coefficients, times the falling factorial of each
+    derivative row, are the table `sums` reads over the unit powers of an
+    angle (_summable; every collocation angle is p/q with q | 4n(k+1))."""
 
     def __init__(self, op, ctx, rho, nterms=None):
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
         n, d = op.n, op.d
-        rho_c = ctx.number(self.rho)
-        one = ctx.one()
-        src = [(d, rho_c ** (d + n))]
-        for m in range(d - 1):
-            c = op.p_coeff(m)
-            if c:
-                src.append((m, ctx.number(c) * rho_c ** (m + n)))
-        # complex doubles at 53 bits; above, Gaussian integers (re, im) with
-        # `frac` fraction bits, floor-divided by (s+1)...(s+n) (_GUARD_BITS)
         frac = ctx.frac
-        cols = [[(one * ctx.number(Fraction(1, math.factorial(m)))
-                  * rho_c ** m) if m == j else 0 * one for m in range(n)]
-                for j in range(n)]
-        if not ctx.double:
-            src = [(mm, _fixed(v, frac)) for mm, v in src]
-            cols = [[_fixed(v, frac) for v in col] for col in cols]
-        window = n + d
+        r = Fraction(self.rho)
+        # p_m rho^(m+n) and the unit jets rho^m / m!, floored to Gaussian
+        # integers (re, im) with `frac` fraction bits; each step of the
+        # recurrence floor-divides by (s+1)...(s+n) (_GUARD_BITS)
+        src = [(m, _quantized(op.p_coeff(m), frac, r ** (m + n)))
+               for m in range(d + 1) if op.p_coeff(m)]
+        cols = [[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
+                 else (0, 0) for m in range(n)] for j in range(n)]
         # terms are kept down to the table's resolution: above 53 bits that
         # is one fixed-point unit, since a truncation the A and B builds
-        # share is one their consistency cannot see
+        # share is one their consistency cannot see; at 53 bits, where the
+        # table is rounded to doubles, 8 bits under the last place
         depth = ctx.bits + 8 if ctx.double else frac
         peak = -math.inf
         quiet = 0
@@ -469,64 +463,47 @@ class EntireBasis:
             denom = math.prod(range(s + 1, s + n + 1))
             worst = -math.inf
             for col in cols:
-                if ctx.double:
-                    acc = sum(pc * col[s - mm] for mm, pc in src if mm <= s)
-                    acc = acc * ctx.number(Fraction(1, denom))
-                    size = math.log2(abs(acc)) if abs(acc) > 0 else -math.inf
-                else:
-                    terms = [(pr, pi, *col[s - mm])
-                             for mm, (pr, pi) in src if mm <= s]
-                    re = sum(pr * cr - pi * ci for pr, pi, cr, ci in terms)
-                    im = sum(pr * ci + pi * cr for pr, pi, cr, ci in terms)
-                    acc = (re // (denom << frac), im // (denom << frac))
-                    size = max(map(abs, acc)).bit_length()
+                terms = [(pr, pi, *col[s - mm])
+                         for mm, (pr, pi) in src if mm <= s]
+                re = sum(pr * cr - pi * ci for pr, pi, cr, ci in terms)
+                im = sum(pr * ci + pi * cr for pr, pi, cr, ci in terms)
+                acc = (re // (denom << frac), im // (denom << frac))
                 col.append(acc)
-                worst = max(worst, size)
+                worst = max(worst, max(map(abs, acc)).bit_length())
             peak = max(peak, worst)
             quiet = quiet + 1 if worst < peak - depth else 0
             m += 1
-            if nterms is None and quiet >= window and m > 2 * (n + d):
+            if nterms is None and quiet >= n + d and m > 2 * (n + d):
                 break
         else:
             if nterms is None:
                 raise ArithmeticError("entire basis did not converge on the "
                                       "reading circle within the term cap")
         self.nterms = m
-        # table[t][j][m] = (scaled coefficient m of column j) times the
-        # falling factorial m (m-1) ... (m-t+1) of derivative row t: complex
-        # doubles at 53 bits; above, Gaussian-integer lists (re, im, frac)
-        # cut so the largest entry carries bits + _GUARD_BITS bits
+        # table[t][j] = (re, im, frac') lists over m of (scaled coefficient
+        # m of column j) times the falling factorial m (m-1) ... (m-t+1) of
+        # derivative row t, cut so the largest entry carries `frac` bits
         falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
-        if ctx.double:
-            # an overflowed series gives inf * 0 = nan here, which the
-            # finiteness checks downstream reject
-            with np.errstate(invalid="ignore"):
-                self.table = (np.array(falls, dtype=float)[:, None, :]
-                              * np.array(cols, dtype=complex)[None, :, :])
-            return
-        self.table = [[] for _ in falls]
-        self._folds, self._sums = {}, {}
-        for ff, row in zip(falls, self.table):
+        table = [[] for _ in falls]
+        for ff, row in zip(falls, table):
             for col in cols:
                 ar, ai = ([c[p] * f for c, f in zip(col, ff)] for p in (0, 1))
                 cut = max(0, max(map(abs, ar + ai)).bit_length() - frac)
                 row.append(([v >> cut for v in ar], [v >> cut for v in ai],
                             frac - cut))
+        self.table = _summable(ctx, table)
+        self._folds, self._sums = {}, {}
 
     def state_matrix(self, theta_fpi):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
         on the build circle.
 
         Summation runs over the unit phases u^m, u = e^{i theta}, times the
-        stored scaled coefficients (_table_sum at 53 bits, the exact `sums`
-        above), so the accumulated magnitudes never exceed the term sizes on
-        the circle; the z^{-t} restores the derivative scaling afterwards."""
+        stored scaled coefficients (`sums`), so the accumulated magnitudes
+        never exceed the term sizes on the circle; the z^{-t} restores the
+        derivative scaling afterwards."""
         ctx = self.ctx
-        if ctx.double:
-            out = _table_sum(self.table,
-                             _unit_powers(ctx, theta_fpi, self.nterms))
-        else:
-            out = _rounded(ctx, *self.sums(theta_fpi))
+        out = _rounded(ctx, *self.sums(theta_fpi))
         zinv = ctx.one() / (ctx.number(self.rho)
                             * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi()))
         scale = ctx.one()
@@ -536,40 +513,37 @@ class EntireBasis:
         return out
 
     def sums(self, theta_fpi):
-        """Above 53 bits, the state rows without the z^{-t}, as the exact
-        (re, im, exp) arrays of _fixed_sums: u^m depends only on m mod 2q at
-        theta = p/q, so the table is folded by that residue once per period
-        (_fold) and summed once per theta mod 2."""
+        """The state rows without the z^{-t}, as the (re, im, exp) arrays of
+        _table_sums, once per theta mod 2 (u^m depends on theta mod 2 only);
+        above 53 bits the table is folded once per period (_fold)."""
         key = _angle(theta_fpi) % 2
         if key not in self._sums:
-            q = key.denominator
-            if q not in self._folds:
-                self._folds[q] = _fold(self.table, 2 * q)
-            self._sums[key] = _fixed_sums(self.ctx, self._folds[q], key)
+            self._sums[key] = _table_sums(self.ctx, self.table, key,
+                                          self._folds)
         return self._sums[key]
 
 
 def _angle(theta_fpi):
-    """theta as a Fraction.  Above 53 bits an angle must be exact: its
-    denominator sizes the root table and the fold."""
+    """theta as a Fraction.  An angle must be exact: its denominator sizes
+    the root table and the fold."""
     if not isinstance(theta_fpi, (int, Fraction)):
-        raise TypeError(f"above 53 bits an angle must be an int or a "
-                        f"Fraction of pi, got {theta_fpi!r}")
+        raise TypeError(f"an angle must be an int or a Fraction of pi, got "
+                        f"{theta_fpi!r}")
     return Fraction(theta_fpi)
 
 
 def _unit_powers(ctx, theta_fpi, count):
-    """u^m, m < count, for u = e^{i pi theta}: a complex128 running product
-    at 53 bits; above, at theta = p/q, the roots 2pm mod 4q of the root
-    table of denominator 2q (_unit_roots), as Gaussian-integer tuples
-    (re, im) with `frac` fraction bits, each within one unit."""
-    if ctx.double:
-        u = ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi())
-        return np.cumprod(np.r_[1.0, np.full(count - 1, u)])
+    """u^m, m < count, for u = e^{i pi theta}: at theta = p/q, the roots
+    2pm mod 4q of the root table of denominator 2q, as Gaussian-integer
+    tuples (re, im) (_unit_roots), at 53 bits as a complex128 array
+    (_double_roots)."""
     theta = _angle(theta_fpi)
     p, q = theta.numerator, theta.denominator
+    index = np.arange(count) * (2 * p % (4 * q)) % (4 * q)
+    if ctx.double:
+        return _double_roots(ctx.frac, 2 * q)[index]
     roots = _unit_roots(ctx.frac, 2 * q)
-    return tuple(zip(*(roots[2 * p * m % (4 * q)] for m in range(count))))
+    return tuple(zip(*(roots[r] for r in index)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -578,11 +552,19 @@ def _unit_roots(frac, den):
     fraction bits, each rounded to nearest from mpmath 10 bits deeper, so
     within one unit: the one root table per denominator and precision."""
     import mpmath
+    from mpmath.libmp import mpf_shift, to_int
     mp = mpmath.mp.clone()
     mp.prec = frac + 10
-    return [tuple((v + 1) >> 1 for v in _fixed(mp.expjpi(mp.mpf(r) / den),
-                                               frac + 1))
-            for r in range(2 * den)]
+    return [tuple((to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
+                  for x in (z.real, z.imag))
+            for z in (mp.expjpi(mp.mpf(r) / den) for r in range(2 * den))]
+
+
+@functools.lru_cache(maxsize=None)
+def _double_roots(frac, den):
+    """_unit_roots(frac, den) rounded once to a complex128 array, the root
+    table 53-bit sums read."""
+    return _rounded(make_ctx(53), *zip(*_unit_roots(frac, den)), -frac)
 
 
 def _fold(table, period):
@@ -596,40 +578,62 @@ def _fold(table, period):
             for row in table]
 
 
-def _fixed_sums(ctx, table, theta_fpi):
-    """Per entry of a fixed-point table (re, im, frac) folded by 2q, the
-    exact Gaussian integer sum_m table[t][j][m] u^m at theta = p/q over the
-    2q _unit_powers, returned as arrays (re, im, exp) along the leading
-    axis, value (re + i im) 2^exp."""
-    pr, pi = _unit_powers(ctx, theta_fpi, 2 * _angle(theta_fpi).denominator)
+def _summable(ctx, table):
+    """A fixed-point table, rows of entries (re, im, frac') over m with
+    value (re + i im) 2^-frac', as _table_sums reads it: exact above 53
+    bits, at 53 bits rounded once to a (rows, columns, m) complex array."""
+    if not ctx.double:
+        return table
+    re, im, frac = (np.array([[entry[p] for entry in row] for row in table],
+                             dtype=object) for p in range(3))
+    return _rounded(ctx, re, im, -frac[:, :, None].astype(int))
+
+
+def _table_sums(ctx, table, theta, folds):
+    """Per entry of a _summable table, sum_m table[t][j][m] u^m at the
+    Fraction theta = p/q, as arrays (re, im, exp) along the leading axis,
+    value (re + i im) 2^exp.  At 53 bits that is one complex matrix-vector
+    product over the rounded _unit_powers, with exp 0.  Above, it is exact:
+    the table folded by 2q (kept in `folds` per q) times the 2q
+    Gaussian-integer unit powers."""
+    if ctx.double:
+        s = table @ _unit_powers(ctx, theta, table.shape[-1])
+        return s.real, s.imag, 0
+    q = theta.denominator
+    if q not in folds:
+        folds[q] = _fold(table, 2 * q)
+    pr, pi = _unit_powers(ctx, theta, 2 * q)
     return np.moveaxis(np.array(
         [[(sum(map(mul, ar, pr)) - sum(map(mul, ai, pi)),
            sum(map(mul, ar, pi)) + sum(map(mul, ai, pr)),
-           -(frac + ctx.frac)) for ar, ai, frac in row] for row in table],
-        dtype=object), 2, 0)
+           -(frac + ctx.frac)) for ar, ai, frac in row]
+         for row in folds[q]], dtype=object), 2, 0)
 
 
 def _rounded(ctx, re, im, exp):
-    """Gaussian integers (re + i im) 2^exp, arrays of ints with exp
-    broadcast, as a working-precision array, each part rounded once (at 53
-    bits by ldexp, whose int argument converts to float correctly
-    rounded)."""
-    real = math.ldexp if ctx.double else lambda r, e: ctx.real((r, e))
-    return np.frompyfunc(lambda r, i, e: ctx.complex(real(r, e), real(i, e)),
-                         3, 1)(re, im, exp).astype(ctx.dtype)
+    """(re + i im) 2^exp, arrays of ints with exp broadcast, as a
+    working-precision array, each part rounded once.  At 53 bits int-to-float
+    conversion rounds correctly and ldexp scales exactly; a part beyond
+    double range becomes inf, without a numpy warning, since the build's
+    finiteness check reports it."""
+    if not ctx.double:
+        return np.frompyfunc(lambda r, i, e: ctx.complex(ctx.real((r, e)),
+                                                         ctx.real((i, e))),
+                             3, 1)(re, im, exp).astype(object)
+    re, im = (np.asarray(v, dtype=object).astype(float) for v in (re, im))
+    out = np.empty(np.broadcast(re, exp).shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(re, exp)
+        out.imag = np.ldexp(im, exp)
+    return out
 
 
-def _table_sum(table, powers):
-    """Entries sum_m table[t][j][m] u^m of a 53-bit table over the angle's
-    _unit_powers: one complex matrix-vector product."""
-    return table @ powers[:table.shape[-1]]
-
-
-def _fixed(z, frac):
-    """floor(z 2^frac), part by part, for an mpc z: a Gaussian integer."""
-    from mpmath.libmp import mpf_shift, to_int
-    return tuple(to_int(mpf_shift(x._mpf_, frac), "f")
-                 for x in (z.real, z.imag))
+def _quantized(v, frac, scale=1):
+    """floor(v scale 2^frac), part by part, for an int, Fraction, float or
+    complex v and a Fraction scale, all exact (a double is a dyadic
+    rational): a Gaussian integer."""
+    return tuple(math.floor(Fraction(x) * scale * 2 ** frac)
+                 for x in (v.real, v.imag))
 
 
 def _exact(z):
@@ -641,22 +645,23 @@ def _exact(z):
 
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
-# fixed-point bits kept below the working precision by the integer paths
-# above 53 bits, in units of 2^-(bits+40).  Table sums: every unit power is a
-# root read from its denominator's table, within one unit, and folding a table
-# by residue mod 2q is exact, so a sum of at most 2q folded coefficients F_s
-# is off by at most sum_s |F_s| <= sum_m |T_m| units, under N < 2^15 units of
-# the largest term T_m, with N <= _MAX_TERMS.  Entire-basis recurrence: each
-# floor division by (s+1)...(s+n), and each quantized p_m rho^(m+n), adds
-# under one unit, which the linear recurrence carries on as the Taylor tail
-# of another solution, growing no faster than the columns' own terms;
-# against the peak (at least the unit jet) N steps leave under N units, and
-# the series stops once its terms fall below one unit of the peak.  Formal
-# solution and formal-inverse table: each shifted product and each product
-# with a reciprocal eigenvalue gap adds a few units per order, carried the
-# same way; absolute, but Y_0 = W_0 = I, the later terms on a reading circle
-# are small, and the inverse keeps its smallest column rho^(h_a) at full
-# resolution.  Contents are exact from these sums to one rounding.
+# fixed-point bits kept below the working precision by the integer
+# constructions, at every precision, in units of 2^-(bits+40).  Entire-basis
+# recurrence: its exact inputs p_m rho^(m+n) and rho^m/m!, floored once, and
+# each floor division by (s+1)...(s+n) are off by under one unit, which the
+# linear recurrence carries on as the Taylor tail of another solution,
+# growing no faster than the columns' own terms; against the peak (at least
+# the unit jet) N steps leave under N units, and the series stops once its
+# terms fall below one unit of the peak.  Formal solution and formal-inverse
+# table: each shifted product and each product with a reciprocal eigenvalue
+# gap adds a few units per order, carried the same way; absolute, but Y_0 =
+# W_0 = I, the later terms on a reading circle are small, and the inverse
+# keeps its smallest column rho^(h_a) at full resolution.  At 53 bits each
+# finished table is rounded once to doubles.  Above, table sums are exact:
+# every unit power is a root within one unit and folding by residue mod 2q
+# is exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
+# units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
+# from these sums to one rounding.
 _GUARD_BITS = 40
 
 
@@ -801,36 +806,32 @@ def _inverse_table(fs, rho):
     """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
     -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
     Y_j rho^-j, and 1/z^m = rho^-m conj(u^m), so the table holds conj(V_m)
-    and its sums are conjugated.  Above 53 bits the recurrence runs on
-    Gaussian integers, each Y_j in the real form [[re, -im], [im, re]], and
-    column a also carries rho^(h_a), the modulus of gauged row a of a
+    and its sums are conjugated.  The recurrence runs on Gaussian integers
+    at every precision, each Y_j in the real form [[re, -im], [im, re]],
+    one product per order: the Y's side by side times the V's stacked.
+    Column a also carries rho^(h_a), the modulus of gauged row a of a
     content (_gauge_exponents), since the recurrence only multiplies on the
-    left."""
-    ctx, n, frac = fs.ctx, fs.n, fs.ctx.frac
-    if ctx.double:
-        ys = [y / ctx.number(rho) ** j for j, y in enumerate(fs.ycoeffs)]
-        vs = [_rounded(ctx, *_fixed_frame(ctx, n)[1], -frac)]
-    else:
-        # rho is a dyadic rational, so its powers scale exactly up to one
-        # floor, and a half-integer power is one isqrt; the table keeps g
-        # more fraction bits, so its smallest column keeps `frac` bits
-        r = Fraction(rho)
-        ys = [np.block([[re, -im], [im, re]]) for re, im in
-              (y * r.denominator ** j // r.numerator ** j
-               for j, y in enumerate(fs.fixed))]
-        sq = [r ** int(2 * h) for h in _gauge_exponents(n, fs.k)]
-        g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
-                       for s in sq) // 2 + 1)
-        mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
-                        for s in sq], dtype=object)
-        vs = [np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)]
-    for m in range(1, fs.M + 1):
-        acc = sum(y @ v for y, v in zip(ys[1:m + 1], vs[::-1]))
-        vs.append(-acc if ctx.double else -(acc >> frac))
-    if ctx.double:
-        return np.array(vs).transpose(1, 2, 0).conj()
-    return [[([int(v[b, a]) for v in vs], [-int(v[n + b, a]) for v in vs],
-              frac + g) for a in range(n)] for b in range(n)]
+    left.  The finished table is _summable."""
+    ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
+    # rho is a dyadic rational, so its powers scale exactly up to one floor,
+    # and a half-integer power is one isqrt; the table keeps g more fraction
+    # bits, so its smallest column keeps `frac` bits
+    r = Fraction(rho)
+    j = np.arange(1, M + 1, dtype=object)[:, None, None, None]
+    re, im = np.moveaxis(np.array(fs.fixed[1:]) * r.denominator ** j
+                         // r.numerator ** j, 1, 0)
+    ys = np.block([[re, -im], [im, re]]).transpose(1, 0, 2).reshape(2 * n, -1)
+    sq = [r ** int(2 * h) for h in _gauge_exponents(n, fs.k)]
+    g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
+                   for s in sq) // 2 + 1)
+    mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
+                    for s in sq], dtype=object)
+    vs = np.zeros((M + 1, 2 * n, n), dtype=object)
+    vs[0] = np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)
+    for m in range(1, M + 1):
+        vs[m] = -(ys[:, :2 * n * m] @ vs[m - 1::-1].reshape(-1, n) >> frac)
+    return _summable(ctx, [[(list(vs[:, b, a]), list(-vs[:, n + b, a]),
+                             frac + g) for a in range(n)] for b in range(n)])
 
 
 def _gauge_exponents(n, k):
@@ -844,49 +845,41 @@ def _content_matrix(gc, fs, basis, inverse, theta_fpi):
     """Contents of the entire-basis columns against the formal modes at one
     reading angle: row x holds each column's coefficient along mode x, read
     from the truncated formal frame at z = rho e^{i theta} on the basis'
-    circle as (formal-inverse table) times (gauged state matrix).  The chart
+    circle as (formal-inverse table) times (gauged state sums).  The chart
     log z = ln rho + i pi theta ties every fractional power (the trace-split
     scalar, z^Lambda) to the unwrapped angle chain, so re-reading sector 1
     on the shifted chart is what produces the wrap factor's extra scalars.
 
-    Above 53 bits everything but the n column exponentials stays in
-    Gaussian integers until each entry is rounded once: the phase
-    e^{i pi theta h_a} of gauged row a is one root of order 4q read at the
-    unwrapped numerator of theta = p/q (so the chart branch stays explicit),
-    its modulus rho^(h_a) is in the inverse table's columns, and both
-    tables are summed folded by 2q."""
+    The phase e^{i pi theta h_a} of gauged row a is one root of order 4q
+    read at the unwrapped numerator of theta = p/q (so the chart branch
+    stays explicit), and its modulus rho^(h_a) is in the inverse table's
+    columns.  Above 53 bits everything but the n column exponentials stays
+    in Gaussian integers until each entry is rounded once; at 53 bits the
+    same product runs on the rounded tables in doubles."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
-    chart = (ctx.log(ctx.number(basis.rho))
-             + 1j * ctx.number(theta_fpi) * ctx.pi())
-    z = ctx.exp(chart)
-    if ctx.double:
-        x = basis.state_matrix(theta_fpi)
-        winv = _table_sum(inverse, _unit_powers(ctx, theta_fpi,
-                                                fs.M + 1)).conj()
-        # a double-precision reading that overflows here turns inf or nan,
-        # and the build's A/B consistency already judges it, so numpy need
-        # not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, h in enumerate(_gauge_exponents(n, k)):
-                x[a, :] = x[a, :] * ctx.exp(ctx.number(h + a) * chart)
-            cont = winv @ x
-            for b in range(n):
-                scale = ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
-                cont[b, :] = cont[b, :] * scale
-        return cont
     theta = _angle(theta_fpi)
     p, q = theta.numerator, theta.denominator
-    roots = _unit_roots(ctx.frac, 2 * q)
-    phase = np.array([roots[p * int(2 * h) % (4 * q)]
-                      for h in _gauge_exponents(n, k)], dtype=object).T
+    chart = (ctx.log(ctx.number(basis.rho))
+             + 1j * ctx.number(theta) * ctx.pi())
+    z = ctx.exp(chart)
+    cols = [ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
+            for b in range(n)]
+    rows = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
     sr, si, se = basis.sums(theta)
+    wr, wi, we = _table_sums(ctx, inverse, theta, {})      # conj(W)
+    if ctx.double:
+        # an overflowed reading turns inf or nan, which the build's A/B
+        # consistency already judges, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _double_roots(ctx.frac, 2 * q)[rows, None] * (sr + 1j * si)
+            return np.array(cols)[:, None] * ((wr - 1j * wi) @ x)
+    roots = _unit_roots(ctx.frac, 2 * q)
+    phase = np.array([roots[r] for r in rows], dtype=object).T
     x = _gauss(phase[:, :, None], np.array([sr, si]))
     low = se.min(axis=0)                         # align each column exactly
-    wr, wi, we = _fixed_sums(ctx, _fold(inverse, 2 * q), theta)  # conj(W)
     cont = _gauss(np.array([wr, -wi]), x << (se - low), np.matmul)
-    cols = np.array([_exact(ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart)))
-                     for b in range(n)], dtype=object).T
+    cols = np.array([_exact(c) for c in cols], dtype=object).T
     cont = _gauss(cols[:2, :, None], cont)
     return _rounded(ctx, *cont, low - ctx.frac + cols[2][:, None] + we[0, 0])
 
@@ -1059,7 +1052,9 @@ class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
     self-diagnosed residuals.  converged says whether the A/B agreement came
     within 3 radius_tol, the slack left by the reading's one precision
-    correction; a run that missed it still returns its data.  lam and
+    correction, and the truncated frame's tail (the `asymptotic` residual,
+    which both builds share) within radius_tol; a run that missed either
+    still returns its data.  lam and
     qcoeffs are the run's formal exponents Lambda and Q, as on
     FormalSolution."""
     op: OperPoint
@@ -1157,4 +1152,6 @@ def stokes_data(op, settings=None, plan=None):
                       qcoeffs=fs.qcoeffs, layout=layout, factors=factors, matrices=matrices,
                       perm=plan.perm, det_twist=gc.det_twist,
                       residuals=residuals, settings=settings, plan=plan,
-                      converged=build.cons <= 3 * settings.radius_tol)
+                      converged=(build.cons <= 3 * settings.radius_tol
+                                 and residuals["asymptotic"]
+                                 <= settings.radius_tol))

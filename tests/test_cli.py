@@ -130,6 +130,20 @@ def test_missed_tolerance_maps_to_numeric_exit(capsys):
     assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
 
 
+def test_frame_tail_above_request_maps_to_numeric_exit(capsys):
+    # on a fixed circle inside the tail-safe one, the A and B builds agree
+    # to the request, but the truncated formal frame they share does not
+    # reach it: the run says so and exits 3
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "1",
+                         "--poly", "1/3,0,1", "--radius", "4")
+    assert code == 3
+    assert err.startswith("numerical failure: asymptotic residual")
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["residuals"]["consistency"] <= 3 * doc["settings"]["tol"]
+    assert doc["residuals"]["asymptotic"] > doc["settings"]["tol"]
+
+
 def test_infeasible_request_keeps_its_document(capsys):
     # no circle in double range is tail-safe to 1e-300 at the default order:
     # the run still writes its document, flags it and exits 3

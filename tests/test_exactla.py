@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operstokes.exactla import (commutator, exact_nullspace, exact_rank,
-                                exact_solve, mat_trace, qeye, qmat, qzeros,
-                                rational_str)
+                                exact_solve, mat_trace, qzeros, rational_str)
+
+
+def qmat(rows):
+    """Matrix of Fractions (numpy object array) from an iterable of rows."""
+    return np.array([[QQ(x) for x in row] for row in rows], dtype=object)
+
+
+def qeye(n):
+    return qmat([[int(i == j) for j in range(n)] for i in range(n)])
+
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 

@@ -4,17 +4,29 @@ from fractions import Fraction as QQ
 import numpy as np
 import pytest
 
-from operstokes.exactla import qeye, qzeros
+from operstokes.exactla import qzeros
 from operstokes.isomono import (OperPoint, ScalarSystem, apply_deformation,
                                 connection_matrix, corner_vector,
                                 degree_obstruction, jmu_matrix, joint_system,
-                                matrix_from_scalar, mp_trim,
+                                matrix_from_scalar,
                                 reduction_residual_pair, scalar_from_matrix,
                                 solvability, weight_expression_check)
 from operstokes.poly import Poly
 from operstokes.sl2 import principal_sl2
 
 Z2 = OperPoint(2, 1, (QQ(0),))  # p = z^2
+
+
+def qeye(n):
+    return np.array([[QQ(int(i == j)) for j in range(n)] for i in range(n)],
+                    dtype=object)
+
+
+def mp_trim(ms):
+    """A matrix polynomial without its trailing zero coefficients."""
+    while len(ms) > 1 and not np.any(ms[-1] != 0):
+        ms = ms[:-1]
+    return ms
 
 
 def rand_point(rng, n, k, span=9):

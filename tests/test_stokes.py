@@ -339,10 +339,11 @@ def test_state_matrix_matches_plain_series(bits):
 
 @pytest.mark.parametrize("bits", [53, 97, 132])
 def test_formal_inverse_matches_plain_series(bits):
-    # the fixed-point (at 53 bits complex128) formal-inverse table, summed
-    # over the shared unit powers, against sum_m W_m z^{-m} f0^{-1} from the
-    # run's own Y_m in mpmath 80 bits deeper; and the truncated inverse
-    # undoes the truncated frame up to the omitted orders z^{-m}, m > M
+    # the fixed-point formal-inverse table (at 53 bits rounded once to
+    # complex128), summed over the shared unit powers, against sum_m W_m
+    # z^{-m} f0^{-1} from the run's own Y_m in mpmath 80 bits deeper; and the
+    # truncated inverse undoes the truncated frame up to the omitted orders
+    # z^{-m}, m > M
     mp = mpmath.mp.clone()
     mp.prec = bits + 80
     for op, rho in ((weber(), 4.5),
@@ -366,17 +367,12 @@ def test_formal_inverse_matches_plain_series(bits):
             z = rho * mp.expjpi(mp.mpf(theta.numerator) / theta.denominator)
             want = sum((ws[m] * z ** -m for m in range(M + 1)),
                        mp.zeros(n)) * f0inv
-            if ctx.double:
-                got = stokes._table_sum(table, stokes._unit_powers(
-                    ctx, theta, M + 1)).conj()
-            else:
-                # above 53 bits the table is summed as the contents sum it,
-                # and its column a carries rho^(h_a), which is divided out
-                got = stokes._rounded(ctx, *stokes._fixed_sums(
-                    ctx, stokes._fold(table, 2 * theta.denominator),
-                    theta)).conj() / [
-                        ctx.number(rho) ** ctx.number(h)
-                        for h in stokes._gauge_exponents(n, fs.k)]
+            # the table is summed as the contents sum it, and its column a
+            # carries rho^(h_a), which is divided out
+            got = stokes._rounded(ctx, *stokes._table_sums(
+                ctx, table, theta, {})).conj() / [
+                    ctx.number(rho) ** ctx.number(h)
+                    for h in stokes._gauge_exponents(n, fs.k)]
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
                         for a in range(n) for b in range(n))
             assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
@@ -415,6 +411,25 @@ def test_unit_roots_are_within_one_unit(bits):
         stokes._unit_powers(ctx, 7 / 24, 256)
 
 
+def test_double_unit_powers_are_rounded_roots():
+    # at 53 bits every unit power is a root of its denominator's table
+    # rounded once to double, so each part is within half an ulp of 1 of
+    # e^{i pi theta m} at every m (a running product drifts: to about 3e-15
+    # at m = 131 for theta = 7/24, to about 1e-14 at m = 690 for 1/64)
+    ctx = make_ctx(53)
+    mp = mpmath.mp.clone()
+    mp.prec = 200
+    for theta, count in ((QQ(7, 24), 132), (QQ(1, 64), 691)):
+        got = stokes._unit_powers(ctx, theta, count)
+        assert got.dtype == complex and len(got) == count
+        for m, g in enumerate(got):
+            want = mp.expjpi(mp.mpf(theta.numerator * m) / theta.denominator)
+            assert max(abs(g.real - want.real), abs(g.imag - want.imag)) \
+                <= 2.0 ** -53
+    with pytest.raises(TypeError):
+        stokes._unit_powers(ctx, 7 / 24, 256)
+
+
 def test_content_matrix_wrap_identity():
     # re-reading an angle on the next sheet multiplies every content row b
     # by det_twist e^{-2 pi i lambda_b}: the gauge rows pick up
@@ -444,9 +459,8 @@ def test_content_matrix_wrap_identity():
 
 
 def test_entire_basis_matches_gaussian_column():
-    # y = exp(z^2/2) solves y'' = (z^2 + 1) y with y(0) = 1, y'(0) = 0... no:
-    # y' = z y gives y'' = (1 + z^2) y, so the (1,0)-jet column of that
-    # equation is exactly the Gaussian
+    # y = exp(z^2/2) has y' = z y and y'' = (1 + z^2) y, with y(0) = 1 and
+    # y'(0) = 0, so it is the (1,0)-jet column of y'' = (z^2 + 1) y
     op = OperPoint(2, 1, (1,))
     basis = EntireBasis(op, make_ctx(53), 3.0)
     for theta in (QQ(0), QQ(1, 3), QQ(7, 5)):
@@ -455,6 +469,28 @@ def test_entire_basis_matches_gaussian_column():
         want = cmath.exp(z * z / 2)
         assert abs(got[0, 0] - want) <= 1e-9 * abs(want)
         assert abs(got[1, 0] - z * want) <= 1e-9 * abs(z * want)
+
+
+def test_entire_basis_inputs_are_exact():
+    # the recurrence starts from p_m rho^(m+n) and rho^m/m! floored once
+    # from exact rationals (rho is a double, so a dyadic rational), so at 69
+    # bits its first coefficients match the exact rational recurrence to
+    # within a few fixed-point units; inputs rounded at the working
+    # precision would be off by about 2^40 units, the guard bits.  Here
+    # p = z^2 + 1/5, and coefficient m is scaled by rho^m
+    op, rho = OperPoint(2, 1, (QQ(1, 5),)), 5.325
+    basis = EntireBasis(op, make_ctx(69), rho)
+    r = QQ(rho)
+    for j in range(2):
+        coef = [r ** j if m == j else QQ(0) for m in range(2)]
+        for s in range(38):
+            acc = r ** 2 / 5 * coef[s]
+            if s >= 2:
+                acc += r ** 4 * coef[s - 2]
+            coef.append(acc / ((s + 1) * (s + 2)))
+        re, im, frac = basis.table[0][j]
+        assert max(abs(re[m] - coef[m] * 2 ** frac) for m in range(40)) <= 4
+        assert not any(im[:40])
 
 
 def test_entire_basis_term_count_adapts():
@@ -626,6 +662,17 @@ def test_fixed_radius_is_respected():
     sd = stokes_data(weber(), StokesSettings(radius=4.5))
     assert sd.radius == 4.5
     assert sd.residuals["identity"] <= 1e-6
+
+
+def test_frame_tail_above_request_is_not_converged():
+    # inside the tail-safe circle the A and B builds still agree to the
+    # request, since they share the truncated formal frame; the frame's own
+    # tail, the asymptotic residual, misses it, and so does the run
+    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)), StokesSettings(radius=4.0))
+    tol = sd.settings.radius_tol
+    assert sd.residuals["consistency"] <= 3 * tol
+    assert sd.residuals["asymptotic"] > 100 * tol
+    assert not sd.converged
 
 
 def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
