@@ -50,14 +50,16 @@ class NumericContext:
 
     At 53 bits and below the backend is IEEE double arithmetic: cmath
     scalars, complex128 arrays and LAPACK solves.  Above 53 bits it is a
-    private mpmath context at `bits`, with object arrays (whose zeros and
-    eye hold exact int 0 and 1) and Gaussian elimination.  `real` and
-    `complex` are the backend's scalar constructors.  `frac` is the
-    fraction bits of the fixed-point constructions, which are the same at
-    every precision: the formal solution, the entire basis, the formal
-    inverse and the root tables.  `double` marks where 53 bits differ:
-    each finished table is rounded once to complex128 and summed by a
-    matrix-vector product, where above 53 bits it is summed exactly.
+    private mpmath context at `bits` for scalars and results, with object
+    arrays (whose eye holds exact int 0 and 1); its collocation systems are
+    solved exactly on Gaussian integers (_eliminate) and each result is
+    rounded once.  `real` and `complex` are the backend's scalar
+    constructors.  `frac` is the fraction bits of the fixed-point
+    constructions, which are the same at every precision: the formal
+    solution, the entire basis, the formal inverse and the root tables.
+    `double` marks where 53 bits differ: each finished table is rounded
+    once to complex128 and summed by a matrix-vector product, and the
+    contents are solved by LAPACK, where above 53 bits both are exact.
     mpmath is imported by the first multiprecision context or by the first
     formal solution at any precision, for its root table."""
 
@@ -95,33 +97,13 @@ class NumericContext:
                  else self.real(v.numerator) / v.denominator)
         return self.complex(v)
 
-    def zeros(self, n, m=None):
-        return np.zeros((n, m if m is not None else n), dtype=self.dtype)
-
     def eye(self, n):
         return np.eye(n, dtype=self.dtype)
 
     def solve(self, a, b):
-        """a^{-1} b: LAPACK at double precision, above it Gaussian
-        elimination with partial pivoting (small dense systems)."""
-        if self.double:
-            return np.linalg.solve(a, b)
-        n = a.shape[0]
-        vec = b.ndim == 1
-        rhs = b.reshape(n, 1) if vec else b
-        aug = np.concatenate([a.copy(), rhs.copy()], axis=1)
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(aug[r, col]))
-            if abs(aug[piv, col]) == 0:
-                raise ZeroDivisionError("singular matrix")
-            if piv != col:
-                aug[[col, piv]] = aug[[piv, col]]
-            aug[col] = aug[col] / aug[col, col]
-            for r in range(n):
-                if r != col and aug[r, col] != 0:
-                    aug[r] = aug[r] - aug[col] * aug[r, col]
-        x = aug[:, n:]
-        return x.reshape(-1) if vec else x
+        """a^{-1} b by LAPACK, for complex128 arrays: the double backend's
+        solve (above 53 bits systems are solved by _eliminate)."""
+        return np.linalg.solve(a, b)
 
 
 # the numeric context for `bits` of working precision
@@ -661,7 +643,19 @@ _MAX_TERMS = 20000
 # every unit power is a root within one unit and folding by residue mod 2q
 # is exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
 # units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
-# from these sums to one rounding.
+# from these sums to one rounding.  Collocation: each content entry is
+# rounded once to bits + 40 significant bits (_aligned_row), each sector
+# column is solved exactly and rounded once to bits + 40 bits of its largest
+# entry (_exact_column), the A/B consistency and the factor quotients are
+# exact (_eliminate), and each factor entry is rounded once to `bits`.  So
+# the only errors before the result's are these two roundings at
+# 2^-(bits+40), and each moves a solution by at most the condition number
+# kappa of the matrix solved (the collocation matrix, the A build) times
+# that (Higham 2002, ch. 7; an exact elimination adds none of ch. 9's
+# growth): the bits lost are bounded by log2 kappa, which the A/B
+# consistency measures, and up to kappa = 2^40 the factors keep their full
+# `bits`.  The columns are rounded because exact ones would carry (n-1)-
+# minors into the quotients: at z^6 (n = 6) those took 95 ms a sector.
 _GUARD_BITS = 40
 
 
@@ -674,12 +668,12 @@ def _series_tail(fs, rho):
 @dataclass
 class _Build:
     """One collocation at a reading radius: the formal solution and entire
-    basis it read, the A and B sector coefficients and their agreement."""
+    basis it read, the quotients the factors are made of and the A/B
+    agreement."""
     fs: FormalSolution
     basis: EntireBasis
     rho: float
-    va: dict
-    vb: dict
+    quotients: list
     cons: float
 
 
@@ -691,24 +685,41 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     collocate at different angles, so the worst deviation of
     (A build)^{-1} (B build) from the identity over all sectors measures the
     amplified working-precision noise at this radius, without modeling it;
-    the truncated formal frame's tail, which both builds share, not at all."""
-    ctx = fs.ctx
+    the truncated formal frame's tail, which both builds share, not at all.
+
+    Factor j pairs the A build of sector j with the B build of sector j-1
+    (the wrap factor, j = 1, with sector r), so no matrix object is shared
+    between consecutive factors and the closure of the full product
+    measures real disagreement between independent collocations.  Per
+    sector one solve against A serves both its agreement and its factor:
+    at 53 bits two LAPACK solves, above one exact elimination
+    (_exact_quotient) with each factor entry rounded once."""
+    ctx, n = fs.ctx, gc.n
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
     angles = sorted(set(cond.values()) | set(norms.values()))
-    gammas = {th: _content_matrix(gc, fs, basis, inverse, th) for th in angles}
+    folds = {}          # the inverse table's, one per angle denominator
+    gammas = {th: _content_matrix(gc, fs, basis, inverse, th, folds)
+              for th in angles}
     va = sector_coefficients(fs, layout, gammas, cond, norms, "A")
     vb = sector_coefficients(fs, layout, gammas, cond, norms, "B")
-    eye = ctx.eye(gc.n)
-    cons = 0.0
+    cons, quotients = 0.0, []
     for i in range(1, layout.r + 1):
-        dev = ctx.solve(va[i], vb[i]) - eye
-        worst = max(abs(complex(v)) for v in np.ravel(dev))
+        prev = vb[i - 1 if i > 1 else layout.r]
+        if ctx.double:
+            worst = float(np.abs(ctx.solve(va[i], vb[i]) - np.eye(n)).max())
+            quotients.append(ctx.solve(va[i], prev))
+        else:
+            x, det, exp = _exact_quotient(va[i], vb[i], prev)
+            worst = _deviation(x[:, :, :n], det, exp[:, :n])
+            quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
+                                               exp[:, n:]))
         # a NaN deviation must propagate: max(cons, nan) would keep cons
         cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
-    return _Build(fs=fs, basis=basis, rho=rho, va=va, vb=vb, cons=cons)
+    return _Build(fs=fs, basis=basis, rho=rho, quotients=quotients,
+                  cons=cons)
 
 
 def _visibility_interval(layout, i, a, d):
@@ -834,14 +845,15 @@ def _inverse_table(fs, rho):
                              frac + g) for a in range(n)] for b in range(n)])
 
 
+@functools.lru_cache(maxsize=None)
 def _gauge_exponents(n, k):
     """h_a, a < n: gauged row a of a content is z^(h_a) times row a of the
     state sums, h_a the gauge exponent (n-a)k - k(n+1)/2 less the
     derivative order a."""
-    return [(n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n)]
+    return tuple((n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n))
 
 
-def _content_matrix(gc, fs, basis, inverse, theta_fpi):
+def _content_matrix(gc, fs, basis, inverse, theta_fpi, folds=None):
     """Contents of the entire-basis columns against the formal modes at one
     reading angle: row x holds each column's coefficient along mode x, read
     from the truncated formal frame at z = rho e^{i theta} on the basis'
@@ -854,8 +866,12 @@ def _content_matrix(gc, fs, basis, inverse, theta_fpi):
     read at the unwrapped numerator of theta = p/q (so the chart branch
     stays explicit), and its modulus rho^(h_a) is in the inverse table's
     columns.  Above 53 bits everything but the n column exponentials stays
-    in Gaussian integers until each entry is rounded once; at 53 bits the
-    same product runs on the rounded tables in doubles."""
+    in Gaussian integers until each entry is rounded once, to `frac`
+    significant bits, and the rows come back as _aligned_row gives them to
+    the exact solves; at 53 bits the same product runs on the rounded
+    tables in doubles.  Either way row x of the result is mode x's row.
+    `folds` keeps the inverse table's folds (_table_sums) across the angles
+    of one build."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
     theta = _angle(theta_fpi)
@@ -867,7 +883,8 @@ def _content_matrix(gc, fs, basis, inverse, theta_fpi):
             for b in range(n)]
     rows = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
     sr, si, se = basis.sums(theta)
-    wr, wi, we = _table_sums(ctx, inverse, theta, {})      # conj(W)
+    wr, wi, we = _table_sums(ctx, inverse, theta,
+                             {} if folds is None else folds)     # conj(W)
     if ctx.double:
         # an overflowed reading turns inf or nan, which the build's A/B
         # consistency already judges, so numpy need not warn
@@ -881,7 +898,25 @@ def _content_matrix(gc, fs, basis, inverse, theta_fpi):
     cont = _gauss(np.array([wr, -wi]), x << (se - low), np.matmul)
     cols = np.array([_exact(c) for c in cols], dtype=object).T
     cont = _gauss(cols[:2, :, None], cont)
-    return _rounded(ctx, *cont, low - ctx.frac + cols[2][:, None] + we[0, 0])
+    exp = low - ctx.frac + cols[2][:, None] + we[0, 0]
+    return [_aligned_row(*row, ctx.frac) for row in zip(*cont, exp)]
+
+
+def _aligned_row(re, im, exp, frac):
+    """A row of entries (re + i im) 2^exp, each rounded to nearest to `frac`
+    significant bits, as Gaussian integers (re, im) on the row's lowest
+    exponent e: int lists re, im and the int e, the row being
+    (re + i im) 2^e.  Zero entries take no part in the lowest exponent."""
+    out = []
+    for r, i, e in zip(re, im, exp):
+        s = max(abs(r), abs(i)).bit_length() - frac
+        if s > 0:
+            half = 1 << (s - 1)
+            r, i, e = (r + half) >> s, (i + half) >> s, e + s
+        out.append((r, i, e))
+    low = min((e for r, i, e in out if r or i), default=0)
+    return ([r << max(0, e - low) for r, _, e in out],
+            [i << max(0, e - low) for _, i, e in out], low)
 
 
 @dataclass(frozen=True)
@@ -902,48 +937,165 @@ def sector_coefficients(fs, layout, gammas, cond, norms, variant):
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
-    at the normalization angle."""
+    at the normalization angle.  At 53 bits a sector is a complex matrix,
+    one LAPACK solve per column; above, a fixed-point matrix (y, s) of
+    value y diag(2^s), its columns solved exactly (_exact_column)."""
     ctx = fs.ctx
     n = layout.n
     out = {}
     for i in range(1, layout.r + 1):
-        vmat = ctx.zeros(n)
-        for d in range(n):
-            rows = ctx.zeros(n)
-            rhs = ctx.zeros(n, 1)
-            at = 0
-            for a in range(n):
-                if a == d:
-                    continue
-                rows[at, :] = gammas[cond[(i, variant, d, a)]][a, :]
-                at += 1
-            rows[n - 1, :] = gammas[norms[(i, d)]][d, :]
-            rhs[n - 1, 0] = ctx.one()
-            vmat[:, d] = ctx.solve(rows, rhs)[:, 0]
-        out[i] = vmat
+        systems = [[gammas[cond[(i, variant, d, a)]][a]
+                    for a in range(n) if a != d] + [gammas[norms[(i, d)]][d]]
+                   for d in range(n)]
+        if ctx.double:
+            unit = np.eye(n)[n - 1]
+            out[i] = np.column_stack([ctx.solve(np.array(rows), unit)
+                                      for rows in systems])
+        else:
+            y, s = zip(*(_exact_column(rows, ctx.frac) for rows in systems))
+            out[i] = np.stack(y, axis=-1), np.array(s, dtype=object)
     return out
 
 
-def collocation_factors(fs, layout, va, vb, det_twist):
-    """Connection factors K_j = Phi_j^{-1} Phi_{j-1} as entire-basis algebra.
+def _exact_column(rows, frac):
+    """The column v with rows . v = (0, ..., 0, 1), for content rows
+    (re, im, e) as _aligned_row gives them (value (re + i im) 2^e), solved
+    exactly (_eliminate) and rounded once, to nearest on `frac` bits of its
+    largest entry: (y, s), v = y 2^s, y a (2, n) Gaussian-integer array.
+    Only the normalization row, the last, has a right-hand side, so only
+    its exponent scales the column: 2^e row . v = 1 is row . v = 2^-e."""
+    aug = np.array([[part + [0] for part in row[:2]] for row in rows],
+                   dtype=object).transpose(1, 0, 2)
+    aug[0, -1, -1] = 1
+    det, x = _eliminate(aug)
+    # x / det = x conj(det) / |det|^2
+    num = _gauss(x[:, :, 0], np.array([det[0], -det[1]]))
+    norm = det[0] * det[0] + det[1] * det[1]
+    exp = (max(abs(v) for v in num.ravel()).bit_length() - norm.bit_length()
+           - frac)
+    return (np.array([[_divide(v, norm, exp) for v in part] for part in num],
+                     dtype=object), exp - rows[-1][2])
 
-    Factor j pairs the A build of sector j with the B build of sector j-1,
-    so no matrix object is shared between consecutive factors and the
-    closure of the full product measures real disagreement between
-    independent collocations.  The wrap factor compares sector 1 against
-    sector r: re-reading sector 1 on the chart shifted by 2 pi multiplies
-    its contents by the det twist and exp(2 pi i Lambda), giving the
-    closed-form extra scalars here."""
+
+def _eliminate(aug):
+    """Fraction-free Gauss-Jordan elimination over the Gaussian integers
+    (Bareiss 1968) of [A | B], a (2, n, n + m) array (re, im) with A
+    square: (det, x), det the last pivot (det A up to sign) and x = det
+    A^{-1} B, both exact.  Each step cross-multiplies every other row by
+    the pivot and divides exactly by the previous pivot, so the entries
+    stay minors of [A | B].  The pivot is the first nonzero entry of its
+    column: exact arithmetic needs no search by modulus.  A singular A
+    raises ZeroDivisionError."""
+    (re, im), n = aug.tolist(), aug.shape[1]
+    width = len(re[0])
+    pr, pi, norm = 1, 0, 1
+    for k in range(n):
+        p = next((t for t in range(k, n) if re[t][k] or im[t][k]), None)
+        if p is None:
+            raise ZeroDivisionError("singular collocation system")
+        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
+        ar, ai = re[k], im[k]
+        kr, ki = ar[k], ai[k]
+        for t in range(n):
+            if t == k:
+                continue
+            br, bi = re[t], im[t]
+            cr, ci = br[k], bi[k]
+            for j in range(k + 1, width):
+                xr = kr * br[j] - ki * bi[j] - cr * ar[j] + ci * ai[j]
+                xi = kr * bi[j] + ki * br[j] - cr * ai[j] - ci * ar[j]
+                # exact division by the previous pivot p: x conj(p) / |p|^2
+                br[j] = (xr * pr + xi * pi) // norm
+                bi[j] = (xi * pr - xr * pi) // norm
+        pr, pi, norm = kr, ki, kr * kr + ki * ki
+    return (np.array([pr, pi], dtype=object),
+            np.array([[row[n:] for row in re], [row[n:] for row in im]],
+                     dtype=object))
+
+
+def _exact_quotient(a, *bs):
+    """a^{-1} [b_1 | b_2 | ...] for fixed-point matrices (y, s) of value
+    y diag(2^s) (sector_coefficients), from one elimination of [y_a | y_b]:
+    a^{-1} b = diag(2^-s_a) y_a^{-1} y_b diag(2^s_b), so entry (r, c) is
+    x[r, c] 2^exp[r, c] / det with x = det y_a^{-1} y_b.  Returns x
+    (2, n, m), det (2,) and exp (n, m), all exact."""
+    ya, sa = a
+    yb, sb = (np.concatenate(part, axis=-1) for part in zip(*bs))
+    det, x = _eliminate(np.concatenate([ya, yb], axis=-1))
+    return x, det, sb[None, :] - sa[:, None]
+
+
+def _rounded_quotient(ctx, x, det, exp):
+    """An _exact_quotient x 2^exp / det as a working-precision array, each
+    part of each entry rounded once (_nearest) from x conj(det) / |det|^2:
+    no mpmath arithmetic."""
+    parts = _gauss(x, np.array([det[0], -det[1]]))
+    norm = det[0] * det[0] + det[1] * det[1]
+    out = np.empty(exp.shape, dtype=object)
+    for idx in np.ndindex(exp.shape):
+        (mr, er), (mi, ei) = (_nearest(p[idx], norm, ctx.bits) for p in parts)
+        out[idx] = ctx.complex(ctx.real((mr, er + exp[idx])),
+                               ctx.real((mi, ei + exp[idx])))
+    return out
+
+
+def _divide(a, w, exp):
+    """a / (w 2^exp) for ints a and w > 0, rounded to the nearest int (ties
+    to even): one integer shift-division."""
+    num, den = (a, w << exp) if exp >= 0 else (a << -exp, w)
+    q, rem = divmod(num, den)
+    return q + (2 * rem > den or (2 * rem == den and q & 1))
+
+
+def _nearest(a, w, bits):
+    """a / w for ints a and w > 0, rounded to nearest (ties to even) to
+    `bits` significant bits, as (man, exp) with value man 2^exp."""
+    if not a:
+        return 0, 0
+    # |a| / w lies in 2^exp (2^(bits-1), 2^(bits+1)), so at most one retry
+    # on a halved scale
+    exp = abs(a).bit_length() - w.bit_length() - bits
+    man = _divide(a, w, exp)
+    if abs(man) > 1 << bits:
+        exp += 1
+        man = _divide(a, w, exp)
+    return man, exp
+
+
+def _deviation(x, det, exp):
+    """Largest modulus of a square _exact_quotient x 2^exp / det minus the
+    identity, as a float: each difference is exact, its modulus rounded
+    (inf past double range)."""
+    worst = 0.0
+    for r, c in np.ndindex(exp.shape):
+        (pr, pi), (qr, qi), e = x[:, r, c], det, exp[r, c]
+        if e >= 0:
+            pr, pi = pr << e, pi << e
+        else:
+            qr, qi = qr << -e, qi << -e
+        if r == c:
+            pr, pi = pr - qr, pi - qi
+        try:
+            worst = max(worst, math.sqrt((pr * pr + pi * pi)
+                                         / (qr * qr + qi * qi)))
+        except OverflowError:
+            return math.inf
+    return worst
+
+
+def collocation_factors(fs, quotients, det_twist):
+    """Connection factors K_j = Phi_j^{-1} Phi_{j-1} as entire-basis algebra,
+    from a build's quotients (A build of sector j)^{-1} (B build of sector
+    j-1), j = 1..r (_collocate).  The wrap factor K_1 compares sector 1
+    against sector r: re-reading sector 1 on the chart shifted by 2 pi
+    multiplies its contents by the det twist and exp(2 pi i Lambda), giving
+    the closed-form extra scalars here."""
     ctx = fs.ctx
-    n = fs.n
-    factors = {j: ctx.solve(va[j], vb[j - 1]) for j in range(2, layout.r + 1)}
-    wrap = ctx.solve(va[1], vb[layout.r])
     tau = 2j * ctx.number(ctx.pi())
     sigma = ctx.number(det_twist)
-    for d in range(n):
-        wrap[:, d] = wrap[:, d] * (sigma * ctx.exp(-tau * fs.lam[d]))
-    factors[1] = wrap
-    return [factors[j] for j in range(1, layout.r + 1)]
+    scalars = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
+                       dtype=ctx.dtype)
+    return [quotients[0] * scalars] + quotients[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -1134,8 +1286,7 @@ def stokes_data(op, settings=None, plan=None):
         build = _collocate(op, gc, layout, fs, plan.rho, plan.cond,
                            plan.norms, plan.nterms)
     fs, ctx = build.fs, build.fs.ctx
-    factors = collocation_factors(fs, layout, build.va, build.vb,
-                                  gc.det_twist)
+    factors = collocation_factors(fs, build.quotients, gc.det_twist)
     matrices = stokes_matrices(layout, factors)
     support, diag_dev, phantom = factor_support_residual(layout, factors)
     residuals = {

@@ -134,7 +134,7 @@ def yhat(fs, z):
 
 
 def yhat_prime(fs, z):
-    acc = fs.ctx.zeros(fs.n)
+    acc = np.zeros((fs.n, fs.n), dtype=fs.ctx.dtype)
     w = 1.0 / z
     pw = w * w
     for m in range(1, fs.M + 1):
@@ -158,7 +158,7 @@ def formal_residual(gc, fs, z):
     f0, f0inv = (stokes._rounded(ctx, *f, -ctx.frac)
                  for f in stokes._fixed_frame(ctx, n))
     z = ctx.number(z)
-    bz = ctx.zeros(n)
+    bz = np.zeros((n, n), dtype=ctx.dtype)
     w = 1.0 / z
     pw = z ** gc.k
     for bj in gc.bcoeffs:
@@ -228,9 +228,12 @@ def test_residue_exponent_of_shifted_square():
 
 def test_double_and_multiprecision_contexts_agree():
     # one context class, two backends: every method gives the same value to
-    # double precision at 53 and at 97 bits.  The numpy complex scalar
-    # guards exp and log against backends that dispatch on the exact type
-    # and drop the imaginary part (mpmath.fp does)
+    # double precision at 53 and at 97 bits, and so does a^{-1} b, by LAPACK
+    # at 53 bits and above it as the exact quotient rounded once (a
+    # fixed-point matrix (y, s) is y diag(2^s), and 4 b has Gaussian-integer
+    # entries).  The numpy complex scalar guards exp and log against
+    # backends that dispatch on the exact type and drop the imaginary part
+    # (mpmath.fp does)
     lo, hi = make_ctx(53), make_ctx(97)
     assert (lo.double, lo.bits) == (True, 53)
     assert (hi.double, hi.bits) == (False, 97)
@@ -239,22 +242,35 @@ def test_double_and_multiprecision_contexts_agree():
     b = [[sum(a[r][c] * x[c] for c in range(3))] for r in range(3)]
     w = np.complex128(0.3 + 0.2j)
 
+    def exact(rows, s):
+        return (np.array([[[int(v.real) for v in row] for row in rows],
+                          [[int(v.imag) for v in row] for row in rows]],
+                         dtype=object),
+                np.array([s] * len(rows[0]), dtype=object))
+
     def values(ctx):
         def mat(rows):
             return np.array([[ctx.number(v) for v in row] for row in rows],
                             dtype=ctx.dtype)
 
-        mats = [ctx.solve(mat(a), mat(b)), ctx.zeros(2, 3), ctx.eye(3)]
+        if ctx.double:
+            sol = ctx.solve(mat(a), mat(b))
+        else:
+            sol = stokes._rounded_quotient(ctx, *stokes._exact_quotient(
+                exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
+        mats = [sol, ctx.eye(3)]
         return [ctx.pi(), ctx.one(), ctx.number(QQ(-1, 7)),
                 ctx.number(0.25 - 0.5j), ctx.exp(w),
                 ctx.log(w)] + [v for m in mats for v in m.ravel()]
 
     got, want = values(lo), values(hi)
-    assert len(got) == len(want) == 6 + 3 + 6 + 9
+    assert len(got) == len(want) == 6 + 3 + 9
     assert all(abs(complex(g) - complex(v)) <= 1e-15
                for g, v in zip(got, want))
     assert all(abs(complex(g) - complex(v)) <= 1e-15
                for g, v in zip(got[6:9], x))
+    # x is dyadic, so its one rounding at 97 bits is exact
+    assert [complex(v) for v in want[6:9]] == [complex(v) for v in x]
     assert abs(got[4] - cmath.exp(0.3 + 0.2j)) <= 1e-15
     assert abs(got[5] - cmath.log(0.3 + 0.2j)) <= 1e-15
 
@@ -430,6 +446,15 @@ def test_double_unit_powers_are_rounded_roots():
         stokes._unit_powers(ctx, 7 / 24, 256)
 
 
+def content(ctx, gamma):
+    """A _content_matrix as a working-precision matrix: above 53 bits its
+    rows (re, im, e), value (re + i im) 2^e, each entry rounded once."""
+    if ctx.double:
+        return gamma
+    re, im, e = (np.array(part, dtype=object) for part in zip(*gamma))
+    return stokes._rounded(ctx, re, im, e[:, None])
+
+
 def test_content_matrix_wrap_identity():
     # re-reading an angle on the next sheet multiplies every content row b
     # by det_twist e^{-2 pi i lambda_b}: the gauge rows pick up
@@ -446,9 +471,8 @@ def test_content_matrix_wrap_identity():
             fs = formal_solution(gc, 20, ctx)
             basis = EntireBasis(op, ctx, rho)
             inverse = stokes._inverse_table(fs, rho)
-            here, next_sheet = (stokes._content_matrix(gc, fs, basis, inverse,
-                                                       t)
-                                for t in (theta, theta + 2))
+            here, next_sheet = (content(ctx, stokes._content_matrix(
+                gc, fs, basis, inverse, t)) for t in (theta, theta + 2))
             for b in range(op.n):
                 twist = gc.det_twist * ctx.exp(-2j * ctx.pi() * fs.lam[b])
                 for j in range(op.n):
@@ -456,6 +480,192 @@ def test_content_matrix_wrap_identity():
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
         assert gc.det_twist == (1 if op.n == 3 else -1)
+
+
+@pytest.mark.parametrize("op", [OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+                                OperPoint(4, 1, (0, 0, 0))])
+def test_sector_columns_meet_their_conditions(op):
+    # above 53 bits a sector column is solved exactly from content rows on
+    # their lowest exponents and rounded once, so the normalization row's
+    # right-hand side 1 must scale with its row.  Left unscaled it puts a power of 2 on every
+    # column, which closure and consistency cannot see (both are invariant
+    # under a common diagonal conjugation) while sigma_1 of the (3,1)
+    # Jacobian moves from 17.6 to 1.3e7.  Each column of every sector, at
+    # working precision, must meet its own n conditions: foreign contents
+    # vanish and the self-content is 1, to 2^-(bits-10) of the terms' sizes
+    plan = stokes_data(op).plan
+    assert plan.bits > 53
+    gc = gauge_transform(op)
+    layout = sector_layout(gc)
+    ctx = make_ctx(plan.bits)
+    fs = formal_solution(gc, StokesSettings().trunc_order, ctx)
+    basis = EntireBasis(op, ctx, plan.rho, plan.nterms)
+    inverse = stokes._inverse_table(fs, plan.rho)
+    gammas = {th: stokes._content_matrix(gc, fs, basis, inverse, th)
+              for th in set(plan.cond.values()) | set(plan.norms.values())}
+    mp = mpmath.mp.clone()
+    mp.prec = plan.bits
+    tol = 2.0 ** -(plan.bits - 10)
+    for variant in "AB":
+        coeffs = stokes.sector_coefficients(fs, layout, gammas, plan.cond,
+                                            plan.norms, variant)
+        assert sorted(coeffs) == list(range(1, layout.r + 1))
+        for i, (y, s) in coeffs.items():
+            for d in range(op.n):
+                v = [mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d]
+                     for r in range(op.n)]
+                rows = [(gammas[plan.cond[(i, variant, d, a)]][a], 0)
+                        for a in range(op.n) if a != d]
+                rows.append((gammas[plan.norms[(i, d)]][d], 1))
+                for (re, im, e), want in rows:
+                    terms = [mp.mpc(re[j], im[j]) * mp.mpf(2) ** e * v[j]
+                             for j in range(op.n)]
+                    assert (abs(mp.fsum(terms) - want)
+                            <= tol * sum(abs(t) for t in terms))
+
+
+def test_exact_sector_coefficients_match_double():
+    # on a circle that doubles read (as in test_content_matrix_wrap_identity)
+    # the exact 69-bit sector coefficients, rounded, match the LAPACK ones
+    op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
+    rho = 4.0
+    gc = gauge_transform(op)
+    layout = sector_layout(gc)
+    cond, norms = stokes._sector_reading_plan(layout)
+    coeffs = {}
+    for bits in (53, 69):
+        ctx = make_ctx(bits)
+        fs = formal_solution(gc, 20, ctx)
+        basis = EntireBasis(op, ctx, rho)
+        inverse = stokes._inverse_table(fs, rho)
+        gammas = {th: stokes._content_matrix(gc, fs, basis, inverse, th)
+                  for th in set(cond.values()) | set(norms.values())}
+        coeffs[bits] = stokes.sector_coefficients(fs, layout, gammas, cond,
+                                                  norms, "A")
+    mp = mpmath.mp.clone()
+    mp.prec = 69
+    for i, (y, s) in coeffs[69].items():
+        exact = np.array([[complex(mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d])
+                           for d in range(3)] for r in range(3)])
+        assert np.abs(coeffs[53][i] - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+def gauss_matrix(draw, rows, cols):
+    return [[(draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def oracle_solve(a, b):
+    """a^{-1} b over Q(i), entries (re, im) pairs of Fractions, by plain
+    Gauss-Jordan; None when a is singular."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def div(x, y):
+        norm = y[0] * y[0] + y[1] * y[1]
+        return ((x[0] * y[0] + x[1] * y[1]) / norm,
+                (x[1] * y[0] - x[0] * y[1]) / norm)
+
+    n = len(a)
+    aug = [[(QQ(v[0]), QQ(v[1])) for v in ra + rb] for ra, rb in zip(a, b)]
+    for k in range(n):
+        p = next((t for t in range(k, n) if aug[t][k] != (0, 0)), None)
+        if p is None:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [div(v, aug[k][k]) for v in aug[k]]
+        for t in range(n):
+            if t != k:
+                c = aug[t][k]
+                aug[t] = [(v[0] - w[0], v[1] - w[1])
+                          for v, w in zip(aug[t], (mul(c, u) for u in aug[k]))]
+    return [row[n:] for row in aug]
+
+
+def gauss_array(rows):
+    return np.array([[[v[p] for v in row] for row in rows] for p in (0, 1)],
+                    dtype=object)
+
+
+def check_against_oracle(a, b):
+    """_eliminate and the rounded quotient against oracle_solve: x = det
+    a^{-1} b exactly, and each part of each rounded entry within half an
+    ulp at the working precision."""
+    want = oracle_solve(a, b)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            stokes._eliminate(gauss_array([ra + rb for ra, rb in zip(a, b)]))
+        return
+    det, x = stokes._eliminate(gauss_array([ra + rb for ra, rb in zip(a, b)]))
+    assert tuple(det) != (0, 0)
+    for r, row in enumerate(want):
+        for c, (wr, wi) in enumerate(row):
+            assert (x[0, r, c], x[1, r, c]) == (
+                det[0] * wr - det[1] * wi, det[0] * wi + det[1] * wr)
+    ctx = make_ctx(69)
+
+    def exact(rows):
+        return gauss_array(rows), np.zeros(len(rows[0]), dtype=object)
+
+    got = stokes._rounded_quotient(ctx, *stokes._exact_quotient(exact(a),
+                                                                exact(b)))
+    for r, row in enumerate(want):
+        for c, parts in enumerate(row):
+            for part, value in zip((got[r, c].real, got[r, c].imag), parts):
+                sign, man, exp, _ = part._mpf_
+                err = abs(QQ(-man if sign else man) * QQ(2) ** exp - value)
+                if value == 0:
+                    assert err == 0
+                    continue
+                # value in [2^(top-1), 2^top): an ulp at 69 bits is
+                # 2^(top-69)
+                top = (abs(value.numerator).bit_length()
+                       - value.denominator.bit_length())
+                top += abs(value) >= QQ(2) ** top
+                assert err <= QQ(2) ** (top - 69 - 1)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+@hyp_settings(max_examples=60, deadline=None)
+def test_eliminate_matches_fraction_oracle(data, n, m):
+    a = gauss_matrix(data.draw, n, n)
+    b = gauss_matrix(data.draw, n, m)
+    if data.draw(st.booleans()):
+        a[0][0] = (0, 0)                    # a zero leading pivot
+    if n > 1 and data.draw(st.booleans()):
+        # a singular system: the last row a Gaussian multiple of the first
+        c = (data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+        a[-1] = [(c[0] * u - c[1] * v, c[0] * v + c[1] * u) for u, v in a[0]]
+    check_against_oracle(a, b)
+
+
+def test_eliminate_zero_pivot_and_singular():
+    # the first pivot is the first nonzero entry of its column; a zero
+    # column or a repeated row is singular and raises
+    check_against_oracle([[(0, 0), (1, 2)], [(3, -1), (0, 5)]],
+                         [[(1, 0)], [(0, 1)]])
+    check_against_oracle([[(0, 0), (0, 0), (1, 0)], [(0, 0), (2, 1), (0, 0)],
+                          [(1, 1), (0, 0), (0, 0)]],
+                         [[(1, 0), (0, 0)], [(0, 1), (3, 0)], [(7, 0), (1, 1)]])
+    for a in ([[(0, 0), (1, 0)], [(0, 0), (2, 3)]],
+              [[(1, 2), (3, 4)], [(1, 2), (3, 4)]]):
+        assert oracle_solve(a, [[(1, 0)], [(0, 0)]]) is None
+        check_against_oracle(a, [[(1, 0)], [(0, 0)]])
+
+
+@given(st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 300),
+       st.sampled_from([53, 69, 97]))
+@hyp_settings(max_examples=200, deadline=None)
+def test_nearest_is_within_half_an_ulp(a, w, bits):
+    # one shift-division: a mantissa of `bits` bits (2^bits after rounding
+    # up) and an error of at most half its last place
+    man, exp = stokes._nearest(a, w, bits)
+    if a == 0:
+        assert man == 0
+        return
+    assert 2 ** (bits - 1) <= abs(man) <= 2 ** bits
+    assert (man < 0) == (a < 0)
+    assert abs(QQ(man) * QQ(2) ** exp - QQ(a, w)) <= QQ(2) ** (exp - 1)
 
 
 def test_entire_basis_matches_gaussian_column():
