@@ -186,17 +186,17 @@ def gauge_transform(op):
 class FormalSolution:
     """Yhat z^Lambda exp(Q) through order M, in the framed gauge.
 
-    ycoeffs[m] is the z^{-m} coefficient of Yhat (ycoeffs[0] = I);
+    fixed[m] is the z^{-m} coefficient of Yhat (fixed[0] = I) as computed,
+    a (2, n, n) array of the real and imaginary parts in fixed point with
+    `frac` fraction bits; only the formal inverse (_inverse_table) and the
+    tail norms (_tail_norms, which round the last four) read it.
     qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q,
-    stored as a vector; lam is the diagonal of Lambda, all rounded once to
-    the working precision.  `fixed` keeps each ycoeffs[m] as computed, a
-    (2, n, n) array of the real and imaginary parts in fixed point with
-    `frac` fraction bits.
+    stored as a vector; lam is the diagonal of Lambda, both rounded once to
+    the working precision.
     """
     n: int
     k: int
     M: int
-    ycoeffs: list
     qcoeffs: dict
     lam: list
     ctx: object
@@ -227,7 +227,7 @@ def formal_solution(gc, M, ctx=None):
     convolutions one stacked product shifted back once, the divisions by
     the eigenvalue gaps products with fixed-point reciprocals.  Results are
     rounded once to the working precision (at 53 bits to complex128); Yhat's
-    coefficients are also kept as computed, for _inverse_table."""
+    coefficients are kept as computed, unrounded (`fixed`)."""
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
     ctx = ctx or make_ctx(53)
@@ -268,7 +268,7 @@ def formal_solution(gc, M, ctx=None):
     ys = [_gauss(F[:, :m + 1], u[:, m::-1, None]).sum(axis=1) >> frac
           for m in range(M + 1)]
     return FormalSolution(
-        n=n, k=k, M=M, ycoeffs=[_rounded(ctx, *y, -frac) for y in ys],
+        n=n, k=k, M=M,
         qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:, s], -frac) / (k + 1 - s))
                  for s in range(k + 1)},
         lam=list(_rounded(ctx, *D[:, k + 1], -frac)), ctx=ctx, fixed=ys)
@@ -383,8 +383,11 @@ def sector_layout(fs_or_gc, v0=None):
 
 def _tail_norms(fs):
     """(m, max-norm of the z^{-m} term) for the last kept formal terms --
-    several, to ride out parity-sparse series whose top term vanishes."""
-    return [(m, max((abs(complex(v)) for v in np.ravel(fs.ycoeffs[m])),
+    several, to ride out parity-sparse series whose top term vanishes.  Each
+    term is rounded once to the working precision, then to a double."""
+    ctx = fs.ctx
+    return [(m, max((abs(complex(v)) for v in
+                     np.ravel(_rounded(ctx, *fs.fixed[m], -ctx.frac))),
                     default=0.0))
             for m in range(max(1, fs.M - 3), fs.M + 1)]
 
@@ -571,25 +574,32 @@ def _summable(ctx, table):
     return _rounded(ctx, re, im, -frac[:, :, None].astype(int))
 
 
-def _table_sums(ctx, table, theta, folds):
+def _table_sums(ctx, table, theta, folds, rows=None):
     """Per entry of a _summable table, sum_m table[t][j][m] u^m at the
     Fraction theta = p/q, as arrays (re, im, exp) along the leading axis,
-    value (re + i im) 2^exp.  At 53 bits that is one complex matrix-vector
-    product over the rounded _unit_powers, with exp 0.  Above, it is exact:
-    the table folded by 2q (kept in `folds` per q) times the 2q
-    Gaussian-integer unit powers."""
+    value (re + i im) 2^exp, for the table rows `rows` (all by default).
+    At 53 bits that is one complex matrix-vector product over the rounded
+    _unit_powers, with exp 0, of the whole table (its rows then picked, so
+    a row's sum does not depend on which others are asked for).  Above, it
+    is exact: the table folded by 2q (kept in `folds` per q) times the 2q
+    Gaussian-integer unit powers, summed for the rows asked for only."""
     if ctx.double:
-        s = table @ _unit_powers(ctx, theta, table.shape[-1])
+        # an overflowed (inf) table sums to inf or nan, which the build's
+        # finiteness check reports, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = table @ _unit_powers(ctx, theta, table.shape[-1])
+        s = s if rows is None else s[rows]
         return s.real, s.imag, 0
     q = theta.denominator
     if q not in folds:
         folds[q] = _fold(table, 2 * q)
     pr, pi = _unit_powers(ctx, theta, 2 * q)
+    folded = folds[q] if rows is None else [folds[q][t] for t in rows]
     return np.moveaxis(np.array(
         [[(sum(map(mul, ar, pr)) - sum(map(mul, ai, pi)),
            sum(map(mul, ar, pi)) + sum(map(mul, ai, pr)),
            -(frac + ctx.frac)) for ar, ai, frac in row]
-         for row in folds[q]], dtype=object), 2, 0)
+         for row in folded], dtype=object), 2, 0)
 
 
 def _rounded(ctx, re, im, exp):
@@ -643,13 +653,18 @@ _MAX_TERMS = 20000
 # every unit power is a root within one unit and folding by residue mod 2q
 # is exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
 # units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
-# from these sums to one rounding.  Collocation: each content entry is
-# rounded once to bits + 40 significant bits (_aligned_row), each sector
-# column is solved exactly and rounded once to bits + 40 bits of its largest
-# entry (_exact_column), the A/B consistency and the factor quotients are
-# exact (_eliminate), and each factor entry is rounded once to `bits`.  So
-# the only errors before the result's are these two roundings at
-# 2^-(bits+40), and each moves a solution by at most the condition number
+# from these sums to one rounding.  Collocation: each raw content entry
+# (no mode exponential) is rounded once to bits + 40 significant bits
+# (_aligned_row), each sector column is solved exactly and rounded once to
+# bits + 40 bits of its largest entry (_exact_column), the A/B consistency
+# and the factor quotients are exact (_eliminate), and each factor entry is
+# rounded once to `bits`.  A kill row gives its column at any nonzero
+# scale, so only the normalization row's right-hand side e^{E}, one
+# working-precision exp, carries a mode exponential; its rounding at
+# 2^-bits scales its column as a whole and reaches a factor entry as a
+# relative 2^-bits, the size of that entry's own rounding.  So the only
+# other errors before the result's are the two roundings at 2^-(bits+40),
+# and each moves a solution by at most the condition number
 # kappa of the matrix solved (the collocation matrix, the A build) times
 # that (Higham 2002, ch. 7; an exact elimination adds none of ch. 9's
 # growth): the bits lost are bounded by log2 kappa, which the A/B
@@ -697,12 +712,9 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     ctx, n = fs.ctx, gc.n
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
-    angles = sorted(set(cond.values()) | set(norms.values()))
-    folds = {}          # the inverse table's, one per angle denominator
-    gammas = {th: _content_matrix(gc, fs, basis, inverse, th, folds)
-              for th in angles}
-    va = sector_coefficients(fs, layout, gammas, cond, norms, "A")
-    vb = sector_coefficients(fs, layout, gammas, cond, norms, "B")
+    gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
+    va = sector_coefficients(fs, layout, gammas, scalars, cond, norms, "A")
+    vb = sector_coefficients(fs, layout, gammas, scalars, cond, norms, "B")
     cons, quotients = 0.0, []
     for i in range(1, layout.r + 1):
         prev = vb[i - 1 if i > 1 else layout.r]
@@ -853,53 +865,103 @@ def _gauge_exponents(n, k):
     return tuple((n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n))
 
 
-def _content_matrix(gc, fs, basis, inverse, theta_fpi, folds=None):
-    """Contents of the entire-basis columns against the formal modes at one
-    reading angle: row x holds each column's coefficient along mode x, read
-    from the truncated formal frame at z = rho e^{i theta} on the basis'
-    circle as (formal-inverse table) times (gauged state sums).  The chart
-    log z = ln rho + i pi theta ties every fractional power (the trace-split
-    scalar, z^Lambda) to the unwrapped angle chain, so re-reading sector 1
-    on the shifted chart is what produces the wrap factor's extra scalars.
+def _content_matrix(fs, basis, inverse, theta_fpi, modes=None, folds=None):
+    """Raw content rows of the entire-basis columns against the formal
+    modes `modes` (all by default) at one reading angle: row x holds each
+    column's coefficient along mode x, read from the truncated formal frame
+    at z = rho e^{i theta} on the basis' circle as (formal-inverse table)
+    times (gauged state sums), without mode x's exponential: the content
+    is e^{-(q_x(z) + lambda_x log z)} times the raw row (_mode_scalars).
+    Returned as {x: row x}.
 
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4q
-    read at the unwrapped numerator of theta = p/q (so the chart branch
-    stays explicit), and its modulus rho^(h_a) is in the inverse table's
-    columns.  Above 53 bits everything but the n column exponentials stays
-    in Gaussian integers until each entry is rounded once, to `frac`
-    significant bits, and the rows come back as _aligned_row gives them to
-    the exact solves; at 53 bits the same product runs on the rounded
-    tables in doubles.  Either way row x of the result is mode x's row.
-    `folds` keeps the inverse table's folds (_table_sums) across the angles
-    of one build."""
+    read at the unwrapped numerator of theta = p/q, so the chart log z =
+    ln rho + i pi theta stays explicit: on the next sheet a raw row takes
+    the det twist and its mode scalar e^{-2 pi i lambda_x}, the wrap
+    factor's extra scalars (collocation_factors).  The modulus rho^(h_a) of
+    gauged row a is in the inverse table's columns.  Above 53 bits only the
+    inverse-table rows of `modes` are summed, everything stays in Gaussian
+    integers until each entry is rounded once, to `frac` significant bits,
+    and the rows come back as _aligned_row gives them to the exact solves;
+    at 53 bits the same product runs on the rounded tables in doubles, for
+    all modes, and the rows of `modes` are picked.  `folds` keeps the
+    inverse table's folds (_table_sums) across the angles of one build."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
+    modes = list(range(n)) if modes is None else list(modes)
     theta = _angle(theta_fpi)
     p, q = theta.numerator, theta.denominator
-    chart = (ctx.log(ctx.number(basis.rho))
-             + 1j * ctx.number(theta) * ctx.pi())
-    z = ctx.exp(chart)
-    cols = [ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
-            for b in range(n)]
-    rows = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
+    phases = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
     sr, si, se = basis.sums(theta)
-    wr, wi, we = _table_sums(ctx, inverse, theta,
-                             {} if folds is None else folds)     # conj(W)
+    folds = {} if folds is None else folds
     if ctx.double:
+        wr, wi, _ = _table_sums(ctx, inverse, theta, folds)     # conj(W)
         # an overflowed reading turns inf or nan, which the build's A/B
         # consistency already judges, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _double_roots(ctx.frac, 2 * q)[rows, None] * (sr + 1j * si)
-            return np.array(cols)[:, None] * ((wr - 1j * wi) @ x)
+            x = _double_roots(ctx.frac, 2 * q)[phases, None] * (sr + 1j * si)
+            raw = (wr - 1j * wi) @ x
+        return {b: raw[b] for b in modes}
     roots = _unit_roots(ctx.frac, 2 * q)
-    phase = np.array([roots[r] for r in rows], dtype=object).T
+    phase = np.array([roots[r] for r in phases], dtype=object).T
     x = _gauss(phase[:, :, None], np.array([sr, si]))
     low = se.min(axis=0)                         # align each column exactly
+    wr, wi, we = _table_sums(ctx, inverse, theta, folds, modes)
     cont = _gauss(np.array([wr, -wi]), x << (se - low), np.matmul)
-    cols = np.array([_exact(c) for c in cols], dtype=object).T
-    cont = _gauss(cols[:2, :, None], cont)
-    exp = low - ctx.frac + cols[2][:, None] + we[0, 0]
-    return [_aligned_row(*row, ctx.frac) for row in zip(*cont, exp)]
+    exp = low - ctx.frac + we[0, 0]
+    return {b: _aligned_row(re, im, exp, ctx.frac)
+            for b, re, im in zip(modes, *cont)}
+
+
+def _mode_scalars(fs, rho, pairs):
+    """Per (theta, b) in pairs, mode b's exponential at z = rho e^{i pi
+    theta} on the chart log z = ln rho + i pi theta, E = q_b(z) + lambda_b
+    log z: at 53 bits e^{-E}, the factor its raw content row is multiplied
+    by (_content_matrix); above, e^{E}, the right-hand side a normalization
+    row solves for (_exact_column).  One log per call; above 53 bits z is
+    rho times a root of the root table, so the exponential of each pair is
+    the only exp."""
+    ctx = fs.ctx
+    log_rho = ctx.log(ctx.number(rho))
+    points, out = {}, {}
+    for theta, b in pairs:
+        if theta not in points:
+            chart = log_rho + 1j * ctx.number(theta) * ctx.pi()
+            if ctx.double:
+                z = ctx.exp(chart)
+            else:
+                p, q = theta.numerator, theta.denominator
+                ur, ui = _unit_roots(ctx.frac, 2 * q)[2 * p % (4 * q)]
+                z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
+                                                  ctx.real((ui, -ctx.frac)))
+            points[theta] = chart, z
+        chart, z = points[theta]
+        e = fs.q_entry(b, z) + fs.lam[b] * chart
+        out[(theta, b)] = ctx.exp(-e) if ctx.double else ctx.exp(e)
+    return out
+
+
+def _plan_contents(fs, basis, inverse, cond, norms):
+    """What the collocation solves of a plan read (sector_coefficients):
+    the raw content rows {theta: {mode: row}} of the modes read at each
+    angle, the kill conditions' foreign modes and the normalizations' own,
+    and the mode scalars (_mode_scalars) the solves take.  At 53 bits every
+    row is scaled by its scalar, since LAPACK's pivoting is not invariant
+    under row scaling; above, the exact solves give a kill row's column at
+    any nonzero scale, so only each normalization (angle, column) pair
+    takes its scalar, once for the A and B builds both."""
+    reads = {}
+    for (_, _, _, a), th in cond.items():
+        reads.setdefault(th, set()).add(a)
+    for (_, d), th in norms.items():
+        reads.setdefault(th, set()).add(d)
+    folds = {}          # the inverse table's, one per angle denominator
+    gammas = {th: _content_matrix(fs, basis, inverse, th, sorted(modes),
+                                  folds)
+              for th, modes in sorted(reads.items())}
+    pairs = ({(th, b) for th, modes in reads.items() for b in modes}
+             if fs.ctx.double else {(th, d) for (_, d), th in norms.items()})
+    return gammas, _mode_scalars(fs, basis.rho, sorted(pairs))
 
 
 def _aligned_row(re, im, exp, frac):
@@ -923,50 +985,65 @@ def _aligned_row(re, im, exp, frac):
 class CollocationPlan:
     """Discrete data of a collocation run, frozen so finite-difference
     stencils reuse identical circles, angles, term counts, working precision
-    and mode labeling."""
+    and mode labeling.  It records the truncation order and base direction
+    it was made with, which a replay's settings must repeat."""
     rho: float
     nterms: int
     bits: int
     cond: dict      # (sector, variant, column, mode) -> Fraction-of-pi angle
     norms: dict     # (sector, column) -> Fraction-of-pi angle
     perm: tuple     # mode labeling in which S_1 is upper triangular
+    trunc_order: int    # M of the formal solution read
+    v0: Fraction        # the layout's base direction, mod 2
 
 
-def sector_coefficients(fs, layout, gammas, cond, norms, variant):
+def sector_coefficients(fs, layout, gammas, scalars, cond, norms, variant):
     """Coefficient matrices of the canonical frames in the entire basis.
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
-    at the normalization angle.  At 53 bits a sector is a complex matrix,
-    one LAPACK solve per column; above, a fixed-point matrix (y, s) of
-    value y diag(2^s), its columns solved exactly (_exact_column)."""
+    at the normalization angle, from the raw content rows `gammas` and the
+    mode scalars `scalars` of _plan_contents.  At 53 bits a sector is a
+    complex matrix, one LAPACK solve per column of the rows each scaled by
+    its scalar e^{-E} against (0, ..., 0, 1); above, a fixed-point matrix
+    (y, s) of value y diag(2^s), its columns solved exactly from the raw
+    rows against (0, ..., 0, e^{E}) (_exact_column)."""
     ctx = fs.ctx
     n = layout.n
     out = {}
     for i in range(1, layout.r + 1):
-        systems = [[gammas[cond[(i, variant, d, a)]][a]
-                    for a in range(n) if a != d] + [gammas[norms[(i, d)]][d]]
-                   for d in range(n)]
+        systems = [[(cond[(i, variant, d, a)], a) for a in range(n) if a != d]
+                   + [(norms[(i, d)], d)] for d in range(n)]
         if ctx.double:
             unit = np.eye(n)[n - 1]
-            out[i] = np.column_stack([ctx.solve(np.array(rows), unit)
-                                      for rows in systems])
+            cols = []
+            for reads in systems:
+                # overflow turns inf or nan, as in _content_matrix
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows = (np.array([scalars[r] for r in reads])[:, None]
+                            * np.array([gammas[th][b] for th, b in reads]))
+                cols.append(ctx.solve(rows, unit))
+            out[i] = np.column_stack(cols)
         else:
-            y, s = zip(*(_exact_column(rows, ctx.frac) for rows in systems))
+            y, s = zip(*(_exact_column([gammas[th][b] for th, b in reads],
+                                       _exact(scalars[reads[-1]]), ctx.frac)
+                         for reads in systems))
             out[i] = np.stack(y, axis=-1), np.array(s, dtype=object)
     return out
 
 
-def _exact_column(rows, frac):
-    """The column v with rows . v = (0, ..., 0, 1), for content rows
-    (re, im, e) as _aligned_row gives them (value (re + i im) 2^e), solved
-    exactly (_eliminate) and rounded once, to nearest on `frac` bits of its
-    largest entry: (y, s), v = y 2^s, y a (2, n) Gaussian-integer array.
-    Only the normalization row, the last, has a right-hand side, so only
-    its exponent scales the column: 2^e row . v = 1 is row . v = 2^-e."""
+def _exact_column(rows, rhs, frac):
+    """The column v with rows . v = (0, ..., 0, s), for raw content rows
+    (re, im, e) as _aligned_row gives them (value (re + i im) 2^e) and the
+    normalization row's right-hand side s = (sr + i si) 2^se given as
+    rhs = (sr, si, se), solved exactly (_eliminate) and rounded once, to
+    nearest on `frac` bits of its largest entry: (y, s), v = y 2^s, y a
+    (2, n) Gaussian-integer array.  Only the normalization row, the last,
+    has a right-hand side, so only its exponents scale the column: 2^e
+    row . v = 2^se s' is row . v = s' 2^(se - e)."""
     aug = np.array([[part + [0] for part in row[:2]] for row in rows],
                    dtype=object).transpose(1, 0, 2)
-    aug[0, -1, -1] = 1
+    aug[:, -1, -1] = rhs[:2]
     det, x = _eliminate(aug)
     # x / det = x conj(det) / |det|^2
     num = _gauss(x[:, :, 0], np.array([det[0], -det[1]]))
@@ -974,7 +1051,7 @@ def _exact_column(rows, frac):
     exp = (max(abs(v) for v in num.ravel()).bit_length() - norm.bit_length()
            - frac)
     return (np.array([[_divide(v, norm, exp) for v in part] for part in num],
-                     dtype=object), exp - rows[-1][2])
+                     dtype=object), exp + rhs[2] - rows[-1][2])
 
 
 def _eliminate(aug):
@@ -1271,7 +1348,9 @@ def stokes_data(op, settings=None, plan=None):
     """Full pipeline: gauge, formal solution, sector layout, canonical
     frames collocated in the entire basis, factors, grouped matrices,
     residual certificates.  A plan from an earlier run freezes every
-    discrete choice instead of selecting the reading circle anew."""
+    discrete choice instead of selecting the reading circle anew; settings
+    whose truncation order or base direction differ from the plan's raise
+    ValueError, since its angles and term count belong to those."""
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
@@ -1280,8 +1359,14 @@ def stokes_data(op, settings=None, plan=None):
         build = _select_reading(op, gc, layout, settings, cond, norms)
         plan = CollocationPlan(rho=build.rho, nterms=build.basis.nterms,
                                bits=build.fs.ctx.bits, cond=cond, norms=norms,
-                               perm=dominance_order(layout))
+                               perm=dominance_order(layout),
+                               trunc_order=settings.trunc_order, v0=layout.v0)
     else:
+        if (plan.trunc_order, plan.v0) != (settings.trunc_order, layout.v0):
+            raise ValueError(
+                f"the plan was made with trunc_order={plan.trunc_order} and "
+                f"v0={plan.v0}, the settings ask for trunc_order="
+                f"{settings.trunc_order} and v0={layout.v0}")
         fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
         build = _collocate(op, gc, layout, fs, plan.rho, plan.cond,
                            plan.norms, plan.nterms)

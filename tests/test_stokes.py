@@ -122,23 +122,31 @@ def test_gauge_leading_block_is_cyclic():
 # ---------------------------------------------------------------------------
 # formal solution
 
+def ycoeffs(fs):
+    """Y_m, m = 0..M, the z^{-m} coefficients of Yhat, each rounded once to
+    the working precision from the formal solution's fixed point."""
+    return [stokes._rounded(fs.ctx, *y, -fs.ctx.frac) for y in fs.fixed]
+
+
 def yhat(fs, z):
     """sum_m Y_m z^{-m}: the truncated formal frame at a concrete z."""
-    acc = fs.ycoeffs[0].copy()
+    ys = ycoeffs(fs)
+    acc = ys[0].copy()
     w = 1.0 / z
     pw = w
     for m in range(1, fs.M + 1):
-        acc = acc + fs.ycoeffs[m] * pw
+        acc = acc + ys[m] * pw
         pw = pw * w
     return acc
 
 
 def yhat_prime(fs, z):
+    ys = ycoeffs(fs)
     acc = np.zeros((fs.n, fs.n), dtype=fs.ctx.dtype)
     w = 1.0 / z
     pw = w * w
     for m in range(1, fs.M + 1):
-        acc = acc + fs.ycoeffs[m] * (-m) * pw
+        acc = acc + ys[m] * (-m) * pw
         pw = pw * w
     return acc
 
@@ -206,7 +214,7 @@ def test_double_formal_solution_matches_multiprecision(op):
     mp.prec = 200
     gc = gauge_transform(op)
     lo, hi = (formal_solution(gc, 20, make_ctx(bits)) for bits in (53, 132))
-    pairs = list(zip(lo.ycoeffs, hi.ycoeffs)) + [(lo.lam, hi.lam)]
+    pairs = list(zip(ycoeffs(lo), ycoeffs(hi))) + [(lo.lam, hi.lam)]
     pairs += [(lo.qcoeffs[j], hi.qcoeffs[j]) for j in hi.qcoeffs]
     assert len(pairs) == 21 + 1 + op.k + 1
     for got, want in pairs:
@@ -369,7 +377,7 @@ def test_formal_inverse_matches_plain_series(bits):
         n, M = fs.n, fs.M
         table = stokes._inverse_table(fs, rho)
         ys = [mp.matrix([[mp.mpc(v) for v in row] for row in y])
-              for y in fs.ycoeffs]
+              for y in ycoeffs(fs)]
         ws = [mp.eye(n)]
         for m in range(1, M + 1):
             ws.append(-sum((ys[j] * ws[m - j] for j in range(1, m + 1)),
@@ -446,13 +454,33 @@ def test_double_unit_powers_are_rounded_roots():
         stokes._unit_powers(ctx, 7 / 24, 256)
 
 
-def content(ctx, gamma):
-    """A _content_matrix as a working-precision matrix: above 53 bits its
-    rows (re, im, e), value (re + i im) 2^e, each entry rounded once."""
-    if ctx.double:
-        return gamma
-    re, im, e = (np.array(part, dtype=object) for part in zip(*gamma))
-    return stokes._rounded(ctx, re, im, e[:, None])
+def mode_scalar(fs, rho, theta, b, prec):
+    """e^{-(q_b(z) + lambda_b log z)} at z = rho e^{i pi theta} on the chart
+    log z = ln rho + i pi theta, in mpmath at `prec` bits, from the run's
+    own Q and Lambda: the factor that turns raw content row b into mode b's
+    content, evaluated independently of _mode_scalars."""
+    mp = mpmath.mp.clone()
+    mp.prec = prec
+    chart = mp.log(rho) + 1j * mp.pi * theta.numerator / theta.denominator
+    z = mp.exp(chart)
+    q = mp.fsum(mp.mpc(fs.qcoeffs[j][b]) * z ** j for j in fs.qcoeffs)
+    return mp.exp(-(q + mp.mpc(fs.lam[b]) * chart))
+
+
+def content(ctx, fs, rho, theta, gamma):
+    """Mode contents at theta from _content_matrix's raw rows {b: row}, as a
+    working-precision matrix with one row per mode: each raw row (above 53
+    bits (re, im, e), value (re + i im) 2^e, each entry rounded once) times
+    its mode_scalar."""
+    out = []
+    for b, row in sorted(gamma.items()):
+        scale = mode_scalar(fs, rho, theta, b, ctx.bits + 40)
+        if ctx.double:
+            out.append(row * complex(scale))
+        else:
+            re, im, e = (np.array(part, dtype=object) for part in row)
+            out.append(stokes._rounded(ctx, re, im, e) * ctx.complex(scale))
+    return np.array(out)
 
 
 def test_content_matrix_wrap_identity():
@@ -460,8 +488,11 @@ def test_content_matrix_wrap_identity():
     # by det_twist e^{-2 pi i lambda_b}: the gauge rows pick up
     # e^{2 pi i expo_a} = sigma, the formal exponent columns e^{-2 pi i
     # lambda_b}.  Above 53 bits the row phases are roots read at the
-    # unwrapped numerator, which must keep this chart bookkeeping.  The
-    # (3,1) circle is one that doubles still read to 1e-10
+    # unwrapped numerator, which must keep this chart bookkeeping.  The raw
+    # rows are composed with independently evaluated mode scalars, and the
+    # run's own scalars (_mode_scalars: e^{-E} at 53 bits, e^{E} above) must
+    # agree with those on both sheets.  The (3,1) circle is one that doubles
+    # still read to 1e-10
     for op, rho, theta in ((OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 4.0,
                             QQ(7, 24)),
                            (OperPoint(2, 1, (QQ(1, 3),)), 4.5, QQ(5, 16))):
@@ -471,28 +502,38 @@ def test_content_matrix_wrap_identity():
             fs = formal_solution(gc, 20, ctx)
             basis = EntireBasis(op, ctx, rho)
             inverse = stokes._inverse_table(fs, rho)
-            here, next_sheet = (content(ctx, stokes._content_matrix(
-                gc, fs, basis, inverse, t)) for t in (theta, theta + 2))
+            here, next_sheet = (
+                content(ctx, fs, rho, t,
+                        stokes._content_matrix(fs, basis, inverse, t))
+                for t in (theta, theta + 2))
             for b in range(op.n):
                 twist = gc.det_twist * ctx.exp(-2j * ctx.pi() * fs.lam[b])
                 for j in range(op.n):
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
+            pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
+            for (t, b), got in stokes._mode_scalars(fs, rho, pairs).items():
+                want = mode_scalar(fs, rho, t, b, bits + 40)
+                got = got if ctx.double else 1 / got
+                assert abs(got - want) <= 2.0 ** -(bits - 30) * abs(want)
         assert gc.det_twist == (1 if op.n == 3 else -1)
 
 
 @pytest.mark.parametrize("op", [OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
                                 OperPoint(4, 1, (0, 0, 0))])
 def test_sector_columns_meet_their_conditions(op):
-    # above 53 bits a sector column is solved exactly from content rows on
-    # their lowest exponents and rounded once, so the normalization row's
-    # right-hand side 1 must scale with its row.  Left unscaled it puts a power of 2 on every
-    # column, which closure and consistency cannot see (both are invariant
-    # under a common diagonal conjugation) while sigma_1 of the (3,1)
-    # Jacobian moves from 17.6 to 1.3e7.  Each column of every sector, at
-    # working precision, must meet its own n conditions: foreign contents
-    # vanish and the self-content is 1, to 2^-(bits-10) of the terms' sizes
+    # above 53 bits a sector column is solved exactly from raw content rows
+    # on their lowest exponents against the normalization row's right-hand
+    # side e^{E}, and rounded once, so that right-hand side's exponent must
+    # scale the column with its row's.  Left out it puts a power of 2 on
+    # every column, which closure and consistency cannot see (both are
+    # invariant under a common diagonal conjugation) while sigma_1 of the
+    # (3,1) Jacobian moves from 17.6 to 1.3e7.  Each column of every sector,
+    # at working precision, must meet its own n conditions on the contents,
+    # the raw rows composed with independently evaluated mode scalars:
+    # foreign contents vanish and the self-content is 1, to 2^-(bits-10) of
+    # the terms' sizes
     plan = stokes_data(op).plan
     assert plan.bits > 53
     gc = gauge_transform(op)
@@ -501,25 +542,30 @@ def test_sector_columns_meet_their_conditions(op):
     fs = formal_solution(gc, StokesSettings().trunc_order, ctx)
     basis = EntireBasis(op, ctx, plan.rho, plan.nterms)
     inverse = stokes._inverse_table(fs, plan.rho)
-    gammas = {th: stokes._content_matrix(gc, fs, basis, inverse, th)
-              for th in set(plan.cond.values()) | set(plan.norms.values())}
+    gammas, scalars = stokes._plan_contents(fs, basis, inverse, plan.cond,
+                                            plan.norms)
     mp = mpmath.mp.clone()
     mp.prec = plan.bits
     tol = 2.0 ** -(plan.bits - 10)
+    scales = {}
     for variant in "AB":
-        coeffs = stokes.sector_coefficients(fs, layout, gammas, plan.cond,
-                                            plan.norms, variant)
+        coeffs = stokes.sector_coefficients(fs, layout, gammas, scalars,
+                                            plan.cond, plan.norms, variant)
         assert sorted(coeffs) == list(range(1, layout.r + 1))
         for i, (y, s) in coeffs.items():
             for d in range(op.n):
                 v = [mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d]
                      for r in range(op.n)]
-                rows = [(gammas[plan.cond[(i, variant, d, a)]][a], 0)
+                rows = [(plan.cond[(i, variant, d, a)], a, 0)
                         for a in range(op.n) if a != d]
-                rows.append((gammas[plan.norms[(i, d)]][d], 1))
-                for (re, im, e), want in rows:
-                    terms = [mp.mpc(re[j], im[j]) * mp.mpf(2) ** e * v[j]
-                             for j in range(op.n)]
+                rows.append((plan.norms[(i, d)], d, 1))
+                for th, b, want in rows:
+                    if (th, b) not in scales:
+                        scales[(th, b)] = mp.mpc(mode_scalar(
+                            fs, plan.rho, th, b, plan.bits + 40))
+                    re, im, e = gammas[th][b]
+                    terms = [scales[(th, b)] * mp.mpc(re[j], im[j])
+                             * mp.mpf(2) ** e * v[j] for j in range(op.n)]
                     assert (abs(mp.fsum(terms) - want)
                             <= tol * sum(abs(t) for t in terms))
 
@@ -538,10 +584,10 @@ def test_exact_sector_coefficients_match_double():
         fs = formal_solution(gc, 20, ctx)
         basis = EntireBasis(op, ctx, rho)
         inverse = stokes._inverse_table(fs, rho)
-        gammas = {th: stokes._content_matrix(gc, fs, basis, inverse, th)
-                  for th in set(cond.values()) | set(norms.values())}
-        coeffs[bits] = stokes.sector_coefficients(fs, layout, gammas, cond,
-                                                  norms, "A")
+        gammas, scalars = stokes._plan_contents(fs, basis, inverse, cond,
+                                                norms)
+        coeffs[bits] = stokes.sector_coefficients(fs, layout, gammas, scalars,
+                                                  cond, norms, "A")
     mp = mpmath.mp.clone()
     mp.prec = 69
     for i, (y, s) in coeffs[69].items():
@@ -831,6 +877,67 @@ def test_plan_replay_is_deterministic():
     again = stokes_data(op, StokesSettings(), plan=first.plan)
     for a, b in zip(first.factors, again.factors):
         assert np.array_equal(as_np(a), as_np(b))
+
+
+def test_replay_rejects_settings_the_plan_was_not_made_with():
+    # a plan's angles belong to its base direction and its term count to its
+    # truncation order: replayed under v0 = 1/7 the (3,1) plan read
+    # `converged` with support residual 3.71, under trunc_order = 20 it
+    # missed without saying why
+    op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
+    plan = stokes_data(op).plan
+    assert (plan.trunc_order, plan.v0) == (40, QQ(1, 24))
+    for settings in (StokesSettings(v0=QQ(1, 7)),
+                     StokesSettings(trunc_order=20)):
+        with pytest.raises(ValueError, match="the plan was made with"):
+            stokes_data(op, settings, plan=plan)
+    # the default direction, spelled out or shifted by 2 pi, is the plan's
+    for v0 in (QQ(1, 24), QQ(49, 24)):
+        assert stokes_data(op, StokesSettings(v0=v0), plan=plan).converged
+
+
+@pytest.mark.parametrize("op, pairs, angles, rows", [
+    (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 14, 14, 95),
+    (OperPoint(4, 1, (0, 0, 0)), 26, 21, 208)], ids=["cubic-point", "z4-n4"])
+def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
+                                                    monkeypatch):
+    # above 53 bits a kill row gives its column at any nonzero scale, so a
+    # build evaluates the context's exp once per distinct normalization
+    # (angle, column) pair -- at (3,1) 14, where every read row took one
+    # (59 angles x 3 modes = 177) -- and sums the formal inverse's rows only
+    # for the modes read at each angle: 95 of those 177 at (3,1), 208 of
+    # 81 x 4 = 324 at z^4 (4,1), whose 26 pairs share 21 angles
+    plan = stokes_data(op).plan
+    assert plan.bits > 53
+    norm_pairs = {(th, d) for (_, d), th in plan.norms.items()}
+    assert len(norm_pairs) == pairs
+    assert len({th for th, _ in norm_pairs}) == angles
+    gc = gauge_transform(op)
+    ctx = make_ctx(plan.bits)
+    fs = formal_solution(gc, plan.trunc_order, ctx)
+    exps, tables, summed = [], [], []
+    exp = ctx.exp
+    ctx.exp = lambda x: exps.append(x) or exp(x)
+    inverse_table, table_sums = stokes._inverse_table, stokes._table_sums
+
+    def traced_inverse(*args):
+        tables.append(inverse_table(*args))
+        return tables[-1]
+
+    def traced_sums(ctx, table, *args, **kwargs):
+        out = table_sums(ctx, table, *args, **kwargs)
+        if any(table is t for t in tables):
+            summed.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(stokes, "_inverse_table", traced_inverse)
+    monkeypatch.setattr(stokes, "_table_sums", traced_sums)
+    build = stokes._collocate(op, gc, sector_layout(gc), fs, plan.rho,
+                              plan.cond, plan.norms, plan.nterms)
+    assert build.cons <= 1e-10
+    assert len(exps) == pairs
+    reads = set(plan.cond.values()) | set(plan.norms.values())
+    assert len(reads) * op.n > sum(summed) == rows
 
 
 def test_plan_does_not_depend_on_precision():
