@@ -346,14 +346,9 @@ def cmd_stokes(args):
                 writer.writerow([idx, ray["of_pi"], repr(ray["radians"])])
     _emit_json(args, doc)
     if not data.converged:
-        tol, res = settings.radius_tol, data.residuals
-        missed = []
-        if res["consistency"] > 3 * tol:
-            missed.append(f"reading consistency {res['consistency']!r}")
-        if res["asymptotic"] > tol:
-            missed.append(f"asymptotic residual {res['asymptotic']!r}")
-        print(f"numerical failure: {' and '.join(missed)} missed the "
-              f"requested tolerance {tol!r}", file=sys.stderr)
+        print(f"numerical failure: {' and '.join(data.missed_names())} "
+              f"missed the requested tolerance {settings.radius_tol!r}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,22 +47,13 @@ from .isomono import OperPoint
 # numeric context: the working precision and the arithmetic that carries it
 
 class NumericContext:
-    """Working precision of a run, bound to its backend once.
-
-    At 53 bits and below the backend is IEEE double arithmetic: cmath
-    scalars, complex128 arrays and LAPACK solves.  Above 53 bits it is a
-    private mpmath context at `bits` for scalars and results, with object
-    arrays (whose eye holds exact int 0 and 1); its collocation systems are
-    solved exactly on Gaussian integers (_eliminate) and each result is
-    rounded once.  `real` and `complex` are the backend's scalar
-    constructors.  `frac` is the fraction bits of the fixed-point
-    constructions, which are the same at every precision: the formal
-    solution, the entire basis, the formal inverse and the root tables.
-    `double` marks where 53 bits differ: each finished table is rounded
-    once to complex128 and summed by a matrix-vector product, and the
-    contents are solved by LAPACK, where above 53 bits both are exact.
-    mpmath is imported by the first multiprecision context or by the first
-    formal solution at any precision, for its root table."""
+    """Working precision of a run: scalars in IEEE doubles (cmath, complex128
+    arrays) up to 53 bits, above in a private mpmath context at `bits`
+    (object arrays, whose eye holds exact int 0 and 1), and `frac`, the
+    fraction bits of every fixed-point construction, rounded once to the
+    working precision by _rounded.  `double` selects the 53-bit collocation
+    (_double_quotients) and the entire basis' term cut.  mpmath is imported
+    by the first multiprecision context or root table."""
 
     def __init__(self, bits):
         self.double = bits <= 53
@@ -73,9 +65,7 @@ class NumericContext:
             self.dtype = complex
             self._pi = math.pi
         else:
-            import mpmath
-            mp = mpmath.mp.clone()
-            mp.prec = bits
+            mp = _mpmath_at(bits)
             self.real, self.complex = mp.mpf, mp.mpc
             self.exp, self.log = mp.exp, mp.log
             self.dtype = object
@@ -100,14 +90,19 @@ class NumericContext:
     def eye(self, n):
         return np.eye(n, dtype=self.dtype)
 
-    def solve(self, a, b):
-        """a^{-1} b by LAPACK, for complex128 arrays: the double backend's
-        solve (above 53 bits systems are solved by _eliminate)."""
-        return np.linalg.solve(a, b)
+
+# the numeric context for `bits`, one per precision, shared by every run
+make_ctx = functools.lru_cache(maxsize=None)(NumericContext)
 
 
-# the numeric context for `bits` of working precision
-make_ctx = NumericContext
+@functools.lru_cache(maxsize=None)
+def _mpmath_at(prec):
+    """A private mpmath context at `prec` bits, one per precision: a clone
+    holds reference cycles that only the cyclic collector frees."""
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.prec = prec
+    return mp
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +412,8 @@ class EntireBasis:
     a plain relative comparison.  The recurrence runs on Gaussian integers
     at every precision, from exact inputs (rho is a double, so a dyadic
     rational).  The coefficients, times the falling factorial of each
-    derivative row, are the table `sums` reads over the unit powers of an
-    angle (_summable; every collocation angle is p/q with q | 4n(k+1))."""
+    derivative row, are the fixed-point table `sums` reads over the unit
+    powers of an angle (every collocation angle is p/q with q | 4n(k+1))."""
 
     def __init__(self, op, ctx, rho, nterms=None):
         self.n = op.n
@@ -434,10 +429,9 @@ class EntireBasis:
                for m in range(d + 1) if op.p_coeff(m)]
         cols = [[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
                  else (0, 0) for m in range(n)] for j in range(n)]
-        # terms are kept down to the table's resolution: above 53 bits that
-        # is one fixed-point unit, since a truncation the A and B builds
-        # share is one their consistency cannot see; at 53 bits, where the
-        # table is rounded to doubles, 8 bits under the last place
+        # terms are kept down to the table's resolution: one fixed-point
+        # unit above 53 bits, since a truncation the A and B builds share is
+        # one their consistency cannot see; 8 bits under a double at 53
         depth = ctx.bits + 8 if ctx.double else frac
         peak = -math.inf
         quiet = 0
@@ -469,14 +463,13 @@ class EntireBasis:
         # m of column j) times the falling factorial m (m-1) ... (m-t+1) of
         # derivative row t, cut so the largest entry carries `frac` bits
         falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
-        table = [[] for _ in falls]
-        for ff, row in zip(falls, table):
+        self.table = [[] for _ in falls]
+        for ff, row in zip(falls, self.table):
             for col in cols:
                 ar, ai = ([c[p] * f for c, f in zip(col, ff)] for p in (0, 1))
                 cut = max(0, max(map(abs, ar + ai)).bit_length() - frac)
                 row.append(([v >> cut for v in ar], [v >> cut for v in ai],
                             frac - cut))
-        self.table = _summable(ctx, table)
         self._folds, self._sums = {}, {}
 
     def state_matrix(self, theta_fpi):
@@ -500,7 +493,7 @@ class EntireBasis:
     def sums(self, theta_fpi):
         """The state rows without the z^{-t}, as the (re, im, exp) arrays of
         _table_sums, once per theta mod 2 (u^m depends on theta mod 2 only);
-        above 53 bits the table is folded once per period (_fold)."""
+        the table is folded once per period (_fold)."""
         key = _angle(theta_fpi) % 2
         if key not in self._sums:
             self._sums[key] = _table_sums(self.ctx, self.table, key,
@@ -520,13 +513,10 @@ def _angle(theta_fpi):
 def _unit_powers(ctx, theta_fpi, count):
     """u^m, m < count, for u = e^{i pi theta}: at theta = p/q, the roots
     2pm mod 4q of the root table of denominator 2q, as Gaussian-integer
-    tuples (re, im) (_unit_roots), at 53 bits as a complex128 array
-    (_double_roots)."""
+    tuples (re, im) (_unit_roots)."""
     theta = _angle(theta_fpi)
     p, q = theta.numerator, theta.denominator
     index = np.arange(count) * (2 * p % (4 * q)) % (4 * q)
-    if ctx.double:
-        return _double_roots(ctx.frac, 2 * q)[index]
     roots = _unit_roots(ctx.frac, 2 * q)
     return tuple(zip(*(roots[r] for r in index)))
 
@@ -536,20 +526,11 @@ def _unit_roots(frac, den):
     """e^{i pi r/den}, r < 2 den, as Gaussian integers (re, im) with `frac`
     fraction bits, each rounded to nearest from mpmath 10 bits deeper, so
     within one unit: the one root table per denominator and precision."""
-    import mpmath
     from mpmath.libmp import mpf_shift, to_int
-    mp = mpmath.mp.clone()
-    mp.prec = frac + 10
+    mp = _mpmath_at(frac + 10)
     return [tuple((to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
                   for x in (z.real, z.imag))
             for z in (mp.expjpi(mp.mpf(r) / den) for r in range(2 * den))]
-
-
-@functools.lru_cache(maxsize=None)
-def _double_roots(frac, den):
-    """_unit_roots(frac, den) rounded once to a complex128 array, the root
-    table 53-bit sums read."""
-    return _rounded(make_ctx(53), *zip(*_unit_roots(frac, den)), -frac)
 
 
 def _fold(table, period):
@@ -563,33 +544,12 @@ def _fold(table, period):
             for row in table]
 
 
-def _summable(ctx, table):
-    """A fixed-point table, rows of entries (re, im, frac') over m with
-    value (re + i im) 2^-frac', as _table_sums reads it: exact above 53
-    bits, at 53 bits rounded once to a (rows, columns, m) complex array."""
-    if not ctx.double:
-        return table
-    re, im, frac = (np.array([[entry[p] for entry in row] for row in table],
-                             dtype=object) for p in range(3))
-    return _rounded(ctx, re, im, -frac[:, :, None].astype(int))
-
-
 def _table_sums(ctx, table, theta, folds, rows=None):
-    """Per entry of a _summable table, sum_m table[t][j][m] u^m at the
-    Fraction theta = p/q, as arrays (re, im, exp) along the leading axis,
-    value (re + i im) 2^exp, for the table rows `rows` (all by default).
-    At 53 bits that is one complex matrix-vector product over the rounded
-    _unit_powers, with exp 0, of the whole table (its rows then picked, so
-    a row's sum does not depend on which others are asked for).  Above, it
-    is exact: the table folded by 2q (kept in `folds` per q) times the 2q
-    Gaussian-integer unit powers, summed for the rows asked for only."""
-    if ctx.double:
-        # an overflowed (inf) table sums to inf or nan, which the build's
-        # finiteness check reports, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = table @ _unit_powers(ctx, theta, table.shape[-1])
-        s = s if rows is None else s[rows]
-        return s.real, s.imag, 0
+    """Per entry of a fixed-point table (rows of entries (re, im, frac')
+    over m, value (re + i im) 2^-frac'), sum_m table[t][j][m] u^m at theta
+    = p/q exactly, as arrays (re, im, exp) along the leading axis, value
+    (re + i im) 2^exp, for the rows `rows` (all by default): the table
+    folded by 2q (kept in `folds` per q) times the 2q unit powers."""
     q = theta.denominator
     if q not in folds:
         folds[q] = _fold(table, 2 * q)
@@ -613,6 +573,7 @@ def _rounded(ctx, re, im, exp):
                                                          ctx.real((i, e))),
                              3, 1)(re, im, exp).astype(object)
     re, im = (np.asarray(v, dtype=object).astype(float) for v in (re, im))
+    exp = np.asarray(exp, dtype=object).astype(int)
     out = np.empty(np.broadcast(re, exp).shape, dtype=complex)
     with np.errstate(over="ignore"):
         out.real = np.ldexp(re, exp)
@@ -707,31 +668,90 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     between consecutive factors and the closure of the full product
     measures real disagreement between independent collocations.  Per
     sector one solve against A serves both its agreement and its factor:
-    at 53 bits two LAPACK solves, above one exact elimination
-    (_exact_quotient) with each factor entry rounded once."""
+    above 53 bits one exact elimination (_exact_quotient), each factor entry
+    rounded once, at 53 bits one batched LAPACK solve (_double_quotients)."""
     ctx, n = fs.ctx, gc.n
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
-    gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
-    va = sector_coefficients(fs, layout, gammas, scalars, cond, norms, "A")
-    vb = sector_coefficients(fs, layout, gammas, scalars, cond, norms, "B")
-    cons, quotients = 0.0, []
-    for i in range(1, layout.r + 1):
-        prev = vb[i - 1 if i > 1 else layout.r]
-        if ctx.double:
-            worst = float(np.abs(ctx.solve(va[i], vb[i]) - np.eye(n)).max())
-            quotients.append(ctx.solve(va[i], prev))
-        else:
-            x, det, exp = _exact_quotient(va[i], vb[i], prev)
-            worst = _deviation(x[:, :, :n], det, exp[:, :n])
+    if ctx.double:
+        quotients, deviations = _double_quotients(fs, layout, basis, inverse,
+                                                  cond, norms)
+    else:
+        gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
+        va, vb = (sector_coefficients(fs, layout, gammas, scalars, cond,
+                                      norms, variant) for variant in "AB")
+        quotients, deviations = [], []
+        for i in range(1, layout.r + 1):
+            x, det, exp = _exact_quotient(va[i], vb[i], vb[i - 1 or layout.r])
+            deviations.append(_deviation(x[:, :, :n], det, exp[:, :n]))
             quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
                                                exp[:, n:]))
+    cons = 0.0
+    for worst in deviations:
         # a NaN deviation must propagate: max(cons, nan) would keep cons
         cons = worst if not worst <= cons else cons
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
     return _Build(fs=fs, basis=basis, rho=rho, quotients=quotients,
                   cons=cons)
+
+
+def _double_quotients(fs, layout, basis, inverse, cond, norms):
+    """The 53-bit collocation: per sector i the quotient (A_i)^{-1} B_{i-1}
+    (B_r for i = 1) and the largest modulus of (A_i)^{-1} B_i - I.  All
+    column systems of both builds are one batched LAPACK solve against
+    (0, ..., 0, 1), all sectors' [B_i | B_{i-1}] against A_i one more."""
+    n, r = fs.n, layout.r
+    systems = [[(cond[(i, v, d, a)], a) for a in range(n) if a != d]
+               + [(norms[(i, d)], d)]
+               for v in "AB" for i in range(1, r + 1) for d in range(n)]
+    rows = _double_contents(fs, basis, inverse,
+                            {pair for reads in systems for pair in reads})
+    cols = np.linalg.solve(np.array([[rows[pair] for pair in reads]
+                                     for reads in systems]), np.eye(n)[n - 1])
+    a, b = cols.reshape(2, r, n, n).swapaxes(2, 3)
+    x = np.linalg.solve(a, np.concatenate([b, np.roll(b, 1, axis=0)], axis=2))
+    return (list(np.ascontiguousarray(x[:, :, n:])),
+            np.abs(x[:, :, :n] - np.eye(n)).max(axis=(1, 2)).tolist())
+
+
+def _double_contents(fs, basis, inverse, pairs):
+    """{(theta, b): row}: _content_matrix's raw row b at theta times e^{-E}
+    (_mode_scalars gives e^{E}), as LAPACK's pivoting is not invariant under
+    row scaling.  Both tables are rounded once to complex128 and summed per
+    angle by one matrix-vector product over the rounded roots.  An
+    overflow turns inf or nan, which the A/B consistency judges."""
+    ctx, n, frac = fs.ctx, fs.n, fs.ctx.frac
+    tables = []
+    for table in (basis.table, inverse):
+        re, im, cut = (np.array([[entry[p] for entry in row] for row in table],
+                                dtype=object) for p in range(3))
+        tables.append(_rounded(ctx, re, im, -cut[:, :, None]))
+    log_rho = ctx.log(ctx.number(basis.rho))
+    out = {}
+    for theta, group in itertools.groupby(sorted(pairs), key=lambda t: t[0]):
+        modes = [b for _, b in group]
+        p, q = theta.numerator, theta.denominator
+        roots = _double_roots(frac, 2 * q)
+        phases = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, fs.k)]
+        chart = log_rho + 1j * ctx.number(theta) * ctx.pi()
+        z = ctx.exp(chart)
+        scalars = [ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
+                   for b in modes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, w = (t @ roots[np.arange(t.shape[-1]) * (2 * p) % (4 * q)]
+                    for t in tables)
+            raw = (w.real - 1j * w.imag) @ (roots[phases, None]
+                                            * (s.real + 1j * s.imag))
+            out.update(zip(((theta, b) for b in modes),
+                           np.array(scalars)[:, None] * raw[modes]))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _double_roots(frac, den):
+    """_unit_roots(frac, den) rounded once to a complex128 array."""
+    return _rounded(make_ctx(53), *zip(*_unit_roots(frac, den)), -frac)
 
 
 def _visibility_interval(layout, i, a, d):
@@ -834,7 +854,7 @@ def _inverse_table(fs, rho):
     one product per order: the Y's side by side times the V's stacked.
     Column a also carries rho^(h_a), the modulus of gauged row a of a
     content (_gauge_exponents), since the recurrence only multiplies on the
-    left.  The finished table is _summable."""
+    left.  The table has EntireBasis.table's layout, rows b and entries a."""
     ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
     # rho is a dyadic rational, so its powers scale exactly up to one floor,
     # and a half-integer power is one isqrt; the table keeps g more fraction
@@ -853,8 +873,8 @@ def _inverse_table(fs, rho):
     vs[0] = np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)
     for m in range(1, M + 1):
         vs[m] = -(ys[:, :2 * n * m] @ vs[m - 1::-1].reshape(-1, n) >> frac)
-    return _summable(ctx, [[(list(vs[:, b, a]), list(-vs[:, n + b, a]),
-                             frac + g) for a in range(n)] for b in range(n)])
+    return [[(list(vs[:, b, a]), list(-vs[:, n + b, a]), frac + g)
+             for a in range(n)] for b in range(n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -871,21 +891,18 @@ def _content_matrix(fs, basis, inverse, theta_fpi, modes=None, folds=None):
     column's coefficient along mode x, read from the truncated formal frame
     at z = rho e^{i theta} on the basis' circle as (formal-inverse table)
     times (gauged state sums), without mode x's exponential: the content
-    is e^{-(q_x(z) + lambda_x log z)} times the raw row (_mode_scalars).
-    Returned as {x: row x}.
+    is e^{-(q_x(z) + lambda_x log z)} times the raw row.  Returned as
+    {x: row x}.
 
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4q
     read at the unwrapped numerator of theta = p/q, so the chart log z =
     ln rho + i pi theta stays explicit: on the next sheet a raw row takes
     the det twist and its mode scalar e^{-2 pi i lambda_x}, the wrap
     factor's extra scalars (collocation_factors).  The modulus rho^(h_a) of
-    gauged row a is in the inverse table's columns.  Above 53 bits only the
-    inverse-table rows of `modes` are summed, everything stays in Gaussian
-    integers until each entry is rounded once, to `frac` significant bits,
-    and the rows come back as _aligned_row gives them to the exact solves;
-    at 53 bits the same product runs on the rounded tables in doubles, for
-    all modes, and the rows of `modes` are picked.  `folds` keeps the
-    inverse table's folds (_table_sums) across the angles of one build."""
+    gauged row a is in the inverse table's columns.  Only the inverse-table
+    rows of `modes` are summed, and each entry is rounded once, to `frac`
+    significant bits (_aligned_row).  `folds` keeps the inverse table's
+    folds (_table_sums) across the angles of one build."""
     ctx = fs.ctx
     n, k = fs.n, fs.k
     modes = list(range(n)) if modes is None else list(modes)
@@ -894,14 +911,6 @@ def _content_matrix(fs, basis, inverse, theta_fpi, modes=None, folds=None):
     phases = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
     sr, si, se = basis.sums(theta)
     folds = {} if folds is None else folds
-    if ctx.double:
-        wr, wi, _ = _table_sums(ctx, inverse, theta, folds)     # conj(W)
-        # an overflowed reading turns inf or nan, which the build's A/B
-        # consistency already judges, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _double_roots(ctx.frac, 2 * q)[phases, None] * (sr + 1j * si)
-            raw = (wr - 1j * wi) @ x
-        return {b: raw[b] for b in modes}
     roots = _unit_roots(ctx.frac, 2 * q)
     phase = np.array([roots[r] for r in phases], dtype=object).T
     x = _gauss(phase[:, :, None], np.array([sr, si]))
@@ -914,42 +923,33 @@ def _content_matrix(fs, basis, inverse, theta_fpi, modes=None, folds=None):
 
 
 def _mode_scalars(fs, rho, pairs):
-    """Per (theta, b) in pairs, mode b's exponential at z = rho e^{i pi
-    theta} on the chart log z = ln rho + i pi theta, E = q_b(z) + lambda_b
-    log z: at 53 bits e^{-E}, the factor its raw content row is multiplied
-    by (_content_matrix); above, e^{E}, the right-hand side a normalization
-    row solves for (_exact_column).  One log per call; above 53 bits z is
-    rho times a root of the root table, so the exponential of each pair is
-    the only exp."""
+    """Per (theta, b) in pairs, e^{E} for mode b's exponential E = q_b(z) +
+    lambda_b log z at z = rho e^{i pi theta} on the chart log z = ln rho +
+    i pi theta: the right-hand side a normalization row solves for
+    (_exact_column).  One log per call; z is rho times a root of the root
+    table, so the exponential of each pair is the only exp."""
     ctx = fs.ctx
     log_rho = ctx.log(ctx.number(rho))
     points, out = {}, {}
     for theta, b in pairs:
         if theta not in points:
-            chart = log_rho + 1j * ctx.number(theta) * ctx.pi()
-            if ctx.double:
-                z = ctx.exp(chart)
-            else:
-                p, q = theta.numerator, theta.denominator
-                ur, ui = _unit_roots(ctx.frac, 2 * q)[2 * p % (4 * q)]
-                z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
-                                                  ctx.real((ui, -ctx.frac)))
-            points[theta] = chart, z
+            p, q = theta.numerator, theta.denominator
+            ur, ui = _unit_roots(ctx.frac, 2 * q)[2 * p % (4 * q)]
+            z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
+                                              ctx.real((ui, -ctx.frac)))
+            points[theta] = log_rho + 1j * ctx.number(theta) * ctx.pi(), z
         chart, z = points[theta]
-        e = fs.q_entry(b, z) + fs.lam[b] * chart
-        out[(theta, b)] = ctx.exp(-e) if ctx.double else ctx.exp(e)
+        out[(theta, b)] = ctx.exp(fs.q_entry(b, z) + fs.lam[b] * chart)
     return out
 
 
 def _plan_contents(fs, basis, inverse, cond, norms):
-    """What the collocation solves of a plan read (sector_coefficients):
-    the raw content rows {theta: {mode: row}} of the modes read at each
-    angle, the kill conditions' foreign modes and the normalizations' own,
-    and the mode scalars (_mode_scalars) the solves take.  At 53 bits every
-    row is scaled by its scalar, since LAPACK's pivoting is not invariant
-    under row scaling; above, the exact solves give a kill row's column at
-    any nonzero scale, so only each normalization (angle, column) pair
-    takes its scalar, once for the A and B builds both."""
+    """What the exact collocation solves of a plan read
+    (sector_coefficients): the raw content rows {theta: {mode: row}} of the
+    modes read at each angle, the kill conditions' foreign modes and the
+    normalizations' own, and the mode scalars (_mode_scalars) of the
+    normalization (angle, column) pairs, since an exact solve gives a kill
+    row's column at any nonzero scale."""
     reads = {}
     for (_, _, _, a), th in cond.items():
         reads.setdefault(th, set()).add(a)
@@ -959,8 +959,7 @@ def _plan_contents(fs, basis, inverse, cond, norms):
     gammas = {th: _content_matrix(fs, basis, inverse, th, sorted(modes),
                                   folds)
               for th, modes in sorted(reads.items())}
-    pairs = ({(th, b) for th, modes in reads.items() for b in modes}
-             if fs.ctx.double else {(th, d) for (_, d), th in norms.items()})
+    pairs = {(th, d) for (_, d), th in norms.items()}
     return gammas, _mode_scalars(fs, basis.rho, sorted(pairs))
 
 
@@ -1003,32 +1002,17 @@ def sector_coefficients(fs, layout, gammas, scalars, cond, norms, variant):
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
     at the normalization angle, from the raw content rows `gammas` and the
-    mode scalars `scalars` of _plan_contents.  At 53 bits a sector is a
-    complex matrix, one LAPACK solve per column of the rows each scaled by
-    its scalar e^{-E} against (0, ..., 0, 1); above, a fixed-point matrix
-    (y, s) of value y diag(2^s), its columns solved exactly from the raw
-    rows against (0, ..., 0, e^{E}) (_exact_column)."""
-    ctx = fs.ctx
+    mode scalars `scalars` of _plan_contents.  A sector is a fixed-point
+    matrix (y, s) of value y diag(2^s), solved exactly (_exact_column)."""
     n = layout.n
     out = {}
     for i in range(1, layout.r + 1):
         systems = [[(cond[(i, variant, d, a)], a) for a in range(n) if a != d]
                    + [(norms[(i, d)], d)] for d in range(n)]
-        if ctx.double:
-            unit = np.eye(n)[n - 1]
-            cols = []
-            for reads in systems:
-                # overflow turns inf or nan, as in _content_matrix
-                with np.errstate(over="ignore", invalid="ignore"):
-                    rows = (np.array([scalars[r] for r in reads])[:, None]
-                            * np.array([gammas[th][b] for th, b in reads]))
-                cols.append(ctx.solve(rows, unit))
-            out[i] = np.column_stack(cols)
-        else:
-            y, s = zip(*(_exact_column([gammas[th][b] for th, b in reads],
-                                       _exact(scalars[reads[-1]]), ctx.frac)
-                         for reads in systems))
-            out[i] = np.stack(y, axis=-1), np.array(s, dtype=object)
+        y, s = zip(*(_exact_column([gammas[th][b] for th, b in reads],
+                                   _exact(scalars[reads[-1]]), fs.ctx.frac)
+                     for reads in systems))
+        out[i] = np.stack(y, axis=-1), np.array(s, dtype=object)
     return out
 
 
@@ -1279,13 +1263,13 @@ def factor_support_residual(layout, factors):
 @dataclass
 class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
-    self-diagnosed residuals.  converged says whether the A/B agreement came
-    within 3 radius_tol, the slack left by the reading's one precision
-    correction, and the truncated frame's tail (the `asymptotic` residual,
-    which both builds share) within radius_tol; a run that missed either
-    still returns its data.  lam and
-    qcoeffs are the run's formal exponents Lambda and Q, as on
-    FormalSolution."""
+    self-diagnosed residuals.  missed names the residuals that missed their
+    bounds: "consistency" when the A/B agreement is not within 3 radius_tol,
+    the slack left by the reading's one precision correction, and
+    "asymptotic" when the truncated frame's tail, which both builds share,
+    is not within radius_tol; converged holds when neither did, and a run
+    that missed either still returns its data.  lam and qcoeffs are the
+    run's formal exponents Lambda and Q, as on FormalSolution."""
     op: OperPoint
     n: int
     k: int
@@ -1300,7 +1284,18 @@ class StokesData:
     residuals: dict
     settings: StokesSettings
     plan: CollocationPlan
-    converged: bool
+    missed: tuple
+
+    @property
+    def converged(self):
+        return not self.missed
+
+    def missed_names(self):
+        """The missed residuals in words, with their values."""
+        words = {"consistency": "reading consistency",
+                 "asymptotic": "asymptotic residual"}
+        return [f"{words[name]} {self.residuals[name]!r}"
+                for name in self.missed]
 
     def monitored_vector(self):
         """Strict-triangle entries of the dominance-conjugated grouped
@@ -1349,8 +1344,9 @@ def stokes_data(op, settings=None, plan=None):
     frames collocated in the entire basis, factors, grouped matrices,
     residual certificates.  A plan from an earlier run freezes every
     discrete choice instead of selecting the reading circle anew; settings
-    whose truncation order or base direction differ from the plan's raise
-    ValueError, since its angles and term count belong to those."""
+    whose truncation order, base direction or nonzero radius differ from
+    the plan's raise ValueError, since its circle, angles and term count
+    belong to those."""
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
@@ -1362,11 +1358,13 @@ def stokes_data(op, settings=None, plan=None):
                                perm=dominance_order(layout),
                                trunc_order=settings.trunc_order, v0=layout.v0)
     else:
-        if (plan.trunc_order, plan.v0) != (settings.trunc_order, layout.v0):
+        asked = settings.trunc_order, layout.v0, settings.radius or plan.rho
+        if (plan.trunc_order, plan.v0, plan.rho) != asked:
             raise ValueError(
-                f"the plan was made with trunc_order={plan.trunc_order} and "
-                f"v0={plan.v0}, the settings ask for trunc_order="
-                f"{settings.trunc_order} and v0={layout.v0}")
+                f"the plan was made with trunc_order={plan.trunc_order}, "
+                f"v0={plan.v0} and radius={plan.rho!r}, the settings ask for "
+                f"trunc_order={settings.trunc_order}, v0={layout.v0} and "
+                f"radius={settings.radius!r}")
         fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
         build = _collocate(op, gc, layout, fs, plan.rho, plan.cond,
                            plan.norms, plan.nterms)
@@ -1384,10 +1382,11 @@ def stokes_data(op, settings=None, plan=None):
         "factor_diag": diag_dev,
         "phantom": phantom,
     }
+    bounds = {"consistency": 3 * settings.radius_tol,
+              "asymptotic": settings.radius_tol}
     return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
                       qcoeffs=fs.qcoeffs, layout=layout, factors=factors, matrices=matrices,
                       perm=plan.perm, det_twist=gc.det_twist,
                       residuals=residuals, settings=settings, plan=plan,
-                      converged=(build.cons <= 3 * settings.radius_tol
-                                 and residuals["asymptotic"]
-                                 <= settings.radius_tol))
+                      missed=tuple(name for name, bound in bounds.items()
+                                   if not residuals[name] <= bound))

@@ -1,10 +1,13 @@
 import cmath
 import dataclasses
 import math
+from collections import Counter
+from fractions import Fraction as QQ
 
+import mpmath
 import pytest
 
-from operstokes import immersion
+from operstokes import immersion, stokes
 from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
 from operstokes.stokes import StokesSettings, stokes_data
@@ -118,7 +121,8 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
 
     def stencil_misses(op, settings=None, plan=None):
         data = real(op, settings, plan)
-        return dataclasses.replace(data, converged=plan is None)
+        return dataclasses.replace(
+            data, missed=() if plan is None else ("consistency",))
 
     monkeypatch.setattr(immersion, "stokes_data", stencil_misses)
     rep = jacobian(OperPoint(2, 1, (0,)))
@@ -132,6 +136,24 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     assert rep.missed_names() == [f"stencil run c_0 {s}" for s in
                                   ("+0.0001", "-0.0001", "+0.0001j",
                                    "-0.0001j")]
+
+
+def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
+    # every run of a Jacobian shares one numeric context and one root-table
+    # context per precision, so mpmath is cloned at most once per precision
+    # (at the (3,1) point each of the nine runs cloned its own at 69 bits)
+    clones = []
+    clone = mpmath.mp.clone
+    monkeypatch.setattr(mpmath.mp, "clone",
+                        lambda: clones.append(clone()) or clones[-1])
+    for cached in (stokes.make_ctx, stokes._mpmath_at, stokes._unit_roots,
+                   stokes._double_roots):
+        cached.cache_clear()
+    rep = jacobian(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))))
+    assert rep.converged and rep.plan.bits > 53
+    precisions = Counter(mp.prec for mp in clones)
+    assert rep.plan.bits in precisions
+    assert max(precisions.values()) == 1
 
 
 def test_lost_closure_is_an_error():

@@ -236,8 +236,9 @@ def test_residue_exponent_of_shifted_square():
 
 def test_double_and_multiprecision_contexts_agree():
     # one context class, two backends: every method gives the same value to
-    # double precision at 53 and at 97 bits, and so does a^{-1} b, by LAPACK
-    # at 53 bits and above it as the exact quotient rounded once (a
+    # double precision at 53 and at 97 bits, and so does a^{-1} b, by the
+    # 53-bit collocation's LAPACK solve on the context's numbers and above
+    # 53 bits as the exact quotient rounded once (a
     # fixed-point matrix (y, s) is y diag(2^s), and 4 b has Gaussian-integer
     # entries).  The numpy complex scalar guards exp and log against
     # backends that dispatch on the exact type and drop the imaginary part
@@ -262,7 +263,7 @@ def test_double_and_multiprecision_contexts_agree():
                             dtype=ctx.dtype)
 
         if ctx.double:
-            sol = ctx.solve(mat(a), mat(b))
+            sol = np.linalg.solve(mat(a), mat(b))
         else:
             sol = stokes._rounded_quotient(ctx, *stokes._exact_quotient(
                 exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
@@ -436,15 +437,18 @@ def test_unit_roots_are_within_one_unit(bits):
 
 
 def test_double_unit_powers_are_rounded_roots():
-    # at 53 bits every unit power is a root of its denominator's table
-    # rounded once to double, so each part is within half an ulp of 1 of
-    # e^{i pi theta m} at every m (a running product drifts: to about 3e-15
-    # at m = 131 for theta = 7/24, to about 1e-14 at m = 690 for 1/64)
+    # the 53-bit contents read u^m, u = e^{i pi p/q}, as root 2pm mod 4q of
+    # the root table of denominator 2q rounded once to double, so each part
+    # is within half an ulp of 1 of e^{i pi theta m} at every m (a running
+    # product drifts: to about 3e-15 at m = 131 for theta = 7/24, to about
+    # 1e-14 at m = 690 for 1/64)
     ctx = make_ctx(53)
     mp = mpmath.mp.clone()
     mp.prec = 200
     for theta, count in ((QQ(7, 24), 132), (QQ(1, 64), 691)):
-        got = stokes._unit_powers(ctx, theta, count)
+        p, q = theta.numerator, theta.denominator
+        got = stokes._double_roots(ctx.frac, 2 * q)[
+            np.arange(count) * 2 * p % (4 * q)]
         assert got.dtype == complex and len(got) == count
         for m, g in enumerate(got):
             want = mp.expjpi(mp.mpf(theta.numerator * m) / theta.denominator)
@@ -467,19 +471,22 @@ def mode_scalar(fs, rho, theta, b, prec):
     return mp.exp(-(q + mp.mpc(fs.lam[b]) * chart))
 
 
-def content(ctx, fs, rho, theta, gamma):
-    """Mode contents at theta from _content_matrix's raw rows {b: row}, as a
-    working-precision matrix with one row per mode: each raw row (above 53
-    bits (re, im, e), value (re + i im) 2^e, each entry rounded once) times
-    its mode_scalar."""
+def content(fs, basis, inverse, rho, theta):
+    """Mode contents at theta, as a working-precision matrix with one row
+    per mode: at 53 bits the rows of _double_contents, which carry cmath's
+    e^{-E}; above, each raw row of _content_matrix ((re, im, e), value
+    (re + i im) 2^e, each entry rounded once) times its mode_scalar."""
+    ctx = fs.ctx
+    if ctx.double:
+        rows = stokes._double_contents(fs, basis, inverse,
+                                       [(theta, b) for b in range(fs.n)])
+        return np.array([rows[(theta, b)] for b in range(fs.n)])
     out = []
+    gamma = stokes._content_matrix(fs, basis, inverse, theta)
     for b, row in sorted(gamma.items()):
         scale = mode_scalar(fs, rho, theta, b, ctx.bits + 40)
-        if ctx.double:
-            out.append(row * complex(scale))
-        else:
-            re, im, e = (np.array(part, dtype=object) for part in row)
-            out.append(stokes._rounded(ctx, re, im, e) * ctx.complex(scale))
+        re, im, e = (np.array(part, dtype=object) for part in row)
+        out.append(stokes._rounded(ctx, re, im, e) * ctx.complex(scale))
     return np.array(out)
 
 
@@ -490,33 +497,39 @@ def test_content_matrix_wrap_identity():
     # lambda_b}.  Above 53 bits the row phases are roots read at the
     # unwrapped numerator, which must keep this chart bookkeeping.  The raw
     # rows are composed with independently evaluated mode scalars, and the
-    # run's own scalars (_mode_scalars: e^{-E} at 53 bits, e^{E} above) must
-    # agree with those on both sheets.  The (3,1) circle is one that doubles
-    # still read to 1e-10
+    # run's own scalars (_mode_scalars: e^{E}) must agree with those on both
+    # sheets; at 53 bits the rows carry the run's e^{-E} and must agree with
+    # the 132-bit contents on both sheets.  The (3,1) circle is one that
+    # doubles still read to 1e-10
     for op, rho, theta in ((OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 4.0,
                             QQ(7, 24)),
                            (OperPoint(2, 1, (QQ(1, 3),)), 4.5, QQ(5, 16))):
         gc = gauge_transform(op)
-        for bits in (53, 97, 132):
+        for bits in (132, 97, 53):
             ctx = make_ctx(bits)
             fs = formal_solution(gc, 20, ctx)
             basis = EntireBasis(op, ctx, rho)
             inverse = stokes._inverse_table(fs, rho)
-            here, next_sheet = (
-                content(ctx, fs, rho, t,
-                        stokes._content_matrix(fs, basis, inverse, t))
-                for t in (theta, theta + 2))
+            sheets = [content(fs, basis, inverse, rho, t)
+                      for t in (theta, theta + 2)]
+            here, next_sheet = sheets
             for b in range(op.n):
                 twist = gc.det_twist * ctx.exp(-2j * ctx.pi() * fs.lam[b])
                 for j in range(op.n):
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
+            if bits == 132:
+                reference = np.ravel(sheets)
+            if ctx.double:
+                for got, want in zip(np.ravel(sheets), reference):
+                    assert (abs(got - complex(want))
+                            <= 2.0 ** -(bits - 30) * abs(want))
+                continue
             pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
             for (t, b), got in stokes._mode_scalars(fs, rho, pairs).items():
                 want = mode_scalar(fs, rho, t, b, bits + 40)
-                got = got if ctx.double else 1 / got
-                assert abs(got - want) <= 2.0 ** -(bits - 30) * abs(want)
+                assert abs(1 / got - want) <= 2.0 ** -(bits - 30) * abs(want)
         assert gc.det_twist == (1 if op.n == 3 else -1)
 
 
@@ -572,28 +585,22 @@ def test_sector_columns_meet_their_conditions(op):
 
 def test_exact_sector_coefficients_match_double():
     # on a circle that doubles read (as in test_content_matrix_wrap_identity)
-    # the exact 69-bit sector coefficients, rounded, match the LAPACK ones
+    # the quotients of the exact 69-bit sector coefficients, rounded once,
+    # match the 53-bit ones of the same plan
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     rho = 4.0
     gc = gauge_transform(op)
     layout = sector_layout(gc)
     cond, norms = stokes._sector_reading_plan(layout)
-    coeffs = {}
+    quotients = {}
     for bits in (53, 69):
-        ctx = make_ctx(bits)
-        fs = formal_solution(gc, 20, ctx)
-        basis = EntireBasis(op, ctx, rho)
-        inverse = stokes._inverse_table(fs, rho)
-        gammas, scalars = stokes._plan_contents(fs, basis, inverse, cond,
-                                                norms)
-        coeffs[bits] = stokes.sector_coefficients(fs, layout, gammas, scalars,
-                                                  cond, norms, "A")
-    mp = mpmath.mp.clone()
-    mp.prec = 69
-    for i, (y, s) in coeffs[69].items():
-        exact = np.array([[complex(mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d])
-                           for d in range(3)] for r in range(3)])
-        assert np.abs(coeffs[53][i] - exact).max() <= 1e-9 * np.abs(exact).max()
+        fs = formal_solution(gc, 20, make_ctx(bits))
+        quotients[bits] = stokes._collocate(op, gc, layout, fs, rho, cond,
+                                            norms).quotients
+    assert len(quotients[53]) == len(quotients[69]) == layout.r
+    for got, want in zip(quotients[53], quotients[69]):
+        exact = as_np(want)
+        assert np.abs(got - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
 def gauss_matrix(draw, rows, cols):
@@ -880,20 +887,25 @@ def test_plan_replay_is_deterministic():
 
 
 def test_replay_rejects_settings_the_plan_was_not_made_with():
-    # a plan's angles belong to its base direction and its term count to its
-    # truncation order: replayed under v0 = 1/7 the (3,1) plan read
-    # `converged` with support residual 3.71, under trunc_order = 20 it
-    # missed without saying why
+    # a plan's angles belong to its base direction, its term count to its
+    # truncation order and its circle to its radius: replayed under v0 =
+    # 1/7 the (3,1) plan read `converged` with support residual 3.71, under
+    # trunc_order = 20 it missed without saying why, and under radius = 3.0
+    # it read on its own circle while its settings said 3.0
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     plan = stokes_data(op).plan
     assert (plan.trunc_order, plan.v0) == (40, QQ(1, 24))
+    assert plan.rho != 3.0
     for settings in (StokesSettings(v0=QQ(1, 7)),
-                     StokesSettings(trunc_order=20)):
+                     StokesSettings(trunc_order=20),
+                     StokesSettings(radius=3.0)):
         with pytest.raises(ValueError, match="the plan was made with"):
             stokes_data(op, settings, plan=plan)
-    # the default direction, spelled out or shifted by 2 pi, is the plan's
-    for v0 in (QQ(1, 24), QQ(49, 24)):
-        assert stokes_data(op, StokesSettings(v0=v0), plan=plan).converged
+    # the default direction, spelled out or shifted by 2 pi, and the plan's
+    # own circle spelled out are the plan's
+    for settings in (StokesSettings(v0=QQ(1, 24)), StokesSettings(v0=QQ(49, 24)),
+                     StokesSettings(radius=plan.rho)):
+        assert stokes_data(op, settings, plan=plan).converged
 
 
 @pytest.mark.parametrize("op, pairs, angles, rows", [
@@ -917,7 +929,7 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     fs = formal_solution(gc, plan.trunc_order, ctx)
     exps, tables, summed = [], [], []
     exp = ctx.exp
-    ctx.exp = lambda x: exps.append(x) or exp(x)
+    monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
     inverse_table, table_sums = stokes._inverse_table, stokes._table_sums
 
     def traced_inverse(*args):
