@@ -686,10 +686,7 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
             deviations.append(_deviation(x[:, :, :n], det, exp[:, :n]))
             quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
                                                exp[:, n:]))
-    cons = 0.0
-    for worst in deviations:
-        # a NaN deviation must propagate: max(cons, nan) would keep cons
-        cons = worst if not worst <= cons else cons
+    cons = float(np.max(deviations))  # keeps a NaN from any sector
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
     return _Build(fs=fs, basis=basis, rho=rho, quotients=quotients,
@@ -707,8 +704,10 @@ def _double_quotients(fs, layout, basis, inverse, cond, norms):
                for v in "AB" for i in range(1, r + 1) for d in range(n)]
     rows = _double_contents(fs, basis, inverse,
                             {pair for reads in systems for pair in reads})
+    rhs = np.zeros((len(systems), n, 1))
+    rhs[:, n - 1] = 1.0
     cols = np.linalg.solve(np.array([[rows[pair] for pair in reads]
-                                     for reads in systems]), np.eye(n)[n - 1])
+                                     for reads in systems]), rhs)[..., 0]
     a, b = cols.reshape(2, r, n, n).swapaxes(2, 3)
     x = np.linalg.solve(a, np.concatenate([b, np.roll(b, 1, axis=0)], axis=2))
     return (list(np.ascontiguousarray(x[:, :, n:])),

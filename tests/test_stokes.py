@@ -603,6 +603,19 @@ def test_exact_sector_coefficients_match_double():
         assert np.abs(got - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
+def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
+    # a NaN deviation before a finite one still makes the build unreadable
+    op = OperPoint(2, 1, (QQ(1, 3),))
+    gc = gauge_transform(op)
+    layout = sector_layout(gc)
+    cond, norms = stokes._sector_reading_plan(layout)
+    fs = formal_solution(gc, 20, make_ctx(53))
+    monkeypatch.setattr(stokes, "_double_quotients",
+                        lambda *args: ([], [math.nan, 0.1]))
+    with pytest.raises(ArithmeticError, match="overflowed"):
+        stokes._collocate(op, gc, layout, fs, 4.0, cond, norms)
+
+
 def gauss_matrix(draw, rows, cols):
     return [[(draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
              for _ in range(cols)] for _ in range(rows)]
