@@ -29,13 +29,10 @@ between independent constructions instead of telescoping to zero.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -47,29 +44,19 @@ from .isomono import OperPoint
 # numeric context: the working precision and the arithmetic that carries it
 
 class NumericContext:
-    """Working precision of a run: scalars in IEEE doubles (cmath, complex128
-    arrays) up to 53 bits, above in a private mpmath context at `bits`
-    (object arrays, whose eye holds exact int 0 and 1), and `frac`, the
-    fraction bits of every fixed-point construction, rounded once to the
-    working precision by _rounded.  `double` selects the 53-bit collocation
-    (_double_quotients) and the entire basis' term cut.  mpmath is imported
-    by the first multiprecision context or root table."""
+    """Working precision of a run: scalars in a private mpmath context at
+    `bits` (object arrays, whose eye holds exact int 0 and 1), and `frac`,
+    the fraction bits of every fixed-point construction, rounded once to the
+    working precision by _rounded.  mpmath is imported by the first context
+    or root table."""
 
     def __init__(self, bits):
-        self.double = bits <= 53
-        self.bits = max(bits, 53)
-        self.frac = self.bits + _GUARD_BITS
-        if self.double:
-            self.real, self.complex = float, complex
-            self.exp, self.log = cmath.exp, cmath.log
-            self.dtype = complex
-            self._pi = math.pi
-        else:
-            mp = _mpmath_at(bits)
-            self.real, self.complex = mp.mpf, mp.mpc
-            self.exp, self.log = mp.exp, mp.log
-            self.dtype = object
-            self._pi = +mp.pi
+        self.bits = bits
+        self.frac = bits + _GUARD_BITS
+        mp = _mpmath_at(bits)
+        self.real, self.complex = mp.mpf, mp.mpc
+        self.exp, self.log = mp.exp, mp.log
+        self._pi = +mp.pi
         self._one = self.complex(1)
 
     def pi(self):
@@ -83,12 +70,11 @@ class NumericContext:
         a Fraction is divided at the working precision (mpmath takes no
         Fraction)."""
         if isinstance(v, Fraction):
-            v = (v.numerator / v.denominator if self.double
-                 else self.real(v.numerator) / v.denominator)
+            v = self.real(v.numerator) / v.denominator
         return self.complex(v)
 
     def eye(self, n):
-        return np.eye(n, dtype=self.dtype)
+        return np.eye(n, dtype=object)
 
 
 # the numeric context for `bits`, one per precision, shared by every run
@@ -221,11 +207,11 @@ def formal_solution(gc, M, ctx=None):
     bits: the exact B_j framed by the root table's f0, each order's
     convolutions one stacked product shifted back once, the divisions by
     the eigenvalue gaps products with fixed-point reciprocals.  Results are
-    rounded once to the working precision (at 53 bits to complex128); Yhat's
-    coefficients are kept as computed, unrounded (`fixed`)."""
+    rounded once to the working precision; Yhat's coefficients are kept as
+    computed, unrounded (`fixed`)."""
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
-    ctx = ctx or make_ctx(53)
+    ctx = ctx or make_ctx(_FIRST_BITS)
     n, k, frac = gc.n, gc.k, ctx.frac
     f0, f0inv = _fixed_frame(ctx, n)
     b = np.array([[[_quantized(c, frac) for c in row] for row in bj]
@@ -282,9 +268,9 @@ def _fixed_frame(ctx, n):
     Gaussian-integer arrays with `frac` fraction bits, read from the root
     table; f0's columns (1, lambda_b, ..., lambda_b^{n-1}) are the
     eigenvectors of the cyclic shift."""
-    roots = _unit_roots(ctx.frac, n)
-    f0 = np.moveaxis(np.array([[roots[2 * a * b % (2 * n)] for b in range(n)]
-                               for a in range(n)], dtype=object), 2, 0)
+    a = np.arange(n)
+    f0 = np.moveaxis(_unit_roots(ctx.frac, n)[2 * np.outer(a, a) % (2 * n)],
+                     2, 0)
     return f0, np.array([f0[0] // n, -f0[1] // n])
 
 
@@ -412,8 +398,9 @@ class EntireBasis:
     a plain relative comparison.  The recurrence runs on Gaussian integers
     at every precision, from exact inputs (rho is a double, so a dyadic
     rational).  The coefficients, times the falling factorial of each
-    derivative row, are the fixed-point table `sums` reads over the unit
-    powers of an angle (every collocation angle is p/q with q | 4n(k+1))."""
+    derivative row, are the fixed-point table _table_sums reads over the
+    unit powers of an angle (every collocation angle is p/q with q |
+    4n(k+1))."""
 
     def __init__(self, op, ctx, rho, nterms=None):
         self.n = op.n
@@ -429,10 +416,9 @@ class EntireBasis:
                for m in range(d + 1) if op.p_coeff(m)]
         cols = [[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
                  else (0, 0) for m in range(n)] for j in range(n)]
-        # terms are kept down to the table's resolution: one fixed-point
-        # unit above 53 bits, since a truncation the A and B builds share is
-        # one their consistency cannot see; 8 bits under a double at 53
-        depth = ctx.bits + 8 if ctx.double else frac
+        # terms are kept down to the table's resolution, one fixed-point
+        # unit, since a truncation the A and B builds share is one their
+        # consistency cannot see
         peak = -math.inf
         quiet = 0
         m = n
@@ -450,7 +436,7 @@ class EntireBasis:
                 col.append(acc)
                 worst = max(worst, max(map(abs, acc)).bit_length())
             peak = max(peak, worst)
-            quiet = quiet + 1 if worst < peak - depth else 0
+            quiet = quiet + 1 if worst < peak - frac else 0
             m += 1
             if nterms is None and quiet >= n + d and m > 2 * (n + d):
                 break
@@ -470,18 +456,18 @@ class EntireBasis:
                 cut = max(0, max(map(abs, ar + ai)).bit_length() - frac)
                 row.append(([v >> cut for v in ar], [v >> cut for v in ai],
                             frac - cut))
-        self._folds, self._sums = {}, {}
 
     def state_matrix(self, theta_fpi):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
         on the build circle.
 
         Summation runs over the unit phases u^m, u = e^{i theta}, times the
-        stored scaled coefficients (`sums`), so the accumulated magnitudes
-        never exceed the term sizes on the circle; the z^{-t} restores the
-        derivative scaling afterwards."""
+        stored scaled coefficients (_table_sums), so the accumulated
+        magnitudes never exceed the term sizes on the circle; the z^{-t}
+        restores the derivative scaling afterwards."""
         ctx = self.ctx
-        out = _rounded(ctx, *self.sums(theta_fpi))
+        re, im, exp = _table_sums(ctx, self.table, [_angle(theta_fpi)])
+        out = _rounded(ctx, re[..., 0], im[..., 0], exp)
         zinv = ctx.one() / (ctx.number(self.rho)
                             * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi()))
         scale = ctx.one()
@@ -489,16 +475,6 @@ class EntireBasis:
             scale = scale * zinv
             out[t, :] = out[t, :] * scale
         return out
-
-    def sums(self, theta_fpi):
-        """The state rows without the z^{-t}, as the (re, im, exp) arrays of
-        _table_sums, once per theta mod 2 (u^m depends on theta mod 2 only);
-        the table is folded once per period (_fold)."""
-        key = _angle(theta_fpi) % 2
-        if key not in self._sums:
-            self._sums[key] = _table_sums(self.ctx, self.table, key,
-                                          self._folds)
-        return self._sums[key]
 
 
 def _angle(theta_fpi):
@@ -510,75 +486,68 @@ def _angle(theta_fpi):
     return Fraction(theta_fpi)
 
 
-def _unit_powers(ctx, theta_fpi, count):
-    """u^m, m < count, for u = e^{i pi theta}: at theta = p/q, the roots
-    2pm mod 4q of the root table of denominator 2q, as Gaussian-integer
-    tuples (re, im) (_unit_roots)."""
-    theta = _angle(theta_fpi)
-    p, q = theta.numerator, theta.denominator
-    index = np.arange(count) * (2 * p % (4 * q)) % (4 * q)
-    roots = _unit_roots(ctx.frac, 2 * q)
-    return tuple(zip(*(roots[r] for r in index)))
+def _unit_powers(ctx, thetas, count):
+    """u^m, m < count, for u = e^{i pi theta} at each angle of `thetas`, all
+    p/q with one q: the roots 2pm mod 4q of the root table of denominator
+    2q (_unit_roots), as the Gaussian-integer array (2, count, angles)."""
+    thetas = [_angle(theta) for theta in thetas]
+    q = thetas[0].denominator
+    steps = np.array([2 * theta.numerator % (4 * q) for theta in thetas])
+    index = np.arange(count)[:, None] * steps % (4 * q)
+    return np.moveaxis(_unit_roots(ctx.frac, 2 * q)[index], 2, 0)
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_roots(frac, den):
-    """e^{i pi r/den}, r < 2 den, as Gaussian integers (re, im) with `frac`
-    fraction bits, each rounded to nearest from mpmath 10 bits deeper, so
-    within one unit: the one root table per denominator and precision."""
+    """e^{i pi r/den}, r < 2 den, as the Gaussian-integer array (2 den, 2)
+    of (re, im) with `frac` fraction bits, each rounded to nearest from
+    mpmath 10 bits deeper, so within one unit: the one root table per
+    denominator and precision."""
     from mpmath.libmp import mpf_shift, to_int
     mp = _mpmath_at(frac + 10)
-    return [tuple((to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
-                  for x in (z.real, z.imag))
-            for z in (mp.expjpi(mp.mpf(r) / den) for r in range(2 * den))]
+    return np.array([[(to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
+                      for x in (z.real, z.imag)]
+                     for z in (mp.expjpi(mp.mpf(r) / den)
+                               for r in range(2 * den))], dtype=object)
 
 
 def _fold(table, period):
-    """A fixed-point table with each row's coefficients summed by residue of
-    m mod period: integer additions only, exact, since u^m = u^(m mod
-    period) at every angle whose powers have that period (a row no longer
-    than the period is its own fold)."""
-    return [[tuple(c if len(c) <= period else
-                   [sum(c[s::period]) for s in range(period)]
-                   for c in (ar, ai)) + (frac,) for ar, ai, frac in row]
-            for row in table]
+    """A fixed-point table (rows of entries (re, im, frac') over m, every
+    entry of the same length) as the Gaussian-integer array (2, rows,
+    entries, m') of each entry's coefficients summed by residue of m mod
+    period, m' = min(m, period), and the (rows, entries) array of frac':
+    integer additions only, exact, since u^m = u^(m mod period) at every
+    angle whose powers have that period."""
+    coeffs = np.moveaxis(np.array([[entry[:2] for entry in row]
+                                   for row in table], dtype=object), 2, 0)
+    count = coeffs.shape[-1]
+    if count > period:
+        pad = np.zeros(coeffs.shape[:-1] + (-count % period,), dtype=object)
+        coeffs = np.concatenate([coeffs, pad], axis=-1)
+        coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, period)).sum(axis=-2)
+    return coeffs, np.array([[entry[2] for entry in row] for row in table],
+                            dtype=object)
 
 
-def _table_sums(ctx, table, theta, folds, rows=None):
+def _table_sums(ctx, table, thetas):
     """Per entry of a fixed-point table (rows of entries (re, im, frac')
-    over m, value (re + i im) 2^-frac'), sum_m table[t][j][m] u^m at theta
-    = p/q exactly, as arrays (re, im, exp) along the leading axis, value
-    (re + i im) 2^exp, for the rows `rows` (all by default): the table
-    folded by 2q (kept in `folds` per q) times the 2q unit powers."""
-    q = theta.denominator
-    if q not in folds:
-        folds[q] = _fold(table, 2 * q)
-    pr, pi = _unit_powers(ctx, theta, 2 * q)
-    folded = folds[q] if rows is None else [folds[q][t] for t in rows]
-    return np.moveaxis(np.array(
-        [[(sum(map(mul, ar, pr)) - sum(map(mul, ai, pi)),
-           sum(map(mul, ar, pi)) + sum(map(mul, ai, pr)),
-           -(frac + ctx.frac)) for ar, ai, frac in row]
-         for row in folded], dtype=object), 2, 0)
+    over m, value (re + i im) 2^-frac'), sum_m table[t][j][m] u^m exactly at
+    each angle of `thetas`, all p/q with one q: arrays re, im of shape
+    (rows, entries, angles) and exp of shape (rows, entries), value
+    (re + i im) 2^exp, from one Gaussian-integer product of the table
+    folded by 2q and the angles' unit powers."""
+    coeffs, cut = _fold(table, 2 * thetas[0].denominator)
+    re, im = _gauss(coeffs, _unit_powers(ctx, thetas, coeffs.shape[-1]),
+                    np.matmul)
+    return re, im, -(cut + ctx.frac)
 
 
 def _rounded(ctx, re, im, exp):
     """(re + i im) 2^exp, arrays of ints with exp broadcast, as a
-    working-precision array, each part rounded once.  At 53 bits int-to-float
-    conversion rounds correctly and ldexp scales exactly; a part beyond
-    double range becomes inf, without a numpy warning, since the build's
-    finiteness check reports it."""
-    if not ctx.double:
-        return np.frompyfunc(lambda r, i, e: ctx.complex(ctx.real((r, e)),
-                                                         ctx.real((i, e))),
-                             3, 1)(re, im, exp).astype(object)
-    re, im = (np.asarray(v, dtype=object).astype(float) for v in (re, im))
-    exp = np.asarray(exp, dtype=object).astype(int)
-    out = np.empty(np.broadcast(re, exp).shape, dtype=complex)
-    with np.errstate(over="ignore"):
-        out.real = np.ldexp(re, exp)
-        out.imag = np.ldexp(im, exp)
-    return out
+    working-precision array, each part rounded once."""
+    return np.frompyfunc(lambda r, i, e: ctx.complex(ctx.real((r, e)),
+                                                     ctx.real((i, e))),
+                         3, 1)(re, im, exp).astype(object)
 
 
 def _quantized(v, frac, scale=1):
@@ -609,13 +578,12 @@ _MAX_TERMS = 20000
 # table: each shifted product and each product with a reciprocal eigenvalue
 # gap adds a few units per order, carried the same way; absolute, but Y_0 =
 # W_0 = I, the later terms on a reading circle are small, and the inverse
-# keeps its smallest column rho^(h_a) at full resolution.  At 53 bits each
-# finished table is rounded once to doubles.  Above, table sums are exact:
-# every unit power is a root within one unit and folding by residue mod 2q
-# is exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
-# units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
-# from these sums to one rounding.  Collocation: each raw content entry
-# (no mode exponential) is rounded once to bits + 40 significant bits
+# keeps its smallest column rho^(h_a) at full resolution.  Table sums are
+# exact: every unit power is a root within one unit and folding by residue
+# mod 2q is exact, so a sum is off by at most sum_m |T_m| units, under
+# N < 2^15 units of the largest term T_m (N <= _MAX_TERMS), and contents
+# are exact from these sums to one rounding.  Collocation: each raw content
+# entry (no mode exponential) is rounded once to bits + 40 significant bits
 # (_aligned_row), each sector column is solved exactly and rounded once to
 # bits + 40 bits of its largest entry (_exact_column), the A/B consistency
 # and the factor quotients are exact (_eliminate), and each factor entry is
@@ -667,90 +635,25 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     (the wrap factor, j = 1, with sector r), so no matrix object is shared
     between consecutive factors and the closure of the full product
     measures real disagreement between independent collocations.  Per
-    sector one solve against A serves both its agreement and its factor:
-    above 53 bits one exact elimination (_exact_quotient), each factor entry
-    rounded once, at 53 bits one batched LAPACK solve (_double_quotients)."""
+    sector one exact elimination against A (_exact_quotient) serves both
+    its agreement and its factor, each factor entry rounded once."""
     ctx, n = fs.ctx, gc.n
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
-    if ctx.double:
-        quotients, deviations = _double_quotients(fs, layout, basis, inverse,
-                                                  cond, norms)
-    else:
-        gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
-        va, vb = (sector_coefficients(fs, layout, gammas, scalars, cond,
-                                      norms, variant) for variant in "AB")
-        quotients, deviations = [], []
-        for i in range(1, layout.r + 1):
-            x, det, exp = _exact_quotient(va[i], vb[i], vb[i - 1 or layout.r])
-            deviations.append(_deviation(x[:, :, :n], det, exp[:, :n]))
-            quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
-                                               exp[:, n:]))
+    gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
+    va, vb = (sector_coefficients(fs, layout, gammas, scalars, cond, norms,
+                                  variant) for variant in "AB")
+    quotients, deviations = [], []
+    for i in range(1, layout.r + 1):
+        x, det, exp = _exact_quotient(va[i], vb[i], vb[i - 1 or layout.r])
+        deviations.append(_deviation(x[:, :, :n], det, exp[:, :n]))
+        quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
+                                           exp[:, n:]))
     cons = float(np.max(deviations))  # keeps a NaN from any sector
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
     return _Build(fs=fs, basis=basis, rho=rho, quotients=quotients,
                   cons=cons)
-
-
-def _double_quotients(fs, layout, basis, inverse, cond, norms):
-    """The 53-bit collocation: per sector i the quotient (A_i)^{-1} B_{i-1}
-    (B_r for i = 1) and the largest modulus of (A_i)^{-1} B_i - I.  All
-    column systems of both builds are one batched LAPACK solve against
-    (0, ..., 0, 1), all sectors' [B_i | B_{i-1}] against A_i one more."""
-    n, r = fs.n, layout.r
-    systems = [[(cond[(i, v, d, a)], a) for a in range(n) if a != d]
-               + [(norms[(i, d)], d)]
-               for v in "AB" for i in range(1, r + 1) for d in range(n)]
-    rows = _double_contents(fs, basis, inverse,
-                            {pair for reads in systems for pair in reads})
-    rhs = np.zeros((len(systems), n, 1))
-    rhs[:, n - 1] = 1.0
-    cols = np.linalg.solve(np.array([[rows[pair] for pair in reads]
-                                     for reads in systems]), rhs)[..., 0]
-    a, b = cols.reshape(2, r, n, n).swapaxes(2, 3)
-    x = np.linalg.solve(a, np.concatenate([b, np.roll(b, 1, axis=0)], axis=2))
-    return (list(np.ascontiguousarray(x[:, :, n:])),
-            np.abs(x[:, :, :n] - np.eye(n)).max(axis=(1, 2)).tolist())
-
-
-def _double_contents(fs, basis, inverse, pairs):
-    """{(theta, b): row}: _content_matrix's raw row b at theta times e^{-E}
-    (_mode_scalars gives e^{E}), as LAPACK's pivoting is not invariant under
-    row scaling.  Both tables are rounded once to complex128 and summed per
-    angle by one matrix-vector product over the rounded roots.  An
-    overflow turns inf or nan, which the A/B consistency judges."""
-    ctx, n, frac = fs.ctx, fs.n, fs.ctx.frac
-    tables = []
-    for table in (basis.table, inverse):
-        re, im, cut = (np.array([[entry[p] for entry in row] for row in table],
-                                dtype=object) for p in range(3))
-        tables.append(_rounded(ctx, re, im, -cut[:, :, None]))
-    log_rho = ctx.log(ctx.number(basis.rho))
-    out = {}
-    for theta, group in itertools.groupby(sorted(pairs), key=lambda t: t[0]):
-        modes = [b for _, b in group]
-        p, q = theta.numerator, theta.denominator
-        roots = _double_roots(frac, 2 * q)
-        phases = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, fs.k)]
-        chart = log_rho + 1j * ctx.number(theta) * ctx.pi()
-        z = ctx.exp(chart)
-        scalars = [ctx.exp(-(fs.q_entry(b, z) + fs.lam[b] * chart))
-                   for b in modes]
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, w = (t @ roots[np.arange(t.shape[-1]) * (2 * p) % (4 * q)]
-                    for t in tables)
-            raw = (w.real - 1j * w.imag) @ (roots[phases, None]
-                                            * (s.real + 1j * s.imag))
-            out.update(zip(((theta, b) for b in modes),
-                           np.array(scalars)[:, None] * raw[modes]))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _double_roots(frac, den):
-    """_unit_roots(frac, den) rounded once to a complex128 array."""
-    return _rounded(make_ctx(53), *zip(*_unit_roots(frac, den)), -frac)
 
 
 def _visibility_interval(layout, i, a, d):
@@ -884,41 +787,47 @@ def _gauge_exponents(n, k):
     return tuple((n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n))
 
 
-def _content_matrix(fs, basis, inverse, theta_fpi, modes=None, folds=None):
+def _content_matrix(fs, basis, inverse, reads):
     """Raw content rows of the entire-basis columns against the formal
-    modes `modes` (all by default) at one reading angle: row x holds each
-    column's coefficient along mode x, read from the truncated formal frame
-    at z = rho e^{i theta} on the basis' circle as (formal-inverse table)
-    times (gauged state sums), without mode x's exponential: the content
-    is e^{-(q_x(z) + lambda_x log z)} times the raw row.  Returned as
-    {x: row x}.
+    modes read at each angle, `reads` mapping each angle to its modes: row
+    x holds each column's coefficient along mode x, read from the truncated
+    formal frame at z = rho e^{i theta} on the basis' circle as
+    (formal-inverse table) times (gauged state sums), without mode x's
+    exponential: the content is e^{-(q_x(z) + lambda_x log z)} times the
+    raw row.  Returned as {theta: {x: row x}}.
 
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4q
     read at the unwrapped numerator of theta = p/q, so the chart log z =
     ln rho + i pi theta stays explicit: on the next sheet a raw row takes
     the det twist and its mode scalar e^{-2 pi i lambda_x}, the wrap
     factor's extra scalars (collocation_factors).  The modulus rho^(h_a) of
-    gauged row a is in the inverse table's columns.  Only the inverse-table
-    rows of `modes` are summed, and each entry is rounded once, to `frac`
-    significant bits (_aligned_row).  `folds` keeps the inverse table's
-    folds (_table_sums) across the angles of one build."""
-    ctx = fs.ctx
-    n, k = fs.n, fs.k
-    modes = list(range(n)) if modes is None else list(modes)
-    theta = _angle(theta_fpi)
-    p, q = theta.numerator, theta.denominator
-    phases = [p * int(2 * h) % (4 * q) for h in _gauge_exponents(n, k)]
-    sr, si, se = basis.sums(theta)
-    folds = {} if folds is None else folds
-    roots = _unit_roots(ctx.frac, 2 * q)
-    phase = np.array([roots[r] for r in phases], dtype=object).T
-    x = _gauss(phase[:, :, None], np.array([sr, si]))
-    low = se.min(axis=0)                         # align each column exactly
-    wr, wi, we = _table_sums(ctx, inverse, theta, folds, modes)
-    cont = _gauss(np.array([wr, -wi]), x << (se - low), np.matmul)
-    exp = low - ctx.frac + we[0, 0]
-    return {b: _aligned_row(re, im, exp, ctx.frac)
-            for b, re, im in zip(modes, *cont)}
+    gauged row a is in the inverse table's columns.  The angles of one
+    denominator are read together: each table's sums are one product
+    (_table_sums), and the contents of every mode one stacked product, of
+    which each read entry is rounded once, to `frac` significant bits
+    (_aligned_row)."""
+    ctx, n = fs.ctx, fs.n
+    hs = _gauge_exponents(n, fs.k)
+    dens = {}
+    for theta in map(_angle, reads):
+        dens.setdefault(theta.denominator, []).append(theta)
+    out = {}
+    for q, thetas in sorted(dens.items()):
+        sr, si, se = _table_sums(ctx, basis.table, thetas)
+        phase = _unit_roots(ctx.frac, 2 * q)[
+            [[th.numerator * int(2 * h) % (4 * q) for h in hs]
+             for th in thetas]]
+        x = _gauss(np.moveaxis(phase, 2, 0)[..., None],
+                   np.moveaxis(np.array([sr, si]), 3, 1))
+        low = se.min(axis=0)                     # align each column exactly
+        wr, wi, we = _table_sums(ctx, inverse, thetas)
+        cont = _gauss(np.moveaxis(np.array([wr, -wi]), 3, 1),
+                      x << (se - low), np.matmul)
+        exp = low - ctx.frac + we[0, 0]
+        for a, theta in enumerate(thetas):
+            out[theta] = {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
+                          for b in sorted(reads[theta])}
+    return out
 
 
 def _mode_scalars(fs, rho, pairs):
@@ -954,10 +863,7 @@ def _plan_contents(fs, basis, inverse, cond, norms):
         reads.setdefault(th, set()).add(a)
     for (_, d), th in norms.items():
         reads.setdefault(th, set()).add(d)
-    folds = {}          # the inverse table's, one per angle denominator
-    gammas = {th: _content_matrix(fs, basis, inverse, th, sorted(modes),
-                                  folds)
-              for th, modes in sorted(reads.items())}
+    gammas = _content_matrix(fs, basis, inverse, reads)
     pairs = {(th, d) for (_, d), th in norms.items()}
     return gammas, _mode_scalars(fs, basis.rho, sorted(pairs))
 
@@ -1154,7 +1060,7 @@ def collocation_factors(fs, quotients, det_twist):
     tau = 2j * ctx.number(ctx.pi())
     sigma = ctx.number(det_twist)
     scalars = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
-                       dtype=ctx.dtype)
+                       dtype=object)
     return [quotients[0] * scalars] + quotients[1:]
 
 
@@ -1268,7 +1174,8 @@ class StokesData:
     "asymptotic" when the truncated frame's tail, which both builds share,
     is not within radius_tol; converged holds when neither did, and a run
     that missed either still returns its data.  lam and qcoeffs are the
-    run's formal exponents Lambda and Q, as on FormalSolution."""
+    run's formal exponents Lambda and Q, as on FormalSolution; plan.bits
+    is _FIRST_BITS, or the bits of the reading's one correction."""
     op: OperPoint
     n: int
     k: int
@@ -1311,29 +1218,40 @@ class StokesData:
         return np.array(out, dtype=complex)
 
 
+# the bits of a fresh run's first build: at the default settings every
+# monomial point from (n, k) = (2, 1) to (6, 1), and (5, 2) and (4, 3),
+# reads to its request in one build at 69 bits (measured), where a first
+# build at 53 bits needed a second one at 69 to 100 bits at each of them
+# but (2, 1) to (2, 3)
+_FIRST_BITS = 69
+
+
 def _select_reading(op, gc, layout, settings, cond, norms):
     """The run's build, on settings.radius or else compute_radius's circle,
     where the first omitted formal terms -- the truncated frame's error,
     which the A and B builds share and their agreement cannot see -- fall
-    below the target.  A 53-bit collocation there measures the rest,
-    arithmetic noise scaling as 2^-bits; when it misses a third of the
-    target, one rebuild at 53 + 8 + max(8, ceil(log2(shortfall))) bits is
-    the run's build.  Every build reads at the layout's angles cond, norms."""
-    fs = formal_solution(gc, settings.trunc_order, make_ctx(53))
+    below the target.  A collocation at _FIRST_BITS there measures the
+    rest, arithmetic noise scaling as 2^-bits; when it misses a third of
+    the target, one rebuild at _FIRST_BITS + 8 + max(8,
+    ceil(log2(shortfall))) bits is the run's build.  Every build reads at
+    the layout's angles cond, norms."""
+    fs = formal_solution(gc, settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
     try:
         build = _collocate(op, gc, layout, fs, rho, cond, norms)
-    except (ArithmeticError, np.linalg.LinAlgError):
+    except ArithmeticError:
         if settings.radius:
             raise
-        # beyond double range the request is out of reach: the run reads
-        # the circle tail-safe to double precision and reports the miss
+        # a tail-safe circle that the entire basis cannot sum within its
+        # term cap (Weber at radius_tol 1e-100) or that is beyond double
+        # range (1e-300) puts the request out of reach: the run reads the
+        # circle tail-safe to 2^-53 and reports the miss
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
         return _collocate(op, gc, layout, fs, rho, cond, norms)
     if build.cons <= settings.radius_tol / 3:
         return build
     shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
-    bits = 53 + 8 + max(8, math.ceil(shortfall))
+    bits = _FIRST_BITS + 8 + max(8, math.ceil(shortfall))
     return _collocate(op, gc, layout, formal_solution(
         gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
 

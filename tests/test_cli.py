@@ -110,7 +110,7 @@ def test_stokes_document(capsys, tmp_path):
 
 
 def test_stokes_document_q_comes_from_the_run(capsys):
-    # z^3 runs above 53 bits; Q is that run's, rounded once to doubles
+    # Q is the z^3 run's, rounded once to doubles
     code, out, _ = run(capsys, "stokes", "--n", "3", "--k", "1",
                        "--poly", "0,0,0,1")
     assert code == 0
@@ -277,19 +277,22 @@ def test_base_direction_on_ray_is_usage_error(capsys):
 
 
 def test_unreadable_octic_maps_to_numeric_exit(capsys):
-    # at p = z^8 the double-precision basis on the fixed circle 6 is not
-    # finite; the run must refuse rather than report a closure
+    # at p = z^8 the fixed circle 6 is too large to read to the request:
+    # the run writes its document, flags it and exits 3
     code, out, err = run(capsys, "stokes", "--n", "2", "--k", "4",
                          "--poly", "0,0,0,0,0,0,0,0,1", "--radius", "6")
-    assert code == 3 and out == ""
+    assert code == 3
     assert "numerical failure" in err
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["residuals"]["consistency"] > 3 * doc["settings"]["tol"]
 
 
 def test_overflowing_reading_prints_only_the_failure():
     # a fresh interpreter, since pytest's capture swallows numpy's warnings:
-    # at p = z^8 the double-precision reading on the fixed circle 5
-    # overflows; the run still writes its document, and its own one-line
-    # report is all of stderr
+    # at p = z^8 the reading on the fixed circle 5 misses the request; the
+    # run still writes its document, and its own one-line report is all of
+    # stderr
     proc = subprocess.run(
         [sys.executable, "-m", "operstokes.cli", "stokes", "--n", "2", "--k",
          "4", "--poly", "0,0,0,0,0,0,0,0,1", "--radius", "5"],

@@ -146,8 +146,7 @@ def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
     clone = mpmath.mp.clone
     monkeypatch.setattr(mpmath.mp, "clone",
                         lambda: clones.append(clone()) or clones[-1])
-    for cached in (stokes.make_ctx, stokes._mpmath_at, stokes._unit_roots,
-                   stokes._double_roots):
+    for cached in (stokes.make_ctx, stokes._mpmath_at, stokes._unit_roots):
         cached.cache_clear()
     rep = jacobian(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))))
     assert rep.converged and rep.plan.bits > 53

@@ -142,7 +142,7 @@ def yhat(fs, z):
 
 def yhat_prime(fs, z):
     ys = ycoeffs(fs)
-    acc = np.zeros((fs.n, fs.n), dtype=fs.ctx.dtype)
+    acc = np.zeros((fs.n, fs.n), dtype=object)
     w = 1.0 / z
     pw = w * w
     for m in range(1, fs.M + 1):
@@ -166,12 +166,12 @@ def formal_residual(gc, fs, z):
     f0, f0inv = (stokes._rounded(ctx, *f, -ctx.frac)
                  for f in stokes._fixed_frame(ctx, n))
     z = ctx.number(z)
-    bz = np.zeros((n, n), dtype=ctx.dtype)
+    bz = np.zeros((n, n), dtype=object)
     w = 1.0 / z
     pw = z ** gc.k
     for bj in gc.bcoeffs:
         bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
-                           dtype=ctx.dtype) * pw
+                           dtype=object) * pw
         pw = pw * w
     yh = yhat(fs, z)
     res = yhat_prime(fs, z) - f0inv @ bz @ f0 @ yh
@@ -189,7 +189,7 @@ def test_formal_solution_exactly_traceless():
 
 def test_formal_residual_truncation_scaling():
     # the defect of the truncated frame is one formal order: doubling the
-    # radius divides it by ~2^{M+1-k}, at 53 bits and above
+    # radius divides it by ~2^{M+1-k}, at a double's 53 bits and above
     for op, bits in itertools.product(
             (weber(), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))), (53, 97)):
         gc = gauge_transform(op)
@@ -206,10 +206,10 @@ def test_formal_residual_truncation_scaling():
     OperPoint(2, 1, (QQ(1, 3),)), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
     OperPoint(2, 4, (0,) * 7)], ids=["weber", "cubic-point", "octic"])
 def test_double_formal_solution_matches_multiprecision(op):
-    # one recurrence at every precision: at 53 bits the fixed-point solution
-    # is rounded once to complex128, so each Y_m, Lambda and Q_j is within
-    # 4 ulps of its largest entry of the 132-bit one, however far the series
-    # grows
+    # one recurrence at every precision: at a double's 53 bits the
+    # fixed-point solution is rounded once, so each Y_m, Lambda and Q_j is
+    # within 4 ulps of its largest entry of the 132-bit one, however far
+    # the series grows
     mp = mpmath.mp.clone()
     mp.prec = 200
     gc = gauge_transform(op)
@@ -219,7 +219,9 @@ def test_double_formal_solution_matches_multiprecision(op):
     assert len(pairs) == 21 + 1 + op.k + 1
     for got, want in pairs:
         got, want = np.ravel(got), [mp.mpc(v) for v in np.ravel(want)]
-        assert got.dtype == complex
+        # each part is rounded to 53 significant bits
+        assert all(part._mpf_[3] <= 53
+                   for v in got for part in (v.real, v.imag))
         ulp = np.spacing(float(max(abs(v) for v in want)))
         assert all(abs(mp.mpc(g) - v) <= 4 * ulp for g, v in zip(got, want))
 
@@ -235,17 +237,16 @@ def test_residue_exponent_of_shifted_square():
 # numeric context
 
 def test_double_and_multiprecision_contexts_agree():
-    # one context class, two backends: every method gives the same value to
-    # double precision at 53 and at 97 bits, and so does a^{-1} b, by the
-    # 53-bit collocation's LAPACK solve on the context's numbers and above
-    # 53 bits as the exact quotient rounded once (a
-    # fixed-point matrix (y, s) is y diag(2^s), and 4 b has Gaussian-integer
-    # entries).  The numpy complex scalar guards exp and log against
-    # backends that dispatch on the exact type and drop the imaginary part
-    # (mpmath.fp does)
+    # one context class at every precision: every method gives the same
+    # value to double precision at a double's 53 bits and at 97 bits, and
+    # so does a^{-1} b as the exact quotient rounded once (a fixed-point
+    # matrix (y, s) is y diag(2^s), and 4 b has Gaussian-integer entries).
+    # The numpy complex scalar guards exp and log against backends that
+    # dispatch on the exact type and drop the imaginary part (mpmath.fp
+    # does)
     lo, hi = make_ctx(53), make_ctx(97)
-    assert (lo.double, lo.bits) == (True, 53)
-    assert (hi.double, hi.bits) == (False, 97)
+    assert (lo.bits, lo.frac) == (53, 53 + stokes._GUARD_BITS)
+    assert (hi.bits, hi.frac) == (97, 97 + stokes._GUARD_BITS)
     a = [[4, 1, 0], [1, 3, -1], [0, 2, 5]]
     x = [QQ(1, 2), -2j, 1 + 0.25j]
     b = [[sum(a[r][c] * x[c] for c in range(3))] for r in range(3)]
@@ -258,15 +259,8 @@ def test_double_and_multiprecision_contexts_agree():
                 np.array([s] * len(rows[0]), dtype=object))
 
     def values(ctx):
-        def mat(rows):
-            return np.array([[ctx.number(v) for v in row] for row in rows],
-                            dtype=ctx.dtype)
-
-        if ctx.double:
-            sol = np.linalg.solve(mat(a), mat(b))
-        else:
-            sol = stokes._rounded_quotient(ctx, *stokes._exact_quotient(
-                exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
+        sol = stokes._rounded_quotient(ctx, *stokes._exact_quotient(
+            exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
         mats = [sol, ctx.eye(3)]
         return [ctx.pi(), ctx.one(), ctx.number(QQ(-1, 7)),
                 ctx.number(0.25 - 0.5j), ctx.exp(w),
@@ -278,7 +272,8 @@ def test_double_and_multiprecision_contexts_agree():
                for g, v in zip(got, want))
     assert all(abs(complex(g) - complex(v)) <= 1e-15
                for g, v in zip(got[6:9], x))
-    # x is dyadic, so its one rounding at 97 bits is exact
+    # x is dyadic, so its one rounding is exact at both precisions
+    assert [complex(v) for v in got[6:9]] == [complex(v) for v in x]
     assert [complex(v) for v in want[6:9]] == [complex(v) for v in x]
     assert abs(got[4] - cmath.exp(0.3 + 0.2j)) <= 1e-15
     assert abs(got[5] - cmath.log(0.3 + 0.2j)) <= 1e-15
@@ -335,9 +330,8 @@ def _series_reference(op, radius, theta, prec):
 
 @pytest.mark.parametrize("bits", [53, 97, 129, 132])
 def test_state_matrix_matches_plain_series(bits):
-    # the evaluator rounds differently at each precision (numpy at 53 bits,
-    # fixed-point integers above) but must agree entrywise with the plain
-    # series summed 80 bits deeper
+    # the fixed-point evaluator, rounded once at each precision, must agree
+    # entrywise with the plain series summed 80 bits deeper
     cases = ((weber(), 4.5), (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15))
     if bits == 129:
         # z^4 at its default plan, where the scaled series grows the most,
@@ -347,7 +341,7 @@ def test_state_matrix_matches_plain_series(bits):
     readings = [(op, theta, radius) for op, rho in cases
                 for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 0.6 * rho))]
     # every reading sums more terms than the 2D = 48 roots of the (3,1)
-    # lattice, so above 53 bits each table is folded by its angle's period;
+    # lattice, so each table is folded by its angle's period;
     # add the (3,1) lattice angle 7/24, period 48, and the same angle on
     # the next sheet
     readings += [(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), theta, 8.15)
@@ -364,9 +358,9 @@ def test_state_matrix_matches_plain_series(bits):
 
 @pytest.mark.parametrize("bits", [53, 97, 132])
 def test_formal_inverse_matches_plain_series(bits):
-    # the fixed-point formal-inverse table (at 53 bits rounded once to
-    # complex128), summed over the shared unit powers, against sum_m W_m
-    # z^{-m} f0^{-1} from the run's own Y_m in mpmath 80 bits deeper; and the
+    # the fixed-point formal-inverse table, summed over the shared unit
+    # powers and rounded once, against sum_m W_m z^{-m} f0^{-1} from the
+    # run's own Y_m in mpmath 80 bits deeper; and the
     # truncated inverse undoes the truncated frame up to the omitted orders
     # z^{-m}, m > M
     mp = mpmath.mp.clone()
@@ -394,8 +388,8 @@ def test_formal_inverse_matches_plain_series(bits):
                        mp.zeros(n)) * f0inv
             # the table is summed as the contents sum it, and its column a
             # carries rho^(h_a), which is divided out
-            got = stokes._rounded(ctx, *stokes._table_sums(
-                ctx, table, theta, {})).conj() / [
+            re, im, exp = stokes._table_sums(ctx, table, [theta])
+            got = stokes._rounded(ctx, re[..., 0], im[..., 0], exp).conj() / [
                     ctx.number(rho) ** ctx.number(h)
                     for h in stokes._gauge_exponents(n, fs.k)]
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
@@ -411,10 +405,10 @@ def test_formal_inverse_matches_plain_series(bits):
 
 @pytest.mark.parametrize("bits", [97, 132])
 def test_unit_roots_are_within_one_unit(bits):
-    # every unit power above 53 bits is a root read from the table of its
-    # denominator, so u^m is as accurate at m = 255 as at m = 1; and every root of
-    # the (3,1) and (5,1) lattice tables, D = 24 and 40, is within one unit
-    # of the fixed point (the test allows two) against mpmath 400 bits deep
+    # every unit power is a root read from the table of its denominator,
+    # so u^m is as accurate at m = 255 as at m = 1; and every root of the
+    # (3,1) and (5,1) lattice tables, D = 24 and 40, is within one unit of
+    # the fixed point (the test allows two) against mpmath 400 bits deep
     ctx = make_ctx(bits)
     mp = mpmath.mp.clone()
     mp.prec = 400
@@ -425,7 +419,7 @@ def test_unit_roots_are_within_one_unit(bits):
         return max(abs(got[0] * unit - want.real),
                    abs(got[1] * unit - want.imag)) / unit
 
-    pr, pi = stokes._unit_powers(ctx, QQ(7, 24), 256)
+    pr, pi = stokes._unit_powers(ctx, [QQ(7, 24)], 256)[..., 0]
     assert max(off((pr[m], pi[m]), 7 * m, 24) for m in range(256)) <= 2
     for den in (24, 40):
         roots = stokes._unit_roots(ctx.frac, den)
@@ -433,29 +427,32 @@ def test_unit_roots_are_within_one_unit(bits):
         assert max(off(root, r, den) for r, root in enumerate(roots)) <= 2
     # a float angle would size the table by its binary denominator
     with pytest.raises(TypeError):
-        stokes._unit_powers(ctx, 7 / 24, 256)
+        stokes._unit_powers(ctx, [7 / 24], 256)
 
 
-def test_double_unit_powers_are_rounded_roots():
-    # the 53-bit contents read u^m, u = e^{i pi p/q}, as root 2pm mod 4q of
-    # the root table of denominator 2q rounded once to double, so each part
-    # is within half an ulp of 1 of e^{i pi theta m} at every m (a running
-    # product drifts: to about 3e-15 at m = 131 for theta = 7/24, to about
-    # 1e-14 at m = 690 for 1/64)
-    ctx = make_ctx(53)
-    mp = mpmath.mp.clone()
-    mp.prec = 200
-    for theta, count in ((QQ(7, 24), 132), (QQ(1, 64), 691)):
-        p, q = theta.numerator, theta.denominator
-        got = stokes._double_roots(ctx.frac, 2 * q)[
-            np.arange(count) * 2 * p % (4 * q)]
-        assert got.dtype == complex and len(got) == count
-        for m, g in enumerate(got):
-            want = mp.expjpi(mp.mpf(theta.numerator * m) / theta.denominator)
-            assert max(abs(g.real - want.real), abs(g.imag - want.imag)) \
-                <= 2.0 ** -53
-    with pytest.raises(TypeError):
-        stokes._unit_powers(ctx, 7 / 24, 256)
+def test_table_sums_match_a_loop_over_angles():
+    # the angles of one denominator are summed by one product of the folded
+    # table with their unit powers; each sum must equal, exactly, the plain
+    # loop over m of coefficient m times root 2pm mod 4q, unfolded, at
+    # every angle, on both sheets and for both tables of a (3,1) build
+    op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
+    ctx = make_ctx(69)
+    fs = formal_solution(gauge_transform(op), 20, ctx)
+    thetas = [QQ(1, 24), QQ(7, 24), QQ(31, 24), QQ(7, 24) + 2]
+    for table in (EntireBasis(op, ctx, 8.15).table,
+                  stokes._inverse_table(fs, 8.15)):
+        re, im, exp = stokes._table_sums(ctx, table, thetas)
+        roots = stokes._unit_roots(ctx.frac, 48)
+        for a, theta in enumerate(thetas):
+            for t, row in enumerate(table):
+                for j, (ar, ai, frac) in enumerate(row):
+                    sr = si = 0
+                    for m, (cr, ci) in enumerate(zip(ar, ai)):
+                        ur, ui = roots[2 * theta.numerator * m % 96]
+                        sr += cr * ur - ci * ui
+                        si += cr * ui + ci * ur
+                    assert (re[t, j, a], im[t, j, a]) == (sr, si)
+                    assert exp[t, j] == -(frac + ctx.frac)
 
 
 def mode_scalar(fs, rho, theta, b, prec):
@@ -473,16 +470,12 @@ def mode_scalar(fs, rho, theta, b, prec):
 
 def content(fs, basis, inverse, rho, theta):
     """Mode contents at theta, as a working-precision matrix with one row
-    per mode: at 53 bits the rows of _double_contents, which carry cmath's
-    e^{-E}; above, each raw row of _content_matrix ((re, im, e), value
+    per mode: each raw row of _content_matrix ((re, im, e), value
     (re + i im) 2^e, each entry rounded once) times its mode_scalar."""
     ctx = fs.ctx
-    if ctx.double:
-        rows = stokes._double_contents(fs, basis, inverse,
-                                       [(theta, b) for b in range(fs.n)])
-        return np.array([rows[(theta, b)] for b in range(fs.n)])
     out = []
-    gamma = stokes._content_matrix(fs, basis, inverse, theta)
+    gamma = stokes._content_matrix(fs, basis, inverse,
+                                   {theta: range(fs.n)})[theta]
     for b, row in sorted(gamma.items()):
         scale = mode_scalar(fs, rho, theta, b, ctx.bits + 40)
         re, im, e = (np.array(part, dtype=object) for part in row)
@@ -494,13 +487,10 @@ def test_content_matrix_wrap_identity():
     # re-reading an angle on the next sheet multiplies every content row b
     # by det_twist e^{-2 pi i lambda_b}: the gauge rows pick up
     # e^{2 pi i expo_a} = sigma, the formal exponent columns e^{-2 pi i
-    # lambda_b}.  Above 53 bits the row phases are roots read at the
-    # unwrapped numerator, which must keep this chart bookkeeping.  The raw
-    # rows are composed with independently evaluated mode scalars, and the
-    # run's own scalars (_mode_scalars: e^{E}) must agree with those on both
-    # sheets; at 53 bits the rows carry the run's e^{-E} and must agree with
-    # the 132-bit contents on both sheets.  The (3,1) circle is one that
-    # doubles still read to 1e-10
+    # lambda_b}.  The row phases are roots read at the unwrapped numerator,
+    # which must keep this chart bookkeeping.  The raw rows are composed
+    # with independently evaluated mode scalars, and the run's own scalars
+    # (_mode_scalars: e^{E}) must agree with those on both sheets
     for op, rho, theta in ((OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 4.0,
                             QQ(7, 24)),
                            (OperPoint(2, 1, (QQ(1, 3),)), 4.5, QQ(5, 16))):
@@ -519,13 +509,6 @@ def test_content_matrix_wrap_identity():
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
-            if bits == 132:
-                reference = np.ravel(sheets)
-            if ctx.double:
-                for got, want in zip(np.ravel(sheets), reference):
-                    assert (abs(got - complex(want))
-                            <= 2.0 ** -(bits - 30) * abs(want))
-                continue
             pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
             for (t, b), got in stokes._mode_scalars(fs, rho, pairs).items():
                 want = mode_scalar(fs, rho, t, b, bits + 40)
@@ -536,7 +519,7 @@ def test_content_matrix_wrap_identity():
 @pytest.mark.parametrize("op", [OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
                                 OperPoint(4, 1, (0, 0, 0))])
 def test_sector_columns_meet_their_conditions(op):
-    # above 53 bits a sector column is solved exactly from raw content rows
+    # a sector column is solved exactly from raw content rows
     # on their lowest exponents against the normalization row's right-hand
     # side e^{E}, and rounded once, so that right-hand side's exponent must
     # scale the column with its row's.  Left out it puts a power of 2 on
@@ -548,7 +531,6 @@ def test_sector_columns_meet_their_conditions(op):
     # foreign contents vanish and the self-content is 1, to 2^-(bits-10) of
     # the terms' sizes
     plan = stokes_data(op).plan
-    assert plan.bits > 53
     gc = gauge_transform(op)
     layout = sector_layout(gc)
     ctx = make_ctx(plan.bits)
@@ -584,9 +566,8 @@ def test_sector_columns_meet_their_conditions(op):
 
 
 def test_exact_sector_coefficients_match_double():
-    # on a circle that doubles read (as in test_content_matrix_wrap_identity)
-    # the quotients of the exact 69-bit sector coefficients, rounded once,
-    # match the 53-bit ones of the same plan
+    # the quotients of the exact sector coefficients, rounded once, match
+    # between a double's 53 bits and 69 bits on one plan
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     rho = 4.0
     gc = gauge_transform(op)
@@ -604,14 +585,20 @@ def test_exact_sector_coefficients_match_double():
 
 
 def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
-    # a NaN deviation before a finite one still makes the build unreadable
+    # a NaN deviation in the first sector, before finite ones, still makes
+    # the build unreadable
     op = OperPoint(2, 1, (QQ(1, 3),))
     gc = gauge_transform(op)
     layout = sector_layout(gc)
     cond, norms = stokes._sector_reading_plan(layout)
-    fs = formal_solution(gc, 20, make_ctx(53))
-    monkeypatch.setattr(stokes, "_double_quotients",
-                        lambda *args: ([], [math.nan, 0.1]))
+    fs = formal_solution(gc, 20, make_ctx(69))
+    deviation, sectors = stokes._deviation, []
+
+    def first_sector_nan(*args):
+        sectors.append(deviation(*args))
+        return math.nan if len(sectors) == 1 else sectors[-1]
+
+    monkeypatch.setattr(stokes, "_deviation", first_sector_nan)
     with pytest.raises(ArithmeticError, match="overflowed"):
         stokes._collocate(op, gc, layout, fs, 4.0, cond, norms)
 
@@ -926,56 +913,50 @@ def test_replay_rejects_settings_the_plan_was_not_made_with():
     (OperPoint(4, 1, (0, 0, 0)), 26, 21, 208)], ids=["cubic-point", "z4-n4"])
 def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
                                                     monkeypatch):
-    # above 53 bits a kill row gives its column at any nonzero scale, so a
-    # build evaluates the context's exp once per distinct normalization
-    # (angle, column) pair -- at (3,1) 14, where every read row took one
-    # (59 angles x 3 modes = 177) -- and sums the formal inverse's rows only
-    # for the modes read at each angle: 95 of those 177 at (3,1), 208 of
-    # 81 x 4 = 324 at z^4 (4,1), whose 26 pairs share 21 angles
+    # a kill row gives its column at any nonzero scale, so a build
+    # evaluates the context's exp once per distinct normalization (angle,
+    # column) pair -- at (3,1) 14, where every read row took one (59 angles
+    # x 3 modes = 177) -- and rounds content rows only for the modes read
+    # at each angle: 95 of those 177 at (3,1), 208 of 81 x 4 = 324 at z^4
+    # (4,1), whose 26 pairs share 21 angles
     plan = stokes_data(op).plan
-    assert plan.bits > 53
     norm_pairs = {(th, d) for (_, d), th in plan.norms.items()}
     assert len(norm_pairs) == pairs
     assert len({th for th, _ in norm_pairs}) == angles
     gc = gauge_transform(op)
     ctx = make_ctx(plan.bits)
     fs = formal_solution(gc, plan.trunc_order, ctx)
-    exps, tables, summed = [], [], []
+    exps, read = [], []
     exp = ctx.exp
     monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
-    inverse_table, table_sums = stokes._inverse_table, stokes._table_sums
+    content_matrix = stokes._content_matrix
 
-    def traced_inverse(*args):
-        tables.append(inverse_table(*args))
-        return tables[-1]
+    def traced_contents(*args):
+        read.append(content_matrix(*args))
+        return read[-1]
 
-    def traced_sums(ctx, table, *args, **kwargs):
-        out = table_sums(ctx, table, *args, **kwargs)
-        if any(table is t for t in tables):
-            summed.append(out[0].shape[0])
-        return out
-
-    monkeypatch.setattr(stokes, "_inverse_table", traced_inverse)
-    monkeypatch.setattr(stokes, "_table_sums", traced_sums)
+    monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
     build = stokes._collocate(op, gc, sector_layout(gc), fs, plan.rho,
                               plan.cond, plan.norms, plan.nterms)
     assert build.cons <= 1e-10
     assert len(exps) == pairs
     reads = set(plan.cond.values()) | set(plan.norms.values())
-    assert len(reads) * op.n > sum(summed) == rows
+    assert len(read) == 1 and set(read[0]) == reads
+    assert len(reads) * op.n > sum(map(len, read[0].values())) == rows
 
 
 def test_plan_does_not_depend_on_precision():
-    # the angles and labeling come from the layout alone: the default
-    # multiprecision run and a 53-bit run on a fixed inner circle plan identically,
+    # the angles and labeling come from the layout alone: the default run
+    # and a run corrected to more bits on a larger circle plan identically,
     # even where two normalization candidates tie exactly
     op = cubic()
-    mp_run = stokes_data(op)
-    fp_run = stokes_data(op, StokesSettings(radius=5.0, radius_tol=1e-6))
-    assert mp_run.plan.bits > 53 and fp_run.plan.bits == 53
-    assert mp_run.plan.cond == fp_run.plan.cond
-    assert mp_run.plan.norms == fp_run.plan.norms
-    assert mp_run.plan.perm == fp_run.plan.perm
+    run = stokes_data(op)
+    fine = stokes_data(op, StokesSettings(radius_tol=1e-20))
+    assert run.plan.bits == stokes._FIRST_BITS < fine.plan.bits
+    assert run.plan.rho < fine.plan.rho
+    assert run.plan.cond == fine.plan.cond
+    assert run.plan.norms == fine.plan.norms
+    assert run.plan.perm == fine.plan.perm
 
 
 def test_refinement_sharpens_the_closure():
@@ -986,11 +967,10 @@ def test_refinement_sharpens_the_closure():
 
 
 def test_quartic_closure_meets_the_request():
-    # z^4 reads above 53 bits; the basis truncation, which the A and B builds
-    # share and their consistency cannot see, must stay below the requested
-    # tolerance
+    # the basis truncation, which the A and B builds share and their
+    # consistency cannot see, must stay below the requested tolerance at z^4
     sd = stokes_data(OperPoint(4, 1, (0, 0, 0)))
-    assert sd.plan.bits > 53 and sd.converged
+    assert sd.converged
     assert sd.residuals["identity"] <= sd.settings.radius_tol
 
 
@@ -1018,9 +998,10 @@ def test_frame_tail_above_request_is_not_converged():
 
 
 def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
-    # the escalation's final build is the run's build: no formal solution is
+    # the correction's build is the run's build: no formal solution is
     # recomputed at a precision, and no entire basis is rebuilt on a circle;
-    # the angles are planned once, one visibility arc per kill condition
+    # the angles are planned once, one visibility arc per kill condition.
+    # Weber at 1e-25 makes the one correction
     fs_bits, bases, arcs = [], [], []
     real_formal, real_basis = stokes.formal_solution, stokes.EntireBasis
     real_arc = stokes._visibility_interval
@@ -1042,23 +1023,23 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     monkeypatch.setattr(stokes, "formal_solution", counted_formal)
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
     monkeypatch.setattr(stokes, "_visibility_interval", counted_arc)
-    sd = stokes_data(cubic())
-    assert sd.plan.bits > 53
+    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)),
+                     StokesSettings(radius_tol=1e-25))
+    assert sd.plan.bits > stokes._FIRST_BITS and sd.converged
     assert sd.residuals["identity"] <= 1e-9
-    assert {53, sd.plan.bits} <= set(fs_bits)
-    assert len(fs_bits) == len(set(fs_bits))
-    assert (sd.radius, sd.plan.bits) in bases
-    assert len(bases) == len(set(bases))
+    assert fs_bits == [stokes._FIRST_BITS, sd.plan.bits]
+    assert bases == [(sd.radius, bits) for bits in fs_bits]
     assert len(arcs) == sd.layout.r * sd.n * (sd.n - 1)
 
 
-@pytest.mark.parametrize("op, count", [
-    (OperPoint(2, 1, (QQ(1, 3),)), 1), (OperPoint(3, 1, (0, 0)), 2)],
-    ids=["weber", "cubic"])
-def test_fresh_run_reads_one_circle(monkeypatch, op, count):
-    # a fresh default run builds one entire basis at 53 bits on the
-    # tail-safe circle and at most one correction above 53 bits on the same
-    # circle
+@pytest.mark.parametrize("op, tol, count", [
+    (OperPoint(2, 1, (QQ(1, 3),)), 1e-25, 2),
+    (OperPoint(3, 1, (0, 0)), 1e-10, 1),
+    (OperPoint(4, 1, (0, 0, 0)), 1e-10, 1)], ids=["weber", "cubic", "z4-n4"])
+def test_fresh_run_reads_one_circle(monkeypatch, op, tol, count):
+    # a fresh run builds one entire basis at _FIRST_BITS on the tail-safe
+    # circle, which reads z^3 and z^4 (n = 4) to the default request, and at
+    # most one correction at more bits on the same circle
     builds = []
     real_basis = stokes.EntireBasis
 
@@ -1068,10 +1049,11 @@ def test_fresh_run_reads_one_circle(monkeypatch, op, count):
             super().__init__(op, ctx, rho, nterms)
 
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
-    sd = stokes_data(op)
+    sd = stokes_data(op, StokesSettings(radius_tol=tol))
     assert sd.converged
     assert len(builds) == count
-    assert builds[0][1] == 53 and all(b > 53 for _, b in builds[1:])
+    assert builds[0][1] == stokes._FIRST_BITS
+    assert all(b > stokes._FIRST_BITS for _, b in builds[1:])
     assert {rho for rho, _ in builds} == {sd.radius}
     assert builds[-1][1] == sd.plan.bits
 
@@ -1079,7 +1061,7 @@ def test_fresh_run_reads_one_circle(monkeypatch, op, count):
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
 def test_default_run_converges_at_monomials(n, k):
     # the default order's tail-safe circle is small enough to read these
-    # within a few dozen bits above double precision
+    # in one build at _FIRST_BITS
     sd = stokes_data(OperPoint(n, k, (0,) * (n * k - 1)))
     assert sd.converged
     assert sd.residuals["identity"] <= 1e-9
