@@ -296,6 +296,7 @@ def cmd_kernel(args):
     }
     if args.timing:
         doc["timing"] = rep.timing
+        doc["certificate"] = rep.certificate
     _emit_json(args, doc)
     return EXIT_OK
 

@@ -4,15 +4,18 @@ All kernel/rank/solve computations used for certificates go through the
 fraction-free integer elimination in this module, and this is the one place
 that turns rational rows into integer ones.  Entries must be ints or
 Fractions (anything with integer `numerator` and `denominator`); a float
-raises.  Each row is held as a dict {column: nonzero int}, so the work
-follows the nonzeros of the structured systems built here rather than their
-width.  Kernel vectors come back as primitive integer vectors, so results
-are exact by construction (no floating point anywhere).
+raises.  A row is a sequence, or a dict {column: nonzero entry}, and is
+held as a dict {column: nonzero int}, so the work follows the nonzeros of
+the structured systems built here rather than their width.  Kernel vectors
+come back as primitive integer vectors, so results are exact by
+construction (no floating point anywhere).  modular_rank is the one
+computation over a finite field: a lower bound on the rank over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 import numpy as np
@@ -35,22 +38,29 @@ def mat_trace(m):
     return sum(m[i, i] for i in range(m.shape[0]))
 
 
+def _entries(row):
+    """(column, entry) pairs of a dense row, or of a sparse one {column:
+    nonzero entry}."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _integer_rows(m):
     """Scale each row by the lcm of its denominators into a sparse row
-    {column: nonzero int}; returns (rows, column count).
+    {column: nonzero int}; returns (rows, column count of the dense rows).
 
     Reads each entry's own numerator/denominator, so no Fraction is built."""
     out = []
     ncols = 0
     for row in m:
         den = 1
-        for x in row:
+        for _, x in _entries(row):
             d = x.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
         out.append({c: x.numerator * (den // x.denominator)
-                    for c, x in enumerate(row) if x})
-        ncols = len(row)
+                    for c, x in _entries(row) if x})
+        if not isinstance(row, dict):
+            ncols = len(row)
     return out, ncols
 
 
@@ -96,6 +106,49 @@ def _echelon(rows):
     return pivots
 
 
+def modular_rank(m, p):
+    """Rank over GF(p) of rows with int/Fraction entries, or None when an
+    entry's denominator is divisible by p.
+
+    Reduction mod p is a ring map on the p-integral rationals, so the rank
+    mod p never exceeds the rank over Q (it drops at finitely many unlucky
+    primes).  The elimination is _echelon's: rows in order, each reduced
+    against the pivot row of its leading (minimal) column, held here as the
+    monic row's tail.  A row's columns are visited in increasing order off
+    a heap, and its entries are reduced mod p only when they lead.
+    """
+    pivots = {}
+    for row in m:
+        red = {}
+        for c, x in _entries(row):
+            den = x.denominator
+            if den % p == 0:
+                return None
+            if x:
+                red[c] = x.numerator * pow(den, -1, p)
+        heap = sorted(red)
+        while heap:
+            c = heappop(heap)
+            f = red.pop(c) % p
+            if not f:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(f, -1, p)
+                pivots[c] = {j: y for j, x in red.items()
+                             if (y := x * inv % p)}
+                break
+            # every column of the tail lies past c, so none is visited twice
+            for j, y in tail.items():
+                x = red.get(j)
+                if x is None:
+                    red[j] = -f * y
+                    heappush(heap, j)
+                else:
+                    red[j] = x - f * y
+    return len(pivots)
+
+
 def _back_substitute(pivots, free_col, ncols):
     """Primitive integer kernel vector of the echelon system as a dense
     object array: zero at the other free columns, positive at free_col (its
@@ -130,17 +183,18 @@ def exact_rank(m):
     return len(_echelon(_integer_rows(m)[0]))
 
 
-def exact_nullspace(m):
+def exact_nullspace(m, ncols=None):
     """Exact kernel basis of a matrix over the rationals.
 
-    Accepts any iterable of rows with Fraction/int entries.  Returns a list of
+    Accepts any iterable of rows with Fraction/int entries; ncols, the
+    column count, is needed when the rows are sparse.  Returns a list of
     primitive integer column vectors (object arrays of Python ints, gcd 1,
     one per free column, positive there and zero at the other free columns);
     empty list when the kernel is trivial.  Basis vectors satisfy
     m @ v == 0 exactly.
     """
-    rows, ncols = _integer_rows(m)
-    return _kernel(_echelon(rows), ncols)
+    rows, width = _integer_rows(m)
+    return _kernel(_echelon(rows), width if ncols is None else ncols)
 
 
 def exact_solve(m, b):

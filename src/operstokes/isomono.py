@@ -8,8 +8,10 @@ the rationals, whether the deformation equation
     dOmega/dz = pdot f_{n-1} + [A, Omega]
 
 admits polynomial solutions: the dimension of admissible pdot (tangent_dim)
-and of the homogeneous kernel are read off one exact nullspace of the joint
-linear system in the coefficients of Omega (deg <= D) and pdot (deg <= d-2).
+and of the homogeneous kernel are read off the kernel of the joint linear
+system in the coefficients of Omega (deg <= D) and pdot (deg <= d-2).  That
+kernel always holds Omega = I; when its dimension mod one prime is 1 it is
+span(I), and otherwise it comes from one exact nullspace.
 
 It also reduces the matrix equation to the n^2-1 scalar equations in the
 weight-basis coefficients omega_{i,j}, expands the (2i+1)-fold derivative of
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactla import QQ, exact_nullspace, exact_rank, qzeros
+from .exactla import QQ, exact_nullspace, exact_rank, modular_rank, qzeros
 from .poly import Poly
 from .sl2 import (build_weight_basis, compute_structure_tables, principal_sl2)
 
@@ -164,57 +166,59 @@ def _omega_col(D, nn, b, a, c):
     return (D - b) * nn * nn + a * nn + c
 
 
-def jmu_matrix(op, D):
-    """Exact matrix of Omega -> Omega' - [A, Omega] on degree-D matrix polys.
+def joint_rows(op, D):
+    """Sparse rows of the joint system, one dict {column: nonzero int or
+    Fraction} per equation.
 
-    Rows: coefficient (z^m, entry (a,c)) for m = D+d .. 0 descending;
-    columns: entries of Omega_b for b = D .. 0 descending.
+    Rows: coefficient (z^m, entry (a,c)) of Omega' - [A, Omega] - pdot f_{n-1}
+    for m = D+d .. 0 descending; columns: entries of Omega_b for b = D .. 0
+    descending (_omega_col), then the pdot coefficients of degree d-2 .. 0.
+    The terms of one row land on distinct columns.
     """
     n = op.n
     d = op.d
-    ncols = n * n * (D + 1)
+    base = n * n * (D + 1)
+    pcs = [(s, op.p_coeff(s)) for s in range(d + 1) if op.p_coeff(s)]
     rows = []
     for m in range(D + d, -1, -1):
         for a in range(n):
             for c in range(n):
-                row = [0] * ncols
+                row = {}
                 if m + 1 <= D:
-                    row[_omega_col(D, n, m + 1, a, c)] += m + 1
+                    row[_omega_col(D, n, m + 1, a, c)] = m + 1
                 # -[e, Omega_m];  e has e[a, a+1] = a+1
                 if m <= D:
                     if a + 1 < n:
-                        row[_omega_col(D, n, m, a + 1, c)] += -(a + 1)
+                        row[_omega_col(D, n, m, a + 1, c)] = -(a + 1)
                     if c >= 1:
-                        row[_omega_col(D, n, m, a, c - 1)] += c
-                # -p_{m-b} [f, Omega_b];  f = E_{n,1}
-                lo = max(0, m - d)
-                for b in range(lo, min(m, D) + 1):
-                    pc = op.p_coeff(m - b)
-                    if not pc:
+                        row[_omega_col(D, n, m, a, c - 1)] = c
+                # -p_s [f, Omega_{m-s}];  f = E_{n,1}
+                for s, pc in pcs:
+                    b = m - s
+                    if not 0 <= b <= D:
                         continue
                     if a == n - 1:
-                        row[_omega_col(D, n, b, 0, c)] += -pc
+                        row[_omega_col(D, n, b, 0, c)] = -pc
                     if c == 0:
-                        row[_omega_col(D, n, b, a, n - 1)] += pc
+                        row[_omega_col(D, n, b, a, n - 1)] = pc
+                # -pdot_m f_{n-1}
+                if a == n - 1 and c == 0 and m <= d - 2:
+                    row[base + (d - 2 - m)] = -1
                 rows.append(row)
     return rows
 
 
 def joint_system(op, D):
-    """[jmu | -pdot columns]: unknowns (Omega coefficients, pdot coefficients).
-    Entries are ints and Fractions."""
-    n = op.n
-    d = op.d
-    rows = jmu_matrix(op, D)
-    nq = d - 1  # pdot degrees 0..d-2
-    for r in rows:
-        r.extend([0] * nq)
-    base = n * n * (D + 1)
-    for m in range(d - 1):
-        # equation block for degree m starts at row (D+d-m)*n^2
-        r = (D + d - m) * n * n + (n - 1) * n + 0
-        rows[r][base + (d - 2 - m)] += -1
-    return rows
+    """joint_rows as dense rows: unknowns (Omega coefficients, pdot
+    coefficients).  Entries are ints and Fractions."""
+    ncols = op.n * op.n * (D + 1) + op.d - 1
+    dense = []
+    for row in joint_rows(op, D):
+        out = [0] * ncols
+        for col, x in row.items():
+            out[col] = x
+        dense.append(out)
+    return dense
 
 
 @dataclass
@@ -230,6 +234,7 @@ class SolvabilityReport:
     exact: bool
     witness: object = None          # (pdot Poly, omega list) when tangent_dim > 0
     timing: float = 0.0
+    certificate: str = "elimination"  # or IDENTITY_CERTIFICATE
 
 
 def _kernel_vector_parts(op, D, vec):
@@ -246,9 +251,21 @@ def _kernel_vector_parts(op, D, vec):
     return omega, Poly(qcoeffs)
 
 
+# the prime of the modular certificate: large enough that an unlucky one
+# (rank drop, denominator divisible by it) is a remote event on these rows
+CERTIFICATE_PRIME = 2 ** 61 - 1
+IDENTITY_CERTIFICATE = "identity mod 2^61-1"
+
+
 def solvability(op, D=None):
     """Exact kernel of the joint deformation system; dims and optional witness.
-    Rational points only: a float rank estimate would be no certificate."""
+    Rational points only: a float rank estimate would be no certificate.
+
+    Omega = I, pdot = 0 solves the system (checked exactly).  When the kernel
+    mod CERTIFICATE_PRIME has dimension 1, the kernel over Q, which is no
+    larger, is span(I): joint 1, tangent 0, homogeneous 1 and, as tr I = n,
+    traceless homogeneous 0, with no rational elimination.  Otherwise the
+    kernel comes from the fraction-free elimination of the same rows."""
     if not op.exact:
         raise ValueError("solvability needs an exact rational oper point")
     if D is None:
@@ -256,12 +273,21 @@ def solvability(op, D=None):
     if D < 0:
         raise ValueError(f"degree cap D must be >= 0, got {D!r}")
     t0 = time.perf_counter()
-    rows = joint_system(op, D)
-    kernel = exact_nullspace(rows)
-    s = len(kernel)
+    rows = joint_rows(op, D)
     n = op.n
     base = n * n * (D + 1)
     nq = op.d - 1
+    diagonal = [_omega_col(D, n, 0, a, a) for a in range(n)]
+    if any(sum(row.get(col, 0) for col in diagonal) for row in rows):
+        raise ArithmeticError("Omega = I fails the joint system")
+    if modular_rank(rows, CERTIFICATE_PRIME) == base + nq - 1:
+        return SolvabilityReport(
+            n=op.n, k=op.k, d=op.d, D=D, joint_kernel_dim=1, tangent_dim=0,
+            homogeneous_kernel_dim=1, traceless_homogeneous_kernel_dim=0,
+            exact=True, timing=time.perf_counter() - t0,
+            certificate=IDENTITY_CERTIFICATE)
+    kernel = exact_nullspace(rows, base + nq)
+    s = len(kernel)
     qmatrix = [[v[base + t] for t in range(nq)] for v in kernel]
     tangent = exact_rank(qmatrix) if s else 0
     # trace functionals Tr(Omega_b) on the kernel, stacked after the q block

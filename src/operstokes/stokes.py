@@ -375,7 +375,7 @@ def _tail_norms(fs):
 
 def compute_radius(fs, settings):
     """Tail-safe radius: smallest circle on which each of the last kept formal
-    terms contributes below radius_tol."""
+    terms contributes below radius_tol (inf past double range)."""
     radius = 2.0
     for m, norm in _tail_norms(fs):
         if norm > 0:
@@ -1237,14 +1237,17 @@ def _select_reading(op, gc, layout, settings, cond, norms):
     the layout's angles cond, norms."""
     fs = formal_solution(gc, settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
-    try:
-        build = _collocate(op, gc, layout, fs, rho, cond, norms)
-    except ArithmeticError:
-        if settings.radius:
-            raise
-        # a tail-safe circle that the entire basis cannot sum within its
-        # term cap (Weber at radius_tol 1e-100) or that is beyond double
-        # range (1e-300) puts the request out of reach: the run reads the
+    build = None
+    if math.isfinite(rho):
+        try:
+            build = _collocate(op, gc, layout, fs, rho, cond, norms)
+        except ArithmeticError:
+            if settings.radius:
+                raise
+    if build is None:
+        # a tail-safe circle beyond double range (Weber at radius_tol
+        # 1e-300), or one that the entire basis cannot sum within its term
+        # cap (1e-100), puts the request out of reach: the run reads the
         # circle tail-safe to 2^-53 and reports the miss
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
         return _collocate(op, gc, layout, fs, rho, cond, norms)

@@ -69,6 +69,17 @@ def test_kernel_document(capsys):
     assert doc["exact"] is True
 
 
+def test_kernel_timing_names_the_certificate(capsys):
+    code, out, _ = run(capsys, "kernel", *WEBER)
+    assert code == 0
+    assert "certificate" not in json.loads(out)
+    code, out, _ = run(capsys, "kernel", *WEBER, "--timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"] == "identity mod 2^61-1"
+    assert doc["timing"] >= 0
+
+
 def test_kernel_document_serializes_witness(capsys, monkeypatch):
     real = cli.solvability
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operstokes.exactla import (commutator, exact_nullspace, exact_rank,
-                                exact_solve, mat_trace, qzeros, rational_str)
+                                exact_solve, mat_trace, modular_rank, qzeros,
+                                rational_str)
 
 
 def qmat(rows):
@@ -92,6 +93,8 @@ def test_floats_are_rejected():
     with pytest.raises(AttributeError):
         exact_rank([[QQ(1), 0.5]])
     with pytest.raises(AttributeError):
+        modular_rank([[1, 0.0], [0, 1]], 7)
+    with pytest.raises(AttributeError):
         exact_nullspace([[1, 0.0], [0, 1]])
     with pytest.raises(AttributeError):
         exact_solve([[1, 2], [3, 4]], [QQ(1), 2.0])
@@ -161,3 +164,41 @@ def test_rank_scale_invariance():
     rows = [[QQ(1, 3), QQ(2, 7)], [QQ(5), QQ(-1, 2)], [QQ(0), QQ(11, 13)]]
     scaled = [[q * QQ(30031, 17) for q in row] for row in rows]
     assert exact_rank(rows) == exact_rank(scaled)
+
+
+def sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+PRIME = 2 ** 61 - 1
+
+
+def test_modular_rank_known():
+    deficient = [[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, -1, 5], [2, 2, 2, 9]]
+    assert exact_rank(deficient) == 2
+    assert modular_rank(deficient, PRIME) == 2
+    assert modular_rank(sparse(deficient), PRIME) == 2
+    assert modular_rank(qeye(5), PRIME) == 5
+    assert modular_rank(qzeros(3), PRIME) == 0
+    # det 6: rank 2 over Q and mod 5, 1 mod 2 and mod 3
+    m = [[2, 0], [1, 3]]
+    assert [modular_rank(m, p) for p in (2, 3, 5)] == [1, 1, 2]
+    # a denominator that p divides has no residue
+    assert modular_rank([[QQ(1, 6), 1]], 3) is None
+    assert modular_rank([[QQ(1, 6), 1]], 5) == 1
+
+
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_modular_rank_matches_exact_rank(data, r, c):
+    m = rand_matrix(data.draw, r, c)
+    assert modular_rank(sparse(m), PRIME) == exact_rank(m)
+
+
+@given(st.data(), st.integers(1, 8), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_sparse_rows_give_the_dense_kernel(data, r, c):
+    m = rand_matrix(data.draw, r, c)
+    assert exact_rank(sparse(m)) == exact_rank(m)
+    assert [list(v) for v in exact_nullspace(sparse(m), c)] == \
+        [list(v) for v in exact_nullspace(m)]

@@ -4,11 +4,12 @@ from fractions import Fraction as QQ
 import numpy as np
 import pytest
 
-from operstokes.exactla import qzeros
-from operstokes.isomono import (OperPoint, ScalarSystem, apply_deformation,
-                                connection_matrix, corner_vector,
-                                degree_obstruction, jmu_matrix, joint_system,
-                                matrix_from_scalar,
+from operstokes import isomono
+from operstokes.exactla import exact_rank, modular_rank, qzeros
+from operstokes.isomono import (IDENTITY_CERTIFICATE, OperPoint, ScalarSystem,
+                                apply_deformation, connection_matrix,
+                                corner_vector, degree_obstruction, joint_rows,
+                                joint_system, matrix_from_scalar,
                                 reduction_residual_pair, scalar_from_matrix,
                                 solvability, weight_expression_check)
 from operstokes.poly import Poly
@@ -93,11 +94,58 @@ def test_deformation_operator_oracles():
     assert not np.any(res[0] != 0) and not np.any(res[1] != 0)
 
 
-def test_jmu_matrix_agrees_with_direct_application():
+def dense_joint_system(op, D):
+    """The joint system built densely, entry by entry: the oracle for the
+    sparse rows."""
+    n, d = op.n, op.d
+
+    def col(b, a, c):
+        return (D - b) * n * n + a * n + c
+
+    ncols = n * n * (D + 1)
+    rows = []
+    for m in range(D + d, -1, -1):
+        for a in range(n):
+            for c in range(n):
+                row = [0] * ncols
+                if m + 1 <= D:
+                    row[col(m + 1, a, c)] += m + 1
+                if m <= D:
+                    if a + 1 < n:
+                        row[col(m, a + 1, c)] += -(a + 1)
+                    if c >= 1:
+                        row[col(m, a, c - 1)] += c
+                for b in range(max(0, m - d), min(m, D) + 1):
+                    pc = op.p_coeff(m - b)
+                    if not pc:
+                        continue
+                    if a == n - 1:
+                        row[col(b, 0, c)] += -pc
+                    if c == 0:
+                        row[col(b, a, n - 1)] += pc
+                rows.append(row)
+    for r in rows:
+        r.extend([0] * (d - 1))
+    for m in range(d - 1):
+        rows[(D + d - m) * n * n + (n - 1) * n][ncols + (d - 2 - m)] += -1
+    return rows
+
+
+def sweep_point(n, k):
+    """The certificate sweep's seeded rational point (test_acceptance)."""
+    rng = random.Random(1000 * n + k)
+    return OperPoint(n, k, tuple(QQ(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(n * k - 1)))
+
+
+ROW_POINTS = [(2, 1), (2, 2), (3, 1), (4, 2), (5, 1)]
+
+
+def test_joint_rows_agree_with_direct_application():
     rng = random.Random(7)
     D = 4
-    rows = jmu_matrix(Z2, D)
-    ncols = 4 * (D + 1)
+    rows = joint_rows(Z2, D)
+    ncols = 4 * (D + 1) + Z2.d - 1
     vec = [QQ(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)]
     omega = []
     for b in range(D + 1):
@@ -106,14 +154,79 @@ def test_jmu_matrix_agrees_with_direct_application():
             for c in range(2):
                 m[a, c] = vec[(D - b) * 4 + a * 2 + c]
         omega.append(m)
-    out = [sum(r[t] * vec[t] for t in range(ncols)) for r in rows]
-    res = apply_deformation(Z2, omega, Poly([]))
+    pdot = Poly(vec[4 * (D + 1):][::-1])
+    out = [sum(x * vec[t] for t, x in r.items()) for r in rows]
+    res = apply_deformation(Z2, omega, pdot)
     d = Z2.d
     for m in range(D + d + 1):
         for a in range(2):
             for c in range(2):
                 direct = res[m][a, c] if m < len(res) else QQ(0)
                 assert out[(D + d - m) * 4 + a * 2 + c] == direct
+
+
+@pytest.mark.parametrize("n, k", ROW_POINTS)
+def test_joint_rows_match_the_dense_construction(n, k):
+    op = sweep_point(n, k)
+    d = op.d
+    for D in (0, d - 1, 2 * (d + n)):
+        rows = joint_rows(op, D)
+        oracle = dense_joint_system(op, D)
+        dense = joint_system(op, D)
+        assert dense == oracle
+        assert [[type(x) for x in r] for r in dense] == \
+            [[type(x) for x in r] for r in oracle]
+        assert rows == [{t: x for t, x in enumerate(r) if x} for r in oracle]
+
+
+@pytest.mark.parametrize("n, k", ROW_POINTS)
+def test_modular_rank_matches_exact_rank_on_joint_rows(n, k):
+    op = sweep_point(n, k)
+    for D in (0, op.d - 1, 2 * (op.d + n)):
+        rows = joint_rows(op, D)
+        assert modular_rank(rows, isomono.CERTIFICATE_PRIME) \
+            == exact_rank(rows)
+
+
+def report_fields(rep):
+    return {name: getattr(rep, name) for name in (
+        "n", "k", "d", "D", "joint_kernel_dim", "tangent_dim",
+        "homogeneous_kernel_dim", "traceless_homogeneous_kernel_dim",
+        "exact", "witness")}
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (2, 3)])
+def test_solvability_falls_back_at_an_unlucky_prime(monkeypatch, n, k):
+    # mod 2 the rank drops and the even denominators are not invertible, so
+    # the report comes from the rational elimination, with the same fields
+    op = sweep_point(n, k)
+    certified = solvability(op)
+    assert certified.certificate == IDENTITY_CERTIFICATE
+    monkeypatch.setattr(isomono, "CERTIFICATE_PRIME", 2)
+    rows = joint_rows(op, certified.D)
+    ncols = len(joint_system(op, certified.D)[0])
+    assert modular_rank(rows, 2) != ncols - 1
+    eliminated = solvability(op)
+    assert eliminated.certificate == "elimination"
+    assert report_fields(eliminated) == report_fields(certified)
+
+
+def test_solvability_checks_the_identity_witness(monkeypatch):
+    # one entry off in a column of Omega_0's diagonal breaks Omega = I
+    op = sweep_point(3, 1)
+    D = 2 * (op.d + op.n)
+    diagonal = D * 9 + 4
+    real = isomono.joint_rows
+
+    def perturbed(op, D):
+        rows = real(op, D)
+        hit = next(r for r in rows if diagonal in r)
+        hit[diagonal] += 1
+        return rows
+
+    monkeypatch.setattr(isomono, "joint_rows", perturbed)
+    with pytest.raises(ArithmeticError, match="Omega = I"):
+        solvability(op)
 
 
 def test_solvability_basic():
@@ -124,6 +237,7 @@ def test_solvability_basic():
     assert rep.traceless_homogeneous_kernel_dim == 0
     assert rep.witness is None
     assert rep.exact
+    assert rep.certificate == IDENTITY_CERTIFICATE
 
 
 def test_solvability_default_cap():

@@ -1058,6 +1058,23 @@ def test_fresh_run_reads_one_circle(monkeypatch, op, tol, count):
     assert builds[-1][1] == sd.plan.bits
 
 
+def test_infinite_circle_is_never_built(monkeypatch):
+    # at radius_tol 1e-300 compute_radius's circle is past double range;
+    # the run goes straight to the circle tail-safe to 2^-53
+    radii = []
+    real_basis = stokes.EntireBasis
+
+    class RecordedBasis(real_basis):
+        def __init__(self, op, ctx, rho, nterms=None):
+            radii.append(rho)
+            super().__init__(op, ctx, rho, nterms)
+
+    monkeypatch.setattr(stokes, "EntireBasis", RecordedBasis)
+    sd = stokes_data(OperPoint(2, 1, (0,)), StokesSettings(radius_tol=1e-300))
+    assert not sd.converged
+    assert radii == [sd.radius] and math.isfinite(sd.radius)
+
+
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
 def test_default_run_converges_at_monomials(n, k):
     # the default order's tail-safe circle is small enough to read these
