@@ -486,45 +486,66 @@ def _angle(theta_fpi):
     return Fraction(theta_fpi)
 
 
+def _period(thetas):
+    """Q, the angles' common even period, and each angle's numerator P over
+    it: the least even Q with every angle P/Q, P an integer, so that u =
+    e^{i pi theta} has u^(2Q) = 1, u^Q = (-1)^P and u^(Q/2) = i^P
+    exactly."""
+    q = math.lcm(*(theta.denominator for theta in thetas))
+    period = q if q % 2 == 0 else 2 * q
+    return period, [theta.numerator * (period // theta.denominator)
+                    for theta in thetas]
+
+
 def _unit_powers(ctx, thetas, count):
-    """u^m, m < count, for u = e^{i pi theta} at each angle of `thetas`, all
-    p/q with one q: the roots 2pm mod 4q of the root table of denominator
-    2q (_unit_roots), as the Gaussian-integer array (2, count, angles)."""
+    """u^m, m < count, for u = e^{i pi theta} at each angle of `thetas`, p/q
+    of any q: for Q their common period (_period), the roots 2Pm mod 4Q of
+    the root table of denominator 2Q (_unit_roots), as the Gaussian-integer
+    array (2, count, angles)."""
     thetas = [_angle(theta) for theta in thetas]
-    q = thetas[0].denominator
-    steps = np.array([2 * theta.numerator % (4 * q) for theta in thetas])
-    index = np.arange(count)[:, None] * steps % (4 * q)
-    return np.moveaxis(_unit_roots(ctx.frac, 2 * q)[index], 2, 0)
+    period, numerators = _period(thetas)
+    steps = np.array([2 * p % (4 * period) for p in numerators])
+    index = np.arange(count)[:, None] * steps % (4 * period)
+    return np.moveaxis(_unit_roots(ctx.frac, 2 * period)[index], 2, 0)
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_roots(frac, den):
     """e^{i pi r/den}, r < 2 den, as the Gaussian-integer array (2 den, 2)
-    of (re, im) with `frac` fraction bits, each rounded to nearest from
-    mpmath 10 bits deeper, so within one unit: the one root table per
-    denominator and precision."""
+    of (re, im) with `frac` fraction bits: the one root table per
+    denominator and precision.  The roots of the first quadrant, or of the
+    first half when den is odd, are each rounded to nearest from mpmath 10
+    bits deeper, so within one unit; the rest are their exact turns by i,
+    -1 and -i, so that on the table a quarter turn of the angle is exactly
+    a product by i (_table_sums).  A root's value depends on its angle
+    alone, not on the denominator of the table it is read from."""
     from mpmath.libmp import mpf_shift, to_int
     mp = _mpmath_at(frac + 10)
-    return np.array([[(to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
-                      for x in (z.real, z.imag)]
-                     for z in (mp.expjpi(mp.mpf(r) / den)
-                               for r in range(2 * den))], dtype=object)
+    turns = 2 if den % 2 else 4
+    first = np.array([[(to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
+                       for x in (z.real, z.imag)]
+                      for z in (mp.expjpi(mp.mpf(r) / den)
+                                for r in range(2 * den // turns))],
+                     dtype=object)
+    if turns == 2:
+        return np.concatenate([first, -first])
+    turned = np.stack([-first[:, 1], first[:, 0]], axis=1)     # i first
+    return np.concatenate([first, turned, -first, -turned])
 
 
 def _fold(table, period):
     """A fixed-point table (rows of entries (re, im, frac') over m, every
     entry of the same length) as the Gaussian-integer array (2, rows,
-    entries, m') of each entry's coefficients summed by residue of m mod
-    period, m' = min(m, period), and the (rows, entries) array of frac':
-    integer additions only, exact, since u^m = u^(m mod period) at every
-    angle whose powers have that period."""
+    entries, period) of each entry's coefficients summed by residue of m
+    mod period, zero where no m has that residue, and the (rows, entries)
+    array of frac': integer additions only, exact, since u^m = u^(m mod
+    period) at every angle whose powers have that period."""
     coeffs = np.moveaxis(np.array([[entry[:2] for entry in row]
                                    for row in table], dtype=object), 2, 0)
-    count = coeffs.shape[-1]
-    if count > period:
-        pad = np.zeros(coeffs.shape[:-1] + (-count % period,), dtype=object)
-        coeffs = np.concatenate([coeffs, pad], axis=-1)
-        coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, period)).sum(axis=-2)
+    pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % period,),
+                   dtype=object)
+    coeffs = np.concatenate([coeffs, pad], axis=-1)
+    coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, period)).sum(axis=-2)
     return coeffs, np.array([[entry[2] for entry in row] for row in table],
                             dtype=object)
 
@@ -532,14 +553,31 @@ def _fold(table, period):
 def _table_sums(ctx, table, thetas):
     """Per entry of a fixed-point table (rows of entries (re, im, frac')
     over m, value (re + i im) 2^-frac'), sum_m table[t][j][m] u^m exactly at
-    each angle of `thetas`, all p/q with one q: arrays re, im of shape
-    (rows, entries, angles) and exp of shape (rows, entries), value
-    (re + i im) 2^exp, from one Gaussian-integer product of the table
-    folded by 2q and the angles' unit powers."""
-    coeffs, cut = _fold(table, 2 * thetas[0].denominator)
-    re, im = _gauss(coeffs, _unit_powers(ctx, thetas, coeffs.shape[-1]),
-                    np.matmul)
-    return re, im, -(cut + ctx.frac)
+    each angle of `thetas`, p/q of any q: arrays re, im of shape (rows,
+    entries, angles) and exp of shape (rows, entries), value (re + i im)
+    2^exp.  Every angle is P/Q for Q their common period (_period), so the
+    table is folded once by 2Q, then by the quarter turns u^(Q/2) = i^P
+    into one table of length Q/2 per class P mod 4, each summed by one
+    Gaussian-integer product with its angles' unit powers.  Integer
+    additions and products by powers of i only, exact on the root table,
+    whose quarter turns are exact (_unit_roots)."""
+    thetas = [_angle(theta) for theta in thetas]
+    period, numerators = _period(thetas)
+    coeffs, cut = _fold(table, 2 * period)
+    # class c sums i^(cj) b_j over the quarters b_j: (b0 + b2) +- (b1 + b3)
+    # for c = 0, 2 and (b0 - b2) +- i (b1 - b3) for c = 1, 3
+    b0, b1, b2, b3 = np.split(coeffs, 4, axis=-1)
+    s0, s1, d0, d1 = b0 + b2, b1 + b3, b0 - b2, b1 - b3
+    d1 = np.array([-d1[1], d1[0]])
+    folded = (s0 + s1, d0 + d1, s0 - s1, d0 - d1)
+    powers = _unit_powers(ctx, thetas, period // 2)
+    classes = np.array([p % 4 for p in numerators])
+    out = np.empty(coeffs.shape[:3] + (len(thetas),), dtype=object)
+    for c, part in enumerate(folded):
+        cols = np.flatnonzero(classes == c)
+        if cols.size:
+            out[..., cols] = _gauss(part, powers[..., cols], np.matmul)
+    return out[0], out[1], -(cut + ctx.frac)
 
 
 def _rounded(ctx, re, im, exp):
@@ -579,10 +617,12 @@ _MAX_TERMS = 20000
 # gap adds a few units per order, carried the same way; absolute, but Y_0 =
 # W_0 = I, the later terms on a reading circle are small, and the inverse
 # keeps its smallest column rho^(h_a) at full resolution.  Table sums are
-# exact: every unit power is a root within one unit and folding by residue
-# mod 2q is exact, so a sum is off by at most sum_m |T_m| units, under
-# N < 2^15 units of the largest term T_m (N <= _MAX_TERMS), and contents
-# are exact from these sums to one rounding.  Collocation: each raw content
+# exact: every unit power is a root within one unit, and folding by residue
+# mod 2Q and then by the quarter turns only adds coefficients and turns
+# them by powers of i, which the root table's exact quarter turns make
+# exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
+# units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
+# from these sums to one rounding.  Collocation: each raw content
 # entry (no mode exponential) is rounded once to bits + 40 significant bits
 # (_aligned_row), each sector column is solved exactly and rounded once to
 # bits + 40 bits of its largest entry (_exact_column), the A/B consistency
@@ -722,10 +762,17 @@ def _sector_reading_plan(layout):
     within _TIE of the best are ties, which go to the smallest angle.  Which
     mode dominates where is fixed by the leading exponents, so the plan is
     the same on every reading circle, at every working precision and at
-    every point with this layout, and is made once per run."""
+    every point with this layout, and is made once per run.
+
+    The rule runs on sectors 1 and 2 only.  Two spacings on, (k+1) theta
+    gains 2/n and lambda_a e^{2 pi i/n} = lambda_{a+1} (Sibuya 1975), so
+    sector i reads sector i-2's angles two spacings on, with column and mode
+    one up mod n: exactly, since the arcs are exact Fractions and
+    _leading_re reduces its argument exactly before the cosine, so every
+    score and tie repeats."""
     n, step = layout.n, layout.spacing / 4
     cond, norms = {}, {}
-    for i in range(1, layout.r + 1):
+    for i in (1, 2):
         for d in range(n):
             for a in range(n):
                 if a == d:
@@ -744,6 +791,15 @@ def _sector_reading_plan(layout):
                      for th, re in lead.items()}
             top = max(score.values())
             norms[(i, d)] = min(th for th in cands if score[th] >= top - _TIE)
+    turn = 2 * layout.spacing
+    for i in range(3, layout.r + 1):
+        for d in range(n):
+            for a in range(n):
+                if a != d:
+                    for variant in "AB":
+                        back = (i - 2, variant, (d + 1) % n, (a + 1) % n)
+                        cond[(i, variant, d, a)] = cond[back] + turn
+            norms[(i, d)] = norms[(i - 2, (d + 1) % n)] + turn
     return cond, norms
 
 
@@ -796,38 +852,33 @@ def _content_matrix(fs, basis, inverse, reads):
     exponential: the content is e^{-(q_x(z) + lambda_x log z)} times the
     raw row.  Returned as {theta: {x: row x}}.
 
-    The phase e^{i pi theta h_a} of gauged row a is one root of order 4q
-    read at the unwrapped numerator of theta = p/q, so the chart log z =
+    Every angle is read at once, as P/Q for Q the angles' common period
+    (_period).  The phase e^{i pi theta h_a} of gauged row a is one root of
+    order 4Q read at the unwrapped numerator P, so the chart log z =
     ln rho + i pi theta stays explicit: on the next sheet a raw row takes
     the det twist and its mode scalar e^{-2 pi i lambda_x}, the wrap
     factor's extra scalars (collocation_factors).  The modulus rho^(h_a) of
-    gauged row a is in the inverse table's columns.  The angles of one
-    denominator are read together: each table's sums are one product
-    (_table_sums), and the contents of every mode one stacked product, of
-    which each read entry is rounded once, to `frac` significant bits
-    (_aligned_row)."""
-    ctx, n = fs.ctx, fs.n
-    hs = _gauge_exponents(n, fs.k)
-    dens = {}
-    for theta in map(_angle, reads):
-        dens.setdefault(theta.denominator, []).append(theta)
-    out = {}
-    for q, thetas in sorted(dens.items()):
-        sr, si, se = _table_sums(ctx, basis.table, thetas)
-        phase = _unit_roots(ctx.frac, 2 * q)[
-            [[th.numerator * int(2 * h) % (4 * q) for h in hs]
-             for th in thetas]]
-        x = _gauss(np.moveaxis(phase, 2, 0)[..., None],
-                   np.moveaxis(np.array([sr, si]), 3, 1))
-        low = se.min(axis=0)                     # align each column exactly
-        wr, wi, we = _table_sums(ctx, inverse, thetas)
-        cont = _gauss(np.moveaxis(np.array([wr, -wi]), 3, 1),
-                      x << (se - low), np.matmul)
-        exp = low - ctx.frac + we[0, 0]
-        for a, theta in enumerate(thetas):
-            out[theta] = {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
-                          for b in sorted(reads[theta])}
-    return out
+    gauged row a is in the inverse table's columns.  Each table's sums are
+    one call (_table_sums), and the contents of every mode one stacked
+    product, of which each read entry is rounded once, to `frac`
+    significant bits (_aligned_row)."""
+    ctx = fs.ctx
+    twice = [int(2 * h) for h in _gauge_exponents(fs.n, fs.k)]
+    thetas = [_angle(theta) for theta in reads]
+    period, numerators = _period(thetas)
+    sr, si, se = _table_sums(ctx, basis.table, thetas)
+    phase = _unit_roots(ctx.frac, 2 * period)[
+        [[p * t % (4 * period) for t in twice] for p in numerators]]
+    low = se.min(axis=0)                         # align each column exactly
+    x = _gauss(np.moveaxis(phase, 2, 0)[..., None],
+               np.moveaxis(np.array([sr, si]), 3, 1)) << (se - low)
+    del sr, si          # free every angle's basis sums before the inverse's
+    wr, wi, we = _table_sums(ctx, inverse, thetas)
+    cont = _gauss(np.moveaxis(np.array([wr, -wi]), 3, 1), x, np.matmul)
+    exp = low - ctx.frac + we[0, 0]
+    return {theta: {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
+                    for b in sorted(reads[theta])}
+            for a, theta in enumerate(thetas)}
 
 
 def _mode_scalars(fs, rho, pairs):
@@ -835,14 +886,16 @@ def _mode_scalars(fs, rho, pairs):
     lambda_b log z at z = rho e^{i pi theta} on the chart log z = ln rho +
     i pi theta: the right-hand side a normalization row solves for
     (_exact_column).  One log per call; z is rho times a root of the root
-    table, so the exponential of each pair is the only exp."""
+    table of the angles' common period, so the exponential of each pair is
+    the only exp."""
     ctx = fs.ctx
     log_rho = ctx.log(ctx.number(rho))
+    period, numerators = _period([theta for theta, _ in pairs])
+    roots = _unit_roots(ctx.frac, 2 * period)
     points, out = {}, {}
-    for theta, b in pairs:
+    for (theta, b), p in zip(pairs, numerators):
         if theta not in points:
-            p, q = theta.numerator, theta.denominator
-            ur, ui = _unit_roots(ctx.frac, 2 * q)[2 * p % (4 * q)]
+            ur, ui = roots[2 * p % (4 * period)]
             z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
                                               ctx.real((ui, -ctx.frac)))
             points[theta] = log_rho + 1j * ctx.number(theta) * ctx.pi(), z

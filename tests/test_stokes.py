@@ -412,9 +412,9 @@ def test_unit_roots_are_within_one_unit(bits):
     ctx = make_ctx(bits)
     mp = mpmath.mp.clone()
     mp.prec = 400
-    unit = mp.mpf(2) ** -(ctx.bits + stokes._GUARD_BITS)
 
-    def off(got, r, den):
+    def off(got, r, den, frac=ctx.frac):
+        unit = mp.mpf(2) ** -frac
         want = mp.expjpi(mp.mpf(r) / den)
         return max(abs(got[0] * unit - want.real),
                    abs(got[1] * unit - want.imag)) / unit
@@ -425,34 +425,91 @@ def test_unit_roots_are_within_one_unit(bits):
         roots = stokes._unit_roots(ctx.frac, den)
         assert len(roots) == 2 * den
         assert max(off(root, r, den) for r, root in enumerate(roots)) <= 2
+    # a table is exactly symmetric under the quarter turns, or the half
+    # turn when den is odd, which the quarter-turn folds of _table_sums
+    # rely on; also where rounding every root on its own breaks the
+    # symmetry (the half turn at each (frac, den) here, the quarter turn
+    # too at (97, 48)), and still within one unit
+    for frac, den in ((109, 96), (121, 48), (110, 5), (97, 48)):
+        roots = stokes._unit_roots(frac, den)
+        if den % 2:
+            assert (np.roll(roots, -den, axis=0) == -roots).all()
+        else:
+            assert (np.roll(roots, -(den // 2), axis=0)
+                    == np.stack([-roots[:, 1], roots[:, 0]], axis=1)).all()
+        assert max(off(root, r, den, frac)
+                   for r, root in enumerate(roots)) <= 1
     # a float angle would size the table by its binary denominator
     with pytest.raises(TypeError):
         stokes._unit_powers(ctx, [7 / 24], 256)
 
 
+def loop_sums(ctx, table, thetas):
+    """Per entry and angle, the plain loop over m of coefficient m times
+    root 2Pm mod 4Q of the root table of denominator 2Q, unfolded, for Q
+    the angles' common period and each angle P/Q: the reference for
+    _table_sums, as ((re, im) per angle) per entry, and frac' per entry."""
+    period, numerators = stokes._period(thetas)
+    assert numerators == [theta * period for theta in thetas]
+    roots = stokes._unit_roots(ctx.frac, 2 * period)
+    sums = {}
+    for t, row in enumerate(table):
+        for j, (ar, ai, frac) in enumerate(row):
+            for a, theta in enumerate(thetas):
+                step = 2 * (theta * period).numerator
+                sr = si = 0
+                for m, (cr, ci) in enumerate(zip(ar, ai)):
+                    ur, ui = roots[step * m % (4 * period)]
+                    sr += cr * ur - ci * ui
+                    si += cr * ui + ci * ur
+                sums[(t, j, a)] = (sr, si)
+    return sums
+
+
+def assert_sums_match_loop(ctx, table, thetas):
+    re, im, exp = stokes._table_sums(ctx, table, thetas)
+    for (t, j, a), want in loop_sums(ctx, table, thetas).items():
+        assert (re[t, j, a], im[t, j, a]) == want
+        assert exp[t, j] == -(table[t][j][2] + ctx.frac)
+
+
 def test_table_sums_match_a_loop_over_angles():
-    # the angles of one denominator are summed by one product of the folded
-    # table with their unit powers; each sum must equal, exactly, the plain
-    # loop over m of coefficient m times root 2pm mod 4q, unfolded, at
-    # every angle, on both sheets and for both tables of a (3,1) build
+    # the angles, of any denominators, are summed by one fold of the table
+    # by 2Q, Q = 24 here, then one product per class P mod 4 of its
+    # quarter-turn fold with their unit powers; each sum must equal,
+    # exactly, the plain unfolded loop, at every angle, on both sheets and
+    # for both tables of a (3,1) build
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     ctx = make_ctx(69)
     fs = formal_solution(gauge_transform(op), 20, ctx)
-    thetas = [QQ(1, 24), QQ(7, 24), QQ(31, 24), QQ(7, 24) + 2]
+    thetas = [QQ(1, 24), QQ(7, 24), QQ(31, 24), QQ(7, 24) + 2,
+              QQ(1, 8), QQ(2, 3), QQ(-5, 12), QQ(31, 24) + 2]
+    period, numerators = stokes._period(thetas)
+    assert period == 24 and {p % 4 for p in numerators} == {0, 1, 2, 3}
     for table in (EntireBasis(op, ctx, 8.15).table,
                   stokes._inverse_table(fs, 8.15)):
-        re, im, exp = stokes._table_sums(ctx, table, thetas)
-        roots = stokes._unit_roots(ctx.frac, 48)
-        for a, theta in enumerate(thetas):
-            for t, row in enumerate(table):
-                for j, (ar, ai, frac) in enumerate(row):
-                    sr = si = 0
-                    for m, (cr, ci) in enumerate(zip(ar, ai)):
-                        ur, ui = roots[2 * theta.numerator * m % 96]
-                        sr += cr * ur - ci * ui
-                        si += cr * ui + ci * ur
-                    assert (re[t, j, a], im[t, j, a]) == (sr, si)
-                    assert exp[t, j] == -(frac + ctx.frac)
+        assert_sums_match_loop(ctx, table, thetas)
+
+
+@given(st.data())
+@hyp_settings(max_examples=40, deadline=None)
+def test_table_sums_fold_tables_of_any_length(data):
+    # tables shorter than 2Q are padded, longer ones folded, and an odd
+    # common denominator q has period 2q
+    ctx = make_ctx(53)
+    thetas = [QQ(data.draw(st.integers(-4 * q, 4 * q)), q) for q in
+              data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+                                 min_size=1, max_size=4))]
+    period, _ = stokes._period(thetas)
+    length = data.draw(st.integers(1, 6 * period))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+
+    def part():
+        return [int(v) << 40 for v in rng.integers(-2 ** 40, 2 ** 40, length)]
+
+    table = [[(part(), part(), data.draw(st.integers(0, 100)))
+              for _ in range(2)] for _ in range(2)]
+    assert_sums_match_loop(ctx, table, thetas)
 
 
 def mode_scalar(fs, rho, theta, b, prec):
@@ -481,6 +538,68 @@ def content(fs, basis, inverse, rho, theta):
         re, im, e = (np.array(part, dtype=object) for part in row)
         out.append(stokes._rounded(ctx, re, im, e) * ctx.complex(scale))
     return np.array(out)
+
+
+def per_denominator_contents(fs, basis, inverse, reads):
+    """_content_matrix with one pass per angle denominator q, each table
+    folded by 2q and summed against the unit powers and phases of the root
+    table of denominator 2q: the reference for its single pass over the
+    angles' common period."""
+    ctx, n = fs.ctx, fs.n
+    hs = stokes._gauge_exponents(n, fs.k)
+
+    def sums(table, q, thetas):
+        coeffs, cut = stokes._fold(table, 2 * q)
+        steps = np.array([2 * th.numerator % (4 * q) for th in thetas])
+        index = np.arange(coeffs.shape[-1])[:, None] * steps % (4 * q)
+        powers = np.moveaxis(stokes._unit_roots(ctx.frac, 2 * q)[index], 2, 0)
+        re, im = stokes._gauss(coeffs, powers, np.matmul)
+        return re, im, -(cut + ctx.frac)
+
+    dens = {}
+    for theta in reads:
+        dens.setdefault(theta.denominator, []).append(theta)
+    out = {}
+    for q, thetas in sorted(dens.items()):
+        sr, si, se = sums(basis.table, q, thetas)
+        phase = stokes._unit_roots(ctx.frac, 2 * q)[
+            [[th.numerator * int(2 * h) % (4 * q) for h in hs]
+             for th in thetas]]
+        x = stokes._gauss(np.moveaxis(phase, 2, 0)[..., None],
+                          np.moveaxis(np.array([sr, si]), 3, 1))
+        low = se.min(axis=0)
+        wr, wi, we = sums(inverse, q, thetas)
+        cont = stokes._gauss(np.moveaxis(np.array([wr, -wi]), 3, 1),
+                             x << (se - low), np.matmul)
+        exp = low - ctx.frac + we[0, 0]
+        for a, theta in enumerate(thetas):
+            out[theta] = {b: stokes._aligned_row(*cont[:, a, b], exp,
+                                                 ctx.frac)
+                          for b in sorted(reads[theta])}
+    return out
+
+
+@pytest.mark.parametrize("op", [
+    OperPoint(2, 1, (QQ(1, 3),)), OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
+    OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), OperPoint(4, 1, (0, 0, 0)),
+    OperPoint(3, 2, (0,) * 5), OperPoint(2, 4, (0,) * 7)],
+    ids=["weber", "quartic", "cubic-point", "z4-n4", "z6-n3", "octic"])
+def test_content_matrix_matches_a_pass_per_denominator(op):
+    # one pass over every angle of a default plan, folded by its common
+    # period, must give exactly the raw rows of one pass per denominator
+    plan = stokes_data(op).plan
+    gc = gauge_transform(op)
+    fs = formal_solution(gc, plan.trunc_order, make_ctx(plan.bits))
+    basis = EntireBasis(op, fs.ctx, plan.rho, plan.nterms)
+    inverse = stokes._inverse_table(fs, plan.rho)
+    reads = {}
+    for (_, _, _, a), th in plan.cond.items():
+        reads.setdefault(th, set()).add(a)
+    for (_, d), th in plan.norms.items():
+        reads.setdefault(th, set()).add(d)
+    assert len({th.denominator for th in reads}) > 1
+    assert (stokes._content_matrix(fs, basis, inverse, reads)
+            == per_denominator_contents(fs, basis, inverse, reads))
 
 
 def test_content_matrix_wrap_identity():
@@ -785,6 +904,54 @@ def test_visibility_intervals_cover_supersector_conditions():
                     assert (fs.q_entry(a, z) - fs.q_entry(d, z)).real > 0
 
 
+def all_sector_plan(layout):
+    """The reading plan's rule applied to every sector, as a reference for
+    _sector_reading_plan, which applies it to two and rotates those."""
+    n, step = layout.n, layout.spacing / 4
+    cond, norms = {}, {}
+    for i in range(1, layout.r + 1):
+        for d in range(n):
+            for a in range(n):
+                if a == d:
+                    continue
+                u, v = _visibility_interval(layout, i, a, d)
+                w = v - u
+                cond[(i, "A", d, a)] = u + w / 4
+                cond[(i, "B", d, a)] = v - w / 4
+        lo = layout.ray(i) - layout.half
+        count = int((layout.ray(i + 1) + layout.half - lo) / step)
+        cands = [lo + t * step for t in range(count + 1)]
+        lead = {th: [stokes._leading_re(layout, a, th) for a in range(n)]
+                for th in cands}
+        for d in range(n):
+            score = {th: min(re[d] - re[a] for a in range(n) if a != d)
+                     for th, re in lead.items()}
+            top = max(score.values())
+            norms[(i, d)] = min(th for th in cands
+                                if score[th] >= top - stokes._TIE)
+    return cond, norms
+
+
+def test_sector_reading_plan_is_rotated():
+    # planning two sectors and rotating them by two spacings, mode a to
+    # a + 1, must give every angle the rule gives each sector on its own,
+    # ties included, at every base direction
+    checked = 0
+    for n, k in itertools.product(range(2, 7), range(1, 5)):
+        base = n * (k + 1)
+        for v0 in (None, QQ(1, 7 * base), QQ(3, 5 * base), QQ(-2, 9)):
+            try:
+                layout = sector_layout(gauge_transform(
+                    OperPoint(n, k, (0,) * (n * k - 1))), v0)
+            except ValueError:       # v0 on an anti-Stokes direction
+                continue
+            assert stokes._sector_reading_plan(layout) == \
+                all_sector_plan(layout)
+            checked += 1
+    # only v0 = -2/9 at (6,2) lies on a ray
+    assert checked == 79
+
+
 # ---------------------------------------------------------------------------
 # full pipeline oracles
 
@@ -1000,8 +1167,9 @@ def test_frame_tail_above_request_is_not_converged():
 def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     # the correction's build is the run's build: no formal solution is
     # recomputed at a precision, and no entire basis is rebuilt on a circle;
-    # the angles are planned once, one visibility arc per kill condition.
-    # Weber at 1e-25 makes the one correction
+    # the angles are planned once, one visibility arc per kill condition of
+    # the two planned sectors (the others are their rotations).  Weber at
+    # 1e-25 makes the one correction
     fs_bits, bases, arcs = [], [], []
     real_formal, real_basis = stokes.formal_solution, stokes.EntireBasis
     real_arc = stokes._visibility_interval
@@ -1029,7 +1197,7 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert sd.residuals["identity"] <= 1e-9
     assert fs_bits == [stokes._FIRST_BITS, sd.plan.bits]
     assert bases == [(sd.radius, bits) for bits in fs_bits]
-    assert len(arcs) == sd.layout.r * sd.n * (sd.n - 1)
+    assert len(arcs) == 2 * sd.n * (sd.n - 1)
 
 
 @pytest.mark.parametrize("op, tol, count", [
