@@ -45,10 +45,9 @@ from .isomono import OperPoint
 
 class NumericContext:
     """Working precision of a run: scalars in a private mpmath context at
-    `bits` (object arrays, whose eye holds exact int 0 and 1), and `frac`,
-    the fraction bits of every fixed-point construction, rounded once to the
-    working precision by _rounded.  mpmath is imported by the first context
-    or root table."""
+    `bits`, pi among them, and `frac`, the fraction bits of every
+    fixed-point construction, rounded once to the working precision by
+    _rounded.  mpmath is imported by the first context or root table."""
 
     def __init__(self, bits):
         self.bits = bits
@@ -56,14 +55,7 @@ class NumericContext:
         mp = _mpmath_at(bits)
         self.real, self.complex = mp.mpf, mp.mpc
         self.exp, self.log = mp.exp, mp.log
-        self._pi = +mp.pi
-        self._one = self.complex(1)
-
-    def pi(self):
-        return self._pi
-
-    def one(self):
-        return self._one
+        self.pi = +mp.pi
 
     def number(self, v):
         """An int, float, complex or Fraction as a working-precision complex;
@@ -72,9 +64,6 @@ class NumericContext:
         if isinstance(v, Fraction):
             v = self.real(v.numerator) / v.denominator
         return self.complex(v)
-
-    def eye(self, n):
-        return np.eye(n, dtype=object)
 
 
 # the numeric context for `bits`, one per precision, shared by every run
@@ -193,7 +182,7 @@ class FormalSolution:
         return abs(sum(complex(v) for v in self.lam))
 
 
-def formal_solution(gc, M, ctx=None):
+def formal_solution(gc, M, ctx):
     """Order-by-order diagonalization, in two stages so levels stay decoupled.
 
     Stage 1 finds a diagonal-free gauge F = I + sum F_j z^{-j} conjugating the
@@ -211,7 +200,6 @@ def formal_solution(gc, M, ctx=None):
     computed, unrounded (`fixed`)."""
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
-    ctx = ctx or make_ctx(_FIRST_BITS)
     n, k, frac = gc.n, gc.k, ctx.frac
     f0, f0inv = _fixed_frame(ctx, n)
     b = np.array([[[_quantized(c, frac) for c in row] for row in bj]
@@ -468,9 +456,9 @@ class EntireBasis:
         ctx = self.ctx
         re, im, exp = _table_sums(ctx, self.table, [_angle(theta_fpi)])
         out = _rounded(ctx, re[..., 0], im[..., 0], exp)
-        zinv = ctx.one() / (ctx.number(self.rho)
-                            * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi()))
-        scale = ctx.one()
+        zinv = 1 / (ctx.number(self.rho)
+                    * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi))
+        scale = 1
         for t in range(1, self.n):
             scale = scale * zinv
             out[t, :] = out[t, :] * scale
@@ -653,15 +641,14 @@ def _series_tail(fs, rho):
 class _Build:
     """One collocation at a reading radius: the formal solution and entire
     basis it read, the quotients the factors are made of and the A/B
-    agreement."""
+    agreement; its radius is basis.rho."""
     fs: FormalSolution
     basis: EntireBasis
-    rho: float
     quotients: list
     cons: float
 
 
-def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
+def _collocate(op, layout, fs, rho, nterms=None):
     """Both independent builds at reading radius rho, plus their agreement.
 
     The entire basis is built on the circle rho at the formal solution's
@@ -676,13 +663,16 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     between consecutive factors and the closure of the full product
     measures real disagreement between independent collocations.  Per
     sector one exact elimination against A (_exact_quotient) serves both
-    its agreement and its factor, each factor entry rounded once."""
-    ctx, n = fs.ctx, gc.n
+    its agreement and its factor, each factor entry rounded once.  Every
+    build at a layout reads at that layout's angles (_layout_reading)."""
+    ctx, n = fs.ctx, layout.n
     basis = EntireBasis(op, ctx, rho, nterms)
     inverse = _inverse_table(fs, rho)
-    gammas, scalars = _plan_contents(fs, basis, inverse, cond, norms)
-    va, vb = (sector_coefficients(fs, layout, gammas, scalars, cond, norms,
-                                  variant) for variant in "AB")
+    _, _, reads, pairs = _layout_reading(layout)
+    gammas = _content_matrix(fs, basis, inverse, reads)
+    scalars = _mode_scalars(fs, basis.rho, pairs)
+    va, vb = (sector_coefficients(fs, layout, gammas, scalars, variant)
+              for variant in "AB")
     quotients, deviations = [], []
     for i in range(1, layout.r + 1):
         x, det, exp = _exact_quotient(va[i], vb[i], vb[i - 1 or layout.r])
@@ -692,8 +682,7 @@ def _collocate(op, gc, layout, fs, rho, cond, norms, nterms=None):
     cons = float(np.max(deviations))  # keeps a NaN from any sector
     if not math.isfinite(cons):
         raise ArithmeticError("collocation build overflowed")
-    return _Build(fs=fs, basis=basis, rho=rho, quotients=quotients,
-                  cons=cons)
+    return _Build(fs=fs, basis=basis, quotients=quotients, cons=cons)
 
 
 def _visibility_interval(layout, i, a, d):
@@ -803,6 +792,27 @@ def _sector_reading_plan(layout):
     return cond, norms
 
 
+@functools.lru_cache(maxsize=None)
+def _layout_reading(layout):
+    """What every build at a layout reads, worked out once per layout, so a
+    fresh run's builds and every replay of its plan share it: the angles
+    cond and norms (_sector_reading_plan); `reads`, the modes read at each
+    angle, the kill conditions' foreign modes and the normalizations' own
+    (_content_matrix); and `pairs`, the sorted normalization (angle,
+    column) pairs, the only ones whose mode scalars a build needs
+    (_mode_scalars), since an exact solve gives a kill row's column at any
+    nonzero scale.  Every caller shares the one copy, so none may change
+    it."""
+    cond, norms = _sector_reading_plan(layout)
+    reads = {}
+    for (_, _, _, a), theta in cond.items():
+        reads.setdefault(theta, set()).add(a)
+    for (_, d), theta in norms.items():
+        reads.setdefault(theta, set()).add(d)
+    pairs = sorted({(theta, d) for (_, d), theta in norms.items()})
+    return cond, norms, reads, pairs
+
+
 def _inverse_table(fs, rho):
     """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
     -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
@@ -898,27 +908,10 @@ def _mode_scalars(fs, rho, pairs):
             ur, ui = roots[2 * p % (4 * period)]
             z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
                                               ctx.real((ui, -ctx.frac)))
-            points[theta] = log_rho + 1j * ctx.number(theta) * ctx.pi(), z
+            points[theta] = log_rho + 1j * ctx.number(theta) * ctx.pi, z
         chart, z = points[theta]
         out[(theta, b)] = ctx.exp(fs.q_entry(b, z) + fs.lam[b] * chart)
     return out
-
-
-def _plan_contents(fs, basis, inverse, cond, norms):
-    """What the exact collocation solves of a plan read
-    (sector_coefficients): the raw content rows {theta: {mode: row}} of the
-    modes read at each angle, the kill conditions' foreign modes and the
-    normalizations' own, and the mode scalars (_mode_scalars) of the
-    normalization (angle, column) pairs, since an exact solve gives a kill
-    row's column at any nonzero scale."""
-    reads = {}
-    for (_, _, _, a), th in cond.items():
-        reads.setdefault(th, set()).add(a)
-    for (_, d), th in norms.items():
-        reads.setdefault(th, set()).add(d)
-    gammas = _content_matrix(fs, basis, inverse, reads)
-    pairs = {(th, d) for (_, d), th in norms.items()}
-    return gammas, _mode_scalars(fs, basis.rho, sorted(pairs))
 
 
 def _aligned_row(re, im, exp, frac):
@@ -941,28 +934,29 @@ def _aligned_row(re, im, exp, frac):
 @dataclass(frozen=True)
 class CollocationPlan:
     """Discrete data of a collocation run, frozen so finite-difference
-    stencils reuse identical circles, angles, term counts, working precision
-    and mode labeling.  It records the truncation order and base direction
-    it was made with, which a replay's settings must repeat."""
-    rho: float
-    nterms: int
-    bits: int
-    cond: dict      # (sector, variant, column, mode) -> Fraction-of-pi angle
-    norms: dict     # (sector, column) -> Fraction-of-pi angle
-    perm: tuple     # mode labeling in which S_1 is upper triangular
+    stencils reuse identical circles, term counts and working precision.
+    The angles (_layout_reading) and the mode labeling (dominance_order)
+    are functions of the layout alone, so a replay's settings and point
+    must give the plan's layout (n, k and base direction) and repeat its
+    truncation order."""
+    layout: SectorLayout
     trunc_order: int    # M of the formal solution read
-    v0: Fraction        # the layout's base direction, mod 2
+    rho: float          # the reading circle
+    nterms: int         # the entire basis' term count
+    bits: int           # the working precision
 
 
-def sector_coefficients(fs, layout, gammas, scalars, cond, norms, variant):
+def sector_coefficients(fs, layout, gammas, scalars, variant):
     """Coefficient matrices of the canonical frames in the entire basis.
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
-    at the normalization angle, from the raw content rows `gammas` and the
-    mode scalars `scalars` of _plan_contents.  A sector is a fixed-point
-    matrix (y, s) of value y diag(2^s), solved exactly (_exact_column)."""
+    at the normalization angle (_layout_reading), from the raw content rows
+    `gammas` (_content_matrix) and the mode scalars `scalars`
+    (_mode_scalars).  A sector is a fixed-point matrix (y, s) of value
+    y diag(2^s), solved exactly (_exact_column)."""
     n = layout.n
+    cond, norms, _, _ = _layout_reading(layout)
     out = {}
     for i in range(1, layout.r + 1):
         systems = [[(cond[(i, variant, d, a)], a) for a in range(n) if a != d]
@@ -1110,7 +1104,7 @@ def collocation_factors(fs, quotients, det_twist):
     multiplies its contents by the det twist and exp(2 pi i Lambda), giving
     the closed-form extra scalars here."""
     ctx = fs.ctx
-    tau = 2j * ctx.number(ctx.pi())
+    tau = 2j * ctx.number(ctx.pi)
     sigma = ctx.number(det_twist)
     scalars = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
                        dtype=object)
@@ -1174,10 +1168,10 @@ def identity_residual(ctx, mats, lam, det_twist):
     det-twist multiple of the identity -- the monodromy-free certificate for
     the whole pipeline."""
     n = mats[0].shape[0]
-    acc = ctx.eye(n)
+    acc = np.eye(n, dtype=object)
     for mat in mats:
         acc = mat @ acc
-    twist = [ctx.exp(ctx.number(2j) * ctx.number(ctx.pi()) * lam[b])
+    twist = [ctx.exp(ctx.number(2j) * ctx.number(ctx.pi) * lam[b])
              for b in range(n)]
     worst = 0.0
     for s in range(n):
@@ -1221,7 +1215,8 @@ def factor_support_residual(layout, factors):
 @dataclass
 class StokesData:
     """Complete Stokes output of one oper point, with its frozen plan and
-    self-diagnosed residuals.  missed names the residuals that missed their
+    self-diagnosed residuals.  perm is the mode labeling of its layout
+    (dominance_order).  missed names the residuals that missed their
     bounds: "consistency" when the A/B agreement is not within 3 radius_tol,
     the slack left by the reading's one precision correction, and
     "asymptotic" when the truncated frame's tail, which both builds share,
@@ -1279,21 +1274,20 @@ class StokesData:
 _FIRST_BITS = 69
 
 
-def _select_reading(op, gc, layout, settings, cond, norms):
+def _select_reading(op, gc, layout, settings):
     """The run's build, on settings.radius or else compute_radius's circle,
     where the first omitted formal terms -- the truncated frame's error,
     which the A and B builds share and their agreement cannot see -- fall
     below the target.  A collocation at _FIRST_BITS there measures the
     rest, arithmetic noise scaling as 2^-bits; when it misses a third of
     the target, one rebuild at _FIRST_BITS + 8 + max(8,
-    ceil(log2(shortfall))) bits is the run's build.  Every build reads at
-    the layout's angles cond, norms."""
+    ceil(log2(shortfall))) bits is the run's build."""
     fs = formal_solution(gc, settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
     build = None
     if math.isfinite(rho):
         try:
-            build = _collocate(op, gc, layout, fs, rho, cond, norms)
+            build = _collocate(op, layout, fs, rho)
         except ArithmeticError:
             if settings.radius:
                 raise
@@ -1303,51 +1297,51 @@ def _select_reading(op, gc, layout, settings, cond, norms):
         # cap (1e-100), puts the request out of reach: the run reads the
         # circle tail-safe to 2^-53 and reports the miss
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
-        return _collocate(op, gc, layout, fs, rho, cond, norms)
+        return _collocate(op, layout, fs, rho)
     if build.cons <= settings.radius_tol / 3:
         return build
     shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
     bits = _FIRST_BITS + 8 + max(8, math.ceil(shortfall))
-    return _collocate(op, gc, layout, formal_solution(
-        gc, settings.trunc_order, make_ctx(bits)), rho, cond, norms)
+    return _collocate(op, layout, formal_solution(
+        gc, settings.trunc_order, make_ctx(bits)), rho)
 
 
 def stokes_data(op, settings=None, plan=None):
     """Full pipeline: gauge, formal solution, sector layout, canonical
     frames collocated in the entire basis, factors, grouped matrices,
     residual certificates.  A plan from an earlier run freezes every
-    discrete choice instead of selecting the reading circle anew; settings
-    whose truncation order, base direction or nonzero radius differ from
-    the plan's raise ValueError, since its circle, angles and term count
-    belong to those."""
+    discrete choice instead of selecting the reading circle anew; a point
+    and settings whose layout (n, k or base direction), truncation order or
+    nonzero radius differ from the plan's raise ValueError, since its
+    angles belong to its layout and its circle and term count to those."""
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
     if plan is None:
-        cond, norms = _sector_reading_plan(layout)
-        build = _select_reading(op, gc, layout, settings, cond, norms)
-        plan = CollocationPlan(rho=build.rho, nterms=build.basis.nterms,
-                               bits=build.fs.ctx.bits, cond=cond, norms=norms,
-                               perm=dominance_order(layout),
-                               trunc_order=settings.trunc_order, v0=layout.v0)
+        build = _select_reading(op, gc, layout, settings)
+        plan = CollocationPlan(layout=layout, trunc_order=settings.trunc_order,
+                               rho=build.basis.rho, nterms=build.basis.nterms,
+                               bits=build.fs.ctx.bits)
     else:
-        asked = settings.trunc_order, layout.v0, settings.radius or plan.rho
-        if (plan.trunc_order, plan.v0, plan.rho) != asked:
+        made = plan.layout, plan.trunc_order, plan.rho
+        if made != (layout, settings.trunc_order, settings.radius or plan.rho):
             raise ValueError(
-                f"the plan was made with trunc_order={plan.trunc_order}, "
-                f"v0={plan.v0} and radius={plan.rho!r}, the settings ask for "
-                f"trunc_order={settings.trunc_order}, v0={layout.v0} and "
+                f"the plan was made with n={plan.layout.n}, k={plan.layout.k}, "
+                f"v0={plan.layout.v0}, trunc_order={plan.trunc_order} and "
+                f"radius={plan.rho!r}, the point and settings ask for "
+                f"n={layout.n}, k={layout.k}, v0={layout.v0}, "
+                f"trunc_order={settings.trunc_order} and "
                 f"radius={settings.radius!r}")
         fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
-        build = _collocate(op, gc, layout, fs, plan.rho, plan.cond,
-                           plan.norms, plan.nterms)
+        build = _collocate(op, layout, fs, plan.rho, plan.nterms)
     fs, ctx = build.fs, build.fs.ctx
+    perm = dominance_order(layout)
     factors = collocation_factors(fs, build.quotients, gc.det_twist)
     matrices = stokes_matrices(layout, factors)
     support, diag_dev, phantom = factor_support_residual(layout, factors)
     residuals = {
         "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
-        "unipotency": unipotency_residual(matrices, plan.perm),
+        "unipotency": unipotency_residual(matrices, perm),
         "trace": fs.trace_residual(),
         "asymptotic": _series_tail(fs, plan.rho),
         "consistency": build.cons,
@@ -1359,7 +1353,7 @@ def stokes_data(op, settings=None, plan=None):
               "asymptotic": settings.radius_tol}
     return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
                       qcoeffs=fs.qcoeffs, layout=layout, factors=factors, matrices=matrices,
-                      perm=plan.perm, det_twist=gc.det_twist,
+                      perm=perm, det_twist=gc.det_twist,
                       residuals=residuals, settings=settings, plan=plan,
                       missed=tuple(name for name, bound in bounds.items()
                                    if not residuals[name] <= bound))

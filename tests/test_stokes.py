@@ -183,7 +183,7 @@ def formal_residual(gc, fs, z):
 
 def test_formal_solution_exactly_traceless():
     for op in (weber(), cubic()):
-        fs = formal_solution(gauge_transform(op), 12)
+        fs = formal_solution(gauge_transform(op), 12, make_ctx(69))
         assert fs.trace_residual() <= 1e-15
 
 
@@ -261,22 +261,20 @@ def test_double_and_multiprecision_contexts_agree():
     def values(ctx):
         sol = stokes._rounded_quotient(ctx, *stokes._exact_quotient(
             exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
-        mats = [sol, ctx.eye(3)]
-        return [ctx.pi(), ctx.one(), ctx.number(QQ(-1, 7)),
-                ctx.number(0.25 - 0.5j), ctx.exp(w),
-                ctx.log(w)] + [v for m in mats for v in m.ravel()]
+        return [ctx.pi, ctx.number(QQ(-1, 7)), ctx.number(0.25 - 0.5j),
+                ctx.exp(w), ctx.log(w)] + list(sol.ravel())
 
     got, want = values(lo), values(hi)
-    assert len(got) == len(want) == 6 + 3 + 9
+    assert len(got) == len(want) == 5 + 3
     assert all(abs(complex(g) - complex(v)) <= 1e-15
                for g, v in zip(got, want))
     assert all(abs(complex(g) - complex(v)) <= 1e-15
-               for g, v in zip(got[6:9], x))
+               for g, v in zip(got[5:8], x))
     # x is dyadic, so its one rounding is exact at both precisions
-    assert [complex(v) for v in got[6:9]] == [complex(v) for v in x]
-    assert [complex(v) for v in want[6:9]] == [complex(v) for v in x]
-    assert abs(got[4] - cmath.exp(0.3 + 0.2j)) <= 1e-15
-    assert abs(got[5] - cmath.log(0.3 + 0.2j)) <= 1e-15
+    assert [complex(v) for v in got[5:8]] == [complex(v) for v in x]
+    assert [complex(v) for v in want[5:8]] == [complex(v) for v in x]
+    assert abs(got[3] - cmath.exp(0.3 + 0.2j)) <= 1e-15
+    assert abs(got[4] - cmath.log(0.3 + 0.2j)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +590,7 @@ def test_content_matrix_matches_a_pass_per_denominator(op):
     fs = formal_solution(gc, plan.trunc_order, make_ctx(plan.bits))
     basis = EntireBasis(op, fs.ctx, plan.rho, plan.nterms)
     inverse = stokes._inverse_table(fs, plan.rho)
-    reads = {}
-    for (_, _, _, a), th in plan.cond.items():
-        reads.setdefault(th, set()).add(a)
-    for (_, d), th in plan.norms.items():
-        reads.setdefault(th, set()).add(d)
+    _, _, reads, _ = stokes._layout_reading(plan.layout)
     assert len({th.denominator for th in reads}) > 1
     assert (stokes._content_matrix(fs, basis, inverse, reads)
             == per_denominator_contents(fs, basis, inverse, reads))
@@ -623,7 +617,7 @@ def test_content_matrix_wrap_identity():
                       for t in (theta, theta + 2)]
             here, next_sheet = sheets
             for b in range(op.n):
-                twist = gc.det_twist * ctx.exp(-2j * ctx.pi() * fs.lam[b])
+                twist = gc.det_twist * ctx.exp(-2j * ctx.pi * fs.lam[b])
                 for j in range(op.n):
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
@@ -651,28 +645,30 @@ def test_sector_columns_meet_their_conditions(op):
     # the terms' sizes
     plan = stokes_data(op).plan
     gc = gauge_transform(op)
-    layout = sector_layout(gc)
+    layout = plan.layout
+    cond, norms = stokes._sector_reading_plan(layout)
     ctx = make_ctx(plan.bits)
     fs = formal_solution(gc, StokesSettings().trunc_order, ctx)
     basis = EntireBasis(op, ctx, plan.rho, plan.nterms)
     inverse = stokes._inverse_table(fs, plan.rho)
-    gammas, scalars = stokes._plan_contents(fs, basis, inverse, plan.cond,
-                                            plan.norms)
+    _, _, reads, pairs = stokes._layout_reading(layout)
+    gammas = stokes._content_matrix(fs, basis, inverse, reads)
+    scalars = stokes._mode_scalars(fs, plan.rho, pairs)
     mp = mpmath.mp.clone()
     mp.prec = plan.bits
     tol = 2.0 ** -(plan.bits - 10)
     scales = {}
     for variant in "AB":
         coeffs = stokes.sector_coefficients(fs, layout, gammas, scalars,
-                                            plan.cond, plan.norms, variant)
+                                            variant)
         assert sorted(coeffs) == list(range(1, layout.r + 1))
         for i, (y, s) in coeffs.items():
             for d in range(op.n):
                 v = [mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d]
                      for r in range(op.n)]
-                rows = [(plan.cond[(i, variant, d, a)], a, 0)
+                rows = [(cond[(i, variant, d, a)], a, 0)
                         for a in range(op.n) if a != d]
-                rows.append((plan.norms[(i, d)], d, 1))
+                rows.append((norms[(i, d)], d, 1))
                 for th, b, want in rows:
                     if (th, b) not in scales:
                         scales[(th, b)] = mp.mpc(mode_scalar(
@@ -691,12 +687,10 @@ def test_exact_sector_coefficients_match_double():
     rho = 4.0
     gc = gauge_transform(op)
     layout = sector_layout(gc)
-    cond, norms = stokes._sector_reading_plan(layout)
     quotients = {}
     for bits in (53, 69):
         fs = formal_solution(gc, 20, make_ctx(bits))
-        quotients[bits] = stokes._collocate(op, gc, layout, fs, rho, cond,
-                                            norms).quotients
+        quotients[bits] = stokes._collocate(op, layout, fs, rho).quotients
     assert len(quotients[53]) == len(quotients[69]) == layout.r
     for got, want in zip(quotients[53], quotients[69]):
         exact = as_np(want)
@@ -709,7 +703,6 @@ def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
     op = OperPoint(2, 1, (QQ(1, 3),))
     gc = gauge_transform(op)
     layout = sector_layout(gc)
-    cond, norms = stokes._sector_reading_plan(layout)
     fs = formal_solution(gc, 20, make_ctx(69))
     deviation, sectors = stokes._deviation, []
 
@@ -719,7 +712,7 @@ def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
 
     monkeypatch.setattr(stokes, "_deviation", first_sector_nan)
     with pytest.raises(ArithmeticError, match="overflowed"):
-        stokes._collocate(op, gc, layout, fs, 4.0, cond, norms)
+        stokes._collocate(op, layout, fs, 4.0)
 
 
 def gauss_matrix(draw, rows, cols):
@@ -888,7 +881,7 @@ def test_visibility_intervals_cover_supersector_conditions():
     for op in (weber(), cubic(), OperPoint(2, 2, (0, 0, 0))):
         gc = gauge_transform(op)
         layout = sector_layout(gc)
-        fs = formal_solution(gc, 12)
+        fs = formal_solution(gc, 12, make_ctx(69))
         for i in range(1, layout.r + 1):
             lo = layout.ray(i) - layout.half
             hi = layout.ray(i + 1) + layout.half
@@ -1054,20 +1047,26 @@ def test_plan_replay_is_deterministic():
 
 
 def test_replay_rejects_settings_the_plan_was_not_made_with():
-    # a plan's angles belong to its base direction, its term count to its
+    # a plan's angles belong to its layout, its term count to its
     # truncation order and its circle to its radius: replayed under v0 =
     # 1/7 the (3,1) plan read `converged` with support residual 3.71, under
     # trunc_order = 20 it missed without saying why, and under radius = 3.0
-    # it read on its own circle while its settings said 3.0
+    # it read on its own circle while its settings said 3.0.  A (2,2) plan
+    # replayed at a (2,1) point with the same v0 read identity residual
+    # 2.45 while only the base direction was compared
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     plan = stokes_data(op).plan
-    assert (plan.trunc_order, plan.v0) == (40, QQ(1, 24))
+    assert (plan.trunc_order, plan.layout.v0) == (40, QQ(1, 24))
     assert plan.rho != 3.0
     for settings in (StokesSettings(v0=QQ(1, 7)),
                      StokesSettings(trunc_order=20),
                      StokesSettings(radius=3.0)):
         with pytest.raises(ValueError, match="the plan was made with"):
             stokes_data(op, settings, plan=plan)
+    base = StokesSettings(v0=QQ(1, 100))
+    quartic = stokes_data(OperPoint(2, 2, (0, 0, 0)), base).plan
+    with pytest.raises(ValueError, match="the plan was made with n=2, k=2"):
+        stokes_data(OperPoint(2, 1, (QQ(1, 3),)), base, plan=quartic)
     # the default direction, spelled out or shifted by 2 pi, and the plan's
     # own circle spelled out are the plan's
     for settings in (StokesSettings(v0=QQ(1, 24)), StokesSettings(v0=QQ(49, 24)),
@@ -1087,7 +1086,8 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     # at each angle: 95 of those 177 at (3,1), 208 of 81 x 4 = 324 at z^4
     # (4,1), whose 26 pairs share 21 angles
     plan = stokes_data(op).plan
-    norm_pairs = {(th, d) for (_, d), th in plan.norms.items()}
+    cond, norms = stokes._sector_reading_plan(plan.layout)
+    norm_pairs = {(th, d) for (_, d), th in norms.items()}
     assert len(norm_pairs) == pairs
     assert len({th for th, _ in norm_pairs}) == angles
     gc = gauge_transform(op)
@@ -1103,27 +1103,37 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
         return read[-1]
 
     monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
-    build = stokes._collocate(op, gc, sector_layout(gc), fs, plan.rho,
-                              plan.cond, plan.norms, plan.nterms)
+    build = stokes._collocate(op, plan.layout, fs, plan.rho, plan.nterms)
     assert build.cons <= 1e-10
     assert len(exps) == pairs
-    reads = set(plan.cond.values()) | set(plan.norms.values())
+    reads = set(cond.values()) | set(norms.values())
     assert len(read) == 1 and set(read[0]) == reads
     assert len(reads) * op.n > sum(map(len, read[0].values())) == rows
 
 
-def test_plan_does_not_depend_on_precision():
-    # the angles and labeling come from the layout alone: the default run
-    # and a run corrected to more bits on a larger circle plan identically,
-    # even where two normalization candidates tie exactly
+def test_plan_does_not_depend_on_precision(monkeypatch):
+    # the angles and labeling come from the layout alone: every build of
+    # the default run and of a run corrected to more bits on a larger
+    # circle reads the same angles, even where two normalization
+    # candidates tie exactly
+    read = []
+    content_matrix = stokes._content_matrix
+
+    def traced_contents(fs, basis, inverse, reads):
+        read.append((fs.ctx.bits, frozenset(reads)))
+        return content_matrix(fs, basis, inverse, reads)
+
+    monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
     op = cubic()
     run = stokes_data(op)
     fine = stokes_data(op, StokesSettings(radius_tol=1e-20))
     assert run.plan.bits == stokes._FIRST_BITS < fine.plan.bits
     assert run.plan.rho < fine.plan.rho
-    assert run.plan.cond == fine.plan.cond
-    assert run.plan.norms == fine.plan.norms
-    assert run.plan.perm == fine.plan.perm
+    assert [bits for bits, _ in read] == [stokes._FIRST_BITS,
+                                          stokes._FIRST_BITS, fine.plan.bits]
+    assert len({angles for _, angles in read}) == 1
+    assert run.plan.layout == fine.plan.layout
+    assert run.perm == fine.perm
 
 
 def test_refinement_sharpens_the_closure():
@@ -1167,9 +1177,10 @@ def test_frame_tail_above_request_is_not_converged():
 def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     # the correction's build is the run's build: no formal solution is
     # recomputed at a precision, and no entire basis is rebuilt on a circle;
-    # the angles are planned once, one visibility arc per kill condition of
-    # the two planned sectors (the others are their rotations).  Weber at
-    # 1e-25 makes the one correction
+    # the angles are planned once per layout, one visibility arc per kill
+    # condition of the two planned sectors (the others are their
+    # rotations), and a replay plans none.  Weber at 1e-25 makes the one
+    # correction
     fs_bits, bases, arcs = [], [], []
     real_formal, real_basis = stokes.formal_solution, stokes.EntireBasis
     real_arc = stokes._visibility_interval
@@ -1191,12 +1202,16 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     monkeypatch.setattr(stokes, "formal_solution", counted_formal)
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
     monkeypatch.setattr(stokes, "_visibility_interval", counted_arc)
-    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)),
-                     StokesSettings(radius_tol=1e-25))
+    stokes._layout_reading.cache_clear()
+    op, settings = OperPoint(2, 1, (QQ(1, 3),)), StokesSettings(radius_tol=1e-25)
+    sd = stokes_data(op, settings)
     assert sd.plan.bits > stokes._FIRST_BITS and sd.converged
     assert sd.residuals["identity"] <= 1e-9
     assert fs_bits == [stokes._FIRST_BITS, sd.plan.bits]
     assert bases == [(sd.radius, bits) for bits in fs_bits]
+    assert len(arcs) == 2 * sd.n * (sd.n - 1)
+    # a replay reads the angles its layout's first run worked out
+    stokes_data(op, settings, plan=sd.plan)
     assert len(arcs) == 2 * sd.n * (sd.n - 1)
 
 
