@@ -7,15 +7,18 @@ Subcommands
     stokes     numerical Stokes data of one oper point
     jacobian   differential of the monodromy map, singular values, rank
 
-Every flag has an environment-variable override (prefix OPERSTOKES_, dashes
-as underscores, e.g. OPERSTOKES_TRUNC_ORDER=30); an explicit flag beats the
-environment.  Identical configurations produce byte-identical documents:
-timing is only emitted under --timing, and all floats serialize via repr
-(shortest round-trip).  Complex numbers appear as [re, im] pairs.
+Every flag that takes a value has an environment-variable override (prefix
+OPERSTOKES_, dashes as underscores, e.g. OPERSTOKES_TRUNC_ORDER=30); an
+explicit flag beats the environment.  The switches --timing and
+--self-test-corrupt have none.  Identical configurations produce
+byte-identical documents: timing is only emitted under --timing, and all
+floats serialize via repr (shortest round-trip).  Complex numbers appear as
+[re, im] pairs.
 
 Exit codes: 0 success, 1 mathematical-suite failure, 2 usage or configuration
-error, 3 numerical non-convergence (a stokes run that missed its requested
-tolerance still writes its document, with "converged": false).
+error (an --output or --csv path that cannot be written among them), 3
+numerical non-convergence (a stokes run that missed its requested tolerance
+still writes its document, with "converged": false).
 """
 
 import argparse
@@ -142,6 +145,10 @@ def _oper_from_args(args):
         raise UsageError("need --n, --k and --poly (or --config)")
     entries = [_parse_coefficient(t) for t in args.poly.split(",")]
     if args.degree is not None:
+        if args.degree != args.n * args.k:
+            raise UsageError(f"--degree {args.degree} must equal n*k = "
+                             f"{args.n * args.k} for --n {args.n} --k "
+                             f"{args.k}")
         if len(entries) != args.degree - 1:
             raise UsageError(f"--degree {args.degree} wants the "
                              f"{args.degree - 1} coefficients c_0..c_"
@@ -445,10 +452,8 @@ def main(argv=None):
         parser = _build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # OSError: an --output or --csv path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, ZeroDivisionError,

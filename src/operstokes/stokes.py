@@ -433,17 +433,18 @@ class EntireBasis:
                 raise ArithmeticError("entire basis did not converge on the "
                                       "reading circle within the term cap")
         self.nterms = m
-        # table[t][j] = (re, im, frac') lists over m of (scaled coefficient
-        # m of column j) times the falling factorial m (m-1) ... (m-t+1) of
-        # derivative row t, cut so the largest entry carries `frac` bits
-        falls = [[math.perm(mm, t) for mm in range(m)] for t in range(n)]
-        self.table = [[] for _ in falls]
-        for ff, row in zip(falls, self.table):
-            for col in cols:
-                ar, ai = ([c[p] * f for c, f in zip(col, ff)] for p in (0, 1))
-                cut = max(0, max(map(abs, ar + ai)).bit_length() - frac)
-                row.append(([v >> cut for v in ar], [v >> cut for v in ai],
-                            frac - cut))
+        # entry (t, j) of the table: (scaled coefficient m of column j) times
+        # the falling factorial m (m-1) ... (m-t+1) of derivative row t, cut
+        # so the largest coefficient of the entry carries `frac` bits
+        falls = np.array([[math.perm(mm, t) for mm in range(m)]
+                          for t in range(n)], dtype=object)
+        coeffs = np.moveaxis(np.array(cols, dtype=object), 2, 0)
+        coeffs = coeffs[:, None] * falls[:, None]
+        cut = np.array([[max(0, v.bit_length() - frac) for v in row]
+                        for row in np.abs(coeffs).max(axis=(0, 3))],
+                       dtype=object)
+        coeffs >>= cut[..., None]
+        self.table = coeffs, cut - frac
 
     def state_matrix(self, theta_fpi):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
@@ -454,8 +455,8 @@ class EntireBasis:
         magnitudes never exceed the term sizes on the circle; the z^{-t}
         restores the derivative scaling afterwards."""
         ctx = self.ctx
-        re, im, exp = _table_sums(ctx, self.table, [_angle(theta_fpi)])
-        out = _rounded(ctx, re[..., 0], im[..., 0], exp)
+        sums, exp = _table_sums(ctx, self.table, *_period([theta_fpi]))
+        out = _rounded(ctx, *sums[..., 0], exp)
         zinv = 1 / (ctx.number(self.rho)
                     * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi))
         scale = 1
@@ -465,36 +466,20 @@ class EntireBasis:
         return out
 
 
-def _angle(theta_fpi):
-    """theta as a Fraction.  An angle must be exact: its denominator sizes
-    the root table and the fold."""
-    if not isinstance(theta_fpi, (int, Fraction)):
-        raise TypeError(f"an angle must be an int or a Fraction of pi, got "
-                        f"{theta_fpi!r}")
-    return Fraction(theta_fpi)
-
-
 def _period(thetas):
     """Q, the angles' common even period, and each angle's numerator P over
     it: the least even Q with every angle P/Q, P an integer, so that u =
     e^{i pi theta} has u^(2Q) = 1, u^Q = (-1)^P and u^(Q/2) = i^P
-    exactly."""
+    exactly.  An angle must be exact, an int or a Fraction of pi: its
+    denominator sizes the root table and the fold."""
+    for theta in thetas:
+        if not isinstance(theta, (int, Fraction)):
+            raise TypeError(f"an angle must be an int or a Fraction of pi, "
+                            f"got {theta!r}")
     q = math.lcm(*(theta.denominator for theta in thetas))
     period = q if q % 2 == 0 else 2 * q
     return period, [theta.numerator * (period // theta.denominator)
                     for theta in thetas]
-
-
-def _unit_powers(ctx, thetas, count):
-    """u^m, m < count, for u = e^{i pi theta} at each angle of `thetas`, p/q
-    of any q: for Q their common period (_period), the roots 2Pm mod 4Q of
-    the root table of denominator 2Q (_unit_roots), as the Gaussian-integer
-    array (2, count, angles)."""
-    thetas = [_angle(theta) for theta in thetas]
-    period, numerators = _period(thetas)
-    steps = np.array([2 * p % (4 * period) for p in numerators])
-    index = np.arange(count)[:, None] * steps % (4 * period)
-    return np.moveaxis(_unit_roots(ctx.frac, 2 * period)[index], 2, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,51 +506,41 @@ def _unit_roots(frac, den):
     return np.concatenate([first, turned, -first, -turned])
 
 
-def _fold(table, period):
-    """A fixed-point table (rows of entries (re, im, frac') over m, every
-    entry of the same length) as the Gaussian-integer array (2, rows,
-    entries, period) of each entry's coefficients summed by residue of m
-    mod period, zero where no m has that residue, and the (rows, entries)
-    array of frac': integer additions only, exact, since u^m = u^(m mod
-    period) at every angle whose powers have that period."""
-    coeffs = np.moveaxis(np.array([[entry[:2] for entry in row]
-                                   for row in table], dtype=object), 2, 0)
-    pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % period,),
+def _table_sums(ctx, table, period, numerators):
+    """Per entry of a fixed-point table (coeffs, exp), the Gaussian-integer
+    array (2, rows, entries, terms) of coefficients over m and the (rows,
+    entries) array of exponents, value coeffs 2^exp, sum_m coeffs[:, t, j,
+    m] u^m exactly at each angle P/Q, Q the angles' common period and P
+    each one's numerator (_period): (sums, exp), sums of shape (2, rows,
+    entries, angles), value sums 2^exp.  The table is folded once by 2Q,
+    since u^m = u^(m mod 2Q), then by the quarter turns u^(Q/2) = i^P into
+    one table of length Q/2 per class P mod 4, each summed by one
+    Gaussian-integer product with its angles' unit powers u^m, the roots
+    2Pm mod 4Q of the root table of denominator 2Q.  Integer additions and
+    products by powers of i only, exact on the root table, whose quarter
+    turns are exact (_unit_roots)."""
+    coeffs, exp = table
+    # zeros of Python ints: np.pad would pad an object array with int64s
+    pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % (2 * period),),
                    dtype=object)
     coeffs = np.concatenate([coeffs, pad], axis=-1)
-    coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, period)).sum(axis=-2)
-    return coeffs, np.array([[entry[2] for entry in row] for row in table],
-                            dtype=object)
-
-
-def _table_sums(ctx, table, thetas):
-    """Per entry of a fixed-point table (rows of entries (re, im, frac')
-    over m, value (re + i im) 2^-frac'), sum_m table[t][j][m] u^m exactly at
-    each angle of `thetas`, p/q of any q: arrays re, im of shape (rows,
-    entries, angles) and exp of shape (rows, entries), value (re + i im)
-    2^exp.  Every angle is P/Q for Q their common period (_period), so the
-    table is folded once by 2Q, then by the quarter turns u^(Q/2) = i^P
-    into one table of length Q/2 per class P mod 4, each summed by one
-    Gaussian-integer product with its angles' unit powers.  Integer
-    additions and products by powers of i only, exact on the root table,
-    whose quarter turns are exact (_unit_roots)."""
-    thetas = [_angle(theta) for theta in thetas]
-    period, numerators = _period(thetas)
-    coeffs, cut = _fold(table, 2 * period)
+    coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, 2 * period)).sum(axis=-2)
     # class c sums i^(cj) b_j over the quarters b_j: (b0 + b2) +- (b1 + b3)
     # for c = 0, 2 and (b0 - b2) +- i (b1 - b3) for c = 1, 3
     b0, b1, b2, b3 = np.split(coeffs, 4, axis=-1)
     s0, s1, d0, d1 = b0 + b2, b1 + b3, b0 - b2, b1 - b3
     d1 = np.array([-d1[1], d1[0]])
     folded = (s0 + s1, d0 + d1, s0 - s1, d0 - d1)
-    powers = _unit_powers(ctx, thetas, period // 2)
+    steps = np.array([2 * p % (4 * period) for p in numerators])
+    index = np.arange(period // 2)[:, None] * steps % (4 * period)
+    powers = np.moveaxis(_unit_roots(ctx.frac, 2 * period)[index], 2, 0)
     classes = np.array([p % 4 for p in numerators])
-    out = np.empty(coeffs.shape[:3] + (len(thetas),), dtype=object)
+    out = np.empty(coeffs.shape[:3] + (len(numerators),), dtype=object)
     for c, part in enumerate(folded):
         cols = np.flatnonzero(classes == c)
         if cols.size:
             out[..., cols] = _gauss(part, powers[..., cols], np.matmul)
-    return out[0], out[1], -(cut + ctx.frac)
+    return out, exp - ctx.frac
 
 
 def _rounded(ctx, re, im, exp):
@@ -822,7 +797,7 @@ def _inverse_table(fs, rho):
     one product per order: the Y's side by side times the V's stacked.
     Column a also carries rho^(h_a), the modulus of gauged row a of a
     content (_gauge_exponents), since the recurrence only multiplies on the
-    left.  The table has EntireBasis.table's layout, rows b and entries a."""
+    left.  The table has EntireBasis.table's format, rows b and entries a."""
     ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
     # rho is a dyadic rational, so its powers scale exactly up to one floor,
     # and a half-integer power is one isqrt; the table keeps g more fraction
@@ -841,8 +816,8 @@ def _inverse_table(fs, rho):
     vs[0] = np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)
     for m in range(1, M + 1):
         vs[m] = -(ys[:, :2 * n * m] @ vs[m - 1::-1].reshape(-1, n) >> frac)
-    return [[(list(vs[:, b, a]), list(-vs[:, n + b, a]), frac + g)
-             for a in range(n)] for b in range(n)]
+    coeffs = np.moveaxis(np.array([vs[:, :n], -vs[:, n:]]), 1, -1)
+    return coeffs, np.full((n, n), -(frac + g), dtype=object)
 
 
 @functools.lru_cache(maxsize=None)
@@ -874,17 +849,17 @@ def _content_matrix(fs, basis, inverse, reads):
     significant bits (_aligned_row)."""
     ctx = fs.ctx
     twice = [int(2 * h) for h in _gauge_exponents(fs.n, fs.k)]
-    thetas = [_angle(theta) for theta in reads]
+    thetas = list(reads)
     period, numerators = _period(thetas)
-    sr, si, se = _table_sums(ctx, basis.table, thetas)
+    sums, se = _table_sums(ctx, basis.table, period, numerators)
     phase = _unit_roots(ctx.frac, 2 * period)[
         [[p * t % (4 * period) for t in twice] for p in numerators]]
     low = se.min(axis=0)                         # align each column exactly
     x = _gauss(np.moveaxis(phase, 2, 0)[..., None],
-               np.moveaxis(np.array([sr, si]), 3, 1)) << (se - low)
-    del sr, si          # free every angle's basis sums before the inverse's
-    wr, wi, we = _table_sums(ctx, inverse, thetas)
-    cont = _gauss(np.moveaxis(np.array([wr, -wi]), 3, 1), x, np.matmul)
+               np.moveaxis(sums, 3, 1)) << (se - low)
+    del sums            # free every angle's basis sums before the inverse's
+    w, we = _table_sums(ctx, inverse, period, numerators)
+    cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), 3, 1), x, np.matmul)
     exp = low - ctx.frac + we[0, 0]
     return {theta: {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
                     for b in sorted(reads[theta])}
@@ -1295,7 +1270,10 @@ def _select_reading(op, gc, layout, settings):
         # a tail-safe circle beyond double range (Weber at radius_tol
         # 1e-300), or one that the entire basis cannot sum within its term
         # cap (1e-100), puts the request out of reach: the run reads the
-        # circle tail-safe to 2^-53 and reports the miss
+        # circle tail-safe to 2^-53 and reports the miss.  The first build's
+        # other ArithmeticErrors on the tail-safe circle take this fallback
+        # too: a singular collocation system (ZeroDivisionError) and a NaN
+        # from any sector ("collocation build overflowed")
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
         return _collocate(op, layout, fs, rho)
     if build.cons <= settings.radius_tol / 3:

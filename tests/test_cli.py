@@ -274,6 +274,26 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path):
         assert f"zero denominator in {named}" in err
 
 
+def test_degree_other_than_nk_is_usage_error(capsys):
+    # the family has d = n k, and the error names the flag and n k rather
+    # than the coefficient count OperPoint would then ask for
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "2",
+                         "--degree", "3", "--poly", "1,2")
+    assert code == 2 and out == ""
+    assert "--degree 3 must equal n*k = 4" in err
+
+
+def test_unwritable_paths_are_usage_errors(capsys, tmp_path):
+    # a path in a missing directory is a usage error (exit 2, naming the
+    # path), not a traceback with the suite-failure code 1
+    missing = tmp_path / "missing"
+    for argv in (["kernel", *WEBER, "--output", str(missing / "x.json")],
+                 ["stokes", *WEBER, "--csv", str(missing / "x.csv")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(missing) in err
+
+
 def test_non_finite_coefficient_is_usage_error(capsys):
     code, out, err = run(capsys, "stokes", "--n", "2", "--k", "1",
                          "--degree", "2", "--poly", "inf")

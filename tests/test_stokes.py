@@ -386,8 +386,9 @@ def test_formal_inverse_matches_plain_series(bits):
                        mp.zeros(n)) * f0inv
             # the table is summed as the contents sum it, and its column a
             # carries rho^(h_a), which is divided out
-            re, im, exp = stokes._table_sums(ctx, table, [theta])
-            got = stokes._rounded(ctx, re[..., 0], im[..., 0], exp).conj() / [
+            sums, exp = stokes._table_sums(ctx, table,
+                                           *stokes._period([theta]))
+            got = stokes._rounded(ctx, *sums[..., 0], exp).conj() / [
                     ctx.number(rho) ** ctx.number(h)
                     for h in stokes._gauge_exponents(n, fs.k)]
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
@@ -417,7 +418,15 @@ def test_unit_roots_are_within_one_unit(bits):
         return max(abs(got[0] * unit - want.real),
                    abs(got[1] * unit - want.imag)) / unit
 
-    pr, pi = stokes._unit_powers(ctx, [QQ(7, 24)], 256)[..., 0]
+    # u^m as _table_sums reads it: the sums of a table whose entry m holds
+    # the one coefficient 1 at m
+    unit = np.zeros((2, 1, 256, 256), dtype=object)
+    unit[0, 0] = np.eye(256, dtype=int).astype(object)
+    (pr, pi), exp = stokes._table_sums(
+        ctx, (unit, np.zeros((1, 256), dtype=object)),
+        *stokes._period([QQ(7, 24)]))
+    pr, pi = pr[0, :, 0], pi[0, :, 0]
+    assert (exp == -ctx.frac).all()
     assert max(off((pr[m], pi[m]), 7 * m, 24) for m in range(256)) <= 2
     for den in (24, 40):
         roots = stokes._unit_roots(ctx.frac, den)
@@ -439,36 +448,37 @@ def test_unit_roots_are_within_one_unit(bits):
                    for r, root in enumerate(roots)) <= 1
     # a float angle would size the table by its binary denominator
     with pytest.raises(TypeError):
-        stokes._unit_powers(ctx, [7 / 24], 256)
+        stokes._period([7 / 24])
 
 
 def loop_sums(ctx, table, thetas):
     """Per entry and angle, the plain loop over m of coefficient m times
     root 2Pm mod 4Q of the root table of denominator 2Q, unfolded, for Q
     the angles' common period and each angle P/Q: the reference for
-    _table_sums, as ((re, im) per angle) per entry, and frac' per entry."""
+    _table_sums, as (re, im) per entry and angle."""
     period, numerators = stokes._period(thetas)
     assert numerators == [theta * period for theta in thetas]
     roots = stokes._unit_roots(ctx.frac, 2 * period)
+    coeffs, _ = table
     sums = {}
-    for t, row in enumerate(table):
-        for j, (ar, ai, frac) in enumerate(row):
-            for a, theta in enumerate(thetas):
-                step = 2 * (theta * period).numerator
-                sr = si = 0
-                for m, (cr, ci) in enumerate(zip(ar, ai)):
-                    ur, ui = roots[step * m % (4 * period)]
-                    sr += cr * ur - ci * ui
-                    si += cr * ui + ci * ur
-                sums[(t, j, a)] = (sr, si)
+    for t, j in np.ndindex(coeffs.shape[1:3]):
+        ar, ai = coeffs[:, t, j]
+        for a, theta in enumerate(thetas):
+            step = 2 * (theta * period).numerator
+            sr = si = 0
+            for m, (cr, ci) in enumerate(zip(ar, ai)):
+                ur, ui = roots[step * m % (4 * period)]
+                sr += cr * ur - ci * ui
+                si += cr * ui + ci * ur
+            sums[(t, j, a)] = (sr, si)
     return sums
 
 
 def assert_sums_match_loop(ctx, table, thetas):
-    re, im, exp = stokes._table_sums(ctx, table, thetas)
+    (re, im), exp = stokes._table_sums(ctx, table, *stokes._period(thetas))
     for (t, j, a), want in loop_sums(ctx, table, thetas).items():
         assert (re[t, j, a], im[t, j, a]) == want
-        assert exp[t, j] == -(table[t][j][2] + ctx.frac)
+        assert exp[t, j] == table[1][t, j] - ctx.frac
 
 
 def test_table_sums_match_a_loop_over_angles():
@@ -505,8 +515,10 @@ def test_table_sums_fold_tables_of_any_length(data):
     def part():
         return [int(v) << 40 for v in rng.integers(-2 ** 40, 2 ** 40, length)]
 
-    table = [[(part(), part(), data.draw(st.integers(0, 100)))
-              for _ in range(2)] for _ in range(2)]
+    table = (np.array([[[part() for _ in range(2)] for _ in range(2)]
+                       for _ in range(2)], dtype=object),
+             np.array([[-data.draw(st.integers(0, 100)) for _ in range(2)]
+                       for _ in range(2)], dtype=object))
     assert_sums_match_loop(ctx, table, thetas)
 
 
@@ -547,12 +559,17 @@ def per_denominator_contents(fs, basis, inverse, reads):
     hs = stokes._gauge_exponents(n, fs.k)
 
     def sums(table, q, thetas):
-        coeffs, cut = stokes._fold(table, 2 * q)
+        # fold by 2q: coefficients summed by residue of m mod 2q
+        coeffs, exp = table
+        pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % (2 * q),),
+                       dtype=object)
+        coeffs = np.concatenate([coeffs, pad], axis=-1)
+        coeffs = coeffs.reshape(coeffs.shape[:-1] + (-1, 2 * q)).sum(axis=-2)
         steps = np.array([2 * th.numerator % (4 * q) for th in thetas])
         index = np.arange(coeffs.shape[-1])[:, None] * steps % (4 * q)
         powers = np.moveaxis(stokes._unit_roots(ctx.frac, 2 * q)[index], 2, 0)
         re, im = stokes._gauss(coeffs, powers, np.matmul)
-        return re, im, -(cut + ctx.frac)
+        return re, im, exp - ctx.frac
 
     dens = {}
     for theta in reads:
@@ -863,7 +880,8 @@ def test_entire_basis_inputs_are_exact():
             if s >= 2:
                 acc += r ** 4 * coef[s - 2]
             coef.append(acc / ((s + 1) * (s + 2)))
-        re, im, frac = basis.table[0][j]
+        re, im = basis.table[0][:, 0, j]
+        frac = -basis.table[1][0, j]
         assert max(abs(re[m] - coef[m] * 2 ** frac) for m in range(40)) <= 4
         assert not any(im[:40])
 
