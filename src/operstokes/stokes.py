@@ -94,6 +94,9 @@ class StokesSettings:
     v0: object = None            # base direction, as a Fraction of pi
 
     def __post_init__(self):
+        if type(self.trunc_order) is not int:        # no float, no bool
+            raise ValueError(f"trunc_order must be an int, got "
+                             f"{self.trunc_order!r}")
         if not (math.isfinite(self.radius_tol) and self.radius_tol > 0):
             raise ValueError(f"radius_tol must be finite and > 0, got "
                              f"{self.radius_tol!r}")
@@ -190,14 +193,16 @@ def formal_solution(gc, M, ctx):
     the off-diagonal part determines F_j (division by eigenvalue differences)
     and the diagonal part is D_j directly.  Q and Lambda read off
     D_0..D_{k+1}; the remaining diagonal tail is integrated term by term as a
-    formal series in stage 2 and multiplied back in.
+    formal series u in stage 2 and multiplied back in.
 
     At every precision this runs on Gaussian integers with `frac` fraction
-    bits: the exact B_j framed by the root table's f0, each order's
-    convolutions one stacked product shifted back once, the divisions by
-    the eigenvalue gaps products with fixed-point reciprocals.  Results are
-    rounded once to the working precision; Yhat's coefficients are kept as
-    computed, unrounded (`fixed`)."""
+    bits: the exact B_j framed by the root table's f0, F, D and u triples
+    (_triple), each order's sums three-product matmuls (_gauss) shifted
+    back once (the B's side by side times the F's stacked, and per column a
+    dot product over the levels for F D, u and Yhat = F u), the divisions
+    by the eigenvalue gaps products with fixed-point reciprocals.  Results
+    are rounded once to the working precision; Yhat's coefficients are kept
+    as computed, unrounded (`fixed`)."""
     if M < gc.k + 2:
         raise ValueError("truncation order must be at least k+2")
     n, k, frac = gc.n, gc.k, ctx.frac
@@ -205,50 +210,71 @@ def formal_solution(gc, M, ctx):
     b = np.array([[[_quantized(c, frac) for c in row] for row in bj]
                   for bj in gc.bcoeffs], dtype=object)
     b = _gauss(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
-    bt = _gauss(f0inv, b, np.matmul) >> frac        # (2, j, n, n): B_j
+    bt = _triple(_gauss(f0inv, b, np.matmul) >> frac)   # (3, j, n, n): B_j
     lam = f0[:, 1]
     # the leading term must frame to diag(lambda), up to rounding units
-    if np.abs(bt[:, 0] - [np.diag(v) for v in lam]).max() > 1 << 8:
+    if np.abs(bt[:2, 0] - [np.diag(v) for v in lam]).max() > 1 << 8:
         raise ArithmeticError("frame failed to diagonalize the leading term")
     gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
     norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
     recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
     levels = k + 2 + M
-    F = np.zeros((2, levels, n, n), dtype=object)
-    F[0, 0] = np.eye(n, dtype=object) << frac
-    D = np.zeros((2, levels, n), dtype=object)
-    D[:, 0] = lam
+    F = np.zeros((3, levels, n, n), dtype=object)
+    F[0, 0] = F[2, 0] = np.eye(n, dtype=object) << frac
+    cols = F.transpose(0, 3, 2, 1)          # F_j[a, c] at (c, a, j), a view
+    D = np.zeros((3, n, levels), dtype=object)
+    D[..., 0] = _triple(lam)
     for j in range(1, levels):
         lo = max(0, j - bt.shape[1] + 1)
         # sum_b B_{j-b} F_b: the B's side by side times the F's stacked
-        side = bt[:, j - lo:0:-1].transpose(0, 2, 1, 3).reshape(2, n, -1)
-        r = _gauss(side, F[:, lo:j].reshape(2, -1, n), np.matmul)
-        r = (r - _gauss(F[:, 1:j], D[:, j - 1:0:-1, None]).sum(axis=1)) >> frac
+        side = bt[:, j - lo:0:-1].transpose(0, 2, 1, 3).reshape(3, n, -1)
+        r = _gauss(side, F[:, lo:j].reshape(3, -1, n), np.matmul)
+        # sum_b F_b D_{j-b}: F_b[a, c] D_{j-b}[c] summed over b per c
+        fd = _gauss(cols[..., 1:j], D[:, :, j - 1:0:-1, None], np.matmul)
+        r = (r - fd[..., 0].transpose(0, 2, 1)) >> frac
         if j >= k + 2:
-            r = r + (j - k - 1) * F[:, j - k - 1]
-        D[:, j] = np.diagonal(r, axis1=1, axis2=2)
-        F[:, j] = _gauss(r, recip) >> frac
+            r = r + (j - k - 1) * F[:2, j - k - 1]
+        D[..., j] = _triple(np.diagonal(r, axis1=1, axis2=2))
+        F[:, j] = _triple(_gauss(r, recip) >> frac)
     # stage 2: diagonal tail u' = (sum_{t>=1} D_{k+1+t} z^{-1-t}) u
-    u = np.zeros((2, M + 1, n), dtype=object)
-    u[0, 0] = 1 << frac
+    u = np.zeros((3, n, M + 1), dtype=object)
+    u[0, :, 0] = u[2, :, 0] = 1 << frac
     for m in range(1, M + 1):
-        acc = _gauss(D[:, k + 2:k + 2 + m], u[:, m - 1::-1]).sum(axis=1)
-        u[:, m] = -(acc >> frac) // m
-    ys = [_gauss(F[:, :m + 1], u[:, m::-1, None]).sum(axis=1) >> frac
+        acc = _gauss(D[:, :, None, k + 2:k + 2 + m],
+                     u[:, :, m - 1::-1, None], np.matmul)[..., 0, 0]
+        u[..., m] = _triple(-(acc >> frac) // m)
+    ys = [_gauss(cols[..., :m + 1], u[:, :, m::-1, None],
+                 np.matmul)[..., 0].transpose(0, 2, 1) >> frac
           for m in range(M + 1)]
     return FormalSolution(
         n=n, k=k, M=M,
-        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:, s], -frac) / (k + 1 - s))
+        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:2, :, s], -frac)
+                                 / (k + 1 - s))
                  for s in range(k + 1)},
-        lam=list(_rounded(ctx, *D[:, k + 1], -frac)), ctx=ctx, fixed=ys)
+        lam=list(_rounded(ctx, *D[:2, :, k + 1], -frac)), ctx=ctx, fixed=ys)
+
+
+def _triple(x):
+    """(re, im) as (re, im, re + im), a factor _gauss's matmul reuses."""
+    return np.array([x[0], x[1], x[0] + x[1]])
 
 
 def _gauss(x, y, op=np.multiply):
-    """Product of two Gaussian-integer arrays with leading axis (re, im);
-    `op` is np.multiply (entrywise, broadcasting a vector over columns) or
-    np.matmul."""
-    return np.array([op(x[0], y[0]) - op(x[1], y[1]),
-                     op(x[0], y[1]) + op(x[1], y[0])])
+    """Product (re, im) of two Gaussian-integer arrays with leading axis
+    (re, im), or (re, im, re + im) for a reused factor (_triple), exactly.
+    np.multiply (entrywise, broadcasting a vector over columns) takes four
+    products; np.matmul takes Gauss's three (Knuth, TAOCP 2, 4.6.4), each
+    summed in the matmul: re = p1 - p2 and im = p3 - p1 - p2 for p1 =
+    x_re y_re, p2 = x_im y_im and p3 = (x_re + x_im)(y_re + y_im)."""
+    if op is np.multiply:
+        return np.array([op(x[0], y[0]) - op(x[1], y[1]),
+                         op(x[0], y[1]) + op(x[1], y[0])])
+    p3 = op(*(v[2] if len(v) == 3 else v[0] + v[1] for v in (x, y)))
+    p1, p2 = op(x[0], y[0]), op(x[1], y[1])
+    p3 -= p1
+    p3 -= p2
+    p1 -= p2
+    return np.array([p1, p3])
 
 
 def _fixed_frame(ctx, n):
@@ -507,19 +533,30 @@ def _unit_roots(frac, den):
 
 
 def _table_sums(ctx, table, period, numerators):
+    """Per entry of a fixed-point table (coeffs, exp), the sums of
+    _class_sums at every angle: (sums, exp), sums of shape (2, rows,
+    entries, angles), value sums 2^exp."""
+    out = np.empty(table[0].shape[:3] + (len(numerators),), dtype=object)
+    for cols, sums in _class_sums(ctx, table, period, numerators):
+        out[..., cols] = sums
+    return out, table[1] - ctx.frac
+
+
+def _class_sums(ctx, table, period, numerators):
     """Per entry of a fixed-point table (coeffs, exp), the Gaussian-integer
     array (2, rows, entries, terms) of coefficients over m and the (rows,
     entries) array of exponents, value coeffs 2^exp, sum_m coeffs[:, t, j,
     m] u^m exactly at each angle P/Q, Q the angles' common period and P
-    each one's numerator (_period): (sums, exp), sums of shape (2, rows,
-    entries, angles), value sums 2^exp.  The table is folded once by 2Q,
-    since u^m = u^(m mod 2Q), then by the quarter turns u^(Q/2) = i^P into
-    one table of length Q/2 per class P mod 4, each summed by one
-    Gaussian-integer product with its angles' unit powers u^m, the roots
-    2Pm mod 4Q of the root table of denominator 2Q.  Integer additions and
-    products by powers of i only, exact on the root table, whose quarter
-    turns are exact (_unit_roots)."""
-    coeffs, exp = table
+    each one's numerator (_period), one class P mod 4 at a time: per class
+    with angles, (cols, sums), cols its angles' indices and sums of shape
+    (2, rows, entries, len(cols)), value sums 2^(exp - frac).  The table is
+    folded once by 2Q, since u^m = u^(m mod 2Q), then by the quarter turns
+    u^(Q/2) = i^P into one table of length Q/2 per class, each summed by
+    one three-product matmul (_gauss) with its angles' unit powers u^m, the
+    roots 2Pm mod 4Q of the root table of denominator 2Q.  Integer
+    additions and products by powers of i only, exact on the root table,
+    whose quarter turns are exact (_unit_roots)."""
+    coeffs = table[0]
     # zeros of Python ints: np.pad would pad an object array with int64s
     pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % (2 * period),),
                    dtype=object)
@@ -531,16 +568,15 @@ def _table_sums(ctx, table, period, numerators):
     s0, s1, d0, d1 = b0 + b2, b1 + b3, b0 - b2, b1 - b3
     d1 = np.array([-d1[1], d1[0]])
     folded = (s0 + s1, d0 + d1, s0 - s1, d0 - d1)
+    # the generator's frame outlives this fold: keep only the class tables
+    del coeffs, b0, b1, b2, b3, s0, s1, d0, d1
     steps = np.array([2 * p % (4 * period) for p in numerators])
     index = np.arange(period // 2)[:, None] * steps % (4 * period)
     powers = np.moveaxis(_unit_roots(ctx.frac, 2 * period)[index], 2, 0)
-    classes = np.array([p % 4 for p in numerators])
-    out = np.empty(coeffs.shape[:3] + (len(numerators),), dtype=object)
     for c, part in enumerate(folded):
-        cols = np.flatnonzero(classes == c)
-        if cols.size:
-            out[..., cols] = _gauss(part, powers[..., cols], np.matmul)
-    return out, exp - ctx.frac
+        cols = [a for a, p in enumerate(numerators) if p % 4 == c]
+        if cols:
+            yield cols, _gauss(part, powers[..., cols], np.matmul)
 
 
 def _rounded(ctx, re, im, exp):
@@ -554,9 +590,11 @@ def _rounded(ctx, re, im, exp):
 def _quantized(v, frac, scale=1):
     """floor(v scale 2^frac), part by part, for an int, Fraction, float or
     complex v and a Fraction scale, all exact (a double is a dyadic
-    rational): a Gaussian integer."""
-    return tuple(math.floor(Fraction(x) * scale * 2 ** frac)
-                 for x in (v.real, v.imag))
+    rational): a Gaussian integer, each floor one integer division."""
+    s = Fraction(scale)
+    return tuple((x.numerator * s.numerator << frac)
+                 // (x.denominator * s.denominator)
+                 for x in map(Fraction, (v.real, v.imag)))
 
 
 def _exact(z):
@@ -793,30 +831,32 @@ def _inverse_table(fs, rho):
     -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
     Y_j rho^-j, and 1/z^m = rho^-m conj(u^m), so the table holds conj(V_m)
     and its sums are conjugated.  The recurrence runs on Gaussian integers
-    at every precision, each Y_j in the real form [[re, -im], [im, re]],
-    one product per order: the Y's side by side times the V's stacked.
-    Column a also carries rho^(h_a), the modulus of gauged row a of a
-    content (_gauge_exponents), since the recurrence only multiplies on the
-    left.  The table has EntireBasis.table's format, rows b and entries a."""
+    at every precision, the Y's and V's as triples (re, im, re + im), one
+    three-product matmul (_gauss) per order: the Y's side by side times the
+    V's stacked.  Column a also carries rho^(h_a), the modulus of gauged row
+    a of a content (_gauge_exponents), since the recurrence only multiplies
+    on the left.  The table has EntireBasis.table's format, rows b and
+    entries a."""
     ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
     # rho is a dyadic rational, so its powers scale exactly up to one floor,
     # and a half-integer power is one isqrt; the table keeps g more fraction
     # bits, so its smallest column keeps `frac` bits
     r = Fraction(rho)
-    j = np.arange(1, M + 1, dtype=object)[:, None, None, None]
-    re, im = np.moveaxis(np.array(fs.fixed[1:]) * r.denominator ** j
-                         // r.numerator ** j, 1, 0)
-    ys = np.block([[re, -im], [im, re]]).transpose(1, 0, 2).reshape(2 * n, -1)
+    j = np.arange(1, M + 1, dtype=object)[:, None]   # Y_j[a, c] at (a, j, c)
+    ys = _triple(np.array(fs.fixed[1:]).transpose(1, 2, 0, 3)
+                 * r.denominator ** j // r.numerator ** j).reshape(3, n, -1)
     sq = [r ** int(2 * h) for h in _gauge_exponents(n, fs.k)]
     g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
                    for s in sq) // 2 + 1)
     mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
                     for s in sq], dtype=object)
-    vs = np.zeros((M + 1, 2 * n, n), dtype=object)
-    vs[0] = np.vstack(_fixed_frame(ctx, n)[1] * mod >> frac)
+    vs = np.zeros((3, M + 1, n, n), dtype=object)
+    vs[:, 0] = _triple(_fixed_frame(ctx, n)[1] * mod >> frac)
     for m in range(1, M + 1):
-        vs[m] = -(ys[:, :2 * n * m] @ vs[m - 1::-1].reshape(-1, n) >> frac)
-    coeffs = np.moveaxis(np.array([vs[:, :n], -vs[:, n:]]), 1, -1)
+        vs[:, m] = _triple(-(_gauss(ys[..., :n * m],
+                                    vs[:, m - 1::-1].reshape(3, -1, n),
+                                    np.matmul) >> frac))
+    coeffs = np.moveaxis(np.array([vs[0], -vs[1]]), 1, -1)
     return coeffs, np.full((n, n), -(frac + g), dtype=object)
 
 
@@ -837,33 +877,37 @@ def _content_matrix(fs, basis, inverse, reads):
     exponential: the content is e^{-(q_x(z) + lambda_x log z)} times the
     raw row.  Returned as {theta: {x: row x}}.
 
-    Every angle is read at once, as P/Q for Q the angles' common period
-    (_period).  The phase e^{i pi theta h_a} of gauged row a is one root of
-    order 4Q read at the unwrapped numerator P, so the chart log z =
-    ln rho + i pi theta stays explicit: on the next sheet a raw row takes
-    the det twist and its mode scalar e^{-2 pi i lambda_x}, the wrap
-    factor's extra scalars (collocation_factors).  The modulus rho^(h_a) of
-    gauged row a is in the inverse table's columns.  Each table's sums are
-    one call (_table_sums), and the contents of every mode one stacked
-    product, of which each read entry is rounded once, to `frac`
-    significant bits (_aligned_row)."""
+    Every angle is read as P/Q for Q the angles' common period (_period).
+    The phase e^{i pi theta h_a} of gauged row a is one root of order 4Q
+    read at the unwrapped numerator P, so the chart log z = ln rho + i pi
+    theta stays explicit: on the next sheet a raw row takes the det twist
+    and its mode scalar e^{-2 pi i lambda_x}, the wrap factor's extra
+    scalars (collocation_factors).  The modulus rho^(h_a) of gauged row a
+    is in the inverse table's columns.  Each table is folded once, and its
+    sums and the contents of every mode are one stacked product per class
+    P mod 4 (_class_sums), so only one class's are held at a time; each
+    read entry is rounded once, to `frac` significant bits (_aligned_row)."""
     ctx = fs.ctx
     twice = [int(2 * h) for h in _gauge_exponents(fs.n, fs.k)]
     thetas = list(reads)
     period, numerators = _period(thetas)
-    sums, se = _table_sums(ctx, basis.table, period, numerators)
-    phase = _unit_roots(ctx.frac, 2 * period)[
-        [[p * t % (4 * period) for t in twice] for p in numerators]]
+    phase = np.moveaxis(_unit_roots(ctx.frac, 2 * period)[
+        [[p * t % (4 * period) for t in twice] for p in numerators]], 2, 0)
+    se = basis.table[1] - ctx.frac
     low = se.min(axis=0)                         # align each column exactly
-    x = _gauss(np.moveaxis(phase, 2, 0)[..., None],
-               np.moveaxis(sums, 3, 1)) << (se - low)
-    del sums            # free every angle's basis sums before the inverse's
-    w, we = _table_sums(ctx, inverse, period, numerators)
-    cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), 3, 1), x, np.matmul)
-    exp = low - ctx.frac + we[0, 0]
-    return {theta: {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
-                    for b in sorted(reads[theta])}
-            for a, theta in enumerate(thetas)}
+    exp = low - 2 * ctx.frac + inverse[1][0, 0]
+    out = dict.fromkeys(thetas)
+    for (cols, sums), (_, w) in zip(
+            _class_sums(ctx, basis.table, period, numerators),
+            _class_sums(ctx, inverse, period, numerators)):
+        x = _gauss(phase[:, cols, :, None], np.moveaxis(sums, 3, 1))
+        x <<= se - low
+        cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), 3, 1), x, np.matmul)
+        for a, col in enumerate(cols):
+            theta = thetas[col]
+            out[theta] = {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
+                          for b in sorted(reads[theta])}
+    return out
 
 
 def _mode_scalars(fs, rho, pairs):
