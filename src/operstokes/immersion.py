@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isomono import OperPoint, solvability
-from .stokes import StokesSettings, stokes_data
+from .stokes import StokesSettings, replay, stokes_data
 
 __all__ = [
     "JacobianReport", "CrossCheckReport", "jacobian", "kernel_cross_check",
@@ -105,10 +105,11 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     (nu(c + h e_m) - nu(c - h e_m)) / (2h) and the same quotient along i h:
     the 4-point trapezoid rule for the Cauchy integral of nu around c, whose
     error is O(h^4).  The worst disagreement of the two quotients is
-    reported as the holomorphy diagnostic.  Every stencil evaluation reuses
-    the base point's frozen plan and must come back with sane closure
-    residuals, otherwise the differences would compare artifacts of run
-    planning instead of values of the map."""
+    reported as the holomorphy diagnostic.  The 4(d-1) stencil points are
+    one replay of the base point's frozen plan, made as one batch
+    (stokes.replay), and each must come back with sane closure residuals,
+    otherwise the differences would compare artifacts of run planning
+    instead of values of the map."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and > 0, got {h!r}")
     if not 0 < rank_tol <= 1:
@@ -117,8 +118,7 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     base = stokes_data(op, settings)
     plan = base.plan
     points = _stencil_points(op, h)
-    runs = [stokes_data(shifted_op, settings, plan=plan)
-            for _, _, shifted_op in points]
+    runs = replay([shifted_op for _, _, shifted_op in points], settings, plan)
 
     ceiling = max(1e-6, 1e3 * base.residuals["identity"])
     values = {}

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -97,12 +98,15 @@ class StokesSettings:
         if type(self.trunc_order) is not int:        # no float, no bool
             raise ValueError(f"trunc_order must be an int, got "
                              f"{self.trunc_order!r}")
-        if not (math.isfinite(self.radius_tol) and self.radius_tol > 0):
-            raise ValueError(f"radius_tol must be finite and > 0, got "
-                             f"{self.radius_tol!r}")
-        if not (math.isfinite(self.radius) and self.radius >= 0):
-            raise ValueError(f"radius must be finite and >= 0, got "
-                             f"{self.radius!r}")
+        for name, relation in (("radius_tol", ">"), ("radius", ">=")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{value!r}")
+            if not (math.isfinite(value)
+                    and (value > 0 or value == 0 and relation == ">=")):
+                raise ValueError(f"{name} must be finite and {relation} 0, "
+                                 f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +189,9 @@ class FormalSolution:
         return abs(sum(complex(v) for v in self.lam))
 
 
-def formal_solution(gc, M, ctx):
-    """Order-by-order diagonalization, in two stages so levels stay decoupled.
+def formal_solution(gcs, M, ctx):
+    """Order-by-order diagonalization, in two stages so levels stay decoupled,
+    of gauged connections of one (n, k): one FormalSolution each.
 
     Stage 1 finds a diagonal-free gauge F = I + sum F_j z^{-j} conjugating the
     system onto a fully diagonal connection sum_j D_j z^{k-j}: at each level
@@ -200,58 +205,61 @@ def formal_solution(gc, M, ctx):
     (_triple), each order's sums three-product matmuls (_gauss) shifted
     back once (the B's side by side times the F's stacked, and per column a
     dot product over the levels for F D, u and Yhat = F u), the divisions
-    by the eigenvalue gaps products with fixed-point reciprocals.  Results
-    are rounded once to the working precision; Yhat's coefficients are kept
-    as computed, unrounded (`fixed`)."""
-    if M < gc.k + 2:
+    by the eigenvalue gaps products with fixed-point reciprocals, every
+    array with a point axis after the parts.  Results are rounded once to
+    the working precision; Yhat's coefficients are kept as computed,
+    unrounded (`fixed`)."""
+    n, k, frac, size = gcs[0].n, gcs[0].k, ctx.frac, len(gcs)
+    if M < k + 2:
         raise ValueError("truncation order must be at least k+2")
-    n, k, frac = gc.n, gc.k, ctx.frac
     f0, f0inv = _fixed_frame(ctx, n)
-    b = np.array([[[_quantized(c, frac) for c in row] for row in bj]
-                  for bj in gc.bcoeffs], dtype=object)
-    b = _gauss(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
-    bt = _triple(_gauss(f0inv, b, np.matmul) >> frac)   # (3, j, n, n): B_j
+    b = np.array([[[[_quantized(c, frac) for c in row] for row in bj]
+                   for bj in gc.bcoeffs] for gc in gcs], dtype=object)
+    b = _gauss(np.moveaxis(b, 4, 0), f0, np.matmul) >> frac
+    bt = _triple(_gauss(f0inv, b, np.matmul) >> frac)   # (3, P, j, n, n)
     lam = f0[:, 1]
     # the leading term must frame to diag(lambda), up to rounding units
-    if np.abs(bt[:2, 0] - [np.diag(v) for v in lam]).max() > 1 << 8:
+    if np.abs(bt[:2, :, 0] - [[np.diag(v)] for v in lam]).max() > 1 << 8:
         raise ArithmeticError("frame failed to diagonalize the leading term")
     gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
     norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
     recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
     levels = k + 2 + M
-    F = np.zeros((3, levels, n, n), dtype=object)
-    F[0, 0] = F[2, 0] = np.eye(n, dtype=object) << frac
-    cols = F.transpose(0, 3, 2, 1)          # F_j[a, c] at (c, a, j), a view
-    D = np.zeros((3, n, levels), dtype=object)
-    D[..., 0] = _triple(lam)
+    F = np.zeros((3, size, levels, n, n), dtype=object)
+    F[0, :, 0] = F[2, :, 0] = np.eye(n, dtype=object) << frac
+    cols = F.transpose(0, 1, 4, 3, 2)       # F_j[a, c] at (c, a, j), a view
+    D = np.zeros((3, size, n, levels), dtype=object)
+    D[..., 0] = _triple(lam)[:, None]
     for j in range(1, levels):
-        lo = max(0, j - bt.shape[1] + 1)
+        lo = max(0, j - bt.shape[2] + 1)
         # sum_b B_{j-b} F_b: the B's side by side times the F's stacked
-        side = bt[:, j - lo:0:-1].transpose(0, 2, 1, 3).reshape(3, n, -1)
-        r = _gauss(side, F[:, lo:j].reshape(3, -1, n), np.matmul)
+        side = bt[:, :, j - lo:0:-1].transpose(0, 1, 3, 2, 4)
+        r = _gauss(side.reshape(3, size, n, -1),
+                   F[:, :, lo:j].reshape(3, size, -1, n), np.matmul)
         # sum_b F_b D_{j-b}: F_b[a, c] D_{j-b}[c] summed over b per c
-        fd = _gauss(cols[..., 1:j], D[:, :, j - 1:0:-1, None], np.matmul)
-        r = (r - fd[..., 0].transpose(0, 2, 1)) >> frac
+        fd = _gauss(cols[..., 1:j], D[..., j - 1:0:-1, None], np.matmul)
+        r = (r - fd[..., 0].swapaxes(-1, -2)) >> frac
         if j >= k + 2:
-            r = r + (j - k - 1) * F[:2, j - k - 1]
-        D[..., j] = _triple(np.diagonal(r, axis1=1, axis2=2))
-        F[:, j] = _triple(_gauss(r, recip) >> frac)
+            r = r + (j - k - 1) * F[:2, :, j - k - 1]
+        D[..., j] = _triple(np.diagonal(r, axis1=-2, axis2=-1))
+        F[:, :, j] = _triple(_gauss(r, recip) >> frac)
     # stage 2: diagonal tail u' = (sum_{t>=1} D_{k+1+t} z^{-1-t}) u
-    u = np.zeros((3, n, M + 1), dtype=object)
-    u[0, :, 0] = u[2, :, 0] = 1 << frac
+    u = np.zeros((3, size, n, M + 1), dtype=object)
+    u[0, ..., 0] = u[2, ..., 0] = 1 << frac
     for m in range(1, M + 1):
-        acc = _gauss(D[:, :, None, k + 2:k + 2 + m],
-                     u[:, :, m - 1::-1, None], np.matmul)[..., 0, 0]
+        acc = _gauss(D[..., None, k + 2:k + 2 + m],
+                     u[..., m - 1::-1, None], np.matmul)[..., 0, 0]
         u[..., m] = _triple(-(acc >> frac) // m)
-    ys = [_gauss(cols[..., :m + 1], u[:, :, m::-1, None],
-                 np.matmul)[..., 0].transpose(0, 2, 1) >> frac
-          for m in range(M + 1)]
-    return FormalSolution(
+    ys = np.array([_gauss(cols[..., :m + 1], u[..., m::-1, None],
+                          np.matmul)[..., 0].swapaxes(-1, -2) >> frac
+                   for m in range(M + 1)])          # (M + 1, 2, P, n, n)
+    return [FormalSolution(
         n=n, k=k, M=M,
-        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:2, :, s], -frac)
+        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:2, p, :, s], -frac)
                                  / (k + 1 - s))
                  for s in range(k + 1)},
-        lam=list(_rounded(ctx, *D[:2, :, k + 1], -frac)), ctx=ctx, fixed=ys)
+        lam=list(_rounded(ctx, *D[:2, p, :, k + 1], -frac)), ctx=ctx,
+        fixed=ys[:, :, p]) for p in range(size)]
 
 
 def _triple(x):
@@ -544,12 +552,13 @@ def _table_sums(ctx, table, period, numerators):
 
 def _class_sums(ctx, table, period, numerators):
     """Per entry of a fixed-point table (coeffs, exp), the Gaussian-integer
-    array (2, rows, entries, terms) of coefficients over m and the (rows,
-    entries) array of exponents, value coeffs 2^exp, sum_m coeffs[:, t, j,
-    m] u^m exactly at each angle P/Q, Q the angles' common period and P
-    each one's numerator (_period), one class P mod 4 at a time: per class
-    with angles, (cols, sums), cols its angles' indices and sums of shape
-    (2, rows, entries, len(cols)), value sums 2^(exp - frac).  The table is
+    array (2, rows, entries, terms) of coefficients over m, or (2, points,
+    rows, entries, terms) for a batch's (_inverse_table), and the (rows,
+    entries) array of exponents, value coeffs 2^exp, sum_m coeffs[..., m]
+    u^m exactly at each angle P/Q, Q the angles' common period and P each
+    one's numerator (_period), one class P mod 4 at a time: per class with
+    angles, (cols, sums), cols its angles' indices and sums of shape (2,
+    ..., len(cols)), value sums 2^(exp - frac).  The table is
     folded once by 2Q, since u^m = u^(m mod 2Q), then by the quarter turns
     u^(Q/2) = i^P into one table of length Q/2 per class, each summed by
     one three-product matmul (_gauss) with its angles' unit powers u^m, the
@@ -625,12 +634,12 @@ _MAX_TERMS = 20000
 # units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
 # from these sums to one rounding.  Collocation: each raw content
 # entry (no mode exponential) is rounded once to bits + 40 significant bits
-# (_aligned_row), each sector column is solved exactly and rounded once to
-# bits + 40 bits of its largest entry (_exact_column), the A/B consistency
-# and the factor quotients are exact (_eliminate), and each factor entry is
-# rounded once to `bits`.  A kill row gives its column at any nonzero
-# scale, so only the normalization row's right-hand side e^{E}, one
-# working-precision exp, carries a mode exponential; its rounding at
+# (_aligned), each sector column is solved exactly and rounded once to
+# bits + 40 bits of its largest entry (sector_coefficients), the A/B
+# consistency and the factor quotients are exact (_eliminate), and each
+# factor entry is rounded once to `bits`.  A kill row gives its column at
+# any nonzero scale, so only the normalization row's right-hand side e^{E},
+# one working-precision exp, carries a mode exponential; its rounding at
 # 2^-bits scales its column as a whole and reaches a factor entry as a
 # relative 2^-bits, the size of that entry's own rounding.  So the only
 # other errors before the result's are the two roundings at 2^-(bits+40),
@@ -640,7 +649,9 @@ _MAX_TERMS = 20000
 # growth): the bits lost are bounded by log2 kappa, which the A/B
 # consistency measures, and up to kappa = 2^40 the factors keep their full
 # `bits`.  The columns are rounded because exact ones would carry (n-1)-
-# minors into the quotients: at z^6 (n = 6) those took 95 ms a sector.
+# minors into the quotients: at z^6 (n = 6) those took 95 ms a sector.  A
+# batch of points (replay) takes each step per entry as a batch of one does,
+# so no point's result depends on the batch it is made in.
 _GUARD_BITS = 40
 
 
@@ -652,19 +663,21 @@ def _series_tail(fs, rho):
 
 @dataclass
 class _Build:
-    """One collocation at a reading radius: the formal solution and entire
-    basis it read, the quotients the factors are made of and the A/B
-    agreement; its radius is basis.rho."""
+    """One point's collocation at a reading radius: the formal solution it
+    read, its entire basis' circle and term count, the quotients the
+    factors are made of and the A/B agreement."""
     fs: FormalSolution
-    basis: EntireBasis
+    rho: float
+    nterms: int
     quotients: list
     cons: float
 
 
-def _collocate(op, layout, fs, rho, nterms=None):
-    """Both independent builds at reading radius rho, plus their agreement.
+def _collocate(ops, layout, fss, rho, nterms=None):
+    """Both independent builds at reading radius rho, plus their agreement,
+    of every point of a layout: one _Build each.
 
-    The entire basis is built on the circle rho at the formal solution's
+    Each entire basis is built on the circle rho at the formal solutions'
     precision (with a frozen term count when replaying).  The two builds
     collocate at different angles, so the worst deviation of
     (A build)^{-1} (B build) from the identity over all sectors measures the
@@ -677,25 +690,36 @@ def _collocate(op, layout, fs, rho, nterms=None):
     measures real disagreement between independent collocations.  Per
     sector one exact elimination against A (_exact_quotient) serves both
     its agreement and its factor, each factor entry rounded once.  Every
-    build at a layout reads at that layout's angles (_layout_reading)."""
-    ctx, n = fs.ctx, layout.n
-    basis = EntireBasis(op, ctx, rho, nterms)
-    inverse = _inverse_table(fs, rho)
-    _, _, reads, pairs = _layout_reading(layout)
-    gammas = _content_matrix(fs, basis, inverse, reads)
-    scalars = _mode_scalars(fs, basis.rho, pairs)
-    va, vb = (sector_coefficients(fs, layout, gammas, scalars, variant)
-              for variant in "AB")
-    quotients, deviations = [], []
-    for i in range(1, layout.r + 1):
-        x, det, exp = _exact_quotient(va[i], vb[i], vb[i - 1 or layout.r])
-        deviations.append(_deviation(x[:, :, :n], det, exp[:, :n]))
-        quotients.append(_rounded_quotient(ctx, x[:, :, n:], det,
-                                           exp[:, n:]))
-    cons = float(np.max(deviations))  # keeps a NaN from any sector
-    if not math.isfinite(cons):
+    build at a layout reads at that layout's angles (_layout_reading).
+    Every integer layer takes all points at once: the column solves one
+    sector at a time (sector_coefficients) and the quotients of every
+    sector in one elimination; a fresh run is a batch of one."""
+    ctx, n, rho = fss[0].ctx, layout.n, float(rho)
+    reads, pairs, _, _ = _layout_reading(layout)
+    terms = []
+
+    def tables():           # each summed by _content_matrix as it is drawn
+        for op in ops:
+            basis = EntireBasis(op, ctx, rho, nterms)
+            terms.append(basis.nterms)
+            yield basis.table
+
+    contents = _content_matrix(fss, tables(), _inverse_table(fss, rho), reads)
+    scalars = [_mode_scalars(fs, rho, pairs) for fs in fss]
+    y, s = sector_coefficients(fss, layout, contents, scalars)
+    # sector i of every point against A: its B build and sector i - 1's
+    # (sector r's for sector 1)
+    x, det, exp = _exact_quotient(
+        (y[:, :, 0], s[:, 0]), (y[:, :, 1], s[:, 1]),
+        (np.roll(y[:, :, 1], 1, axis=2), np.roll(s[:, 1], 1, axis=1)))
+    deviations = _deviation(x[..., :n], det, exp[..., :n]).max(axis=1)
+    if not np.isfinite(deviations).all():      # a NaN from any sector too
         raise ArithmeticError("collocation build overflowed")
-    return _Build(fs=fs, basis=basis, quotients=quotients, cons=cons)
+    return [_Build(fs=fs, rho=rho, nterms=terms[p], cons=float(deviations[p]),
+                   quotients=[_rounded_quotient(ctx, x[:, p, i, :, n:],
+                                                det[:, p, i], exp[p, i, :, n:])
+                              for i in range(layout.r)])
+            for p, fs in enumerate(fss)]
 
 
 def _visibility_interval(layout, i, a, d):
@@ -807,56 +831,69 @@ def _sector_reading_plan(layout):
 
 @functools.lru_cache(maxsize=None)
 def _layout_reading(layout):
-    """What every build at a layout reads, worked out once per layout, so a
-    fresh run's builds and every replay of its plan share it: the angles
-    cond and norms (_sector_reading_plan); `reads`, the modes read at each
-    angle, the kill conditions' foreign modes and the normalizations' own
-    (_content_matrix); and `pairs`, the sorted normalization (angle,
-    column) pairs, the only ones whose mode scalars a build needs
-    (_mode_scalars), since an exact solve gives a kill row's column at any
-    nonzero scale.  Every caller shares the one copy, so none may change
+    """What every build at a layout reads, worked out once per layout and
+    shared by its runs and replays, every angle (_sector_reading_plan)
+    looked up here so a build reads by position: `reads`, the angles and
+    the (angle index, mode) rows read there (_content_matrix); `pairs`,
+    the sorted normalization (angle, column) pairs, the only ones whose
+    mode scalars a build needs (_mode_scalars), since an exact solve gives
+    a kill row's column at any nonzero scale; and per variant, sector and
+    column its rows, normalization last, and its pair (`systems`,
+    `scales`: sector_coefficients).  Callers share it and must not change
     it."""
     cond, norms = _sector_reading_plan(layout)
-    reads = {}
-    for (_, _, _, a), theta in cond.items():
-        reads.setdefault(theta, set()).add(a)
-    for (_, d), theta in norms.items():
-        reads.setdefault(theta, set()).add(d)
     pairs = sorted({(theta, d) for (_, d), theta in norms.items()})
-    return cond, norms, reads, pairs
+    keys = sorted({(theta, a) for (*_, a), theta in cond.items()}
+                  | set(pairs))
+    row = {key: index for index, key in enumerate(keys)}
+    pair = {key: index for index, key in enumerate(pairs)}
+    angles = sorted({theta for theta, _ in keys})
+    at = {theta: t for t, theta in enumerate(angles)}
+    rows = [(at[theta], b) for theta, b in keys]
+    n, sectors = layout.n, range(1, layout.r + 1)
+    systems = np.array([[[[row[(cond[(i, v, d, a)], a)] for a in range(n)
+                           if a != d] + [row[(norms[(i, d)], d)]]
+                          for d in range(n)] for i in sectors] for v in "AB"])
+    scales = np.array([[pair[(norms[(i, d)], d)] for d in range(n)]
+                       for i in sectors])
+    return (angles, rows), pairs, systems, scales
 
 
-def _inverse_table(fs, rho):
+def _inverse_table(fss, rho):
     """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
-    -sum_{j>=1} Y_j W_{m-j}: V_m = rho^-m W_m f0^{-1} obeys the recurrence in
-    Y_j rho^-j, and 1/z^m = rho^-m conj(u^m), so the table holds conj(V_m)
-    and its sums are conjugated.  The recurrence runs on Gaussian integers
+    -sum_{j>=1} Y_j W_{m-j}, for each formal solution of a batch: V_m =
+    rho^-m W_m f0^{-1} obeys the recurrence in Y_j rho^-j, and 1/z^m =
+    rho^-m conj(u^m), so the table holds conj(V_m) and its sums are
+    conjugated.  The recurrence runs on Gaussian integers
     at every precision, the Y's and V's as triples (re, im, re + im), one
-    three-product matmul (_gauss) per order: the Y's side by side times the
-    V's stacked.  Column a also carries rho^(h_a), the modulus of gauged row
-    a of a content (_gauge_exponents), since the recurrence only multiplies
-    on the left.  The table has EntireBasis.table's format, rows b and
-    entries a."""
-    ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
+    three-product matmul (_gauss) per order for the batch: the Y's side by
+    side times the V's stacked.  Column a also carries rho^(h_a), the
+    modulus of gauged row a of a content (_gauge_exponents), since the
+    recurrence only multiplies on the left.  The table has
+    EntireBasis.table's format, rows b and entries a, with a point axis
+    after the parts; rho, g and mod are the batch's, so one exponent array
+    serves every point."""
+    ctx, n, M, frac = fss[0].ctx, fss[0].n, fss[0].M, fss[0].ctx.frac
     # rho is a dyadic rational, so its powers scale exactly up to one floor,
     # and a half-integer power is one isqrt; the table keeps g more fraction
     # bits, so its smallest column keeps `frac` bits
     r = Fraction(rho)
     j = np.arange(1, M + 1, dtype=object)[:, None]   # Y_j[a, c] at (a, j, c)
-    ys = _triple(np.array(fs.fixed[1:]).transpose(1, 2, 0, 3)
-                 * r.denominator ** j // r.numerator ** j).reshape(3, n, -1)
-    sq = [r ** int(2 * h) for h in _gauge_exponents(n, fs.k)]
+    ys = np.array([fs.fixed[1:] for fs in fss]).transpose(2, 0, 3, 1, 4)
+    ys = _triple(ys * r.denominator ** j // r.numerator ** j)
+    ys = ys.reshape(3, len(fss), n, -1)
+    sq = [r ** int(2 * h) for h in _gauge_exponents(n, fss[0].k)]
     g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
                    for s in sq) // 2 + 1)
     mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
                     for s in sq], dtype=object)
-    vs = np.zeros((3, M + 1, n, n), dtype=object)
-    vs[:, 0] = _triple(_fixed_frame(ctx, n)[1] * mod >> frac)
+    vs = np.zeros((3, len(fss), M + 1, n, n), dtype=object)
+    vs[:, :, 0] = _triple(_fixed_frame(ctx, n)[1] * mod >> frac)[:, None]
     for m in range(1, M + 1):
-        vs[:, m] = _triple(-(_gauss(ys[..., :n * m],
-                                    vs[:, m - 1::-1].reshape(3, -1, n),
-                                    np.matmul) >> frac))
-    coeffs = np.moveaxis(np.array([vs[0], -vs[1]]), 1, -1)
+        vs[:, :, m] = _triple(-(_gauss(
+            ys[..., :n * m], vs[:, :, m - 1::-1].reshape(3, len(fss), -1, n),
+            np.matmul) >> frac))
+    coeffs = np.moveaxis(np.array([vs[0], -vs[1]]), 2, -1)
     return coeffs, np.full((n, n), -(frac + g), dtype=object)
 
 
@@ -868,14 +905,16 @@ def _gauge_exponents(n, k):
     return tuple((n - a) * k - Fraction(k * (n + 1), 2) - a for a in range(n))
 
 
-def _content_matrix(fs, basis, inverse, reads):
-    """Raw content rows of the entire-basis columns against the formal
-    modes read at each angle, `reads` mapping each angle to its modes: row
-    x holds each column's coefficient along mode x, read from the truncated
-    formal frame at z = rho e^{i theta} on the basis' circle as
-    (formal-inverse table) times (gauged state sums), without mode x's
-    exponential: the content is e^{-(q_x(z) + lambda_x log z)} times the
-    raw row.  Returned as {theta: {x: row x}}.
+def _content_matrix(fss, tables, inverse, reads):
+    """Raw content rows of every point's entire-basis columns against the
+    formal modes read at each angle, `reads` the angles and the (angle
+    index, mode x) rows read: row x holds each column's coefficient along
+    mode x, read from the truncated formal frame at z = rho e^{i theta} on
+    the bases' circle as (formal-inverse table) times (gauged state sums),
+    without mode x's exponential: the content is e^{-(q_x(z) + lambda_x
+    log z)} times the raw row.  `tables` yields each point's
+    EntireBasis.table and `inverse` is the batch's _inverse_table.
+    Returned as (rows, low): point p's row t is rows[:, p, t] 2^low[p, t].
 
     Every angle is read as P/Q for Q the angles' common period (_period).
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4Q
@@ -883,71 +922,83 @@ def _content_matrix(fs, basis, inverse, reads):
     theta stays explicit: on the next sheet a raw row takes the det twist
     and its mode scalar e^{-2 pi i lambda_x}, the wrap factor's extra
     scalars (collocation_factors).  The modulus rho^(h_a) of gauged row a
-    is in the inverse table's columns.  Each table is folded once, and its
-    sums and the contents of every mode are one stacked product per class
-    P mod 4 (_class_sums), so only one class's are held at a time; each
-    read entry is rounded once, to `frac` significant bits (_aligned_row)."""
-    ctx = fs.ctx
-    twice = [int(2 * h) for h in _gauge_exponents(fs.n, fs.k)]
-    thetas = list(reads)
-    period, numerators = _period(thetas)
+    is in the inverse table's columns.  Each table is folded once and
+    summed one class P mod 4 at a time (_class_sums), a basis table before
+    the next is drawn, so the sums of every point and the inverse's of one
+    class are held together; the contents of every mode and point are one
+    stacked product per class; each read entry is rounded once, to `frac`
+    significant bits (_aligned)."""
+    ctx, (angles, rows) = fss[0].ctx, reads
+    twice = [int(2 * h) for h in _gauge_exponents(fss[0].n, fss[0].k)]
+    period, numerators = _period(angles)
     phase = np.moveaxis(_unit_roots(ctx.frac, 2 * period)[
         [[p * t % (4 * period) for t in twice] for p in numerators]], 2, 0)
-    se = basis.table[1] - ctx.frac
-    low = se.min(axis=0)                         # align each column exactly
-    exp = low - 2 * ctx.frac + inverse[1][0, 0]
-    out = dict.fromkeys(thetas)
-    for (cols, sums), (_, w) in zip(
-            _class_sums(ctx, basis.table, period, numerators),
-            _class_sums(ctx, inverse, period, numerators)):
-        x = _gauss(phase[:, cols, :, None], np.moveaxis(sums, 3, 1))
-        x <<= se - low
-        cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), 3, 1), x, np.matmul)
-        for a, col in enumerate(cols):
-            theta = thetas[col]
-            out[theta] = {b: _aligned_row(*cont[:, a, b], exp, ctx.frac)
-                          for b in sorted(reads[theta])}
-    return out
+    sums, se = zip(*(([s for _, s in _class_sums(ctx, t, period, numerators)],
+                      t[1] - ctx.frac) for t in tables))
+    se = np.array(se)
+    low = se.min(axis=1)                         # align each column exactly
+    shift = (se - low[:, None])[:, None]
+    exp = (low - 2 * ctx.frac + inverse[1][0, 0])[:, None]
+    at, modes = np.array(rows).T
+    out = np.empty((2, len(fss), len(rows), fss[0].n), dtype=object)
+    out_low = np.empty((len(fss), len(rows)), dtype=object)
+    where = np.empty(len(angles), dtype=int)
+    for (cols, w), *point in zip(
+            _class_sums(ctx, inverse, period, numerators), *sums):
+        x = _gauss(phase[:, None, cols, :, None],
+                   np.moveaxis(np.stack(point, axis=1), -1, 2))
+        x <<= shift
+        cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), -1, 2), x,
+                      np.matmul)
+        # the rows read at this class's angles, by place among its angles
+        where[cols] = range(len(cols))
+        pick = np.flatnonzero(np.isin(at, cols))
+        out[:, :, pick], out_low[:, pick] = _aligned(
+            *cont[:, :, where[at[pick]], modes[pick]], exp, ctx.frac)
+    return out, out_low
 
 
 def _mode_scalars(fs, rho, pairs):
-    """Per (theta, b) in pairs, e^{E} for mode b's exponential E = q_b(z) +
-    lambda_b log z at z = rho e^{i pi theta} on the chart log z = ln rho +
-    i pi theta: the right-hand side a normalization row solves for
-    (_exact_column).  One log per call; z is rho times a root of the root
-    table of the angles' common period, so the exponential of each pair is
-    the only exp."""
+    """Per (theta, b) in pairs, in their order, e^{E} for mode b's
+    exponential E = q_b(z) + lambda_b log z at z = rho e^{i pi theta} on
+    the chart log z = ln rho + i pi theta: the right-hand side a
+    normalization row solves for (sector_coefficients).  One log per call;
+    z is rho times a root of the root table of the angles' common period,
+    made once per run of pairs at one angle, so the exponential of each
+    pair is the only exp."""
     ctx = fs.ctx
     log_rho = ctx.log(ctx.number(rho))
     period, numerators = _period([theta for theta, _ in pairs])
     roots = _unit_roots(ctx.frac, 2 * period)
-    points, out = {}, {}
+    out, last = [], None
     for (theta, b), p in zip(pairs, numerators):
-        if theta not in points:
+        if p != last:
             ur, ui = roots[2 * p % (4 * period)]
             z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
                                               ctx.real((ui, -ctx.frac)))
-            points[theta] = log_rho + 1j * ctx.number(theta) * ctx.pi, z
-        chart, z = points[theta]
-        out[(theta, b)] = ctx.exp(fs.q_entry(b, z) + fs.lam[b] * chart)
+            chart, last = log_rho + 1j * ctx.number(theta) * ctx.pi, p
+        out.append(ctx.exp(fs.q_entry(b, z) + fs.lam[b] * chart))
     return out
 
 
-def _aligned_row(re, im, exp, frac):
-    """A row of entries (re + i im) 2^exp, each rounded to nearest to `frac`
-    significant bits, as Gaussian integers (re, im) on the row's lowest
-    exponent e: int lists re, im and the int e, the row being
-    (re + i im) 2^e.  Zero entries take no part in the lowest exponent."""
-    out = []
-    for r, i, e in zip(re, im, exp):
-        s = max(abs(r), abs(i)).bit_length() - frac
-        if s > 0:
-            half = 1 << (s - 1)
-            r, i, e = (r + half) >> s, (i + half) >> s, e + s
-        out.append((r, i, e))
-    low = min((e for r, i, e in out if r or i), default=0)
-    return ([r << max(0, e - low) for r, _, e in out],
-            [i << max(0, e - low) for _, i, e in out], low)
+# bit lengths of an object array of ints, entrywise
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _aligned(re, im, exp, frac):
+    """Rows of entries (re + i im) 2^exp, entries on the last axis and exp
+    broadcast, each rounded to nearest to `frac` significant bits, as
+    Gaussian integers on their row's lowest exponent: (rows, low), rows of
+    shape (2, ...) and the row rows 2^low.  Zero entries take no part in
+    the lowest exponent, and a row of zeros has low 0."""
+    s = np.maximum(_bit_length(np.maximum(abs(re), abs(im))) - frac, 0)
+    half = (1 << s) >> 1
+    re, im, e = (re + half) >> s, (im + half) >> s, exp + s
+    live = (re != 0) | (im != 0)
+    low = np.where(live, e, e.max() + 1).min(axis=-1)
+    low = np.where(live.any(axis=-1), low, 0)
+    shift = np.maximum(e - low[..., None], 0)
+    return np.array([re << shift, im << shift]), low
 
 
 @dataclass(frozen=True)
@@ -965,96 +1016,101 @@ class CollocationPlan:
     bits: int           # the working precision
 
 
-def sector_coefficients(fs, layout, gammas, scalars, variant):
-    """Coefficient matrices of the canonical frames in the entire basis.
+def sector_coefficients(fss, layout, contents, scalars):
+    """Coefficient matrices of the canonical frames in the entire basis, of
+    every point, variant and sector of a build.
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
-    at the normalization angle (_layout_reading), from the raw content rows
-    `gammas` (_content_matrix) and the mode scalars `scalars`
-    (_mode_scalars).  A sector is a fixed-point matrix (y, s) of value
-    y diag(2^s), solved exactly (_exact_column)."""
-    n = layout.n
-    cond, norms, _, _ = _layout_reading(layout)
-    out = {}
-    for i in range(1, layout.r + 1):
-        systems = [[(cond[(i, variant, d, a)], a) for a in range(n) if a != d]
-                   + [(norms[(i, d)], d)] for d in range(n)]
-        y, s = zip(*(_exact_column([gammas[th][b] for th, b in reads],
-                                   _exact(scalars[reads[-1]]), fs.ctx.frac)
-                     for reads in systems))
-        out[i] = np.stack(y, axis=-1), np.array(s, dtype=object)
-    return out
-
-
-def _exact_column(rows, rhs, frac):
-    """The column v with rows . v = (0, ..., 0, s), for raw content rows
-    (re, im, e) as _aligned_row gives them (value (re + i im) 2^e) and the
-    normalization row's right-hand side s = (sr + i si) 2^se given as
-    rhs = (sr, si, se), solved exactly (_eliminate) and rounded once, to
-    nearest on `frac` bits of its largest entry: (y, s), v = y 2^s, y a
-    (2, n) Gaussian-integer array.  Only the normalization row, the last,
-    has a right-hand side, so only its exponents scale the column: 2^e
-    row . v = 2^se s' is row . v = s' 2^(se - e)."""
-    aug = np.array([[part + [0] for part in row[:2]] for row in rows],
-                   dtype=object).transpose(1, 0, 2)
-    aug[:, -1, -1] = rhs[:2]
-    det, x = _eliminate(aug)
-    # x / det = x conj(det) / |det|^2
-    num = _gauss(x[:, :, 0], np.array([det[0], -det[1]]))
-    norm = det[0] * det[0] + det[1] * det[1]
-    exp = (max(abs(v) for v in num.ravel()).bit_length() - norm.bit_length()
-           - frac)
-    return (np.array([[_divide(v, norm, exp) for v in part] for part in num],
-                     dtype=object), exp + rhs[2] - rows[-1][2])
+    at the normalization angle, its rows (_layout_reading) taken from
+    `contents` (_content_matrix) and its normalization's scalar s from the
+    point's `scalars` (_mode_scalars).  The column v with rows . v = (0,
+    ..., 0, s) is solved exactly, a sector's columns of every point and
+    variant in one elimination, and rounded once, to nearest on `frac`
+    bits of its largest entry.  Only the normalization row has a
+    right-hand side, so only its exponents scale the column: 2^e row . v =
+    2^se s' is row . v = s' 2^(se - e).
+    Returns (y, s), y (2, P, 2, r, n, n) and s (P, 2, r, n): sector i + 1
+    of point p in variant v (A, B) is y[:, p, v, i] diag(2^s[p, v, i])."""
+    n, frac = layout.n, fss[0].ctx.frac
+    _, _, systems, scales = _layout_reading(layout)
+    rows, low = contents
+    rhs = np.array([[_exact(v) for v in point] for point in scalars],
+                   dtype=object)[:, scales]                 # (P, r, n, 3)
+    y, s = [], []
+    for i in range(layout.r):
+        # one sector at a time: a system's minors grow with n, and a whole
+        # build's 2rn systems at once took 70 MB more at z^10 (n = 10)
+        aug = np.zeros(rows.shape[:2] + (2, n, n, n + 1), dtype=object)
+        aug[..., :n] = rows[:, :, systems[:, i]]
+        aug[..., -1, n] = np.moveaxis(rhs[:, i, :, :2], -1, 0)[:, :, None]
+        det, x = _eliminate(aug)
+        # x / det = x conj(det) / |det|^2
+        num = _gauss(x[..., 0], np.array([det[0], -det[1]])[..., None])
+        norm = det[0] * det[0] + det[1] * det[1]
+        exp = (_bit_length(np.maximum(abs(num[0]), abs(num[1])).max(axis=-1))
+               - _bit_length(norm) - frac)
+        y.append(np.frompyfunc(_divide, 3, 1)(num, norm[..., None],
+                                              exp[..., None]))
+        s.append(exp + rhs[:, None, i, :, 2] - low[:, systems[:, i, :, -1]])
+    return np.stack(y, axis=3).swapaxes(-1, -2), np.stack(s, axis=2)
 
 
 def _eliminate(aug):
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers
-    (Bareiss 1968) of [A | B], a (2, n, n + m) array (re, im) with A
-    square: (det, x), det the last pivot (det A up to sign) and x = det
-    A^{-1} B, both exact.  Each step cross-multiplies every other row by
-    the pivot and divides exactly by the previous pivot, so the entries
-    stay minors of [A | B].  The pivot is the first nonzero entry of its
-    column: exact arithmetic needs no search by modulus.  A singular A
-    raises ZeroDivisionError."""
-    (re, im), n = aug.tolist(), aug.shape[1]
-    width = len(re[0])
-    pr, pi, norm = 1, 0, 1
+    (Bareiss 1968) of a stack of systems [A | B], an array (2, ..., n,
+    n + m) (re, im) with every A square: (det, x) of shapes (2, ...) and
+    (2, ..., n, m), det each system's last pivot (det A up to sign) and
+    x = det A^{-1} B, all exact.  Each step cross-multiplies every other
+    row by the pivot and divides exactly by the previous pivot, so the
+    entries stay minors of [A | B]; a row of every system at a time, so
+    only one row's products are held.  Each system's pivot is the first
+    nonzero entry of its column: exact arithmetic needs no search by
+    modulus.  A singular A anywhere in the stack raises
+    ZeroDivisionError."""
+    batch, (n, width) = aug.shape[1:-2], aug.shape[-2:]
+    re, im = aug.reshape((2, -1, n, width)).copy()
+    every = np.arange(re.shape[0])
     for k in range(n):
-        p = next((t for t in range(k, n) if re[t][k] or im[t][k]), None)
-        if p is None:
+        nonzero = (re[:, k:, k] != 0) | (im[:, k:, k] != 0)
+        if not nonzero.any(axis=1).all():
             raise ZeroDivisionError("singular collocation system")
-        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
-        ar, ai = re[k], im[k]
-        kr, ki = ar[k], ai[k]
+        p = k + nonzero.argmax(axis=1)
+        if (p != k).any():
+            for part in (re, im):
+                part[every, k], part[every, p] = part[every, p], part[every, k]
+        # views: the pivot row's entries up to column k no longer change
+        kr, ki = re[:, k, k, None], im[:, k, k, None]
+        ar, ai = re[:, k, k + 1:], im[:, k, k + 1:]
         for t in range(n):
             if t == k:
                 continue
-            br, bi = re[t], im[t]
-            cr, ci = br[k], bi[k]
-            for j in range(k + 1, width):
-                xr = kr * br[j] - ki * bi[j] - cr * ar[j] + ci * ai[j]
-                xi = kr * bi[j] + ki * br[j] - cr * ai[j] - ci * ar[j]
+            br, bi = re[:, t, k + 1:], im[:, t, k + 1:]
+            cr, ci = re[:, t, k, None], im[:, t, k, None]
+            xr = kr * br - ki * bi - cr * ar + ci * ai
+            xi = kr * bi + ki * br - cr * ai - ci * ar
+            if k:
                 # exact division by the previous pivot p: x conj(p) / |p|^2
-                br[j] = (xr * pr + xi * pi) // norm
-                bi[j] = (xi * pr - xr * pi) // norm
+                xr, xi = ((xr * pr + xi * pi) // norm,
+                          (xi * pr - xr * pi) // norm)
+            br[...], bi[...] = xr, xi
         pr, pi, norm = kr, ki, kr * kr + ki * ki
-    return (np.array([pr, pi], dtype=object),
-            np.array([[row[n:] for row in re], [row[n:] for row in im]],
-                     dtype=object))
+    return (np.array([pr, pi]).reshape((2,) + batch),
+            np.array([re[..., n:], im[..., n:]]).reshape(
+                (2,) + batch + (n, width - n)))
 
 
 def _exact_quotient(a, *bs):
     """a^{-1} [b_1 | b_2 | ...] for fixed-point matrices (y, s) of value
-    y diag(2^s) (sector_coefficients), from one elimination of [y_a | y_b]:
-    a^{-1} b = diag(2^-s_a) y_a^{-1} y_b diag(2^s_b), so entry (r, c) is
-    x[r, c] 2^exp[r, c] / det with x = det y_a^{-1} y_b.  Returns x
-    (2, n, m), det (2,) and exp (n, m), all exact."""
+    y diag(2^s) (sector_coefficients), or stacks of them with the same
+    leading axes, from one elimination of [y_a | y_b]: a^{-1} b =
+    diag(2^-s_a) y_a^{-1} y_b diag(2^s_b), so entry (r, c) is x[r, c]
+    2^exp[r, c] / det with x = det y_a^{-1} y_b.  Returns x (2, ..., n,
+    m), det (2, ...) and exp (..., n, m), all exact."""
     ya, sa = a
     yb, sb = (np.concatenate(part, axis=-1) for part in zip(*bs))
     det, x = _eliminate(np.concatenate([ya, yb], axis=-1))
-    return x, det, sb[None, :] - sa[:, None]
+    return x, det, sb[..., None, :] - sa[..., :, None]
 
 
 def _rounded_quotient(ctx, x, det, exp):
@@ -1095,24 +1151,18 @@ def _nearest(a, w, bits):
 
 
 def _deviation(x, det, exp):
-    """Largest modulus of a square _exact_quotient x 2^exp / det minus the
-    identity, as a float: each difference is exact, its modulus rounded
-    (inf past double range)."""
-    worst = 0.0
-    for r, c in np.ndindex(exp.shape):
-        (pr, pi), (qr, qi), e = x[:, r, c], det, exp[r, c]
-        if e >= 0:
-            pr, pi = pr << e, pi << e
-        else:
-            qr, qi = qr << -e, qi << -e
-        if r == c:
-            pr, pi = pr - qr, pi - qi
-        try:
-            worst = max(worst, math.sqrt((pr * pr + pi * pi)
-                                         / (qr * qr + qi * qi)))
-        except OverflowError:
-            return math.inf
-    return worst
+    """Largest modulus of each square _exact_quotient x 2^exp / det of a
+    stack minus the identity, as floats: each difference is exact, its
+    modulus rounded (inf everywhere past double range)."""
+    p = x << np.maximum(exp, 0)
+    q = det[..., None, None] << np.maximum(-exp, 0)
+    diagonal = np.arange(exp.shape[-1])
+    p[..., diagonal, diagonal] -= q[..., diagonal, diagonal]
+    try:
+        ratio = (p[0] * p[0] + p[1] * p[1]) / (q[0] * q[0] + q[1] * q[1])
+    except OverflowError:
+        return np.full(exp.shape[:-2], math.inf)
+    return np.sqrt(ratio.astype(float)).max(axis=(-2, -1))
 
 
 def collocation_factors(fs, quotients, det_twist):
@@ -1300,13 +1350,14 @@ def _select_reading(op, gc, layout, settings):
     below the target.  A collocation at _FIRST_BITS there measures the
     rest, arithmetic noise scaling as 2^-bits; when it misses a third of
     the target, one rebuild at _FIRST_BITS + 8 + max(8,
-    ceil(log2(shortfall))) bits is the run's build."""
-    fs = formal_solution(gc, settings.trunc_order, make_ctx(_FIRST_BITS))
+    ceil(log2(shortfall))) bits is the run's build.  Each build is a batch
+    of one."""
+    [fs] = formal_solution([gc], settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
     build = None
     if math.isfinite(rho):
         try:
-            build = _collocate(op, layout, fs, rho)
+            [build] = _collocate([op], layout, [fs], rho)
         except ArithmeticError:
             if settings.radius:
                 raise
@@ -1319,32 +1370,44 @@ def _select_reading(op, gc, layout, settings):
         # too: a singular collocation system (ZeroDivisionError) and a NaN
         # from any sector ("collocation build overflowed")
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
-        return _collocate(op, layout, fs, rho)
+        return _collocate([op], layout, [fs], rho)[0]
     if build.cons <= settings.radius_tol / 3:
         return build
     shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
     bits = _FIRST_BITS + 8 + max(8, math.ceil(shortfall))
-    return _collocate(op, layout, formal_solution(
-        gc, settings.trunc_order, make_ctx(bits)), rho)
+    return _collocate([op], layout, formal_solution(
+        [gc], settings.trunc_order, make_ctx(bits)), rho)[0]
 
 
 def stokes_data(op, settings=None, plan=None):
     """Full pipeline: gauge, formal solution, sector layout, canonical
     frames collocated in the entire basis, factors, grouped matrices,
     residual certificates.  A plan from an earlier run freezes every
-    discrete choice instead of selecting the reading circle anew; a point
-    and settings whose layout (n, k or base direction), truncation order or
-    nonzero radius differ from the plan's raise ValueError, since its
-    angles belong to its layout and its circle and term count to those."""
+    discrete choice instead of selecting the reading circle anew: the run
+    is a replay of one point."""
+    if plan is not None:
+        return replay([op], settings, plan)[0]
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
-    if plan is None:
-        build = _select_reading(op, gc, layout, settings)
-        plan = CollocationPlan(layout=layout, trunc_order=settings.trunc_order,
-                               rho=build.basis.rho, nterms=build.basis.nterms,
-                               bits=build.fs.ctx.bits)
-    else:
+    build = _select_reading(op, gc, layout, settings)
+    plan = CollocationPlan(layout=layout, trunc_order=settings.trunc_order,
+                           rho=build.rho, nterms=build.nterms,
+                           bits=build.fs.ctx.bits)
+    return _stokes_result(op, gc, settings, plan, build)
+
+
+def replay(ops, settings, plan):
+    """stokes_data of every point of `ops` on a plan, which freezes every
+    discrete choice, made as one batch: a point and settings whose layout
+    (n, k or base direction), truncation order or nonzero radius differ
+    from the plan's raise ValueError, since its angles belong to its
+    layout and its circle and term count to those."""
+    settings = settings or StokesSettings()
+    gcs = [gauge_transform(op) for op in ops]
+    # a layout is a function of (n, k) and v0: one per (n, k) of the batch
+    for gc in {(gc.n, gc.k): gc for gc in gcs}.values():
+        layout = sector_layout(gc, settings.v0)
         made = plan.layout, plan.trunc_order, plan.rho
         if made != (layout, settings.trunc_order, settings.radius or plan.rho):
             raise ValueError(
@@ -1354,9 +1417,16 @@ def stokes_data(op, settings=None, plan=None):
                 f"n={layout.n}, k={layout.k}, v0={layout.v0}, "
                 f"trunc_order={settings.trunc_order} and "
                 f"radius={settings.radius!r}")
-        fs = formal_solution(gc, settings.trunc_order, make_ctx(plan.bits))
-        build = _collocate(op, layout, fs, plan.rho, plan.nterms)
-    fs, ctx = build.fs, build.fs.ctx
+    fss = formal_solution(gcs, settings.trunc_order, make_ctx(plan.bits))
+    builds = _collocate(ops, plan.layout, fss, plan.rho, plan.nterms)
+    return [_stokes_result(op, gc, settings, plan, build)
+            for op, gc, build in zip(ops, gcs, builds)]
+
+
+def _stokes_result(op, gc, settings, plan, build):
+    """A point's StokesData from its build on the plan: factors, grouped
+    matrices and residuals."""
+    fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
     perm = dominance_order(layout)
     factors = collocation_factors(fs, build.quotients, gc.det_twist)
     matrices = stokes_matrices(layout, factors)

@@ -117,14 +117,13 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
                      settings=StokesSettings(radius=2.5))
     assert not loose.converged
     # a converged base run does not cover its stencil runs
-    real = immersion.stokes_data
+    real = immersion.replay
 
-    def stencil_misses(op, settings=None, plan=None):
-        data = real(op, settings, plan)
-        return dataclasses.replace(
-            data, missed=() if plan is None else ("consistency",))
+    def stencil_misses(ops, settings, plan):
+        return [dataclasses.replace(data, missed=("consistency",))
+                for data in real(ops, settings, plan)]
 
-    monkeypatch.setattr(immersion, "stokes_data", stencil_misses)
+    monkeypatch.setattr(immersion, "replay", stencil_misses)
     rep = jacobian(OperPoint(2, 1, (0,)))
     assert rep.base_residuals == weber_report.base_residuals
     assert not rep.converged

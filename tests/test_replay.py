@@ -1,0 +1,96 @@
+"""Frozen-plan replays made as one batch.
+
+A Jacobian replays its base run's plan at every stencil point in one call,
+with a point axis through the exact integer layers.  Every layer is exact
+integer arithmetic with the same shifts and floors per entry, so each
+point's data must equal, bit for bit, a replay of that point alone.
+"""
+
+from fractions import Fraction as QQ
+
+import pytest
+
+from operstokes import immersion, stokes
+from operstokes.isomono import OperPoint
+from operstokes.stokes import StokesSettings, replay, stokes_data
+
+POINTS = {
+    # the benchmark's Jacobian points at seed 1
+    "weber": OperPoint(2, 1, (-0.3656 + 0.3474j,)),
+    "quartic": OperPoint(2, 2, (0.1319 - 0.1225j, -0.0023 - 0.0253j,
+                                0.0758 + 0.1444j)),
+    "cubic": OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+    # 12 stencil points at n = 4
+    "quartic-n4": OperPoint(4, 1, (QQ(1, 5), QQ(-1, 4), QQ(1, 6))),
+}
+
+
+def exact(values):
+    """Working-precision numbers as their exact mpmath tuples."""
+    return [v._mpc_ for v in values]
+
+
+def fields(sd):
+    """Every field of a StokesData, its numbers as exact tuples."""
+    out = dict(vars(sd))
+    out["lam"] = exact(sd.lam)
+    out["qcoeffs"] = {j: exact(q) for j, q in sd.qcoeffs.items()}
+    for name in ("factors", "matrices"):
+        out[name] = [exact(m.ravel()) for m in getattr(sd, name)]
+    return out
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+def test_batched_replay_equals_each_point_alone(name):
+    op = POINTS[name]
+    settings = StokesSettings()
+    plan = stokes_data(op, settings).plan
+    points = [p for _, _, p in immersion._stencil_points(op, 1e-4)]
+    assert len(points) == 4 * (op.d - 1)
+    batch = replay(points, settings, plan)
+    assert len(batch) == len(points)
+    for point, got in zip(points, batch):
+        want = stokes_data(point, settings, plan)
+        assert got.op == point and got.plan == plan
+        assert fields(got) == fields(want)
+
+
+def test_batch_with_a_point_of_another_layout_is_refused():
+    # the plan's angles belong to its layout: a (2,1) point among (2,2)
+    # points is refused as a replay of it alone is
+    settings = StokesSettings()
+    quartic = POINTS["quartic"]
+    plan = stokes_data(quartic, settings).plan
+    others = [quartic, OperPoint(2, 1, (QQ(1, 3),))]
+    for ops in (others, others[::-1]):
+        with pytest.raises(ValueError, match="the plan was made with n=2, "
+                                             "k=2.*ask for n=2, k=1"):
+            replay(ops, settings, plan)
+
+
+def test_jacobian_replays_its_stencil_in_one_batch(monkeypatch):
+    # one formal solution for the base run and one for the whole stencil
+    calls = []
+    real = stokes.formal_solution
+
+    def counted(gcs, M, ctx):
+        calls.append(len(gcs))
+        return real(gcs, M, ctx)
+
+    monkeypatch.setattr(stokes, "formal_solution", counted)
+    rep = immersion.jacobian(POINTS["weber"])
+    assert rep.converged
+    assert calls == [1, 4]
+
+
+def test_batched_replay_of_unlike_points():
+    # points far apart on one plan: their tables and contents sit on other
+    # exponents, which each point keeps in the batch
+    settings = StokesSettings()
+    plan = stokes_data(POINTS["cubic"], settings).plan
+    points = [POINTS["cubic"], OperPoint(3, 1, (0, 0)),
+              OperPoint(3, 1, (QQ(3, 2), QQ(-4, 3))),
+              OperPoint(3, 1, (-0.6 + 0.4j, 0.9j))]
+    batch = replay(points, settings, plan)
+    for point, got in zip(points, batch):
+        assert fields(got) == fields(stokes_data(point, settings, plan))

@@ -122,6 +122,19 @@ def test_gauge_leading_block_is_cyclic():
 # ---------------------------------------------------------------------------
 # formal solution
 
+def formal(gc, M, ctx):
+    """The formal solution of one connection: a batch of one."""
+    [fs] = formal_solution([gc], M, ctx)
+    return fs
+
+
+def inverse_table(fs, rho):
+    """The formal-inverse table of one formal solution, without the point
+    axis of its batch of one."""
+    coeffs, exp = stokes._inverse_table([fs], rho)
+    return coeffs[:, 0], exp
+
+
 def ycoeffs(fs):
     """Y_m, m = 0..M, the z^{-m} coefficients of Yhat, each rounded once to
     the working precision from the formal solution's fixed point."""
@@ -183,7 +196,7 @@ def formal_residual(gc, fs, z):
 
 def test_formal_solution_exactly_traceless():
     for op in (weber(), cubic()):
-        fs = formal_solution(gauge_transform(op), 12, make_ctx(69))
+        fs = formal(gauge_transform(op), 12, make_ctx(69))
         assert fs.trace_residual() <= 1e-15
 
 
@@ -193,7 +206,7 @@ def test_formal_residual_truncation_scaling():
     for op, bits in itertools.product(
             (weber(), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))), (53, 97)):
         gc = gauge_transform(op)
-        fs = formal_solution(gc, 8, make_ctx(bits))
+        fs = formal(gc, 8, make_ctx(bits))
         r1 = formal_residual(gc, fs, 20.0)
         r2 = formal_residual(gc, fs, 40.0)
         assert r2 < r1
@@ -213,7 +226,7 @@ def test_double_formal_solution_matches_multiprecision(op):
     mp = mpmath.mp.clone()
     mp.prec = 200
     gc = gauge_transform(op)
-    lo, hi = (formal_solution(gc, 20, make_ctx(bits)) for bits in (53, 132))
+    lo, hi = (formal(gc, 20, make_ctx(bits)) for bits in (53, 132))
     pairs = list(zip(ycoeffs(lo), ycoeffs(hi))) + [(lo.lam, hi.lam)]
     pairs += [(lo.qcoeffs[j], hi.qcoeffs[j]) for j in hi.qcoeffs]
     assert len(pairs) == 21 + 1 + op.k + 1
@@ -366,9 +379,9 @@ def test_formal_inverse_matches_plain_series(bits):
     for op, rho in ((weber(), 4.5),
                     (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
         ctx = make_ctx(bits)
-        fs = formal_solution(gauge_transform(op), 20, ctx)
+        fs = formal(gauge_transform(op), 20, ctx)
         n, M = fs.n, fs.M
-        table = stokes._inverse_table(fs, rho)
+        table = inverse_table(fs, rho)
         ys = [mp.matrix([[mp.mpc(v) for v in row] for row in y])
               for y in ycoeffs(fs)]
         ws = [mp.eye(n)]
@@ -489,13 +502,13 @@ def test_table_sums_match_a_loop_over_angles():
     # for both tables of a (3,1) build
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     ctx = make_ctx(69)
-    fs = formal_solution(gauge_transform(op), 20, ctx)
+    fs = formal(gauge_transform(op), 20, ctx)
     thetas = [QQ(1, 24), QQ(7, 24), QQ(31, 24), QQ(7, 24) + 2,
               QQ(1, 8), QQ(2, 3), QQ(-5, 12), QQ(31, 24) + 2]
     period, numerators = stokes._period(thetas)
     assert period == 24 and {p % 4 for p in numerators} == {0, 1, 2, 3}
     for table in (EntireBasis(op, ctx, 8.15).table,
-                  stokes._inverse_table(fs, 8.15)):
+                  inverse_table(fs, 8.15)):
         assert_sums_match_loop(ctx, table, thetas)
 
 
@@ -535,14 +548,58 @@ def mode_scalar(fs, rho, theta, b, prec):
     return mp.exp(-(q + mp.mpc(fs.lam[b]) * chart))
 
 
+def aligned_row(re, im, exp, frac):
+    """The reference rounding of one content row: each entry (re + i im)
+    2^exp rounded to nearest to `frac` significant bits, one at a time,
+    then all put on the row's lowest exponent, which zero entries take no
+    part in: (re list, im list, e)."""
+    out = []
+    for r, i, e in zip(re, im, exp):
+        s = max(abs(r), abs(i)).bit_length() - frac
+        if s > 0:
+            half = 1 << (s - 1)
+            r, i, e = (r + half) >> s, (i + half) >> s, e + s
+        out.append((r, i, e))
+    low = min((e for r, i, e in out if r or i), default=0)
+    return ([r << max(0, e - low) for r, _, e in out],
+            [i << max(0, e - low) for _, i, e in out], low)
+
+
+def layout_reads(layout):
+    """The modes a build at the layout reads at each angle, {theta:
+    modes}, from _layout_reading's (angles, rows)."""
+    (angles, rows), _, _, _ = stokes._layout_reading(layout)
+    reads = {}
+    for t, b in rows:
+        reads.setdefault(angles[t], []).append(b)
+    return reads
+
+
+def read_contents(fs, basis, inverse, reads):
+    """_content_matrix of one point (a batch of one) on its entire basis
+    and formal-inverse table (inverse_table) at the modes {theta: modes}
+    of `reads`, as {theta: {mode: (re list, im list, e)}}, the row being
+    (re + i im) 2^e."""
+    angles = list(reads)
+    rows = [(t, b) for t, theta in enumerate(angles)
+            for b in sorted(reads[theta])]
+    (re, im), low = stokes._content_matrix(
+        [fs], iter([basis.table]), (inverse[0][:, None], inverse[1]),
+        (angles, rows))
+    out = {theta: {} for theta in angles}
+    for index, (t, b) in enumerate(rows):
+        out[angles[t]][b] = (re[0, index].tolist(), im[0, index].tolist(),
+                             low[0, index])
+    return out
+
+
 def content(fs, basis, inverse, rho, theta):
     """Mode contents at theta, as a working-precision matrix with one row
     per mode: each raw row of _content_matrix ((re, im, e), value
     (re + i im) 2^e, each entry rounded once) times its mode_scalar."""
     ctx = fs.ctx
     out = []
-    gamma = stokes._content_matrix(fs, basis, inverse,
-                                   {theta: range(fs.n)})[theta]
+    gamma = read_contents(fs, basis, inverse, {theta: range(fs.n)})[theta]
     for b, row in sorted(gamma.items()):
         scale = mode_scalar(fs, rho, theta, b, ctx.bits + 40)
         re, im, e = (np.array(part, dtype=object) for part in row)
@@ -588,8 +645,7 @@ def per_denominator_contents(fs, basis, inverse, reads):
                              x << (se - low), np.matmul)
         exp = low - ctx.frac + we[0, 0]
         for a, theta in enumerate(thetas):
-            out[theta] = {b: stokes._aligned_row(*cont[:, a, b], exp,
-                                                 ctx.frac)
+            out[theta] = {b: aligned_row(*cont[:, a, b], exp, ctx.frac)
                           for b in sorted(reads[theta])}
     return out
 
@@ -604,12 +660,12 @@ def test_content_matrix_matches_a_pass_per_denominator(op):
     # period, must give exactly the raw rows of one pass per denominator
     plan = stokes_data(op).plan
     gc = gauge_transform(op)
-    fs = formal_solution(gc, plan.trunc_order, make_ctx(plan.bits))
+    fs = formal(gc, plan.trunc_order, make_ctx(plan.bits))
     basis = EntireBasis(op, fs.ctx, plan.rho, plan.nterms)
-    inverse = stokes._inverse_table(fs, plan.rho)
-    _, _, reads, _ = stokes._layout_reading(plan.layout)
+    inverse = inverse_table(fs, plan.rho)
+    reads = layout_reads(plan.layout)
     assert len({th.denominator for th in reads}) > 1
-    assert (stokes._content_matrix(fs, basis, inverse, reads)
+    assert (read_contents(fs, basis, inverse, reads)
             == per_denominator_contents(fs, basis, inverse, reads))
 
 
@@ -627,9 +683,9 @@ def test_content_matrix_wrap_identity():
         gc = gauge_transform(op)
         for bits in (132, 97, 53):
             ctx = make_ctx(bits)
-            fs = formal_solution(gc, 20, ctx)
+            fs = formal(gc, 20, ctx)
             basis = EntireBasis(op, ctx, rho)
-            inverse = stokes._inverse_table(fs, rho)
+            inverse = inverse_table(fs, rho)
             sheets = [content(fs, basis, inverse, rho, t)
                       for t in (theta, theta + 2)]
             here, next_sheet = sheets
@@ -640,7 +696,8 @@ def test_content_matrix_wrap_identity():
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
             pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
-            for (t, b), got in stokes._mode_scalars(fs, rho, pairs).items():
+            for (t, b), got in zip(pairs,
+                                   stokes._mode_scalars(fs, rho, pairs)):
                 want = mode_scalar(fs, rho, t, b, bits + 40)
                 assert abs(1 / got - want) <= 2.0 ** -(bits - 30) * abs(want)
         assert gc.det_twist == (1 if op.n == 3 else -1)
@@ -665,20 +722,26 @@ def test_sector_columns_meet_their_conditions(op):
     layout = plan.layout
     cond, norms = stokes._sector_reading_plan(layout)
     ctx = make_ctx(plan.bits)
-    fs = formal_solution(gc, StokesSettings().trunc_order, ctx)
+    fs = formal(gc, StokesSettings().trunc_order, ctx)
     basis = EntireBasis(op, ctx, plan.rho, plan.nterms)
-    inverse = stokes._inverse_table(fs, plan.rho)
-    _, _, reads, pairs = stokes._layout_reading(layout)
-    gammas = stokes._content_matrix(fs, basis, inverse, reads)
+    gammas = read_contents(fs, basis, inverse_table(fs, plan.rho),
+                           layout_reads(layout))
+    reads, pairs, _, _ = stokes._layout_reading(layout)
+    contents = stokes._content_matrix(
+        [fs], iter([basis.table]), stokes._inverse_table([fs], plan.rho),
+        reads)
     scalars = stokes._mode_scalars(fs, plan.rho, pairs)
+    ys, ss = stokes.sector_coefficients([fs], layout, contents, [scalars])
     mp = mpmath.mp.clone()
     mp.prec = plan.bits
     tol = 2.0 ** -(plan.bits - 10)
     scales = {}
-    for variant in "AB":
-        coeffs = stokes.sector_coefficients(fs, layout, gammas, scalars,
-                                            variant)
-        assert sorted(coeffs) == list(range(1, layout.r + 1))
+    for v, variant in enumerate("AB"):
+        # one matrix per sector of the point in each variant
+        assert ys.shape == (2, 1, 2, layout.r, op.n, op.n)
+        assert ss.shape == (1, 2, layout.r, op.n)
+        coeffs = {i + 1: (ys[:, 0, v, i], ss[0, v, i])
+                  for i in range(layout.r)}
         for i, (y, s) in coeffs.items():
             for d in range(op.n):
                 v = [mp.mpc(*y[:, r, d]) * mp.mpf(2) ** s[d]
@@ -706,8 +769,9 @@ def test_exact_sector_coefficients_match_double():
     layout = sector_layout(gc)
     quotients = {}
     for bits in (53, 69):
-        fs = formal_solution(gc, 20, make_ctx(bits))
-        quotients[bits] = stokes._collocate(op, layout, fs, rho).quotients
+        fs = formal(gc, 20, make_ctx(bits))
+        [build] = stokes._collocate([op], layout, [fs], rho)
+        quotients[bits] = build.quotients
     assert len(quotients[53]) == len(quotients[69]) == layout.r
     for got, want in zip(quotients[53], quotients[69]):
         exact = as_np(want)
@@ -720,16 +784,18 @@ def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
     op = OperPoint(2, 1, (QQ(1, 3),))
     gc = gauge_transform(op)
     layout = sector_layout(gc)
-    fs = formal_solution(gc, 20, make_ctx(69))
+    fs = formal(gc, 20, make_ctx(69))
     deviation, sectors = stokes._deviation, []
 
     def first_sector_nan(*args):
         sectors.append(deviation(*args))
-        return math.nan if len(sectors) == 1 else sectors[-1]
+        if len(sectors) == 1:
+            sectors[-1].flat[0] = math.nan
+        return sectors[-1]
 
     monkeypatch.setattr(stokes, "_deviation", first_sector_nan)
     with pytest.raises(ArithmeticError, match="overflowed"):
-        stokes._collocate(op, layout, fs, 4.0)
+        stokes._collocate([op], layout, [fs], 4.0)
 
 
 def gauss_matrix(draw, rows, cols):
@@ -835,6 +901,93 @@ def test_eliminate_zero_pivot_and_singular():
         check_against_oracle(a, [[(1, 0)], [(0, 0)]])
 
 
+@given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(2, 6))
+@hyp_settings(max_examples=60, deadline=None)
+def test_batched_eliminate_matches_fraction_oracle(data, n, m, size):
+    # one stack of systems, each with its own pivots: systems whose first
+    # pivot needs a row swap (a zero leading entry) side by side with ones
+    # that start without; x = det a^{-1} b exactly for each, each system
+    # as it is solved alone, and a singular system anywhere in the stack
+    # raises
+    systems = []
+    for t in range(size):
+        a = gauss_matrix(data.draw, n, n)
+        b = gauss_matrix(data.draw, n, m)
+        if t % 2 == 0:
+            a[0][0] = (0, 0)
+        elif a[0][0] == (0, 0):
+            a[0][0] = (1, 0)
+        systems.append((a, b))
+    if data.draw(st.booleans()):
+        # a singular system: its last row a Gaussian multiple of its first
+        a = systems[data.draw(st.integers(0, size - 1))][0]
+        c = (data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+        a[-1] = [(c[0] * u - c[1] * v, c[0] * v + c[1] * u) for u, v in a[0]]
+    stack = np.stack([gauss_array([ra + rb for ra, rb in zip(a, b)])
+                      for a, b in systems], axis=1)
+    wants = [oracle_solve(a, b) for a, b in systems]
+    if any(want is None for want in wants):
+        with pytest.raises(ZeroDivisionError):
+            stokes._eliminate(stack)
+        return
+    det, x = stokes._eliminate(stack)
+    assert det.shape == (2, size) and x.shape == (2, size, n, m)
+    for t, want in enumerate(wants):
+        assert tuple(det[:, t]) != (0, 0)
+        for r, row in enumerate(want):
+            for c, (wr, wi) in enumerate(row):
+                assert (x[0, t, r, c], x[1, t, r, c]) == (
+                    det[0, t] * wr - det[1, t] * wi,
+                    det[0, t] * wi + det[1, t] * wr)
+        one_det, one_x = stokes._eliminate(stack[:, t])
+        assert one_det.tolist() == det[:, t].tolist()
+        assert one_x.tolist() == x[:, t].tolist()
+    # any leading axes: the stack as (size, 1) systems
+    det2, x2 = stokes._eliminate(stack[:, :, None])
+    assert det2[:, :, 0].tolist() == det.tolist()
+    assert x2[:, :, 0].tolist() == x.tolist()
+
+
+def loop_deviation(x, det, exp):
+    """The reference for _deviation: one square quotient x 2^exp / det,
+    entry by entry, the largest modulus of its difference from I."""
+    worst = 0.0
+    for r, c in np.ndindex(exp.shape):
+        (pr, pi), (qr, qi), e = x[:, r, c], det, exp[r, c]
+        if e >= 0:
+            pr, pi = pr << e, pi << e
+        else:
+            qr, qi = qr << -e, qi << -e
+        if r == c:
+            pr, pi = pr - qr, pi - qi
+        worst = max(worst, math.sqrt((pr * pr + pi * pi)
+                                     / (qr * qr + qi * qi)))
+    return worst
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 5))
+@hyp_settings(max_examples=60, deadline=None)
+def test_deviation_matches_a_loop_per_quotient(data, n, size):
+    # every quotient of a stack at once, exactly as the loop reads each;
+    # a quotient past double range puts the whole stack at inf, which
+    # fails its build as one past range alone did
+    def ints(count, lo, hi):
+        return np.array(data.draw(st.lists(st.integers(lo, hi),
+                                           min_size=count, max_size=count)),
+                        dtype=object)
+
+    x = ints(2 * size * n * n, -2 ** 80, 2 ** 80).reshape(2, size, n, n)
+    det = ints(2 * size, -2 ** 40, 2 ** 40).reshape(2, size)
+    det[0, (det[0] == 0) & (det[1] == 0)] = 1
+    exp = ints(size * n * n, -60, 60).reshape(size, n, n)
+    got = stokes._deviation(x, det, exp)
+    assert got.shape == (size,)
+    for t in range(size):
+        assert got[t] == loop_deviation(x[:, t], det[:, t], exp[t])
+    x[0, -1, 0, 0], exp[-1, 0, 0] = 1, 3000
+    assert (stokes._deviation(x, det, exp) == math.inf).all()
+
+
 @given(st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 300),
        st.sampled_from([53, 69, 97]))
 @hyp_settings(max_examples=200, deadline=None)
@@ -899,7 +1052,7 @@ def test_visibility_intervals_cover_supersector_conditions():
     for op in (weber(), cubic(), OperPoint(2, 2, (0, 0, 0))):
         gc = gauge_transform(op)
         layout = sector_layout(gc)
-        fs = formal_solution(gc, 12, make_ctx(69))
+        fs = formal(gc, 12, make_ctx(69))
         for i in range(1, layout.r + 1):
             lo = layout.ray(i) - layout.half
             hi = layout.ray(i + 1) + layout.half
@@ -1110,23 +1263,25 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     assert len({th for th, _ in norm_pairs}) == angles
     gc = gauge_transform(op)
     ctx = make_ctx(plan.bits)
-    fs = formal_solution(gc, plan.trunc_order, ctx)
+    fs = formal(gc, plan.trunc_order, ctx)
     exps, read = [], []
     exp = ctx.exp
     monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
     content_matrix = stokes._content_matrix
 
-    def traced_contents(*args):
-        read.append(content_matrix(*args))
-        return read[-1]
+    def traced_contents(fss, tables, inverse, reads):
+        # the angles asked for, and the rows rounded
+        read.append((reads[0], content_matrix(fss, tables, inverse, reads)))
+        return read[-1][1]
 
     monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
-    build = stokes._collocate(op, plan.layout, fs, plan.rho, plan.nterms)
+    [build] = stokes._collocate([op], plan.layout, [fs], plan.rho,
+                                plan.nterms)
     assert build.cons <= 1e-10
     assert len(exps) == pairs
     reads = set(cond.values()) | set(norms.values())
-    assert len(read) == 1 and set(read[0]) == reads
-    assert len(reads) * op.n > sum(map(len, read[0].values())) == rows
+    assert len(read) == 1 and set(read[0][0]) == reads
+    assert len(reads) * op.n > read[0][1][0].shape[2] == rows
 
 
 def test_plan_does_not_depend_on_precision(monkeypatch):
@@ -1137,9 +1292,9 @@ def test_plan_does_not_depend_on_precision(monkeypatch):
     read = []
     content_matrix = stokes._content_matrix
 
-    def traced_contents(fs, basis, inverse, reads):
-        read.append((fs.ctx.bits, frozenset(reads)))
-        return content_matrix(fs, basis, inverse, reads)
+    def traced_contents(fss, tables, inverse, reads):
+        read.append((fss[0].ctx.bits, frozenset(reads[0])))
+        return content_matrix(fss, tables, inverse, reads)
 
     monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
     op = cubic()
@@ -1181,6 +1336,17 @@ def test_fixed_radius_is_respected():
     assert sd.residuals["identity"] <= 1e-6
 
 
+@pytest.mark.parametrize("name, value", [
+    ("radius", True), ("radius_tol", True), ("radius_tol", "1e-10"),
+    ("radius", "4.5"), ("radius_tol", None)])
+def test_radius_settings_must_be_real_numbers(name, value):
+    # a bool read as the circle rho = 1 (or a request for 1.0), and a str
+    # reached math.isfinite as a TypeError: both are ValueErrors naming
+    # the field, which the CLI maps to exit 2
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        StokesSettings(**{name: value})
+
+
 def test_frame_tail_above_request_is_not_converged():
     # inside the tail-safe circle the A and B builds still agree to the
     # request, since they share the truncated formal frame; the frame's own
@@ -1204,9 +1370,9 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     real_arc = stokes._visibility_interval
 
     def counted_formal(*args, **kwargs):
-        fs = real_formal(*args, **kwargs)
-        fs_bits.append(fs.ctx.bits)
-        return fs
+        fss = real_formal(*args, **kwargs)
+        fs_bits.extend(fs.ctx.bits for fs in fss)
+        return fss
 
     class CountedBasis(real_basis):
         def __init__(self, op, ctx, rho, nterms=None):
