@@ -71,10 +71,6 @@ def _add_common(sub):
     sub.add_argument("--timing", action="store_true",
                      help="include wall-clock timings (breaks byte "
                           "determinism, off by default)")
-    sub.add_argument("--seed", type=int,
-                     default=_env_default("seed", 0, int),
-                     help="seed echoed into the document for randomized "
-                          "suites built on top of this CLI")
 
 
 def _add_oper_flags(sub):
@@ -299,7 +295,6 @@ def cmd_kernel(args):
             "pdot": [rational_str(v) for v in rep.witness[0].coeffs],
             "omega_terms": len(rep.witness[1]),
         },
-        "seed": args.seed,
     }
     if args.timing:
         doc["timing"] = rep.timing
@@ -308,16 +303,17 @@ def cmd_kernel(args):
     return EXIT_OK
 
 
-def _stokes_document(op, settings, data):
+def _stokes_document(data):
+    op, plan = data.op, data.plan
     directions = [{"of_pi": str(th % 2), "radians": float(th % 2) * math.pi}
-                  for th in data.layout.rays]
+                  for th in plan.layout.rays]
     return {
         "subcommand": "stokes",
-        "n": data.n, "k": data.k, "d": op.d,
+        "n": op.n, "k": op.k, "d": op.d,
         "coefficients": [_c2(c) for c in op.coeffs],
         "lambda": [_c2(v) for v in data.lam],
         "Q": [[_c2(v) for v in data.qcoeffs[j]]
-              for j in range(1, data.k + 2)],
+              for j in range(1, op.k + 2)],
         "directions": directions,
         "stokes_factors": [_cmat(m) for m in data.factors],
         "stokes_matrices": [_cmat(m) for m in data.matrices],
@@ -328,10 +324,10 @@ def _stokes_document(op, settings, data):
         "residuals": {name: float(val)
                       for name, val in sorted(data.residuals.items())},
         "settings": {
-            "M": settings.trunc_order,
-            "R": data.radius,
-            "tol": settings.radius_tol,
-            "precision_bits": data.plan.bits,
+            "M": plan.settings.trunc_order,
+            "R": plan.rho,
+            "tol": plan.settings.radius_tol,
+            "precision_bits": plan.bits,
         },
     }
 
@@ -342,8 +338,7 @@ def cmd_stokes(args):
     t0 = time.perf_counter()
     data = stokes_data(op, settings)
     elapsed = time.perf_counter() - t0
-    doc = _stokes_document(op, settings, data)
-    doc["seed"] = args.seed
+    doc = _stokes_document(data)
     if args.timing:
         doc["timing"] = {"total_s": elapsed}
     if args.csv:
@@ -370,20 +365,19 @@ def cmd_jacobian(args):
     elapsed = time.perf_counter() - t0
     doc = {
         "subcommand": "jacobian",
-        "n": rep.n, "k": rep.k, "d": rep.d,
-        "params": [_c2(c) for c in rep.params],
+        "n": op.n, "k": op.k, "d": op.d,
+        "params": [_c2(c) for c in op.coeffs],
         "h": rep.h,
         "rank_tol": rep.rank_tol,
         "jacobian": _cmat(rep.jacobian),
         "singular_values": list(rep.singular_values),
         "rank": rep.rank,
-        "full_rank": rep.rank == rep.d - 1,
+        "full_rank": rep.rank == op.d - 1,
         "sv_gap": rep.sv_gap,
         "holomorphy": rep.holomorphy,
         "converged": rep.converged,
         "base_residuals": {name: float(val) for name, val
                            in sorted(rep.base_residuals.items())},
-        "seed": args.seed,
     }
     if args.timing:
         doc["timing"] = {"total_s": elapsed}

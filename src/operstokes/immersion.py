@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isomono import OperPoint, solvability
-from .stokes import StokesSettings, replay, stokes_data
+from .stokes import CollocationPlan, replay, stokes_data
 
 __all__ = [
     "JacobianReport", "CrossCheckReport", "jacobian", "kernel_cross_check",
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Differential of the monodromy map at one base point.
+    """Differential of the monodromy map at op, on the base run's plan.
 
     jacobian has one row per monitored Stokes entry and one column per
     coefficient c_m; singular_values descend; rank counts values at or above
@@ -44,10 +44,7 @@ class JacobianReport:
     missed names the runs that did not converge, "base" or a stencil key
     (m, delta) as in stencil_residuals, and converged holds when none
     did."""
-    n: int
-    k: int
-    d: int
-    params: tuple
+    op: OperPoint
     h: float
     rank_tol: float
     jacobian: np.ndarray
@@ -57,7 +54,7 @@ class JacobianReport:
     holomorphy: float
     base_residuals: dict
     stencil_residuals: dict
-    plan: object
+    plan: CollocationPlan
     missed: tuple
 
     @property
@@ -74,10 +71,8 @@ class JacobianReport:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    """Exact tangent kernel vs numeric differential rank at one point."""
-    n: int
-    k: int
-    d: int
+    """Exact tangent kernel vs numeric differential rank at the point op."""
+    op: OperPoint
     tangent_dim: int
     numeric_rank: int
     agree: bool
@@ -114,11 +109,10 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
         raise ValueError(f"step h must be finite and > 0, got {h!r}")
     if not 0 < rank_tol <= 1:
         raise ValueError(f"rank_tol must lie in (0, 1], got {rank_tol!r}")
-    settings = settings or StokesSettings()
     base = stokes_data(op, settings)
     plan = base.plan
     points = _stencil_points(op, h)
-    runs = replay([shifted_op for _, _, shifted_op in points], settings, plan)
+    runs = replay([shifted_op for _, _, shifted_op in points], plan)
 
     ceiling = max(1e-6, 1e3 * base.residuals["identity"])
     values = {}
@@ -149,9 +143,7 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     rank = int((sv >= top * rank_tol).sum()) if top > 0 else 0
     gap = float(sv[op.d - 2] / top) if top > 0 and len(sv) >= op.d - 1 else 0.0
     return JacobianReport(
-        n=op.n, k=op.k, d=op.d,
-        params=tuple(complex(c) for c in op.coeffs),
-        h=h, rank_tol=rank_tol, jacobian=jac,
+        op=op, h=h, rank_tol=rank_tol, jacobian=jac,
         singular_values=tuple(float(s) for s in sv),
         rank=rank, sv_gap=gap, holomorphy=deviation,
         base_residuals=dict(base.residuals),
@@ -173,6 +165,5 @@ def kernel_cross_check(op, D=None, h=1e-4, settings=None, rank_tol=1e-4):
     numeric = jacobian(op, h=h, settings=settings, rank_tol=rank_tol)
     agree = (exact.tangent_dim == 0) == (numeric.rank == op.d - 1)
     return CrossCheckReport(
-        n=op.n, k=op.k, d=op.d,
-        tangent_dim=exact.tangent_dim, numeric_rank=numeric.rank,
+        op=op, tangent_dim=exact.tangent_dim, numeric_rank=numeric.rank,
         agree=agree, solvability=exact, jacobian=numeric)

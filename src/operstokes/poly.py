@@ -83,6 +83,3 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
-
-def monomial(m, c=1):
-    return Poly((0,) * m + (c,))

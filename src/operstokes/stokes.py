@@ -1003,14 +1003,13 @@ def _aligned(re, im, exp, frac):
 
 @dataclass(frozen=True)
 class CollocationPlan:
-    """Discrete data of a collocation run, frozen so finite-difference
-    stencils reuse identical circles, term counts and working precision.
-    The angles (_layout_reading) and the mode labeling (dominance_order)
-    are functions of the layout alone, so a replay's settings and point
-    must give the plan's layout (n, k and base direction) and repeat its
-    truncation order."""
+    """Every choice of a collocation run, frozen so finite-difference
+    stencils reuse identical settings, circles, term counts and working
+    precision.  The angles (_layout_reading) and the mode labeling
+    (dominance_order) are functions of the layout alone, so a replayed
+    point must have the layout's n and k."""
+    settings: StokesSettings
     layout: SectorLayout
-    trunc_order: int    # M of the formal solution read
     rho: float          # the reading circle
     nterms: int         # the entire basis' term count
     bits: int           # the working precision
@@ -1283,8 +1282,8 @@ def factor_support_residual(layout, factors):
 
 @dataclass
 class StokesData:
-    """Complete Stokes output of one oper point, with its frozen plan and
-    self-diagnosed residuals.  perm is the mode labeling of its layout
+    """Complete Stokes output of one oper point on its plan, with
+    self-diagnosed residuals.  perm is the mode labeling of plan.layout
     (dominance_order).  missed names the residuals that missed their
     bounds: "consistency" when the A/B agreement is not within 3 radius_tol,
     the slack left by the reading's one precision correction, and
@@ -1294,19 +1293,14 @@ class StokesData:
     run's formal exponents Lambda and Q, as on FormalSolution; plan.bits
     is _FIRST_BITS, or the bits of the reading's one correction."""
     op: OperPoint
-    n: int
-    k: int
-    radius: float
+    plan: CollocationPlan
     lam: list
     qcoeffs: dict
-    layout: SectorLayout
     factors: list
     matrices: list
     perm: tuple
     det_twist: int
     residuals: dict
-    settings: StokesSettings
-    plan: CollocationPlan
     missed: tuple
 
     @property
@@ -1328,8 +1322,8 @@ class StokesData:
         for i, mat in enumerate(self.matrices, start=1):
             conj = _conjugate_by_order(mat, self.perm)
             upper = i % 2 == 1
-            for s in range(self.n):
-                for t in range(self.n):
+            for s in range(self.op.n):
+                for t in range(self.op.n):
                     if (s < t) == upper and s != t:
                         out.append(complex(conj[s, t]))
         return np.array(out, dtype=complex)
@@ -1379,51 +1373,40 @@ def _select_reading(op, gc, layout, settings):
         [gc], settings.trunc_order, make_ctx(bits)), rho)[0]
 
 
-def stokes_data(op, settings=None, plan=None):
+def stokes_data(op, settings=None):
     """Full pipeline: gauge, formal solution, sector layout, canonical
     frames collocated in the entire basis, factors, grouped matrices,
-    residual certificates.  A plan from an earlier run freezes every
-    discrete choice instead of selecting the reading circle anew: the run
-    is a replay of one point."""
-    if plan is not None:
-        return replay([op], settings, plan)[0]
+    residual certificates.  The run selects its reading circle and
+    precision; its plan freezes them for replays."""
     settings = settings or StokesSettings()
     gc = gauge_transform(op)
     layout = sector_layout(gc, settings.v0)
     build = _select_reading(op, gc, layout, settings)
-    plan = CollocationPlan(layout=layout, trunc_order=settings.trunc_order,
-                           rho=build.rho, nterms=build.nterms,
-                           bits=build.fs.ctx.bits)
-    return _stokes_result(op, gc, settings, plan, build)
+    plan = CollocationPlan(settings=settings, layout=layout, rho=build.rho,
+                           nterms=build.nterms, bits=build.fs.ctx.bits)
+    return _stokes_result(op, gc, plan, build)
 
 
-def replay(ops, settings, plan):
+def replay(ops, plan):
     """stokes_data of every point of `ops` on a plan, which freezes every
-    discrete choice, made as one batch: a point and settings whose layout
-    (n, k or base direction), truncation order or nonzero radius differ
-    from the plan's raise ValueError, since its angles belong to its
-    layout and its circle and term count to those."""
-    settings = settings or StokesSettings()
+    choice, made as one batch: a point whose n or k differs from the
+    plan's layout raises ValueError, since the plan's angles belong to its
+    layout."""
+    n, k = plan.layout.n, plan.layout.k
+    for op in ops:
+        if (op.n, op.k) != (n, k):
+            raise ValueError(f"the plan was made with n={n}, k={k}, a point "
+                             f"asks for n={op.n}, k={op.k}")
+    if not ops:         # formal_solution reads n off its first point
+        return []
     gcs = [gauge_transform(op) for op in ops]
-    # a layout is a function of (n, k) and v0: one per (n, k) of the batch
-    for gc in {(gc.n, gc.k): gc for gc in gcs}.values():
-        layout = sector_layout(gc, settings.v0)
-        made = plan.layout, plan.trunc_order, plan.rho
-        if made != (layout, settings.trunc_order, settings.radius or plan.rho):
-            raise ValueError(
-                f"the plan was made with n={plan.layout.n}, k={plan.layout.k}, "
-                f"v0={plan.layout.v0}, trunc_order={plan.trunc_order} and "
-                f"radius={plan.rho!r}, the point and settings ask for "
-                f"n={layout.n}, k={layout.k}, v0={layout.v0}, "
-                f"trunc_order={settings.trunc_order} and "
-                f"radius={settings.radius!r}")
-    fss = formal_solution(gcs, settings.trunc_order, make_ctx(plan.bits))
+    fss = formal_solution(gcs, plan.settings.trunc_order, make_ctx(plan.bits))
     builds = _collocate(ops, plan.layout, fss, plan.rho, plan.nterms)
-    return [_stokes_result(op, gc, settings, plan, build)
+    return [_stokes_result(op, gc, plan, build)
             for op, gc, build in zip(ops, gcs, builds)]
 
 
-def _stokes_result(op, gc, settings, plan, build):
+def _stokes_result(op, gc, plan, build):
     """A point's StokesData from its build on the plan: factors, grouped
     matrices and residuals."""
     fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
@@ -1441,11 +1424,10 @@ def _stokes_result(op, gc, settings, plan, build):
         "factor_diag": diag_dev,
         "phantom": phantom,
     }
-    bounds = {"consistency": 3 * settings.radius_tol,
-              "asymptotic": settings.radius_tol}
-    return StokesData(op=op, n=gc.n, k=gc.k, radius=plan.rho, lam=fs.lam,
-                      qcoeffs=fs.qcoeffs, layout=layout, factors=factors, matrices=matrices,
-                      perm=perm, det_twist=gc.det_twist,
-                      residuals=residuals, settings=settings, plan=plan,
+    tol = plan.settings.radius_tol
+    bounds = {"consistency": 3 * tol, "asymptotic": tol}
+    return StokesData(op=op, plan=plan, lam=fs.lam, qcoeffs=fs.qcoeffs,
+                      factors=factors, matrices=matrices, perm=perm,
+                      det_twist=gc.det_twist, residuals=residuals,
                       missed=tuple(name for name, bound in bounds.items()
                                    if not residuals[name] <= bound))

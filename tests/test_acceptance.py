@@ -203,7 +203,7 @@ def test_exact_numeric_cross_check():
         rep = kernel_cross_check(op)
         assert rep.agree
         assert rep.tangent_dim == 0
-        assert rep.numeric_rank == rep.d - 1
+        assert rep.numeric_rank == op.d - 1
         assert rep.jacobian.sv_gap >= 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed <= 600.0

@@ -403,6 +403,10 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def test_seed_is_recorded(capsys):
-    _, out, _ = run(capsys, "stokes", *WEBER, "--seed", "7")
-    assert json.loads(out)["seed"] == 7
+def test_seed_is_not_a_flag(capsys):
+    # no pipeline draws a random number, so no document records a seed
+    for sub in ("stokes", "jacobian", "kernel"):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *WEBER, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err

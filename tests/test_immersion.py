@@ -36,7 +36,7 @@ def test_monitored_vector_of_the_pipeline():
 
 def test_weber_differential(weber_report):
     rep = weber_report
-    assert rep.d == 2
+    assert rep.op.d == 2
     assert rep.jacobian.shape == (4, 1)
     assert rep.rank == 1
     assert rep.sv_gap == 1.0
@@ -81,7 +81,7 @@ def test_rank_threshold_semantics(quartic_report):
 def test_perturbed_point_keeps_full_rank():
     rep = jacobian(OperPoint(2, 1, (0.3 + 0.2j,)))
     assert rep.rank == 1
-    assert rep.params == (0.3 + 0.2j,)
+    assert rep.op.coeffs == (0.3 + 0.2j,)
     assert rep.holomorphy <= 1e-5
 
 
@@ -119,9 +119,9 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     # a converged base run does not cover its stencil runs
     real = immersion.replay
 
-    def stencil_misses(ops, settings, plan):
+    def stencil_misses(ops, plan):
         return [dataclasses.replace(data, missed=("consistency",))
-                for data in real(ops, settings, plan)]
+                for data in real(ops, plan)]
 
     monkeypatch.setattr(immersion, "replay", stencil_misses)
     rep = jacobian(OperPoint(2, 1, (0,)))
@@ -131,7 +131,7 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     # not the base run
     assert weber_report.missed == () and "base" in loose.missed
     assert set(rep.missed) == set(rep.stencil_residuals)
-    assert len(rep.missed) == 4 * (rep.d - 1) and "base" not in rep.missed
+    assert len(rep.missed) == 4 * (rep.op.d - 1) and "base" not in rep.missed
     assert rep.missed_names() == [f"stencil run c_0 {s}" for s in
                                   ("+0.0001", "-0.0001", "+0.0001j",
                                    "-0.0001j")]

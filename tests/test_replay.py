@@ -12,7 +12,7 @@ import pytest
 
 from operstokes import immersion, stokes
 from operstokes.isomono import OperPoint
-from operstokes.stokes import StokesSettings, replay, stokes_data
+from operstokes.stokes import replay, stokes_data
 
 POINTS = {
     # the benchmark's Jacobian points at seed 1
@@ -43,14 +43,13 @@ def fields(sd):
 @pytest.mark.parametrize("name", list(POINTS))
 def test_batched_replay_equals_each_point_alone(name):
     op = POINTS[name]
-    settings = StokesSettings()
-    plan = stokes_data(op, settings).plan
+    plan = stokes_data(op).plan
     points = [p for _, _, p in immersion._stencil_points(op, 1e-4)]
     assert len(points) == 4 * (op.d - 1)
-    batch = replay(points, settings, plan)
+    batch = replay(points, plan)
     assert len(batch) == len(points)
     for point, got in zip(points, batch):
-        want = stokes_data(point, settings, plan)
+        [want] = replay([point], plan)
         assert got.op == point and got.plan == plan
         assert fields(got) == fields(want)
 
@@ -58,14 +57,13 @@ def test_batched_replay_equals_each_point_alone(name):
 def test_batch_with_a_point_of_another_layout_is_refused():
     # the plan's angles belong to its layout: a (2,1) point among (2,2)
     # points is refused as a replay of it alone is
-    settings = StokesSettings()
     quartic = POINTS["quartic"]
-    plan = stokes_data(quartic, settings).plan
+    plan = stokes_data(quartic).plan
     others = [quartic, OperPoint(2, 1, (QQ(1, 3),))]
     for ops in (others, others[::-1]):
         with pytest.raises(ValueError, match="the plan was made with n=2, "
-                                             "k=2.*ask for n=2, k=1"):
-            replay(ops, settings, plan)
+                                             "k=2, a point asks for n=2, k=1"):
+            replay(ops, plan)
 
 
 def test_jacobian_replays_its_stencil_in_one_batch(monkeypatch):
@@ -86,11 +84,16 @@ def test_jacobian_replays_its_stencil_in_one_batch(monkeypatch):
 def test_batched_replay_of_unlike_points():
     # points far apart on one plan: their tables and contents sit on other
     # exponents, which each point keeps in the batch
-    settings = StokesSettings()
-    plan = stokes_data(POINTS["cubic"], settings).plan
+    plan = stokes_data(POINTS["cubic"]).plan
     points = [POINTS["cubic"], OperPoint(3, 1, (0, 0)),
               OperPoint(3, 1, (QQ(3, 2), QQ(-4, 3))),
               OperPoint(3, 1, (-0.6 + 0.4j, 0.9j))]
-    batch = replay(points, settings, plan)
+    batch = replay(points, plan)
     for point, got in zip(points, batch):
-        assert fields(got) == fields(stokes_data(point, settings, plan))
+        assert fields(got) == fields(replay([point], plan)[0])
+
+
+def test_empty_replay_is_empty():
+    # formal_solution reads n off the first point, so an empty batch
+    # raised IndexError
+    assert replay([], stokes_data(POINTS["weber"]).plan) == []

@@ -15,8 +15,8 @@ from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, formal_solution,
-                               gauge_transform, make_ctx, sector_layout,
-                               stokes_data)
+                               gauge_transform, make_ctx, replay,
+                               sector_layout, stokes_data)
 
 SQ2 = 1.4142135623730951
 
@@ -660,7 +660,7 @@ def test_content_matrix_matches_a_pass_per_denominator(op):
     # period, must give exactly the raw rows of one pass per denominator
     plan = stokes_data(op).plan
     gc = gauge_transform(op)
-    fs = formal(gc, plan.trunc_order, make_ctx(plan.bits))
+    fs = formal(gc, plan.settings.trunc_order, make_ctx(plan.bits))
     basis = EntireBasis(op, fs.ctx, plan.rho, plan.nterms)
     inverse = inverse_table(fs, plan.rho)
     reads = layout_reads(plan.layout)
@@ -1195,15 +1195,15 @@ def test_phantom_rays_carry_identity_factors():
     sd = stokes_data(weber(), StokesSettings())
     assert sd.residuals["phantom"] <= 1e-8
     assert sd.residuals["support"] <= 1e-8
-    count = sum(1 for j in range(1, sd.layout.r + 1)
-                if sd.layout.is_phantom(j))
-    assert count == sd.layout.r // 2
+    layout = sd.plan.layout
+    count = sum(1 for j in range(1, layout.r + 1) if layout.is_phantom(j))
+    assert count == layout.r // 2
 
 
 def test_rotation_shifts_grouped_matrices():
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     a = stokes_data(op, StokesSettings())
-    b = stokes_data(op, StokesSettings(v0=a.layout.v0 + QQ(1, 2)))
+    b = stokes_data(op, StokesSettings(v0=a.plan.layout.v0 + QQ(1, 2)))
     for i in range(1, 4):
         dev = abs(as_np(a.matrices[i]) - as_np(b.matrices[i - 1])).max()
         assert dev <= 1e-6
@@ -1212,37 +1212,24 @@ def test_rotation_shifts_grouped_matrices():
 def test_plan_replay_is_deterministic():
     op = cubic()
     first = stokes_data(op, StokesSettings())
-    again = stokes_data(op, StokesSettings(), plan=first.plan)
+    [again] = replay([op], first.plan)
     for a, b in zip(first.factors, again.factors):
         assert np.array_equal(as_np(a), as_np(b))
 
 
-def test_replay_rejects_settings_the_plan_was_not_made_with():
-    # a plan's angles belong to its layout, its term count to its
-    # truncation order and its circle to its radius: replayed under v0 =
-    # 1/7 the (3,1) plan read `converged` with support residual 3.71, under
-    # trunc_order = 20 it missed without saying why, and under radius = 3.0
-    # it read on its own circle while its settings said 3.0.  A (2,2) plan
-    # replayed at a (2,1) point with the same v0 read identity residual
-    # 2.45 while only the base direction was compared
-    op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
-    plan = stokes_data(op).plan
-    assert (plan.trunc_order, plan.layout.v0) == (40, QQ(1, 24))
-    assert plan.rho != 3.0
-    for settings in (StokesSettings(v0=QQ(1, 7)),
-                     StokesSettings(trunc_order=20),
-                     StokesSettings(radius=3.0)):
-        with pytest.raises(ValueError, match="the plan was made with"):
-            stokes_data(op, settings, plan=plan)
+def test_replay_rejects_a_point_of_another_layout():
+    # a plan's angles belong to its layout: a (2,2) plan replayed at a
+    # (2,1) point with the same base direction read identity residual 2.45
+    # while only the base direction was compared.  The plan carries its
+    # settings, so n and k are all a point can get wrong
     base = StokesSettings(v0=QQ(1, 100))
-    quartic = stokes_data(OperPoint(2, 2, (0, 0, 0)), base).plan
-    with pytest.raises(ValueError, match="the plan was made with n=2, k=2"):
-        stokes_data(OperPoint(2, 1, (QQ(1, 3),)), base, plan=quartic)
-    # the default direction, spelled out or shifted by 2 pi, and the plan's
-    # own circle spelled out are the plan's
-    for settings in (StokesSettings(v0=QQ(1, 24)), StokesSettings(v0=QQ(49, 24)),
-                     StokesSettings(radius=plan.rho)):
-        assert stokes_data(op, settings, plan=plan).converged
+    quartic = OperPoint(2, 2, (0, 0, 0))
+    plan = stokes_data(quartic, base).plan
+    weber_point = OperPoint(2, 1, (QQ(1, 3),))
+    for ops in ([weber_point], [quartic, weber_point, quartic]):
+        with pytest.raises(ValueError,
+                           match="the plan was made with n=2, k=2"):
+            replay(ops, plan)
 
 
 @pytest.mark.parametrize("op, pairs, angles, rows", [
@@ -1263,7 +1250,7 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     assert len({th for th, _ in norm_pairs}) == angles
     gc = gauge_transform(op)
     ctx = make_ctx(plan.bits)
-    fs = formal(gc, plan.trunc_order, ctx)
+    fs = formal(gc, plan.settings.trunc_order, ctx)
     exps, read = [], []
     exp = ctx.exp
     monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
@@ -1321,7 +1308,7 @@ def test_quartic_closure_meets_the_request():
     # consistency cannot see, must stay below the requested tolerance at z^4
     sd = stokes_data(OperPoint(4, 1, (0, 0, 0)))
     assert sd.converged
-    assert sd.residuals["identity"] <= sd.settings.radius_tol
+    assert sd.residuals["identity"] <= sd.plan.settings.radius_tol
 
 
 def test_complex_coefficients_supported():
@@ -1332,7 +1319,7 @@ def test_complex_coefficients_supported():
 
 def test_fixed_radius_is_respected():
     sd = stokes_data(weber(), StokesSettings(radius=4.5))
-    assert sd.radius == 4.5
+    assert sd.plan.rho == 4.5
     assert sd.residuals["identity"] <= 1e-6
 
 
@@ -1352,7 +1339,7 @@ def test_frame_tail_above_request_is_not_converged():
     # request, since they share the truncated formal frame; the frame's own
     # tail, the asymptotic residual, misses it, and so does the run
     sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)), StokesSettings(radius=4.0))
-    tol = sd.settings.radius_tol
+    tol = sd.plan.settings.radius_tol
     assert sd.residuals["consistency"] <= 3 * tol
     assert sd.residuals["asymptotic"] > 100 * tol
     assert not sd.converged
@@ -1392,11 +1379,11 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert sd.plan.bits > stokes._FIRST_BITS and sd.converged
     assert sd.residuals["identity"] <= 1e-9
     assert fs_bits == [stokes._FIRST_BITS, sd.plan.bits]
-    assert bases == [(sd.radius, bits) for bits in fs_bits]
-    assert len(arcs) == 2 * sd.n * (sd.n - 1)
+    assert bases == [(sd.plan.rho, bits) for bits in fs_bits]
+    assert len(arcs) == 2 * op.n * (op.n - 1)
     # a replay reads the angles its layout's first run worked out
-    stokes_data(op, settings, plan=sd.plan)
-    assert len(arcs) == 2 * sd.n * (sd.n - 1)
+    replay([op], sd.plan)
+    assert len(arcs) == 2 * op.n * (op.n - 1)
 
 
 @pytest.mark.parametrize("op, tol, count", [
@@ -1421,7 +1408,7 @@ def test_fresh_run_reads_one_circle(monkeypatch, op, tol, count):
     assert len(builds) == count
     assert builds[0][1] == stokes._FIRST_BITS
     assert all(b > stokes._FIRST_BITS for _, b in builds[1:])
-    assert {rho for rho, _ in builds} == {sd.radius}
+    assert {rho for rho, _ in builds} == {sd.plan.rho}
     assert builds[-1][1] == sd.plan.bits
 
 
@@ -1439,7 +1426,7 @@ def test_infinite_circle_is_never_built(monkeypatch):
     monkeypatch.setattr(stokes, "EntireBasis", RecordedBasis)
     sd = stokes_data(OperPoint(2, 1, (0,)), StokesSettings(radius_tol=1e-300))
     assert not sd.converged
-    assert radii == [sd.radius] and math.isfinite(sd.radius)
+    assert radii == [sd.plan.rho] and math.isfinite(sd.plan.rho)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
