@@ -132,7 +132,11 @@ def _oper_from_args(args):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            n, k = int(doc["n"]), int(doc["k"])
+            n, k = doc["n"], doc["k"]
+            for name, v in (("n", n), ("k", k)):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"{name} must be an integer, got "
+                                     f"{json.dumps(v)}")
             coeffs = tuple(_config_coefficient(c) for c in doc["coefficients"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad config document: {exc}")

@@ -124,7 +124,6 @@ class GaugedConnection:
     """
     n: int
     k: int
-    d: int
     bcoeffs: tuple
     trace_weight: Fraction
     det_twist: int
@@ -152,7 +151,7 @@ def gauge_transform(op):
     for a in range(n):
         bc[k + 1][a, a] = bc[k + 1][a, a] + QQ((n - a) * k) - shift
     twist = -1 if (k * (n + 1)) % 2 else 1
-    return GaugedConnection(n=n, k=k, d=d, bcoeffs=tuple(bc),
+    return GaugedConnection(n=n, k=k, bcoeffs=tuple(bc),
                             trace_weight=cw, det_twist=twist)
 
 
@@ -332,12 +331,6 @@ class SectorLayout:
         if i == self.r + 1:
             return self.rays[0] + 2
         return self.rays[i - 1]
-
-    def ray_pairs(self, i):
-        return self.pairs[0] if i == self.r + 1 else self.pairs[i - 1]
-
-    def is_phantom(self, i):
-        return not self.ray_pairs(i)
 
 
 def sector_layout(fs_or_gc, v0=None):
@@ -859,6 +852,28 @@ def _layout_reading(layout):
     return (angles, rows), pairs, systems, scales
 
 
+@functools.lru_cache(maxsize=None)
+def _layout_shape(layout):
+    """The shape every run at a layout is checked and read in, worked out
+    once per layout like its angles (_layout_reading): the mode labeling
+    `perm` (dominance_order); per grouped matrix S_i, in that labeling, the
+    strict triangle it may fill, upper for odd i and lower for even i;
+    per factor K_j its allowed entries, the diagonal and the pairs its ray
+    crosses, the wrap factor K_1 on d_{r+1} = d_1 + 2 crossing ray 1's; and
+    which factors sit on phantom rays, crossed by no pair.  Callers share
+    it and must not change it."""
+    n = layout.n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    triangles = np.array([upper if i % 2 else upper.T
+                          for i in range(1, 2 * layout.k + 3)])
+    supports = np.array([np.eye(n, dtype=bool)] * layout.r)
+    for j, pairs in enumerate(layout.pairs):
+        for a, b in pairs:
+            supports[j, a, b] = True
+    phantom = np.array([not pairs for pairs in layout.pairs])
+    return dominance_order(layout), triangles, supports, phantom
+
+
 def _inverse_table(fss, rho):
     """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
     -sum_{j>=1} Y_j W_{m-j}, for each formal solution of a batch: V_m =
@@ -921,7 +936,7 @@ def _content_matrix(fss, tables, inverse, reads):
     read at the unwrapped numerator P, so the chart log z = ln rho + i pi
     theta stays explicit: on the next sheet a raw row takes the det twist
     and its mode scalar e^{-2 pi i lambda_x}, the wrap factor's extra
-    scalars (collocation_factors).  The modulus rho^(h_a) of gauged row a
+    scalars (_stokes_result).  The modulus rho^(h_a) of gauged row a
     is in the inverse table's columns.  Each table is folded once and
     summed one class P mod 4 at a time (_class_sums), a basis table before
     the next is drawn, so the sums of every point and the inverse's of one
@@ -1164,21 +1179,6 @@ def _deviation(x, det, exp):
     return np.sqrt(ratio.astype(float)).max(axis=(-2, -1))
 
 
-def collocation_factors(fs, quotients, det_twist):
-    """Connection factors K_j = Phi_j^{-1} Phi_{j-1} as entire-basis algebra,
-    from a build's quotients (A build of sector j)^{-1} (B build of sector
-    j-1), j = 1..r (_collocate).  The wrap factor K_1 compares sector 1
-    against sector r: re-reading sector 1 on the chart shifted by 2 pi
-    multiplies its contents by the det twist and exp(2 pi i Lambda), giving
-    the closed-form extra scalars here."""
-    ctx = fs.ctx
-    tau = 2j * ctx.number(ctx.pi)
-    sigma = ctx.number(det_twist)
-    scalars = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
-                       dtype=object)
-    return [quotients[0] * scalars] + quotients[1:]
-
-
 # ---------------------------------------------------------------------------
 # factors, grouped matrices, residuals
 
@@ -1208,29 +1208,6 @@ def stokes_matrices(layout, factors):
     return mats
 
 
-def _conjugate_by_order(mat, order):
-    return mat[np.ix_(order, order)]
-
-
-def unipotency_residual(mats, perm):
-    """Deviation of each grouped matrix from alternating unitriangularity in
-    the dominance labeling: unit diagonal plus one strict triangle, upper for
-    odd i and lower for even i."""
-    worst = 0.0
-    for i, mat in enumerate(mats, start=1):
-        conj = _conjugate_by_order(mat, perm)
-        upper = i % 2 == 1
-        n = mat.shape[0]
-        for s in range(n):
-            for t in range(n):
-                v = abs(complex(conj[s, t]))
-                if s == t:
-                    worst = max(worst, abs(v - 1.0))
-                elif (s < t) != upper:
-                    worst = max(worst, v)
-    return worst
-
-
 def identity_residual(ctx, mats, lam, det_twist):
     """Max-norm distance of S_{2k+2} ... S_1 exp(2 pi i Lambda) from the
     det-twist multiple of the identity -- the monodromy-free certificate for
@@ -1250,31 +1227,14 @@ def identity_residual(ctx, mats, lam, det_twist):
     return worst
 
 
-def factor_support_residual(layout, factors):
-    """Structural residuals of the raw factors: off-support mass, deviation
-    of diagonals from one, and the distance of phantom-ray factors from the
-    identity (n = 2 only)."""
-    support = diag_dev = phantom = 0.0
-    for j in range(1, layout.r + 1):
-        kmat = factors[j - 1]
-        # the wrap factor K_1 sits on the ray d_{r+1} = d_1 + 2, which crosses
-        # the same pairs as d_1, so ray_pairs(j) is right for every j
-        allowed = set(layout.ray_pairs(j))
-        local_diag = 0.0
-        n = kmat.shape[0]
-        for c in range(n):
-            for d in range(n):
-                v = abs(complex(kmat[c, d]))
-                if c == d:
-                    local_diag = max(local_diag, abs(v - 1.0))
-                elif (c, d) not in allowed:
-                    support = max(support, v)
-        diag_dev = max(diag_dev, local_diag)
-        if layout.is_phantom(j):
-            off = max(abs(complex(kmat[c, d]))
-                      for c in range(n) for d in range(n) if c != d)
-            phantom = max(phantom, max(off, local_diag))
-    return support, diag_dev, phantom
+def _identity_gap(mats):
+    """Entrywise distance of a stack of matrices from the identity in
+    modulus, ||m_ss| - 1| on the diagonal and |m_st| off it, each entry
+    rounded to a double first and its modulus taken by hypot, as
+    abs(complex) takes it (np.abs can differ in the last bit)."""
+    z = np.array(mats, dtype=complex)
+    mod = np.hypot(z.real, z.imag)
+    return np.where(np.eye(z.shape[-1], dtype=bool), abs(mod - 1.0), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,14 +1244,19 @@ def factor_support_residual(layout, factors):
 class StokesData:
     """Complete Stokes output of one oper point on its plan, with
     self-diagnosed residuals.  perm is the mode labeling of plan.layout
-    (dominance_order).  missed names the residuals that missed their
-    bounds: "consistency" when the A/B agreement is not within 3 radius_tol,
-    the slack left by the reading's one precision correction, and
-    "asymptotic" when the truncated frame's tail, which both builds share,
-    is not within radius_tol; converged holds when neither did, and a run
-    that missed either still returns its data.  lam and qcoeffs are the
-    run's formal exponents Lambda and Q, as on FormalSolution; plan.bits
-    is _FIRST_BITS, or the bits of the reading's one correction."""
+    (dominance_order).  The shape residuals "unipotency", "support",
+    "factor_diag" and "phantom" are the largest distances from the
+    identity (_identity_gap) of the entries that the layout's masks
+    (_layout_shape) leave out or pick, and monitored_vector reads the
+    grouped matrices through the same triangles.  missed names the
+    residuals that missed their bounds: "consistency" when the A/B
+    agreement is not within 3 radius_tol, the slack left by the reading's
+    one precision correction, and "asymptotic" when the truncated frame's
+    tail, which both builds share, is not within radius_tol; converged
+    holds when neither did, and a run that missed either still returns its
+    data.  lam and qcoeffs are the run's formal exponents Lambda and Q, as
+    on FormalSolution; plan.bits is _FIRST_BITS, or the bits of the
+    reading's one correction."""
     op: OperPoint
     plan: CollocationPlan
     lam: list
@@ -1318,15 +1283,9 @@ class StokesData:
         """Strict-triangle entries of the dominance-conjugated grouped
         matrices, concatenated -- the coordinates in which the monodromy map
         is differentiated."""
-        out = []
-        for i, mat in enumerate(self.matrices, start=1):
-            conj = _conjugate_by_order(mat, self.perm)
-            upper = i % 2 == 1
-            for s in range(self.op.n):
-                for t in range(self.op.n):
-                    if (s < t) == upper and s != t:
-                        out.append(complex(conj[s, t]))
-        return np.array(out, dtype=complex)
+        _, triangles, _, _ = _layout_shape(self.plan.layout)
+        conj = np.array(self.matrices)[:, self.perm][:, :, self.perm]
+        return np.array(conj[triangles], dtype=complex)
 
 
 # the bits of a fresh run's first build: at the default settings every
@@ -1407,22 +1366,31 @@ def replay(ops, plan):
 
 
 def _stokes_result(op, gc, plan, build):
-    """A point's StokesData from its build on the plan: factors, grouped
+    """A point's StokesData from its build on the plan: the factors K_j =
+    Phi_j^{-1} Phi_{j-1}, j = 1..r, the build's quotients (A build of
+    sector j)^{-1} (B build of sector j-1) (_collocate), their grouped
     matrices and residuals."""
     fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
-    perm = dominance_order(layout)
-    factors = collocation_factors(fs, build.quotients, gc.det_twist)
+    perm, triangles, supports, phantom = _layout_shape(layout)
+    # the wrap factor K_1 compares sector 1 against sector r: re-reading
+    # sector 1 on the chart shifted by 2 pi multiplies its contents by the
+    # det twist and exp(2 pi i Lambda)
+    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(gc.det_twist)
+    wrap = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
+                    dtype=object)
+    factors = [build.quotients[0] * wrap] + build.quotients[1:]
     matrices = stokes_matrices(layout, factors)
-    support, diag_dev, phantom = factor_support_residual(layout, factors)
+    gaps = _identity_gap(factors)
+    grouped = _identity_gap(matrices)[:, perm][:, :, perm]
     residuals = {
         "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
-        "unipotency": unipotency_residual(matrices, perm),
+        "unipotency": float(grouped[~triangles].max(initial=0.0)),
         "trace": fs.trace_residual(),
         "asymptotic": _series_tail(fs, plan.rho),
         "consistency": build.cons,
-        "support": support,
-        "factor_diag": diag_dev,
-        "phantom": phantom,
+        "support": float(gaps[~supports].max(initial=0.0)),
+        "factor_diag": float(np.diagonal(gaps, 0, 1, 2).max(initial=0.0)),
+        "phantom": float(gaps[phantom].max(initial=0.0)),
     }
     tol = plan.settings.radius_tol
     bounds = {"consistency": 3 * tol, "asymptotic": tol}

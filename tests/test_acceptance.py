@@ -202,8 +202,8 @@ def test_exact_numeric_cross_check():
     for op in points:
         rep = kernel_cross_check(op)
         assert rep.agree
-        assert rep.tangent_dim == 0
-        assert rep.numeric_rank == op.d - 1
+        assert rep.solvability.tangent_dim == 0
+        assert rep.jacobian.rank == op.d - 1
         assert rep.jacobian.sv_gap >= 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed <= 600.0

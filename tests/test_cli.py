@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +242,21 @@ def test_config_string_coefficients_are_exact(capsys, tmp_path):
     assert json.loads(out)["tangent_dim"] == 0
 
 
+@pytest.mark.parametrize("field", ["n", "k"])
+@pytest.mark.parametrize("value, shown", [(2.9, "2.9"), (True, "true"),
+                                          ("3", '"3"')])
+def test_config_n_and_k_must_be_integers(capsys, tmp_path, field, value,
+                                         shown):
+    # int() would certify the n = 2 point for n = 2.9 and read true as 1
+    doc = {"n": 2, "k": 1, "coefficients": ["1/3"], field: value}
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "kernel", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert (f"bad config document: {field} must be an integer, got {shown}"
+            in err)
+
+
 def test_config_and_poly_conflict(capsys, tmp_path):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": [[0, 0]]}))
@@ -410,3 +427,13 @@ def test_seed_is_not_a_flag(capsys):
             main([sub, *WEBER, "--seed", "7"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    # the library quick start must keep up with the fields it reads
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"## Library quick start\n\n```python\n(.*?)```",
+                         readme, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0" and lines[-1] == "True"

@@ -164,8 +164,8 @@ def test_lost_closure_is_an_error():
 def test_cross_check_weber():
     rep = kernel_cross_check(OperPoint(2, 1, (0,)))
     assert rep.agree
-    assert rep.tangent_dim == 0
-    assert rep.numeric_rank == 1
+    assert rep.solvability.tangent_dim == 0
+    assert rep.jacobian.rank == 1
     assert rep.solvability.homogeneous_kernel_dim == 1
 
 

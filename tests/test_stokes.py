@@ -11,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from operstokes import stokes
+from operstokes import immersion, stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, formal_solution,
@@ -1196,8 +1196,99 @@ def test_phantom_rays_carry_identity_factors():
     assert sd.residuals["phantom"] <= 1e-8
     assert sd.residuals["support"] <= 1e-8
     layout = sd.plan.layout
-    count = sum(1 for j in range(1, layout.r + 1) if layout.is_phantom(j))
-    assert count == layout.r // 2
+    assert sum(1 for pairs in layout.pairs if not pairs) == layout.r // 2
+
+
+# the per-entry loops the shape residuals and the monitored vector were
+# first written as: the layout's masks (_layout_shape) must give the same
+# floats and the same complex entries, bit for bit
+
+def loop_unipotency(mats, perm):
+    worst = 0.0
+    for i, mat in enumerate(mats, start=1):
+        conj = mat[np.ix_(perm, perm)]
+        upper = i % 2 == 1
+        n = mat.shape[0]
+        for s in range(n):
+            for t in range(n):
+                v = abs(complex(conj[s, t]))
+                if s == t:
+                    worst = max(worst, abs(v - 1.0))
+                elif (s < t) != upper:
+                    worst = max(worst, v)
+    return worst
+
+
+def loop_factor_support(layout, factors):
+    support = diag_dev = phantom = 0.0
+    for j in range(1, layout.r + 1):
+        kmat = factors[j - 1]
+        # the wrap factor K_1 on d_{r+1} = d_1 + 2 crosses ray 1's pairs
+        allowed = set(layout.pairs[j - 1])
+        local_diag = 0.0
+        n = kmat.shape[0]
+        for c in range(n):
+            for d in range(n):
+                v = abs(complex(kmat[c, d]))
+                if c == d:
+                    local_diag = max(local_diag, abs(v - 1.0))
+                elif (c, d) not in allowed:
+                    support = max(support, v)
+        diag_dev = max(diag_dev, local_diag)
+        if not allowed:
+            off = max(abs(complex(kmat[c, d]))
+                      for c in range(n) for d in range(n) if c != d)
+            phantom = max(phantom, max(off, local_diag))
+    return support, diag_dev, phantom
+
+
+def loop_monitored_vector(sd):
+    out = []
+    for i, mat in enumerate(sd.matrices, start=1):
+        conj = mat[np.ix_(sd.perm, sd.perm)]
+        upper = i % 2 == 1
+        for s in range(sd.op.n):
+            for t in range(sd.op.n):
+                if (s < t) == upper and s != t:
+                    out.append(complex(conj[s, t]))
+    return np.array(out, dtype=complex)
+
+
+def assert_shape_matches_loops(sd):
+    layout = sd.plan.layout
+    assert sd.perm == stokes.dominance_order(layout)
+    got = [sd.residuals[name]
+           for name in ("unipotency", "support", "factor_diag", "phantom")]
+    want = [loop_unipotency(sd.matrices, sd.perm),
+            *loop_factor_support(layout, sd.factors)]
+    assert [type(v) for v in got] == [float] * 4
+    assert got == want
+    vec, ref = sd.monitored_vector(), loop_monitored_vector(sd)
+    assert vec.dtype == ref.dtype and vec.shape == ref.shape
+    assert (vec == ref).all()
+
+
+@pytest.mark.parametrize("op", [
+    OperPoint(2, 2, (0,) * 3),
+    weber(),                                # phantom rays
+    OperPoint(2, 1, (QQ(1, 3),)),
+    OperPoint(3, 2, (0,) * 5),
+    OperPoint(2, 4, (0,) * 7),              # ten grouped matrices
+    OperPoint(4, 1, (QQ(1, 5), QQ(-1, 4), QQ(1, 6))),
+    OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
+], ids=["z4", "weber", "weber-1/3", "z6-32", "z8-24", "41", "complex-22"])
+def test_shape_residuals_equal_the_entry_loops(op):
+    assert_shape_matches_loops(stokes_data(op))
+
+
+def test_replayed_shape_residuals_equal_the_entry_loops():
+    op = OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2))
+    plan = stokes_data(op).plan
+    points = [p for _, _, p in immersion._stencil_points(op, 1e-4)]
+    runs = replay(points, plan)
+    assert len(runs) == 12
+    for sd in runs:
+        assert_shape_matches_loops(sd)
 
 
 def test_rotation_shifts_grouped_matrices():
