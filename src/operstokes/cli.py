@@ -7,26 +7,22 @@ Subcommands
     stokes     numerical Stokes data of one oper point
     jacobian   differential of the monodromy map, singular values, rank
 
-Every flag that takes a value has an environment-variable override (prefix
-OPERSTOKES_, dashes as underscores, e.g. OPERSTOKES_TRUNC_ORDER=30); an
-explicit flag beats the environment.  The switches --timing and
---self-test-corrupt have none.  Identical configurations produce
-byte-identical documents: timing is only emitted under --timing, and all
-floats serialize via repr (shortest round-trip).  Complex numbers appear as
-[re, im] pairs.
+Flags are the only input: an oper point is --n, --k and --poly (with or
+without --degree), and no environment variable or file sets a value.
+Identical configurations produce byte-identical documents: timing is only
+emitted under --timing, and all floats serialize via repr (shortest
+round-trip).  Complex numbers appear as [re, im] pairs.
 
-Exit codes: 0 success, 1 mathematical-suite failure, 2 usage or configuration
-error (an --output or --csv path that cannot be written among them), 3
-numerical non-convergence (a stokes run that missed its requested tolerance
-still writes its document, with "converged": false).
+Exit codes: 0 success, 1 mathematical-suite failure, 2 usage error (an
+--output path that cannot be written among them), 3 numerical
+non-convergence (a stokes run that missed its requested tolerance still
+writes its document, with "converged": false).
 """
 
 import argparse
-import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -52,21 +48,10 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
-
-def _env_default(name, fallback, cast):
-    raw = os.environ.get("OPERSTOKES_" + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad environment override OPERSTOKES_"
-                         f"{name.upper().replace('-', '_')}={raw!r}: {exc}")
-
+# flags
 
 def _add_common(sub):
-    sub.add_argument("--output", default=_env_default("output", None, str),
+    sub.add_argument("--output",
                      help="write the document to this file instead of stdout")
     sub.add_argument("--timing", action="store_true",
                      help="include wall-clock timings (breaks byte "
@@ -74,32 +59,24 @@ def _add_common(sub):
 
 
 def _add_oper_flags(sub):
-    sub.add_argument("--n", type=int, default=_env_default("n", None, int))
-    sub.add_argument("--k", type=int, default=_env_default("k", None, int))
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--k", type=int)
     sub.add_argument("--degree", type=int,
-                     default=_env_default("degree", None, int),
                      help="degree d of the monic polynomial; with it --poly "
                           "lists only c_0..c_{d-2}")
-    sub.add_argument("--poly", default=_env_default("poly", None, str),
+    sub.add_argument("--poly",
                      help="ascending comma-separated coefficients; full "
                           "list ending in the leading 1, or the free "
                           "coefficients when --degree is given")
-    sub.add_argument("--config", default=_env_default("config", None, str),
-                     help="JSON document {n, k, coefficients: [...]} in "
-                          "place of the flags; each coefficient is [re, im] "
-                          "or a string such as \"1/3\"")
 
 
 def _add_numeric_flags(sub):
-    sub.add_argument("--trunc-order", type=int,
-                     default=_env_default("trunc-order", 40, int),
+    sub.add_argument("--trunc-order", type=int, default=40,
                      help="order M of the formal series (default %(default)s)")
-    sub.add_argument("--radius-tol", type=float,
-                     default=_env_default("radius-tol", 1e-10, float))
-    sub.add_argument("--radius", type=float,
-                     default=_env_default("radius", 0.0, float),
+    sub.add_argument("--radius-tol", type=float, default=1e-10)
+    sub.add_argument("--radius", type=float, default=0.0,
                      help="fixed reading radius (0 = adaptive)")
-    sub.add_argument("--v0", default=_env_default("v0", None, str),
+    sub.add_argument("--v0",
                      help="base direction as a fraction of pi, e.g. 1/16")
 
 
@@ -117,32 +94,9 @@ def _parse_coefficient(text):
         raise UsageError(f"cannot parse coefficient {text!r}")
 
 
-def _config_coefficient(entry):
-    """A config coefficient: a string in the --poly syntax, or [re, im]."""
-    if isinstance(entry, str):
-        return _parse_coefficient(entry)
-    re, im = entry
-    return complex(re, im)
-
-
 def _oper_from_args(args):
-    if args.config:
-        if args.poly:
-            raise UsageError("give either --poly or --config, not both")
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            n, k = doc["n"], doc["k"]
-            for name, v in (("n", n), ("k", k)):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"{name} must be an integer, got "
-                                     f"{json.dumps(v)}")
-            coeffs = tuple(_config_coefficient(c) for c in doc["coefficients"])
-        except (OSError, KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"bad config document: {exc}")
-        return OperPoint(n, k, coeffs)
     if args.n is None or args.k is None or args.poly is None:
-        raise UsageError("need --n, --k and --poly (or --config)")
+        raise UsageError("need --n, --k and --poly")
     entries = [_parse_coefficient(t) for t in args.poly.split(",")]
     if args.degree is not None:
         if args.degree != args.n * args.k:
@@ -287,13 +241,13 @@ def cmd_kernel(args):
     rep = solvability(op, args.D)
     doc = {
         "subcommand": "kernel",
-        "n": rep.n, "k": rep.k, "d": rep.d, "D": rep.D,
+        "n": rep.op.n, "k": rep.op.k, "d": rep.op.d, "D": rep.D,
         "joint_kernel_dim": rep.joint_kernel_dim,
         "tangent_dim": rep.tangent_dim,
         "homogeneous_kernel_dim": rep.homogeneous_kernel_dim,
         "traceless_homogeneous_kernel_dim":
             rep.traceless_homogeneous_kernel_dim,
-        "exact": rep.exact,
+        "exact": True,
         "injective": rep.tangent_dim == 0,
         "witness": None if rep.witness is None else {
             "pdot": [rational_str(v) for v in rep.witness[0].coeffs],
@@ -345,12 +299,6 @@ def cmd_stokes(args):
     doc = _stokes_document(data)
     if args.timing:
         doc["timing"] = {"total_s": elapsed}
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "fraction_of_pi", "radians"])
-            for idx, ray in enumerate(doc["directions"], start=1):
-                writer.writerow([idx, ray["of_pi"], repr(ray["radians"])])
     _emit_json(args, doc)
     if not data.converged:
         print(f"numerical failure: {' and '.join(data.missed_names())} "
@@ -405,13 +353,12 @@ def _build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("basis", help="weight basis and structure tables")
-    p.add_argument("--n", type=int, default=_env_default("n", None, int))
+    p.add_argument("--n", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_basis)
 
     p = subs.add_parser("verify", help="exact Lie-algebra suites")
-    p.add_argument("--n-max", type=int,
-                   default=_env_default("n-max", 8, int))
+    p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--self-test-corrupt", action="store_true",
                    help="negative control: corrupt one table entry and "
                         "demand the suite notices")
@@ -420,7 +367,7 @@ def _build_parser():
 
     p = subs.add_parser("kernel", help="exact deformation-kernel report")
     _add_oper_flags(p)
-    p.add_argument("--D", type=int, default=_env_default("D", None, int),
+    p.add_argument("--D", type=int,
                    help="polynomial degree cap of the deformation system")
     _add_common(p)
     p.set_defaults(func=cmd_kernel)
@@ -428,18 +375,14 @@ def _build_parser():
     p = subs.add_parser("stokes", help="numerical Stokes data")
     _add_oper_flags(p)
     _add_numeric_flags(p)
-    p.add_argument("--csv", default=_env_default("csv", None, str),
-                   help="also write the anti-Stokes directions to this CSV")
     _add_common(p)
     p.set_defaults(func=cmd_stokes)
 
     p = subs.add_parser("jacobian", help="differential of the monodromy map")
     _add_oper_flags(p)
     _add_numeric_flags(p)
-    p.add_argument("--fd-step", type=float,
-                   default=_env_default("fd-step", 1e-4, float))
-    p.add_argument("--rank-tol", type=float,
-                   default=_env_default("rank-tol", 1e-4, float))
+    p.add_argument("--fd-step", type=float, default=1e-4)
+    p.add_argument("--rank-tol", type=float, default=1e-4)
     _add_common(p)
     p.set_defaults(func=cmd_jacobian)
     return parser
@@ -451,7 +394,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
-        # OSError: an --output or --csv path that cannot be written
+        # OSError: an --output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, ZeroDivisionError,

@@ -19,6 +19,7 @@ they agree.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,9 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     (stokes.replay), and each must come back with sane closure residuals,
     otherwise the differences would compare artifacts of run planning
     instead of values of the map."""
+    for name, value in (("h", h), ("rank_tol", rank_tol)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and > 0, got {h!r}")
     if not 0 < rank_tol <= 1:

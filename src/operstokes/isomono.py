@@ -56,6 +56,10 @@ class OperPoint:
     coeffs: tuple
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            if type(getattr(self, name)) is not int:  # no float, no bool
+                raise ValueError(f"{name} must be an int, got "
+                                 f"{getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.k < 1:
@@ -223,15 +227,12 @@ def joint_system(op, D):
 
 @dataclass
 class SolvabilityReport:
-    n: int
-    k: int
-    d: int
+    op: OperPoint
     D: int
     joint_kernel_dim: int
     tangent_dim: int
     homogeneous_kernel_dim: int
     traceless_homogeneous_kernel_dim: int
-    exact: bool
     witness: object = None          # (pdot Poly, omega list) when tangent_dim > 0
     timing: float = 0.0
     certificate: str = "elimination"  # or IDENTITY_CERTIFICATE
@@ -270,6 +271,8 @@ def solvability(op, D=None):
         raise ValueError("solvability needs an exact rational oper point")
     if D is None:
         D = 2 * (op.d + op.n)
+    if type(D) is not int:                    # no float, no bool
+        raise ValueError(f"degree cap D must be an int, got {D!r}")
     if D < 0:
         raise ValueError(f"degree cap D must be >= 0, got {D!r}")
     t0 = time.perf_counter()
@@ -282,10 +285,9 @@ def solvability(op, D=None):
         raise ArithmeticError("Omega = I fails the joint system")
     if modular_rank(rows, CERTIFICATE_PRIME) == base + nq - 1:
         return SolvabilityReport(
-            n=op.n, k=op.k, d=op.d, D=D, joint_kernel_dim=1, tangent_dim=0,
+            op=op, D=D, joint_kernel_dim=1, tangent_dim=0,
             homogeneous_kernel_dim=1, traceless_homogeneous_kernel_dim=0,
-            exact=True, timing=time.perf_counter() - t0,
-            certificate=IDENTITY_CERTIFICATE)
+            timing=time.perf_counter() - t0, certificate=IDENTITY_CERTIFICATE)
     kernel = exact_nullspace(rows, base + nq)
     s = len(kernel)
     qmatrix = [[v[base + t] for t in range(nq)] for v in kernel]
@@ -310,9 +312,9 @@ def solvability(op, D=None):
                 witness = (pdot, omega)
                 break
     return SolvabilityReport(
-        n=op.n, k=op.k, d=op.d, D=D, joint_kernel_dim=s, tangent_dim=tangent,
+        op=op, D=D, joint_kernel_dim=s, tangent_dim=tangent,
         homogeneous_kernel_dim=hom, traceless_homogeneous_kernel_dim=traceless_hom,
-        exact=True, witness=witness, timing=time.perf_counter() - t0)
+        witness=witness, timing=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -68,18 +68,6 @@ class Poly:
     def derivative(self):
         return Poly([i * x for i, x in enumerate(self.coeffs)][1:])
 
-    def __call__(self, z):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def shift(self, m):
-        """Multiply by z^m."""
-        if not self.coeffs:
-            return Poly()
-        return Poly((0,) * m + self.coeffs)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 

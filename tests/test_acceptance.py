@@ -97,7 +97,7 @@ def test_injectivity_certificate():
                       (2, 10, 24)]:
         for _ in range(3):
             rep = solvability(rand_rational_point(rng, n, d // n), D)
-            assert rep.exact
+            assert rep.op.exact
             assert rep.tangent_dim == 0
             assert rep.homogeneous_kernel_dim == 1
             assert rep.traceless_homogeneous_kernel_dim == 0
@@ -117,7 +117,7 @@ def test_certificate_sweep():
     for n, k in grid:
         rep = solvability(rand_rational_point(random.Random(1000 * n + k),
                                               n, k))
-        assert rep.exact
+        assert rep.op.exact
         assert rep.tangent_dim == 0
         assert rep.joint_kernel_dim == 1
         assert rep.homogeneous_kernel_dim == 1

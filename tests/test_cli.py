@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as QQ
@@ -212,59 +213,6 @@ def test_stokes_is_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_stokes_csv(capsys, tmp_path):
-    target = tmp_path / "rays.csv"
-    code, _, _ = run(capsys, "stokes", *WEBER, "--csv", str(target),
-                     "--output", str(tmp_path / "doc.json"))
-    assert code == 0
-    rows = target.read_text().strip().splitlines()
-    assert rows[0] == "index,fraction_of_pi,radians"
-    assert len(rows) == 9
-    assert rows[1].startswith("1,1/4,")
-
-
-def test_config_input(capsys, tmp_path):
-    cfg = tmp_path / "point.json"
-    cfg.write_text(json.dumps(
-        {"n": 2, "k": 1, "coefficients": [[0.3, 0.2]]}))
-    code, out, _ = run(capsys, "stokes", "--config", str(cfg))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["coefficients"] == [[0.3, 0.2]]
-    assert doc["residuals"]["identity"] <= 1e-7
-
-
-def test_config_string_coefficients_are_exact(capsys, tmp_path):
-    cfg = tmp_path / "point.json"
-    cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": ["1/3"]}))
-    code, out, _ = run(capsys, "kernel", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["tangent_dim"] == 0
-
-
-@pytest.mark.parametrize("field", ["n", "k"])
-@pytest.mark.parametrize("value, shown", [(2.9, "2.9"), (True, "true"),
-                                          ("3", '"3"')])
-def test_config_n_and_k_must_be_integers(capsys, tmp_path, field, value,
-                                         shown):
-    # int() would certify the n = 2 point for n = 2.9 and read true as 1
-    doc = {"n": 2, "k": 1, "coefficients": ["1/3"], field: value}
-    cfg = tmp_path / "point.json"
-    cfg.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "kernel", "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert (f"bad config document: {field} must be an integer, got {shown}"
-            in err)
-
-
-def test_config_and_poly_conflict(capsys, tmp_path):
-    cfg = tmp_path / "point.json"
-    cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": [[0, 0]]}))
-    code, _, err = run(capsys, "stokes", "--config", str(cfg),
-                       "--poly", "0,0,1")
-    assert code == 2 and "not both" in err
-
-
 def test_poly_normalization_errors(capsys):
     code, _, err = run(capsys, "stokes", "--n", "2", "--k", "1",
                        "--poly", "0,1,1")
@@ -277,15 +225,12 @@ def test_poly_normalization_errors(capsys):
     assert code == 2 and "n >= 2" in err
 
 
-def test_zero_denominator_is_usage_error(capsys, tmp_path):
+def test_zero_denominator_is_usage_error(capsys):
     # Fraction("1/0") raises ZeroDivisionError, which the numeric exit must
-    # not catch: --poly, --v0 and a config coefficient all exit 2
-    cfg = tmp_path / "point.json"
-    cfg.write_text(json.dumps({"n": 2, "k": 1, "coefficients": ["1/0"]}))
+    # not catch: --poly and --v0 both exit 2
     point = ["--n", "2", "--k", "1", "--degree", "2"]
     for argv, named in (([*point, "--poly", "1/0"], "coefficient '1/0'"),
-                        ([*WEBER, "--v0", "1/0"], "--v0 '1/0'"),
-                        (["--config", str(cfg)], "coefficient '1/0'")):
+                        ([*WEBER, "--v0", "1/0"], "--v0 '1/0'")):
         code, out, err = run(capsys, "stokes", *argv)
         assert code == 2 and out == ""
         assert f"zero denominator in {named}" in err
@@ -304,9 +249,9 @@ def test_unwritable_paths_are_usage_errors(capsys, tmp_path):
     # a path in a missing directory is a usage error (exit 2, naming the
     # path), not a traceback with the suite-failure code 1
     missing = tmp_path / "missing"
-    for argv in (["kernel", *WEBER, "--output", str(missing / "x.json")],
-                 ["stokes", *WEBER, "--csv", str(missing / "x.csv")]):
-        code, out, err = run(capsys, *argv)
+    for sub in ("kernel", "stokes"):
+        code, out, err = run(capsys, sub, *WEBER, "--output",
+                             str(missing / "x.json"))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(missing) in err
 
@@ -389,19 +334,6 @@ def test_jacobian_document(capsys):
     assert len(doc["singular_values"]) == 3
 
 
-def test_env_override_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("OPERSTOKES_TRUNC_ORDER", "12")
-    _, out, _ = run(capsys, "stokes", *WEBER)
-    assert json.loads(out)["settings"]["M"] == 12
-    _, out, _ = run(capsys, "stokes", *WEBER, "--trunc-order", "14")
-    assert json.loads(out)["settings"]["M"] == 14
-    monkeypatch.setenv("OPERSTOKES_D", "6")
-    _, out, _ = run(capsys, "kernel", *WEBER)
-    assert json.loads(out)["D"] == 6
-    _, out, _ = run(capsys, "kernel", *WEBER, "--D", "5")
-    assert json.loads(out)["D"] == 5
-
-
 def _fresh_env():
     """Environment for a fresh interpreter that imports this operstokes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(operstokes.__file__)))
@@ -427,6 +359,48 @@ def test_seed_is_not_a_flag(capsys):
             main([sub, *WEBER, "--seed", "7"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_flags_are_the_only_input(capsys, monkeypatch):
+    # an oper point is --n/--k/--poly, and the directions are in the
+    # document: no file, second copy or environment variable sets a value
+    for sub in ("stokes", "jacobian", "kernel"):
+        for flag in ("--config", "--csv"):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, *WEBER, flag, "x"])
+            assert exc.value.code == 2
+            assert (f"unrecognized arguments: {flag} x"
+                    in capsys.readouterr().err)
+    _, stokes_plain, _ = run(capsys, "stokes", *WEBER)
+    _, kernel_plain, _ = run(capsys, "kernel", *WEBER)
+    monkeypatch.setenv("OPERSTOKES_TRUNC_ORDER", "12")
+    monkeypatch.setenv("OPERSTOKES_D", "6")
+    assert run(capsys, "stokes", *WEBER) == (0, stokes_plain, "")
+    assert run(capsys, "kernel", *WEBER) == (0, kernel_plain, "")
+    _, out, _ = run(capsys, "stokes", *WEBER, "--trunc-order", "14")
+    assert json.loads(out)["settings"]["M"] == 14
+    _, out, _ = run(capsys, "kernel", *WEBER, "--D", "5")
+    assert json.loads(out)["D"] == 5
+    # a complex point is flags too
+    code, out, _ = run(capsys, "stokes", "--n", "2", "--k", "1",
+                       "--degree", "2", "--poly", "0.3+0.2j")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coefficients"] == [[0.3, 0.2]]
+    assert doc["residuals"]["identity"] <= 1e-7
+
+
+def test_readme_command_lines_parse():
+    # every documented command names only flags the parser knows
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme,
+                         re.DOTALL)
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.strip()]
+    assert len(commands) >= 5
+    for words in commands:
+        assert words[0] == "operstokes"
+        cli._build_parser().parse_args(words[1:])
 
 
 def test_readme_quick_start_runs(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as QQ
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from operstokes import isomono
 from operstokes.exactla import exact_rank, modular_rank, qzeros
+from operstokes.immersion import jacobian
 from operstokes.isomono import (IDENTITY_CERTIFICATE, OperPoint, ScalarSystem,
                                 apply_deformation, connection_matrix,
                                 corner_vector, degree_obstruction, joint_rows,
@@ -49,6 +51,28 @@ def test_oper_point_validation():
     assert op.p().coeff(5) == 0  # no z^{d-1} term
     assert op.p_coeff(6) == 1
     assert op.exact
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: OperPoint(2.0, 1, (QQ(0),)), "n must be an int, got 2.0"),
+    (lambda: OperPoint(2.9, 1, (QQ(0),)), "n must be an int, got 2.9"),
+    (lambda: OperPoint(True, 1, (QQ(0),)), "n must be an int, got True"),
+    (lambda: OperPoint("3", 1, (QQ(0),)), "n must be an int, got '3'"),
+    (lambda: OperPoint(2, 2.9, (QQ(0),)), "k must be an int, got 2.9"),
+    (lambda: OperPoint(2, True, (QQ(0),)), "k must be an int, got True"),
+    (lambda: OperPoint(2, "3", (QQ(0),)), "k must be an int, got '3'"),
+    (lambda: solvability(Z2, D=True), "D must be an int, got True"),
+    (lambda: solvability(Z2, D=2.5), "D must be an int, got 2.5"),
+    (lambda: jacobian(Z2, h=True), "h must be a real number, got True"),
+    (lambda: jacobian(Z2, rank_tol=True),
+     "rank_tol must be a real number, got True"),
+], ids=["n-2.0", "n-2.9", "n-true", "n-str", "k-2.9", "k-true", "k-str",
+        "D-true", "D-2.5", "h-true", "rank_tol-true"])
+def test_sizes_and_steps_must_be_numbers_of_their_kind(make, named):
+    # a float n would make d a float that fails deep in solvability, and a
+    # bool would read as 1: each is refused where it enters, naming the field
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -190,9 +214,9 @@ def test_modular_rank_matches_exact_rank_on_joint_rows(n, k):
 
 def report_fields(rep):
     return {name: getattr(rep, name) for name in (
-        "n", "k", "d", "D", "joint_kernel_dim", "tangent_dim",
+        "op", "D", "joint_kernel_dim", "tangent_dim",
         "homogeneous_kernel_dim", "traceless_homogeneous_kernel_dim",
-        "exact", "witness")}
+        "witness")}
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (2, 3)])
@@ -236,7 +260,7 @@ def test_solvability_basic():
     assert rep.homogeneous_kernel_dim == 1
     assert rep.traceless_homogeneous_kernel_dim == 0
     assert rep.witness is None
-    assert rep.exact
+    assert rep.op is Z2
     assert rep.certificate == IDENTITY_CERTIFICATE
 
 
