@@ -361,16 +361,54 @@ def test_seed_is_not_a_flag(capsys):
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
-def test_flags_are_the_only_input(capsys, monkeypatch):
-    # an oper point is --n/--k/--poly, and the directions are in the
-    # document: no file, second copy or environment variable sets a value
+def _assert_not_a_flag(capsys, flag, *argv):
     for sub in ("stokes", "jacobian", "kernel"):
-        for flag in ("--config", "--csv"):
-            with pytest.raises(SystemExit) as exc:
-                main([sub, *WEBER, flag, "x"])
-            assert exc.value.code == 2
-            assert (f"unrecognized arguments: {flag} x"
-                    in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *argv, flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+def test_stokes_csv(capsys):
+    # the directions are written once, in the document
+    _assert_not_a_flag(capsys, "--csv", *WEBER)
+    code, out, _ = run(capsys, "stokes", *WEBER)
+    assert code == 0
+    directions = json.loads(out)["directions"]
+    assert len(directions) == 8
+    assert directions[0]["of_pi"] == "1/4"
+
+
+def test_config_input(capsys):
+    # an oper point is --n/--k/--poly, a complex one too
+    _assert_not_a_flag(capsys, "--config", *WEBER)
+    code, out, _ = run(capsys, "stokes", "--n", "2", "--k", "1",
+                       "--degree", "2", "--poly", "0.3+0.2j")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coefficients"] == [[0.3, 0.2]]
+    assert doc["residuals"]["identity"] <= 1e-7
+
+
+def test_config_string_coefficients_are_exact(capsys):
+    # a rational --poly coefficient is read exactly
+    code, out, _ = run(capsys, "kernel", "--n", "2", "--k", "1",
+                       "--degree", "2", "--poly", "1/3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] is True and doc["tangent_dim"] == 0
+
+
+def test_config_and_poly_conflict(capsys):
+    # --poly is the one way to give the coefficients
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes", "--config", "x", *WEBER])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+def test_env_override_and_flag_precedence(capsys, monkeypatch):
+    # no environment variable sets a value; the flags still do
     _, stokes_plain, _ = run(capsys, "stokes", *WEBER)
     _, kernel_plain, _ = run(capsys, "kernel", *WEBER)
     monkeypatch.setenv("OPERSTOKES_TRUNC_ORDER", "12")
@@ -381,13 +419,6 @@ def test_flags_are_the_only_input(capsys, monkeypatch):
     assert json.loads(out)["settings"]["M"] == 14
     _, out, _ = run(capsys, "kernel", *WEBER, "--D", "5")
     assert json.loads(out)["D"] == 5
-    # a complex point is flags too
-    code, out, _ = run(capsys, "stokes", "--n", "2", "--k", "1",
-                       "--degree", "2", "--poly", "0.3+0.2j")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["coefficients"] == [[0.3, 0.2]]
-    assert doc["residuals"]["identity"] <= 1e-7
 
 
 def test_readme_command_lines_parse():
