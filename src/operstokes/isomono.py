@@ -23,6 +23,7 @@ rules out nontrivial polynomial solutions.
 from __future__ import annotations
 
 import cmath
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,6 +69,9 @@ class OperPoint:
         if len(self.coeffs) != d - 1:
             raise ValueError(f"need d-1 = {d-1} coefficients c_0..c_{d-2}, got {len(self.coeffs)}")
         for m, c in enumerate(self.coeffs):
+            if isinstance(c, bool) or not isinstance(c, numbers.Complex):
+                raise ValueError(f"coefficient c_{m} must be a number, got "
+                                 f"{c!r}")
             if not (_is_exact(c) or cmath.isfinite(c)):
                 raise ValueError(f"coefficient c_{m} must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(

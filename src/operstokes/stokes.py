@@ -24,7 +24,9 @@ jumps at both of its bounding rays, so no single seed direction characterizes
 it; a set of per-mode reading angles does.  Every sector is collocated twice
 at spread-apart angles (the A and B builds) and consecutive factors pair A
 with B, so the closure of the monodromy identity measures true disagreement
-between independent constructions instead of telescoping to zero.
+between independent constructions instead of telescoping to zero.  The
+factors are exact quotients of integer solves, each factor and grouped entry
+is rounded once to a double from exact data, and mpmath makes only scalars.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ class StokesSettings:
                     and (value > 0 or value == 0 and relation == ">=")):
                 raise ValueError(f"{name} must be finite and {relation} 0, "
                                  f"got {value!r}")
+        if self.v0 is not None:         # what Fraction() reads, no bool
+            try:
+                if isinstance(self.v0, bool):
+                    raise TypeError
+                Fraction(self.v0)
+            except (TypeError, ValueError, ArithmeticError):
+                raise ValueError(f"v0 must be a Fraction of pi, got "
+                                 f"{self.v0!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +640,11 @@ _MAX_TERMS = 20000
 # (_aligned), each sector column is solved exactly and rounded once to
 # bits + 40 bits of its largest entry (sector_coefficients), the A/B
 # consistency and the factor quotients are exact (_eliminate), and each
-# factor entry is rounded once to `bits`.  A kill row gives its column at
+# factor entry is rounded once, to a double.  A kill row gives its column at
 # any nonzero scale, so only the normalization row's right-hand side e^{E},
 # one working-precision exp, carries a mode exponential; its rounding at
 # 2^-bits scales its column as a whole and reaches a factor entry as a
-# relative 2^-bits, the size of that entry's own rounding.  So the only
+# relative 2^-bits, below that entry's own rounding.  So the only
 # other errors before the result's are the two roundings at 2^-(bits+40),
 # and each moves a solution by at most the condition number
 # kappa of the matrix solved (the collocation matrix, the A build) times
@@ -642,9 +652,15 @@ _MAX_TERMS = 20000
 # growth): the bits lost are bounded by log2 kappa, which the A/B
 # consistency measures, and up to kappa = 2^40 the factors keep their full
 # `bits`.  The columns are rounded because exact ones would carry (n-1)-
-# minors into the quotients: at z^6 (n = 6) those took 95 ms a sector.  A
-# batch of points (replay) takes each step per entry as a batch of one does,
-# so no point's result depends on the batch it is made in.
+# minors into the quotients: at z^6 (n = 6) those took 95 ms a sector.
+# Grouped matrices and closure (_stokes_result): each quotient Q_j rounded
+# to nearest on `frac` bits is within n u / sqrt 2 in the max-row-sum norm,
+# u = 2^-frac, and each of the r - 1 products, within or of the groups,
+# floors each part, within sqrt 2 n u; so to first order a grouped matrix,
+# or the closure's Q_r ... Q_1, is off by under 3 r n u prod_j max(1,
+# ||Q_j||) before its one rounding to a double.  A batch of points (replay)
+# takes each step per entry as a batch of one does, so no point's result
+# depends on the batch it is made in.
 _GUARD_BITS = 40
 
 
@@ -657,12 +673,13 @@ def _series_tail(fs, rho):
 @dataclass
 class _Build:
     """One point's collocation at a reading radius: the formal solution it
-    read, its entire basis' circle and term count, the quotients the
-    factors are made of and the A/B agreement."""
+    read, its entire basis' circle and term count, the exact quotients the
+    factors are made of, sector i + 1's x[:, i] 2^exp[i] / det[:, i] for
+    (x, det, exp) (_exact_quotient), and the A/B agreement."""
     fs: FormalSolution
     rho: float
     nterms: int
-    quotients: list
+    quotients: tuple
     cons: float
 
 
@@ -709,9 +726,7 @@ def _collocate(ops, layout, fss, rho, nterms=None):
     if not np.isfinite(deviations).all():      # a NaN from any sector too
         raise ArithmeticError("collocation build overflowed")
     return [_Build(fs=fs, rho=rho, nterms=terms[p], cons=float(deviations[p]),
-                   quotients=[_rounded_quotient(ctx, x[:, p, i, :, n:],
-                                                det[:, p, i], exp[p, i, :, n:])
-                              for i in range(layout.r)])
+                   quotients=(x[:, p, ..., n:], det[:, p], exp[p, ..., n:]))
             for p, fs in enumerate(fss)]
 
 
@@ -1127,18 +1142,13 @@ def _exact_quotient(a, *bs):
     return x, det, sb[..., None, :] - sa[..., :, None]
 
 
-def _rounded_quotient(ctx, x, det, exp):
-    """An _exact_quotient x 2^exp / det as a working-precision array, each
-    part of each entry rounded once (_nearest) from x conj(det) / |det|^2:
-    no mpmath arithmetic."""
-    parts = _gauss(x, np.array([det[0], -det[1]]))
-    norm = det[0] * det[0] + det[1] * det[1]
-    out = np.empty(exp.shape, dtype=object)
-    for idx in np.ndindex(exp.shape):
-        (mr, er), (mi, ei) = (_nearest(p[idx], norm, ctx.bits) for p in parts)
-        out[idx] = ctx.complex(ctx.real((mr, er + exp[idx])),
-                               ctx.real((mi, ei + exp[idx])))
-    return out
+def _quotient_entries(rounding, x, det, exp):
+    """rounding(a, w, e) of each part a / (w 2^e) of each entry of an
+    _exact_quotient x 2^exp / det = x conj(det) 2^exp / |det|^2: _divide
+    for ints, _ratio for doubles.  Returns an array (2, ...), (re, im)."""
+    re, im = det[..., None, None]
+    parts = _gauss(x, np.array([re, -im]))
+    return np.frompyfunc(rounding, 3, 1)(parts, re * re + im * im, -exp)
 
 
 def _divide(a, w, exp):
@@ -1149,19 +1159,11 @@ def _divide(a, w, exp):
     return q + (2 * rem > den or (2 * rem == den and q & 1))
 
 
-def _nearest(a, w, bits):
-    """a / w for ints a and w > 0, rounded to nearest (ties to even) to
-    `bits` significant bits, as (man, exp) with value man 2^exp."""
-    if not a:
-        return 0, 0
-    # |a| / w lies in 2^exp (2^(bits-1), 2^(bits+1)), so at most one retry
-    # on a halved scale
-    exp = abs(a).bit_length() - w.bit_length() - bits
-    man = _divide(a, w, exp)
-    if abs(man) > 1 << bits:
-        exp += 1
-        man = _divide(a, w, exp)
-    return man, exp
+def _ratio(a, w, exp):
+    """a / (w 2^exp) for ints a and w > 0 as a double, correctly rounded
+    once (int true division is), or OverflowError past double range."""
+    num, den = (a, w << exp) if exp >= 0 else (a << -exp, w)
+    return num / den
 
 
 def _deviation(x, det, exp):
@@ -1195,46 +1197,13 @@ def dominance_order(layout):
     return tuple(a for _, a in vals)
 
 
-def stokes_matrices(layout, factors):
-    """Group the factors into the 2k+2 Stokes matrices
-    S_i = K_{i ell} ... K_{(i-1) ell + 1}."""
-    ell = layout.ell
-    mats = []
-    for i in range(2 * layout.k + 2):
-        acc = factors[i * ell]
-        for j in range(i * ell + 1, (i + 1) * ell):
-            acc = factors[j] @ acc
-        mats.append(acc)
-    return mats
-
-
-def identity_residual(ctx, mats, lam, det_twist):
-    """Max-norm distance of S_{2k+2} ... S_1 exp(2 pi i Lambda) from the
-    det-twist multiple of the identity -- the monodromy-free certificate for
-    the whole pipeline."""
-    n = mats[0].shape[0]
-    acc = np.eye(n, dtype=object)
-    for mat in mats:
-        acc = mat @ acc
-    twist = [ctx.exp(ctx.number(2j) * ctx.number(ctx.pi) * lam[b])
-             for b in range(n)]
-    worst = 0.0
-    for s in range(n):
-        for t in range(n):
-            v = complex(acc[s, t]) * complex(twist[t])
-            target = det_twist if s == t else 0.0
-            worst = max(worst, abs(v - target))
-    return worst
-
-
 def _identity_gap(mats):
-    """Entrywise distance of a stack of matrices from the identity in
-    modulus, ||m_ss| - 1| on the diagonal and |m_st| off it, each entry
-    rounded to a double first and its modulus taken by hypot, as
-    abs(complex) takes it (np.abs can differ in the last bit)."""
-    z = np.array(mats, dtype=complex)
-    mod = np.hypot(z.real, z.imag)
-    return np.where(np.eye(z.shape[-1], dtype=bool), abs(mod - 1.0), mod)
+    """Entrywise distance of a complex128 stack of matrices from I in
+    modulus, ||m_ss| - 1| on the diagonal and |m_st| off it, each modulus
+    by hypot, as abs(complex) takes it (np.abs can differ in the last
+    bit)."""
+    mod = np.hypot(mats.real, mats.imag)
+    return np.where(np.eye(mats.shape[-1], dtype=bool), abs(mod - 1.0), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -1256,13 +1225,15 @@ class StokesData:
     holds when neither did, and a run that missed either still returns its
     data.  lam and qcoeffs are the run's formal exponents Lambda and Q, as
     on FormalSolution; plan.bits is _FIRST_BITS, or the bits of the
-    reading's one correction."""
+    reading's one correction.  factors (r, n, n) and matrices (2k+2, n, n)
+    are complex128 arrays, each entry rounded once to a double from exact
+    data (_stokes_result)."""
     op: OperPoint
     plan: CollocationPlan
     lam: list
     qcoeffs: dict
-    factors: list
-    matrices: list
+    factors: np.ndarray
+    matrices: np.ndarray
     perm: tuple
     det_twist: int
     residuals: dict
@@ -1284,8 +1255,7 @@ class StokesData:
         matrices, concatenated -- the coordinates in which the monodromy map
         is differentiated."""
         _, triangles, _, _ = _layout_shape(self.plan.layout)
-        conj = np.array(self.matrices)[:, self.perm][:, :, self.perm]
-        return np.array(conj[triangles], dtype=complex)
+        return self.matrices[:, self.perm][:, :, self.perm][triangles]
 
 
 # the bits of a fresh run's first build: at the default settings every
@@ -1367,23 +1337,43 @@ def replay(ops, plan):
 
 def _stokes_result(op, gc, plan, build):
     """A point's StokesData from its build on the plan: the factors K_j =
-    Phi_j^{-1} Phi_{j-1}, j = 1..r, the build's quotients (A build of
-    sector j)^{-1} (B build of sector j-1) (_collocate), their grouped
-    matrices and residuals."""
+    Phi_j^{-1} Phi_{j-1}, j = 1..r, from the build's exact quotients Q_j =
+    (A build of sector j)^{-1} (B build of sector j-1) (_collocate), their
+    grouped matrices, fixed-point products of the quotients on `frac` bits,
+    and residuals, every entry rounded once to a double (_GUARD_BITS)."""
     fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
     perm, triangles, supports, phantom = _layout_shape(layout)
     # the wrap factor K_1 compares sector 1 against sector r: re-reading
     # sector 1 on the chart shifted by 2 pi multiplies its contents by the
-    # det twist and exp(2 pi i Lambda)
+    # det twist and exp(2 pi i Lambda), so K_1 = Q_1 W and S_1 = (Q_ell ...
+    # Q_1) W for W = diag(sigma exp(-2 pi i lambda_b)), taken exactly, and
+    # S_{2k+2} ... S_1 exp(2 pi i Lambda) = sigma Q_r ... Q_1
     tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(gc.det_twist)
-    wrap = np.array([sigma * ctx.exp(-tau * lam) for lam in fs.lam],
-                    dtype=object)
-    factors = [build.quotients[0] * wrap] + build.quotients[1:]
-    matrices = stokes_matrices(layout, factors)
+    wrap = np.array([_exact(sigma * ctx.exp(-tau * lam)) for lam in fs.lam],
+                    dtype=object).T
+
+    def doubles(x, det, exp):           # a stack whose first matrix takes W
+        x = np.concatenate([_gauss(x[:, :1], wrap[:2]), x[:, 1:]], axis=1)
+        exp = np.concatenate([exp[:1] + wrap[2], exp[1:]])
+        parts = _quotient_entries(_ratio, x, det, exp)
+        return np.frompyfunc(complex, 2, 1)(*parts).astype(complex)
+
+    def product(mats):                  # mats[-1] ... mats[0]
+        return functools.reduce(
+            lambda acc, m: _gauss(m, acc, np.matmul) >> ctx.frac, mats)
+
+    x, det, exp = build.quotients
+    fixed = _quotient_entries(_divide, x, det, exp + ctx.frac).swapaxes(0, 1)
+    groups = [product(fixed[i:i + layout.ell])
+              for i in range(0, layout.r, layout.ell)]
+    one = np.array([1, 0], dtype=object)
+    unit = np.full((len(groups),) + exp.shape[1:], -ctx.frac, dtype=object)
+    factors = doubles(x, det, exp)
+    matrices = doubles(np.stack(groups, axis=1), one, unit)
     gaps = _identity_gap(factors)
     grouped = _identity_gap(matrices)[:, perm][:, :, perm]
     residuals = {
-        "identity": identity_residual(ctx, matrices, fs.lam, gc.det_twist),
+        "identity": float(_deviation(product(groups), one, unit[0])),
         "unipotency": float(grouped[~triangles].max(initial=0.0)),
         "trace": fs.trace_residual(),
         "asymptotic": _series_tail(fs, plan.rho),

@@ -66,11 +66,19 @@ def test_oper_point_validation():
     (lambda: jacobian(Z2, h=True), "h must be a real number, got True"),
     (lambda: jacobian(Z2, rank_tol=True),
      "rank_tol must be a real number, got True"),
+    (lambda: OperPoint(2, 1, (True,)),
+     "coefficient c_0 must be a number, got True"),
+    (lambda: OperPoint(2, 1, ("1/3",)),
+     "coefficient c_0 must be a number, got '1/3'"),
+    (lambda: OperPoint(3, 1, (QQ(1, 5), None)),
+     "coefficient c_1 must be a number, got None"),
 ], ids=["n-2.0", "n-2.9", "n-true", "n-str", "k-2.9", "k-true", "k-str",
-        "D-true", "D-2.5", "h-true", "rank_tol-true"])
+        "D-true", "D-2.5", "h-true", "rank_tol-true", "c0-true", "c0-str",
+        "c1-none"])
 def test_sizes_and_steps_must_be_numbers_of_their_kind(make, named):
-    # a float n would make d a float that fails deep in solvability, and a
-    # bool would read as 1: each is refused where it enters, naming the field
+    # a float n would make d a float that fails deep in solvability, a bool
+    # would read as 1, and a str or None coefficient would fail later with a
+    # TypeError: each is refused where it enters, naming the field
     with pytest.raises(ValueError, match=re.escape(named)):
         make()
 

@@ -31,12 +31,15 @@ def exact(values):
 
 
 def fields(sd):
-    """Every field of a StokesData, its numbers as exact tuples."""
+    """Every field of a StokesData, its working-precision numbers as exact
+    tuples and its complex128 factors and grouped matrices as bytes."""
     out = dict(vars(sd))
     out["lam"] = exact(sd.lam)
     out["qcoeffs"] = {j: exact(q) for j, q in sd.qcoeffs.items()}
     for name in ("factors", "matrices"):
-        out[name] = [exact(m.ravel()) for m in getattr(sd, name)]
+        values = getattr(sd, name)
+        assert values.dtype == complex
+        out[name] = (values.shape, values.tobytes())
     return out
 
 

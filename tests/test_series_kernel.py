@@ -187,3 +187,19 @@ def test_gauss_matmul_empty_inner_axis_is_integer_zero():
 def test_trunc_order_must_be_an_int(order):
     with pytest.raises(ValueError, match="trunc_order must be an int"):
         StokesSettings(trunc_order=order)
+
+
+@pytest.mark.parametrize("v0", [True, False, "abc", 1j, float("nan"),
+                                float("inf"), "1/0"],
+                         ids=["true", "false", "abc", "complex", "nan", "inf",
+                              "zero-denominator"])
+def test_v0_must_read_as_a_fraction(v0):
+    # a bool would read as base direction pi or 0, and the rest would fail
+    # inside stokes_data with a message that does not name v0
+    with pytest.raises(ValueError, match="v0 must be a Fraction of pi"):
+        StokesSettings(v0=v0)
+
+
+def test_v0_reads_what_fraction_reads():
+    for v0 in (None, 1, QQ(1, 7), 0.125, "1/9"):
+        assert StokesSettings(v0=v0).v0 == v0
