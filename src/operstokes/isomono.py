@@ -328,10 +328,13 @@ class ScalarSystem:
     """The n^2-1 first-order equations for the weight-basis coefficients.
 
     equations[(i,j)] is the right-hand side of omega_{i,j}' as a list of
-    (coefficient, tag) terms, tag one of
-        ("omega", i2, j2)    -> omega_{i2,j2}
-        ("p_omega", i2, j2)  -> p * omega_{i2,j2}
-        ("pdot",)            -> pdot
+    (coefficient, atom) terms in _differentiate_atoms' atoms:
+        ("om", i2, j2)       -> omega_{i2,j2}
+        ("pom", 0, i2, j2)   -> p * omega_{i2,j2}
+        ("pd", 0)            -> pdot
+    For j >= 1, omega_{i,j}' = omega_{i,j-1}, and for jj = 0..i
+        omega_{i,-jj}' = [omega_{i,-jj-1} if jj < i; pdot if jj = i = n-1]
+            + sum_{kk=0}^{min(jj,n-2)} c_{i,jj,kk} p omega_{n-1-kk,n-1-jj}.
     """
 
     def __init__(self, n):
@@ -340,28 +343,17 @@ class ScalarSystem:
         self.equations = {}
         for i in range(1, n):
             for j in range(1, i + 1):
-                self.equations[(i, j)] = [(QQ(1), ("omega", i, j - 1))]
-            for jj in range(0, i):
-                terms = [(QQ(1), ("omega", i, -jj - 1))]
-                for kk in range(0, jj + 1):
+                self.equations[(i, j)] = [(QQ(1), ("om", i, j - 1))]
+            for jj in range(0, i + 1):
+                if jj < i:
+                    terms = [(QQ(1), ("om", i, -jj - 1))]
+                else:
+                    terms = [(QQ(1), ("pd", 0))] if i == n - 1 else []
+                for kk in range(0, min(jj, n - 2) + 1):
                     cv = tables.c_val(i, jj, kk)
                     if cv:
-                        terms.append((cv, ("p_omega", n - 1 - kk, n - 1 - jj)))
+                        terms.append((cv, ("pom", 0, n - 1 - kk, n - 1 - jj)))
                 self.equations[(i, -jj)] = terms
-            if i < n - 1:
-                terms = []
-                for kk in range(0, i + 1):
-                    cv = tables.c_val(i, i, kk)
-                    if cv:
-                        terms.append((cv, ("p_omega", n - 1 - kk, n - 1 - i)))
-                self.equations[(i, -i)] = terms
-            else:
-                terms = [(QQ(1), ("pdot",))]
-                for kk in range(0, n - 1):
-                    cv = tables.c_val(n - 1, n - 1, kk)
-                    if cv:
-                        terms.append((cv, ("p_omega", n - 1 - kk, 0)))
-                self.equations[(n - 1, -(n - 1))] = terms
         if len(self.equations) != n * n - 1:
             raise ArithmeticError("scalar system must have n^2-1 equations")
 
@@ -371,11 +363,11 @@ class ScalarSystem:
         zero = Poly([])
         for key, terms in self.equations.items():
             r = omega.get(key, zero).derivative()
-            for coeff, tag in terms:
-                if tag[0] == "omega":
-                    r = r - coeff * omega.get((tag[1], tag[2]), zero)
-                elif tag[0] == "p_omega":
-                    r = r - coeff * (p * omega.get((tag[1], tag[2]), zero))
+            for coeff, atom in terms:
+                if atom[0] == "om":
+                    r = r - coeff * omega.get(atom[1:], zero)
+                elif atom[0] == "pom":
+                    r = r - coeff * (p * omega.get(atom[2:], zero))
                 else:
                     r = r - coeff * pdot
             out[key] = r
@@ -436,7 +428,7 @@ def _differentiate_atoms(system, expr):
 
     Atoms: ("om", i, j) = omega_{i,j};  ("pom", a, m, j) = p^(a) omega_{m,j};
     ("pd", a) = pdot^(a).  An omega atom is replaced by the right-hand side
-    of its equation in the scalar system.
+    of its equation in the scalar system, whose terms are atoms already.
     """
     out = {}
 
@@ -448,13 +440,8 @@ def _differentiate_atoms(system, expr):
     for atom, coeff in expr.items():
         kind = atom[0]
         if kind == "om":
-            for c, tag in system.equations[atom[1:]]:
-                if tag[0] == "omega":
-                    add(("om",) + tag[1:], coeff * c)
-                elif tag[0] == "p_omega":
-                    add(("pom", 0) + tag[1:], coeff * c)
-                else:
-                    add(("pd", 0), coeff * c)
+            for c, term in system.equations[atom[1:]]:
+                add(term, coeff * c)
         elif kind == "pom":
             _, a, m, j = atom
             if j < 1:
@@ -563,8 +550,6 @@ class ObstructionReport:
     d: int
     d0: int
     rows: list
-    pdot_degree_bound: int
-    pdot_strict_below: int
 
     @property
     def contradiction(self):
@@ -597,5 +582,4 @@ def degree_obstruction(op, degrees):
             rows.append(ObstructionRow(i=i, leader=grp.leader,
                                        lhs_degree=lhs, rhs_degree=rhs,
                                        holds=lhs >= rhs))
-    return ObstructionReport(n=n, d=d, d0=d0, rows=rows,
-                             pdot_degree_bound=d - 2, pdot_strict_below=d - 1)
+    return ObstructionReport(n=n, d=d, d0=d0, rows=rows)

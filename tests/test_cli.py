@@ -245,6 +245,25 @@ def test_degree_other_than_nk_is_usage_error(capsys):
     assert "--degree 3 must equal n*k = 4" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "2", "--k", "1", "--poly", "abc"],
+     "cannot parse coefficient 'abc'"),
+    (["--n", "2", "--k", "1"], "need --n, --k and --poly"),
+    (["--n", "2", "--k", "1", "--degree", "2", "--poly", "1,2"],
+     "--degree 2 wants the 1 coefficients c_0..c_0, got 2"),
+    (["--n", "2", "--k", "1", "--poly", "0,0,2"],
+     "--poly without --degree must be the full ascending list"),
+    ([*WEBER, "--v0", "abc"], "cannot parse --v0 'abc' as a fraction"),
+], ids=["poly-abc", "poly-missing", "degree-count", "poly-not-monic",
+        "v0-abc"])
+def test_unreadable_point_is_usage_error(capsys, argv, named):
+    # the oper point and the base direction are refused before any run,
+    # naming the flag or value
+    code, out, err = run(capsys, "stokes", *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
 def test_unwritable_paths_are_usage_errors(capsys, tmp_path):
     # a path in a missing directory is a usage error (exit 2, naming the
     # path), not a traceback with the suite-failure code 1

@@ -1,16 +1,18 @@
 import cmath
 import dataclasses
 import math
+import random
 from collections import Counter
 from fractions import Fraction as QQ
 
 import mpmath
+import numpy as np
 import pytest
 
 from operstokes import immersion, stokes
 from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
-from operstokes.stokes import StokesSettings, stokes_data
+from operstokes.stokes import StokesSettings, replay, stokes_data
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +174,34 @@ def test_cross_check_weber():
 def test_cross_check_needs_exact_point():
     with pytest.raises(ValueError):
         kernel_cross_check(OperPoint(2, 1, (0.5 + 0.1j,)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (QQ(1, 5), QQ(-1, 7)), (QQ(1, 5), QQ(-1, 4), QQ(1, 6))],
+    ids=["cubic-n3", "quartic-n4"])
+def test_differential_passes_the_taylor_test(coeffs):
+    # nu(c + t v) - nu(c) - t J v = O(t^2) on the frozen plan: the remainder
+    # over t^2 stays flat from t = 0.1 to 0.001, the points one replay of
+    # the Jacobian's plan with the base point first.  With J off by 1e-3
+    # the first-order miss 1e-3 t J v takes over at small t; the seeded
+    # direction is one where ||J v|| makes that visible at t = 0.001
+    op = OperPoint(len(coeffs) + 1, 1, coeffs)
+    rep = jacobian(op)
+    rng = random.Random(2)
+    v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                  for _ in coeffs])
+    v /= np.linalg.norm(v)
+    ts = (0.1, 0.03, 0.01, 0.003, 0.001)
+    c = np.array([complex(x) for x in coeffs])
+    runs = replay([op] + [OperPoint(op.n, 1, tuple(c + t * v)) for t in ts],
+                  rep.plan)
+    nu = [run.monitored_vector() for run in runs]
+
+    def spread(jac):
+        ratios = [np.linalg.norm(nu_t - nu[0] - t * (jac @ v))
+                  / np.linalg.norm(nu[0]) / t ** 2
+                  for t, nu_t in zip(ts, nu[1:])]
+        return max(ratios) / min(ratios)
+
+    assert spread(rep.jacobian) <= 1.5
+    assert spread(rep.jacobian * (1 + 1e-3)) > 1.5

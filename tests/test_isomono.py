@@ -261,6 +261,46 @@ def test_solvability_checks_the_identity_witness(monkeypatch):
         solvability(op)
 
 
+def rows_without_pdot(monkeypatch):
+    """Make joint_rows drop the pdot columns, so that every pdot with
+    Omega = 0 is in the kernel and the rational elimination runs."""
+    real = isomono.joint_rows
+
+    def dropped(op, D):
+        base = op.n * op.n * (D + 1)
+        return [{t: x for t, x in row.items() if t < base}
+                for row in real(op, D)]
+
+    monkeypatch.setattr(isomono, "joint_rows", dropped)
+
+
+@pytest.mark.parametrize("n, k, D", [(2, 1, 4), (2, 2, 6)])
+def test_solvability_resubstitutes_its_witness(monkeypatch, n, k, D):
+    # a kernel vector with pdot != 0 is put back into the deformation
+    # equation, which the rows without pdot no longer match
+    rows_without_pdot(monkeypatch)
+    with pytest.raises(ArithmeticError,
+                       match="kernel vector failed exact re-substitution"):
+        solvability(OperPoint(n, k, (QQ(0),) * (n * k - 1)), D)
+
+
+def test_solvability_reports_a_witness(monkeypatch):
+    # with the equation blind to pdot too, the first kernel vector with
+    # pdot != 0 is the witness: pdot = z^2, the top pdot column, and
+    # Omega = 0
+    rows_without_pdot(monkeypatch)
+    real = isomono.apply_deformation
+    monkeypatch.setattr(isomono, "apply_deformation",
+                        lambda op, omega, pdot: real(op, omega, Poly([])))
+    op = OperPoint(2, 2, (QQ(0),) * 3)
+    rep = solvability(op, 6)
+    assert rep.certificate == "elimination"
+    assert rep.tangent_dim == op.d - 1
+    pdot, omega = rep.witness
+    assert pdot == Poly([QQ(0), QQ(0), QQ(1)])
+    assert len(omega) == 7 and not any(np.any(m != 0) for m in omega)
+
+
 def test_solvability_basic():
     rep = solvability(Z2, D=10)
     assert rep.joint_kernel_dim == 1
@@ -309,8 +349,8 @@ def test_scalar_system_counts_and_n2_bottom_equation():
     sys2 = ScalarSystem(2)
     assert len(sys2.equations) == 3
     bottom = sys2.equations[(1, -1)]
-    assert (QQ(1), ("pdot",)) in bottom
-    assert (QQ(2), ("p_omega", 1, 0)) in bottom
+    assert (QQ(1), ("pd", 0)) in bottom
+    assert (QQ(2), ("pom", 0, 1, 0)) in bottom
     for n in (3, 4, 5):
         assert len(ScalarSystem(n).equations) == n * n - 1
 
@@ -320,10 +360,57 @@ def test_scalar_system_symbols_in_range():
         sysn = ScalarSystem(n)
         for (i, j), terms in sysn.equations.items():
             assert 1 <= i <= n - 1 and -i <= j <= i
-            for _, tag in terms:
-                if tag[0] in ("omega", "p_omega"):
-                    i2, j2 = tag[1], tag[2]
+            for _, atom in terms:
+                if atom[0] in ("om", "pom"):
+                    i2, j2 = atom[-2:]
                     assert 1 <= i2 <= n - 1 and -i2 <= j2 <= i2
+
+
+def three_branch_equations(n):
+    """The scalar system as first written, in tags, with the bottom
+    equations of each string built by three loops (j < 0 and j = 0 below
+    the corner, the corner -i of a string i < n-1, and the corner of the
+    last string with its pdot), its tags then mapped to atoms: the oracle
+    for ScalarSystem's one rule."""
+    _, _, tables = isomono.algebra_data(n)
+    equations = {}
+    for i in range(1, n):
+        for j in range(1, i + 1):
+            equations[(i, j)] = [(QQ(1), ("omega", i, j - 1))]
+        for jj in range(0, i):
+            terms = [(QQ(1), ("omega", i, -jj - 1))]
+            for kk in range(0, jj + 1):
+                cv = tables.c_val(i, jj, kk)
+                if cv:
+                    terms.append((cv, ("p_omega", n - 1 - kk, n - 1 - jj)))
+            equations[(i, -jj)] = terms
+        if i < n - 1:
+            terms = []
+            for kk in range(0, i + 1):
+                cv = tables.c_val(i, i, kk)
+                if cv:
+                    terms.append((cv, ("p_omega", n - 1 - kk, n - 1 - i)))
+            equations[(i, -i)] = terms
+        else:
+            terms = [(QQ(1), ("pdot",))]
+            for kk in range(0, n - 1):
+                cv = tables.c_val(n - 1, n - 1, kk)
+                if cv:
+                    terms.append((cv, ("p_omega", n - 1 - kk, 0)))
+            equations[(n - 1, -(n - 1))] = terms
+    atoms = {"omega": ("om",), "p_omega": ("pom", 0), "pdot": ("pd", 0)}
+    return {key: [(c, atoms[tag[0]] + tag[1:]) for c, tag in terms]
+            for key, terms in equations.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_scalar_system_matches_the_three_branch_construction(n):
+    # key for key in order, term for term in order, coefficient types too
+    got = list(ScalarSystem(n).equations.items())
+    want = list(three_branch_equations(n).items())
+    assert got == want
+    assert [[type(c) for c, _ in terms] for _, terms in got] == \
+        [[type(c) for c, _ in terms] for _, terms in want]
 
 
 def test_scalar_matrix_roundtrip():
@@ -389,7 +476,7 @@ def test_degree_obstruction_n2():
     assert row.lhs_degree == 7 - 3
     assert row.rhs_degree == 2 + 7 - 1
     assert not row.holds
-    assert rep.pdot_degree_bound == 0 and rep.pdot_strict_below == 1
+    assert (rep.n, rep.d, rep.d0) == (2, 2, 7)
 
 
 def test_degree_obstruction_dict_degrees():

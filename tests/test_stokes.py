@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction as QQ
 
@@ -244,6 +245,47 @@ def test_residue_exponent_of_shifted_square():
     sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)), StokesSettings())
     lam = sorted(complex(v).real for v in sd.lam)
     assert abs(lam[0] + 1 / 6) <= 1e-12 and abs(lam[1] - 1 / 6) <= 1e-12
+
+
+def root_series(op):
+    """r_0..r_{k+1} of p(z)^{1/n} = z^k sum_j r_j z^{-j}, exactly: the
+    binomial series of (1 + u)^{1/n}, u = sum_m c_m z^{m-d}, through
+    z^{-(k+1)}."""
+    n, d, top = op.n, op.d, op.k + 1
+    u = [QQ(0)] * (top + 1)
+    for m, c in enumerate(op.coeffs):
+        if d - m <= top:
+            u[d - m] += c
+    r, power, binom = [QQ(0)] * (top + 1), [QQ(1)] + [QQ(0)] * top, QQ(1)
+    for t in range(top + 1):
+        r = [a + binom * b for a, b in zip(r, power)]
+        power = [sum(power[i] * u[j - i] for i in range(j + 1))
+                 for j in range(top + 1)]
+        binom = binom * (QQ(1, n) - t) / (t + 1)
+    return r
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (4, 1), (4, 2), (5, 1), (6, 1)])
+def test_formal_exponents_in_closed_form(n, k):
+    # the eigenvalues of B(z) are the n-th roots of p, so mode a of the
+    # formal solution has Q_a' + lambda_a / z = zeta^a p^{1/n} + O(z^-2):
+    # lambda_a = zeta^a r_{k+1} and Q_{j,a} = zeta^a r_{k+1-j} / j, with
+    # zeta = e^{2 pi i / n}
+    rng = random.Random(1000 * n + k)
+    op = OperPoint(n, k, tuple(QQ(rng.randint(-9, 9), rng.randint(1, 4))
+                               for _ in range(n * k - 1)))
+    fs = formal(gauge_transform(op), 12, make_ctx(69))
+    r = root_series(op)
+    zeta = [cmath.exp(2j * math.pi * a / n) for a in range(n)]
+    pairs = [(fs.lam, r[k + 1])]
+    pairs += [(fs.qcoeffs[j], r[k + 1 - j] / j) for j in range(1, k + 2)]
+    assert sorted(fs.qcoeffs) == list(range(1, k + 2))
+    for got, root in pairs:
+        want = [z * complex(root) for z in zeta]
+        scale = max(1.0, abs(float(root)))
+        assert max(abs(complex(g) - w) for g, w in zip(got, want)) \
+            <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1280,6 +1322,36 @@ def test_octic_monomial_sibuya_traces():
         assert abs(np.trace(t @ s) - want) <= 1e-9
 
 
+def q_form(n, k):
+    """Coefficients of prod_j (x - q^{n-1-2j}), q = e^{i pi k/(k+1)}: the
+    principal sl(2) weights n-1, n-3, ..., 1-n exponentiated at q."""
+    q = cmath.exp(1j * math.pi * k / (k + 1))
+    return np.poly([q ** (n - 1 - 2 * j) for j in range(n)])
+
+
+def pair_charpoly_defect(sd, want):
+    """Largest coefficient distance of the characteristic polynomial of
+    every S_{i+1} S_i, the wrap pair S_1 S_{2k+2} included, from want."""
+    mats = sd.matrices
+    return max(float(np.abs(np.poly(mats[(i + 1) % len(mats)] @ mats[i])
+                            - want).max()) for i in range(len(mats)))
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                  (3, 2), (4, 1), (4, 2), (5, 1), (6, 1)])
+def test_monomial_pairs_have_the_q_form(n, k):
+    # at p = z^d the rotation z -> e^{2 pi i/(n(k+1))} z gives every
+    # S_{i+1} S_i one characteristic polynomial, with roots q^{n-1-2j}: at
+    # n = 2 the trace is Sibuya's 2 - 4 cos^2(pi/(2k+2)), in general the
+    # quantum dimension [n]_q (Dorey, Dunning & Tateo 2000).  The (n, k+1)
+    # form misses by 0.11 or more at the points below, so the check tells
+    # neighbouring k apart
+    sd = stokes_data(OperPoint(n, k, (0,) * (n * k - 1)))
+    assert pair_charpoly_defect(sd, q_form(n, k)) <= 1e-9
+    if (n, k) in {(2, 1), (3, 1), (4, 1), (2, 4), (6, 1)}:
+        assert pair_charpoly_defect(sd, q_form(n, k + 1)) >= 0.1
+
+
 def test_phantom_rays_carry_identity_factors():
     sd = stokes_data(weber(), StokesSettings())
     assert sd.residuals["phantom"] <= 1e-8
@@ -1607,6 +1679,22 @@ def test_infinite_circle_is_never_built(monkeypatch):
     sd = stokes_data(OperPoint(2, 1, (0,)), StokesSettings(radius_tol=1e-300))
     assert not sd.converged
     assert radii == [sd.plan.rho] and math.isfinite(sd.plan.rho)
+
+
+def test_fixed_radius_build_failure_propagates(monkeypatch):
+    # on a fixed circle the first build's ArithmeticError is the run's
+    # answer: no fallback build on the tail-safe circle
+    radii = []
+
+    class FailingBasis:
+        def __init__(self, op, ctx, rho, nterms=None):
+            radii.append(rho)
+            raise ArithmeticError("basis failed")
+
+    monkeypatch.setattr(stokes, "EntireBasis", FailingBasis)
+    with pytest.raises(ArithmeticError, match="basis failed"):
+        stokes_data(weber(), StokesSettings(radius=4.5))
+    assert radii == [4.5]
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
