@@ -35,7 +35,7 @@ from .immersion import jacobian as jacobian_report
 from .sl2 import (a_formula, build_weight_basis, commuting_action_check,
                   compute_structure_tables, principal_sl2,
                   verify_sign_property)
-from .stokes import StokesSettings, stokes_data
+from .stokes import StokesSettings, det_twist, dominance_order, stokes_data
 
 EXIT_OK = 0
 EXIT_SUITE = 1
@@ -275,9 +275,9 @@ def _stokes_document(data):
         "directions": directions,
         "stokes_factors": [_cmat(m) for m in data.factors],
         "stokes_matrices": [_cmat(m) for m in data.matrices],
-        "permutation": list(data.perm),
+        "permutation": list(dominance_order(plan.layout)),
         "first_upper": True,
-        "det_twist": data.det_twist,
+        "det_twist": det_twist(op),
         "converged": data.converged,
         "residuals": {name: float(val)
                       for name, val in sorted(data.residuals.items())},
@@ -329,7 +329,7 @@ def cmd_jacobian(args):
         "holomorphy": rep.holomorphy,
         "converged": rep.converged,
         "base_residuals": {name: float(val) for name, val
-                           in sorted(rep.base_residuals.items())},
+                           in sorted(rep.base.residuals.items())},
     }
     if args.timing:
         doc["timing"] = {"total_s": elapsed}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isomono import OperPoint, solvability
-from .stokes import CollocationPlan, replay, stokes_data
+from .stokes import StokesData, replay, stokes_data
 
 __all__ = [
     "JacobianReport", "CrossCheckReport", "jacobian", "kernel_cross_check",
@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Differential of the monodromy map at op, on the base run's plan.
+    """Differential of the monodromy map at op, on the plan of base, op's run.
 
     jacobian has one row per monitored Stokes entry and one column per
     coefficient c_m; singular_values descend; rank counts values at or above
@@ -53,9 +53,8 @@ class JacobianReport:
     rank: int
     sv_gap: float
     holomorphy: float
-    base_residuals: dict
+    base: StokesData
     stencil_residuals: dict
-    plan: CollocationPlan
     missed: tuple
 
     @property
@@ -112,12 +111,10 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     if not 0 < rank_tol <= 1:
         raise ValueError(f"rank_tol must lie in (0, 1], got {rank_tol!r}")
     base = stokes_data(op, settings)
-    plan = base.plan
     points = _stencil_points(op, h)
-    runs = replay([shifted_op for _, _, shifted_op in points], plan)
+    runs = replay([shifted_op for _, _, shifted_op in points], base.plan)
 
     ceiling = max(1e-6, 1e3 * base.residuals["identity"])
-    values = {}
     stencil_residuals = {}
     missed = [] if base.converged else ["base"]
     for (m, delta, _), run in zip(points, runs):
@@ -127,18 +124,17 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
             raise ArithmeticError(
                 f"stencil point c_{m} {delta:+} lost closure "
                 f"(identity residual {res:.2e})")
-        values[(m, complex(delta))] = run.monitored_vector()
         if not run.converged:
             missed.append((m, complex(delta)))
 
-    cols, deviation = [], 0.0
-    for m in range(op.d - 1):
-        col = (values[(m, complex(h))] - values[(m, complex(-h))]) / (2 * h)
-        icol = (values[(m, 1j * h)] - values[(m, -1j * h)]) / (2j * h)
-        cols.append((col + icol) / 2)
-        scale = max(1.0, float(np.abs(col).max()))
-        deviation = max(deviation, float(np.abs(icol - col).max()) / scale)
-    jac = np.column_stack(cols)
+    # values[m, s]: the monitored entries at c_m + (h, -h, i h, -i h)[s]
+    values = np.array([run.monitored_vector() for run in runs]).reshape(
+        op.d - 1, 4, -1)
+    col = (values[:, 0] - values[:, 1]) / (2 * h)
+    icol = (values[:, 2] - values[:, 3]) / (2j * h)
+    jac = ((col + icol) / 2).T
+    scale = np.maximum(1.0, np.abs(col).max(axis=1))
+    deviation = float((np.abs(icol - col).max(axis=1) / scale).max())
 
     sv = np.linalg.svd(jac, compute_uv=False)
     top = float(sv[0]) if len(sv) else 0.0
@@ -147,10 +143,8 @@ def jacobian(op, h=1e-4, settings=None, rank_tol=1e-4):
     return JacobianReport(
         op=op, h=h, rank_tol=rank_tol, jacobian=jac,
         singular_values=tuple(float(s) for s in sv),
-        rank=rank, sv_gap=gap, holomorphy=deviation,
-        base_residuals=dict(base.residuals),
-        stencil_residuals=stencil_residuals, plan=plan,
-        missed=tuple(missed))
+        rank=rank, sv_gap=gap, holomorphy=deviation, base=base,
+        stencil_residuals=stencil_residuals, missed=tuple(missed))
 
 
 def kernel_cross_check(op, D=None, h=1e-4, settings=None, rank_tol=1e-4):

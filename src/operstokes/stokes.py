@@ -122,29 +122,15 @@ class StokesSettings:
 # ---------------------------------------------------------------------------
 # gauge transform
 
-@dataclass(frozen=True)
-class GaugedConnection:
-    """Trace-free Laurent data B(z) = z^k sum_j B_j z^{-j} plus frame metadata.
-
-    bcoeffs keeps exact Fraction entries whenever the oper point is exact.
-    trace_weight is the constant c in Tr B_full = c/z split off by the
-    reduction; det_twist = (-1)^{k(n+1)} is the scalar the full product of
-    Stokes matrices must reproduce in place of the identity because of that
-    split.
-    """
-    n: int
-    k: int
-    bcoeffs: tuple
-    trace_weight: Fraction
-    det_twist: int
-
-
 def gauge_transform(op):
-    """Push the companion connection to z = infinity normal form, trace-split.
+    """Push the companion connection to z = infinity normal form, trace-split:
+    the trace-free Laurent data B(z) = z^k sum_j B_j z^{-j} as the tuple of
+    the B_j, exact (Fraction entries) whenever the oper point is.
 
     The companion matrix (unit superdiagonal, p in the corner) conjugated by
     g = diag(z^{(n-j)k}) becomes z^k times the cyclic shift plus lower-order
-    terms, and g contributes the diagonal (n-j)k/z whose trace is removed.
+    terms, and g contributes the diagonal (n-j)k/z whose trace c/z, c =
+    kn(n+1)/2, is removed (det_twist).
     """
     n, k, d = op.n, op.k, op.d
     jmax = max(d, k + 1)
@@ -160,9 +146,14 @@ def gauge_transform(op):
     shift = cw / n                      # = k(n+1)/2 per diagonal entry
     for a in range(n):
         bc[k + 1][a, a] = bc[k + 1][a, a] + QQ((n - a) * k) - shift
-    twist = -1 if (k * (n + 1)) % 2 else 1
-    return GaugedConnection(n=n, k=k, bcoeffs=tuple(bc),
-                            trace_weight=cw, det_twist=twist)
+    return tuple(bc)
+
+
+def det_twist(op):
+    """sigma = (-1)^{k(n+1)}, the scalar the full product of Stokes matrices
+    reproduces in place of the identity, because gauge_transform splits off
+    the trace kn(n+1)/(2z)."""
+    return -1 if (op.k * (op.n + 1)) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +189,9 @@ class FormalSolution:
         return abs(sum(complex(v) for v in self.lam))
 
 
-def formal_solution(gcs, M, ctx):
+def formal_solution(ops, M, ctx):
     """Order-by-order diagonalization, in two stages so levels stay decoupled,
-    of gauged connections of one (n, k): one FormalSolution each.
+    of gauged (gauge_transform) points of one (n, k): a FormalSolution each.
 
     Stage 1 finds a diagonal-free gauge F = I + sum F_j z^{-j} conjugating the
     system onto a fully diagonal connection sum_j D_j z^{k-j}: at each level
@@ -218,12 +209,12 @@ def formal_solution(gcs, M, ctx):
     array with a point axis after the parts.  Results are rounded once to
     the working precision; Yhat's coefficients are kept as computed,
     unrounded (`fixed`)."""
-    n, k, frac, size = gcs[0].n, gcs[0].k, ctx.frac, len(gcs)
+    n, k, frac, size = ops[0].n, ops[0].k, ctx.frac, len(ops)
     if M < k + 2:
         raise ValueError("truncation order must be at least k+2")
     f0, f0inv = _fixed_frame(ctx, n)
     b = np.array([[[[_quantized(c, frac) for c in row] for row in bj]
-                   for bj in gc.bcoeffs] for gc in gcs], dtype=object)
+                   for bj in gauge_transform(op)] for op in ops], dtype=object)
     b = _gauss(np.moveaxis(b, 4, 0), f0, np.matmul) >> frac
     bt = _triple(_gauss(f0inv, b, np.matmul) >> frac)   # (3, P, j, n, n)
     lam = f0[:, 1]
@@ -278,14 +269,11 @@ def _triple(x):
 
 def _gauss(x, y, op=np.multiply):
     """Product (re, im) of two Gaussian-integer arrays with leading axis
-    (re, im), or (re, im, re + im) for a reused factor (_triple), exactly.
-    np.multiply (entrywise, broadcasting a vector over columns) takes four
-    products; np.matmul takes Gauss's three (Knuth, TAOCP 2, 4.6.4), each
+    (re, im), or (re, im, re + im) for a reused factor (_triple), exactly,
+    by `op`: np.multiply (entrywise, broadcasting) or np.matmul.  Either
+    takes Gauss's three products (Knuth, TAOCP 2, 4.6.4), a matmul's each
     summed in the matmul: re = p1 - p2 and im = p3 - p1 - p2 for p1 =
     x_re y_re, p2 = x_im y_im and p3 = (x_re + x_im)(y_re + y_im)."""
-    if op is np.multiply:
-        return np.array([op(x[0], y[0]) - op(x[1], y[1]),
-                         op(x[0], y[1]) + op(x[1], y[0])])
     p3 = op(*(v[2] if len(v) == 3 else v[0] + v[1] for v in (x, y)))
     p1, p2 = op(x[0], y[0]), op(x[1], y[1])
     p3 -= p1
@@ -324,12 +312,12 @@ class SectorLayout:
     from v0.  pairs[t] lists the ordered (a, b) with
     (lambda_a - lambda_b) e^{i(k+1) theta} in R_{<0} on that ray -- the modes
     whose ratio decays fastest there; lattice directions that no pair crosses
-    (present only for n = 2) carry an empty list and a trivial factor.
+    (present only for n = 2) carry an empty list and a trivial factor.  A
+    half-period 1/(k+1) holds n rays, the factors of one grouped matrix.
     """
     n: int
     k: int
     r: int
-    ell: int
     v0: Fraction
     rays: tuple
     pairs: tuple
@@ -343,9 +331,8 @@ class SectorLayout:
         return self.rays[i - 1]
 
 
-def sector_layout(fs_or_gc, v0=None):
+def sector_layout(n, k, v0=None):
     """All 2n(k+1) lattice directions with their crossing pairs, CCW from v0."""
-    n, k = fs_or_gc.n, fs_or_gc.k
     spacing = Fraction(1, n * (k + 1))
     offset = Fraction(1, 2 * n * (k + 1)) if n % 2 else Fraction(0)
     lattice = sorted((offset + t * spacing) % 2 for t in range(2 * n * (k + 1)))
@@ -378,8 +365,8 @@ def sector_layout(fs_or_gc, v0=None):
     r = len(rays_t)
     if r != 2 * n * (k + 1) or r % (2 * k + 2):
         raise ArithmeticError("direction count broke the 2n(k+1) pattern")
-    return SectorLayout(n=n, k=k, r=r, ell=r // (2 * k + 2), v0=v0,
-                        rays=rays_t, pairs=tuple(pairs), spacing=spacing,
+    return SectorLayout(n=n, k=k, r=r, v0=v0, rays=rays_t,
+                        pairs=tuple(pairs), spacing=spacing,
                         half=Fraction(1, 2 * (k + 1)))
 
 
@@ -431,6 +418,12 @@ class EntireBasis:
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
+        # solutions have order k+1 and type 1/(k+1), so their terms on the
+        # circle peak near index rho^(k+1): a circle past twice the cap, or
+        # not finite, is refused before any term (logs: rho^(k+1) overflows)
+        if nterms is None and not ((op.k + 1) * math.log(self.rho)
+                                   <= math.log(2 * _MAX_TERMS)):
+            raise ArithmeticError(_TERM_CAP)
         n, d = op.n, op.d
         frac = ctx.frac
         r = Fraction(self.rho)
@@ -467,8 +460,7 @@ class EntireBasis:
                 break
         else:
             if nterms is None:
-                raise ArithmeticError("entire basis did not converge on the "
-                                      "reading circle within the term cap")
+                raise ArithmeticError(_TERM_CAP)
         self.nterms = m
         # entry (t, j) of the table: (scaled coefficient m of column j) times
         # the falling factorial m (m-1) ... (m-t+1) of derivative row t, cut
@@ -618,6 +610,8 @@ def _exact(z):
 
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
+_TERM_CAP = ("entire basis did not converge on the reading circle within "
+             "the term cap")
 # fixed-point bits kept below the working precision by the integer
 # constructions, at every precision, in units of 2^-(bits+40).  Entire-basis
 # recurrence: its exact inputs p_m rho^(m+n) and rho^m/m!, floored once, and
@@ -1192,7 +1186,7 @@ def dominance_order(layout):
     at every radius, precision and stencil perturbation of the lower
     coefficients; the leading values at the center are well apart, and an
     exact tie would go to the smaller mode index."""
-    center = layout.ray(1) + (layout.ell - 1) * layout.spacing / 2
+    center = layout.ray(1) + (layout.n - 1) * layout.spacing / 2
     vals = sorted((_leading_re(layout, a, center), a) for a in range(layout.n))
     return tuple(a for _, a in vals)
 
@@ -1212,8 +1206,7 @@ def _identity_gap(mats):
 @dataclass
 class StokesData:
     """Complete Stokes output of one oper point on its plan, with
-    self-diagnosed residuals.  perm is the mode labeling of plan.layout
-    (dominance_order).  The shape residuals "unipotency", "support",
+    self-diagnosed residuals.  The shape residuals "unipotency", "support",
     "factor_diag" and "phantom" are the largest distances from the
     identity (_identity_gap) of the entries that the layout's masks
     (_layout_shape) leave out or pick, and monitored_vector reads the
@@ -1234,8 +1227,6 @@ class StokesData:
     qcoeffs: dict
     factors: np.ndarray
     matrices: np.ndarray
-    perm: tuple
-    det_twist: int
     residuals: dict
     missed: tuple
 
@@ -1254,8 +1245,8 @@ class StokesData:
         """Strict-triangle entries of the dominance-conjugated grouped
         matrices, concatenated -- the coordinates in which the monodromy map
         is differentiated."""
-        _, triangles, _, _ = _layout_shape(self.plan.layout)
-        return self.matrices[:, self.perm][:, :, self.perm][triangles]
+        perm, triangles, _, _ = _layout_shape(self.plan.layout)
+        return self.matrices[:, perm][:, :, perm][triangles]
 
 
 # the bits of a fresh run's first build: at the default settings every
@@ -1266,7 +1257,7 @@ class StokesData:
 _FIRST_BITS = 69
 
 
-def _select_reading(op, gc, layout, settings):
+def _select_reading(op, layout, settings):
     """The run's build, on settings.radius or else compute_radius's circle,
     where the first omitted formal terms -- the truncated frame's error,
     which the A and B builds share and their agreement cannot see -- fall
@@ -1275,7 +1266,7 @@ def _select_reading(op, gc, layout, settings):
     the target, one rebuild at _FIRST_BITS + 8 + max(8,
     ceil(log2(shortfall))) bits is the run's build.  Each build is a batch
     of one."""
-    [fs] = formal_solution([gc], settings.trunc_order, make_ctx(_FIRST_BITS))
+    [fs] = formal_solution([op], settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
     build = None
     if math.isfinite(rho):
@@ -1299,7 +1290,7 @@ def _select_reading(op, gc, layout, settings):
     shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
     bits = _FIRST_BITS + 8 + max(8, math.ceil(shortfall))
     return _collocate([op], layout, formal_solution(
-        [gc], settings.trunc_order, make_ctx(bits)), rho)[0]
+        [op], settings.trunc_order, make_ctx(bits)), rho)[0]
 
 
 def stokes_data(op, settings=None):
@@ -1308,12 +1299,11 @@ def stokes_data(op, settings=None):
     residual certificates.  The run selects its reading circle and
     precision; its plan freezes them for replays."""
     settings = settings or StokesSettings()
-    gc = gauge_transform(op)
-    layout = sector_layout(gc, settings.v0)
-    build = _select_reading(op, gc, layout, settings)
+    layout = sector_layout(op.n, op.k, settings.v0)
+    build = _select_reading(op, layout, settings)
     plan = CollocationPlan(settings=settings, layout=layout, rho=build.rho,
                            nterms=build.nterms, bits=build.fs.ctx.bits)
-    return _stokes_result(op, gc, plan, build)
+    return _stokes_result(op, plan, build)
 
 
 def replay(ops, plan):
@@ -1328,14 +1318,12 @@ def replay(ops, plan):
                              f"asks for n={op.n}, k={op.k}")
     if not ops:         # formal_solution reads n off its first point
         return []
-    gcs = [gauge_transform(op) for op in ops]
-    fss = formal_solution(gcs, plan.settings.trunc_order, make_ctx(plan.bits))
+    fss = formal_solution(ops, plan.settings.trunc_order, make_ctx(plan.bits))
     builds = _collocate(ops, plan.layout, fss, plan.rho, plan.nterms)
-    return [_stokes_result(op, gc, plan, build)
-            for op, gc, build in zip(ops, gcs, builds)]
+    return [_stokes_result(op, plan, build) for op, build in zip(ops, builds)]
 
 
-def _stokes_result(op, gc, plan, build):
+def _stokes_result(op, plan, build):
     """A point's StokesData from its build on the plan: the factors K_j =
     Phi_j^{-1} Phi_{j-1}, j = 1..r, from the build's exact quotients Q_j =
     (A build of sector j)^{-1} (B build of sector j-1) (_collocate), their
@@ -1345,10 +1333,10 @@ def _stokes_result(op, gc, plan, build):
     perm, triangles, supports, phantom = _layout_shape(layout)
     # the wrap factor K_1 compares sector 1 against sector r: re-reading
     # sector 1 on the chart shifted by 2 pi multiplies its contents by the
-    # det twist and exp(2 pi i Lambda), so K_1 = Q_1 W and S_1 = (Q_ell ...
+    # det twist and exp(2 pi i Lambda), so K_1 = Q_1 W and S_1 = (Q_n ...
     # Q_1) W for W = diag(sigma exp(-2 pi i lambda_b)), taken exactly, and
     # S_{2k+2} ... S_1 exp(2 pi i Lambda) = sigma Q_r ... Q_1
-    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(gc.det_twist)
+    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(det_twist(op))
     wrap = np.array([_exact(sigma * ctx.exp(-tau * lam)) for lam in fs.lam],
                     dtype=object).T
 
@@ -1364,8 +1352,8 @@ def _stokes_result(op, gc, plan, build):
 
     x, det, exp = build.quotients
     fixed = _quotient_entries(_divide, x, det, exp + ctx.frac).swapaxes(0, 1)
-    groups = [product(fixed[i:i + layout.ell])
-              for i in range(0, layout.r, layout.ell)]
+    groups = [product(fixed[i:i + layout.n])
+              for i in range(0, layout.r, layout.n)]
     one = np.array([1, 0], dtype=object)
     unit = np.full((len(groups),) + exp.shape[1:], -ctx.frac, dtype=object)
     factors = doubles(x, det, exp)
@@ -1385,7 +1373,6 @@ def _stokes_result(op, gc, plan, build):
     tol = plan.settings.radius_tol
     bounds = {"consistency": 3 * tol, "asymptotic": tol}
     return StokesData(op=op, plan=plan, lam=fs.lam, qcoeffs=fs.qcoeffs,
-                      factors=factors, matrices=matrices, perm=perm,
-                      det_twist=gc.det_twist, residuals=residuals,
+                      factors=factors, matrices=matrices, residuals=residuals,
                       missed=tuple(name for name, bound in bounds.items()
                                    if not residuals[name] <= bound))

@@ -19,8 +19,7 @@ from operstokes.poly import Poly
 from operstokes.sl2 import (a_formula, build_weight_basis,
                             compute_structure_tables, principal_sl2,
                             verify_sign_property)
-from operstokes.stokes import (StokesSettings, gauge_transform, sector_layout,
-                               stokes_data)
+from operstokes.stokes import StokesSettings, sector_layout, stokes_data
 
 
 def rand_rational_point(rng, n, k, span=9):
@@ -217,7 +216,7 @@ def test_direction_layout_facts():
     for n in range(2, 6):
         for k in range(1, 4):
             op = OperPoint(n, k, (0,) * (n * k - 1))
-            layout = sector_layout(gauge_transform(op))
+            layout = sector_layout(op.n, op.k)
             assert layout.r == 2 * n * (k + 1)
             rays = {th % 2 for th in layout.rays}
             assert {(th + QQ(1, k + 1)) % 2 for th in rays} == rays

@@ -109,7 +109,7 @@ def test_stencil_bookkeeping(weber_report):
     assert set(rep.stencil_residuals) == {
         (0, complex(s)) for s in (1e-4, -1e-4, 1e-4j, -1e-4j)}
     assert all(v <= 1e-6 for v in rep.stencil_residuals.values())
-    assert rep.base_residuals["identity"] <= 1e-8
+    assert rep.base.residuals["identity"] <= 1e-8
 
 
 def test_converged_needs_every_run(weber_report, monkeypatch):
@@ -127,7 +127,7 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
 
     monkeypatch.setattr(immersion, "replay", stencil_misses)
     rep = jacobian(OperPoint(2, 1, (0,)))
-    assert rep.base_residuals == weber_report.base_residuals
+    assert rep.base.residuals == weber_report.base.residuals
     assert not rep.converged
     # the report names every missed run: here all 4(d-1) stencil keys, and
     # not the base run
@@ -150,9 +150,9 @@ def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
     for cached in (stokes.make_ctx, stokes._mpmath_at, stokes._unit_roots):
         cached.cache_clear()
     rep = jacobian(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))))
-    assert rep.converged and rep.plan.bits > 53
+    assert rep.converged and rep.base.plan.bits > 53
     precisions = Counter(mp.prec for mp in clones)
-    assert rep.plan.bits in precisions
+    assert rep.base.plan.bits in precisions
     assert max(precisions.values()) == 1
 
 
@@ -194,7 +194,7 @@ def test_differential_passes_the_taylor_test(coeffs):
     ts = (0.1, 0.03, 0.01, 0.003, 0.001)
     c = np.array([complex(x) for x in coeffs])
     runs = replay([op] + [OperPoint(op.n, 1, tuple(c + t * v)) for t in ts],
-                  rep.plan)
+                  rep.base.plan)
     nu = [run.monitored_vector() for run in runs]
 
     def spread(jac):

@@ -33,13 +33,14 @@ def quantized(v, frac, scale=1):
                  for x in (v.real, v.imag))
 
 
-def reference_formal_solution(gc, M, ctx):
-    """The four-product recurrence: each order's convolutions materialized
-    as term arrays and reduced by .sum(axis=1)."""
-    n, k, frac = gc.n, gc.k, ctx.frac
+def reference_formal_solution(bcoeffs, k, M, ctx):
+    """The four-product recurrence on a gauged connection's B_j
+    (gauge_transform) of pole order k: each order's convolutions
+    materialized as term arrays and reduced by .sum(axis=1)."""
+    n, frac = len(bcoeffs[0]), ctx.frac
     f0, f0inv = stokes._fixed_frame(ctx, n)
     b = np.array([[[quantized(c, frac) for c in row] for row in bj]
-                  for bj in gc.bcoeffs], dtype=object)
+                  for bj in bcoeffs], dtype=object)
     b = gauss4(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
     bt = gauss4(f0inv, b, np.matmul) >> frac
     lam = f0[:, 1]
@@ -112,14 +113,14 @@ POINTS = {
 def test_series_kernel_matches_four_products(name, bits):
     # formal solution and formal-inverse table at the default order M = 40,
     # exactly as the four-product recurrences give them
-    gc = gauge_transform(POINTS[name])
+    op = POINTS[name]
     ctx = make_ctx(bits)
     M = StokesSettings().trunc_order
-    [got] = formal_solution([gc], M, ctx)
-    want = reference_formal_solution(gc, M, ctx)
+    [got] = formal_solution([op], M, ctx)
+    want = reference_formal_solution(gauge_transform(op), op.k, M, ctx)
     assert len(got.fixed) == len(want.fixed) == M + 1
     for g, w in zip(got.fixed, want.fixed):
-        assert g.shape == w.shape == (2, gc.n, gc.n)
+        assert g.shape == w.shape == (2, op.n, op.n)
         assert g.tolist() == w.tolist()
     assert got.lam == want.lam
     assert got.qcoeffs == want.qcoeffs
@@ -127,7 +128,7 @@ def test_series_kernel_matches_four_products(name, bits):
         (tc, te), (wc, we) = (stokes._inverse_table([got], rho),
                               reference_inverse_table(want, rho))
         tc = tc[:, 0]                   # the point axis of a batch of one
-        assert tc.shape == wc.shape == (2, gc.n, gc.n, M + 1)
+        assert tc.shape == wc.shape == (2, op.n, op.n, M + 1)
         assert tc.tolist() == wc.tolist()
         assert te.tolist() == we.tolist()
 
@@ -170,9 +171,31 @@ def test_gauss_matmul_matches_four_products(data):
         # a triple (re, im, re + im) gives the same product
         assert (stokes._gauss(stokes._triple(x), stokes._triple(y),
                               np.matmul).tolist() == want.tolist())
-        # and the entrywise form keeps its four products
+        # and the entrywise form takes the same three products
         if xs == ys:
             assert stokes._gauss(x, y).tolist() == gauss4(x, y).tolist()
+
+
+@given(st.data())
+@hyp_settings(max_examples=40, deadline=None)
+def test_gauss_multiply_matches_four_products(data):
+    # the entrywise product is Gauss's three too, broadcast as the kernel
+    # takes it: a batch against one matrix (the gap reciprocals), columns
+    # against one scalar each (the conjugate determinants, the wrap), a
+    # phase row against stacked sums and a vector against a scalar, with
+    # signed entries to 2^256
+    n = data.draw(st.integers(1, 4))
+    bits = data.draw(st.sampled_from([1, 64, 256]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for xs, ys in (((3, n, n), (n, n)), ((3, n, n), (3, n, 1)),
+                   ((2, n, n), (1, n)), ((1, n, 1, 2), (n, n, 1)),
+                   ((n,), ())):
+        x, y = gaussian(rng, xs, bits), gaussian(rng, ys, bits)
+        want = gauss4(x, y)
+        got = stokes._gauss(x, y)
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        assert stokes._gauss(stokes._triple(x), y).tolist() == want.tolist()
 
 
 def test_gauss_matmul_empty_inner_axis_is_integer_zero():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from operstokes import immersion, stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
-                               _visibility_interval, formal_solution,
-                               gauge_transform, make_ctx, replay,
-                               sector_layout, stokes_data)
+                               _visibility_interval, det_twist,
+                               formal_solution, gauge_transform, make_ctx,
+                               replay, sector_layout, stokes_data)
 
 SQ2 = 1.4142135623730951
 
@@ -41,7 +42,7 @@ def test_layout_counts_and_spacing():
     for n in range(2, 6):
         for k in range(1, 4):
             op = OperPoint(n, k, (0,) * (n * k - 1))
-            layout = sector_layout(gauge_transform(op))
+            layout = sector_layout(op.n, op.k)
             assert layout.r == 2 * n * (k + 1)
             step = QQ(1, n * (k + 1))
             assert all(layout.rays[t + 1] - layout.rays[t] == step
@@ -53,7 +54,7 @@ def test_layout_rotation_invariance():
     for n in (2, 3, 5):
         for k in (1, 3):
             op = OperPoint(n, k, (0,) * (n * k - 1))
-            layout = sector_layout(gauge_transform(op))
+            layout = sector_layout(op.n, op.k)
             rays = {th % 2 for th in layout.rays}
             assert {(th + QQ(1, k + 1)) % 2 for th in rays} == rays
 
@@ -63,30 +64,28 @@ def test_layout_parity_symmetry():
     # n even: it is itself a direction
     for n in (3, 5):
         op = OperPoint(n, 1, (0,) * (n - 1))
-        layout = sector_layout(gauge_transform(op))
+        layout = sector_layout(op.n, op.k)
         rays = {th % 2 for th in layout.rays}
         assert QQ(0) not in rays
         assert {(-th) % 2 for th in rays} == rays
     for n in (2, 4):
         op = OperPoint(n, 1, (0,) * (n - 1))
-        layout = sector_layout(gauge_transform(op))
+        layout = sector_layout(op.n, op.k)
         assert QQ(0) in {th % 2 for th in layout.rays}
 
 
 def test_layout_rejects_base_direction_on_ray():
     op = weber()
     with pytest.raises(ValueError):
-        sector_layout(gauge_transform(op), v0=QQ(1, 4))
+        sector_layout(op.n, op.k, v0=QQ(1, 4))
 
 
 @given(st.integers(2, 6), st.integers(1, 4),
        st.fractions(min_value=-2, max_value=2, max_denominator=40))
 @hyp_settings(max_examples=60, deadline=None)
 def test_layout_invariants(n, k, v0):
-    op = OperPoint(n, k, (0,) * (n * k - 1))
-    gc = gauge_transform(op)
     try:
-        layout = sector_layout(gc, v0=v0)
+        layout = sector_layout(n, k, v0=v0)
     except ValueError:
         assume(False)
     assert layout.r == 2 * n * (k + 1)
@@ -103,17 +102,19 @@ def test_layout_invariants(n, k, v0):
 # gauge data
 
 def test_gauge_trace_weight_and_twist():
-    gc2 = gauge_transform(weber())
-    assert gc2.trace_weight == QQ(3)      # k n(n+1)/2 = 1*2*3/2
-    assert gc2.det_twist == -1            # (-1)^{k(n+1)}
-    gc3 = gauge_transform(cubic())
-    assert gc3.trace_weight == QQ(6)
-    assert gc3.det_twist == 1
+    # the trace k n(n+1)/2 of the gauge's diagonal (n-a)k is split off:
+    # B_{k+1} keeps (n-a)k - k(n+1)/2 on its diagonal, summing to 0
+    for op in (weber(), cubic(), OperPoint(4, 2, (0,) * 7)):
+        n, k = op.n, op.k
+        diag = [gauge_transform(op)[k + 1][a, a] for a in range(n)]
+        assert diag == [(n - a) * k - QQ(k * (n + 1), 2) for a in range(n)]
+        assert sum(diag) == 0
+    assert det_twist(weber()) == -1            # (-1)^{k(n+1)}
+    assert det_twist(cubic()) == 1
 
 
 def test_gauge_leading_block_is_cyclic():
-    gc = gauge_transform(cubic())
-    b0 = gc.bcoeffs[0]
+    b0 = gauge_transform(cubic())[0]
     want = np.zeros((3, 3), dtype=object)
     want[0, 1] = want[1, 2] = QQ(1)
     want[2, 0] = QQ(1)
@@ -123,9 +124,9 @@ def test_gauge_leading_block_is_cyclic():
 # ---------------------------------------------------------------------------
 # formal solution
 
-def formal(gc, M, ctx):
-    """The formal solution of one connection: a batch of one."""
-    [fs] = formal_solution([gc], M, ctx)
+def formal(op, M, ctx):
+    """The formal solution of one point: a batch of one."""
+    [fs] = formal_solution([op], M, ctx)
     return fs
 
 
@@ -172,7 +173,7 @@ def q_prime_entry(fs, b, z):
     return acc
 
 
-def formal_residual(gc, fs, z):
+def formal_residual(op, fs, z):
     """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z, with B
     framed by the rounded f0 of _fixed_frame."""
     ctx = fs.ctx
@@ -182,8 +183,8 @@ def formal_residual(gc, fs, z):
     z = ctx.number(z)
     bz = np.zeros((n, n), dtype=object)
     w = 1.0 / z
-    pw = z ** gc.k
-    for bj in gc.bcoeffs:
+    pw = z ** op.k
+    for bj in gauge_transform(op):
         bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
                            dtype=object) * pw
         pw = pw * w
@@ -197,7 +198,7 @@ def formal_residual(gc, fs, z):
 
 def test_formal_solution_exactly_traceless():
     for op in (weber(), cubic()):
-        fs = formal(gauge_transform(op), 12, make_ctx(69))
+        fs = formal(op, 12, make_ctx(69))
         assert fs.trace_residual() <= 1e-15
 
 
@@ -206,10 +207,9 @@ def test_formal_residual_truncation_scaling():
     # radius divides it by ~2^{M+1-k}, at a double's 53 bits and above
     for op, bits in itertools.product(
             (weber(), OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))), (53, 97)):
-        gc = gauge_transform(op)
-        fs = formal(gc, 8, make_ctx(bits))
-        r1 = formal_residual(gc, fs, 20.0)
-        r2 = formal_residual(gc, fs, 40.0)
+        fs = formal(op, 8, make_ctx(bits))
+        r1 = formal_residual(op, fs, 20.0)
+        r2 = formal_residual(op, fs, 40.0)
         assert r2 < r1
         ratio = r1 / r2
         want = 2.0 ** (fs.M + 1 - fs.k)
@@ -226,8 +226,7 @@ def test_double_formal_solution_matches_multiprecision(op):
     # the series grows
     mp = mpmath.mp.clone()
     mp.prec = 200
-    gc = gauge_transform(op)
-    lo, hi = (formal(gc, 20, make_ctx(bits)) for bits in (53, 132))
+    lo, hi = (formal(op, 20, make_ctx(bits)) for bits in (53, 132))
     pairs = list(zip(ycoeffs(lo), ycoeffs(hi))) + [(lo.lam, hi.lam)]
     pairs += [(lo.qcoeffs[j], hi.qcoeffs[j]) for j in hi.qcoeffs]
     assert len(pairs) == 21 + 1 + op.k + 1
@@ -275,7 +274,7 @@ def test_formal_exponents_in_closed_form(n, k):
     rng = random.Random(1000 * n + k)
     op = OperPoint(n, k, tuple(QQ(rng.randint(-9, 9), rng.randint(1, 4))
                                for _ in range(n * k - 1)))
-    fs = formal(gauge_transform(op), 12, make_ctx(69))
+    fs = formal(op, 12, make_ctx(69))
     r = root_series(op)
     zeta = [cmath.exp(2j * math.pi * a / n) for a in range(n)]
     pairs = [(fs.lam, r[k + 1])]
@@ -419,7 +418,7 @@ def test_formal_inverse_matches_plain_series(bits):
     for op, rho in ((weber(), 4.5),
                     (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
         ctx = make_ctx(bits)
-        fs = formal(gauge_transform(op), 20, ctx)
+        fs = formal(op, 20, ctx)
         n, M = fs.n, fs.M
         table = inverse_table(fs, rho)
         ys = [mp.matrix([[mp.mpc(v) for v in row] for row in y])
@@ -542,7 +541,7 @@ def test_table_sums_match_a_loop_over_angles():
     # for both tables of a (3,1) build
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     ctx = make_ctx(69)
-    fs = formal(gauge_transform(op), 20, ctx)
+    fs = formal(op, 20, ctx)
     thetas = [QQ(1, 24), QQ(7, 24), QQ(31, 24), QQ(7, 24) + 2,
               QQ(1, 8), QQ(2, 3), QQ(-5, 12), QQ(31, 24) + 2]
     period, numerators = stokes._period(thetas)
@@ -699,8 +698,7 @@ def test_content_matrix_matches_a_pass_per_denominator(op):
     # one pass over every angle of a default plan, folded by its common
     # period, must give exactly the raw rows of one pass per denominator
     plan = stokes_data(op).plan
-    gc = gauge_transform(op)
-    fs = formal(gc, plan.settings.trunc_order, make_ctx(plan.bits))
+    fs = formal(op, plan.settings.trunc_order, make_ctx(plan.bits))
     basis = EntireBasis(op, fs.ctx, plan.rho, plan.nterms)
     inverse = inverse_table(fs, plan.rho)
     reads = layout_reads(plan.layout)
@@ -720,17 +718,16 @@ def test_content_matrix_wrap_identity():
     for op, rho, theta in ((OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 4.0,
                             QQ(7, 24)),
                            (OperPoint(2, 1, (QQ(1, 3),)), 4.5, QQ(5, 16))):
-        gc = gauge_transform(op)
         for bits in (132, 97, 53):
             ctx = make_ctx(bits)
-            fs = formal(gc, 20, ctx)
+            fs = formal(op, 20, ctx)
             basis = EntireBasis(op, ctx, rho)
             inverse = inverse_table(fs, rho)
             sheets = [content(fs, basis, inverse, rho, t)
                       for t in (theta, theta + 2)]
             here, next_sheet = sheets
             for b in range(op.n):
-                twist = gc.det_twist * ctx.exp(-2j * ctx.pi * fs.lam[b])
+                twist = det_twist(op) * ctx.exp(-2j * ctx.pi * fs.lam[b])
                 for j in range(op.n):
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
@@ -740,7 +737,7 @@ def test_content_matrix_wrap_identity():
                                    stokes._mode_scalars(fs, rho, pairs)):
                 want = mode_scalar(fs, rho, t, b, bits + 40)
                 assert abs(1 / got - want) <= 2.0 ** -(bits - 30) * abs(want)
-        assert gc.det_twist == (1 if op.n == 3 else -1)
+        assert det_twist(op) == (1 if op.n == 3 else -1)
 
 
 @pytest.mark.parametrize("op", [OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
@@ -758,11 +755,10 @@ def test_sector_columns_meet_their_conditions(op):
     # foreign contents vanish and the self-content is 1, to 2^-(bits-10) of
     # the terms' sizes
     plan = stokes_data(op).plan
-    gc = gauge_transform(op)
     layout = plan.layout
     cond, norms = stokes._sector_reading_plan(layout)
     ctx = make_ctx(plan.bits)
-    fs = formal(gc, StokesSettings().trunc_order, ctx)
+    fs = formal(op, StokesSettings().trunc_order, ctx)
     basis = EntireBasis(op, ctx, plan.rho, plan.nterms)
     gammas = read_contents(fs, basis, inverse_table(fs, plan.rho),
                            layout_reads(layout))
@@ -805,11 +801,10 @@ def test_exact_sector_coefficients_match_double():
     # a double, match between a double's 53 bits and 69 bits on one plan
     op = OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))
     rho = 4.0
-    gc = gauge_transform(op)
-    layout = sector_layout(gc)
+    layout = sector_layout(op.n, op.k)
     quotients = {}
     for bits in (53, 69):
-        fs = formal(gc, 20, make_ctx(bits))
+        fs = formal(op, 20, make_ctx(bits))
         [build] = stokes._collocate([op], layout, [fs], rho)
         re, im = stokes._quotient_entries(stokes._ratio, *build.quotients)
         quotients[bits] = (re + 1j * im).astype(complex)
@@ -826,7 +821,7 @@ CLOSURE_POINTS = {
 }
 
 
-def mpc_identity_residual(ctx, mats, lam, det_twist):
+def mpc_identity_residual(ctx, mats, lam, sigma):
     """The closure as working-precision matrices once measured it: max-norm
     distance of S_{2k+2} ... S_1 exp(2 pi i Lambda) from the det-twist
     multiple of the identity, the product taken in mpc and the twist and
@@ -841,7 +836,7 @@ def mpc_identity_residual(ctx, mats, lam, det_twist):
     for s in range(n):
         for t in range(n):
             v = complex(acc[s, t]) * complex(twist[t])
-            target = det_twist if s == t else 0.0
+            target = sigma if s == t else 0.0
             worst = max(worst, abs(v - target))
     return worst
 
@@ -857,9 +852,9 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
     op, builds = CLOSURE_POINTS[name], []
     result = stokes._stokes_result
 
-    def kept(op, gc, plan, build):
+    def kept(op, plan, build):
         builds.append(build)
-        return result(op, gc, plan, build)
+        return result(op, plan, build)
 
     monkeypatch.setattr(stokes, "_stokes_result", kept)
     sd = stokes_data(op)
@@ -892,20 +887,20 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
     bound = (3 * layout.r * n * 2.0 ** -ctx.frac
              * math.prod(max(1.0, v) for v in norms))
     assert abs(got - want) <= bound + 2.0 ** -51 * want
-    # the mpc oracle: K_1 = Q_1 W, then S_i = K_{i ell} ... K_{(i-1) ell + 1}
-    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(sd.det_twist)
+    # the mpc oracle: K_1 = Q_1 W, then S_i = K_{i n} ... K_{(i-1) n + 1}
+    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(det_twist(op))
     wrap = [sigma * ctx.exp(-tau * lam) for lam in sd.lam]
     factors = [np.array([[ctx.number(re) + 1j * ctx.number(im)
                           for re, im in row] for row in q], dtype=object)
                for q in quotients]
     factors[0] = factors[0] * np.array(wrap, dtype=object)
     mats = []
-    for i in range(0, layout.r, layout.ell):
+    for i in range(0, layout.r, layout.n):
         acc = factors[i]
-        for j in range(i + 1, i + layout.ell):
+        for j in range(i + 1, i + layout.n):
             acc = factors[j] @ acc
         mats.append(acc)
-    old = mpc_identity_residual(ctx, mats, sd.lam, sd.det_twist)
+    old = mpc_identity_residual(ctx, mats, sd.lam, det_twist(op))
     assert abs(got - old) <= 1e-4 * old + 1e-18
 
 
@@ -913,9 +908,8 @@ def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
     # a NaN deviation in the first sector, before finite ones, still makes
     # the build unreadable
     op = OperPoint(2, 1, (QQ(1, 3),))
-    gc = gauge_transform(op)
-    layout = sector_layout(gc)
-    fs = formal(gc, 20, make_ctx(69))
+    layout = sector_layout(op.n, op.k)
+    fs = formal(op, 20, make_ctx(69))
     deviation, sectors = stokes._deviation, []
 
     def first_sector_nan(*args):
@@ -1181,9 +1175,8 @@ def test_entire_basis_term_count_adapts():
 
 def test_visibility_intervals_cover_supersector_conditions():
     for op in (weber(), cubic(), OperPoint(2, 2, (0, 0, 0))):
-        gc = gauge_transform(op)
-        layout = sector_layout(gc)
-        fs = formal(gc, 12, make_ctx(69))
+        layout = sector_layout(op.n, op.k)
+        fs = formal(op, 12, make_ctx(69))
         for i in range(1, layout.r + 1):
             lo = layout.ray(i) - layout.half
             hi = layout.ray(i + 1) + layout.half
@@ -1236,8 +1229,7 @@ def test_sector_reading_plan_is_rotated():
         base = n * (k + 1)
         for v0 in (None, QQ(1, 7 * base), QQ(3, 5 * base), QQ(-2, 9)):
             try:
-                layout = sector_layout(gauge_transform(
-                    OperPoint(n, k, (0,) * (n * k - 1))), v0)
+                layout = sector_layout(n, k, v0)
             except ValueError:       # v0 on an anti-Stokes direction
                 continue
             assert stokes._sector_reading_plan(layout) == \
@@ -1254,7 +1246,7 @@ def test_weber_stokes_entries():
     # classical connection numbers for y'' = z^2 y: each grouped matrix
     # carries the single off-diagonal entry i sqrt(2), on alternating sides
     sd = stokes_data(weber(), StokesSettings())
-    assert sd.det_twist == -1
+    assert det_twist(sd.op) == -1
     assert sd.residuals["identity"] <= 1e-8
     assert sd.residuals["unipotency"] <= 1e-8
     assert len(sd.matrices) == 4
@@ -1277,7 +1269,7 @@ def test_cubic_stokes_entries():
     # sixth root of unity times 2, and the four grouped matrices repeat in
     # pairs because p is invariant under the half-period rotation
     sd = stokes_data(cubic(), StokesSettings())
-    assert sd.det_twist == 1
+    assert det_twist(sd.op) == 1
     assert sd.residuals["identity"] <= 1e-8
     assert sd.residuals["unipotency"] <= 1e-8
     w = 1 + 1j * math.sqrt(3)
@@ -1352,6 +1344,73 @@ def test_monomial_pairs_have_the_q_form(n, k):
         assert pair_charpoly_defect(sd, q_form(n, k + 1)) >= 0.1
 
 
+def rotated(op):
+    """p~(z) = w^n p(w z), w = e^{2 pi i/(n(k+1))}: c~_m = w^(n+m) c_m, and
+    p~ stays monic (w^(n+d) = 1) with no z^(d-1) term."""
+    n, k = op.n, op.k
+    return OperPoint(n, k, tuple(
+        cmath.exp(2j * math.pi * (n + m) / (n * (k + 1))) * complex(c)
+        for m, c in enumerate(op.coeffs)))
+
+
+def rotation_defects(op):
+    """The rotation identity's defects at op, one list per shift s in (2,
+    0): for each j >= 1 with both runs clear of the wrap factor, the
+    characteristic polynomials of the products of p~'s factors[j:j+2n] and
+    of p's factors[j+s:j+s+2n], P, compared as (absolute, normalized): the
+    largest coefficient distance, and the largest with coefficient i over
+    max(1, ||P||_2)^i, the size an error relative to P takes there."""
+    here, there = stokes_data(op), stokes_data(rotated(op))
+    n, r = op.n, here.plan.layout.r
+
+    def product(factors):
+        return functools.reduce(lambda acc, f: f @ acc, factors)
+
+    out = []
+    for s in (2, 0):
+        runs = []
+        for j in range(1, r - 2 * n - 1):
+            want = product(here.factors[j + s:j + s + 2 * n])
+            gap = np.abs(np.poly(product(there.factors[j:j + 2 * n]))
+                         - np.poly(want))
+            scale = max(1.0, np.linalg.norm(want, 2)) ** np.arange(n + 1)
+            runs.append((float(gap.max()), float((gap / scale).max())))
+        out.append(runs)
+    return out
+
+
+@given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2 ** 16))
+@hyp_settings(max_examples=8, deadline=None)
+def test_rotation_shifts_the_factors_by_two_rays(n, k, seed):
+    # y~(z) = y(w z) solves y~^(n) = p~ y~, so the rotation carries ray j + 2
+    # of p to ray j of p~, up to a relabeling and rescaling of the modes,
+    # which leave the characteristic polynomial of a product of consecutive
+    # factors alone.  Over 80 seeds of these points every run converged, and
+    # the normalized defect read at most 3.6e-15; the absolute one reached
+    # 1.1e-9 at (4,2), where the products have norms up to 2e7
+    rng = random.Random(seed)
+    op = OperPoint(n, k, tuple(QQ(rng.randint(-3, 3), rng.randint(1, 7))
+                               for _ in range(n * k - 1)))
+    shifted, _ = rotation_defects(op)
+    assert max(normalized for _, normalized in shifted) <= 1e-9
+
+
+@pytest.mark.parametrize("op", [
+    OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+    OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
+    OperPoint(4, 1, (QQ(1, 5), QQ(-1, 4), QQ(1, 6)))],
+    ids=["cubic-point", "quartic-complex", "quartic-n4"])
+def test_rotation_identity_needs_the_shift(op):
+    # the identity holds within 5.6e-14 (absolute) at these points, and the
+    # same runs with no shift miss, the worst by 2.4 or more and every run
+    # by 0.25 or more normalized (at c = 0 the rotation is a symmetry, and
+    # no shift would hold too)
+    shifted, unshifted = rotation_defects(op)
+    assert max(max(run) for run in shifted) <= 1e-9
+    assert max(absolute for absolute, _ in unshifted) >= 1.0
+    assert min(normalized for _, normalized in unshifted) >= 0.2
+
+
 def test_phantom_rays_carry_identity_factors():
     sd = stokes_data(weber(), StokesSettings())
     assert sd.residuals["phantom"] <= 1e-8
@@ -1404,9 +1463,9 @@ def loop_factor_support(layout, factors):
 
 
 def loop_monitored_vector(sd):
-    out = []
+    out, perm = [], stokes.dominance_order(sd.plan.layout)
     for i, mat in enumerate(sd.matrices, start=1):
-        conj = mat[np.ix_(sd.perm, sd.perm)]
+        conj = mat[np.ix_(perm, perm)]
         upper = i % 2 == 1
         for s in range(sd.op.n):
             for t in range(sd.op.n):
@@ -1417,10 +1476,10 @@ def loop_monitored_vector(sd):
 
 def assert_shape_matches_loops(sd):
     layout = sd.plan.layout
-    assert sd.perm == stokes.dominance_order(layout)
+    perm = stokes.dominance_order(layout)
     got = [sd.residuals[name]
            for name in ("unipotency", "support", "factor_diag", "phantom")]
-    want = [loop_unipotency(sd.matrices, sd.perm),
+    want = [loop_unipotency(sd.matrices, perm),
             *loop_factor_support(layout, sd.factors)]
     assert [type(v) for v in got] == [float] * 4
     assert got == want
@@ -1500,9 +1559,8 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     norm_pairs = {(th, d) for (_, d), th in norms.items()}
     assert len(norm_pairs) == pairs
     assert len({th for th, _ in norm_pairs}) == angles
-    gc = gauge_transform(op)
     ctx = make_ctx(plan.bits)
-    fs = formal(gc, plan.settings.trunc_order, ctx)
+    fs = formal(op, plan.settings.trunc_order, ctx)
     exps, read = [], []
     exp = ctx.exp
     monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
@@ -1545,7 +1603,8 @@ def test_plan_does_not_depend_on_precision(monkeypatch):
                                           stokes._FIRST_BITS, fine.plan.bits]
     assert len({angles for _, angles in read}) == 1
     assert run.plan.layout == fine.plan.layout
-    assert run.perm == fine.perm
+    assert (stokes.dominance_order(run.plan.layout)
+            == stokes.dominance_order(fine.plan.layout))
 
 
 def test_refinement_sharpens_the_closure():
