@@ -4,8 +4,10 @@ Common ground: the companion-form connection of y^(n) = p(z) y is pushed to
 infinity-normal form by the diagonal gauge g = diag(z^{(n-j)k}); the scalar
 trace part (weight c = kn(n+1)/2) is split off in closed form so the working
 system is trace-free, at the price of a global determinant twist
-sigma = (-1)^{k(n+1)} in the monodromy identity.  A formal gauge
-Yhat z^Lambda exp(Q) diagonalizes the system to all orders.  Angles are
+sigma = (-1)^{k(n+1)} in the monodromy identity.  The formal frame
+Yhat z^Lambda exp(Q) and its inverse come from scalar series of the
+equation and of its adjoint, each a recurrence of fixed length, paired by
+the bilinear concomitant, with no matrix diagonalization.  Angles are
 tracked as exact Fractions of pi (the anti-Stokes directions are rational
 multiples of pi), unwrapped monotonically along the sector chain so the
 log-branch bookkeeping stays explicit; z^Lambda always uses the chain branch,
@@ -39,7 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactla import QQ, qzeros
 from .isomono import OperPoint
 
 
@@ -120,56 +121,27 @@ class StokesSettings:
 
 
 # ---------------------------------------------------------------------------
-# gauge transform
-
-def gauge_transform(op):
-    """Push the companion connection to z = infinity normal form, trace-split:
-    the trace-free Laurent data B(z) = z^k sum_j B_j z^{-j} as the tuple of
-    the B_j, exact (Fraction entries) whenever the oper point is.
-
-    The companion matrix (unit superdiagonal, p in the corner) conjugated by
-    g = diag(z^{(n-j)k}) becomes z^k times the cyclic shift plus lower-order
-    terms, and g contributes the diagonal (n-j)k/z whose trace c/z, c =
-    kn(n+1)/2, is removed (det_twist).
-    """
-    n, k, d = op.n, op.k, op.d
-    jmax = max(d, k + 1)
-    bc = [qzeros(n) for _ in range(jmax + 1)]
-    for a in range(n - 1):
-        bc[0][a, a + 1] = QQ(1)
-    bc[0][n - 1, 0] = QQ(1)            # monic top coefficient of p
-    for m in range(d - 1):
-        c = op.p_coeff(m)
-        if c:
-            bc[d - m][n - 1, 0] = bc[d - m][n - 1, 0] + c
-    cw = QQ(k * n * (n + 1), 2)
-    shift = cw / n                      # = k(n+1)/2 per diagonal entry
-    for a in range(n):
-        bc[k + 1][a, a] = bc[k + 1][a, a] + QQ((n - a) * k) - shift
-    return tuple(bc)
-
+# formal solution
 
 def det_twist(op):
     """sigma = (-1)^{k(n+1)}, the scalar the full product of Stokes matrices
-    reproduces in place of the identity, because gauge_transform splits off
-    the trace kn(n+1)/(2z)."""
+    reproduces in place of the identity, because the gauge splits off the
+    trace kn(n+1)/(2z) (FormalSolution)."""
     return -1 if (op.k * (op.n + 1)) % 2 else 1
 
 
-# ---------------------------------------------------------------------------
-# formal solution
-
 @dataclass
 class FormalSolution:
-    """Yhat z^Lambda exp(Q) through order M, in the framed gauge.
+    """Yhat z^Lambda exp(Q) through order M, in the framed gauge: the
+    companion connection of y^(n) = p y conjugated by diag(z^{(n-t)k}), its
+    trace kn(n+1)/(2z) split off (det_twist), framed by f0 (_fixed_frame).
 
-    fixed[m] is the z^{-m} coefficient of Yhat (fixed[0] = I) as computed,
-    a (2, n, n) array of the real and imaginary parts in fixed point with
-    `frac` fraction bits; only the formal inverse (_inverse_table) and the
-    tail norms (_tail_norms, which round the last four) read it.
-    qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q,
-    stored as a vector; lam is the diagonal of Lambda, both rounded once to
-    the working precision.
+    fixed[m] and dual[..., m] are the z^{-m} coefficients of Yhat (fixed[0]
+    = I up to units) and of Yhat^{-1} f0^{-1} (rows a, entries t), (2, n,
+    n) fixed-point arrays of the parts with `frac` fraction bits, read by
+    the tail norms (_tail_norms) and the formal inverse (_inverse_table).
+    qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q as
+    a vector and lam that of Lambda, both at the working precision.
     """
     n: int
     k: int
@@ -177,7 +149,8 @@ class FormalSolution:
     qcoeffs: dict
     lam: list
     ctx: object
-    fixed: list
+    fixed: np.ndarray
+    dual: np.ndarray
 
     def q_entry(self, b, z):
         acc = 0 * z
@@ -189,77 +162,112 @@ class FormalSolution:
         return abs(sum(complex(v) for v in self.lam))
 
 
+def _root_series(op):
+    """Exact (re, im) r_0..r_{k+1} of p^{1/n} = z^k sum_i r_i z^{-i}: with
+    P_j at z^{d-j} in p, n i r_i = sum_{j<=i} (j - n(i-j)) P_j r_{i-j}."""
+    big = np.array([[Fraction(c.real), Fraction(c.imag)] for c in
+                    map(op.p_coeff, range(op.d, op.d - op.k - 2, -1))]).T
+    r = np.zeros((2, op.k + 2), dtype=object)
+    r[0, 0] = Fraction(1)
+    for i in range(1, op.k + 2):
+        r[:, i] = sum(_gauss(big[:, j], r[:, i - j])
+                      * Fraction(j - op.n * (i - j), op.n * i)
+                      for j in range(1, i + 1))
+    return r
+
+
+def _raised(phi, x, top, frac):
+    """z^{-k} (D + phi') on series x[..., i] of z^{top - i}, as (re, im):
+    phi' = sum_l phi[..., l] z^{k-l} moves term i to i + l, times phi_l,
+    and D moves it to i + k + 1, times top - i."""
+    k, width = phi.shape[-1] - 2, x.shape[-1]
+    out = np.zeros_like(x[:2])
+    for i in range(k + 2):
+        out[..., i:] += _gauss(phi[..., i, None], x[..., :width - i])
+    out >>= frac
+    out[..., k + 1:] += (top - np.arange(width - k - 1, dtype=object)
+                         ) * x[:2, ..., :-k - 1]
+    return out
+
+
 def formal_solution(ops, M, ctx):
-    """Order-by-order diagonalization, in two stages so levels stay decoupled,
-    of gauged (gauge_transform) points of one (n, k): a FormalSolution each.
+    """Formal solutions of points of one (n, k), a FormalSolution each,
+    from the scalar equation (Wasow 1965; README).
 
-    Stage 1 finds a diagonal-free gauge F = I + sum F_j z^{-j} conjugating the
-    system onto a fully diagonal connection sum_j D_j z^{k-j}: at each level
-    the off-diagonal part determines F_j (division by eigenvalue differences)
-    and the diagonal part is D_j directly.  Q and Lambda read off
-    D_0..D_{k+1}; the remaining diagonal tail is integrated term by term as a
-    formal series u in stage 2 and multiplied back in.
-
-    At every precision this runs on Gaussian integers with `frac` fraction
-    bits: the exact B_j framed by the root table's f0, F, D and u triples
-    (_triple), each order's sums three-product matmuls (_gauss) shifted
-    back once (the B's side by side times the F's stacked, and per column a
-    dot product over the levels for F D, u and Yhat = F u), the divisions
-    by the eigenvalue gaps products with fixed-point reciprocals, every
-    array with a point axis after the parts.  Results are rounded once to
-    the working precision; Yhat's coefficients are kept as computed,
-    unrounded (`fixed`)."""
+    Mode a is w_a e^{phi_a}, phi_a' = l sum_{i<=k} r_i z^{k-i} + (l r_{k+1}
+    - (n-1)k/2)/z, r_i the exact roots of p^{1/n} (_root_series), l =
+    lambda_a for y^(n) = p y and -lambda_a for its adjoint y^(n) = (-1)^n
+    p y; ((D + phi')^n - l^n p) w = 0 is the recurrence s_m = sum_{i <=
+    (n-1)(k+1)} s_{m-i} T_i(m-i) / (m n l^{n-1}), T_i from the C_j of D^j
+    in (D + phi')^n, C^{(t+1)}_j = C^{(t)}_j' + phi' C^{(t)}_j +
+    C^{(t)}_{j-1}.  Column a of f0 Yhat is z^{-tk} (D + phi_a')^t w_a and,
+    by the bilinear concomitant (Ince 1926), row a of Yhat^{-1}
+    f0^{-1} is lambda_a/n (-1)^j z^{-jk} (D + psi_a')^j v_a, j = n-1-t, v_a
+    and psi_a' the adjoint's.  All series of all points run at once on
+    Gaussian integers with `frac` fraction bits, each product (_gauss)
+    shifted back once; l r_i is floored once and rounded once for Lambda_a
+    = l r_{k+1} and Q_{j,a} = l r_{k+1-j}/j (then divided by j)."""
     n, k, frac, size = ops[0].n, ops[0].k, ctx.frac, len(ops)
     if M < k + 2:
         raise ValueError("truncation order must be at least k+2")
     f0, f0inv = _fixed_frame(ctx, n)
-    b = np.array([[[[_quantized(c, frac) for c in row] for row in bj]
-                   for bj in gauge_transform(op)] for op in ops], dtype=object)
-    b = _gauss(np.moveaxis(b, 4, 0), f0, np.matmul) >> frac
-    bt = _triple(_gauss(f0inv, b, np.matmul) >> frac)   # (3, P, j, n, n)
-    lam = f0[:, 1]
-    # the leading term must frame to diag(lambda), up to rounding units
-    if np.abs(bt[:2, :, 0] - [[np.diag(v)] for v in lam]).max() > 1 << 8:
-        raise ArithmeticError("frame failed to diagonalize the leading term")
-    gap = lam[:, None, :] - lam[:, :, None]        # lambda_b - lambda_a
-    norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
-    recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
-    levels = k + 2 + M
-    F = np.zeros((3, size, levels, n, n), dtype=object)
-    F[0, :, 0] = F[2, :, 0] = np.eye(n, dtype=object) << frac
-    cols = F.transpose(0, 1, 4, 3, 2)       # F_j[a, c] at (c, a, j), a view
-    D = np.zeros((3, size, n, levels), dtype=object)
-    D[..., 0] = _triple(lam)[:, None]
-    for j in range(1, levels):
-        lo = max(0, j - bt.shape[2] + 1)
-        # sum_b B_{j-b} F_b: the B's side by side times the F's stacked
-        side = bt[:, :, j - lo:0:-1].transpose(0, 1, 3, 2, 4)
-        r = _gauss(side.reshape(3, size, n, -1),
-                   F[:, :, lo:j].reshape(3, size, -1, n), np.matmul)
-        # sum_b F_b D_{j-b}: F_b[a, c] D_{j-b}[c] summed over b per c
-        fd = _gauss(cols[..., 1:j], D[..., j - 1:0:-1, None], np.matmul)
-        r = (r - fd[..., 0].swapaxes(-1, -2)) >> frac
-        if j >= k + 2:
-            r = r + (j - k - 1) * F[:2, :, j - k - 1]
-        D[..., j] = _triple(np.diagonal(r, axis1=-2, axis2=-1))
-        F[:, :, j] = _triple(_gauss(r, recip) >> frac)
-    # stage 2: diagonal tail u' = (sum_{t>=1} D_{k+1+t} z^{-1-t}) u
-    u = np.zeros((3, size, n, M + 1), dtype=object)
-    u[0, ..., 0] = u[2, ..., 0] = 1 << frac
+    # l of every series, the equation's modes then the adjoint's, and l^n
+    ell = np.concatenate([f0[:, 1], -f0[:, 1]], axis=1)[:, None, :, None]
+    unit = np.array([1] * n + [(-1) ** n] * n, dtype=object)[:, None]
+    roots = [_root_series(op) for op in ops]    # over one denominator each
+    den = np.array([[[math.lcm(*(x.denominator for x in r.ravel()))]]
+                    for r in roots], dtype=object)
+    lr = _gauss(ell, np.moveaxis(roots * den // 1, 0, 1)[:, :, None]) // den
+    phi = _triple(lr)                           # (3, P, 2n, k + 2)
+    phi[[0, 2], ..., k + 1] -= ((n - 1) * k << frac) >> 1
+    # C_j = z^{(t-j)k} sum_i c[j, i] z^{-i} after t steps, less l^n p
+    width = n * (k + 1) + 1
+    c = np.zeros((2, n + 1, size, 2 * n, width), dtype=object)
+    c[0, 0, ..., 0] = 1 << frac
+    jk = np.arange(n + 1, dtype=object)[:, None, None, None] * k
+    for t in range(n):
+        new = _raised(phi, c, t * k - jk, frac)
+        new[:, 1:] += c[:, :-1]
+        c = new
+    c[:, 0] -= np.moveaxis(np.array([[_quantized(op.p_coeff(op.d - i), frac)
+                                      for i in range(width)] for op in ops],
+                                    dtype=object), 2, 0)[:, :, None] * unit
+    # T_i(m) = sum_j (-1)^j rising(m, j) c[j, i + (1-j)(k+1)], times l / l^n
+    steps = (n - 1) * (k + 1)
+    i, j = np.ogrid[1:steps + 1, :n + 1]
+    at = i + (1 - j) * (k + 1)
+    tc = _gauss(ell[..., None] * unit[..., None],
+                np.moveaxis(c, 1, -2)[..., j, at.clip(0)]
+                * np.where(at >= 0, (-1) ** j, 0).astype(object))
+    rising = np.array([[[math.prod(range(m - i, m - i + j)) if m >= i else 0
+                         for m in range(M + 1)] for j in range(n + 1)]
+                       for i in range(1, steps + 1)], dtype=object)
+    T = np.stack([(tc[..., i, :].reshape(-1, n + 1) @ rising[i]).reshape(
+        tc.shape[:3] + (M + 1,)) for i in range(steps)], axis=-1) >> frac
+    s = np.zeros((2, size, 2 * n, M + 1), dtype=object)
+    s[0, :, :n, 0] = 1 << frac
+    s[:, :, n:, 0] = f0[:, None, 1] // n        # lambda_a/n: Yhat^{-1}'s rows
     for m in range(1, M + 1):
-        acc = _gauss(D[..., None, k + 2:k + 2 + m],
-                     u[..., m - 1::-1, None], np.matmul)[..., 0, 0]
-        u[..., m] = _triple(-(acc >> frac) // m)
-    ys = np.array([_gauss(cols[..., :m + 1], u[..., m::-1, None],
-                          np.matmul)[..., 0].swapaxes(-1, -2) >> frac
-                   for m in range(M + 1)])          # (M + 1, 2, P, n, n)
+        top = min(steps, m)
+        acc = _gauss(T[..., m, :top], s[..., m - 1::-1][..., :top])
+        s[..., m] = acc.sum(axis=-1) // (n * m << frac)
+    del c, tc, T                    # freed before the rows, the peak
+    rows = [_triple(s)]
+    for t in range(n - 1):
+        rows.append(_triple(_raised(phi, rows[-1], t * k, frac)))
+    rows = np.array(rows)[:, :2]                # (t, 2, P, 2n, M + 1)
+    fixed = _gauss(f0inv, rows[:, :, :, :n].transpose(1, 0, 2, 4, 3).reshape(
+        2, n, -1), np.matmul) >> frac
+    fixed = fixed.reshape(2, n, size, M + 1, n).transpose(2, 3, 0, 1, 4)
+    alt = (-1) ** np.arange(n, dtype=object)[:, None, None, None, None]
+    dual = (rows[:, :, :, n:] * alt)[::-1].transpose(1, 2, 3, 0, 4)
     return [FormalSolution(
         n=n, k=k, M=M,
-        qcoeffs={k + 1 - s: list(_rounded(ctx, *D[:2, p, :, s], -frac)
-                                 / (k + 1 - s))
-                 for s in range(k + 1)},
-        lam=list(_rounded(ctx, *D[:2, p, :, k + 1], -frac)), ctx=ctx,
-        fixed=ys[:, :, p]) for p in range(size)]
+        qcoeffs={j: list(_rounded(ctx, *lr[:, p, :n, k + 1 - j], -frac) / j)
+                 for j in range(1, k + 2)},
+        lam=list(_rounded(ctx, *lr[:, p, :n, k + 1], -frac)), ctx=ctx,
+        fixed=fixed[p], dual=dual[:, p])
+        for p in range(size)]
 
 
 def _triple(x):
@@ -418,12 +426,6 @@ class EntireBasis:
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
-        # solutions have order k+1 and type 1/(k+1), so their terms on the
-        # circle peak near index rho^(k+1): a circle past twice the cap, or
-        # not finite, is refused before any term (logs: rho^(k+1) overflows)
-        if nterms is None and not ((op.k + 1) * math.log(self.rho)
-                                   <= math.log(2 * _MAX_TERMS)):
-            raise ArithmeticError(_TERM_CAP)
         n, d = op.n, op.d
         frac = ctx.frac
         r = Fraction(self.rho)
@@ -619,10 +621,15 @@ _TERM_CAP = ("entire basis did not converge on the reading circle within "
 # linear recurrence carries on as the Taylor tail of another solution,
 # growing no faster than the columns' own terms; against the peak (at least
 # the unit jet) N steps leave under N units, and the series stops once its
-# terms fall below one unit of the peak.  Formal solution and formal-inverse
-# table: each shifted product and each product with a reciprocal eigenvalue
-# gap adds a few units per order, carried the same way; absolute, but Y_0 =
-# W_0 = I, the later terms on a reading circle are small, and the inverse
+# terms fall below one unit of the peak.  Formal series: l r_i, p's
+# coefficients and lambda_a/n are floored once, each (D + phi') and each
+# recurrence coefficient T_i is a sum of exact products shifted once, and
+# each order floor-divides once by n m, so an order takes a few units,
+# which the recurrence carries on divided by n m per step as it carries the
+# series' own terms; Yhat is one more shifted product, by f0^{-1}, and the
+# formal inverse is the adjoint's series, scaled by rho^(h_t - m) with one
+# floor, with no inversion to amplify them: absolute, but Y_0 = W_0 = I, the
+# later terms on a reading circle are small, and the inverse table
 # keeps its smallest column rho^(h_a) at full resolution.  Table sums are
 # exact: every unit power is a root within one unit, and folding by residue
 # mod 2Q and then by the quarter turns only adds coefficients and turns
@@ -699,6 +706,11 @@ def _collocate(ops, layout, fss, rho, nterms=None):
     sector at a time (sector_coefficients) and the quotients of every
     sector in one elimination; a fresh run is a batch of one."""
     ctx, n, rho = fss[0].ctx, layout.n, float(rho)
+    # entire solutions' terms peak near index rho^(k+1) (order k+1, type
+    # 1/(k+1)): refuse past twice the cap, or not finite, before any table
+    if nterms is None and not ((layout.k + 1) * math.log(rho)
+                               <= math.log(2 * _MAX_TERMS)):
+        raise ArithmeticError(_TERM_CAP)
     reads, pairs, _, _ = _layout_reading(layout)
     terms = []
 
@@ -884,40 +896,27 @@ def _layout_shape(layout):
 
 
 def _inverse_table(fss, rho):
-    """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_0 = I and W_m =
-    -sum_{j>=1} Y_j W_{m-j}, for each formal solution of a batch: V_m =
-    rho^-m W_m f0^{-1} obeys the recurrence in Y_j rho^-j, and 1/z^m =
-    rho^-m conj(u^m), so the table holds conj(V_m) and its sums are
-    conjugated.  The recurrence runs on Gaussian integers
-    at every precision, the Y's and V's as triples (re, im, re + im), one
-    three-product matmul (_gauss) per order for the batch: the Y's side by
-    side times the V's stacked.  Column a also carries rho^(h_a), the
-    modulus of gauged row a of a content (_gauge_exponents), since the
-    recurrence only multiplies on the left.  The table has
-    EntireBasis.table's format, rows b and entries a, with a point axis
-    after the parts; rho, g and mod are the batch's, so one exponent array
-    serves every point."""
-    ctx, n, M, frac = fss[0].ctx, fss[0].n, fss[0].M, fss[0].ctx.frac
-    # rho is a dyadic rational, so its powers scale exactly up to one floor,
-    # and a half-integer power is one isqrt; the table keeps g more fraction
-    # bits, so its smallest column keeps `frac` bits
-    r = Fraction(rho)
-    j = np.arange(1, M + 1, dtype=object)[:, None]   # Y_j[a, c] at (a, j, c)
-    ys = np.array([fs.fixed[1:] for fs in fss]).transpose(2, 0, 3, 1, 4)
-    ys = _triple(ys * r.denominator ** j // r.numerator ** j)
-    ys = ys.reshape(3, len(fss), n, -1)
+    """sum_{m<=M} W_m z^{-m} f0^{-1} on the circle rho, W_m f0^{-1} each
+    formal solution's `dual`: as 1/z^m = rho^-m conj(u^m), the table holds
+    conj(rho^-m W_m f0^{-1}), its column t times rho^(h_t), the modulus of
+    gauged row t of a content (_gauge_exponents), in EntireBasis.table's
+    format (rows a, entries t) with a point axis after the parts, and its
+    sums are conjugated; rho, g and mod are the batch's."""
+    n, M, frac = fss[0].n, fss[0].M, fss[0].ctx.frac
+    # rho is a double (the basis' circle), a dyadic rational: its powers
+    # scale exactly up to one floor, a half-integer power is one isqrt, and
+    # g more fraction bits keep `frac` bits in the smallest column
+    r = Fraction(float(rho))
     sq = [r ** int(2 * h) for h in _gauge_exponents(n, fss[0].k)]
     g = max(0, max(s.denominator.bit_length() - s.numerator.bit_length()
                    for s in sq) // 2 + 1)
     mod = np.array([math.isqrt(math.floor(s * 4 ** (frac + g)))
-                    for s in sq], dtype=object)
-    vs = np.zeros((3, len(fss), M + 1, n, n), dtype=object)
-    vs[:, :, 0] = _triple(_fixed_frame(ctx, n)[1] * mod >> frac)[:, None]
-    for m in range(1, M + 1):
-        vs[:, :, m] = _triple(-(_gauss(
-            ys[..., :n * m], vs[:, :, m - 1::-1].reshape(3, len(fss), -1, n),
-            np.matmul) >> frac))
-    coeffs = np.moveaxis(np.array([vs[0], -vs[1]]), 2, -1)
+                    for s in sq], dtype=object)[:, None]
+    e = r.denominator.bit_length() - 1          # rho = num 2^-e
+    coeffs = ((np.array([fs.dual for fs in fss]).swapaxes(0, 1) * mod)
+              << e * np.arange(M + 1, dtype=object)) // np.array(
+        [r.numerator ** m << frac for m in range(M + 1)], dtype=object)
+    coeffs[1] = -coeffs[1]
     return coeffs, np.full((n, n), -(frac + g), dtype=object)
 
 

@@ -170,6 +170,17 @@ def test_infeasible_request_keeps_its_document(capsys):
     assert math.isfinite(doc["settings"]["R"])
 
 
+def test_infinite_fallback_circle_is_refused_before_any_table(capsys):
+    # at c_0 = 1e300 even the 2^-53 tail-safe circle is past double range:
+    # the run is refused with the term-cap message before the formal
+    # inverse or the entire basis reads the circle, with no document
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "1",
+                         "--poly", "1e300,0,1")
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: entire basis did not converge on the "
+                   "reading circle within the term cap\n")
+
+
 def test_jacobian_missed_tolerance_maps_to_numeric_exit(capsys):
     # the same undersized circle under the Jacobian: the document is still
     # written, flagged, and the run exits 3

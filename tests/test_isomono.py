@@ -243,6 +243,29 @@ def test_solvability_falls_back_at_an_unlucky_prime(monkeypatch, n, k):
     assert report_fields(eliminated) == report_fields(certified)
 
 
+MONOMIALS = [(n, k) for n in range(2, 13) for k in range(1, 13 // n + 1)
+             if n * k <= 12]
+
+
+@pytest.mark.parametrize("n, k", MONOMIALS,
+                         ids=[f"{n}-{k}" for n, k in MONOMIALS])
+def test_monomial_points_are_certified_by_the_identity(n, k):
+    # the hinge of the generic certificate: at p = z^d, n | d <= 12, the
+    # joint rows have kernel 1 mod 2^61-1, and Omega = I (pdot = 0) solves
+    # them, so the kernel over Q is span(I) there and, the rows being
+    # polynomial in c, at a generic point
+    op = OperPoint(n, k, (0,) * (n * k - 1))
+    rep = solvability(op)
+    assert rep.certificate == IDENTITY_CERTIFICATE
+    assert (rep.joint_kernel_dim, rep.tangent_dim) == (1, 0)
+    rows = joint_rows(op, rep.D)
+    identity = {isomono._omega_col(rep.D, n, 0, a, a) for a in range(n)}
+    assert all(sum(x for col, x in row.items() if col in identity) == 0
+               for row in rows)
+    assert not any(np.any(m != 0) for m in
+                   apply_deformation(op, [qeye(n)], Poly([])))
+
+
 def test_solvability_checks_the_identity_witness(monkeypatch):
     # one entry off in a column of Omega_0's diagonal breaks Omega = I
     op = sweep_point(3, 1)

@@ -1,9 +1,12 @@
-"""The Gaussian-integer series kernel against its four-product form.
+"""The scalar-equation formal series against the matrix recurrences.
 
-formal_solution and _inverse_table sum every series product as Gauss's
-three real products inside one matmul.  The sums are exact integers before
-the one shift or floor that rounds them, so the outputs must equal, bit for
-bit, the four-product recurrences kept here as the reference.
+formal_solution builds Yhat and Yhat^{-1} f0^{-1} from scalar series of the
+equation and its adjoint.  The order-by-order matrix diagonalization and
+the series inversion it replaced are kept here as oracles, with their sums
+taken by four real products, and the two must agree per order to a few
+fixed-point units; Yhat times its formal inverse must be the identity
+order by order.  The Gaussian-integer products themselves (_gauss) must
+equal the four-product form bit for bit.
 """
 
 import math
@@ -17,9 +20,38 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
 from operstokes import stokes
+from operstokes.exactla import qzeros
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (FormalSolution, StokesSettings,
-                               formal_solution, gauge_transform, make_ctx)
+                               formal_solution, make_ctx)
+
+
+def gauge_transform(op):
+    """The companion connection pushed to z = infinity normal form,
+    trace-split: the trace-free Laurent data B(z) = z^k sum_j B_j z^{-j} as
+    the tuple of the B_j, exact (Fraction entries) whenever the oper point
+    is.
+
+    The companion matrix (unit superdiagonal, p in the corner) conjugated by
+    g = diag(z^{(n-j)k}) becomes z^k times the cyclic shift plus lower-order
+    terms, and g contributes the diagonal (n-j)k/z whose trace c/z, c =
+    kn(n+1)/2, is removed (det_twist).
+    """
+    n, k, d = op.n, op.k, op.d
+    jmax = max(d, k + 1)
+    bc = [qzeros(n) for _ in range(jmax + 1)]
+    for a in range(n - 1):
+        bc[0][a, a + 1] = QQ(1)
+    bc[0][n - 1, 0] = QQ(1)            # monic top coefficient of p
+    for m in range(d - 1):
+        c = op.p_coeff(m)
+        if c:
+            bc[d - m][n - 1, 0] = bc[d - m][n - 1, 0] + c
+    cw = QQ(k * n * (n + 1), 2)
+    shift = cw / n                      # = k(n+1)/2 per diagonal entry
+    for a in range(n):
+        bc[k + 1][a, a] = bc[k + 1][a, a] + QQ((n - a) * k) - shift
+    return tuple(bc)
 
 
 def gauss4(x, y, op=np.multiply):
@@ -74,7 +106,7 @@ def reference_formal_solution(bcoeffs, k, M, ctx):
                                  / (k + 1 - s))
                  for s in range(k + 1)},
         lam=list(stokes._rounded(ctx, *D[:, k + 1], -frac)), ctx=ctx,
-        fixed=ys)
+        fixed=ys, dual=None)
 
 
 def reference_inverse_table(fs, rho):
@@ -108,29 +140,83 @@ POINTS = {
 }
 
 
+def largest(x):
+    return max(abs(v) for v in np.ravel(x))
+
+
+def tolerance(scale, one, frac):
+    """2^-(frac-12) of max(1, scale), for values in units of 1/one."""
+    return max(one, scale) >> (frac - 12)
+
+
 @pytest.mark.parametrize("bits", [69, 105])
 @pytest.mark.parametrize("name", list(POINTS))
 def test_series_kernel_matches_four_products(name, bits):
-    # formal solution and formal-inverse table at the default order M = 40,
-    # exactly as the four-product recurrences give them
+    # formal solution and formal-inverse table at the default order M = 40
+    # agree with the matrix recurrences order by order: Yhat to 2^-(frac-12)
+    # of each order's largest entry (absolutely, below 1), the table to
+    # that of the sizes of the terms of the inverse recurrence W_m = -sum_j
+    # Y_j W_{m-j}, whose roundings it carries, and Lambda and Q to a few
+    # units of the working precision
     op = POINTS[name]
     ctx = make_ctx(bits)
-    M = StokesSettings().trunc_order
+    M, frac = StokesSettings().trunc_order, ctx.frac
     [got] = formal_solution([op], M, ctx)
     want = reference_formal_solution(gauge_transform(op), op.k, M, ctx)
     assert len(got.fixed) == len(want.fixed) == M + 1
     for g, w in zip(got.fixed, want.fixed):
         assert g.shape == w.shape == (2, op.n, op.n)
-        assert g.tolist() == w.tolist()
-    assert got.lam == want.lam
-    assert got.qcoeffs == want.qcoeffs
+        assert largest(g - w) <= tolerance(largest(w), 1 << frac, frac)
+    pairs = [(got.lam, want.lam)]
+    pairs += [(got.qcoeffs[j], want.qcoeffs[j]) for j in want.qcoeffs]
+    assert sorted(got.qcoeffs) == sorted(want.qcoeffs)
+    for g, w in pairs:
+        assert all(abs(x - y) <= 2.0 ** (2 - bits) * max(1, abs(y))
+                   for x, y in zip(g, w))
     for rho in (4.5, 8.15):
         (tc, te), (wc, we) = (stokes._inverse_table([got], rho),
                               reference_inverse_table(want, rho))
         tc = tc[:, 0]                   # the point axis of a batch of one
         assert tc.shape == wc.shape == (2, op.n, op.n, M + 1)
-        assert tc.tolist() == wc.tolist()
         assert te.tolist() == we.tolist()
+        ys = [largest(y) * QQ(rho) ** -j / 2 ** frac
+              for j, y in enumerate(want.fixed)]
+        vs = [largest(wc[..., m]) for m in range(M + 1)]
+        for m in range(M + 1):
+            scale = max([vs[m]] + [ys[j] * vs[m - j] for j in range(1, m + 1)])
+            assert largest(tc[..., m] - wc[..., m]) <= tolerance(
+                math.floor(scale), 1 << -int(te[0, 0]), frac)
+
+
+@pytest.mark.parametrize("op", [
+    OperPoint(2, 1, (0.3 - 0.2j,)),
+    OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+    OperPoint(4, 1, (QQ(1, 3), QQ(-2, 5), QQ(1, 7))),
+    OperPoint(5, 1, (QQ(1, 2), 0, QQ(-1, 3), QQ(2, 7))),
+    OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
+    OperPoint(3, 2, (QQ(1, 3), QQ(-2, 5), QQ(1, 7), QQ(3, 4), QQ(-1, 2))),
+    OperPoint(2, 3, (QQ(1, 4), QQ(-1, 3), QQ(2, 5), QQ(1, 6), QQ(-3, 7))),
+    OperPoint(2, 4, (0,) * 7)],
+    ids=["21", "31", "41", "51", "22", "32", "23", "z8-24"])
+def test_formal_inverse_is_the_inverse(op):
+    # sum_{j<=m} Y_j W_{m-j} = delta_{m0} I through order M, with W_m f0^-1
+    # the dual coefficients and f0 the fixed-point frame: exact integer
+    # products, each order within 2^-(frac-12) of the sum of its terms'
+    # sizes (or absolutely, below 1)
+    ctx = make_ctx(69)
+    frac, n, M = ctx.frac, op.n, 40
+    [fs] = formal_solution([op], M, ctx)
+    f0 = stokes._fixed_frame(ctx, n)[0]
+    ws = [gauss4(fs.dual[..., m], f0, np.matmul) >> frac
+          for m in range(M + 1)]
+    eye = np.array([np.eye(n, dtype=object) << 2 * frac,
+                    np.zeros((n, n), dtype=object)])
+    for m in range(M + 1):
+        terms = [gauss4(fs.fixed[j], ws[m - j], np.matmul)
+                 for j in range(m + 1)]
+        got = sum(terms) - (eye if m == 0 else 0)
+        assert largest(got) <= tolerance(sum(map(largest, terms)),
+                                         1 << 2 * frac, frac)
 
 
 def gaussian(rng, shape, bits):

@@ -17,8 +17,9 @@ from operstokes import immersion, stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, det_twist,
-                               formal_solution, gauge_transform, make_ctx,
-                               replay, sector_layout, stokes_data)
+                               formal_solution, make_ctx, replay,
+                               sector_layout, stokes_data)
+from test_series_kernel import gauge_transform
 
 SQ2 = 1.4142135623730951
 
