@@ -161,6 +161,11 @@ class FormalSolution:
     def trace_residual(self):
         return abs(sum(complex(v) for v in self.lam))
 
+    @functools.cached_property
+    def tail(self):
+        """_tail_norms, rounded once per formal solution."""
+        return _tail_norms(self)
+
 
 def _root_series(op):
     """Exact (re, im) r_0..r_{k+1} of p^{1/n} = z^k sum_i r_i z^{-i}: with
@@ -385,7 +390,8 @@ def sector_layout(n, k, v0=None):
 def _tail_norms(fs):
     """(m, max-norm of the z^{-m} term) for the last kept formal terms --
     several, to ride out parity-sparse series whose top term vanishes.  Each
-    term is rounded once to the working precision, then to a double."""
+    term is rounded once to the working precision, then to a double, once
+    per formal solution (FormalSolution.tail)."""
     ctx = fs.ctx
     return [(m, max((abs(complex(v)) for v in
                      np.ravel(_rounded(ctx, *fs.fixed[m], -ctx.frac))),
@@ -397,7 +403,7 @@ def compute_radius(fs, settings):
     """Tail-safe radius: smallest circle on which each of the last kept formal
     terms contributes below radius_tol (inf past double range)."""
     radius = 2.0
-    for m, norm in _tail_norms(fs):
+    for m, norm in fs.tail:
         if norm > 0:
             radius = max(radius, (norm / settings.radius_tol) ** (1.0 / m))
     return 1.05 * radius
@@ -432,7 +438,7 @@ class EntireBasis:
         # p_m rho^(m+n) and the unit jets rho^m / m!, floored to Gaussian
         # integers (re, im) with `frac` fraction bits; each step of the
         # recurrence floor-divides by (s+1)...(s+n) (_GUARD_BITS)
-        src = [(m, _quantized(op.p_coeff(m), frac, r ** (m + n)))
+        src = [(m, *_quantized(op.p_coeff(m), frac, r ** (m + n)))
                for m in range(d + 1) if op.p_coeff(m)]
         cols = [[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
                  else (0, 0) for m in range(n)] for j in range(n)]
@@ -445,16 +451,19 @@ class EntireBasis:
         limit = nterms if nterms is not None else _MAX_TERMS
         while m < limit:
             s = m - n
-            denom = math.prod(range(s + 1, s + n + 1))
+            denom = math.prod(range(s + 1, s + n + 1)) << frac
             worst = -math.inf
             for col in cols:
-                terms = [(pr, pi, *col[s - mm])
-                         for mm, (pr, pi) in src if mm <= s]
-                re = sum(pr * cr - pi * ci for pr, pi, cr, ci in terms)
-                im = sum(pr * ci + pi * cr for pr, pi, cr, ci in terms)
-                acc = (re // (denom << frac), im // (denom << frac))
-                col.append(acc)
-                worst = max(worst, max(map(abs, acc)).bit_length())
+                re = im = 0
+                for mm, pr, pi in src:          # ascending m
+                    if mm > s:
+                        break
+                    cr, ci = col[s - mm]
+                    re += pr * cr - pi * ci
+                    im += pr * ci + pi * cr
+                re, im = re // denom, im // denom
+                col.append((re, im))
+                worst = max(worst, abs(re).bit_length(), abs(im).bit_length())
             peak = max(peak, worst)
             quiet = quiet + 1 if worst < peak - frac else 0
             m += 1
@@ -614,6 +623,12 @@ def _exact(z):
 _MAX_TERMS = 20000
 _TERM_CAP = ("entire basis did not converge on the reading circle within "
              "the term cap")
+# augmented entries in one stacked elimination (sector_coefficients): one
+# sector of a fresh z^8 (8,1) build, 2 parts x 2 variants x 8 systems of
+# 8 x 9, so a fresh n <= 3, k = 1 build is one stack and from n = 7 each
+# sector its own: every (8,1) sector in one stack (minors grow with n) took
+# its peak RSS from 46.3 to 58.6 MB and saved only about 10% of its time
+_STACK_ENTRIES = 2304
 # fixed-point bits kept below the working precision by the integer
 # constructions, at every precision, in units of 2^-(bits+40).  Entire-basis
 # recurrence: its exact inputs p_m rho^(m+n) and rho^m/m!, floored once, and
@@ -668,7 +683,7 @@ _GUARD_BITS = 40
 def _series_tail(fs, rho):
     """Reading-circle bound on the truncated formal frame: the largest of the
     last kept terms."""
-    return max([0.0] + [norm * rho ** (-m) for m, norm in _tail_norms(fs)])
+    return max([0.0] + [norm * rho ** (-m) for m, norm in fs.tail])
 
 
 @dataclass
@@ -702,8 +717,8 @@ def _collocate(ops, layout, fss, rho, nterms=None):
     sector one exact elimination against A (_exact_quotient) serves both
     its agreement and its factor, each factor entry rounded once.  Every
     build at a layout reads at that layout's angles (_layout_reading).
-    Every integer layer takes all points at once: the column solves one
-    sector at a time (sector_coefficients) and the quotients of every
+    Every integer layer takes all points at once: the column solves in
+    stacks of sectors (sector_coefficients) and the quotients of every
     sector in one elimination; a fresh run is a batch of one."""
     ctx, n, rho = fss[0].ctx, layout.n, float(rho)
     # entire solutions' terms peak near index rho^(k+1) (order k+1, type
@@ -1047,11 +1062,12 @@ def sector_coefficients(fss, layout, contents, scalars):
     at the normalization angle, its rows (_layout_reading) taken from
     `contents` (_content_matrix) and its normalization's scalar s from the
     point's `scalars` (_mode_scalars).  The column v with rows . v = (0,
-    ..., 0, s) is solved exactly, a sector's columns of every point and
-    variant in one elimination, and rounded once, to nearest on `frac`
-    bits of its largest entry.  Only the normalization row has a
-    right-hand side, so only its exponents scale the column: 2^e row . v =
-    2^se s' is row . v = s' 2^(se - e).
+    ..., 0, s) is solved exactly, every point and variant of as many
+    consecutive sectors as _STACK_ENTRIES holds (one at least) in one
+    elimination, and rounded once, to nearest on `frac` bits of its
+    largest entry.  Only the normalization row has a right-hand side, so
+    only its exponents scale the column: 2^e row . v = 2^se s' is row . v
+    = s' 2^(se - e).
     Returns (y, s), y (2, P, 2, r, n, n) and s (P, 2, r, n): sector i + 1
     of point p in variant v (A, B) is y[:, p, v, i] diag(2^s[p, v, i])."""
     n, frac = layout.n, fss[0].ctx.frac
@@ -1059,23 +1075,21 @@ def sector_coefficients(fss, layout, contents, scalars):
     rows, low = contents
     rhs = np.array([[_exact(v) for v in point] for point in scalars],
                    dtype=object)[:, scales]                 # (P, r, n, 3)
-    y, s = [], []
-    for i in range(layout.r):
-        # one sector at a time: a system's minors grow with n, and a whole
-        # build's 2rn systems at once took 70 MB more at z^10 (n = 10)
-        aug = np.zeros(rows.shape[:2] + (2, n, n, n + 1), dtype=object)
-        aug[..., :n] = rows[:, :, systems[:, i]]
-        aug[..., -1, n] = np.moveaxis(rhs[:, i, :, :2], -1, 0)[:, :, None]
-        det, x = _eliminate(aug)
-        # x / det = x conj(det) / |det|^2
-        num = _gauss(x[..., 0], np.array([det[0], -det[1]])[..., None])
-        norm = det[0] * det[0] + det[1] * det[1]
-        exp = (_bit_length(np.maximum(abs(num[0]), abs(num[1])).max(axis=-1))
-               - _bit_length(norm) - frac)
-        y.append(np.frompyfunc(_divide, 3, 1)(num, norm[..., None],
-                                              exp[..., None]))
-        s.append(exp + rhs[:, None, i, :, 2] - low[:, systems[:, i, :, -1]])
-    return np.stack(y, axis=3).swapaxes(-1, -2), np.stack(s, axis=2)
+    aug = np.zeros(rows.shape[:2] + systems.shape + (n + 1,), dtype=object)
+    aug[..., :n] = rows[:, :, systems]
+    aug[..., -1, n] = np.moveaxis(rhs[..., :2], -1, 0)[:, :, None]
+    step = max(1, _STACK_ENTRIES // aug[:, :, :, 0].size)
+    det, x = (np.concatenate(part, axis=3) for part in zip(*(
+        _eliminate(aug[:, :, :, i:i + step])
+        for i in range(0, layout.r, step))))
+    # x / det = x conj(det) / |det|^2
+    num = _gauss(x[..., 0], np.array([det[0], -det[1]])[..., None])
+    norm = det[0] * det[0] + det[1] * det[1]
+    exp = (_bit_length(np.maximum(abs(num[0]), abs(num[1])).max(axis=-1))
+           - _bit_length(norm) - frac)
+    y = np.frompyfunc(_divide, 3, 1)(num, norm[..., None], exp[..., None])
+    s = exp + rhs[:, None, ..., 2] - low[:, systems[..., -1]]
+    return y.swapaxes(-1, -2), s
 
 
 def _eliminate(aug):

@@ -1698,6 +1698,30 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert len(arcs) == 2 * op.n * (op.n - 1)
 
 
+@pytest.mark.parametrize("tol, count",
+                         [(1e-10, 1), (1e-25, 2), (1e-300, 1)],
+                         ids=["default", "corrected", "fallback"])
+def test_fresh_run_rounds_each_formal_tail_once(monkeypatch, tol, count):
+    # the circle (compute_radius), the fallback's 2^-53 circle and the
+    # asymptotic residual (_series_tail) read one rounding of a formal
+    # solution's last terms: one per formal solution, so two when the
+    # reading makes its one correction, and one on the fallback, which
+    # rounded them three times
+    tails = []
+    real = stokes._tail_norms
+
+    def counted(fs):
+        tails.append(fs)
+        return real(fs)
+
+    monkeypatch.setattr(stokes, "_tail_norms", counted)
+    sd = stokes_data(OperPoint(2, 1, (QQ(1, 3),)),
+                     StokesSettings(radius_tol=tol))
+    assert len(tails) == len({id(fs) for fs in tails}) == count
+    assert (sd.plan.bits > stokes._FIRST_BITS) == (count == 2)
+    assert sd.converged == (tol > 1e-300)
+
+
 @pytest.mark.parametrize("op, tol, count", [
     (OperPoint(2, 1, (QQ(1, 3),)), 1e-25, 2),
     (OperPoint(3, 1, (0, 0)), 1e-10, 1),
