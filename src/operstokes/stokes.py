@@ -167,37 +167,47 @@ class FormalSolution:
         return _tail_norms(self)
 
 
-def _root_series(op):
-    """Exact (re, im) r_0..r_{k+1} of p^{1/n} = z^k sum_i r_i z^{-i}: with
-    P_j at z^{d-j} in p, n i r_i = sum_{j<=i} (j - n(i-j)) P_j r_{i-j}."""
-    big = np.array([[Fraction(c.real), Fraction(c.imag)] for c in
-                    map(op.p_coeff, range(op.d, op.d - op.k - 2, -1))]).T
-    r = np.zeros((2, op.k + 2), dtype=object)
-    r[0, 0] = Fraction(1)
+def _p_jet(op, m, tangents):
+    """p's coefficient of z^m as a jet: its value, then with tangents its
+    derivatives along c_0, ..., c_{d-2}, 1 along c_m and 0 along the rest."""
+    return [op.p_coeff(m)] + [int(m == t) for t in
+                              range(op.d - 1 if tangents else 0)]
+
+
+def _root_series(op, tangents):
+    """Exact (re, im, component) r_0..r_{k+1} of p^{1/n} = z^k sum_i r_i
+    z^{-i}, a jet (_p_jet): with P_j at z^{d-j} in p, n i r_i = sum_{j<=i}
+    (j - n(i-j)) P_j r_{i-j}."""
+    big = np.array([[[Fraction(getattr(c, part)) for c in
+                      _p_jet(op, op.d - j, tangents)] for j in range(op.k + 2)]
+                    for part in ("real", "imag")]).swapaxes(1, 2)
+    r = np.zeros(big.shape, dtype=object)
+    r[0, 0, 0] = Fraction(1)
     for i in range(1, op.k + 2):
-        r[:, i] = sum(_gauss(big[:, j], r[:, i - j])
-                      * Fraction(j - op.n * (i - j), op.n * i)
-                      for j in range(1, i + 1))
+        r[..., i] = sum(_leibniz(big[..., j], r[..., i - j], axis=-1)
+                        * Fraction(j - op.n * (i - j), op.n * i)
+                        for j in range(1, i + 1))
     return r
 
 
 def _raised(phi, x, top, frac):
-    """z^{-k} (D + phi') on series x[..., i] of z^{top - i}, as (re, im):
-    phi' = sum_l phi[..., l] z^{k-l} moves term i to i + l, times phi_l,
-    and D moves it to i + k + 1, times top - i."""
+    """z^{-k} (D + phi') on series x[..., i] of z^{top - i}, as (re, im),
+    jets on axis -3: phi' = sum_l phi[..., l] z^{k-l} moves term i to i +
+    l, times phi_l, and D moves it to i + k + 1, times top - i."""
     k, width = phi.shape[-1] - 2, x.shape[-1]
     out = np.zeros_like(x[:2])
     for i in range(k + 2):
-        out[..., i:] += _gauss(phi[..., i, None], x[..., :width - i])
+        out[..., i:] += _leibniz(phi[..., i, None], x[..., :width - i])
     out >>= frac
     out[..., k + 1:] += (top - np.arange(width - k - 1, dtype=object)
                          ) * x[:2, ..., :-k - 1]
     return out
 
 
-def formal_solution(ops, M, ctx):
-    """Formal solutions of points of one (n, k), a FormalSolution each,
-    from the scalar equation (Wasow 1965; README).
+def formal_solution(op, M, ctx, tangents=False):
+    """The formal solution of op, a FormalSolution, and with tangents its
+    derivatives along c_0, ..., c_{d-2}, FormalSolutions of the same shape:
+    a jet, a list with the value first (Wasow 1965; README).
 
     Mode a is w_a e^{phi_a}, phi_a' = l sum_{i<=k} r_i z^{k-i} + (l r_{k+1}
     - (n-1)k/2)/z, r_i the exact roots of p^{1/n} (_root_series), l =
@@ -208,35 +218,37 @@ def formal_solution(ops, M, ctx):
     C^{(t)}_{j-1}.  Column a of f0 Yhat is z^{-tk} (D + phi_a')^t w_a and,
     by the bilinear concomitant (Ince 1926), row a of Yhat^{-1}
     f0^{-1} is lambda_a/n (-1)^j z^{-jk} (D + psi_a')^j v_a, j = n-1-t, v_a
-    and psi_a' the adjoint's.  All series of all points run at once on
-    Gaussian integers with `frac` fraction bits, each product (_gauss)
-    shifted back once; l r_i is floored once and rounded once for Lambda_a
-    = l r_{k+1} and Q_{j,a} = l r_{k+1-j}/j (then divided by j)."""
-    n, k, frac, size = ops[0].n, ops[0].k, ctx.frac, len(ops)
+    and psi_a' the adjoint's.  All series of all components run at once on
+    Gaussian integers with `frac` fraction bits, each product (_gauss, by
+    the Leibniz rule where both factors move with c: _leibniz) shifted
+    back once; l r_i is floored once and rounded once for Lambda_a = l
+    r_{k+1} and Q_{j,a} = l r_{k+1-j}/j (then divided by j)."""
+    n, k, frac = op.n, op.k, ctx.frac
     if M < k + 2:
         raise ValueError("truncation order must be at least k+2")
     f0, f0inv = _fixed_frame(ctx, n)
     # l of every series, the equation's modes then the adjoint's, and l^n
     ell = np.concatenate([f0[:, 1], -f0[:, 1]], axis=1)[:, None, :, None]
     unit = np.array([1] * n + [(-1) ** n] * n, dtype=object)[:, None]
-    roots = [_root_series(op) for op in ops]    # over one denominator each
-    den = np.array([[[math.lcm(*(x.denominator for x in r.ravel()))]]
-                    for r in roots], dtype=object)
-    lr = _gauss(ell, np.moveaxis(roots * den // 1, 0, 1)[:, :, None]) // den
-    phi = _triple(lr)                           # (3, P, 2n, k + 2)
-    phi[[0, 2], ..., k + 1] -= ((n - 1) * k << frac) >> 1
+    roots = _root_series(op, tangents)          # over one denominator
+    den = math.lcm(*(x.denominator for x in roots.ravel()))
+    lr = _gauss(ell, (roots * den // 1)[:, :, None]) // den
+    size = lr.shape[1]
+    phi = _triple(lr)                           # (3, jet, 2n, k + 2)
+    phi[[0, 2], 0, :, k + 1] -= ((n - 1) * k << frac) >> 1
     # C_j = z^{(t-j)k} sum_i c[j, i] z^{-i} after t steps, less l^n p
     width = n * (k + 1) + 1
     c = np.zeros((2, n + 1, size, 2 * n, width), dtype=object)
-    c[0, 0, ..., 0] = 1 << frac
+    c[0, 0, 0, :, 0] = 1 << frac
     jk = np.arange(n + 1, dtype=object)[:, None, None, None] * k
     for t in range(n):
         new = _raised(phi, c, t * k - jk, frac)
         new[:, 1:] += c[:, :-1]
         c = new
-    c[:, 0] -= np.moveaxis(np.array([[_quantized(op.p_coeff(op.d - i), frac)
-                                      for i in range(width)] for op in ops],
-                                    dtype=object), 2, 0)[:, :, None] * unit
+    c[:, 0] -= np.moveaxis(np.array(
+        [[_quantized(v, frac) for v in _p_jet(op, op.d - i, tangents)]
+         for i in range(width)], dtype=object), 2, 0).swapaxes(1, 2)[
+             :, :, None] * unit
     # T_i(m) = sum_j (-1)^j rising(m, j) c[j, i + (1-j)(k+1)], times l / l^n
     steps = (n - 1) * (k + 1)
     i, j = np.ogrid[1:steps + 1, :n + 1]
@@ -250,11 +262,11 @@ def formal_solution(ops, M, ctx):
     T = np.stack([(tc[..., i, :].reshape(-1, n + 1) @ rising[i]).reshape(
         tc.shape[:3] + (M + 1,)) for i in range(steps)], axis=-1) >> frac
     s = np.zeros((2, size, 2 * n, M + 1), dtype=object)
-    s[0, :, :n, 0] = 1 << frac
-    s[:, :, n:, 0] = f0[:, None, 1] // n        # lambda_a/n: Yhat^{-1}'s rows
+    s[0, 0, :n, 0] = 1 << frac
+    s[:, 0, n:, 0] = f0[:, 1] // n              # lambda_a/n: Yhat^{-1}'s rows
     for m in range(1, M + 1):
         top = min(steps, m)
-        acc = _gauss(T[..., m, :top], s[..., m - 1::-1][..., :top])
+        acc = _leibniz(T[..., m, :top], s[..., m - 1::-1][..., :top])
         s[..., m] = acc.sum(axis=-1) // (n * m << frac)
     del c, tc, T                    # freed before the rows, the peak
     rows = [_triple(s)]
@@ -293,6 +305,20 @@ def _gauss(x, y, op=np.multiply):
     p3 -= p2
     p1 -= p2
     return np.array([p1, p3])
+
+
+def _leibniz(x, y, op=np.multiply, axis=-3):
+    """The product (_gauss) of jets x and y, their components on `axis`
+    (from the end, as their ranks may differ): value x_0 y_0, tangent m
+    x_0 y_m + x_m y_0 (Griewank and Walther 2008, ch. 3), so a jet of one
+    component, a fresh run, takes one product."""
+    if x.shape[axis] == 1:
+        return _gauss(x, y, op)
+    head, tail = ((..., part) + (slice(None),) * (-axis - 1)
+                  for part in (slice(0, 1), slice(1, None)))
+    out = _gauss(x[head], y, op)
+    out[tail] += _gauss(x[tail], y[head], op)
+    return out
 
 
 def _fixed_frame(ctx, n):
@@ -428,23 +454,38 @@ class EntireBasis:
     unit powers of an angle (every collocation angle is p/q with q |
     4n(k+1))."""
 
-    def __init__(self, op, ctx, rho, nterms=None):
+    def __init__(self, op, ctx, rho, nterms=None, tangents=False):
         self.n = op.n
         self.ctx = ctx
         self.rho = float(rho)
         n, d = op.n, op.d
         frac = ctx.frac
         r = Fraction(self.rho)
-        # p_m rho^(m+n) and the unit jets rho^m / m!, floored to Gaussian
-        # integers (re, im) with `frac` fraction bits; each step of the
-        # recurrence floor-divides by (s+1)...(s+n) (_GUARD_BITS)
-        src = [(m, *_quantized(op.p_coeff(m), frac, r ** (m + n)))
-               for m in range(d + 1) if op.p_coeff(m)]
-        cols = [[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
-                 else (0, 0) for m in range(n)] for j in range(n)]
+        # p_m rho^(m+n) (a jet, _p_jet) and the unit jets rho^m / m!,
+        # floored to Gaussian integers (re, im) with `frac` fraction bits;
+        # each step of the recurrence floor-divides by (s+1)...(s+n)
+        # (_GUARD_BITS)
+        src = [[_quantized(v, frac, r ** (m + n)) for v in
+                _p_jet(op, m, tangents)] for m in range(d + 1)]
+        cols = [[[_quantized(1, frac, r ** m / math.factorial(m)) if m == j
+                  and not t else (0, 0) for m in range(n)] for j in range(n)]
+                for t in range(len(src[0]))]
+        # each column's nonzero terms (m, p_m, column read), ascending m:
+        # a value column's p_m col, a tangent's p_m dcol and dp_m col (the
+        # Leibniz rule)
+        series = []
+        for t, tcols in enumerate(cols):
+            for j, col in enumerate(tcols):
+                terms = [(m, *src[m][0], col) for m in range(d + 1)]
+                if t:
+                    terms += [(m, *src[m][t], cols[0][j])
+                              for m in range(d + 1)]
+                series.append((col, sorted((x for x in terms if x[1] or x[2]),
+                                           key=lambda x: x[0])))
         # terms are kept down to the table's resolution, one fixed-point
         # unit, since a truncation the A and B builds share is one their
-        # consistency cannot see
+        # consistency cannot see; a term of at most one unit, the floor's
+        # own error, is quiet on any circle
         peak = -math.inf
         quiet = 0
         m = n
@@ -452,39 +493,43 @@ class EntireBasis:
         while m < limit:
             s = m - n
             denom = math.prod(range(s + 1, s + n + 1)) << frac
-            worst = -math.inf
-            for col in cols:
+            worst = 0               # its bit length is the largest term's
+            for col, terms in series:
                 re = im = 0
-                for mm, pr, pi in src:          # ascending m
+                for mm, pr, pi, read in terms:          # ascending m
                     if mm > s:
                         break
-                    cr, ci = col[s - mm]
+                    cr, ci = read[s - mm]
                     re += pr * cr - pi * ci
                     im += pr * ci + pi * cr
                 re, im = re // denom, im // denom
                 col.append((re, im))
-                worst = max(worst, abs(re).bit_length(), abs(im).bit_length())
-            peak = max(peak, worst)
-            quiet = quiet + 1 if worst < peak - frac else 0
+                worst |= abs(re) | abs(im)
             m += 1
-            if nterms is None and quiet >= n + d and m > 2 * (n + d):
-                break
+            if nterms is None:      # a fresh run: no tangents
+                worst = worst.bit_length()
+                peak = max(peak, worst)
+                quiet = quiet + 1 if worst < max(peak - frac, 2) else 0
+                if quiet >= n + d and m > 2 * (n + d):
+                    break
         else:
             if nterms is None:
                 raise ArithmeticError(_TERM_CAP)
         self.nterms = m
         # entry (t, j) of the table: (scaled coefficient m of column j) times
         # the falling factorial m (m-1) ... (m-t+1) of derivative row t, cut
-        # so the largest coefficient of the entry carries `frac` bits
+        # so the largest coefficient of the value's entry carries `frac`
+        # bits, every tangent on its value's cut
         falls = np.array([[math.perm(mm, t) for mm in range(m)]
                           for t in range(n)], dtype=object)
-        coeffs = np.moveaxis(np.array(cols, dtype=object), 2, 0)
-        coeffs = coeffs[:, None] * falls[:, None]
+        coeffs = np.moveaxis(np.array(cols, dtype=object), -1, 1)
+        coeffs = coeffs[:, :, None] * falls[:, None]
         cut = np.array([[max(0, v.bit_length() - frac) for v in row]
-                        for row in np.abs(coeffs).max(axis=(0, 3))],
+                        for row in np.abs(coeffs[0]).max(axis=(0, 3))],
                        dtype=object)
         coeffs >>= cut[..., None]
-        self.table = coeffs, cut - frac
+        self.tables = [(part, cut - frac) for part in coeffs]
+        self.table = self.tables[0]
 
     def state_matrix(self, theta_fpi):
         """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
@@ -558,8 +603,8 @@ def _table_sums(ctx, table, period, numerators):
 
 def _class_sums(ctx, table, period, numerators):
     """Per entry of a fixed-point table (coeffs, exp), the Gaussian-integer
-    array (2, rows, entries, terms) of coefficients over m, or (2, points,
-    rows, entries, terms) for a batch's (_inverse_table), and the (rows,
+    array (2, rows, entries, terms) of coefficients over m, or (2, jet,
+    rows, entries, terms) for a jet's (_inverse_table), and the (rows,
     entries) array of exponents, value coeffs 2^exp, sum_m coeffs[..., m]
     u^m exactly at each angle P/Q, Q the angles' common period and P each
     one's numerator (_period), one class P mod 4 at a time: per class with
@@ -619,6 +664,19 @@ def _exact(z):
     return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
 
 
+def _exact_jet(jet):
+    """A jet of lists of mpc numbers, the value's first, as one (3,
+    component, entry) array of (re, im, exp), every number exact (_exact)
+    on the lowest exponent of its entry's value and tangents: a value
+    such as 1 has a short mantissa, on whose exponent a tangent would
+    lose its digits."""
+    out = np.array([[_exact(v) for v in part] for part in jet], dtype=object)
+    low = out[..., 2].min(axis=0)
+    out[..., :2] <<= (out[..., 2] - low)[..., None]
+    out[..., 2] = low
+    return np.moveaxis(out, -1, 0)
+
+
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
 _TERM_CAP = ("entire basis did not converge on the reading circle within "
@@ -626,8 +684,10 @@ _TERM_CAP = ("entire basis did not converge on the reading circle within "
 # augmented entries in one stacked elimination (sector_coefficients): one
 # sector of a fresh z^8 (8,1) build, 2 parts x 2 variants x 8 systems of
 # 8 x 9, so a fresh n <= 3, k = 1 build is one stack and from n = 7 each
-# sector its own: every (8,1) sector in one stack (minors grow with n) took
-# its peak RSS from 46.3 to 58.6 MB and saved only about 10% of its time
+# sector its own, as in the (4,1) Jacobian's tangent replay, whose jet of
+# four widens every system to 4 (n + 1) columns: every (8,1) sector in one
+# stack (minors grow with n) took its peak RSS from 46.3 to 58.6 MB and
+# saved only about 10% of its time
 _STACK_ENTRIES = 2304
 # fixed-point bits kept below the working precision by the integer
 # constructions, at every precision, in units of 2^-(bits+40).  Entire-basis
@@ -636,27 +696,28 @@ _STACK_ENTRIES = 2304
 # linear recurrence carries on as the Taylor tail of another solution,
 # growing no faster than the columns' own terms; against the peak (at least
 # the unit jet) N steps leave under N units, and the series stops once its
-# terms fall below one unit of the peak.  Formal series: l r_i, p's
-# coefficients and lambda_a/n are floored once, each (D + phi') and each
-# recurrence coefficient T_i is a sum of exact products shifted once, and
-# each order floor-divides once by n m, so an order takes a few units,
-# which the recurrence carries on divided by n m per step as it carries the
-# series' own terms; Yhat is one more shifted product, by f0^{-1}, and the
-# formal inverse is the adjoint's series, scaled by rho^(h_t - m) with one
-# floor, with no inversion to amplify them: absolute, but Y_0 = W_0 = I, the
-# later terms on a reading circle are small, and the inverse table
-# keeps its smallest column rho^(h_a) at full resolution.  Table sums are
-# exact: every unit power is a root within one unit, and folding by residue
-# mod 2Q and then by the quarter turns only adds coefficients and turns
-# them by powers of i, which the root table's exact quarter turns make
-# exact, so a sum is off by at most sum_m |T_m| units, under N < 2^15
-# units of the largest term T_m (N <= _MAX_TERMS), and contents are exact
-# from these sums to one rounding.  Collocation: each raw content
-# entry (no mode exponential) is rounded once to bits + 40 significant bits
-# (_aligned), each sector column is solved exactly and rounded once to
-# bits + 40 bits of its largest entry (sector_coefficients), the A/B
-# consistency and the factor quotients are exact (_eliminate), and each
-# factor entry is rounded once, to a double.  A kill row gives its column at
+# terms fall below one unit of the peak, or within one unit.  Formal
+# series: l r_i, p's coefficients and lambda_a/n are floored once, each
+# (D + phi') and each recurrence coefficient T_i is a sum of exact products
+# shifted once, and each order floor-divides once by n m, so an order takes
+# a few units, which the recurrence carries on divided by n m per step as
+# it carries the series' own terms; Yhat is one more shifted product, by
+# f0^{-1}, and the formal inverse is the adjoint's series, scaled by
+# rho^(h_t - m) with one floor, with no inversion to amplify them:
+# absolute, but Y_0 = W_0 = I, the later terms on a reading circle are
+# small, and the inverse table keeps its smallest column rho^(h_a) at full
+# resolution.  Table sums are exact: every unit power is a root within
+# one unit, and folding by residue mod 2Q and then by the quarter turns
+# only adds coefficients and turns them by powers of i, which the root
+# table's exact quarter turns make exact, so a sum is off by at most
+# sum_m |T_m| units, under N < 2^15 units of the largest term T_m (N <=
+# _MAX_TERMS), and contents are exact from these sums to one rounding.
+# Collocation: each raw content entry (no mode exponential) is rounded
+# once to bits + 40 significant bits (_aligned), each sector column is
+# solved exactly and rounded once to bits + 40 bits of its largest entry
+# (sector_coefficients), the A/B consistency and the factor quotients are
+# exact (_eliminate), and each factor entry is rounded once, to a
+# double.  A kill row gives its column at
 # any nonzero scale, so only the normalization row's right-hand side e^{E},
 # one working-precision exp, carries a mode exponential; its rounding at
 # 2^-bits scales its column as a whole and reaches a factor entry as a
@@ -674,9 +735,12 @@ _STACK_ENTRIES = 2304
 # u = 2^-frac, and each of the r - 1 products, within or of the groups,
 # floors each part, within sqrt 2 n u; so to first order a grouped matrix,
 # or the closure's Q_r ... Q_1, is off by under 3 r n u prod_j max(1,
-# ||Q_j||) before its one rounding to a double.  A batch of points (replay)
-# takes each step per entry as a batch of one does, so no point's result
-# depends on the batch it is made in.
+# ||Q_j||) before its one rounding to a double.  A tangent replay's jet
+# takes each value step as a fresh run does, so its value is the run's;
+# each tangent is rounded where its value is, on its exponent or on
+# 2^-frac, and its solves and products are exact (_jet_eliminate,
+# _leibniz), so a tangent is off by a few of its value's units, over the
+# same condition numbers.
 _GUARD_BITS = 40
 
 
@@ -688,22 +752,26 @@ def _series_tail(fs, rho):
 
 @dataclass
 class _Build:
-    """One point's collocation at a reading radius: the formal solution it
-    read, its entire basis' circle and term count, the exact quotients the
-    factors are made of, sector i + 1's x[:, i] 2^exp[i] / det[:, i] for
-    (x, det, exp) (_exact_quotient), and the A/B agreement."""
+    """A collocation at a reading radius: the formal solution it read, its
+    entire basis' circle and term count, the exact quotients the factors
+    are made of, a jet (_exact_quotient) whose component t holds sector i
+    + 1's x[:, t, i] 2^exp[i] / det[:, t, i], and the A/B agreement; a
+    jet's tangent Lambdas dlam, and drift, the largest tangent of (A
+    build)^{-1} (B build), the identity in exact arithmetic."""
     fs: FormalSolution
     rho: float
     nterms: int
     quotients: tuple
     cons: float
+    dlam: list
+    drift: float
 
 
-def _collocate(ops, layout, fss, rho, nterms=None):
+def _collocate(op, layout, fss, rho, nterms=None):
     """Both independent builds at reading radius rho, plus their agreement,
-    of every point of a layout: one _Build each.
+    of a jet of formal solutions of op (formal_solution): one _Build.
 
-    Each entire basis is built on the circle rho at the formal solutions'
+    The entire basis is built on the circle rho at the formal solutions'
     precision (with a frozen term count when replaying).  The two builds
     collocate at different angles, so the worst deviation of
     (A build)^{-1} (B build) from the identity over all sectors measures the
@@ -717,9 +785,9 @@ def _collocate(ops, layout, fss, rho, nterms=None):
     sector one exact elimination against A (_exact_quotient) serves both
     its agreement and its factor, each factor entry rounded once.  Every
     build at a layout reads at that layout's angles (_layout_reading).
-    Every integer layer takes all points at once: the column solves in
-    stacks of sectors (sector_coefficients) and the quotients of every
-    sector in one elimination; a fresh run is a batch of one."""
+    Every integer layer takes every component at once: the column solves
+    in stacks of sectors (sector_coefficients) and the quotients of every
+    sector in one elimination; a fresh run is a jet of one."""
     ctx, n, rho = fss[0].ctx, layout.n, float(rho)
     # entire solutions' terms peak near index rho^(k+1) (order k+1, type
     # 1/(k+1)): refuse past twice the cap, or not finite, before any table
@@ -727,28 +795,27 @@ def _collocate(ops, layout, fss, rho, nterms=None):
                                <= math.log(2 * _MAX_TERMS)):
         raise ArithmeticError(_TERM_CAP)
     reads, pairs, _, _ = _layout_reading(layout)
-    terms = []
-
-    def tables():           # each summed by _content_matrix as it is drawn
-        for op in ops:
-            basis = EntireBasis(op, ctx, rho, nterms)
-            terms.append(basis.nterms)
-            yield basis.table
-
-    contents = _content_matrix(fss, tables(), _inverse_table(fss, rho), reads)
-    scalars = [_mode_scalars(fs, rho, pairs) for fs in fss]
-    y, s = sector_coefficients(fss, layout, contents, scalars)
-    # sector i of every point against A: its B build and sector i - 1's
-    # (sector r's for sector 1)
+    basis = EntireBasis(op, ctx, rho, nterms, len(fss) > 1)
+    contents = _content_matrix(fss, basis.tables, _inverse_table(fss, rho),
+                               reads)
+    y, s = sector_coefficients(fss, layout, contents,
+                               _mode_scalars(fss, rho, pairs))
+    # sector i against A: its B build and sector i - 1's (sector r's for
+    # sector 1)
     x, det, exp = _exact_quotient(
         (y[:, :, 0], s[:, 0]), (y[:, :, 1], s[:, 1]),
         (np.roll(y[:, :, 1], 1, axis=2), np.roll(s[:, 1], 1, axis=1)))
-    deviations = _deviation(x[..., :n], det, exp[..., :n]).max(axis=1)
+    xa, ea = x[..., :n], exp[0, ..., :n]
+    deviations = _deviation(xa[:, 0], det[:, 0], ea)
+    drift = (_deviation(xa[:, 1:], det[:, 1:], ea, 0) if len(fss) > 1
+             else np.zeros(0))
     if not np.isfinite(deviations).all():      # a NaN from any sector too
         raise ArithmeticError("collocation build overflowed")
-    return [_Build(fs=fs, rho=rho, nterms=terms[p], cons=float(deviations[p]),
-                   quotients=(x[:, p, ..., n:], det[:, p], exp[p, ..., n:]))
-            for p, fs in enumerate(fss)]
+    return _Build(fs=fss[0], rho=rho, nterms=basis.nterms,
+                  cons=float(deviations.max()),
+                  quotients=(x[..., n:], det, exp[0, ..., n:]),
+                  dlam=[fs.lam for fs in fss[1:]],
+                  drift=float(drift.max(initial=0.0)))
 
 
 def _visibility_interval(layout, i, a, d):
@@ -915,8 +982,8 @@ def _inverse_table(fss, rho):
     formal solution's `dual`: as 1/z^m = rho^-m conj(u^m), the table holds
     conj(rho^-m W_m f0^{-1}), its column t times rho^(h_t), the modulus of
     gauged row t of a content (_gauge_exponents), in EntireBasis.table's
-    format (rows a, entries t) with a point axis after the parts, and its
-    sums are conjugated; rho, g and mod are the batch's."""
+    format (rows a, entries t) with a jet axis after the parts, and its
+    sums are conjugated; rho, g and mod are the jet's."""
     n, M, frac = fss[0].n, fss[0].M, fss[0].ctx.frac
     # rho is a double (the basis' circle), a dyadic rational: its powers
     # scale exactly up to one floor, a half-integer power is one isqrt, and
@@ -944,15 +1011,16 @@ def _gauge_exponents(n, k):
 
 
 def _content_matrix(fss, tables, inverse, reads):
-    """Raw content rows of every point's entire-basis columns against the
+    """Raw content rows of a jet's entire-basis columns against the
     formal modes read at each angle, `reads` the angles and the (angle
     index, mode x) rows read: row x holds each column's coefficient along
     mode x, read from the truncated formal frame at z = rho e^{i theta} on
     the bases' circle as (formal-inverse table) times (gauged state sums),
     without mode x's exponential: the content is e^{-(q_x(z) + lambda_x
-    log z)} times the raw row.  `tables` yields each point's
-    EntireBasis.table and `inverse` is the batch's _inverse_table.
-    Returned as (rows, low): point p's row t is rows[:, p, t] 2^low[p, t].
+    log z)} times the raw row.  `tables` yields each component's
+    EntireBasis table and `inverse` is the jet's _inverse_table.
+    Returned as (rows, low): component p's row t is rows[:, p, t] 2^low[p,
+    t], every tangent on its value's exponent.
 
     Every angle is read as P/Q for Q the angles' common period (_period).
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4Q
@@ -961,11 +1029,11 @@ def _content_matrix(fss, tables, inverse, reads):
     and its mode scalar e^{-2 pi i lambda_x}, the wrap factor's extra
     scalars (_stokes_result).  The modulus rho^(h_a) of gauged row a
     is in the inverse table's columns.  Each table is folded once and
-    summed one class P mod 4 at a time (_class_sums), a basis table before
-    the next is drawn, so the sums of every point and the inverse's of one
-    class are held together; the contents of every mode and point are one
-    stacked product per class; each read entry is rounded once, to `frac`
-    significant bits (_aligned)."""
+    summed one class P mod 4 at a time (_class_sums), so the sums of every
+    component and the inverse's of one class are held together; the
+    contents of every mode and component are one stacked product per class
+    (by the Leibniz rule, _leibniz); each read entry is rounded once, to
+    `frac` significant bits (_aligned)."""
     ctx, (angles, rows) = fss[0].ctx, reads
     twice = [int(2 * h) for h in _gauge_exponents(fss[0].n, fss[0].k)]
     period, numerators = _period(angles)
@@ -986,8 +1054,8 @@ def _content_matrix(fss, tables, inverse, reads):
         x = _gauss(phase[:, None, cols, :, None],
                    np.moveaxis(np.stack(point, axis=1), -1, 2))
         x <<= shift
-        cont = _gauss(np.moveaxis(np.array([w[0], -w[1]]), -1, 2), x,
-                      np.matmul)
+        cont = _leibniz(np.moveaxis(np.array([w[0], -w[1]]), -1, 2), x,
+                        np.matmul, axis=-4)
         # the rows read at this class's angles, by place among its angles
         where[cols] = range(len(cols))
         pick = np.flatnonzero(np.isin(at, cols))
@@ -996,26 +1064,31 @@ def _content_matrix(fss, tables, inverse, reads):
     return out, out_low
 
 
-def _mode_scalars(fs, rho, pairs):
-    """Per (theta, b) in pairs, in their order, e^{E} for mode b's
+def _mode_scalars(fss, rho, pairs):
+    """Per component of a jet of formal solutions (formal_solution) and
+    per (theta, b) in pairs, in their order, e^{E} for mode b's
     exponential E = q_b(z) + lambda_b log z at z = rho e^{i pi theta} on
-    the chart log z = ln rho + i pi theta: the right-hand side a
-    normalization row solves for (sector_coefficients).  One log per call;
-    z is rho times a root of the root table of the angles' common period,
-    made once per run of pairs at one angle, so the exponential of each
-    pair is the only exp."""
-    ctx = fs.ctx
+    the chart log z = ln rho + i pi theta, and its tangents e^{E} dE, E
+    linear in q and Lambda: the right-hand sides a normalization row
+    solves for (sector_coefficients).  One log per call; z is rho times a
+    root of the root table of the angles' common period, made once per
+    run of pairs at one angle, so the exponential of each pair is the
+    only exp."""
+    ctx = fss[0].ctx
     log_rho = ctx.log(ctx.number(rho))
     period, numerators = _period([theta for theta, _ in pairs])
     roots = _unit_roots(ctx.frac, 2 * period)
-    out, last = [], None
+    out, last = [[] for _ in fss], None
     for (theta, b), p in zip(pairs, numerators):
         if p != last:
             ur, ui = roots[2 * p % (4 * period)]
             z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
                                               ctx.real((ui, -ctx.frac)))
             chart, last = log_rho + 1j * ctx.number(theta) * ctx.pi, p
-        out.append(ctx.exp(fs.q_entry(b, z) + fs.lam[b] * chart))
+        value = ctx.exp(fss[0].q_entry(b, z) + fss[0].lam[b] * chart)
+        for t, (fs, scalars) in enumerate(zip(fss, out)):
+            scalars.append(value * (fs.q_entry(b, z) + fs.lam[b] * chart)
+                           if t else value)
     return out
 
 
@@ -1024,28 +1097,34 @@ _bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 
 def _aligned(re, im, exp, frac):
-    """Rows of entries (re + i im) 2^exp, entries on the last axis and exp
-    broadcast, each rounded to nearest to `frac` significant bits, as
-    Gaussian integers on their row's lowest exponent: (rows, low), rows of
-    shape (2, ...) and the row rows 2^low.  Zero entries take no part in
-    the lowest exponent, and a row of zeros has low 0."""
-    s = np.maximum(_bit_length(np.maximum(abs(re), abs(im))) - frac, 0)
-    half = (1 << s) >> 1
-    re, im, e = (re + half) >> s, (im + half) >> s, exp + s
-    live = (re != 0) | (im != 0)
+    """Rows of entries (re + i im) 2^exp of a jet, components on the first
+    axis, entries on the last and exp broadcast, each value entry rounded
+    to nearest to `frac` significant bits and its tangents on its
+    exponent, as Gaussian integers on their row's lowest exponent: (rows,
+    low), rows of shape (2, ...) and the row rows 2^low.  Zero values
+    take no part in the lowest exponent, their tangents are rounded on
+    it, and a row of zeros has low 0."""
+    value = np.maximum(abs(re[:1]), abs(im[:1]))
+    live = value != 0
+    s = np.maximum(_bit_length(value) - frac, 0)
+    e = exp + s
     low = np.where(live, e, e.max() + 1).min(axis=-1)
     low = np.where(live.any(axis=-1), low, 0)
-    shift = np.maximum(e - low[..., None], 0)
-    return np.array([re << shift, im << shift]), low
+    s = np.where(live, s, np.maximum(low[..., None] - exp, 0))
+    half = (1 << s) >> 1
+    shift = np.maximum(exp + s - low[..., None], 0)
+    return np.array([(re + half) >> s << shift,
+                     (im + half) >> s << shift]), low
 
 
 @dataclass(frozen=True)
 class CollocationPlan:
-    """Every choice of a collocation run, frozen so finite-difference
-    stencils reuse identical settings, circles, term counts and working
-    precision.  The angles (_layout_reading) and the mode labeling
-    (dominance_order) are functions of the layout alone, so a replayed
-    point must have the layout's n and k."""
+    """Every choice of a collocation run, frozen so replays, and the
+    tangent replay a Jacobian differentiates, reuse identical settings,
+    circles, term counts and working precision.  The angles
+    (_layout_reading) and the mode labeling (dominance_order) are functions
+    of the layout alone, so a replayed point must have the layout's n and
+    k."""
     settings: StokesSettings
     layout: SectorLayout
     rho: float          # the reading circle
@@ -1055,38 +1134,39 @@ class CollocationPlan:
 
 def sector_coefficients(fss, layout, contents, scalars):
     """Coefficient matrices of the canonical frames in the entire basis, of
-    every point, variant and sector of a build.
+    every component, variant and sector of a jet's build.
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
     at the normalization angle, its rows (_layout_reading) taken from
     `contents` (_content_matrix) and its normalization's scalar s from the
-    point's `scalars` (_mode_scalars).  The column v with rows . v = (0,
-    ..., 0, s) is solved exactly, every point and variant of as many
+    jet's `scalars` (_mode_scalars).  The column v with rows . v = (0,
+    ..., 0, s) is solved exactly, every component and variant of as many
     consecutive sectors as _STACK_ENTRIES holds (one at least) in one
-    elimination, and rounded once, to nearest on `frac` bits of its
-    largest entry.  Only the normalization row has a right-hand side, so
-    only its exponents scale the column: 2^e row . v = 2^se s' is row . v
+    elimination (_jet_eliminate), and rounded once, to nearest on `frac`
+    bits of its value's largest entry, each tangent on its value's.  Only
+    the normalization row has a right-hand side, so only its exponents
+    scale the column: 2^e row . v = 2^se s' is row . v
     = s' 2^(se - e).
-    Returns (y, s), y (2, P, 2, r, n, n) and s (P, 2, r, n): sector i + 1
-    of point p in variant v (A, B) is y[:, p, v, i] diag(2^s[p, v, i])."""
+    Returns (y, s), y (2, jet, 2, r, n, n) and s (jet, 2, r, n): sector i
+    + 1 of component p in variant v (A, B) is y[:, p, v, i] diag(2^s[p, v,
+    i])."""
     n, frac = layout.n, fss[0].ctx.frac
     _, _, systems, scales = _layout_reading(layout)
     rows, low = contents
-    rhs = np.array([[_exact(v) for v in point] for point in scalars],
-                   dtype=object)[:, scales]                 # (P, r, n, 3)
+    rhs = np.moveaxis(_exact_jet(scalars), 0, -1)[:, scales]  # (jet, r, n, 3)
     aug = np.zeros(rows.shape[:2] + systems.shape + (n + 1,), dtype=object)
     aug[..., :n] = rows[:, :, systems]
     aug[..., -1, n] = np.moveaxis(rhs[..., :2], -1, 0)[:, :, None]
     step = max(1, _STACK_ENTRIES // aug[:, :, :, 0].size)
     det, x = (np.concatenate(part, axis=3) for part in zip(*(
-        _eliminate(aug[:, :, :, i:i + step])
+        _jet_eliminate(aug[:, :, :, i:i + step], n)
         for i in range(0, layout.r, step))))
-    # x / det = x conj(det) / |det|^2
+    # x / det = x conj(det) / |det|^2, on the value's exponent
     num = _gauss(x[..., 0], np.array([det[0], -det[1]])[..., None])
     norm = det[0] * det[0] + det[1] * det[1]
-    exp = (_bit_length(np.maximum(abs(num[0]), abs(num[1])).max(axis=-1))
-           - _bit_length(norm) - frac)
+    exp = (_bit_length(np.maximum(abs(num[0, :1]), abs(num[1, :1])).max(
+        axis=-1)) - _bit_length(norm[:1]) - frac)
     y = np.frompyfunc(_divide, 3, 1)(num, norm[..., None], exp[..., None])
     s = exp + rhs[:, None, ..., 2] - low[:, systems[..., -1]]
     return y.swapaxes(-1, -2), s
@@ -1136,16 +1216,38 @@ def _eliminate(aug):
                 (2,) + batch + (n, width - n)))
 
 
+def _jet_eliminate(aug, n):
+    """_eliminate of a jet of systems [A | B], components on axis 1, by
+    one elimination of [A | B | dB | dA] (Griewank and Walther 2008, ch.
+    3): (det, x), component t the quotient x[:, t] / det[:, t] =
+    d^t(A^{-1} B), the value det A^{-1} B over det and each tangent
+    A^{-1}(dB - dA A^{-1} B) = det X_dB - X_dA X_B over det^2, X = det
+    A^{-1} [...], all exact."""
+    size, m = aug.shape[1], aug.shape[-1] - n
+    det, x = _eliminate(np.concatenate(
+        [aug[:, 0, ..., :n]] + list(np.moveaxis(aug[..., n:], 1, 0))
+        + list(np.moveaxis(aug[:, 1:, ..., :n], 1, 0)), axis=-1))
+    xb = x[..., :m]
+    out = [xb]
+    for t in range(1, size):
+        da = x[..., size * m + (t - 1) * n:size * m + t * n]
+        out.append(_gauss(det[..., None, None], x[..., t * m:(t + 1) * m])
+                   - _gauss(da, xb, np.matmul))
+    dets = [det] + [_gauss(det, det)] * (size - 1)
+    return np.stack(dets, axis=1), np.stack(out, axis=1)
+
+
 def _exact_quotient(a, *bs):
-    """a^{-1} [b_1 | b_2 | ...] for fixed-point matrices (y, s) of value
-    y diag(2^s) (sector_coefficients), or stacks of them with the same
-    leading axes, from one elimination of [y_a | y_b]: a^{-1} b =
-    diag(2^-s_a) y_a^{-1} y_b diag(2^s_b), so entry (r, c) is x[r, c]
-    2^exp[r, c] / det with x = det y_a^{-1} y_b.  Returns x (2, ..., n,
-    m), det (2, ...) and exp (..., n, m), all exact."""
+    """a^{-1} [b_1 | b_2 | ...] for jets of fixed-point matrices (y, s) of
+    value y diag(2^s) (sector_coefficients), components on axis 1, every
+    tangent on its value's s, or stacks of them with the same leading
+    axes, from one elimination (_jet_eliminate): a^{-1} b = diag(2^-s_a)
+    y_a^{-1} y_b diag(2^s_b), so entry (r, c) is x[r, c] 2^exp[r, c] /
+    det with x = det y_a^{-1} y_b.  Returns x (2, jet, ..., n, m), det (2,
+    jet, ...) and exp (jet, ..., n, m), all exact."""
     ya, sa = a
     yb, sb = (np.concatenate(part, axis=-1) for part in zip(*bs))
-    det, x = _eliminate(np.concatenate([ya, yb], axis=-1))
+    det, x = _jet_eliminate(np.concatenate([ya, yb], axis=-1), ya.shape[-1])
     return x, det, sb[..., None, :] - sa[..., :, None]
 
 
@@ -1173,14 +1275,14 @@ def _ratio(a, w, exp):
     return num / den
 
 
-def _deviation(x, det, exp):
+def _deviation(x, det, exp, less=1):
     """Largest modulus of each square _exact_quotient x 2^exp / det of a
-    stack minus the identity, as floats: each difference is exact, its
-    modulus rounded (inf everywhere past double range)."""
+    stack minus `less` times the identity, as floats: each difference is
+    exact, its modulus rounded (inf everywhere past double range)."""
     p = x << np.maximum(exp, 0)
     q = det[..., None, None] << np.maximum(-exp, 0)
     diagonal = np.arange(exp.shape[-1])
-    p[..., diagonal, diagonal] -= q[..., diagonal, diagonal]
+    p[..., diagonal, diagonal] -= less * q[..., diagonal, diagonal]
     try:
         ratio = (p[0] * p[0] + p[1] * p[1]) / (q[0] * q[0] + q[1] * q[1])
     except OverflowError:
@@ -1196,9 +1298,9 @@ def dominance_order(layout):
     theta}) at the first half-period center theta, most recessive first;
     relabeled by this permutation, S_1 is upper triangular and the grouped
     matrices alternate.  A function of the layout alone, so it is the same
-    at every radius, precision and stencil perturbation of the lower
-    coefficients; the leading values at the center are well apart, and an
-    exact tie would go to the smaller mode index."""
+    at every radius, precision and value of the lower coefficients; the
+    leading values at the center are well apart, and an exact tie would go
+    to the smaller mode index."""
     center = layout.ray(1) + (layout.n - 1) * layout.spacing / 2
     vals = sorted((_leading_re(layout, a, center), a) for a in range(layout.n))
     return tuple(a for _, a in vals)
@@ -1277,14 +1379,14 @@ def _select_reading(op, layout, settings):
     below the target.  A collocation at _FIRST_BITS there measures the
     rest, arithmetic noise scaling as 2^-bits; when it misses a third of
     the target, one rebuild at _FIRST_BITS + 8 + max(8,
-    ceil(log2(shortfall))) bits is the run's build.  Each build is a batch
-    of one."""
-    [fs] = formal_solution([op], settings.trunc_order, make_ctx(_FIRST_BITS))
+    ceil(log2(shortfall))) bits is the run's build.  Each build is a jet
+    of one component."""
+    [fs] = formal_solution(op, settings.trunc_order, make_ctx(_FIRST_BITS))
     rho = settings.radius or compute_radius(fs, settings)
     build = None
     if math.isfinite(rho):
         try:
-            [build] = _collocate([op], layout, [fs], rho)
+            build = _collocate(op, layout, [fs], rho)
         except ArithmeticError:
             if settings.radius:
                 raise
@@ -1297,13 +1399,13 @@ def _select_reading(op, layout, settings):
         # too: a singular collocation system (ZeroDivisionError) and a NaN
         # from any sector ("collocation build overflowed")
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
-        return _collocate([op], layout, [fs], rho)[0]
+        return _collocate(op, layout, [fs], rho)
     if build.cons <= settings.radius_tol / 3:
         return build
     shortfall = math.log2(build.cons) - math.log2(settings.radius_tol)
     bits = _FIRST_BITS + 8 + max(8, math.ceil(shortfall))
-    return _collocate([op], layout, formal_solution(
-        [op], settings.trunc_order, make_ctx(bits)), rho)[0]
+    return _collocate(op, layout, formal_solution(
+        op, settings.trunc_order, make_ctx(bits)), rho)
 
 
 def stokes_data(op, settings=None):
@@ -1316,65 +1418,80 @@ def stokes_data(op, settings=None):
     build = _select_reading(op, layout, settings)
     plan = CollocationPlan(settings=settings, layout=layout, rho=build.rho,
                            nterms=build.nterms, bits=build.fs.ctx.bits)
-    return _stokes_result(op, plan, build)
+    return _stokes_result(op, plan, build)[0]
 
 
-def replay(ops, plan):
-    """stokes_data of every point of `ops` on a plan, which freezes every
-    choice, made as one batch: a point whose n or k differs from the
-    plan's layout raises ValueError, since the plan's angles belong to its
-    layout."""
+def replay(op, plan, tangents=False):
+    """stokes_data of op on a plan, which freezes every choice: a point
+    whose n or k differs from the plan's layout raises ValueError, since
+    the plan's angles belong to its layout.  With tangents the replay
+    carries the derivatives along c_0, ..., c_{d-2} through every layer
+    (formal_solution) and returns (data, jac, drift): jac's column m the
+    derivative of data.monitored_vector() along c_m, and drift the largest
+    tangent of (A build)^{-1} (B build) (_Build)."""
     n, k = plan.layout.n, plan.layout.k
-    for op in ops:
-        if (op.n, op.k) != (n, k):
-            raise ValueError(f"the plan was made with n={n}, k={k}, a point "
-                             f"asks for n={op.n}, k={op.k}")
-    if not ops:         # formal_solution reads n off its first point
-        return []
-    fss = formal_solution(ops, plan.settings.trunc_order, make_ctx(plan.bits))
-    builds = _collocate(ops, plan.layout, fss, plan.rho, plan.nterms)
-    return [_stokes_result(op, plan, build) for op, build in zip(ops, builds)]
+    if (op.n, op.k) != (n, k):
+        raise ValueError(f"the plan was made with n={n}, k={k}, a point "
+                         f"asks for n={op.n}, k={op.k}")
+    fss = formal_solution(op, plan.settings.trunc_order, make_ctx(plan.bits),
+                          tangents)
+    build = _collocate(op, plan.layout, fss, plan.rho, plan.nterms)
+    data, tangent = _stokes_result(op, plan, build)
+    if not tangents:
+        return data
+    perm, triangles, _, _ = _layout_shape(plan.layout)
+    jac = tangent[:, :, perm][:, :, :, perm][:, triangles].T
+    return data, jac, build.drift
 
 
 def _stokes_result(op, plan, build):
-    """A point's StokesData from its build on the plan: the factors K_j =
-    Phi_j^{-1} Phi_{j-1}, j = 1..r, from the build's exact quotients Q_j =
-    (A build of sector j)^{-1} (B build of sector j-1) (_collocate), their
-    grouped matrices, fixed-point products of the quotients on `frac` bits,
-    and residuals, every entry rounded once to a double (_GUARD_BITS)."""
+    """A point's StokesData from its build on the plan, and the tangents
+    of its grouped matrices, one (2k+2, n, n) stack per tangent of the
+    build's jet: the factors K_j = Phi_j^{-1} Phi_{j-1}, j = 1..r, from the
+    build's exact quotients Q_j = (A build of sector j)^{-1} (B build of
+    sector j-1) (_collocate), their grouped matrices, fixed-point products
+    of the quotients on `frac` bits (by the Leibniz rule), and residuals,
+    every entry rounded once to a double (_GUARD_BITS)."""
     fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
     perm, triangles, supports, phantom = _layout_shape(layout)
     # the wrap factor K_1 compares sector 1 against sector r: re-reading
     # sector 1 on the chart shifted by 2 pi multiplies its contents by the
     # det twist and exp(2 pi i Lambda), so K_1 = Q_1 W and S_1 = (Q_n ...
     # Q_1) W for W = diag(sigma exp(-2 pi i lambda_b)), taken exactly, and
-    # S_{2k+2} ... S_1 exp(2 pi i Lambda) = sigma Q_r ... Q_1
+    # S_{2k+2} ... S_1 exp(2 pi i Lambda) = sigma Q_r ... Q_1; dW = -2 pi i
+    # dLambda W
     tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(det_twist(op))
-    wrap = np.array([_exact(sigma * ctx.exp(-tau * lam)) for lam in fs.lam],
-                    dtype=object).T
+    wrap = [sigma * ctx.exp(-tau * lam) for lam in fs.lam]
+    wrap = _exact_jet([wrap] + [[-tau * dl * w for dl, w in zip(dlam, wrap)]
+                                for dlam in build.dlam])
 
-    def doubles(x, det, exp):           # a stack whose first matrix takes W
-        x = np.concatenate([_gauss(x[:, :1], wrap[:2]), x[:, 1:]], axis=1)
-        exp = np.concatenate([exp[:1] + wrap[2], exp[1:]])
+    def doubles(x, det, exp):   # a jet of stacks whose first matrix takes W
+        first = _leibniz(x[:, :, :1], wrap[:2, :x.shape[1], None, None],
+                         axis=-4)
+        x = np.concatenate([first, x[:, :, 1:]], axis=2)
+        exp = np.concatenate([exp[:1] + wrap[2, 0], exp[1:]])
         parts = _quotient_entries(_ratio, x, det, exp)
         return np.frompyfunc(complex, 2, 1)(*parts).astype(complex)
 
     def product(mats):                  # mats[-1] ... mats[0]
-        return functools.reduce(
-            lambda acc, m: _gauss(m, acc, np.matmul) >> ctx.frac, mats)
+        return functools.reduce(lambda acc, m: _leibniz(
+            m, acc, np.matmul) >> ctx.frac, mats)
 
     x, det, exp = build.quotients
-    fixed = _quotient_entries(_divide, x, det, exp + ctx.frac).swapaxes(0, 1)
+    fixed = np.moveaxis(_quotient_entries(_divide, x, det, exp + ctx.frac),
+                        2, 0)
     groups = [product(fixed[i:i + layout.n])
               for i in range(0, layout.r, layout.n)]
     one = np.array([1, 0], dtype=object)
     unit = np.full((len(groups),) + exp.shape[1:], -ctx.frac, dtype=object)
-    factors = doubles(x, det, exp)
-    matrices = doubles(np.stack(groups, axis=1), one, unit)
+    factors = doubles(x[:, :1], det[:, :1], exp)[0]
+    jet = doubles(np.stack(groups, axis=2), one, unit)
+    matrices = jet[0]
+    closure = product(groups)[:, 0]
     gaps = _identity_gap(factors)
     grouped = _identity_gap(matrices)[:, perm][:, :, perm]
     residuals = {
-        "identity": float(_deviation(product(groups), one, unit[0])),
+        "identity": float(_deviation(closure, one, unit[0])),
         "unipotency": float(grouped[~triangles].max(initial=0.0)),
         "trace": fs.trace_residual(),
         "asymptotic": _series_tail(fs, plan.rho),
@@ -1388,4 +1505,4 @@ def _stokes_result(op, plan, build):
     return StokesData(op=op, plan=plan, lam=fs.lam, qcoeffs=fs.qcoeffs,
                       factors=factors, matrices=matrices, residuals=residuals,
                       missed=tuple(name for name, bound in bounds.items()
-                                   if not residuals[name] <= bound))
+                                   if not residuals[name] <= bound)), jet[1:]

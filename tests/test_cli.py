@@ -335,12 +335,10 @@ def test_overflowing_reading_prints_only_the_failure():
      "radius must be finite and >= 0, got -3.0"),
     (["jacobian", "--rank-tol", "-1"],
      "rank_tol must lie in (0, 1], got -1.0"),
-    (["jacobian", "--fd-step", "0"],
-     "step h must be finite and > 0, got 0.0"),
     (["kernel", "--D", "-1"],
      "degree cap D must be >= 0, got -1"),
 ], ids=["radius-tol-negative", "radius-tol-zero", "radius-negative",
-        "rank-tol-negative", "fd-step-zero", "D-negative"])
+        "rank-tol-negative", "D-negative"])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, named):
     code, out, err = run(capsys, *argv, *WEBER)
     assert code == 2 and out == ""
@@ -348,9 +346,24 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv, named):
 
 
 def test_lost_closure_maps_to_numeric_exit(capsys):
-    code, _, err = run(capsys, "jacobian", *WEBER, "--fd-step", "50")
-    assert code == 3
-    assert "numerical failure" in err
+    # a base run refused before its entire basis runs exits 3 with no
+    # document; the differential takes no step, so no --fd-step
+    code, out, err = run(capsys, "jacobian", *WEBER, "--radius", "1e100")
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: entire basis did not converge on the "
+                   "reading circle within the term cap\n")
+    _assert_not_a_flag(capsys, "--fd-step", *WEBER)
+
+
+def test_small_fixed_circle_writes_its_document(capsys):
+    # on the unit circle every entire-basis term is below one in value; the
+    # basis stops by its own rule and the run reports the residuals it
+    # missed, not the term cap
+    code, out, err = run(capsys, "stokes", "--n", "2", "--k", "1", "--poly",
+                         "1/3,0,1", "--radius", "1")
+    assert code == 3 and json.loads(out)["converged"] is False
+    assert err.startswith("numerical failure: reading consistency ")
+    assert "term cap" not in err and err.count("\n") == 1
 
 
 def test_jacobian_document(capsys):

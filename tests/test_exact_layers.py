@@ -15,7 +15,7 @@ from fractions import Fraction as QQ
 import numpy as np
 import pytest
 
-from operstokes import immersion, stokes
+from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import EntireBasis, make_ctx, replay, stokes_data
 
@@ -43,7 +43,7 @@ def reference_entire_table(op, ctx, rho, nterms=None):
             col.append(acc)
             worst = max(worst, max(map(abs, acc)).bit_length())
         peak = max(peak, worst)
-        quiet = quiet + 1 if worst < peak - frac else 0
+        quiet = quiet + 1 if worst < max(peak - frac, 2) else 0
         m += 1
         if nterms is None and quiet >= n + d and m > 2 * (n + d):
             break
@@ -94,7 +94,7 @@ def test_entire_basis_matches_tuple_list_recurrence(name, rho, bits):
 
 def test_entire_basis_refuses_the_circles_the_reference_refuses(monkeypatch):
     # a cap of 140 terms: Weber's terms peak near index rho^2, and its
-    # bases on circles 2, 3 and 4 stop at 79, 103 and 130 terms
+    # bases on circles 2, 3 and 4 stop at 78, 103 and 130 terms
     monkeypatch.setattr(stokes, "_MAX_TERMS", 140)
     op, ctx = RECURRENCE_POINTS["weber"], make_ctx(69)
     refused = []
@@ -112,6 +112,18 @@ def test_entire_basis_refuses_the_circles_the_reference_refuses(monkeypatch):
     assert refused == [5.0, 6.0, 8.0]
 
 
+def test_entire_basis_stops_on_small_circles():
+    # on circles 1.6 and 1.8 every recurrence term is below one in value,
+    # so no term fell a fixed-point unit below the largest one and the
+    # basis ran to the term cap; a term within one unit is quiet
+    op, ctx = RECURRENCE_POINTS["weber"], make_ctx(69)
+    for rho in (1.6, 1.8, 2.0):
+        basis = EntireBasis(op, ctx, rho)
+        want, count = reference_entire_table(op, ctx, rho)
+        assert basis.nterms == count <= 100
+        assert same_table(basis.table, want)
+
+
 def run_recorded(monkeypatch, make):
     """The StokesData that `make` returns, with every sector_coefficients
     result (y, s) of the run and the sector count of each stacked
@@ -126,8 +138,8 @@ def run_recorded(monkeypatch, make):
         return out
 
     def recorded_eliminate(aug):
-        if aug.ndim == 7:       # (2, P, variants, sectors, n, n, n + 1)
-            stacks[-1].append(aug.shape[3])
+        if aug.ndim == 6:       # (2, variants, sectors, n, n, width)
+            stacks[-1].append(aug.shape[2])
         return real_eliminate(aug)
 
     with monkeypatch.context() as patch:
@@ -138,11 +150,11 @@ def run_recorded(monkeypatch, make):
 
 
 def quartic_replay():
-    """A 4-point (2,2) replay batch on its base run's plan."""
+    """A (2,2) tangent replay on its base run's plan: a jet of the value
+    and three tangents, as many systems per sector as four points."""
     op = OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2))
     plan = stokes_data(op).plan
-    points = [p for _, _, p in immersion._stencil_points(op, 1e-4)][:4]
-    return lambda: replay(points, plan)
+    return lambda: [replay(op, plan, tangents=True)[0]]
 
 
 def fresh(op):

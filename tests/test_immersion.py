@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -13,6 +12,8 @@ from operstokes import immersion, stokes
 from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
 from operstokes.stokes import StokesSettings, replay, stokes_data
+
+from oracles import stencil_jacobian, stencil_points
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +67,19 @@ def test_quartic_differential(quartic_report):
 
 
 def test_step_sweep_is_stable(quartic_report):
-    coarse = jacobian(OperPoint(2, 2, (0, 0, 0)), h=1e-3)
-    assert coarse.rank == quartic_report.rank
-    assert abs(coarse.sv_gap - quartic_report.sv_gap) <= 1e-3
-    worst = abs(coarse.jacobian - quartic_report.jacobian).max()
-    assert worst <= 1e-3 * abs(quartic_report.jacobian).max()
+    # forward mode has no step: the stencil oracle on the same plan at h =
+    # 1e-3 and 1e-4 (single-point replays) keeps its rank and gap and
+    # meets it, the finer step the closer
+    rep = quartic_report
+    coarse, fine = (stencil_jacobian(rep.op, rep.base.plan, h)[0]
+                    for h in (1e-3, 1e-4))
+    scale = abs(rep.jacobian).max()
+    for jac in (coarse, fine):
+        sv = np.linalg.svd(jac, compute_uv=False)
+        assert (sv >= sv[0] * rep.rank_tol).sum() == rep.rank
+        assert abs(sv[-1] / sv[0] - rep.sv_gap) <= 1e-3
+    assert abs(coarse - rep.jacobian).max() <= 1e-3 * scale
+    assert abs(fine - rep.jacobian).max() <= 1e-12 * scale
 
 
 def test_rank_threshold_semantics(quartic_report):
@@ -89,8 +98,9 @@ def test_perturbed_point_keeps_full_rank():
 
 def test_weber_derivative_is_fourth_order():
     # y'' = (z^2 + c) y: tr(S2 S1) = 2 + ab is 1 - e^{+-i pi c} (Sibuya), so
-    # d/dc tr = a'b + ab' has a closed form; the averaged real- and
-    # imaginary-step quotient at the default h must meet it to O(h^4)
+    # d/dc tr = a'b + ab' has a closed form; the forward-mode column, exact
+    # for the frozen plan, must meet it to the run's reading accuracy (the
+    # averaged step quotients met it to O(h^4), within 1e-9)
     c = 0.1 + 0.05j
     op = OperPoint(2, 1, (c,))
     a, b = stokes_data(op).monitored_vector()[:2]
@@ -101,15 +111,24 @@ def test_weber_derivative_is_fourth_order():
         want = -1j * math.pi * plus
     else:
         want = 1j * math.pi * minus
-    assert abs(da * b + a * db - want) <= 1e-9
+    assert abs(da * b + a * db - want) <= 1e-13
 
 
 def test_stencil_bookkeeping(weber_report):
+    # the stencil oracle's four single-point replays keep their closure on
+    # the frozen plan and meet the forward-mode column, whose A/B tangent
+    # disagreement (holomorphy) is far below the quotients' disagreement
     rep = weber_report
-    assert set(rep.stencil_residuals) == {
-        (0, complex(s)) for s in (1e-4, -1e-4, 1e-4j, -1e-4j)}
-    assert all(v <= 1e-6 for v in rep.stencil_residuals.values())
+    points = stencil_points(rep.op, 1e-4)
+    assert [p.coeffs for p in points] == [
+        (complex(s),) for s in (1e-4, -1e-4, 1e-4j, -1e-4j)]
+    assert all(replay(p, rep.base.plan).residuals["identity"] <= 1e-6
+               for p in points)
     assert rep.base.residuals["identity"] <= 1e-8
+    stencil, spread = stencil_jacobian(rep.op, rep.base.plan)
+    assert abs(stencil - rep.jacobian).max() <= 1e-12 * abs(
+        rep.jacobian).max()
+    assert rep.holomorphy <= 1e-3 * spread
 
 
 def test_converged_needs_every_run(weber_report, monkeypatch):
@@ -117,26 +136,26 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     # a fixed circle too small for 1e-10: the base run already misses it
     loose = jacobian(OperPoint(2, 1, (0,)),
                      settings=StokesSettings(radius=2.5))
-    assert not loose.converged
-    # a converged base run does not cover its stencil runs
+    assert not loose.converged and loose.base.missed
+    # the tangent replay's value is the base run bit for bit, so the base
+    # run's verdict is the differential's
+    values = []
     real = immersion.replay
 
-    def stencil_misses(ops, plan):
-        return [dataclasses.replace(data, missed=("consistency",))
-                for data in real(ops, plan)]
+    def recorded(op, plan, tangents=False):
+        out = real(op, plan, tangents)
+        values.append(out[0])
+        return out
 
-    monkeypatch.setattr(immersion, "replay", stencil_misses)
-    rep = jacobian(OperPoint(2, 1, (0,)))
-    assert rep.base.residuals == weber_report.base.residuals
-    assert not rep.converged
-    # the report names every missed run: here all 4(d-1) stencil keys, and
-    # not the base run
-    assert weber_report.missed == () and "base" in loose.missed
-    assert set(rep.missed) == set(rep.stencil_residuals)
-    assert len(rep.missed) == 4 * (rep.op.d - 1) and "base" not in rep.missed
-    assert rep.missed_names() == [f"stencil run c_0 {s}" for s in
-                                  ("+0.0001", "-0.0001", "+0.0001j",
-                                   "-0.0001j")]
+    monkeypatch.setattr(immersion, "replay", recorded)
+    for settings in (None, StokesSettings(radius=2.5)):
+        rep = jacobian(OperPoint(2, 1, (0,)), settings=settings)
+        value = values[-1]
+        assert value.residuals == rep.base.residuals
+        assert value.missed == rep.base.missed
+        assert value.matrices.tobytes() == rep.base.matrices.tobytes()
+        assert rep.converged == (not value.missed)
+    assert weber_report.base.residuals == values[0].residuals
 
 
 def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
@@ -157,10 +176,10 @@ def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
 
 
 def test_lost_closure_is_an_error():
-    # a step so large the base point's frozen reading plan cannot represent
-    # the shifted equation any more must fail loudly, not differentiate noise
-    with pytest.raises(ArithmeticError):
-        jacobian(OperPoint(2, 1, (0,)), h=50.0)
+    # a base run whose circle the entire basis cannot sum fails loudly,
+    # before any tangent is made, rather than differentiating noise
+    with pytest.raises(ArithmeticError, match=stokes._TERM_CAP):
+        jacobian(OperPoint(2, 1, (0,)), settings=StokesSettings(radius=1e100))
 
 
 def test_cross_check_weber():
@@ -181,8 +200,8 @@ def test_cross_check_needs_exact_point():
     ids=["cubic-n3", "quartic-n4"])
 def test_differential_passes_the_taylor_test(coeffs):
     # nu(c + t v) - nu(c) - t J v = O(t^2) on the frozen plan: the remainder
-    # over t^2 stays flat from t = 0.1 to 0.001, the points one replay of
-    # the Jacobian's plan with the base point first.  With J off by 1e-3
+    # over t^2 stays flat from t = 0.1 to 0.001, each point a replay of the
+    # Jacobian's plan.  With J off by 1e-3
     # the first-order miss 1e-3 t J v takes over at small t; the seeded
     # direction is one where ||J v|| makes that visible at t = 0.001
     op = OperPoint(len(coeffs) + 1, 1, coeffs)
@@ -193,9 +212,8 @@ def test_differential_passes_the_taylor_test(coeffs):
     v /= np.linalg.norm(v)
     ts = (0.1, 0.03, 0.01, 0.003, 0.001)
     c = np.array([complex(x) for x in coeffs])
-    runs = replay([op] + [OperPoint(op.n, 1, tuple(c + t * v)) for t in ts],
-                  rep.base.plan)
-    nu = [run.monitored_vector() for run in runs]
+    nu = [replay(point, rep.base.plan).monitored_vector() for point in
+          [op] + [OperPoint(op.n, 1, tuple(c + t * v)) for t in ts]]
 
     def spread(jac):
         ratios = [np.linalg.norm(nu_t - nu[0] - t * (jac @ v))

@@ -63,7 +63,6 @@ def test_oper_point_validation():
     (lambda: OperPoint(2, "3", (QQ(0),)), "k must be an int, got '3'"),
     (lambda: solvability(Z2, D=True), "D must be an int, got True"),
     (lambda: solvability(Z2, D=2.5), "D must be an int, got 2.5"),
-    (lambda: jacobian(Z2, h=True), "h must be a real number, got True"),
     (lambda: jacobian(Z2, rank_tol=True),
      "rank_tol must be a real number, got True"),
     (lambda: OperPoint(2, 1, (True,)),
@@ -73,7 +72,7 @@ def test_oper_point_validation():
     (lambda: OperPoint(3, 1, (QQ(1, 5), None)),
      "coefficient c_1 must be a number, got None"),
 ], ids=["n-2.0", "n-2.9", "n-true", "n-str", "k-2.9", "k-true", "k-str",
-        "D-true", "D-2.5", "h-true", "rank_tol-true", "c0-true", "c0-str",
+        "D-true", "D-2.5", "rank_tol-true", "c0-true", "c0-str",
         "c1-none"])
 def test_sizes_and_steps_must_be_numbers_of_their_kind(make, named):
     # a float n would make d a float that fails deep in solvability, a bool

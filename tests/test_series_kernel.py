@@ -161,7 +161,7 @@ def test_series_kernel_matches_four_products(name, bits):
     op = POINTS[name]
     ctx = make_ctx(bits)
     M, frac = StokesSettings().trunc_order, ctx.frac
-    [got] = formal_solution([op], M, ctx)
+    [got] = formal_solution(op, M, ctx)
     want = reference_formal_solution(gauge_transform(op), op.k, M, ctx)
     assert len(got.fixed) == len(want.fixed) == M + 1
     for g, w in zip(got.fixed, want.fixed):
@@ -176,7 +176,7 @@ def test_series_kernel_matches_four_products(name, bits):
     for rho in (4.5, 8.15):
         (tc, te), (wc, we) = (stokes._inverse_table([got], rho),
                               reference_inverse_table(want, rho))
-        tc = tc[:, 0]                   # the point axis of a batch of one
+        tc = tc[:, 0]                   # the jet axis of a value alone
         assert tc.shape == wc.shape == (2, op.n, op.n, M + 1)
         assert te.tolist() == we.tolist()
         ys = [largest(y) * QQ(rho) ** -j / 2 ** frac
@@ -205,7 +205,7 @@ def test_formal_inverse_is_the_inverse(op):
     # sizes (or absolutely, below 1)
     ctx = make_ctx(69)
     frac, n, M = ctx.frac, op.n, 40
-    [fs] = formal_solution([op], M, ctx)
+    [fs] = formal_solution(op, M, ctx)
     f0 = stokes._fixed_frame(ctx, n)[0]
     ws = [gauss4(fs.dual[..., m], f0, np.matmul) >> frac
           for m in range(M + 1)]

@@ -13,12 +13,13 @@ from hypothesis import assume, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from operstokes import immersion, stokes
+from operstokes import stokes
 from operstokes.isomono import OperPoint
 from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, det_twist,
                                formal_solution, make_ctx, replay,
                                sector_layout, stokes_data)
+from oracles import stencil_points
 from test_series_kernel import gauge_transform
 
 SQ2 = 1.4142135623730951
@@ -126,14 +127,14 @@ def test_gauge_leading_block_is_cyclic():
 # formal solution
 
 def formal(op, M, ctx):
-    """The formal solution of one point: a batch of one."""
-    [fs] = formal_solution([op], M, ctx)
+    """The formal solution of one point: a jet of its value alone."""
+    [fs] = formal_solution(op, M, ctx)
     return fs
 
 
 def inverse_table(fs, rho):
-    """The formal-inverse table of one formal solution, without the point
-    axis of its batch of one."""
+    """The formal-inverse table of one formal solution, without the jet
+    axis of its value alone."""
     coeffs, exp = stokes._inverse_table([fs], rho)
     return coeffs[:, 0], exp
 
@@ -307,11 +308,11 @@ def test_double_and_multiprecision_contexts_agree():
     b = [[sum(a[r][c] * x[c] for c in range(3))] for r in range(3)]
     w = np.complex128(0.3 + 0.2j)
 
-    def exact(rows, s):
-        return (np.array([[[int(v.real) for v in row] for row in rows],
-                          [[int(v.imag) for v in row] for row in rows]],
+    def exact(rows, s):             # a jet of its value alone
+        return (np.array([[[[int(v.real) for v in row] for row in rows]],
+                          [[[int(v.imag) for v in row] for row in rows]]],
                          dtype=object),
-                np.array([s] * len(rows[0]), dtype=object))
+                np.array([[s] * len(rows[0])], dtype=object))
 
     def values(ctx):
         return [ctx.pi, ctx.number(QQ(-1, 7)), ctx.number(0.25 - 0.5j),
@@ -616,7 +617,7 @@ def layout_reads(layout):
 
 
 def read_contents(fs, basis, inverse, reads):
-    """_content_matrix of one point (a batch of one) on its entire basis
+    """_content_matrix of one point (a jet of one) on its entire basis
     and formal-inverse table (inverse_table) at the modes {theta: modes}
     of `reads`, as {theta: {mode: (re list, im list, e)}}, the row being
     (re + i im) 2^e."""
@@ -735,7 +736,7 @@ def test_content_matrix_wrap_identity():
                             <= 2.0 ** -(bits - 30) * abs(want))
             pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
             for (t, b), got in zip(pairs,
-                                   stokes._mode_scalars(fs, rho, pairs)):
+                                   stokes._mode_scalars([fs], rho, pairs)[0]):
                 want = mode_scalar(fs, rho, t, b, bits + 40)
                 assert abs(1 / got - want) <= 2.0 ** -(bits - 30) * abs(want)
         assert det_twist(op) == (1 if op.n == 3 else -1)
@@ -767,7 +768,7 @@ def test_sector_columns_meet_their_conditions(op):
     contents = stokes._content_matrix(
         [fs], iter([basis.table]), stokes._inverse_table([fs], plan.rho),
         reads)
-    scalars = stokes._mode_scalars(fs, plan.rho, pairs)
+    scalars = stokes._mode_scalars([fs], plan.rho, pairs)[0]
     ys, ss = stokes.sector_coefficients([fs], layout, contents, [scalars])
     mp = mpmath.mp.clone()
     mp.prec = plan.bits
@@ -806,9 +807,9 @@ def test_exact_sector_coefficients_match_double():
     quotients = {}
     for bits in (53, 69):
         fs = formal(op, 20, make_ctx(bits))
-        [build] = stokes._collocate([op], layout, [fs], rho)
+        build = stokes._collocate(op, layout, [fs], rho)
         re, im = stokes._quotient_entries(stokes._ratio, *build.quotients)
-        quotients[bits] = (re + 1j * im).astype(complex)
+        quotients[bits] = (re[0] + 1j * im[0]).astype(complex)
     assert len(quotients[53]) == len(quotients[69]) == layout.r
     for got, want in zip(quotients[53], quotients[69]):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
@@ -861,6 +862,7 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
     sd = stokes_data(op)
     [build] = builds
     x, det, exp = build.quotients
+    x, det = x[:, 0], det[:, 0]         # the value, a jet of one
     n, layout, ctx = op.n, sd.plan.layout, build.fs.ctx
     # Q_j = N_j / D_j, N_j = x conj(det) 2^(exp - e_j) Gaussian integers
     # and D_j = |det|^2 2^-e_j for e_j the least exponent of Q_j
@@ -921,7 +923,7 @@ def test_collocate_reports_a_nan_from_any_sector(monkeypatch):
 
     monkeypatch.setattr(stokes, "_deviation", first_sector_nan)
     with pytest.raises(ArithmeticError, match="overflowed"):
-        stokes._collocate([op], layout, [fs], 4.0)
+        stokes._collocate(op, layout, [fs], 4.0)
 
 
 def gauss_matrix(draw, rows, cols):
@@ -985,11 +987,12 @@ def check_against_oracle(a, b):
             assert (x[0, r, c], x[1, r, c]) == (
                 det[0] * wr - det[1] * wi, det[0] * wi + det[1] * wr)
 
-    def exact(rows):
-        return gauss_array(rows), np.zeros(len(rows[0]), dtype=object)
+    def exact(rows):                # a jet of its value alone
+        return (gauss_array(rows)[:, None],
+                np.zeros((1, len(rows[0])), dtype=object))
 
     got = stokes._quotient_entries(stokes._ratio, *stokes._exact_quotient(
-        exact(a), exact(b)))
+        exact(a), exact(b)))[:, 0]
     for r, row in enumerate(want):
         for c, parts in enumerate(row):
             for part, value in zip(got[:, r, c], parts):
@@ -1505,9 +1508,9 @@ def test_shape_residuals_equal_the_entry_loops(op):
 def test_replayed_shape_residuals_equal_the_entry_loops():
     op = OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2))
     plan = stokes_data(op).plan
-    points = [p for _, _, p in immersion._stencil_points(op, 1e-4)]
-    runs = replay(points, plan)
-    assert len(runs) == 12
+    runs = [replay(point, plan) for point in stencil_points(op, 1e-4)]
+    runs.append(replay(op, plan, tangents=True)[0])
+    assert len(runs) == 13
     for sd in runs:
         assert_shape_matches_loops(sd)
 
@@ -1524,7 +1527,7 @@ def test_rotation_shifts_grouped_matrices():
 def test_plan_replay_is_deterministic():
     op = cubic()
     first = stokes_data(op, StokesSettings())
-    [again] = replay([op], first.plan)
+    again = replay(op, first.plan)
     for a, b in zip(first.factors, again.factors):
         assert np.array_equal(as_np(a), as_np(b))
 
@@ -1538,10 +1541,10 @@ def test_replay_rejects_a_point_of_another_layout():
     quartic = OperPoint(2, 2, (0, 0, 0))
     plan = stokes_data(quartic, base).plan
     weber_point = OperPoint(2, 1, (QQ(1, 3),))
-    for ops in ([weber_point], [quartic, weber_point, quartic]):
+    for tangents in (False, True):
         with pytest.raises(ValueError,
                            match="the plan was made with n=2, k=2"):
-            replay(ops, plan)
+            replay(weber_point, plan, tangents)
 
 
 @pytest.mark.parametrize("op, pairs, angles, rows", [
@@ -1573,8 +1576,7 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
         return read[-1][1]
 
     monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
-    [build] = stokes._collocate([op], plan.layout, [fs], plan.rho,
-                                plan.nterms)
+    build = stokes._collocate(op, plan.layout, [fs], plan.rho, plan.nterms)
     assert build.cons <= 1e-10
     assert len(exps) == pairs
     reads = set(cond.values()) | set(norms.values())
@@ -1674,9 +1676,9 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
         return fss
 
     class CountedBasis(real_basis):
-        def __init__(self, op, ctx, rho, nterms=None):
+        def __init__(self, op, ctx, rho, nterms=None, tangents=False):
             bases.append((float(rho), ctx.bits))
-            super().__init__(op, ctx, rho, nterms)
+            super().__init__(op, ctx, rho, nterms, tangents)
 
     def counted_arc(*args):
         arcs.append(args)
@@ -1694,7 +1696,7 @@ def test_fresh_run_builds_once_per_precision_and_circle(monkeypatch):
     assert bases == [(sd.plan.rho, bits) for bits in fs_bits]
     assert len(arcs) == 2 * op.n * (op.n - 1)
     # a replay reads the angles its layout's first run worked out
-    replay([op], sd.plan)
+    replay(op, sd.plan)
     assert len(arcs) == 2 * op.n * (op.n - 1)
 
 
@@ -1734,9 +1736,9 @@ def test_fresh_run_reads_one_circle(monkeypatch, op, tol, count):
     real_basis = stokes.EntireBasis
 
     class CountedBasis(real_basis):
-        def __init__(self, op, ctx, rho, nterms=None):
+        def __init__(self, op, ctx, rho, nterms=None, tangents=False):
             builds.append((float(rho), ctx.bits))
-            super().__init__(op, ctx, rho, nterms)
+            super().__init__(op, ctx, rho, nterms, tangents)
 
     monkeypatch.setattr(stokes, "EntireBasis", CountedBasis)
     sd = stokes_data(op, StokesSettings(radius_tol=tol))
@@ -1755,9 +1757,9 @@ def test_infinite_circle_is_never_built(monkeypatch):
     real_basis = stokes.EntireBasis
 
     class RecordedBasis(real_basis):
-        def __init__(self, op, ctx, rho, nterms=None):
+        def __init__(self, op, ctx, rho, nterms=None, tangents=False):
             radii.append(rho)
-            super().__init__(op, ctx, rho, nterms)
+            super().__init__(op, ctx, rho, nterms, tangents)
 
     monkeypatch.setattr(stokes, "EntireBasis", RecordedBasis)
     sd = stokes_data(OperPoint(2, 1, (0,)), StokesSettings(radius_tol=1e-300))
@@ -1771,7 +1773,7 @@ def test_fixed_radius_build_failure_propagates(monkeypatch):
     radii = []
 
     class FailingBasis:
-        def __init__(self, op, ctx, rho, nterms=None):
+        def __init__(self, op, ctx, rho, nterms=None, tangents=False):
             radii.append(rho)
             raise ArithmeticError("basis failed")
 
