@@ -28,7 +28,8 @@ at spread-apart angles (the A and B builds) and consecutive factors pair A
 with B, so the closure of the monodromy identity measures true disagreement
 between independent constructions instead of telescoping to zero.  The
 factors are exact quotients of integer solves, each factor and grouped entry
-is rounded once to a double from exact data, and mpmath makes only scalars.
+is rounded once to a double from exact data, and the scalars, pi, ln rho,
+the mode exponentials and the unit roots, are fixed point too (_exp).
 """
 
 from __future__ import annotations
@@ -45,43 +46,86 @@ from .isomono import OperPoint
 
 
 # ---------------------------------------------------------------------------
-# numeric context: the working precision and the arithmetic that carries it
+# numeric context: the working precision and its fixed-point scalars
 
+@dataclass(frozen=True)
 class NumericContext:
-    """Working precision of a run: scalars in a private mpmath context at
-    `bits`, pi among them, and `frac`, the fraction bits of every
-    fixed-point construction, rounded once to the working precision by
-    _rounded.  mpmath is imported by the first context or root table."""
-
-    def __init__(self, bits):
-        self.bits = bits
-        self.frac = bits + _GUARD_BITS
-        mp = _mpmath_at(bits)
-        self.real, self.complex = mp.mpf, mp.mpc
-        self.exp, self.log = mp.exp, mp.log
-        self.pi = +mp.pi
-
-    def number(self, v):
-        """An int, float, complex or Fraction as a working-precision complex;
-        a Fraction is divided at the working precision (mpmath takes no
-        Fraction)."""
-        if isinstance(v, Fraction):
-            v = self.real(v.numerator) / v.denominator
-        return self.complex(v)
-
-
-# the numeric context for `bits`, one per precision, shared by every run
-make_ctx = functools.lru_cache(maxsize=None)(NumericContext)
+    """Working precision of a run: `bits`, to which the public values are
+    rounded (_double), and `frac` = bits + _GUARD_BITS, the fraction bits of
+    every fixed-point construction and scalar (_exp, _log, _constants)."""
+    bits: int
+    frac: int
 
 
 @functools.lru_cache(maxsize=None)
-def _mpmath_at(prec):
-    """A private mpmath context at `prec` bits, one per precision: a clone
-    holds reference cycles that only the cyclic collector frees."""
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.prec = prec
-    return mp
+def make_ctx(bits):
+    """The numeric context for `bits`, one per precision for every run."""
+    return NumericContext(bits, bits + _GUARD_BITS)
+
+
+def _arc(a, b, prec, sign=1):
+    """atanh(a/b), or atan(a/b) for sign -1, for ints |a| < b, with `prec`
+    fraction bits: sum sign^i (a/b)^(2i+1) / (2i+1), each power and term
+    floored, so within two units a term."""
+    power = total = (a << prec) // b
+    m = 1
+    while abs(power) > 1:
+        power, m = power * a * a // (b * b), m + 2
+        total += (sign if m % 4 == 3 else 1) * (power // m)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(prec):
+    """(pi, ln 2) with `prec` fraction bits, within a unit: Machin's 16
+    atan(1/5) - 4 atan(1/239) and 2 atanh(1/3), 16 bits deeper (Brent and
+    Zimmermann 2010, ch. 4)."""
+    w = prec + 16
+    return tuple((v + (1 << 15)) >> 16 for v in (
+        16 * _arc(1, 5, w, -1) - 4 * _arc(1, 239, w, -1), 2 * _arc(1, 3, w)))
+
+
+def _exp(re, im, prec, tangents=()):
+    """e^w for w = (re + i im) 2^-prec as the row (mr, mi, e), e^w = (mr +
+    i mi) 2^e with `prec` fraction bits in the mantissa, within a unit
+    (Brent and Zimmermann 2010, ch. 4): w less k ln 2 and q quarter turns,
+    on constants deep enough for any k and q, is r + i s with |r| <= ln
+    2/2 and |s| <= pi/4, whose exp is a Taylor series at 2^-8 of it and
+    eight squarings, 32 bits deeper, each product floored; then e^w = i^q
+    2^k e^(r + i s).  A row e^w dw follows for each dw = (re, im) in
+    `tangents`, on e^w's exponent: a jet."""
+    w, x, y = prec + 32, re << 32, im << 32
+    pi, ln2 = _constants(w)
+    k, q = (2 * x + ln2) // (2 * ln2), (4 * y + pi) // (2 * pi)
+    extra = 32 * (1 + max(abs(k), abs(q)).bit_length() // 32)
+    pi, ln2 = _constants(w + extra)
+    r, s = x - (k * ln2 >> extra), y - (q * pi >> extra + 1)
+    tr, ti = sr, si = 1 << w, 0
+    m = 0
+    while abs(tr) > 1 or abs(ti) > 1:
+        m += 1
+        tr, ti = (((tr * r - ti * s) >> w + 8) // m,
+                  ((tr * s + ti * r) >> w + 8) // m)
+        sr, si = sr + tr, si + ti
+    for _ in range(8):
+        sr, si = (sr * sr - si * si) >> w, (sr * si) >> w - 1
+    for _ in range(q % 4):
+        sr, si = -si, sr
+    sr, si = (sr + (1 << 31)) >> 32, (si + (1 << 31)) >> 32
+    return [(sr, si, k - prec)] + [((sr * dr - si * di) >> prec,
+                                    (sr * di + si * dr) >> prec, k - prec)
+                                   for dr, di in tangents]
+
+
+def _log(rho, prec):
+    """ln rho for a double rho > 0, a dyadic rational, with `prec` fraction
+    bits, within a unit: rho = 2^t a/b with a/b in (1/2, 2), and ln(a/b) =
+    2 atanh((a - b)/(a + b)), 16 bits deeper."""
+    a, b = Fraction(rho).as_integer_ratio()
+    t = a.bit_length() - b.bit_length()
+    a, b, w = a << max(-t, 0), b << max(t, 0), prec + 16
+    return (t * _constants(w)[1] + 2 * _arc(a - b, a + b, w)
+            + (1 << 15)) >> 16
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +183,43 @@ class FormalSolution:
     fixed[m] and dual[..., m] are the z^{-m} coefficients of Yhat (fixed[0]
     = I up to units) and of Yhat^{-1} f0^{-1} (rows a, entries t), (2, n,
     n) fixed-point arrays of the parts with `frac` fraction bits, read by
-    the tail norms (_tail_norms) and the formal inverse (_inverse_table).
-    qcoeffs[j], j = 1..k+1, is the diagonal of the z^j coefficient of Q as
-    a vector and lam that of Lambda, both at the working precision.
-    """
+    the tail norms (_tail_norms) and the formal inverse (_inverse_table);
+    a tangent's fixed is None, as only the value's tail is read.  lr[:, a,
+    i] is l r_i of mode a (formal_solution), Gaussian fixed point: Lambda_a
+    = lr[:, a, k+1] and Q_{j,a} = lr[:, a, k+1-j]/j exactly."""
     n: int
     k: int
     M: int
-    qcoeffs: dict
-    lam: list
+    lr: np.ndarray
     ctx: object
     fixed: np.ndarray
     dual: np.ndarray
 
     def q_entry(self, b, z):
-        acc = 0 * z
-        for j in range(self.k + 1, 0, -1):
-            acc = (acc + self.qcoeffs[j][b]) * z
-        return acc
+        """q_b(z) = sum_j Q_{j,b} z^j at z = (re + i im) 2^e, e <= 0, given
+        as (re, im, e), floored to Gaussian fixed point with `frac`
+        fraction bits: exact by Horner's rule over the lcm of the 1/j."""
+        zr, zi, e = z
+        k, den = self.k, math.lcm(*range(1, self.k + 2))
+        ar = ai = 0
+        for j in range(k + 1, 0, -1):   # acc in 2^(-frac + (k+1-j) e)
+            cr, ci = self.lr[:, b, k + 1 - j] * (den // j) << (k + 1 - j) * -e
+            ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+        return tuple((v >> (k + 1) * -e) // den
+                     for v in (ar * zr - ai * zi, ar * zi + ai * zr))
 
-    def trace_residual(self):
-        return abs(sum(complex(v) for v in self.lam))
+    @functools.cached_property
+    def exponents(self):
+        """(lam, qcoeffs), Lambda and Q as StokesData reports them: lam[a]
+        and qcoeffs[j][a], j = 1..k+1, complex doubles, each part rounded
+        to `bits` significant bits, Q_j's then divided by j and rounded so
+        again, and then rounded to a double (_double)."""
+        ctx = self.ctx
+        public = [[complex(*(_double(v, -ctx.frac, ctx.bits, max(j, 1))
+                             for v in part))
+                   for part in self.lr[..., self.k + 1 - j].T]
+                  for j in range(self.k + 2)]
+        return public[0], dict(enumerate(public[1:], 1))
 
     @functools.cached_property
     def tail(self):
@@ -221,8 +281,8 @@ def formal_solution(op, M, ctx, tangents=False):
     and psi_a' the adjoint's.  All series of all components run at once on
     Gaussian integers with `frac` fraction bits, each product (_gauss, by
     the Leibniz rule where both factors move with c: _leibniz) shifted
-    back once; l r_i is floored once and rounded once for Lambda_a = l
-    r_{k+1} and Q_{j,a} = l r_{k+1-j}/j (then divided by j)."""
+    back once; l r_i is floored once, and Lambda_a = l r_{k+1} and Q_{j,a}
+    = l r_{k+1-j}/j are read from it exactly (FormalSolution.lr)."""
     n, k, frac = op.n, op.k, ctx.frac
     if M < k + 2:
         raise ValueError("truncation order must be at least k+2")
@@ -273,18 +333,15 @@ def formal_solution(op, M, ctx, tangents=False):
     for t in range(n - 1):
         rows.append(_triple(_raised(phi, rows[-1], t * k, frac)))
     rows = np.array(rows)[:, :2]                # (t, 2, P, 2n, M + 1)
-    fixed = _gauss(f0inv, rows[:, :, :, :n].transpose(1, 0, 2, 4, 3).reshape(
+    # Yhat of the value alone: only its tail is read
+    fixed = _gauss(f0inv, rows[:, :, 0, :n].transpose(1, 0, 3, 2).reshape(
         2, n, -1), np.matmul) >> frac
-    fixed = fixed.reshape(2, n, size, M + 1, n).transpose(2, 3, 0, 1, 4)
+    fixed = fixed.reshape(2, n, M + 1, n).transpose(2, 0, 1, 3)
     alt = (-1) ** np.arange(n, dtype=object)[:, None, None, None, None]
     dual = (rows[:, :, :, n:] * alt)[::-1].transpose(1, 2, 3, 0, 4)
-    return [FormalSolution(
-        n=n, k=k, M=M,
-        qcoeffs={j: list(_rounded(ctx, *lr[:, p, :n, k + 1 - j], -frac) / j)
-                 for j in range(1, k + 2)},
-        lam=list(_rounded(ctx, *lr[:, p, :n, k + 1], -frac)), ctx=ctx,
-        fixed=fixed[p], dual=dual[:, p])
-        for p in range(size)]
+    return [FormalSolution(n=n, k=k, M=M, lr=lr[:, p, :n], ctx=ctx,
+                           fixed=None if p else fixed, dual=dual[:, p])
+            for p in range(size)]
 
 
 def _triple(x):
@@ -365,9 +422,7 @@ class SectorLayout:
 
     def ray(self, i):
         """d_i for i = 1..r+1, the wrap ray d_{r+1} = d_1 + 2 included."""
-        if i == self.r + 1:
-            return self.rays[0] + 2
-        return self.rays[i - 1]
+        return self.rays[0] + 2 if i == self.r + 1 else self.rays[i - 1]
 
 
 def sector_layout(n, k, v0=None):
@@ -392,8 +447,7 @@ def sector_layout(n, k, v0=None):
     if (v0 - offset) % spacing == 0:
         raise ValueError("base direction v0 lies on an anti-Stokes direction")
     start = next((idx for idx, theta in enumerate(lattice) if theta > v0), 0)
-    rays = []
-    pairs = []
+    rays, pairs = [], []
     for t in range(len(lattice)):
         theta = lattice[(start + t) % len(lattice)]
         rays.append(theta if theta > v0 else theta + 2)
@@ -412,15 +466,15 @@ def sector_layout(n, k, v0=None):
 # ---------------------------------------------------------------------------
 # the tail-safe reading circle
 
-
 def _tail_norms(fs):
     """(m, max-norm of the z^{-m} term) for the last kept formal terms --
-    several, to ride out parity-sparse series whose top term vanishes.  Each
-    term is rounded once to the working precision, then to a double, once
-    per formal solution (FormalSolution.tail)."""
-    ctx = fs.ctx
-    return [(m, max((abs(complex(v)) for v in
-                     np.ravel(_rounded(ctx, *fs.fixed[m], -ctx.frac))),
+    several, to ride out parity-sparse series whose top term vanishes --
+    each part rounded once to the working precision, then to a double
+    (_double), once per formal solution (FormalSolution.tail)."""
+    bits, frac = fs.ctx.bits, fs.ctx.frac
+    return [(m, max((abs(complex(_double(re, -frac, bits),
+                                 _double(im, -frac, bits)))
+                     for re, im in zip(*fs.fixed[m].reshape(2, -1))),
                     default=0.0))
             for m in range(max(1, fs.M - 3), fs.M + 1)]
 
@@ -428,11 +482,8 @@ def _tail_norms(fs):
 def compute_radius(fs, settings):
     """Tail-safe radius: smallest circle on which each of the last kept formal
     terms contributes below radius_tol (inf past double range)."""
-    radius = 2.0
-    for m, norm in fs.tail:
-        if norm > 0:
-            radius = max(radius, (norm / settings.radius_tol) ** (1.0 / m))
-    return 1.05 * radius
+    return 1.05 * max([2.0] + [(norm / settings.radius_tol) ** (1.0 / m)
+                                for m, norm in fs.tail if norm > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +495,17 @@ class EntireBasis:
     Column j is the entire solution with y^(t)(0) = delta_{tj}.  Every
     fundamental matrix of the gauged system is a constant linear image of
     these columns, so their values on the reading circle are computed from
-    the convergent series alone.  Coefficients are pre-scaled by rho^m,
-    i.e. kept as the term magnitudes on the circle, which keeps every
-    intermediate quantity within range and makes the truncation criterion
-    a plain relative comparison.  The recurrence runs on Gaussian integers
-    at every precision, from exact inputs (rho is a double, so a dyadic
-    rational).  The coefficients, times the falling factorial of each
-    derivative row, are the fixed-point table _table_sums reads over the
-    unit powers of an angle (every collocation angle is p/q with q |
-    4n(k+1))."""
+    the convergent series alone.  Coefficients are pre-scaled by rho^m, the
+    term magnitudes on the circle, so every quantity stays within range and
+    the truncation criterion is a plain relative comparison.  The
+    recurrence runs on Gaussian integers from exact inputs (rho is a
+    double, a dyadic rational); the coefficients, times the falling
+    factorial of each derivative row, are the fixed-point table
+    _table_sums reads over the unit powers of an angle."""
 
     def __init__(self, op, ctx, rho, nterms=None, tangents=False):
-        self.n = op.n
-        self.ctx = ctx
-        self.rho = float(rho)
-        n, d = op.n, op.d
-        frac = ctx.frac
+        self.n, self.ctx, self.rho = op.n, ctx, float(rho)
+        n, d, frac = op.n, op.d, ctx.frac
         r = Fraction(self.rho)
         # p_m rho^(m+n) (a jet, _p_jet) and the unit jets rho^m / m!,
         # floored to Gaussian integers (re, im) with `frac` fraction bits;
@@ -486,9 +532,7 @@ class EntireBasis:
         # unit, since a truncation the A and B builds share is one their
         # consistency cannot see; a term of at most one unit, the floor's
         # own error, is quiet on any circle
-        peak = -math.inf
-        quiet = 0
-        m = n
+        peak, quiet, m = -math.inf, 0, n
         limit = nterms if nterms is not None else _MAX_TERMS
         while m < limit:
             s = m - n
@@ -532,23 +576,23 @@ class EntireBasis:
         self.table = self.tables[0]
 
     def state_matrix(self, theta_fpi):
-        """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i theta}
-        on the build circle.
-
-        Summation runs over the unit phases u^m, u = e^{i theta}, times the
-        stored scaled coefficients (_table_sums), so the accumulated
-        magnitudes never exceed the term sizes on the circle; the z^{-t}
-        restores the derivative scaling afterwards."""
-        ctx = self.ctx
-        sums, exp = _table_sums(ctx, self.table, *_period([theta_fpi]))
-        out = _rounded(ctx, *sums[..., 0], exp)
-        zinv = 1 / (ctx.number(self.rho)
-                    * ctx.exp(1j * ctx.number(theta_fpi) * ctx.pi))
-        scale = 1
-        for t in range(1, self.n):
-            scale = scale * zinv
-            out[t, :] = out[t, :] * scale
-        return out
+        """Rows y^(t), t = 0..n-1, of each basis column at z = rho e^{i pi
+        theta} on the build circle, as (rows, exp) in the table's format,
+        entry (t, j) the Gaussian integer rows[:, t, j] times 2^exp[t, j].
+        Summation runs over the unit phases u^m, u = e^{i pi theta}, times
+        the scaled coefficients (_table_sums), so the sums never exceed the
+        term sizes on the circle; z^{-t} = conj(u^t) (den/num)^t, a root
+        and exact powers of the dyadic rho = num/den, restores the
+        derivative scaling, with one floor division."""
+        frac, t = self.ctx.frac, np.arange(self.n)
+        period, [p] = _period([theta_fpi])
+        sums, exp = _table_sums(self.ctx, self.table, period, [p])
+        roots = _unit_roots(frac, 2 * period)[-2 * p * t % (4 * period)].T
+        num, den = (np.array([v ** int(i) for i in t], dtype=object)[:, None]
+                    for v in Fraction(self.rho).as_integer_ratio())
+        shift = _bit_length(num)
+        return ((_gauss(sums[..., 0], roots[..., None]) * den << shift)
+                // num, exp - frac - shift)
 
 
 def _period(thetas):
@@ -570,21 +614,17 @@ def _period(thetas):
 @functools.lru_cache(maxsize=None)
 def _unit_roots(frac, den):
     """e^{i pi r/den}, r < 2 den, as the Gaussian-integer array (2 den, 2)
-    of (re, im) with `frac` fraction bits: the one root table per
-    denominator and precision.  The roots of the first quadrant, or of the
-    first half when den is odd, are each rounded to nearest from mpmath 10
-    bits deeper, so within one unit; the rest are their exact turns by i,
-    -1 and -i, so that on the table a quarter turn of the angle is exactly
-    a product by i (_table_sums).  A root's value depends on its angle
-    alone, not on the denominator of the table it is read from."""
-    from mpmath.libmp import mpf_shift, to_int
-    mp = _mpmath_at(frac + 10)
+    of (re, im) with `frac` fraction bits, one table per denominator and
+    precision.  The roots of the first quadrant, or of the first half when
+    den is odd, are each rounded to nearest (ties up) from the exp (_exp)
+    10 bits deeper, so within one unit, and depend on their angle alone;
+    the rest are their exact turns by i, -1 and -i, so a quarter turn of
+    the angle is exactly a product by i (_table_sums)."""
     turns = 2 if den % 2 else 4
-    first = np.array([[(to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
-                       for x in (z.real, z.imag)]
-                      for z in (mp.expjpi(mp.mpf(r) / den)
-                                for r in range(2 * den // turns))],
-                     dtype=object)
+    pi = _constants(frac + 10)[0]
+    first = np.array([[((v >> 9) + 1) >> 1
+                       for v in _exp(0, pi * r // den, frac + 10)[0][:2]]
+                      for r in range(2 * den // turns)], dtype=object)
     if turns == 2:
         return np.concatenate([first, -first])
     turned = np.stack([-first[:, 1], first[:, 0]], axis=1)     # i first
@@ -602,20 +642,17 @@ def _table_sums(ctx, table, period, numerators):
 
 
 def _class_sums(ctx, table, period, numerators):
-    """Per entry of a fixed-point table (coeffs, exp), the Gaussian-integer
-    array (2, rows, entries, terms) of coefficients over m, or (2, jet,
-    rows, entries, terms) for a jet's (_inverse_table), and the (rows,
-    entries) array of exponents, value coeffs 2^exp, sum_m coeffs[..., m]
-    u^m exactly at each angle P/Q, Q the angles' common period and P each
-    one's numerator (_period), one class P mod 4 at a time: per class with
-    angles, (cols, sums), cols its angles' indices and sums of shape (2,
-    ..., len(cols)), value sums 2^(exp - frac).  The table is
-    folded once by 2Q, since u^m = u^(m mod 2Q), then by the quarter turns
-    u^(Q/2) = i^P into one table of length Q/2 per class, each summed by
-    one three-product matmul (_gauss) with its angles' unit powers u^m, the
-    roots 2Pm mod 4Q of the root table of denominator 2Q.  Integer
-    additions and products by powers of i only, exact on the root table,
-    whose quarter turns are exact (_unit_roots)."""
+    """Per entry of a fixed-point table (coeffs, exp), coeffs (2, rows,
+    entries, terms) or (2, jet, rows, entries, terms) for a jet's
+    (_inverse_table) and value coeffs 2^exp, sum_m coeffs[..., m] u^m
+    exactly at each angle P/Q (_period), one class P mod 4 at a time: per
+    class with angles, (cols, sums), cols its angles' indices and sums of
+    shape (2, ..., len(cols)), value sums 2^(exp - frac).  The table is
+    folded by 2Q, as u^m = u^(m mod 2Q), then by the quarter turns u^(Q/2)
+    = i^P into one table of length Q/2 per class, each summed by one
+    three-product matmul (_gauss) with its angles' unit powers, the roots
+    2Pm mod 4Q of the root table of denominator 2Q, whose quarter turns are
+    exact (_unit_roots)."""
     coeffs = table[0]
     # zeros of Python ints: np.pad would pad an object array with int64s
     pad = np.zeros(coeffs.shape[:-1] + (-coeffs.shape[-1] % (2 * period),),
@@ -639,14 +676,6 @@ def _class_sums(ctx, table, period, numerators):
             yield cols, _gauss(part, powers[..., cols], np.matmul)
 
 
-def _rounded(ctx, re, im, exp):
-    """(re + i im) 2^exp, arrays of ints with exp broadcast, as a
-    working-precision array, each part rounded once."""
-    return np.frompyfunc(lambda r, i, e: ctx.complex(ctx.real((r, e)),
-                                                     ctx.real((i, e))),
-                         3, 1)(re, im, exp).astype(object)
-
-
 def _quantized(v, frac, scale=1):
     """floor(v scale 2^frac), part by part, for an int, Fraction, float or
     complex v and a Fraction scale, all exact (a double is a dyadic
@@ -657,37 +686,15 @@ def _quantized(v, frac, scale=1):
                  for x in map(Fraction, (v.real, v.imag)))
 
 
-def _exact(z):
-    """An mpc z as (re, im, exp) with z = (re + i im) 2^exp exactly."""
-    (sr, mr, er, _), (si, mi, ei, _) = z._mpc_
-    e = min(er, ei)
-    return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
-
-
-def _exact_jet(jet):
-    """A jet of lists of mpc numbers, the value's first, as one (3,
-    component, entry) array of (re, im, exp), every number exact (_exact)
-    on the lowest exponent of its entry's value and tangents: a value
-    such as 1 has a short mantissa, on whose exponent a tangent would
-    lose its digits."""
-    out = np.array([[_exact(v) for v in part] for part in jet], dtype=object)
-    low = out[..., 2].min(axis=0)
-    out[..., :2] <<= (out[..., 2] - low)[..., None]
-    out[..., 2] = low
-    return np.moveaxis(out, -1, 0)
-
-
 # cap on the adaptive term count of an entire basis
 _MAX_TERMS = 20000
 _TERM_CAP = ("entire basis did not converge on the reading circle within "
              "the term cap")
 # augmented entries in one stacked elimination (sector_coefficients): one
 # sector of a fresh z^8 (8,1) build, 2 parts x 2 variants x 8 systems of
-# 8 x 9, so a fresh n <= 3, k = 1 build is one stack and from n = 7 each
-# sector its own, as in the (4,1) Jacobian's tangent replay, whose jet of
-# four widens every system to 4 (n + 1) columns: every (8,1) sector in one
-# stack (minors grow with n) took its peak RSS from 46.3 to 58.6 MB and
-# saved only about 10% of its time
+# 8 x 9, so a fresh n <= 3, k = 1 build is one stack and from n = 7, or in
+# the (4,1) Jacobian's jet of four, each sector its own: all (8,1) sectors
+# in one stack took its peak RSS from 46.3 to 58.6 MB to save 10% of time
 _STACK_ENTRIES = 2304
 # fixed-point bits kept below the working precision by the integer
 # constructions, at every precision, in units of 2^-(bits+40).  Entire-basis
@@ -717,11 +724,13 @@ _STACK_ENTRIES = 2304
 # solved exactly and rounded once to bits + 40 bits of its largest entry
 # (sector_coefficients), the A/B consistency and the factor quotients are
 # exact (_eliminate), and each factor entry is rounded once, to a
-# double.  A kill row gives its column at
-# any nonzero scale, so only the normalization row's right-hand side e^{E},
-# one working-precision exp, carries a mode exponential; its rounding at
-# 2^-bits scales its column as a whole and reaches a factor entry as a
-# relative 2^-bits, below that entry's own rounding.  So the only
+# double.  A kill row gives its column at any nonzero scale, so only the
+# normalization row's right-hand side e^{E} carries a mode exponential: E
+# = q_b(z) + lambda_b log z, each term floored once from exact values, a
+# root, pi and ln rho, is off by a few units times |q_b(z)|, under 2^16 on
+# the circles the term cap admits (_collocate), and e^{E}, as each wrap
+# scalar, by a relative 2^-(bits+20) or so (_exp): it scales its column as
+# a whole, far below a factor entry's own rounding.  So the only
 # other errors before the result's are the two roundings at 2^-(bits+40),
 # and each moves a solution by at most the condition number
 # kappa of the matrix solved (the collocation matrix, the A build) times
@@ -752,18 +761,17 @@ def _series_tail(fs, rho):
 
 @dataclass
 class _Build:
-    """A collocation at a reading radius: the formal solution it read, its
-    entire basis' circle and term count, the exact quotients the factors
-    are made of, a jet (_exact_quotient) whose component t holds sector i
-    + 1's x[:, t, i] 2^exp[i] / det[:, t, i], and the A/B agreement; a
-    jet's tangent Lambdas dlam, and drift, the largest tangent of (A
-    build)^{-1} (B build), the identity in exact arithmetic."""
-    fs: FormalSolution
+    """A collocation at a reading radius: the jet of formal solutions it
+    read, its entire basis' circle and term count, the exact quotients the
+    factors are made of, a jet (_exact_quotient) whose component t holds
+    sector i + 1's x[:, t, i] 2^exp[i] / det[:, t, i], the A/B agreement
+    and drift, the largest tangent of (A build)^{-1} (B build), the
+    identity in exact arithmetic."""
+    fss: list
     rho: float
     nterms: int
     quotients: tuple
     cons: float
-    dlam: list
     drift: float
 
 
@@ -773,21 +781,16 @@ def _collocate(op, layout, fss, rho, nterms=None):
 
     The entire basis is built on the circle rho at the formal solutions'
     precision (with a frozen term count when replaying).  The two builds
-    collocate at different angles, so the worst deviation of
-    (A build)^{-1} (B build) from the identity over all sectors measures the
-    amplified working-precision noise at this radius, without modeling it;
-    the truncated formal frame's tail, which both builds share, not at all.
-
-    Factor j pairs the A build of sector j with the B build of sector j-1
-    (the wrap factor, j = 1, with sector r), so no matrix object is shared
-    between consecutive factors and the closure of the full product
-    measures real disagreement between independent collocations.  Per
-    sector one exact elimination against A (_exact_quotient) serves both
-    its agreement and its factor, each factor entry rounded once.  Every
-    build at a layout reads at that layout's angles (_layout_reading).
-    Every integer layer takes every component at once: the column solves
-    in stacks of sectors (sector_coefficients) and the quotients of every
-    sector in one elimination; a fresh run is a jet of one."""
+    collocate at different angles (_layout_reading), so the worst deviation
+    of (A build)^{-1} (B build) from the identity over all sectors measures
+    the amplified working-precision noise at this radius, without modeling
+    it; the truncated formal frame's tail, which both builds share, not at
+    all.  Factor j pairs the A build of sector j with the B build of sector
+    j-1 (the wrap factor, j = 1, with sector r), so the closure of the full
+    product measures real disagreement between independent collocations.
+    One exact elimination against A (_exact_quotient) serves every
+    sector's agreement and factor, of every component at once; a fresh run
+    is a jet of one."""
     ctx, n, rho = fss[0].ctx, layout.n, float(rho)
     # entire solutions' terms peak near index rho^(k+1) (order k+1, type
     # 1/(k+1)): refuse past twice the cap, or not finite, before any table
@@ -811,10 +814,9 @@ def _collocate(op, layout, fss, rho, nterms=None):
              else np.zeros(0))
     if not np.isfinite(deviations).all():      # a NaN from any sector too
         raise ArithmeticError("collocation build overflowed")
-    return _Build(fs=fss[0], rho=rho, nterms=basis.nterms,
+    return _Build(fss=fss, rho=rho, nterms=basis.nterms,
                   cons=float(deviations.max()),
                   quotients=(x[..., n:], det, exp[0, ..., n:]),
-                  dlam=[fs.lam for fs in fss[1:]],
                   drift=float(drift.max(initial=0.0)))
 
 
@@ -829,16 +831,12 @@ def _visibility_interval(layout, i, a, d):
     the lower ray (respectively before the upper ray) -- the condition on the
     other side belongs to the neighboring sector and differs from it by
     exactly the Stokes jump."""
-    k = layout.k
-    half = layout.half
-    lo = layout.ray(i) - half
-    hi = layout.ray(i + 1) + half
-    period = Fraction(2, k + 1)
-    base = ((1 - _diff_arg_fpi(layout.n, a, d)) / (k + 1)) % period
+    half, period = layout.half, Fraction(2, layout.k + 1)
+    lo, hi = layout.ray(i) - half, layout.ray(i + 1) + half
+    base = ((1 - _diff_arg_fpi(layout.n, a, d)) / (layout.k + 1)) % period
     tmin = math.floor((lo - 3 * half - base) / period)
     tmax = math.ceil((hi - half - base) / period)
-    arcs = []
-    minima = []
+    arcs, minima = [], []
     for t in range(tmin, tmax + 1):
         m = base + t * period
         u, v = max(m + half, lo), min(m + 3 * half, hi)
@@ -881,17 +879,13 @@ def _sector_reading_plan(layout):
     where its own mode rides highest over the others by the leading
     exponents, min over a != d of Re((lambda_d - lambda_a) e^{i pi (k+1)
     theta}), so unit self-content is read at the best conditioning; scores
-    within _TIE of the best are ties, which go to the smallest angle.  Which
-    mode dominates where is fixed by the leading exponents, so the plan is
-    the same on every reading circle, at every working precision and at
-    every point with this layout, and is made once per run.
-
-    The rule runs on sectors 1 and 2 only.  Two spacings on, (k+1) theta
-    gains 2/n and lambda_a e^{2 pi i/n} = lambda_{a+1} (Sibuya 1975), so
-    sector i reads sector i-2's angles two spacings on, with column and mode
-    one up mod n: exactly, since the arcs are exact Fractions and
-    _leading_re reduces its argument exactly before the cosine, so every
-    score and tie repeats."""
+    within _TIE of the best are ties, which go to the smallest angle.  So
+    the plan is the same on every circle, at every precision and at every
+    point with this layout.  The rule runs on sectors 1 and 2 only: two
+    spacings on, (k+1) theta gains 2/n and lambda_a e^{2 pi i/n} =
+    lambda_{a+1} (Sibuya 1975), so sector i reads sector i-2's angles two
+    spacings on, with column and mode one up mod n, exactly, as the arcs
+    are exact and _leading_re reduces its argument exactly."""
     n, step = layout.n, layout.spacing / 4
     cond, norms = {}, {}
     for i in (1, 2):
@@ -927,16 +921,14 @@ def _sector_reading_plan(layout):
 
 @functools.lru_cache(maxsize=None)
 def _layout_reading(layout):
-    """What every build at a layout reads, worked out once per layout and
-    shared by its runs and replays, every angle (_sector_reading_plan)
-    looked up here so a build reads by position: `reads`, the angles and
-    the (angle index, mode) rows read there (_content_matrix); `pairs`,
-    the sorted normalization (angle, column) pairs, the only ones whose
-    mode scalars a build needs (_mode_scalars), since an exact solve gives
-    a kill row's column at any nonzero scale; and per variant, sector and
-    column its rows, normalization last, and its pair (`systems`,
-    `scales`: sector_coefficients).  Callers share it and must not change
-    it."""
+    """What every build at a layout reads, worked out once per layout, each
+    angle (_sector_reading_plan) looked up so a build reads by position:
+    `reads`, the angles and the (angle index, mode) rows read there
+    (_content_matrix); `pairs`, the sorted normalization (angle, column)
+    pairs, the only ones needing a mode scalar (_mode_scalars), as an exact
+    solve gives a kill row's column at any scale; and per variant, sector
+    and column its rows, normalization last, and its pair (`systems`,
+    `scales`: sector_coefficients).  Callers must not change it."""
     cond, norms = _sector_reading_plan(layout)
     pairs = sorted({(theta, d) for (_, d), theta in norms.items()})
     keys = sorted({(theta, a) for (*_, a), theta in cond.items()}
@@ -957,14 +949,13 @@ def _layout_reading(layout):
 
 @functools.lru_cache(maxsize=None)
 def _layout_shape(layout):
-    """The shape every run at a layout is checked and read in, worked out
-    once per layout like its angles (_layout_reading): the mode labeling
-    `perm` (dominance_order); per grouped matrix S_i, in that labeling, the
-    strict triangle it may fill, upper for odd i and lower for even i;
-    per factor K_j its allowed entries, the diagonal and the pairs its ray
-    crosses, the wrap factor K_1 on d_{r+1} = d_1 + 2 crossing ray 1's; and
-    which factors sit on phantom rays, crossed by no pair.  Callers share
-    it and must not change it."""
+    """The shape every run at a layout is checked and read in, once per
+    layout: the mode labeling `perm` (dominance_order); per grouped matrix
+    S_i, in that labeling, the strict triangle it may fill, upper for odd i
+    and lower for even i; per factor K_j its allowed entries, the diagonal
+    and the pairs its ray crosses (the wrap factor K_1 ray 1's); and which
+    factors sit on phantom rays, crossed by no pair.  Callers must not
+    change it."""
     n = layout.n
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     triangles = np.array([upper if i % 2 else upper.T
@@ -1026,14 +1017,11 @@ def _content_matrix(fss, tables, inverse, reads):
     The phase e^{i pi theta h_a} of gauged row a is one root of order 4Q
     read at the unwrapped numerator P, so the chart log z = ln rho + i pi
     theta stays explicit: on the next sheet a raw row takes the det twist
-    and its mode scalar e^{-2 pi i lambda_x}, the wrap factor's extra
-    scalars (_stokes_result).  The modulus rho^(h_a) of gauged row a
-    is in the inverse table's columns.  Each table is folded once and
-    summed one class P mod 4 at a time (_class_sums), so the sums of every
-    component and the inverse's of one class are held together; the
-    contents of every mode and component are one stacked product per class
-    (by the Leibniz rule, _leibniz); each read entry is rounded once, to
-    `frac` significant bits (_aligned)."""
+    and e^{-2 pi i lambda_x}, the wrap factor's scalars (_stokes_result);
+    its modulus rho^(h_a) is in the inverse table's columns.  The tables
+    are summed one class P mod 4 at a time (_class_sums), the contents of
+    every mode and component one stacked product per class (_leibniz), and
+    each read entry rounded once, to `frac` significant bits (_aligned)."""
     ctx, (angles, rows) = fss[0].ctx, reads
     twice = [int(2 * h) for h in _gauge_exponents(fss[0].n, fss[0].k)]
     period, numerators = _period(angles)
@@ -1065,31 +1053,33 @@ def _content_matrix(fss, tables, inverse, reads):
 
 
 def _mode_scalars(fss, rho, pairs):
-    """Per component of a jet of formal solutions (formal_solution) and
-    per (theta, b) in pairs, in their order, e^{E} for mode b's
+    """Per (theta, b) in pairs, in their order, e^{E} for mode b's
     exponential E = q_b(z) + lambda_b log z at z = rho e^{i pi theta} on
-    the chart log z = ln rho + i pi theta, and its tangents e^{E} dE, E
-    linear in q and Lambda: the right-hand sides a normalization row
-    solves for (sector_coefficients).  One log per call; z is rho times a
-    root of the root table of the angles' common period, made once per
-    run of pairs at one angle, so the exponential of each pair is the
-    only exp."""
-    ctx = fss[0].ctx
-    log_rho = ctx.log(ctx.number(rho))
+    the chart log z = ln rho + i pi theta, and its tangents e^{E} dE, of a
+    jet of formal solutions: the right-hand sides of the normalization rows
+    (sector_coefficients), an array (3, jet, pairs) of (re, im, exp), each
+    component on its value's exponent (_exp).  E is fixed point with
+    `frac` fraction bits, from one log per call, pi and z = rho times a
+    root of the root table of the angles' common period."""
+    frac = fss[0].ctx.frac
+    log_rho, pi = _log(rho, frac), _constants(frac)[0]
+    num, den = Fraction(rho).as_integer_ratio()
     period, numerators = _period([theta for theta, _ in pairs])
-    roots = _unit_roots(ctx.frac, 2 * period)
-    out, last = [[] for _ in fss], None
+    roots = _unit_roots(frac, 2 * period)
+
+    def exponent(fs, b, z, angle):      # q_b(z) + lambda_b log z
+        (qr, qi), (lr, li) = fs.q_entry(b, z), fs.lr[:, b, fs.k + 1]
+        return (qr + (lr * log_rho - li * angle >> frac),
+                qi + (lr * angle + li * log_rho >> frac))
+
+    out = []
     for (theta, b), p in zip(pairs, numerators):
-        if p != last:
-            ur, ui = roots[2 * p % (4 * period)]
-            z = ctx.number(rho) * ctx.complex(ctx.real((ur, -ctx.frac)),
-                                              ctx.real((ui, -ctx.frac)))
-            chart, last = log_rho + 1j * ctx.number(theta) * ctx.pi, p
-        value = ctx.exp(fss[0].q_entry(b, z) + fss[0].lam[b] * chart)
-        for t, (fs, scalars) in enumerate(zip(fss, out)):
-            scalars.append(value * (fs.q_entry(b, z) + fs.lam[b] * chart)
-                           if t else value)
-    return out
+        ur, ui = roots[2 * p % (4 * period)]
+        z = (ur * num, ui * num, -frac - (den.bit_length() - 1))
+        value, *tangents = [exponent(fs, b, z, pi * p // period)
+                            for fs in fss]
+        out.append(_exp(*value, frac, tangents))
+    return np.array(out, dtype=object).transpose(2, 1, 0)
 
 
 # bit lengths of an object array of ints, entrywise
@@ -1101,9 +1091,8 @@ def _aligned(re, im, exp, frac):
     axis, entries on the last and exp broadcast, each value entry rounded
     to nearest to `frac` significant bits and its tangents on its
     exponent, as Gaussian integers on their row's lowest exponent: (rows,
-    low), rows of shape (2, ...) and the row rows 2^low.  Zero values
-    take no part in the lowest exponent, their tangents are rounded on
-    it, and a row of zeros has low 0."""
+    low), the row rows 2^low.  Zero values take no part in the lowest
+    exponent, their tangents are rounded on it, and a zero row has low 0."""
     value = np.maximum(abs(re[:1]), abs(im[:1]))
     live = value != 0
     s = np.maximum(_bit_length(value) - frac, 0)
@@ -1121,10 +1110,8 @@ def _aligned(re, im, exp, frac):
 class CollocationPlan:
     """Every choice of a collocation run, frozen so replays, and the
     tangent replay a Jacobian differentiates, reuse identical settings,
-    circles, term counts and working precision.  The angles
-    (_layout_reading) and the mode labeling (dominance_order) are functions
-    of the layout alone, so a replayed point must have the layout's n and
-    k."""
+    circles, term counts and working precision; the angles and the mode
+    labeling belong to the layout, so a replayed point has its n and k."""
     settings: StokesSettings
     layout: SectorLayout
     rho: float          # the reading circle
@@ -1138,23 +1125,20 @@ def sector_coefficients(fss, layout, contents, scalars):
 
     Column d of sector i solves n collocation conditions: vanishing content
     along each foreign mode at that mode's reading angle, unit self-content
-    at the normalization angle, its rows (_layout_reading) taken from
-    `contents` (_content_matrix) and its normalization's scalar s from the
-    jet's `scalars` (_mode_scalars).  The column v with rows . v = (0,
-    ..., 0, s) is solved exactly, every component and variant of as many
-    consecutive sectors as _STACK_ENTRIES holds (one at least) in one
-    elimination (_jet_eliminate), and rounded once, to nearest on `frac`
-    bits of its value's largest entry, each tangent on its value's.  Only
-    the normalization row has a right-hand side, so only its exponents
-    scale the column: 2^e row . v = 2^se s' is row . v
-    = s' 2^(se - e).
-    Returns (y, s), y (2, jet, 2, r, n, n) and s (jet, 2, r, n): sector i
-    + 1 of component p in variant v (A, B) is y[:, p, v, i] diag(2^s[p, v,
-    i])."""
+    at the normalization angle, its rows (_layout_reading) from `contents`
+    (_content_matrix) and its normalization's scalar s from `scalars`
+    (_mode_scalars).  The column v with rows . v = (0, ..., 0, s) is solved
+    exactly, as many consecutive sectors as _STACK_ENTRIES holds (one at
+    least) in one elimination (_jet_eliminate), and rounded once, to
+    nearest on `frac` bits of its value's largest entry, each tangent on
+    its value's; only the normalization row's exponents scale it: 2^e row
+    . v = 2^se s' is row . v = s' 2^(se - e).  Returns (y, s), y (2, jet,
+    2, r, n, n) and s (jet, 2, r, n): sector i + 1 of component p in
+    variant v (A, B) is y[:, p, v, i] diag(2^s[p, v, i])."""
     n, frac = layout.n, fss[0].ctx.frac
     _, _, systems, scales = _layout_reading(layout)
     rows, low = contents
-    rhs = np.moveaxis(_exact_jet(scalars), 0, -1)[:, scales]  # (jet, r, n, 3)
+    rhs = np.moveaxis(scalars, 0, -1)[:, scales]        # (jet, r, n, 3)
     aug = np.zeros(rows.shape[:2] + systems.shape + (n + 1,), dtype=object)
     aug[..., :n] = rows[:, :, systems]
     aug[..., -1, n] = np.moveaxis(rhs[..., :2], -1, 0)[:, :, None]
@@ -1178,12 +1162,10 @@ def _eliminate(aug):
     n + m) (re, im) with every A square: (det, x) of shapes (2, ...) and
     (2, ..., n, m), det each system's last pivot (det A up to sign) and
     x = det A^{-1} B, all exact.  Each step cross-multiplies every other
-    row by the pivot and divides exactly by the previous pivot, so the
-    entries stay minors of [A | B]; a row of every system at a time, so
-    only one row's products are held.  Each system's pivot is the first
-    nonzero entry of its column: exact arithmetic needs no search by
-    modulus.  A singular A anywhere in the stack raises
-    ZeroDivisionError."""
+    row, a row of every system at a time, by the pivot, the first nonzero
+    entry of its column, and divides exactly by the previous pivot, so the
+    entries stay minors of [A | B].  A singular A anywhere in the stack
+    raises ZeroDivisionError."""
     batch, (n, width) = aug.shape[1:-2], aug.shape[-2:]
     re, im = aug.reshape((2, -1, n, width)).copy()
     every = np.arange(re.shape[0])
@@ -1268,6 +1250,22 @@ def _divide(a, w, exp):
     return q + (2 * rem > den or (2 * rem == den and q & 1))
 
 
+def _double(a, exp, bits, j=1):
+    """a 2^exp / j for ints a and j > 0, a public value: rounded to nearest
+    on `bits` significant bits, divided by j and rounded so again, and then
+    rounded to a double (inf past its range), each rounding ties to even
+    (_divide)."""
+    for w, size in ((1, bits), (j, bits), (1, 53)):
+        if a:
+            e = abs(a).bit_length() - w.bit_length() - size
+            e += abs(_divide(a, w, e)) > 1 << size
+            a, exp = _divide(a, w, e), exp + e
+    try:
+        return math.ldexp(a, exp)
+    except OverflowError:
+        return math.copysign(math.inf, a)
+
+
 def _ratio(a, w, exp):
     """a / (w 2^exp) for ints a and w > 0 as a double, correctly rounded
     once (int true division is), or OverflowError past double range."""
@@ -1326,16 +1324,14 @@ class StokesData:
     identity (_identity_gap) of the entries that the layout's masks
     (_layout_shape) leave out or pick, and monitored_vector reads the
     grouped matrices through the same triangles.  missed names the
-    residuals that missed their bounds: "consistency" when the A/B
-    agreement is not within 3 radius_tol, the slack left by the reading's
-    one precision correction, and "asymptotic" when the truncated frame's
-    tail, which both builds share, is not within radius_tol; converged
-    holds when neither did, and a run that missed either still returns its
-    data.  lam and qcoeffs are the run's formal exponents Lambda and Q, as
-    on FormalSolution; plan.bits is _FIRST_BITS, or the bits of the
-    reading's one correction.  factors (r, n, n) and matrices (2k+2, n, n)
-    are complex128 arrays, each entry rounded once to a double from exact
-    data (_stokes_result)."""
+    residuals that missed their bounds, "consistency" 3 radius_tol (the
+    reading's one correction's slack) and "asymptotic", the shared frame's
+    tail, radius_tol; converged holds when neither did, and a run that
+    missed either still returns its data.  lam and qcoeffs are the run's
+    Lambda and Q (FormalSolution.exponents); plan.bits is _FIRST_BITS, or
+    the bits of the reading's one correction.  factors (r, n, n) and
+    matrices (2k+2, n, n) are complex128 arrays, each entry rounded once to
+    a double from exact data (_stokes_result)."""
     op: OperPoint
     plan: CollocationPlan
     lam: list
@@ -1365,10 +1361,8 @@ class StokesData:
 
 
 # the bits of a fresh run's first build: at the default settings every
-# monomial point from (n, k) = (2, 1) to (6, 1), and (5, 2) and (4, 3),
-# reads to its request in one build at 69 bits (measured), where a first
-# build at 53 bits needed a second one at 69 to 100 bits at each of them
-# but (2, 1) to (2, 3)
+# monomial point from (n, k) = (2, 1) to (6, 1), (5, 2) and (4, 3) reads to
+# its request in one build at 69 bits; at 53, all but (2, k) needed two
 _FIRST_BITS = 69
 
 
@@ -1392,12 +1386,10 @@ def _select_reading(op, layout, settings):
                 raise
     if build is None:
         # a tail-safe circle beyond double range (Weber at radius_tol
-        # 1e-300), or one that the entire basis cannot sum within its term
-        # cap (1e-100), puts the request out of reach: the run reads the
-        # circle tail-safe to 2^-53 and reports the miss.  The first build's
-        # other ArithmeticErrors on the tail-safe circle take this fallback
-        # too: a singular collocation system (ZeroDivisionError) and a NaN
-        # from any sector ("collocation build overflowed")
+        # 1e-300) or past the term cap (1e-100), and on it any other
+        # ArithmeticError (a singular system, a NaN from any sector), puts
+        # the request out of reach: the run reads the circle tail-safe to
+        # 2^-53 and reports the miss
         rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
         return _collocate(op, layout, [fs], rho)
     if build.cons <= settings.radius_tol / 3:
@@ -1417,7 +1409,7 @@ def stokes_data(op, settings=None):
     layout = sector_layout(op.n, op.k, settings.v0)
     build = _select_reading(op, layout, settings)
     plan = CollocationPlan(settings=settings, layout=layout, rho=build.rho,
-                           nterms=build.nterms, bits=build.fs.ctx.bits)
+                           nterms=build.nterms, bits=build.fss[0].ctx.bits)
     return _stokes_result(op, plan, build)[0]
 
 
@@ -1446,24 +1438,28 @@ def replay(op, plan, tangents=False):
 
 def _stokes_result(op, plan, build):
     """A point's StokesData from its build on the plan, and the tangents
-    of its grouped matrices, one (2k+2, n, n) stack per tangent of the
-    build's jet: the factors K_j = Phi_j^{-1} Phi_{j-1}, j = 1..r, from the
-    build's exact quotients Q_j = (A build of sector j)^{-1} (B build of
-    sector j-1) (_collocate), their grouped matrices, fixed-point products
-    of the quotients on `frac` bits (by the Leibniz rule), and residuals,
-    every entry rounded once to a double (_GUARD_BITS)."""
-    fs, ctx, layout = build.fs, build.fs.ctx, plan.layout
+    of its grouped matrices, one (2k+2, n, n) stack per tangent: the
+    factors K_j = Phi_j^{-1} Phi_{j-1}, j = 1..r, from the exact quotients
+    Q_j = (A build of sector j)^{-1} (B build of sector j-1) (_collocate),
+    their grouped matrices, fixed-point products on `frac` bits (by the
+    Leibniz rule), and residuals, each rounded once to a double."""
+    fs, ctx, layout = build.fss[0], build.fss[0].ctx, plan.layout
     perm, triangles, supports, phantom = _layout_shape(layout)
+    lam, qcoeffs = fs.exponents
     # the wrap factor K_1 compares sector 1 against sector r: re-reading
     # sector 1 on the chart shifted by 2 pi multiplies its contents by the
     # det twist and exp(2 pi i Lambda), so K_1 = Q_1 W and S_1 = (Q_n ...
     # Q_1) W for W = diag(sigma exp(-2 pi i lambda_b)), taken exactly, and
     # S_{2k+2} ... S_1 exp(2 pi i Lambda) = sigma Q_r ... Q_1; dW = -2 pi i
-    # dLambda W
-    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(det_twist(op))
-    wrap = [sigma * ctx.exp(-tau * lam) for lam in fs.lam]
-    wrap = _exact_jet([wrap] + [[-tau * dl * w for dl, w in zip(dlam, wrap)]
-                                for dlam in build.dlam])
+    # dLambda W, each -2 pi i lambda Gaussian fixed point
+    tau = 2 * _constants(ctx.frac)[0]
+    turns = [np.array([tau * jet.lr[1, :, -1], -tau * jet.lr[0, :, -1]])
+             >> ctx.frac for jet in build.fss]
+    wrap = np.array([_exp(*turns[0][:, b], ctx.frac,
+                          [t[:, b] for t in turns[1:]])
+                     for b in range(layout.n)],
+                    dtype=object).transpose(2, 1, 0)
+    wrap[:2] *= det_twist(op)
 
     def doubles(x, det, exp):   # a jet of stacks whose first matrix takes W
         first = _leibniz(x[:, :, :1], wrap[:2, :x.shape[1], None, None],
@@ -1493,7 +1489,7 @@ def _stokes_result(op, plan, build):
     residuals = {
         "identity": float(_deviation(closure, one, unit[0])),
         "unipotency": float(grouped[~triangles].max(initial=0.0)),
-        "trace": fs.trace_residual(),
+        "trace": abs(sum(lam)),
         "asymptotic": _series_tail(fs, plan.rho),
         "consistency": build.cons,
         "support": float(gaps[~supports].max(initial=0.0)),
@@ -1502,7 +1498,7 @@ def _stokes_result(op, plan, build):
     }
     tol = plan.settings.radius_tol
     bounds = {"consistency": 3 * tol, "asymptotic": tol}
-    return StokesData(op=op, plan=plan, lam=fs.lam, qcoeffs=fs.qcoeffs,
+    return StokesData(op=op, plan=plan, lam=lam, qcoeffs=qcoeffs,
                       factors=factors, matrices=matrices, residuals=residuals,
                       missed=tuple(name for name, bound in bounds.items()
                                    if not residuals[name] <= bound)), jet[1:]

@@ -1,13 +1,17 @@
 import cmath
+import dataclasses
 import math
+import os
+import pickle
 import random
-from collections import Counter
+import subprocess
+import sys
 from fractions import Fraction as QQ
 
-import mpmath
 import numpy as np
 import pytest
 
+import operstokes
 from operstokes import immersion, stokes
 from operstokes.immersion import jacobian, kernel_cross_check
 from operstokes.isomono import OperPoint
@@ -158,21 +162,62 @@ def test_converged_needs_every_run(weber_report, monkeypatch):
     assert weber_report.base.residuals == values[0].residuals
 
 
-def test_jacobian_clones_mpmath_once_per_precision(monkeypatch):
-    # every run of a Jacobian shares one numeric context and one root-table
-    # context per precision, so mpmath is cloned at most once per precision
-    # (at the (3,1) point each of the nine runs cloned its own at 69 bits)
-    clones = []
-    clone = mpmath.mp.clone
-    monkeypatch.setattr(mpmath.mp, "clone",
-                        lambda: clones.append(clone()) or clones[-1])
-    for cached in (stokes.make_ctx, stokes._mpmath_at, stokes._unit_roots):
+def test_jacobian_builds_one_context_per_precision(monkeypatch):
+    # every run of a Jacobian shares one numeric context per precision and
+    # one root table per denominator and precision: at the (3,1) point the
+    # base run and its replay read at 69 bits, each table built once
+    keys = []
+    roots = stokes._unit_roots
+    monkeypatch.setattr(stokes, "_unit_roots",
+                        lambda *key: keys.append(key) or roots(*key))
+    for cached in (stokes.make_ctx, roots):
         cached.cache_clear()
     rep = jacobian(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))))
     assert rep.converged and rep.base.plan.bits > 53
-    precisions = Counter(mp.prec for mp in clones)
-    assert rep.base.plan.bits in precisions
-    assert max(precisions.values()) == 1
+    assert stokes.make_ctx.cache_info().misses == 1
+    assert {frac for frac, _ in keys} == {
+        stokes.make_ctx(rep.base.plan.bits).frac}
+    assert roots.cache_info().misses == len(set(keys)) < len(keys)
+
+
+def bits_of(value):
+    """A result as nested tuples that are equal only if it is equal bit
+    for bit: arrays as their bytes, floats as their hex."""
+    if dataclasses.is_dataclass(value):
+        return bits_of(vars(value))
+    if isinstance(value, dict):
+        return tuple((key, bits_of(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(bits_of, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, complex)):
+        return tuple(float(part).hex() for part in (value.real, value.imag))
+    return value
+
+
+def test_a_run_needs_no_mpmath():
+    # every scalar of a run is fixed point: with mpmath unimportable, a
+    # fresh (3,1) run and a Jacobian at the seeded Weber point succeed, and
+    # each field equals this interpreter's run bit for bit
+    script = (
+        "import pickle, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction\n"
+        "from operstokes.immersion import jacobian\n"
+        "from operstokes.isomono import OperPoint\n"
+        "from operstokes.stokes import stokes_data\n"
+        "sd = stokes_data(OperPoint(3, 1, (Fraction(1, 5), Fraction(-1, 7))))\n"
+        "rep = jacobian(OperPoint(2, 1, (-0.3656 + 0.3474j,)))\n"
+        "sys.stdout.buffer.write(pickle.dumps((sd, rep)))\n")
+    src = os.path.dirname(os.path.dirname(operstokes.__file__))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    sd, rep = pickle.loads(run.stdout)
+    assert bits_of(sd) == bits_of(
+        stokes_data(OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7)))))
+    assert bits_of(rep) == bits_of(
+        jacobian(OperPoint(2, 1, (-0.3656 + 0.3474j,))))
 
 
 def test_lost_closure_is_an_error():

@@ -31,13 +31,13 @@ POINTS = {
 
 
 def exact(values):
-    """Working-precision numbers as their exact mpmath tuples."""
-    return [v._mpc_ for v in values]
+    """Complex doubles as their bytes."""
+    return np.array(values, dtype=complex).tobytes()
 
 
 def fields(sd):
-    """Every field of a StokesData, its working-precision numbers as exact
-    tuples and its complex128 factors and grouped matrices as bytes."""
+    """Every field of a StokesData, its Lambda and Q, factors and grouped
+    matrices as bytes."""
     out = dict(vars(sd))
     out["lam"] = exact(sd.lam)
     out["qcoeffs"] = {j: exact(q) for j, q in sd.qcoeffs.items()}

@@ -25,6 +25,8 @@ from operstokes.isomono import OperPoint
 from operstokes.stokes import (FormalSolution, StokesSettings,
                                formal_solution, make_ctx)
 
+from oracles import Working
+
 
 def gauge_transform(op):
     """The companion connection pushed to z = infinity normal form,
@@ -100,13 +102,8 @@ def reference_formal_solution(bcoeffs, k, M, ctx):
         u[:, m] = -(acc >> frac) // m
     ys = [gauss4(F[:, :m + 1], u[:, m::-1, None]).sum(axis=1) >> frac
           for m in range(M + 1)]
-    return FormalSolution(
-        n=n, k=k, M=M,
-        qcoeffs={k + 1 - s: list(stokes._rounded(ctx, *D[:, s], -frac)
-                                 / (k + 1 - s))
-                 for s in range(k + 1)},
-        lam=list(stokes._rounded(ctx, *D[:, k + 1], -frac)), ctx=ctx,
-        fixed=ys, dual=None)
+    return FormalSolution(n=n, k=k, M=M, lr=np.swapaxes(D[:, :k + 2], 1, 2),
+                          ctx=ctx, fixed=ys, dual=None)
 
 
 def reference_inverse_table(fs, rho):
@@ -167,9 +164,11 @@ def test_series_kernel_matches_four_products(name, bits):
     for g, w in zip(got.fixed, want.fixed):
         assert g.shape == w.shape == (2, op.n, op.n)
         assert largest(g - w) <= tolerance(largest(w), 1 << frac, frac)
-    pairs = [(got.lam, want.lam)]
-    pairs += [(got.qcoeffs[j], want.qcoeffs[j]) for j in want.qcoeffs]
-    assert sorted(got.qcoeffs) == sorted(want.qcoeffs)
+    work = Working(ctx)
+    (got_lam, got_q), (want_lam, want_q) = map(work.exponents, (got, want))
+    pairs = [(got_lam, want_lam)]
+    pairs += [(got_q[j], want_q[j]) for j in want_q]
+    assert sorted(got_q) == sorted(want_q)
     for g, w in pairs:
         assert all(abs(x - y) <= 2.0 ** (2 - bits) * max(1, abs(y))
                    for x, y in zip(g, w))

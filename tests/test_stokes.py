@@ -19,7 +19,7 @@ from operstokes.stokes import (EntireBasis, StokesSettings,
                                _visibility_interval, det_twist,
                                formal_solution, make_ctx, replay,
                                sector_layout, stokes_data)
-from oracles import stencil_points
+from oracles import Working, stencil_points
 from test_series_kernel import gauge_transform
 
 SQ2 = 1.4142135623730951
@@ -142,7 +142,7 @@ def inverse_table(fs, rho):
 def ycoeffs(fs):
     """Y_m, m = 0..M, the z^{-m} coefficients of Yhat, each rounded once to
     the working precision from the formal solution's fixed point."""
-    return [stokes._rounded(fs.ctx, *y, -fs.ctx.frac) for y in fs.fixed]
+    return [Working(fs.ctx).rounded(*y, -fs.ctx.frac) for y in fs.fixed]
 
 
 def yhat(fs, z):
@@ -169,39 +169,41 @@ def yhat_prime(fs, z):
 
 
 def q_prime_entry(fs, b, z):
+    qcoeffs = Working(fs.ctx).exponents(fs)[1]
     acc = 0 * z
     for j in range(fs.k + 1, 0, -1):
-        acc = acc * z + j * fs.qcoeffs[j][b]
+        acc = acc * z + j * qcoeffs[j][b]
     return acc
 
 
 def formal_residual(op, fs, z):
     """|| Yhat' - B Yhat + Yhat (Q' + Lambda/z) || at a concrete z, with B
     framed by the rounded f0 of _fixed_frame."""
-    ctx = fs.ctx
+    ctx, work = fs.ctx, Working(fs.ctx)
     n = fs.n
-    f0, f0inv = (stokes._rounded(ctx, *f, -ctx.frac)
+    f0, f0inv = (work.rounded(*f, -ctx.frac)
                  for f in stokes._fixed_frame(ctx, n))
-    z = ctx.number(z)
+    z = work.number(z)
     bz = np.zeros((n, n), dtype=object)
     w = 1.0 / z
     pw = z ** op.k
     for bj in gauge_transform(op):
-        bz = bz + np.array([[ctx.number(v) for v in row] for row in bj],
+        bz = bz + np.array([[work.number(v) for v in row] for row in bj],
                            dtype=object) * pw
         pw = pw * w
     yh = yhat(fs, z)
     res = yhat_prime(fs, z) - f0inv @ bz @ f0 @ yh
+    lam = work.exponents(fs)[0]
     for b in range(n):
         res[:, b] = res[:, b] + yh[:, b] * (q_prime_entry(fs, b, z)
-                                            + fs.lam[b] / z)
+                                            + lam[b] / z)
     return max(abs(complex(res[a, b])) for a in range(n) for b in range(n))
 
 
 def test_formal_solution_exactly_traceless():
     for op in (weber(), cubic()):
         fs = formal(op, 12, make_ctx(69))
-        assert fs.trace_residual() <= 1e-15
+        assert abs(sum(fs.exponents[0])) <= 1e-15
 
 
 def test_formal_residual_truncation_scaling():
@@ -229,8 +231,10 @@ def test_double_formal_solution_matches_multiprecision(op):
     mp = mpmath.mp.clone()
     mp.prec = 200
     lo, hi = (formal(op, 20, make_ctx(bits)) for bits in (53, 132))
-    pairs = list(zip(ycoeffs(lo), ycoeffs(hi))) + [(lo.lam, hi.lam)]
-    pairs += [(lo.qcoeffs[j], hi.qcoeffs[j]) for j in hi.qcoeffs]
+    (lo_lam, lo_q), (hi_lam, hi_q) = (Working(fs.ctx).exponents(fs)
+                                      for fs in (lo, hi))
+    pairs = list(zip(ycoeffs(lo), ycoeffs(hi))) + [(lo_lam, hi_lam)]
+    pairs += [(lo_q[j], hi_q[j]) for j in hi_q]
     assert len(pairs) == 21 + 1 + op.k + 1
     for got, want in pairs:
         got, want = np.ravel(got), [mp.mpc(v) for v in np.ravel(want)]
@@ -276,12 +280,12 @@ def test_formal_exponents_in_closed_form(n, k):
     rng = random.Random(1000 * n + k)
     op = OperPoint(n, k, tuple(QQ(rng.randint(-9, 9), rng.randint(1, 4))
                                for _ in range(n * k - 1)))
-    fs = formal(op, 12, make_ctx(69))
+    lam, qcoeffs = formal(op, 12, make_ctx(69)).exponents
     r = root_series(op)
     zeta = [cmath.exp(2j * math.pi * a / n) for a in range(n)]
-    pairs = [(fs.lam, r[k + 1])]
-    pairs += [(fs.qcoeffs[j], r[k + 1 - j] / j) for j in range(1, k + 2)]
-    assert sorted(fs.qcoeffs) == list(range(1, k + 2))
+    pairs = [(lam, r[k + 1])]
+    pairs += [(qcoeffs[j], r[k + 1 - j] / j) for j in range(1, k + 2)]
+    assert sorted(qcoeffs) == list(range(1, k + 2))
     for got, root in pairs:
         want = [z * complex(root) for z in zeta]
         scale = max(1.0, abs(float(root)))
@@ -290,23 +294,21 @@ def test_formal_exponents_in_closed_form(n, k):
 
 
 # ---------------------------------------------------------------------------
-# numeric context
+# numeric context and its fixed-point scalars
 
 def test_double_and_multiprecision_contexts_agree():
-    # one context class at every precision: every method gives the same
+    # one context class at every precision: every scalar gives the same
     # value to double precision at a double's 53 bits and at 97 bits, and
     # a^{-1} b, the exact quotient rounded once to a double, is x (a
     # fixed-point matrix (y, s) is y diag(2^s), and 4 b has Gaussian-integer
-    # entries).  The numpy complex scalar guards exp and log against
-    # backends that dispatch on the exact type and drop the imaginary part
-    # (mpmath.fp does)
+    # entries)
     lo, hi = make_ctx(53), make_ctx(97)
     assert (lo.bits, lo.frac) == (53, 53 + stokes._GUARD_BITS)
     assert (hi.bits, hi.frac) == (97, 97 + stokes._GUARD_BITS)
     a = [[4, 1, 0], [1, 3, -1], [0, 2, 5]]
     x = [QQ(1, 2), -2j, 1 + 0.25j]
     b = [[sum(a[r][c] * x[c] for c in range(3))] for r in range(3)]
-    w = np.complex128(0.3 + 0.2j)
+    w, rho = 0.3 + 0.2j, 0.3
 
     def exact(rows, s):             # a jet of its value alone
         return (np.array([[[[int(v.real) for v in row] for row in rows]],
@@ -315,20 +317,90 @@ def test_double_and_multiprecision_contexts_agree():
                 np.array([[s] * len(rows[0])], dtype=object))
 
     def values(ctx):
-        return [ctx.pi, ctx.number(QQ(-1, 7)), ctx.number(0.25 - 0.5j),
-                ctx.exp(w), ctx.log(w)]
+        frac = ctx.frac
+        [(mr, mi, e)] = stokes._exp(*stokes._quantized(w, frac), frac)
+        return [math.ldexp(v, -frac) for v in stokes._constants(frac)] + [
+            complex(math.ldexp(mr, e), math.ldexp(mi, e)),
+            math.ldexp(stokes._log(rho, frac), -frac)]
 
     got, want = values(lo), values(hi)
-    assert len(got) == len(want) == 5
-    assert all(abs(complex(g) - complex(v)) <= 1e-15
-               for g, v in zip(got, want))
+    assert len(got) == len(want) == 4
+    assert all(abs(g - v) <= 1e-15 for g, v in zip(got, want))
     re, im = stokes._quotient_entries(stokes._ratio, *stokes._exact_quotient(
         exact(a, 0), exact([[4 * v for v in row] for row in b], -2)))
     # x is dyadic, so its one rounding is exact
     assert [complex(r, i) for r, i in zip(re.ravel(), im.ravel())] == [
         complex(v) for v in x]
-    assert abs(got[3] - cmath.exp(0.3 + 0.2j)) <= 1e-15
-    assert abs(got[4] - cmath.log(0.3 + 0.2j)) <= 1e-15
+    assert abs(got[0] - math.pi) <= 1e-15
+    assert abs(got[1] - math.log(2)) <= 1e-15
+    assert abs(got[2] - cmath.exp(w)) <= 1e-15
+    assert abs(got[3] - math.log(rho)) <= 1e-15
+
+
+@pytest.mark.parametrize("frac", [93, 109, 125, 131, 190])
+def test_fixed_point_scalars_match_mpmath(frac):
+    # pi, ln 2, exp and log against mpmath 64 bits deeper: pi, ln 2 and log
+    # within a unit of 2^-frac, exp and its tangent rows within two units
+    # of 2^-frac relative, over Re w from -60 to 60 and Im w at 0, either
+    # side of +-pi/4 (where the quarter-turn reduction rounds), at +-pi/2
+    # and at +-40, and log over rho from 0.6 to 20
+    mp = mpmath.mp.clone()
+    mp.prec = frac + 64
+    unit = mp.mpf(2) ** -frac
+    pi, ln2 = stokes._constants(frac)
+    assert abs(pi * unit - mp.pi) <= unit
+    assert abs(ln2 * unit - mp.ln2) <= unit
+    eighth = mp.pi / 4
+    ims = [0, eighth + unit, eighth - unit, -eighth + unit, -eighth - unit,
+           mp.pi / 2, -mp.pi / 2, 40, -40]
+    dw = (3 << frac, -(1 << frac) // 7)
+    for re in range(-180, 181, 13):
+        for im in ims:
+            wr, wi = (int(mp.floor(v / unit)) for v in (mp.mpf(re) / 3, im))
+            rows = stokes._exp(wr, wi, frac, [dw])
+            want = mp.exp(mp.mpc(wr, wi) * unit)
+            for (mr, mi, e), scale in zip(rows, (1, mp.mpc(*dw) * unit)):
+                got = mp.mpc(mr, mi) * mp.mpf(2) ** e
+                assert abs(got - want * scale) <= 2 * unit * abs(want * scale)
+    for rho in (0.6, 2 / 3, 0.75, 1.0, 1.2, 1.5, 4.5, 8.15, 9.05, 13.3, 20.0):
+        assert abs(stokes._log(rho, frac) * unit - mp.log(rho)) <= unit
+
+
+def expjpi_roots(frac, den):
+    """The root table's first quadrant, or first half when den is odd, as
+    it was made in mpmath: expjpi 10 bits deeper, each part rounded to
+    nearest (ties up) on `frac` fraction bits."""
+    from mpmath.libmp import mpf_shift, to_int
+    mp = mpmath.mp.clone()
+    mp.prec = frac + 10
+    turns = 2 if den % 2 else 4
+    return [[(to_int(mpf_shift(x._mpf_, frac + 1), "f") + 1) >> 1
+             for x in (z.real, z.imag)]
+            for z in (mp.expjpi(mp.mpf(r) / den)
+                      for r in range(2 * den // turns))]
+
+
+# the (frac, den, r) of the roots e^{i pi r/den} where expjpi 10 bits deeper
+# and the fixed-point exp fall on either side of a rounding boundary: each
+# one unit apart.  No run reads them: a run's tables have denominator n or
+# 2Q, Q an even period of its angles, and these are odd or twice odd
+MOVED_ROOTS = {(109, 71, 46), (109, 85, 44), (125, 43, 26), (125, 65, 43),
+               (131, 83, 31), (131, 83, 52)}
+
+
+@pytest.mark.parametrize("frac", [109, 125, 131])
+def test_root_table_equals_the_mpmath_table(frac):
+    # every first-quadrant root of every table up to den = 96 is the one
+    # mpmath's expjpi gave, but the named few
+    moved = set()
+    for den in range(1, 97):
+        roots = stokes._unit_roots(frac, den)
+        for r, want in enumerate(expjpi_roots(frac, den)):
+            got = roots[r].tolist()
+            if got != want:
+                moved.add((frac, den, r))
+                assert max(abs(g - v) for g, v in zip(got, want)) == 1
+    assert moved == {root for root in MOVED_ROOTS if root[0] == frac}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +415,7 @@ def test_entire_basis_wronskian_is_one():
         for op, rho in ((weber(), 4.5), (cubic(), 4.0)):
             for theta, radius in ((QQ(1, 7), rho), (QQ(-2, 5), 2.2)):
                 basis = EntireBasis(op, ctx, radius)
-                mat = basis.state_matrix(theta)
+                mat = Working(ctx).table(basis.state_matrix(theta))
                 w = mp.det(mp.matrix(mat.tolist()))
                 assert abs(w - 1) <= tol
 
@@ -401,7 +473,7 @@ def test_state_matrix_matches_plain_series(bits):
     for op, theta, radius in readings:
         basis = EntireBasis(op, make_ctx(bits), radius)
         assert basis.nterms > 48
-        got = basis.state_matrix(theta)
+        got = Working(basis.ctx).table(basis.state_matrix(theta))
         mp, want = _series_reference(op, radius, theta, bits + 80)
         worst = max(abs(mp.mpc(got[t, j]) - want[t][j]) / abs(want[t][j])
                     for t in range(op.n) for j in range(op.n))
@@ -420,6 +492,7 @@ def test_formal_inverse_matches_plain_series(bits):
     for op, rho in ((weber(), 4.5),
                     (OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))), 8.15)):
         ctx = make_ctx(bits)
+        work = Working(ctx)
         fs = formal(op, 20, ctx)
         n, M = fs.n, fs.M
         table = inverse_table(fs, rho)
@@ -442,15 +515,14 @@ def test_formal_inverse_matches_plain_series(bits):
             # carries rho^(h_a), which is divided out
             sums, exp = stokes._table_sums(ctx, table,
                                            *stokes._period([theta]))
-            got = stokes._rounded(ctx, *sums[..., 0], exp).conj() / [
-                    ctx.number(rho) ** ctx.number(h)
+            got = work.rounded(*sums[..., 0], exp).conj() / [
+                    work.number(rho) ** work.number(h)
                     for h in stokes._gauge_exponents(n, fs.k)]
             worst = max(abs(mp.mpc(got[a, b]) - want[a, b])
                         for a in range(n) for b in range(n))
             assert worst <= 2.0 ** -(bits - 30) * max(abs(v) for v in want)
-            f0 = stokes._rounded(ctx, *stokes._fixed_frame(ctx, n)[0],
-                                 -ctx.frac)
-            prod = yhat(fs, ctx.number(z)) @ got @ f0 - np.eye(n)
+            f0 = work.rounded(*stokes._fixed_frame(ctx, n)[0], -ctx.frac)
+            prod = yhat(fs, work.number(z)) @ got @ f0 - np.eye(n)
             res = max(abs(complex(v)) for v in np.ravel(prod))
             assert res <= omitted + 2.0 ** -(bits - 10)
             assert omitted <= 1e-2 * stokes._series_tail(fs, rho)
@@ -585,8 +657,9 @@ def mode_scalar(fs, rho, theta, b, prec):
     mp.prec = prec
     chart = mp.log(rho) + 1j * mp.pi * theta.numerator / theta.denominator
     z = mp.exp(chart)
-    q = mp.fsum(mp.mpc(fs.qcoeffs[j][b]) * z ** j for j in fs.qcoeffs)
-    return mp.exp(-(q + mp.mpc(fs.lam[b]) * chart))
+    lam, qcoeffs = Working(fs.ctx).exponents(fs)
+    q = mp.fsum(mp.mpc(qcoeffs[j][b]) * z ** j for j in qcoeffs)
+    return mp.exp(-(q + mp.mpc(lam[b]) * chart))
 
 
 def aligned_row(re, im, exp, frac):
@@ -638,13 +711,13 @@ def content(fs, basis, inverse, rho, theta):
     """Mode contents at theta, as a working-precision matrix with one row
     per mode: each raw row of _content_matrix ((re, im, e), value
     (re + i im) 2^e, each entry rounded once) times its mode_scalar."""
-    ctx = fs.ctx
+    work = Working(fs.ctx)
     out = []
     gamma = read_contents(fs, basis, inverse, {theta: range(fs.n)})[theta]
     for b, row in sorted(gamma.items()):
-        scale = mode_scalar(fs, rho, theta, b, ctx.bits + 40)
+        scale = mode_scalar(fs, rho, theta, b, fs.ctx.bits + 40)
         re, im, e = (np.array(part, dtype=object) for part in row)
-        out.append(stokes._rounded(ctx, re, im, e) * ctx.complex(scale))
+        out.append(work.rounded(re, im, e) * work.mp.mpc(scale))
     return np.array(out)
 
 
@@ -728,15 +801,18 @@ def test_content_matrix_wrap_identity():
             sheets = [content(fs, basis, inverse, rho, t)
                       for t in (theta, theta + 2)]
             here, next_sheet = sheets
+            work = Working(ctx)
+            lam = work.exponents(fs)[0]
             for b in range(op.n):
-                twist = det_twist(op) * ctx.exp(-2j * ctx.pi * fs.lam[b])
+                twist = det_twist(op) * work.exp(-2j * work.pi * lam[b])
                 for j in range(op.n):
                     want = twist * here[b, j]
                     assert (abs(next_sheet[b, j] - want)
                             <= 2.0 ** -(bits - 30) * abs(want))
             pairs = [(t, b) for t in (theta, theta + 2) for b in range(op.n)]
-            for (t, b), got in zip(pairs,
-                                   stokes._mode_scalars([fs], rho, pairs)[0]):
+            for (t, b), (re, im, e) in zip(pairs, stokes._mode_scalars(
+                    [fs], rho, pairs)[:, 0].T):
+                got = work.mp.mpc(re, im) * work.mp.mpf(2) ** e
                 want = mode_scalar(fs, rho, t, b, bits + 40)
                 assert abs(1 / got - want) <= 2.0 ** -(bits - 30) * abs(want)
         assert det_twist(op) == (1 if op.n == 3 else -1)
@@ -768,8 +844,8 @@ def test_sector_columns_meet_their_conditions(op):
     contents = stokes._content_matrix(
         [fs], iter([basis.table]), stokes._inverse_table([fs], plan.rho),
         reads)
-    scalars = stokes._mode_scalars([fs], plan.rho, pairs)[0]
-    ys, ss = stokes.sector_coefficients([fs], layout, contents, [scalars])
+    scalars = stokes._mode_scalars([fs], plan.rho, pairs)
+    ys, ss = stokes.sector_coefficients([fs], layout, contents, scalars)
     mp = mpmath.mp.clone()
     mp.prec = plan.bits
     tol = 2.0 ** -(plan.bits - 10)
@@ -823,7 +899,7 @@ CLOSURE_POINTS = {
 }
 
 
-def mpc_identity_residual(ctx, mats, lam, sigma):
+def mpc_identity_residual(work, mats, lam, sigma):
     """The closure as working-precision matrices once measured it: max-norm
     distance of S_{2k+2} ... S_1 exp(2 pi i Lambda) from the det-twist
     multiple of the identity, the product taken in mpc and the twist and
@@ -832,7 +908,7 @@ def mpc_identity_residual(ctx, mats, lam, sigma):
     acc = np.eye(n, dtype=object)
     for mat in mats:
         acc = mat @ acc
-    twist = [ctx.exp(ctx.number(2j) * ctx.number(ctx.pi) * lam[b])
+    twist = [work.exp(work.number(2j) * work.number(work.pi) * lam[b])
              for b in range(n)]
     worst = 0.0
     for s in range(n):
@@ -863,7 +939,7 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
     [build] = builds
     x, det, exp = build.quotients
     x, det = x[:, 0], det[:, 0]         # the value, a jet of one
-    n, layout, ctx = op.n, sd.plan.layout, build.fs.ctx
+    n, layout, ctx = op.n, sd.plan.layout, build.fss[0].ctx
     # Q_j = N_j / D_j, N_j = x conj(det) 2^(exp - e_j) Gaussian integers
     # and D_j = |det|^2 2^-e_j for e_j the least exponent of Q_j
     prod_re, prod_im = np.eye(n, dtype=object), np.zeros((n, n), dtype=object)
@@ -891,9 +967,10 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
              * math.prod(max(1.0, v) for v in norms))
     assert abs(got - want) <= bound + 2.0 ** -51 * want
     # the mpc oracle: K_1 = Q_1 W, then S_i = K_{i n} ... K_{(i-1) n + 1}
-    tau, sigma = 2j * ctx.number(ctx.pi), ctx.number(det_twist(op))
-    wrap = [sigma * ctx.exp(-tau * lam) for lam in sd.lam]
-    factors = [np.array([[ctx.number(re) + 1j * ctx.number(im)
+    work = Working(ctx)
+    tau, sigma = 2j * work.number(work.pi), work.number(det_twist(op))
+    wrap = [sigma * work.exp(-tau * lam) for lam in sd.lam]
+    factors = [np.array([[work.number(re) + 1j * work.number(im)
                           for re, im in row] for row in q], dtype=object)
                for q in quotients]
     factors[0] = factors[0] * np.array(wrap, dtype=object)
@@ -903,7 +980,7 @@ def test_closure_matches_exact_rational_product(name, monkeypatch):
         for j in range(i + 1, i + layout.n):
             acc = factors[j] @ acc
         mats.append(acc)
-    old = mpc_identity_residual(ctx, mats, sd.lam, det_twist(op))
+    old = mpc_identity_residual(work, mats, sd.lam, det_twist(op))
     assert abs(got - old) <= 1e-4 * old + 1e-18
 
 
@@ -1139,7 +1216,7 @@ def test_entire_basis_matches_gaussian_column():
     basis = EntireBasis(op, make_ctx(53), 3.0)
     for theta in (QQ(0), QQ(1, 3), QQ(7, 5)):
         z = 3.0 * cmath.exp(1j * math.pi * float(theta))
-        got = as_np(basis.state_matrix(theta))
+        got = as_np(Working(basis.ctx).table(basis.state_matrix(theta)))
         want = cmath.exp(z * z / 2)
         assert abs(got[0, 0] - want) <= 1e-9 * abs(want)
         assert abs(got[1, 0] - z * want) <= 1e-9 * abs(z * want)
@@ -1191,9 +1268,10 @@ def test_visibility_intervals_cover_supersector_conditions():
                     u, v = _visibility_interval(layout, i, a, d)
                     assert lo <= u < v <= hi
                     z = 5.0 * cmath.exp(1j * math.pi * float(u + v) / 2)
+                    z = (*stokes._quantized(z, fs.ctx.frac), -fs.ctx.frac)
                     # mode a genuinely dominates mode d at the reading angle,
                     # by the full exponent polynomial
-                    assert (fs.q_entry(a, z) - fs.q_entry(d, z)).real > 0
+                    assert fs.q_entry(a, z)[0] > fs.q_entry(d, z)[0]
 
 
 def all_sector_plan(layout):
@@ -1553,7 +1631,7 @@ def test_replay_rejects_a_point_of_another_layout():
 def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
                                                     monkeypatch):
     # a kill row gives its column at any nonzero scale, so a build
-    # evaluates the context's exp once per distinct normalization (angle,
+    # evaluates the fixed-point exp once per distinct normalization (angle,
     # column) pair -- at (3,1) 14, where every read row took one (59 angles
     # x 3 modes = 177) -- and rounds content rows only for the modes read
     # at each angle: 95 of those 177 at (3,1), 208 of 81 x 4 = 324 at z^4
@@ -1566,8 +1644,10 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     ctx = make_ctx(plan.bits)
     fs = formal(op, plan.settings.trunc_order, ctx)
     exps, read = [], []
-    exp = ctx.exp
-    monkeypatch.setattr(ctx, "exp", lambda x: exps.append(x) or exp(x))
+    exp = stokes._exp
+    # the exps at the working precision: a root table takes its own deeper
+    monkeypatch.setattr(stokes, "_exp", lambda *args: exps.append(
+        args[2]) or exp(*args))
     content_matrix = stokes._content_matrix
 
     def traced_contents(fss, tables, inverse, reads):
@@ -1578,7 +1658,7 @@ def test_exact_build_reads_only_what_its_solves_use(op, pairs, angles, rows,
     monkeypatch.setattr(stokes, "_content_matrix", traced_contents)
     build = stokes._collocate(op, plan.layout, [fs], plan.rho, plan.nterms)
     assert build.cons <= 1e-10
-    assert len(exps) == pairs
+    assert exps.count(ctx.frac) == pairs
     reads = set(cond.values()) | set(norms.values())
     assert len(read) == 1 and set(read[0][0]) == reads
     assert len(reads) * op.n > read[0][1][0].shape[2] == rows
