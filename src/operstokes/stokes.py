@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -180,19 +180,21 @@ class FormalSolution:
     companion connection of y^(n) = p y conjugated by diag(z^{(n-t)k}), its
     trace kn(n+1)/(2z) split off (det_twist), framed by f0 (_fixed_frame).
 
-    fixed[m] and dual[..., m] are the z^{-m} coefficients of Yhat (fixed[0]
-    = I up to units) and of Yhat^{-1} f0^{-1} (rows a, entries t), (2, n,
-    n) fixed-point arrays of the parts with `frac` fraction bits, read by
-    the tail norms (_tail_norms) and the formal inverse (_inverse_table);
-    a tangent's fixed is None, as only the value's tail is read.  lr[:, a,
-    i] is l r_i of mode a (formal_solution), Gaussian fixed point: Lambda_a
-    = lr[:, a, k+1] and Q_{j,a} = lr[:, a, k+1-j]/j exactly."""
+    dual[..., m] is the z^{-m} coefficient of Yhat^{-1} f0^{-1} (rows a,
+    entries t), a (2, n, n) fixed-point array of the parts with `frac`
+    fraction bits (_inverse_table).  Yhat is read at its last orders alone:
+    tail is [(m, max-norm of its z^{-m} term)], m = max(1, M-3)..M, several
+    to ride out parity-sparse series, each part rounded once to `bits` and
+    then to a double (_double) (compute_radius, _series_tail), or None on a
+    tangent, as only the value's is read.  lr[:, a, i] is l r_i of mode a
+    (formal_solution), Gaussian fixed point: Lambda_a = lr[:, a, k+1] and
+    Q_{j,a} = lr[:, a, k+1-j]/j exactly."""
     n: int
     k: int
     M: int
     lr: np.ndarray
     ctx: object
-    fixed: np.ndarray
+    tail: list
     dual: np.ndarray
 
     def q_entry(self, b, z):
@@ -220,11 +222,6 @@ class FormalSolution:
                    for part in self.lr[..., self.k + 1 - j].T]
                   for j in range(self.k + 2)]
         return public[0], dict(enumerate(public[1:], 1))
-
-    @functools.cached_property
-    def tail(self):
-        """_tail_norms, rounded once per formal solution."""
-        return _tail_norms(self)
 
 
 def _p_jet(op, m, tangents):
@@ -333,14 +330,18 @@ def formal_solution(op, M, ctx, tangents=False):
     for t in range(n - 1):
         rows.append(_triple(_raised(phi, rows[-1], t * k, frac)))
     rows = np.array(rows)[:, :2]                # (t, 2, P, 2n, M + 1)
-    # Yhat of the value alone: only its tail is read
-    fixed = _gauss(f0inv, rows[:, :, 0, :n].transpose(1, 0, 3, 2).reshape(
+    lo = max(1, M - 3)              # Yhat of the value, at its tail orders
+    ys = _gauss(f0inv, rows[:, :, 0, :n, lo:].transpose(1, 0, 3, 2).reshape(
         2, n, -1), np.matmul) >> frac
-    fixed = fixed.reshape(2, n, M + 1, n).transpose(2, 0, 1, 3)
+    ys = ys.reshape(2, n, -1, n).transpose(2, 0, 1, 3).reshape(-1, 2, n * n)
+    tail = [(lo + i, max((abs(complex(_double(re, -frac, ctx.bits),
+                                      _double(im, -frac, ctx.bits)))
+                          for re, im in zip(*y)), default=0.0))
+            for i, y in enumerate(ys)]
     alt = (-1) ** np.arange(n, dtype=object)[:, None, None, None, None]
     dual = (rows[:, :, :, n:] * alt)[::-1].transpose(1, 2, 3, 0, 4)
     return [FormalSolution(n=n, k=k, M=M, lr=lr[:, p, :n], ctx=ctx,
-                           fixed=None if p else fixed, dual=dual[:, p])
+                           tail=None if p else tail, dual=dual[:, p])
             for p in range(size)]
 
 
@@ -466,23 +467,10 @@ def sector_layout(n, k, v0=None):
 # ---------------------------------------------------------------------------
 # the tail-safe reading circle
 
-def _tail_norms(fs):
-    """(m, max-norm of the z^{-m} term) for the last kept formal terms --
-    several, to ride out parity-sparse series whose top term vanishes --
-    each part rounded once to the working precision, then to a double
-    (_double), once per formal solution (FormalSolution.tail)."""
-    bits, frac = fs.ctx.bits, fs.ctx.frac
-    return [(m, max((abs(complex(_double(re, -frac, bits),
-                                 _double(im, -frac, bits)))
-                     for re, im in zip(*fs.fixed[m].reshape(2, -1))),
-                    default=0.0))
-            for m in range(max(1, fs.M - 3), fs.M + 1)]
-
-
-def compute_radius(fs, settings):
+def compute_radius(fs, tol):
     """Tail-safe radius: smallest circle on which each of the last kept formal
-    terms contributes below radius_tol (inf past double range)."""
-    return 1.05 * max([2.0] + [(norm / settings.radius_tol) ** (1.0 / m)
+    terms contributes below tol (inf past double range)."""
+    return 1.05 * max([2.0] + [(norm / tol) ** (1.0 / m)
                                 for m, norm in fs.tail if norm > 0])
 
 
@@ -708,17 +696,17 @@ _STACK_ENTRIES = 2304
 # (D + phi') and each recurrence coefficient T_i is a sum of exact products
 # shifted once, and each order floor-divides once by n m, so an order takes
 # a few units, which the recurrence carries on divided by n m per step as
-# it carries the series' own terms; Yhat is one more shifted product, by
-# f0^{-1}, and the formal inverse is the adjoint's series, scaled by
-# rho^(h_t - m) with one floor, with no inversion to amplify them:
-# absolute, but Y_0 = W_0 = I, the later terms on a reading circle are
-# small, and the inverse table keeps its smallest column rho^(h_a) at full
-# resolution.  Table sums are exact: every unit power is a root within
-# one unit, and folding by residue mod 2Q and then by the quarter turns
-# only adds coefficients and turns them by powers of i, which the root
-# table's exact quarter turns make exact, so a sum is off by at most
-# sum_m |T_m| units, under N < 2^15 units of the largest term T_m (N <=
-# _MAX_TERMS), and contents are exact from these sums to one rounding.
+# it carries the series' own terms; Yhat, formed at its tail orders alone, for
+# the circle, is one more shifted product, by f0^{-1}, and the formal inverse
+# is the adjoint's series, scaled by rho^(h_t - m) with one floor, with no
+# inversion to amplify them: absolute, but Y_0 = W_0 = I, the later terms on a
+# reading circle are small, and the inverse table keeps its smallest column
+# rho^(h_a) at full resolution.  Table sums are exact: every unit power is a
+# root within one unit, and folding by residue mod 2Q and then by the quarter
+# turns only adds coefficients and turns them by powers of i, which the root
+# table's exact quarter turns make exact, so a sum is off by at most sum_m
+# |T_m| units, under N < 2^15 units of the largest term T_m (N <= _MAX_TERMS),
+# and contents are exact from these sums to one rounding.
 # Collocation: each raw content entry (no mode exponential) is rounded
 # once to bits + 40 significant bits (_aligned), each sector column is
 # solved exactly and rounded once to bits + 40 bits of its largest entry
@@ -1376,7 +1364,7 @@ def _select_reading(op, layout, settings):
     ceil(log2(shortfall))) bits is the run's build.  Each build is a jet
     of one component."""
     [fs] = formal_solution(op, settings.trunc_order, make_ctx(_FIRST_BITS))
-    rho = settings.radius or compute_radius(fs, settings)
+    rho = settings.radius or compute_radius(fs, settings.radius_tol)
     build = None
     if math.isfinite(rho):
         try:
@@ -1390,7 +1378,7 @@ def _select_reading(op, layout, settings):
         # ArithmeticError (a singular system, a NaN from any sector), puts
         # the request out of reach: the run reads the circle tail-safe to
         # 2^-53 and reports the miss
-        rho = compute_radius(fs, replace(settings, radius_tol=2.0 ** -53))
+        rho = compute_radius(fs, 2.0 ** -53)
         return _collocate(op, layout, [fs], rho)
     if build.cons <= settings.radius_tol / 3:
         return build

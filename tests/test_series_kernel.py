@@ -1,12 +1,15 @@
 """The scalar-equation formal series against the matrix recurrences.
 
-formal_solution builds Yhat and Yhat^{-1} f0^{-1} from scalar series of the
-equation and its adjoint.  The order-by-order matrix diagonalization and
-the series inversion it replaced are kept here as oracles, with their sums
-taken by four real products, and the two must agree per order to a few
-fixed-point units; Yhat times its formal inverse must be the identity
-order by order.  The Gaussian-integer products themselves (_gauss) must
-equal the four-product form bit for bit.
+formal_solution builds Yhat^{-1} f0^{-1} at every order from scalar series
+of the equation and its adjoint, and Yhat only at its last orders, whose
+max-norms the run reads (FormalSolution.tail).  The order-by-order matrix
+diagonalization and the series inversion it replaced
+(oracles.reference_formal_solution, reference_inverse_table), with their
+sums taken by four real products, check both: the reference Yhat times the
+run's formal inverse must be the identity order by order, the run's tail
+must be the reference's tail norms, and the inverse tables, Lambda and Q
+must agree per order to a few fixed-point units.  The Gaussian-integer
+products themselves (_gauss) must equal the four-product form bit for bit.
 """
 
 import math
@@ -20,90 +23,10 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
 from operstokes import stokes
-from operstokes.exactla import qzeros
 from operstokes.isomono import OperPoint
-from operstokes.stokes import (FormalSolution, StokesSettings,
-                               formal_solution, make_ctx)
+from operstokes.stokes import StokesSettings, formal_solution, make_ctx
 
-from oracles import Working
-
-
-def gauge_transform(op):
-    """The companion connection pushed to z = infinity normal form,
-    trace-split: the trace-free Laurent data B(z) = z^k sum_j B_j z^{-j} as
-    the tuple of the B_j, exact (Fraction entries) whenever the oper point
-    is.
-
-    The companion matrix (unit superdiagonal, p in the corner) conjugated by
-    g = diag(z^{(n-j)k}) becomes z^k times the cyclic shift plus lower-order
-    terms, and g contributes the diagonal (n-j)k/z whose trace c/z, c =
-    kn(n+1)/2, is removed (det_twist).
-    """
-    n, k, d = op.n, op.k, op.d
-    jmax = max(d, k + 1)
-    bc = [qzeros(n) for _ in range(jmax + 1)]
-    for a in range(n - 1):
-        bc[0][a, a + 1] = QQ(1)
-    bc[0][n - 1, 0] = QQ(1)            # monic top coefficient of p
-    for m in range(d - 1):
-        c = op.p_coeff(m)
-        if c:
-            bc[d - m][n - 1, 0] = bc[d - m][n - 1, 0] + c
-    cw = QQ(k * n * (n + 1), 2)
-    shift = cw / n                      # = k(n+1)/2 per diagonal entry
-    for a in range(n):
-        bc[k + 1][a, a] = bc[k + 1][a, a] + QQ((n - a) * k) - shift
-    return tuple(bc)
-
-
-def gauss4(x, y, op=np.multiply):
-    """(re, im) product of two (re, im) arrays by four products."""
-    return np.array([op(x[0], y[0]) - op(x[1], y[1]),
-                     op(x[0], y[1]) + op(x[1], y[0])])
-
-
-def quantized(v, frac, scale=1):
-    return tuple(math.floor(QQ(x) * scale * 2 ** frac)
-                 for x in (v.real, v.imag))
-
-
-def reference_formal_solution(bcoeffs, k, M, ctx):
-    """The four-product recurrence on a gauged connection's B_j
-    (gauge_transform) of pole order k: each order's convolutions
-    materialized as term arrays and reduced by .sum(axis=1)."""
-    n, frac = len(bcoeffs[0]), ctx.frac
-    f0, f0inv = stokes._fixed_frame(ctx, n)
-    b = np.array([[[quantized(c, frac) for c in row] for row in bj]
-                  for bj in bcoeffs], dtype=object)
-    b = gauss4(np.moveaxis(b, 3, 0), f0, np.matmul) >> frac
-    bt = gauss4(f0inv, b, np.matmul) >> frac
-    lam = f0[:, 1]
-    gap = lam[:, None, :] - lam[:, :, None]
-    norm = gap[0] * gap[0] + gap[1] * gap[1] + np.eye(n, dtype=object)
-    recip = np.array([gap[0], -gap[1]]) * (1 << 2 * frac) // norm
-    levels = k + 2 + M
-    F = np.zeros((2, levels, n, n), dtype=object)
-    F[0, 0] = np.eye(n, dtype=object) << frac
-    D = np.zeros((2, levels, n), dtype=object)
-    D[:, 0] = lam
-    for j in range(1, levels):
-        lo = max(0, j - bt.shape[1] + 1)
-        side = bt[:, j - lo:0:-1].transpose(0, 2, 1, 3).reshape(2, n, -1)
-        r = gauss4(side, F[:, lo:j].reshape(2, -1, n), np.matmul)
-        r = (r - gauss4(F[:, 1:j], D[:, j - 1:0:-1, None]).sum(axis=1)) >> frac
-        if j >= k + 2:
-            r = r + (j - k - 1) * F[:, j - k - 1]
-        D[:, j] = np.diagonal(r, axis1=1, axis2=2)
-        F[:, j] = gauss4(r, recip) >> frac
-    u = np.zeros((2, M + 1, n), dtype=object)
-    u[0, 0] = 1 << frac
-    for m in range(1, M + 1):
-        acc = gauss4(D[:, k + 2:k + 2 + m], u[:, m - 1::-1]).sum(axis=1)
-        u[:, m] = -(acc >> frac) // m
-    ys = [gauss4(F[:, :m + 1], u[:, m::-1, None]).sum(axis=1) >> frac
-          for m in range(M + 1)]
-    return FormalSolution(n=n, k=k, M=M, lr=np.swapaxes(D[:, :k + 2], 1, 2),
-                          ctx=ctx, fixed=ys, dual=None)
+from oracles import Working, gauss4, reference_formal_solution
 
 
 def reference_inverse_table(fs, rho):
@@ -112,7 +35,7 @@ def reference_inverse_table(fs, rho):
     ctx, n, M, frac = fs.ctx, fs.n, fs.M, fs.ctx.frac
     r = QQ(rho)
     j = np.arange(1, M + 1, dtype=object)[:, None, None, None]
-    re, im = np.moveaxis(np.array(fs.fixed[1:]) * r.denominator ** j
+    re, im = np.moveaxis(np.array(fs.ys[1:]) * r.denominator ** j
                          // r.numerator ** j, 1, 0)
     ys = np.block([[re, -im], [im, re]]).transpose(1, 0, 2).reshape(2 * n, -1)
     sq = [r ** int(2 * h) for h in stokes._gauge_exponents(n, fs.k)]
@@ -146,24 +69,32 @@ def tolerance(scale, one, frac):
     return max(one, scale) >> (frac - 12)
 
 
+def tail_norms(frame):
+    """FormalSolution.tail of a reference frame: (m, max-norm of Y_m) for
+    m = max(1, M-3)..M, each part rounded in mpmath once to the working
+    precision and then, to nearest, to a double."""
+    rounded = Working(frame.ctx).rounded
+    return [(m, max(abs(complex(v)) for v in
+                    np.ravel(rounded(*frame.ys[m], -frame.ctx.frac))))
+            for m in range(max(1, frame.M - 3), frame.M + 1)]
+
+
 @pytest.mark.parametrize("bits", [69, 105])
 @pytest.mark.parametrize("name", list(POINTS))
 def test_series_kernel_matches_four_products(name, bits):
     # formal solution and formal-inverse table at the default order M = 40
-    # agree with the matrix recurrences order by order: Yhat to 2^-(frac-12)
-    # of each order's largest entry (absolutely, below 1), the table to
-    # that of the sizes of the terms of the inverse recurrence W_m = -sum_j
-    # Y_j W_{m-j}, whose roundings it carries, and Lambda and Q to a few
-    # units of the working precision
+    # agree with the matrix recurrences: Yhat's tail norms bit for bit
+    # (tail_norms), the table order by order to 2^-(frac-12) of the sizes
+    # of the terms of the inverse recurrence W_m = -sum_j Y_j W_{m-j},
+    # whose roundings it carries, and Lambda and Q to a few units of the
+    # working precision
     op = POINTS[name]
     ctx = make_ctx(bits)
     M, frac = StokesSettings().trunc_order, ctx.frac
     [got] = formal_solution(op, M, ctx)
-    want = reference_formal_solution(gauge_transform(op), op.k, M, ctx)
-    assert len(got.fixed) == len(want.fixed) == M + 1
-    for g, w in zip(got.fixed, want.fixed):
-        assert g.shape == w.shape == (2, op.n, op.n)
-        assert largest(g - w) <= tolerance(largest(w), 1 << frac, frac)
+    want = reference_formal_solution(op, M, ctx)
+    assert len(want.ys) == M + 1
+    assert got.tail == tail_norms(want)
     work = Working(ctx)
     (got_lam, got_q), (want_lam, want_q) = map(work.exponents, (got, want))
     pairs = [(got_lam, want_lam)]
@@ -179,7 +110,7 @@ def test_series_kernel_matches_four_products(name, bits):
         assert tc.shape == wc.shape == (2, op.n, op.n, M + 1)
         assert te.tolist() == we.tolist()
         ys = [largest(y) * QQ(rho) ** -j / 2 ** frac
-              for j, y in enumerate(want.fixed)]
+              for j, y in enumerate(want.ys)]
         vs = [largest(wc[..., m]) for m in range(M + 1)]
         for m in range(M + 1):
             scale = max([vs[m]] + [ys[j] * vs[m - j] for j in range(1, m + 1)])
@@ -187,35 +118,65 @@ def test_series_kernel_matches_four_products(name, bits):
                 math.floor(scale), 1 << -int(te[0, 0]), frac)
 
 
-@pytest.mark.parametrize("op", [
-    OperPoint(2, 1, (0.3 - 0.2j,)),
-    OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
-    OperPoint(4, 1, (QQ(1, 3), QQ(-2, 5), QQ(1, 7))),
-    OperPoint(5, 1, (QQ(1, 2), 0, QQ(-1, 3), QQ(2, 7))),
-    OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
-    OperPoint(3, 2, (QQ(1, 3), QQ(-2, 5), QQ(1, 7), QQ(3, 4), QQ(-1, 2))),
-    OperPoint(2, 3, (QQ(1, 4), QQ(-1, 3), QQ(2, 5), QQ(1, 6), QQ(-3, 7))),
-    OperPoint(2, 4, (0,) * 7)],
-    ids=["21", "31", "41", "51", "22", "32", "23", "z8-24"])
-def test_formal_inverse_is_the_inverse(op):
-    # sum_{j<=m} Y_j W_{m-j} = delta_{m0} I through order M, with W_m f0^-1
-    # the dual coefficients and f0 the fixed-point frame: exact integer
-    # products, each order within 2^-(frac-12) of the sum of its terms'
-    # sizes (or absolutely, below 1)
+INVERSE_POINTS = {
+    "21": OperPoint(2, 1, (0.3 - 0.2j,)),
+    "31": OperPoint(3, 1, (QQ(1, 5), QQ(-1, 7))),
+    "41": OperPoint(4, 1, (QQ(1, 3), QQ(-2, 5), QQ(1, 7))),
+    "51": OperPoint(5, 1, (QQ(1, 2), 0, QQ(-1, 3), QQ(2, 7))),
+    "22": OperPoint(2, 2, (0.1 + 0.2j, -0.05j, 0.2)),
+    "32": OperPoint(3, 2, (QQ(1, 3), QQ(-2, 5), QQ(1, 7), QQ(3, 4),
+                           QQ(-1, 2))),
+    "23": OperPoint(2, 3, (QQ(1, 4), QQ(-1, 3), QQ(2, 5), QQ(1, 6),
+                           QQ(-3, 7))),
+    "z8-24": OperPoint(2, 4, (0,) * 7),
+}
+
+
+@pytest.mark.parametrize("name", list(INVERSE_POINTS))
+def test_formal_inverse_is_the_inverse(name):
+    # sum_{j<=m} Y_j W_{m-j} = delta_{m0} I through order M, with Y_j the
+    # reference frame's and W_m f0^-1 the run's dual coefficients, f0 the
+    # fixed-point frame: exact integer products, each order within
+    # 2^-(frac-12) of the sum of its terms' sizes (or absolutely, below 1)
+    op = INVERSE_POINTS[name]
     ctx = make_ctx(69)
     frac, n, M = ctx.frac, op.n, 40
     [fs] = formal_solution(op, M, ctx)
+    ys = reference_formal_solution(op, M, ctx).ys
     f0 = stokes._fixed_frame(ctx, n)[0]
     ws = [gauss4(fs.dual[..., m], f0, np.matmul) >> frac
           for m in range(M + 1)]
     eye = np.array([np.eye(n, dtype=object) << 2 * frac,
                     np.zeros((n, n), dtype=object)])
     for m in range(M + 1):
-        terms = [gauss4(fs.fixed[j], ws[m - j], np.matmul)
-                 for j in range(m + 1)]
+        terms = [gauss4(ys[j], ws[m - j], np.matmul) for j in range(m + 1)]
         got = sum(terms) - (eye if m == 0 else 0)
         assert largest(got) <= tolerance(sum(map(largest, terms)),
                                          1 << 2 * frac, frac)
+
+
+@pytest.mark.parametrize("bits", [69, 105])
+@pytest.mark.parametrize("name", list(INVERSE_POINTS))
+def test_tail_matches_the_independent_frame(name, bits):
+    # the run forms Yhat only at the orders its tail reads, and their
+    # max-norms, rounded to `bits` and then to a double, are the reference
+    # frame's bit for bit at the default order M = 40, at the points whose
+    # inverse test_formal_inverse_is_the_inverse checks
+    op, M = INVERSE_POINTS[name], StokesSettings().trunc_order
+    ctx = make_ctx(bits)
+    [fs] = formal_solution(op, M, ctx)
+    assert fs.tail == tail_norms(reference_formal_solution(op, M, ctx))
+    assert [m for m, _ in fs.tail] == [M - 3, M - 2, M - 1, M]
+
+
+def test_tangent_components_carry_no_tail():
+    # a (4,1) tangent replay's jet: the value and its three tangents, of
+    # which only the value's tail is read
+    value, *tangents = formal_solution(
+        OperPoint(4, 1, (QQ(1, 5), QQ(-1, 4), QQ(1, 6))), 40, make_ctx(69),
+        tangents=True)
+    assert len(tangents) == 3 and len(value.tail) == 4
+    assert all(fs.tail is None for fs in tangents)
 
 
 def gaussian(rng, shape, bits):
